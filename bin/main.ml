@@ -482,8 +482,8 @@ let vm_link_arg =
     & info [ "vm-link" ] ~docv:"BOOL"
         ~doc:
           "Threaded-engine block linking: terminators transfer to the \
-           successor's compiled block directly instead of returning to the \
-           indexed dispatch loop.  Semantics-preserving; on by default.")
+           successor's compiled block directly instead of re-indexing the \
+           function's block array.  Semantics-preserving; on by default.")
 
 let vm_fuse_arg =
   Arg.(
@@ -491,9 +491,9 @@ let vm_fuse_arg =
     & opt bool Vm.Machine.default_tuning.Vm.Machine.fuse
     & info [ "vm-fuse" ] ~docv:"BOOL"
         ~doc:
-          "Threaded-engine superinstructions: peephole-fuse hot multi-op \
-           sequences (address computation, binop chains, compare-and-branch) \
-           into single closures.  Semantics-preserving; on by default.  \
+          "Threaded-engine compare-and-branch fusion: fold a block's \
+           trailing single-use integer or float compare into its \
+           conditional branch.  Semantics-preserving; on by default.  \
            Per-pattern hit counts print under $(b,--stage-stats).")
 
 let vm_ci_native_arg =
@@ -516,7 +516,8 @@ let vm_regalloc_arg =
            virtual registers by declared type into unboxed \
            int64/float/address slot arrays, boxing only at call/return, \
            intrinsic, custom-instruction and memory seams — hot int/float \
-           paths allocate nothing.  Semantics-preserving; on by default.")
+           paths allocate nothing.  Off, the same compiler keeps every \
+           register boxed (slower).  Semantics-preserving; on by default.")
 
 let vm_link_budget_arg =
   Arg.(

@@ -88,7 +88,8 @@ type t = {
           semantics cross-checks and benchmarking. *)
   vm_tuning : Vm.Machine.tuning;
       (** threaded-engine optimization knobs (block linking,
-          superinstruction fusion, CI-native dispatch; default
+          compare-and-branch fusion, CI-native dispatch, typed
+          registers; default
           {!Vm.Machine.default_tuning}).  Like [vm_engine], outcomes
           are tuning-invariant, so the field is excluded from stage
           digests. *)

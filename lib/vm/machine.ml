@@ -20,9 +20,10 @@
       [Ir.Instr.kind] and re-resolving every operand on each dynamic
       instruction — the semantics baseline;
     - {!Threaded} (the default) compiles each basic block once, at
-      prepare time, into an array of pre-decoded operation closures:
-      operands are resolved to register slots or immediate values,
-      operators to specialized {!Jitise_ir.Eval} closures, callees /
+      prepare time, into an array of pre-decoded operation closures
+      over a typed register file: operands are resolved to per-class
+      unboxed slots or immediate values, operators to specialized
+      scalar code, callees /
       custom instructions / intrinsics are bound ahead of time, and
       terminators (including [Switch] case tables) are pre-resolved to
       block indices.  The hot loop is then an array walk of closure
@@ -135,7 +136,8 @@ let engine_of_string = function
 (* Engine tuning                                                       *)
 (* ------------------------------------------------------------------ *)
 
-(** Optimization knobs of the {!Threaded} engine.  Every knob is
+(** Optimization knobs of the {!Threaded} engine.  There is one
+    compiler; each knob switches one layer inside it.  Every knob is
     semantics-preserving by construction — outcomes (including clocks,
     fuel, profiles and fault messages) are byte-identical across all
     combinations, pinned by the differential suite — so the knobs exist
@@ -144,11 +146,12 @@ let engine_of_string = function
 type tuning = {
   link : bool;
       (** block linking: terminators transfer to the successor's
-          compiled block directly instead of returning to the indexed
-          dispatch loop *)
+          compiled block directly instead of re-indexing the function's
+          block array.  Off = no link pass; every transfer is indexed. *)
   fuse : bool;
-      (** superinstructions: peephole-fuse hot multi-op sequences into
-          single non-allocating closures *)
+      (** compare-and-branch fusion: a block's trailing single-use
+          [icmp]/[fcmp] is folded into its conditional branch, skipping
+          the flag write and one dispatch *)
   ci_native : bool;
       (** dispatch a loaded CI's pre-compiled fused closure
           ({!ci_impl.ci_native}) instead of interpreting its MISO
@@ -162,12 +165,13 @@ type tuning = {
           of boxed {!Jitise_ir.Eval.value}s.  Boxing happens only at
           the seams: call arguments and returns, intrinsics, custom
           instructions and memory cells (which stay untyped).  Off =
-          the boxed compiled blocks, exactly (DESIGN.md §14). *)
+          the same compiler with every register classified [C_boxed]
+          (DESIGN.md §14). *)
   max_linked_blocks : int;
       (** linked-transfer budget: after this many consecutive direct
-          block-to-block transfers the engine takes one trip through
-          the indexed dispatch path (the escape hatch), so linking
-          cannot starve it.  Fuel, clocks and the monitor hook run at
+          block-to-block transfers the driver takes one trip through
+          the indexed path (the escape hatch), so linking cannot starve
+          it.  Fuel, clocks and the monitor hook run at
           every block boundary regardless. *)
 }
 
@@ -180,7 +184,8 @@ let default_tuning =
     max_linked_blocks = 64;
   }
 
-(** The PR 4 threaded engine: every optimization layer off. *)
+(** Every optimization layer off: the one compiler, all registers
+    boxed, no block linking, no fusion, CIs interpreted. *)
 let untuned =
   {
     link = false;
@@ -190,8 +195,8 @@ let untuned =
     max_linked_blocks = 64;
   }
 
-(* Per-pattern superinstruction hit counters (compile-time events, one
-   bump per fused window per block compilation).  Guarded by a mutex:
+(* Per-pattern fusion hit counters (compile-time events, one bump per
+   fused compare-and-branch per block compilation).  Guarded by a mutex:
    parallel sweeps compile modules from several domains. *)
 let fusion_mu = Mutex.create ()
 let fusion_counters : (string, int) Hashtbl.t = Hashtbl.create 32
@@ -220,17 +225,9 @@ let reset_fusion_stats () =
 (* ------------------------------------------------------------------ *)
 
 (* A pre-decoded operand: either an immediate already converted to an
-   {!Ir.Eval.value} or a register slot index.  The threaded engine's
-   closures fetch through this, never through [Ir.Instr.operand]. *)
+   {!Ir.Eval.value} or a register index.  The compiler resolves it to
+   a typed slot accessor once, at block-compile time. *)
 type src = Imm of Ir.Eval.value | Slot of int
-
-let fetch regs = function Imm v -> v | Slot r -> regs.(r)
-
-(* A pre-decoded phi source: like [src option] but flat, so the phi
-   prologue — which runs for every phi on every dynamic iteration of a
-   loop header — does a single match instead of an [Option] match
-   followed by a [src] match. *)
-type psrc = P_slot of int | P_imm of Ir.Eval.value | P_missing
 
 (* Per-block static data, computed once per run.  [exec_count] is the
    run-local profile counter (folded into a Profile at the end — much
@@ -259,28 +256,11 @@ type block_info = {
          total far below [max_int]. *)
 }
 
-(* A pre-decoded terminator: targets are block indices, scrutinees and
-   return operands are [src]s, switch tables are shared with
-   [block_info.switch_cases]. *)
-type tterm =
-  | T_halt  (** [ret] of void *)
-  | T_ret of src
-  | T_br of int
-  | T_cond of src * int * int
-  | T_cond_s of int * int * int
-      (** the common slot-scrutinee conditional, pre-split so the hot
-          loop skips the [src] match *)
-  | T_cmp_br of (Ir.Eval.value array -> bool) * int * int
-      (** a compare-and-branch superinstruction: the block's trailing
-          compare (whose result fed only this terminator) fused into
-          the branch decision, skipping the boolean's materialization *)
-  | T_switch of src * int * (int64, Ir.Instr.label) Hashtbl.t
-
-(* Register class under the typed-register-file knob ([tuning.regalloc]),
-   from the declared register type.  Every register of a function lives
-   in exactly one unboxed slot array of its {!frame}; [C_boxed] covers
-   registers with no declared type ([Void]), which keep the boxed
-   representation. *)
+(* Register class, from the declared register type.  Every register of
+   a function lives in exactly one slot array of its {!frame};
+   [C_boxed] covers registers with no declared type ([Void]), which
+   keep the boxed representation — and every register when
+   [tuning.regalloc] is off. *)
 type rclass = C_int | C_float | C_ptr | C_boxed
 
 (* A typed register file: one invocation's registers, partitioned by
@@ -302,16 +282,12 @@ type func_info = {
   reg_tys : Ir.Ty.t array;  (* type of each register, Void if undefined *)
   use_counts : int array;
       (* static use count of each register over the whole function
-         (operands and terminators, phis included).  The fusion pass
-         may skip writing an intermediate register only when its count
-         is exactly 1: the register file is not part of the outcome,
-         and nothing else reads the slot. *)
-  mutable tblocks : tblock array;
-      (* threaded code, [||] until {!compile_func} runs for this
-         function (the reference engine never compiles) *)
+         (operands and terminators, phis included).  Compare-and-branch
+         fusion may skip writing the compare's register only when its
+         count is exactly 1: the register file is not part of the
+         outcome, and nothing else reads the slot. *)
   mutable rclasses : rclass array;
-      (* per-register class, [||] until {!compile_rfunc} runs (only
-         under the [regalloc] knob) *)
+      (* per-register class, [||] until {!compile_rfunc} runs *)
   mutable rslots : int array;
       (* per-register index inside its class's frame array — the
          per-class renumbering; [||] until {!compile_rfunc} runs *)
@@ -319,65 +295,21 @@ type func_info = {
       (* frame-array lengths, indexed [C_int; C_float; C_ptr; C_boxed];
          [||] until {!compile_rfunc} runs *)
   mutable rtblocks : rtblock array;
-      (* typed-register-file threaded code, [||] until
-         {!compile_rfunc} runs (only under the [regalloc] knob) *)
+      (* compiled code, [||] until {!compile_rfunc} runs (the
+         reference engine never compiles) *)
 }
 
-(* One compiled block of the threaded engine.  Blocks are compiled per
-   run, after the run's [state] exists, so op closures capture the
-   state (and the memory, the CI registry, callee [func_info]s, ...)
-   directly instead of receiving them as arguments.  The cycle charges
-   of {!Jit_model.block_execution_cycles} only depend on whether the
-   block is past warm-up, so both branches are precomputed here — the
-   identical float operations, performed once. *)
-and tblock = {
-  t_info : block_info;  (* shared counters and static cycle data *)
-  t_label : int;  (* this block's label, for linked re-dispatch *)
-  t_ops : (Ir.Eval.value array -> unit) array;
-      (* non-phi body, one pre-decoded closure per fused window (one
-         per instruction when fusion is off) *)
-  t_phi_dests : int array;
-  t_phi_srcs : psrc array array;
-  t_phi_scratch : Ir.Eval.value array;
-      (* staging buffer for the parallel phi assignment; safe to reuse
-         because the phi prologue cannot re-enter this function *)
-  t_term : tterm;
-  mutable t_link : linkterm;
-      (* the linked form of [t_term]: successor labels resolved to the
-         successor [tblock]s themselves.  [L_none] until {!link_func}
-         patches the function (and permanently for terminators whose
-         labels fall outside the function — those keep faulting through
-         the indexed path, like the unlinked engine). *)
-  t_sync : bool;
-      (* block contains a resolved user call or custom instruction, so
-         the interpreter's local fuel / clock accumulators must be
-         written back to the shared [state] before the body runs and
-         re-read after *)
-  t_fuel : int;  (* ninstrs + 1 *)
-  t_native : float;  (* float_of_int static_cycles *)
-  t_hot : float;  (* post-warm-up VM charge per execution *)
-  t_cold : float;  (* interpreted VM charge per execution *)
-}
-
-(* A linked terminator: control transfers to the successor's compiled
-   block directly, without going back through the indexed dispatch of
-   the interpreter loop. *)
-and linkterm =
-  | L_none
-  | L_halt
-  | L_ret of src
-  | L_br of tblock
-  | L_cond of src * tblock * tblock
-  | L_cond_s of int * tblock * tblock
-  | L_cmp_br of (Ir.Eval.value array -> bool) * tblock * tblock
-  | L_switch of src * tblock * (int64, tblock) Hashtbl.t
-
-(* One compiled block of the typed-register-file engine
-   ([tuning.regalloc]).  Same shape as {!tblock}, but every op closure
-   works over a {!frame} — int/float/address traffic reads and writes
-   the unboxed slot arrays directly, and boxed [Ir.Eval.value]s appear
-   only at the seams (call/return, CI dispatch, intrinsics, memory
-   cells, [C_boxed] registers). *)
+(* One compiled block.  Blocks are compiled per run, after the run's
+   [state] exists, so op closures capture the state (and the memory,
+   the CI registry, callee [func_info]s, ...) directly instead of
+   receiving them as arguments.  Every op closure works over a {!frame}
+   — int/float/address traffic reads and writes the unboxed slot arrays
+   directly, and boxed [Ir.Eval.value]s appear only at the seams
+   (call/return, CI dispatch, intrinsics, memory cells, [C_boxed]
+   registers).  The cycle charges of {!Jit_model.block_execution_cycles}
+   only depend on whether the block is past warm-up, so both are
+   precomputed ([r_hot], [r_cold]) — the identical float operations,
+   performed once. *)
 and rtblock = {
   r_info : block_info;  (* shared counters and static cycle data *)
   r_label : int;
@@ -390,11 +322,20 @@ and rtblock = {
          prologue cannot re-enter this function. *)
   r_term : rterm;
   mutable r_link : rlinkterm;
+      (* the linked form of [r_term]: successor labels resolved to the
+         successor [rtblock]s themselves.  [RL_none] until
+         {!link_rfunc} patches the function (never, with [tuning.link]
+         off), and permanently for terminators whose labels fall
+         outside the function. *)
   r_sync : bool;
-  r_fuel : int;
-  r_native : float;
-  r_hot : float;
-  r_cold : float;
+      (* block contains a resolved user call or custom instruction, so
+         the driver's local fuel / clock accumulators must be written
+         back to the shared [state] before the body runs and re-read
+         after *)
+  r_fuel : int;  (* ninstrs + 1 *)
+  r_native : float;  (* float_of_int static_cycles *)
+  r_hot : float;  (* post-warm-up VM charge per execution *)
+  r_cold : float;  (* interpreted VM charge per execution *)
 }
 
 (* A pre-decoded terminator over typed register files.  Scrutinees and
@@ -406,10 +347,14 @@ and rterm =
   | R_br of int
   | R_cond of (frame -> bool) * int * int
   | R_cmp_br of (frame -> bool) * int * int
-      (** fused compare-and-branch, like {!T_cmp_br}: faults inside the
-          condition are re-wrapped by the executor *)
+      (** fused compare-and-branch: the block's trailing compare
+          (whose result fed only this terminator) folded into the
+          branch decision.  Faults inside the condition are re-wrapped
+          by the driver with the body's block context. *)
   | R_switch of (frame -> int64) * int * (int64, Ir.Instr.label) Hashtbl.t
 
+(* A linked terminator: control transfers to the successor's compiled
+   block directly, without re-indexing [rtblocks]. *)
 and rlinkterm =
   | RL_none
   | RL_halt
@@ -429,7 +374,7 @@ and state = {
          instead of the statically bound charge; [None] (no monitor)
          keeps the compiled fast path untouched *)
   tuning : tuning;
-      (* threaded-engine optimization knobs; ignored by the reference
+      (* compiled-engine optimization knobs; ignored by the reference
          engine *)
   mutable mon : (func:string -> label:int -> ninstrs:int -> unit) option;
   mutable native : float;
@@ -540,7 +485,6 @@ let prepare_func (m : Ir.Irmod.t) (f : Ir.Func.t) : func_info =
     blocks;
     reg_tys;
     use_counts;
-    tblocks = [||];
     rclasses = [||];
     rslots = [||];
     rcounts = [||];
@@ -732,412 +676,18 @@ let rec exec_func (st : state) (fi : func_info) (args : Ir.Eval.value array) :
   finish !result
 
 (* ------------------------------------------------------------------ *)
-(* Threaded engine                                                     *)
+(* Threaded engine: the typed-register-file compiler                   *)
 (* ------------------------------------------------------------------ *)
-
-(* Closure-shape helpers: specialize the four slot/immediate operand
-   combinations so the hot path never matches a [src] constructor.
-   Every function call executes on a fresh register file of [nregs]
-   slots, so slot indices can be bounds-checked once at compile time
-   and the hot path can use unchecked accesses.  A block that somehow
-   references an out-of-range slot (the builder and verifier exclude
-   this) falls back to checked accesses, which raise the same
-   [Invalid_argument] the reference engine's [regs.(r)] would. *)
-let slot_ok nregs = function
-  | Slot r -> r >= 0 && r < nregs
-  | Imm _ -> true
-
-let bin_closure ~nregs (f : Ir.Eval.value -> Ir.Eval.value -> Ir.Eval.value) d
-    sa sb : Ir.Eval.value array -> unit =
-  if d >= 0 && d < nregs && slot_ok nregs sa && slot_ok nregs sb then
-    match (sa, sb) with
-    | Slot ra, Slot rb ->
-        fun regs ->
-          Array.unsafe_set regs d
-            (f (Array.unsafe_get regs ra) (Array.unsafe_get regs rb))
-    | Slot ra, Imm vb ->
-        fun regs -> Array.unsafe_set regs d (f (Array.unsafe_get regs ra) vb)
-    | Imm va, Slot rb ->
-        fun regs -> Array.unsafe_set regs d (f va (Array.unsafe_get regs rb))
-    | Imm va, Imm vb -> fun regs -> Array.unsafe_set regs d (f va vb)
-  else
-    match (sa, sb) with
-    | Slot ra, Slot rb -> fun regs -> regs.(d) <- f regs.(ra) regs.(rb)
-    | Slot ra, Imm vb -> fun regs -> regs.(d) <- f regs.(ra) vb
-    | Imm va, Slot rb -> fun regs -> regs.(d) <- f va regs.(rb)
-    | Imm va, Imm vb -> fun regs -> regs.(d) <- f va vb
-
-(* [f] is applied per execution even for immediates: evaluating it at
-   compile time would move a fault (a [Type_error] on a malformed
-   constant, say) from execution to compilation — and compilation also
-   covers blocks that never execute. *)
-let un_closure ~nregs (f : Ir.Eval.value -> Ir.Eval.value) d sa :
-    Ir.Eval.value array -> unit =
-  if d >= 0 && d < nregs && slot_ok nregs sa then
-    match sa with
-    | Slot ra ->
-        fun regs -> Array.unsafe_set regs d (f (Array.unsafe_get regs ra))
-    | Imm va -> fun regs -> Array.unsafe_set regs d (f va)
-  else
-    match sa with
-    | Slot ra -> fun regs -> regs.(d) <- f regs.(ra)
-    | Imm va -> fun regs -> regs.(d) <- f va
 
 let decode_operand : Ir.Instr.operand -> src = function
   | Ir.Instr.Const c -> Imm (Ir.Eval.of_const c)
   | Ir.Instr.Reg r -> Slot r
 
-(* ------------------------------------------------------------------ *)
-(* Fused fast paths                                                    *)
-(* ------------------------------------------------------------------ *)
-
-(* For the hottest operator x operand-shape combinations the op closure
-   embeds the scalar semantics directly instead of calling the closure
-   {!Ir.Eval.binop_fn} & co. would build, so the hot path makes one
-   closure call instead of two.  The bodies are the same expressions
-   the [Ir.Eval.*_fn] arms evaluate, composed from the same inlined
-   Eval primitives ([as_int], [renorm], [umask], ...), with per-type
-   constants ([norm_shift], shift and width masks) resolved at compile
-   time.  Each fast path is gated on compile-time-validated slots and
-   immediates whose conversion cannot fault; every other combination
-   falls back to the generic closures, which keep the exact
-   per-execution fault behavior.  The differential suite pins both
-   engines to identical outcomes, so a semantic drift here cannot land
-   silently. *)
-
 module E = Ir.Eval
 
-let[@inline] geti regs r = E.as_int (Array.unsafe_get regs r)
-let[@inline] getf regs r = E.as_float (Array.unsafe_get regs r)
-let[@inline] seti regs d (v : int64) = Array.unsafe_set regs d (E.VInt v)
-let[@inline] setf regs d (v : float) = Array.unsafe_set regs d (E.VFloat v)
-
-(* Comparison results are shared preallocated values (they are
-   immutable and compared structurally everywhere), so a fused compare
-   does not allocate at all. *)
-let vtrue = E.VInt 1L
-let vfalse = E.VInt 0L
-let[@inline] setb regs d b = Array.unsafe_set regs d (if b then vtrue else vfalse)
-
-let compile_binop ~nregs (ty : Ir.Ty.t) (op : Ir.Instr.binop) d sa sb :
-    E.value array -> unit =
-  let generic () = bin_closure ~nregs (E.binop_fn ty op) d sa sb in
-  let ok r = r >= 0 && r < nregs in
-  if not (ok d) then generic ()
-  else
-    let sh = E.norm_shift ty in
-    (* [shift_amount]'s and [umask]'s masks, recovered by feeding them
-       all-ones — keeps Eval the single source of the bit arithmetic. *)
-    let sm = E.shift_amount ty (-1L) in
-    let um = E.umask ty (-1L) in
-    match (op, sa, sb) with
-    | Ir.Instr.Add, Slot a, Slot b when ok a && ok b ->
-        fun regs ->
-          seti regs d (E.renorm sh (Int64.add (geti regs a) (geti regs b)))
-    | Ir.Instr.Add, Slot a, Imm (E.VInt ib) when ok a ->
-        fun regs -> seti regs d (E.renorm sh (Int64.add (geti regs a) ib))
-    | Ir.Instr.Sub, Slot a, Slot b when ok a && ok b ->
-        fun regs ->
-          seti regs d (E.renorm sh (Int64.sub (geti regs a) (geti regs b)))
-    | Ir.Instr.Sub, Slot a, Imm (E.VInt ib) when ok a ->
-        fun regs -> seti regs d (E.renorm sh (Int64.sub (geti regs a) ib))
-    | Ir.Instr.Mul, Slot a, Slot b when ok a && ok b ->
-        fun regs ->
-          seti regs d (E.renorm sh (Int64.mul (geti regs a) (geti regs b)))
-    | Ir.Instr.Mul, Slot a, Imm (E.VInt ib) when ok a ->
-        fun regs -> seti regs d (E.renorm sh (Int64.mul (geti regs a) ib))
-    | Ir.Instr.And, Slot a, Slot b when ok a && ok b ->
-        fun regs ->
-          seti regs d (E.renorm sh (Int64.logand (geti regs a) (geti regs b)))
-    | Ir.Instr.And, Slot a, Imm (E.VInt ib) when ok a ->
-        fun regs -> seti regs d (E.renorm sh (Int64.logand (geti regs a) ib))
-    | Ir.Instr.Or, Slot a, Slot b when ok a && ok b ->
-        fun regs ->
-          seti regs d (E.renorm sh (Int64.logor (geti regs a) (geti regs b)))
-    | Ir.Instr.Or, Slot a, Imm (E.VInt ib) when ok a ->
-        fun regs -> seti regs d (E.renorm sh (Int64.logor (geti regs a) ib))
-    | Ir.Instr.Xor, Slot a, Slot b when ok a && ok b ->
-        fun regs ->
-          seti regs d (E.renorm sh (Int64.logxor (geti regs a) (geti regs b)))
-    | Ir.Instr.Xor, Slot a, Imm (E.VInt ib) when ok a ->
-        fun regs -> seti regs d (E.renorm sh (Int64.logxor (geti regs a) ib))
-    | Ir.Instr.Shl, Slot a, Slot b when ok a && ok b ->
-        fun regs ->
-          seti regs d
-            (E.renorm sh
-               (Int64.shift_left (geti regs a)
-                  (Int64.to_int (geti regs b) land sm)))
-    | Ir.Instr.Shl, Slot a, Imm (E.VInt ib) when ok a ->
-        let n = E.shift_amount ty ib in
-        fun regs -> seti regs d (E.renorm sh (Int64.shift_left (geti regs a) n))
-    | Ir.Instr.Lshr, Slot a, Slot b when ok a && ok b ->
-        fun regs ->
-          seti regs d
-            (E.renorm sh
-               (Int64.shift_right_logical
-                  (Int64.logand (geti regs a) um)
-                  (Int64.to_int (geti regs b) land sm)))
-    | Ir.Instr.Lshr, Slot a, Imm (E.VInt ib) when ok a ->
-        let n = E.shift_amount ty ib in
-        fun regs ->
-          seti regs d
-            (E.renorm sh
-               (Int64.shift_right_logical (Int64.logand (geti regs a) um) n))
-    | Ir.Instr.Ashr, Slot a, Slot b when ok a && ok b ->
-        fun regs ->
-          seti regs d
-            (E.renorm sh
-               (Int64.shift_right (geti regs a)
-                  (Int64.to_int (geti regs b) land sm)))
-    | Ir.Instr.Ashr, Slot a, Imm (E.VInt ib) when ok a ->
-        let n = E.shift_amount ty ib in
-        fun regs ->
-          seti regs d (E.renorm sh (Int64.shift_right (geti regs a) n))
-    | Ir.Instr.Fadd, Slot a, Slot b when ty <> Ir.Ty.F32 && ok a && ok b ->
-        fun regs -> setf regs d (getf regs a +. getf regs b)
-    | Ir.Instr.Fadd, Slot a, Imm (E.VFloat fb) when ty <> Ir.Ty.F32 && ok a ->
-        fun regs -> setf regs d (getf regs a +. fb)
-    | Ir.Instr.Fsub, Slot a, Slot b when ty <> Ir.Ty.F32 && ok a && ok b ->
-        fun regs -> setf regs d (getf regs a -. getf regs b)
-    | Ir.Instr.Fsub, Slot a, Imm (E.VFloat fb) when ty <> Ir.Ty.F32 && ok a ->
-        fun regs -> setf regs d (getf regs a -. fb)
-    | Ir.Instr.Fmul, Slot a, Slot b when ty <> Ir.Ty.F32 && ok a && ok b ->
-        fun regs -> setf regs d (getf regs a *. getf regs b)
-    | Ir.Instr.Fmul, Slot a, Imm (E.VFloat fb) when ty <> Ir.Ty.F32 && ok a ->
-        fun regs -> setf regs d (getf regs a *. fb)
-    | Ir.Instr.Fdiv, Slot a, Slot b when ty <> Ir.Ty.F32 && ok a && ok b ->
-        fun regs -> setf regs d (getf regs a /. getf regs b)
-    | Ir.Instr.Fdiv, Slot a, Imm (E.VFloat fb) when ty <> Ir.Ty.F32 && ok a ->
-        fun regs -> setf regs d (getf regs a /. fb)
-    | _ -> generic ()
-
-let compile_icmp ~nregs (p : Ir.Instr.icmp_pred) d sa sb :
-    E.value array -> unit =
-  let generic () = bin_closure ~nregs (E.icmp_fn p) d sa sb in
-  let ok r = r >= 0 && r < nregs in
-  if not (ok d) then generic ()
-  else
-    match (p, sa, sb) with
-    | Ir.Instr.Ieq, Slot a, Slot b when ok a && ok b ->
-        fun regs -> setb regs d (Int64.equal (geti regs a) (geti regs b))
-    | Ir.Instr.Ieq, Slot a, Imm (E.VInt ib) when ok a ->
-        fun regs -> setb regs d (Int64.equal (geti regs a) ib)
-    | Ir.Instr.Ine, Slot a, Slot b when ok a && ok b ->
-        fun regs -> setb regs d (not (Int64.equal (geti regs a) (geti regs b)))
-    | Ir.Instr.Ine, Slot a, Imm (E.VInt ib) when ok a ->
-        fun regs -> setb regs d (not (Int64.equal (geti regs a) ib))
-    | Ir.Instr.Islt, Slot a, Slot b when ok a && ok b ->
-        fun regs -> setb regs d (Int64.compare (geti regs a) (geti regs b) < 0)
-    | Ir.Instr.Islt, Slot a, Imm (E.VInt ib) when ok a ->
-        fun regs -> setb regs d (Int64.compare (geti regs a) ib < 0)
-    | Ir.Instr.Isle, Slot a, Slot b when ok a && ok b ->
-        fun regs -> setb regs d (Int64.compare (geti regs a) (geti regs b) <= 0)
-    | Ir.Instr.Isle, Slot a, Imm (E.VInt ib) when ok a ->
-        fun regs -> setb regs d (Int64.compare (geti regs a) ib <= 0)
-    | Ir.Instr.Isgt, Slot a, Slot b when ok a && ok b ->
-        fun regs -> setb regs d (Int64.compare (geti regs a) (geti regs b) > 0)
-    | Ir.Instr.Isgt, Slot a, Imm (E.VInt ib) when ok a ->
-        fun regs -> setb regs d (Int64.compare (geti regs a) ib > 0)
-    | Ir.Instr.Isge, Slot a, Slot b when ok a && ok b ->
-        fun regs -> setb regs d (Int64.compare (geti regs a) (geti regs b) >= 0)
-    | Ir.Instr.Isge, Slot a, Imm (E.VInt ib) when ok a ->
-        fun regs -> setb regs d (Int64.compare (geti regs a) ib >= 0)
-    | Ir.Instr.Iult, Slot a, Slot b when ok a && ok b ->
-        fun regs ->
-          setb regs d (Int64.unsigned_compare (geti regs a) (geti regs b) < 0)
-    | Ir.Instr.Iult, Slot a, Imm (E.VInt ib) when ok a ->
-        fun regs -> setb regs d (Int64.unsigned_compare (geti regs a) ib < 0)
-    | Ir.Instr.Iule, Slot a, Slot b when ok a && ok b ->
-        fun regs ->
-          setb regs d (Int64.unsigned_compare (geti regs a) (geti regs b) <= 0)
-    | Ir.Instr.Iule, Slot a, Imm (E.VInt ib) when ok a ->
-        fun regs -> setb regs d (Int64.unsigned_compare (geti regs a) ib <= 0)
-    | Ir.Instr.Iugt, Slot a, Slot b when ok a && ok b ->
-        fun regs ->
-          setb regs d (Int64.unsigned_compare (geti regs a) (geti regs b) > 0)
-    | Ir.Instr.Iugt, Slot a, Imm (E.VInt ib) when ok a ->
-        fun regs -> setb regs d (Int64.unsigned_compare (geti regs a) ib > 0)
-    | Ir.Instr.Iuge, Slot a, Slot b when ok a && ok b ->
-        fun regs ->
-          setb regs d (Int64.unsigned_compare (geti regs a) (geti regs b) >= 0)
-    | Ir.Instr.Iuge, Slot a, Imm (E.VInt ib) when ok a ->
-        fun regs -> setb regs d (Int64.unsigned_compare (geti regs a) ib >= 0)
-    | _ -> generic ()
-
-let compile_fcmp ~nregs (p : Ir.Instr.fcmp_pred) d sa sb :
-    E.value array -> unit =
-  let generic () = bin_closure ~nregs (E.fcmp_fn p) d sa sb in
-  let ok r = r >= 0 && r < nregs in
-  let[@inline] ord x y = not (Float.is_nan x || Float.is_nan y) in
-  if not (ok d) then generic ()
-  else
-    match (p, sa, sb) with
-    | Ir.Instr.Foeq, Slot a, Slot b when ok a && ok b ->
-        fun regs ->
-          let x = getf regs a and y = getf regs b in
-          setb regs d (ord x y && x = y)
-    | Ir.Instr.Foeq, Slot a, Imm (E.VFloat fb) when ok a ->
-        fun regs ->
-          let x = getf regs a in
-          setb regs d (ord x fb && x = fb)
-    | Ir.Instr.Fone, Slot a, Slot b when ok a && ok b ->
-        fun regs ->
-          let x = getf regs a and y = getf regs b in
-          setb regs d (ord x y && x <> y)
-    | Ir.Instr.Fone, Slot a, Imm (E.VFloat fb) when ok a ->
-        fun regs ->
-          let x = getf regs a in
-          setb regs d (ord x fb && x <> fb)
-    | Ir.Instr.Folt, Slot a, Slot b when ok a && ok b ->
-        fun regs ->
-          let x = getf regs a and y = getf regs b in
-          setb regs d (ord x y && x < y)
-    | Ir.Instr.Folt, Slot a, Imm (E.VFloat fb) when ok a ->
-        fun regs ->
-          let x = getf regs a in
-          setb regs d (ord x fb && x < fb)
-    | Ir.Instr.Fole, Slot a, Slot b when ok a && ok b ->
-        fun regs ->
-          let x = getf regs a and y = getf regs b in
-          setb regs d (ord x y && x <= y)
-    | Ir.Instr.Fole, Slot a, Imm (E.VFloat fb) when ok a ->
-        fun regs ->
-          let x = getf regs a in
-          setb regs d (ord x fb && x <= fb)
-    | Ir.Instr.Fogt, Slot a, Slot b when ok a && ok b ->
-        fun regs ->
-          let x = getf regs a and y = getf regs b in
-          setb regs d (ord x y && x > y)
-    | Ir.Instr.Fogt, Slot a, Imm (E.VFloat fb) when ok a ->
-        fun regs ->
-          let x = getf regs a in
-          setb regs d (ord x fb && x > fb)
-    | Ir.Instr.Foge, Slot a, Slot b when ok a && ok b ->
-        fun regs ->
-          let x = getf regs a and y = getf regs b in
-          setb regs d (ord x y && x >= y)
-    | Ir.Instr.Foge, Slot a, Imm (E.VFloat fb) when ok a ->
-        fun regs ->
-          let x = getf regs a in
-          setb regs d (ord x fb && x >= fb)
-    | _ -> generic ()
-
-(* Argument evaluation for calls and custom instructions, specialized
-   by arity: the generic [Array.map] version allocates a fresh
-   intermediate closure on every dynamic call. *)
-let args_fn (srcs : src array) : E.value array -> E.value array =
-  match srcs with
-  | [||] -> fun _ -> [||]
-  | [| s0 |] -> fun regs -> [| fetch regs s0 |]
-  | [| s0; s1 |] -> fun regs -> [| fetch regs s0; fetch regs s1 |]
-  | [| s0; s1; s2 |] ->
-      fun regs -> [| fetch regs s0; fetch regs s1; fetch regs s2 |]
-  | [| s0; s1; s2; s3 |] ->
-      fun regs ->
-        [| fetch regs s0; fetch regs s1; fetch regs s2; fetch regs s3 |]
-  | srcs -> fun regs -> Array.map (fun s -> fetch regs s) srcs
-
-let compile_cast ~nregs (c : Ir.Instr.cast) ~from_ ~to_ d sa :
-    E.value array -> unit =
-  let generic () = un_closure ~nregs (E.cast_fn c ~from_ ~to_) d sa in
-  let ok r = r >= 0 && r < nregs in
-  if not (ok d) then generic ()
-  else
-    match (c, sa) with
-    | (Ir.Instr.Trunc | Ir.Instr.Sext), Slot a when ok a ->
-        let sh = E.norm_shift to_ in
-        fun regs -> seti regs d (E.renorm sh (geti regs a))
-    | Ir.Instr.Zext, Slot a when ok a ->
-        let sh = E.norm_shift to_ in
-        let um = E.umask from_ (-1L) in
-        fun regs -> seti regs d (E.renorm sh (Int64.logand (geti regs a) um))
-    | Ir.Instr.Fptosi, Slot a when ok a ->
-        let sh = E.norm_shift to_ in
-        fun regs ->
-          let f = getf regs a in
-          Array.unsafe_set regs d
-            (if Float.is_nan f then E.VInt 0L
-             else E.VInt (E.renorm sh (Int64.of_float f)))
-    | Ir.Instr.Sitofp, Slot a when ok a && to_ <> Ir.Ty.F32 ->
-        fun regs -> setf regs d (Int64.to_float (geti regs a))
-    | Ir.Instr.Fpext, Slot a when ok a ->
-        fun regs -> setf regs d (getf regs a)
-    | _ -> generic ()
-
-(* ------------------------------------------------------------------ *)
-(* Superinstruction fusion                                             *)
-(* ------------------------------------------------------------------ *)
-
-(* Sink-tree fusion over a block's body.  A {e pure} producer whose
-   destination register has a static use count of exactly 1
-   ({!func_info.use_counts}) and whose single use is a later
-   instruction of the same block is compiled {e into} its consumer's
-   closure; its standalone dispatch and its boxed register write (a
-   [caml_modify] barrier) disappear.  Absorption is recursive, so whole
-   address-computation and arithmetic chains collapse into the
-   instructions that anchor them — loads, stores, divisions, multi-use
-   definitions and the block terminator — even when an optimizing
-   frontend interleaved the chains in the schedule (adjacency is not
-   required, unlike a peephole window).
-
-   Sinkable producer kinds: non-dividing [Binop], [Icmp], [Fcmp],
-   [Cast], [Select], [Gep] and [Gaddr].  Everything else is an anchor
-   and keeps its body position: loads read memory (deferring one past
-   a store would change the value), divisions and allocations fault,
-   calls and CI calls touch the shared machine state, and a multi-use
-   definition must still materialize its register.
-
-   Why this is byte-identical to the unfused engines:
-
-   - register files are per-invocation and SSA-shaped: within one
-     execution of the block each register is written at most once, and
-     a producer's operands are defined before it, so the slots a sunk
-     producer reads hold the same values at the consumer's position as
-     they did at its own;
-   - no sinkable kind reads memory, so stores between the producer's
-     and the consumer's positions are unobservable to the moved code;
-   - sinkable kinds cannot fault on executions where the operand's
-     runtime type matches its declared register type — the only
-     programs that could observe a fault {e reordering} are
-     runtime-type-confused ones (memory cells are untyped), and the
-     determinism contract (DESIGN.md §13–§14) pins outcomes for type-sound
-     executions; the fault {e set} and messages are unchanged either
-     way;
-   - modeled cycles, fuel and profiles are computed from the original
-     instruction counts, never from the closure count — fusion changes
-     how many host closures run, not the simulated machine;
-   - skipping the absorbed producer's register write is unobservable:
-     the register file is not part of the VM outcome and no other
-     instruction reads the slot (static use count 1).
-
-   Within a fused closure, operands are evaluated left-to-right in
-   operand order (explicit [let]s), each subtree fully before the
-   consumer's own conversions.  Per-anchor hit counters
-   ({!fusion_stats}, surfaced by [--stage-stats]) make the pass
-   auditable. *)
-
-let binop_name : Ir.Instr.binop -> string = function
-  | Ir.Instr.Add -> "add"
-  | Ir.Instr.Sub -> "sub"
-  | Ir.Instr.Mul -> "mul"
-  | Ir.Instr.Sdiv -> "sdiv"
-  | Ir.Instr.Udiv -> "udiv"
-  | Ir.Instr.Srem -> "srem"
-  | Ir.Instr.Urem -> "urem"
-  | Ir.Instr.And -> "and"
-  | Ir.Instr.Or -> "or"
-  | Ir.Instr.Xor -> "xor"
-  | Ir.Instr.Shl -> "shl"
-  | Ir.Instr.Lshr -> "lshr"
-  | Ir.Instr.Ashr -> "ashr"
-  | Ir.Instr.Fadd -> "fadd"
-  | Ir.Instr.Fsub -> "fsub"
-  | Ir.Instr.Fmul -> "fmul"
-  | Ir.Instr.Fdiv -> "fdiv"
-
-(* Unboxed comparison predicates for the tree compiler — one arm per
-   predicate like {!Ir.Eval.icmp_fn}/{!Ir.Eval.fcmp_fn}, over already
-   converted scalars. *)
+(* Unboxed comparison predicates — one arm per predicate like
+   {!Ir.Eval.icmp_fn}/{!Ir.Eval.fcmp_fn}, over already converted
+   scalars. *)
 let icmp_bool : Ir.Instr.icmp_pred -> int64 -> int64 -> bool = function
   | Ir.Instr.Ieq -> Int64.equal
   | Ir.Instr.Ine -> fun x y -> not (Int64.equal x y)
@@ -1160,153 +710,6 @@ let fcmp_bool : Ir.Instr.fcmp_pred -> float -> float -> bool =
   | Ir.Instr.Fogt -> fun x y -> ord x y && x > y
   | Ir.Instr.Foge -> fun x y -> ord x y && x >= y
 
-(* Leaf-resolved typed operands for the tree compiler.  A slot or
-   constant leaf is inlined into the consuming node's closure body by
-   the per-operator combination arms; only a nested tree ([IFun] & co.)
-   costs a closure call.  The [int] of [parg] and the [bool] of a
-   compare tree are immediates, so address and test chains run
-   allocation-free end to end. *)
-type iarg = ISlot of int | IConst of int64 | IFun of (E.value array -> int64)
-type farg = FSlot of int | FConst of float | FFun of (E.value array -> float)
-type parg = PSlot of int | PConst of int | PFun of (E.value array -> int)
-
-let ifn : iarg -> E.value array -> int64 = function
-  | ISlot r -> fun regs -> geti regs r
-  | IConst k -> fun _ -> k
-  | IFun f -> f
-
-let ffn : farg -> E.value array -> float = function
-  | FSlot r -> fun regs -> getf regs r
-  | FConst k -> fun _ -> k
-  | FFun f -> f
-
-let pfn : parg -> E.value array -> int = function
-  | PSlot r -> fun regs -> E.as_ptr (Array.unsafe_get regs r)
-  | PConst p -> fun _ -> p
-  | PFun f -> f
-
-(* Boolean form of a compile-time-safe compare — the flat fast path of
-   the compare-and-branch terminator fusion (no intermediate [value]
-   is materialized at all).  Same shapes and conversion order as
-   [compile_icmp]/[compile_fcmp]. *)
-let bool_cmp ~nregs (i : Ir.Instr.t) : (E.value array -> bool) option =
-  let ok r = r >= 0 && r < nregs in
-  let[@inline] ord x y = not (Float.is_nan x || Float.is_nan y) in
-  match i.Ir.Instr.kind with
-  | Ir.Instr.Icmp (p, a, b) -> (
-      match (p, decode_operand a, decode_operand b) with
-      | Ir.Instr.Ieq, Slot a, Slot b when ok a && ok b ->
-          Some (fun regs -> Int64.equal (geti regs a) (geti regs b))
-      | Ir.Instr.Ieq, Slot a, Imm (E.VInt ib) when ok a ->
-          Some (fun regs -> Int64.equal (geti regs a) ib)
-      | Ir.Instr.Ine, Slot a, Slot b when ok a && ok b ->
-          Some (fun regs -> not (Int64.equal (geti regs a) (geti regs b)))
-      | Ir.Instr.Ine, Slot a, Imm (E.VInt ib) when ok a ->
-          Some (fun regs -> not (Int64.equal (geti regs a) ib))
-      | Ir.Instr.Islt, Slot a, Slot b when ok a && ok b ->
-          Some (fun regs -> Int64.compare (geti regs a) (geti regs b) < 0)
-      | Ir.Instr.Islt, Slot a, Imm (E.VInt ib) when ok a ->
-          Some (fun regs -> Int64.compare (geti regs a) ib < 0)
-      | Ir.Instr.Isle, Slot a, Slot b when ok a && ok b ->
-          Some (fun regs -> Int64.compare (geti regs a) (geti regs b) <= 0)
-      | Ir.Instr.Isle, Slot a, Imm (E.VInt ib) when ok a ->
-          Some (fun regs -> Int64.compare (geti regs a) ib <= 0)
-      | Ir.Instr.Isgt, Slot a, Slot b when ok a && ok b ->
-          Some (fun regs -> Int64.compare (geti regs a) (geti regs b) > 0)
-      | Ir.Instr.Isgt, Slot a, Imm (E.VInt ib) when ok a ->
-          Some (fun regs -> Int64.compare (geti regs a) ib > 0)
-      | Ir.Instr.Isge, Slot a, Slot b when ok a && ok b ->
-          Some (fun regs -> Int64.compare (geti regs a) (geti regs b) >= 0)
-      | Ir.Instr.Isge, Slot a, Imm (E.VInt ib) when ok a ->
-          Some (fun regs -> Int64.compare (geti regs a) ib >= 0)
-      | Ir.Instr.Iult, Slot a, Slot b when ok a && ok b ->
-          Some
-            (fun regs -> Int64.unsigned_compare (geti regs a) (geti regs b) < 0)
-      | Ir.Instr.Iult, Slot a, Imm (E.VInt ib) when ok a ->
-          Some (fun regs -> Int64.unsigned_compare (geti regs a) ib < 0)
-      | Ir.Instr.Iule, Slot a, Slot b when ok a && ok b ->
-          Some
-            (fun regs ->
-              Int64.unsigned_compare (geti regs a) (geti regs b) <= 0)
-      | Ir.Instr.Iule, Slot a, Imm (E.VInt ib) when ok a ->
-          Some (fun regs -> Int64.unsigned_compare (geti regs a) ib <= 0)
-      | Ir.Instr.Iugt, Slot a, Slot b when ok a && ok b ->
-          Some
-            (fun regs -> Int64.unsigned_compare (geti regs a) (geti regs b) > 0)
-      | Ir.Instr.Iugt, Slot a, Imm (E.VInt ib) when ok a ->
-          Some (fun regs -> Int64.unsigned_compare (geti regs a) ib > 0)
-      | Ir.Instr.Iuge, Slot a, Slot b when ok a && ok b ->
-          Some
-            (fun regs ->
-              Int64.unsigned_compare (geti regs a) (geti regs b) >= 0)
-      | Ir.Instr.Iuge, Slot a, Imm (E.VInt ib) when ok a ->
-          Some (fun regs -> Int64.unsigned_compare (geti regs a) ib >= 0)
-      | _ -> None)
-  | Ir.Instr.Fcmp (p, a, b) -> (
-      match (p, decode_operand a, decode_operand b) with
-      | Ir.Instr.Foeq, Slot a, Slot b when ok a && ok b ->
-          Some
-            (fun regs ->
-              let x = getf regs a and y = getf regs b in
-              ord x y && x = y)
-      | Ir.Instr.Foeq, Slot a, Imm (E.VFloat fb) when ok a ->
-          Some
-            (fun regs ->
-              let x = getf regs a in
-              ord x fb && x = fb)
-      | Ir.Instr.Fone, Slot a, Slot b when ok a && ok b ->
-          Some
-            (fun regs ->
-              let x = getf regs a and y = getf regs b in
-              ord x y && x <> y)
-      | Ir.Instr.Fone, Slot a, Imm (E.VFloat fb) when ok a ->
-          Some
-            (fun regs ->
-              let x = getf regs a in
-              ord x fb && x <> fb)
-      | Ir.Instr.Folt, Slot a, Slot b when ok a && ok b ->
-          Some
-            (fun regs ->
-              let x = getf regs a and y = getf regs b in
-              ord x y && x < y)
-      | Ir.Instr.Folt, Slot a, Imm (E.VFloat fb) when ok a ->
-          Some
-            (fun regs ->
-              let x = getf regs a in
-              ord x fb && x < fb)
-      | Ir.Instr.Fole, Slot a, Slot b when ok a && ok b ->
-          Some
-            (fun regs ->
-              let x = getf regs a and y = getf regs b in
-              ord x y && x <= y)
-      | Ir.Instr.Fole, Slot a, Imm (E.VFloat fb) when ok a ->
-          Some
-            (fun regs ->
-              let x = getf regs a in
-              ord x fb && x <= fb)
-      | Ir.Instr.Fogt, Slot a, Slot b when ok a && ok b ->
-          Some
-            (fun regs ->
-              let x = getf regs a and y = getf regs b in
-              ord x y && x > y)
-      | Ir.Instr.Fogt, Slot a, Imm (E.VFloat fb) when ok a ->
-          Some
-            (fun regs ->
-              let x = getf regs a in
-              ord x fb && x > fb)
-      | Ir.Instr.Foge, Slot a, Slot b when ok a && ok b ->
-          Some
-            (fun regs ->
-              let x = getf regs a and y = getf regs b in
-              ord x y && x >= y)
-      | Ir.Instr.Foge, Slot a, Imm (E.VFloat fb) when ok a ->
-          Some
-            (fun regs ->
-              let x = getf regs a in
-              ord x fb && x >= fb)
-      | _ -> None)
-  | _ -> None
-
 (* Clamp an int64 to the native int range.  Fuel budgets and the
    warm-up threshold are kept as immediate ints inside the threaded
    interpreter so the per-block bookkeeping never allocates; a budget
@@ -1317,26 +720,23 @@ let int_of_int64_clamped v =
   else if Int64.compare v (Int64.of_int min_int) < 0 then min_int
   else Int64.to_int v
 
-(* ------------------------------------------------------------------ *)
-(* Typed register files ([tuning.regalloc])                            *)
-(* ------------------------------------------------------------------ *)
-
-(* The typed-register-file compiler partitions a function's registers
-   by declared type ({!rclass}) and compiles every operation into a
-   closure over the {!frame}'s unboxed slot arrays.  The box/unbox
-   seams are exactly: call arguments and returns, intrinsics, CI
-   dispatch, [Memory] cells (which stay untyped boxed values) and
-   [C_boxed] registers.  Everything else — int/float binops, compares,
-   casts, geps, load/store address arithmetic, phi staging, branch
-   tests — moves machine scalars between unboxed arrays and allocates
-   nothing.
+(* The compiler partitions a function's registers by declared type
+   ({!rclass}) and compiles every operation into a closure over the
+   {!frame}'s unboxed slot arrays.  The box/unbox seams are exactly:
+   call arguments and returns, intrinsics, CI dispatch, [Memory] cells
+   (which stay untyped boxed values) and [C_boxed] registers.
+   Everything else — int/float binops, compares, casts, geps,
+   load/store address arithmetic, phi staging, branch tests — moves
+   machine scalars between unboxed arrays and allocates nothing.  With
+   [tuning.regalloc] off every register is classified [C_boxed], so the
+   same compiler runs entirely on boxed values.
 
    Conversion discipline: reading a slot in a class other than its own
    goes through the same conversions {!Ir.Eval.as_int} & co. perform on
    the boxed representation ([C_ptr] read as int is [Int64.of_int],
    [C_int] read as address is [Int64.to_int], float/integer crossings
    raise the same constant-message [Type_error]s), so type-sound
-   executions are byte-identical to the boxed engines.  The one
+   executions are byte-identical to the Reference engine.  The one
    documented divergence (DESIGN.md §14): a type-{e confused} execution
    — a declared register type contradicting the runtime value, only
    reachable through untyped memory cells or call seams — may observe a
@@ -1355,7 +755,7 @@ let rclass_of_ty : Ir.Ty.t -> rclass = function
    [r]'s index inside its class's frame array (the per-class
    renumbering).  An out-of-range register falls back to a checked
    read of the boxed lane, so malformed IR raises the same
-   [Invalid_argument] the boxed engines' [regs.(r)] would. *)
+   [Invalid_argument] the Reference engine's [regs.(r)] would. *)
 
 let rrd_box (classes : rclass array) (slots : int array) (r : int) :
     frame -> E.value =
@@ -1409,7 +809,7 @@ let rrd_p (classes : rclass array) (slots : int array) (r : int) :
    fault are pre-resolved to scalar constants; everything else —
    cross-class and boxed registers, mismatched immediates — resolves
    to a residual closure with the standard conversions, faulting per
-   execution like the boxed generic closures. *)
+   execution like the Reference engine. *)
 type ri = RiS of int | RiK of int64 | RiG of (frame -> int64)
 type rf = RfS of int | RfK of float | RfG of (frame -> float)
 type rp = RpS of int | RpK of int | RpG of (frame -> int)
@@ -1498,8 +898,8 @@ let rtest (classes : rclass array) (slots : int array) :
       let b = E.is_true v in
       fun _ -> b
 
-(* Boxed argument vectors for calls/CIs, arity-specialized like
-   {!args_fn} — the boxing here IS the call seam. *)
+(* Boxed argument vectors for calls/CIs, arity-specialized — the
+   boxing here IS the call seam. *)
 let rargs_fn (classes : rclass array) (slots : int array) (srcs : src array) :
     frame -> E.value array =
   let g = rget_box classes slots in
@@ -2314,360 +1714,28 @@ let compile_rcast (classes : rclass array) (slots : int array)
             else fun fr -> Array.unsafe_set fr.fr_f sd (ga fr))
     | _ -> generic ()
 
-(* [exec_threaded] runs a function's compiled blocks; [compile_func] /
-   [compile_block] build them.  They are mutually recursive because a
-   pre-bound [Call] closure invokes [exec_threaded] on the captured
-   callee's [func_info]. *)
-let rec exec_threaded (st : state) (fi : func_info) (args : Ir.Eval.value array)
-    :
-    Ir.Eval.value option =
-  let f = fi.func in
-  if Array.length args <> List.length f.Ir.Func.params then
-    fault "@%s: expected %d arguments, got %d" f.Ir.Func.name
-      (List.length f.Ir.Func.params)
-      (Array.length args);
-  let regs = Array.make (max 1 f.Ir.Func.next_reg) (Ir.Eval.VInt 0L) in
-  Array.iteri (fun i v -> regs.(i) <- v) args;
-  let frame_mark = Memory.mark st.memory in
-  let tblocks = fi.tblocks in
-  let warmup = int_of_int64_clamped st.jit.Jit_model.warmup_threshold in
-  (* Per-block bookkeeping lives in non-allocating locals: an immediate
-     int counts fuel spent by this invocation against an immediate-int
-     limit, and a flat float array holds the two clocks (a float-array
-     store is an unboxed write; a mutable record field store boxes).
-     They are synced with the shared [state] only around blocks that
-     contain resolved calls ([t_sync]) and at function exit.  The
-     arithmetic and its order are unchanged from the reference engine,
-     so results stay byte-identical — only the boxed per-block stores
-     into [st] are gone. *)
-  let spent = ref 0 in
-  let limit = ref (int_of_int64_clamped st.fuel) in
-  let clocks = [| st.native; st.vm |] in
-  let cur = ref Ir.Func.entry_label in
-  let prev = ref (-1) in
-  let result = ref None in
-  let running = ref true in
-  while !running do
-    let tb = tblocks.(!cur) in
-    let bi = tb.t_info in
-    (* Fuel, profile and clocks: same arithmetic, in the same order, as
-       the reference engine — the clocks are float sums, so the order
-       of additions must match for byte-identical outcomes.  The two
-       possible {!Jit_model.block_execution_cycles} charges were
-       precomputed at compile time. *)
-    spent := !spent + tb.t_fuel;
-    if !spent > !limit then
-      fault "execution budget exhausted in @%s" f.Ir.Func.name;
-    let prior = bi.exec_count in
-    bi.exec_count <- prior + 1;
-    Array.unsafe_set clocks 0 (Array.unsafe_get clocks 0 +. tb.t_native);
-    Array.unsafe_set clocks 1
-      (Array.unsafe_get clocks 1
-      +. (if prior >= warmup then tb.t_hot else tb.t_cold));
-    (* Monitor hook: flush the local accumulators so the callback sees
-       consistent clocks/fuel, then reload — the same flush/reload
-       protocol as [t_sync] blocks, so clock additions keep their order
-       and loop-off runs stay byte-identical (the branch is never taken
-       without a monitor). *)
-    (match st.mon with
-    | None -> ()
-    | Some mon ->
-        st.fuel <- Int64.sub st.fuel (Int64.of_int !spent);
-        spent := 0;
-        st.native <- Array.unsafe_get clocks 0;
-        st.vm <- Array.unsafe_get clocks 1;
-        mon ~func:f.Ir.Func.name ~label:!cur ~ninstrs:bi.ninstrs;
-        limit := int_of_int64_clamped st.fuel;
-        Array.unsafe_set clocks 0 st.native;
-        Array.unsafe_set clocks 1 st.vm);
-    (* Phi prologue over pre-decoded sources.  A single phi needs no
-       staging (parallel-assignment semantics are trivial); multiple
-       phis stage into the scratch buffer first. *)
-    let nphi = Array.length tb.t_phi_dests in
-    if nphi > 0 then begin
-      let srcs = tb.t_phi_srcs and p = !prev in
-      if nphi = 1 then (
-        let row = srcs.(0) in
-        match if p >= 0 && p < Array.length row then row.(p) else P_missing with
-        | P_slot r -> regs.(tb.t_phi_dests.(0)) <- regs.(r)
-        | P_imm v -> regs.(tb.t_phi_dests.(0)) <- v
-        | P_missing ->
-            fault "@%s/bb%d: phi has no entry for predecessor bb%d"
-              f.Ir.Func.name !cur p)
-      else begin
-        let staged = tb.t_phi_scratch in
-        for k = 0 to nphi - 1 do
-          let row = srcs.(k) in
-          match
-            if p >= 0 && p < Array.length row then row.(p) else P_missing
-          with
-          | P_slot r -> staged.(k) <- regs.(r)
-          | P_imm v -> staged.(k) <- v
-          | P_missing ->
-              fault "@%s/bb%d: phi has no entry for predecessor bb%d"
-                f.Ir.Func.name !cur p
-        done;
-        for k = 0 to nphi - 1 do
-          regs.(tb.t_phi_dests.(k)) <- staged.(k)
-        done
-      end
-    end;
-    (* Straight-line body: an array walk of pre-decoded closures.  The
-       runtime faults an instruction can raise carry the same context
-       the reference engine attaches per instruction.  Around a block
-       with resolved calls, the local fuel/clock accumulators are
-       flushed to [st] (the callee continues from them) and re-read
-       after the body. *)
-    (try
-       let ops = tb.t_ops in
-       if tb.t_sync then begin
-         st.fuel <- Int64.sub st.fuel (Int64.of_int !spent);
-         spent := 0;
-         st.native <- Array.unsafe_get clocks 0;
-         st.vm <- Array.unsafe_get clocks 1;
-         for k = 0 to Array.length ops - 1 do
-           (Array.unsafe_get ops k) regs
-         done;
-         limit := int_of_int64_clamped st.fuel;
-         Array.unsafe_set clocks 0 st.native;
-         Array.unsafe_set clocks 1 st.vm
-       end
-       else
-         for k = 0 to Array.length ops - 1 do
-           (Array.unsafe_get ops k) regs
-         done
-     with
-    | Ir.Eval.Division_by_zero ->
-        fault "@%s/bb%d: division by zero" f.Ir.Func.name !cur
-    | Ir.Eval.Type_error m -> fault "@%s/bb%d: %s" f.Ir.Func.name !cur m
-    | Memory.Bad_address a ->
-        fault "@%s/bb%d: bad address %d" f.Ir.Func.name !cur a
-    | Memory.Out_of_memory -> fault "@%s: out of memory" f.Ir.Func.name);
-    (* Terminator, pre-resolved. *)
-    match tb.t_term with
-    | T_halt -> running := false
-    | T_ret s ->
-        result := Some (fetch regs s);
-        running := false
-    | T_br l ->
-        prev := !cur;
-        cur := l
-    | T_cond (c, a, b) ->
-        prev := !cur;
-        cur := (if Ir.Eval.is_true (fetch regs c) then a else b)
-    | T_cond_s (r, a, b) ->
-        prev := !cur;
-        cur := (if Ir.Eval.is_true regs.(r) then a else b)
-    | T_cmp_br (test, a, b) ->
-        (* The fused test was body code before fusion, so its faults
-           keep the body's block context: [Type_error] from the
-           compare's conversions, [Bad_address]/[Out_of_memory] from a
-           load sunk into the scrutinee tree. *)
-        let c =
-          try test regs with
-          | Ir.Eval.Type_error m ->
-              fault "@%s/bb%d: %s" f.Ir.Func.name !cur m
-          | Memory.Bad_address a ->
-              fault "@%s/bb%d: bad address %d" f.Ir.Func.name !cur a
-          | Memory.Out_of_memory -> fault "@%s: out of memory" f.Ir.Func.name
-        in
-        prev := !cur;
-        cur := (if c then a else b)
-    | T_switch (s, default, tbl) ->
-        let sv = Ir.Eval.as_int (fetch regs s) in
-        prev := !cur;
-        cur := (match Hashtbl.find_opt tbl sv with Some l -> l | None -> default)
-  done;
-  st.fuel <- Int64.sub st.fuel (Int64.of_int !spent);
-  st.native <- Array.unsafe_get clocks 0;
-  st.vm <- Array.unsafe_get clocks 1;
-  Memory.release st.memory frame_mark;
-  !result
+(** Run one function's compiled blocks: the single compiled driver.
+    Every call goes through it — the run's entry point and each
+    pre-bound [Call] closure — so it is mutually recursive with the
+    compiler, which captures callee [func_info]s whose blocks it reads
+    at call time.
 
-(* The linked executor: the same per-block protocol as [exec_threaded]
-   — fuel, profile, clocks, monitor, phis, body, in the same order with
-   the same arithmetic — but control transfers follow the [t_link]
-   references directly as mutually tail-recursive calls instead of
-   re-indexing [tblocks] from a dispatch loop.  Every
-   [max_linked_blocks] consecutive direct transfers the engine takes
-   one trip through the indexed dispatch (the escape hatch) and resets
-   the budget; both paths land on the same [tblock] record, and fuel,
-   clocks and the monitor hook run at every block boundary on both, so
-   the observable run is identical — the budget only bounds how long
-   the engine may stay off the indexed path. *)
-and exec_linked (st : state) (fi : func_info) (args : Ir.Eval.value array) :
-    Ir.Eval.value option =
-  let f = fi.func in
-  if Array.length args <> List.length f.Ir.Func.params then
-    fault "@%s: expected %d arguments, got %d" f.Ir.Func.name
-      (List.length f.Ir.Func.params)
-      (Array.length args);
-  let regs = Array.make (max 1 f.Ir.Func.next_reg) (Ir.Eval.VInt 0L) in
-  Array.iteri (fun i v -> regs.(i) <- v) args;
-  let frame_mark = Memory.mark st.memory in
-  let tblocks = fi.tblocks in
-  let warmup = int_of_int64_clamped st.jit.Jit_model.warmup_threshold in
-  let spent = ref 0 in
-  let limit = ref (int_of_int64_clamped st.fuel) in
-  let clocks = [| st.native; st.vm |] in
-  let budget0 = st.tuning.max_linked_blocks in
-  let rec goto (next : tblock) (prevl : int) (budget : int) =
-    if budget > 0 then go next prevl (budget - 1)
-    else go tblocks.(next.t_label) prevl budget0
-  and go (tb : tblock) (prevl : int) (budget : int) : Ir.Eval.value option =
-    let bi = tb.t_info in
-    let curl = tb.t_label in
-    spent := !spent + tb.t_fuel;
-    if !spent > !limit then
-      fault "execution budget exhausted in @%s" f.Ir.Func.name;
-    let prior = bi.exec_count in
-    bi.exec_count <- prior + 1;
-    Array.unsafe_set clocks 0 (Array.unsafe_get clocks 0 +. tb.t_native);
-    Array.unsafe_set clocks 1
-      (Array.unsafe_get clocks 1
-      +. (if prior >= warmup then tb.t_hot else tb.t_cold));
-    (match st.mon with
-    | None -> ()
-    | Some mon ->
-        st.fuel <- Int64.sub st.fuel (Int64.of_int !spent);
-        spent := 0;
-        st.native <- Array.unsafe_get clocks 0;
-        st.vm <- Array.unsafe_get clocks 1;
-        mon ~func:f.Ir.Func.name ~label:curl ~ninstrs:bi.ninstrs;
-        limit := int_of_int64_clamped st.fuel;
-        Array.unsafe_set clocks 0 st.native;
-        Array.unsafe_set clocks 1 st.vm);
-    let nphi = Array.length tb.t_phi_dests in
-    if nphi > 0 then begin
-      let srcs = tb.t_phi_srcs in
-      if nphi = 1 then (
-        let row = srcs.(0) in
-        match
-          if prevl >= 0 && prevl < Array.length row then row.(prevl)
-          else P_missing
-        with
-        | P_slot r -> regs.(tb.t_phi_dests.(0)) <- regs.(r)
-        | P_imm v -> regs.(tb.t_phi_dests.(0)) <- v
-        | P_missing ->
-            fault "@%s/bb%d: phi has no entry for predecessor bb%d"
-              f.Ir.Func.name curl prevl)
-      else begin
-        let staged = tb.t_phi_scratch in
-        for k = 0 to nphi - 1 do
-          let row = srcs.(k) in
-          match
-            if prevl >= 0 && prevl < Array.length row then row.(prevl)
-            else P_missing
-          with
-          | P_slot r -> staged.(k) <- regs.(r)
-          | P_imm v -> staged.(k) <- v
-          | P_missing ->
-              fault "@%s/bb%d: phi has no entry for predecessor bb%d"
-                f.Ir.Func.name curl prevl
-        done;
-        for k = 0 to nphi - 1 do
-          regs.(tb.t_phi_dests.(k)) <- staged.(k)
-        done
-      end
-    end;
-    (try
-       let ops = tb.t_ops in
-       if tb.t_sync then begin
-         st.fuel <- Int64.sub st.fuel (Int64.of_int !spent);
-         spent := 0;
-         st.native <- Array.unsafe_get clocks 0;
-         st.vm <- Array.unsafe_get clocks 1;
-         for k = 0 to Array.length ops - 1 do
-           (Array.unsafe_get ops k) regs
-         done;
-         limit := int_of_int64_clamped st.fuel;
-         Array.unsafe_set clocks 0 st.native;
-         Array.unsafe_set clocks 1 st.vm
-       end
-       else
-         for k = 0 to Array.length ops - 1 do
-           (Array.unsafe_get ops k) regs
-         done
-     with
-    | Ir.Eval.Division_by_zero ->
-        fault "@%s/bb%d: division by zero" f.Ir.Func.name curl
-    | Ir.Eval.Type_error m -> fault "@%s/bb%d: %s" f.Ir.Func.name curl m
-    | Memory.Bad_address a ->
-        fault "@%s/bb%d: bad address %d" f.Ir.Func.name curl a
-    | Memory.Out_of_memory -> fault "@%s: out of memory" f.Ir.Func.name);
-    match tb.t_link with
-    | L_halt -> None
-    | L_ret s -> Some (fetch regs s)
-    | L_br nb -> goto nb curl budget
-    | L_cond (c, x, y) ->
-        goto (if Ir.Eval.is_true (fetch regs c) then x else y) curl budget
-    | L_cond_s (r, x, y) ->
-        goto (if Ir.Eval.is_true regs.(r) then x else y) curl budget
-    | L_cmp_br (test, x, y) ->
-        let c =
-          try test regs with
-          | Ir.Eval.Type_error m ->
-              fault "@%s/bb%d: %s" f.Ir.Func.name curl m
-          | Memory.Bad_address a ->
-              fault "@%s/bb%d: bad address %d" f.Ir.Func.name curl a
-          | Memory.Out_of_memory -> fault "@%s: out of memory" f.Ir.Func.name
-        in
-        goto (if c then x else y) curl budget
-    | L_switch (s, dflt, tbl) ->
-        let sv = Ir.Eval.as_int (fetch regs s) in
-        goto
-          (match Hashtbl.find_opt tbl sv with Some t -> t | None -> dflt)
-          curl budget
-    | L_none -> (
-        (* unlinked terminator (out-of-range target labels, or
-           [link_func] never ran): transfer through the indexed path,
-           faulting exactly where the unlinked engine's
-           [tblocks.(!cur)] would *)
-        match tb.t_term with
-        | T_halt -> None
-        | T_ret s -> Some (fetch regs s)
-        | T_br l -> go tblocks.(l) curl budget0
-        | T_cond (c, x, y) ->
-            go
-              tblocks.(if Ir.Eval.is_true (fetch regs c) then x else y)
-              curl budget0
-        | T_cond_s (r, x, y) ->
-            go tblocks.(if Ir.Eval.is_true regs.(r) then x else y) curl budget0
-        | T_cmp_br (test, x, y) ->
-            let c =
-              try test regs with
-              | Ir.Eval.Type_error m ->
-                  fault "@%s/bb%d: %s" f.Ir.Func.name curl m
-              | Memory.Bad_address a ->
-                  fault "@%s/bb%d: bad address %d" f.Ir.Func.name curl a
-              | Memory.Out_of_memory ->
-                  fault "@%s: out of memory" f.Ir.Func.name
-            in
-            go tblocks.(if c then x else y) curl budget0
-        | T_switch (s, dflt, tbl) ->
-            let sv = Ir.Eval.as_int (fetch regs s) in
-            go
-              tblocks.(match Hashtbl.find_opt tbl sv with
-                       | Some l -> l
-                       | None -> dflt)
-              curl budget0)
-  in
-  let result = go tblocks.(Ir.Func.entry_label) (-1) budget0 in
-  st.fuel <- Int64.sub st.fuel (Int64.of_int !spent);
-  st.native <- Array.unsafe_get clocks 0;
-  st.vm <- Array.unsafe_get clocks 1;
-  Memory.release st.memory frame_mark;
-  result
+    Per block, in this order and with the Reference engine's
+    arithmetic: fuel, profile count, both clocks, the monitor hook, the
+    phi prologue, the body, the terminator.  The clocks are float sums,
+    so the order of additions matters for byte-identical outcomes.
 
-(* The typed-register-file executors: the exact per-block protocol of
-   [exec_threaded] / [exec_linked] — arity check, fuel, profile,
-   clocks, monitor flush/reload, phi prologue, body with [r_sync]
-   flush/reload, terminators — over a {!frame} instead of a boxed
-   register array.  The bookkeeping arithmetic and its order are
-   copied verbatim, so clocks, fuel, profiles and fault messages stay
-   byte-identical to every other engine. *)
-and exec_rthreaded (st : state) (fi : func_info)
-    (args : Ir.Eval.value array) : Ir.Eval.value option =
+    Control transfers follow the [r_link] references as mutually
+    tail-recursive calls.  Every [max_linked_blocks] consecutive direct
+    transfers the driver takes one trip through the indexed path
+    ([rtblocks.(label)]), the escape hatch, and resets the budget.  An
+    unlinked terminator ([RL_none]: [tuning.link] off, or a label
+    outside the function) always takes the indexed path, so it faults
+    exactly where an out-of-range label must.  Both paths land on the
+    same [rtblock] and run the same per-block protocol, so linking
+    changes host speed only. *)
+let rec enter (st : state) (fi : func_info) (args : Ir.Eval.value array) :
+    Ir.Eval.value option =
   let f = fi.func in
   if Array.length args <> List.length f.Ir.Func.params then
     fault "@%s: expected %d arguments, got %d" f.Ir.Func.name
@@ -2686,7 +1754,7 @@ and exec_rthreaded (st : state) (fi : func_info)
   in
   (* Unbox the arguments into their parameter registers' classes — the
      callee-side half of the call seam.  Parameter registers are
-     0..n-1, like the boxed engines' [Array.iteri] install. *)
+     0..n-1. *)
   Array.iteri
     (fun i v ->
       if i >= 0 && i < Array.length classes then (
@@ -2701,137 +1769,13 @@ and exec_rthreaded (st : state) (fi : func_info)
   let frame_mark = Memory.mark st.memory in
   let rtblocks = fi.rtblocks in
   let warmup = int_of_int64_clamped st.jit.Jit_model.warmup_threshold in
-  let spent = ref 0 in
-  let limit = ref (int_of_int64_clamped st.fuel) in
-  let clocks = [| st.native; st.vm |] in
-  let cur = ref Ir.Func.entry_label in
-  let prev = ref (-1) in
-  let result = ref None in
-  let running = ref true in
-  while !running do
-    let tb = rtblocks.(!cur) in
-    let bi = tb.r_info in
-    spent := !spent + tb.r_fuel;
-    if !spent > !limit then
-      fault "execution budget exhausted in @%s" f.Ir.Func.name;
-    let prior = bi.exec_count in
-    bi.exec_count <- prior + 1;
-    Array.unsafe_set clocks 0 (Array.unsafe_get clocks 0 +. tb.r_native);
-    Array.unsafe_set clocks 1
-      (Array.unsafe_get clocks 1
-      +. (if prior >= warmup then tb.r_hot else tb.r_cold));
-    (match st.mon with
-    | None -> ()
-    | Some mon ->
-        st.fuel <- Int64.sub st.fuel (Int64.of_int !spent);
-        spent := 0;
-        st.native <- Array.unsafe_get clocks 0;
-        st.vm <- Array.unsafe_get clocks 1;
-        mon ~func:f.Ir.Func.name ~label:!cur ~ninstrs:bi.ninstrs;
-        limit := int_of_int64_clamped st.fuel;
-        Array.unsafe_set clocks 0 st.native;
-        Array.unsafe_set clocks 1 st.vm);
-    (* Phi prologue: the whole stage-then-commit pass was compiled per
-       predecessor label. *)
-    let rows = tb.r_phi_rows in
-    if Array.length rows > 0 then begin
-      let p = !prev in
-      if p >= 0 && p < Array.length rows then (Array.unsafe_get rows p) fr
-      else
-        fault "@%s/bb%d: phi has no entry for predecessor bb%d"
-          f.Ir.Func.name !cur p
-    end;
-    (try
-       let ops = tb.r_ops in
-       if tb.r_sync then begin
-         st.fuel <- Int64.sub st.fuel (Int64.of_int !spent);
-         spent := 0;
-         st.native <- Array.unsafe_get clocks 0;
-         st.vm <- Array.unsafe_get clocks 1;
-         for k = 0 to Array.length ops - 1 do
-           (Array.unsafe_get ops k) fr
-         done;
-         limit := int_of_int64_clamped st.fuel;
-         Array.unsafe_set clocks 0 st.native;
-         Array.unsafe_set clocks 1 st.vm
-       end
-       else
-         for k = 0 to Array.length ops - 1 do
-           (Array.unsafe_get ops k) fr
-         done
-     with
-    | Ir.Eval.Division_by_zero ->
-        fault "@%s/bb%d: division by zero" f.Ir.Func.name !cur
-    | Ir.Eval.Type_error m -> fault "@%s/bb%d: %s" f.Ir.Func.name !cur m
-    | Memory.Bad_address a ->
-        fault "@%s/bb%d: bad address %d" f.Ir.Func.name !cur a
-    | Memory.Out_of_memory -> fault "@%s: out of memory" f.Ir.Func.name);
-    match tb.r_term with
-    | R_halt -> running := false
-    | R_ret g ->
-        result := Some (g fr);
-        running := false
-    | R_br l ->
-        prev := !cur;
-        cur := l
-    | R_cond (t, a, b) ->
-        prev := !cur;
-        cur := (if t fr then a else b)
-    | R_cmp_br (test, a, b) ->
-        let c =
-          try test fr with
-          | Ir.Eval.Type_error m ->
-              fault "@%s/bb%d: %s" f.Ir.Func.name !cur m
-          | Memory.Bad_address a ->
-              fault "@%s/bb%d: bad address %d" f.Ir.Func.name !cur a
-          | Memory.Out_of_memory -> fault "@%s: out of memory" f.Ir.Func.name
-        in
-        prev := !cur;
-        cur := (if c then a else b)
-    | R_switch (g, default, tbl) ->
-        let sv = g fr in
-        prev := !cur;
-        cur :=
-          (match Hashtbl.find_opt tbl sv with Some l -> l | None -> default)
-  done;
-  st.fuel <- Int64.sub st.fuel (Int64.of_int !spent);
-  st.native <- Array.unsafe_get clocks 0;
-  st.vm <- Array.unsafe_get clocks 1;
-  Memory.release st.memory frame_mark;
-  !result
-
-and exec_rlinked (st : state) (fi : func_info) (args : Ir.Eval.value array) :
-    Ir.Eval.value option =
-  let f = fi.func in
-  if Array.length args <> List.length f.Ir.Func.params then
-    fault "@%s: expected %d arguments, got %d" f.Ir.Func.name
-      (List.length f.Ir.Func.params)
-      (Array.length args);
-  let classes = fi.rclasses in
-  let slots = fi.rslots in
-  let counts = fi.rcounts in
-  let fr =
-    {
-      fr_i = Array.make counts.(0) 0L;
-      fr_f = Array.make counts.(1) 0.0;
-      fr_p = Array.make counts.(2) 0;
-      fr_v = Array.make (max 1 counts.(3)) (Ir.Eval.VInt 0L);
-    }
-  in
-  Array.iteri
-    (fun i v ->
-      if i >= 0 && i < Array.length classes then (
-        let s = slots.(i) in
-        match classes.(i) with
-        | C_int -> fr.fr_i.(s) <- E.as_int v
-        | C_float -> fr.fr_f.(s) <- E.as_float v
-        | C_ptr -> fr.fr_p.(s) <- E.as_ptr v
-        | C_boxed -> fr.fr_v.(s) <- v)
-      else fr.fr_v.(i) <- v)
-    args;
-  let frame_mark = Memory.mark st.memory in
-  let rtblocks = fi.rtblocks in
-  let warmup = int_of_int64_clamped st.jit.Jit_model.warmup_threshold in
+  (* Per-block bookkeeping lives in non-allocating locals: an immediate
+     int counts fuel spent by this invocation against an immediate-int
+     limit, and a flat float array holds the two clocks (a float-array
+     store is an unboxed write; a mutable record field store boxes).
+     They are synced with the shared [state] around the monitor hook,
+     around blocks that contain resolved calls ([r_sync]) and at
+     function exit. *)
   let spent = ref 0 in
   let limit = ref (int_of_int64_clamped st.fuel) in
   let clocks = [| st.native; st.vm |] in
@@ -2851,6 +1795,9 @@ and exec_rlinked (st : state) (fi : func_info) (args : Ir.Eval.value array) :
     Array.unsafe_set clocks 1
       (Array.unsafe_get clocks 1
       +. (if prior >= warmup then tb.r_hot else tb.r_cold));
+    (* Monitor hook: flush the local accumulators so the callback sees
+       consistent clocks and fuel, then reload (never taken without a
+       monitor). *)
     (match st.mon with
     | None -> ()
     | Some mon ->
@@ -2862,6 +1809,8 @@ and exec_rlinked (st : state) (fi : func_info) (args : Ir.Eval.value array) :
         limit := int_of_int64_clamped st.fuel;
         Array.unsafe_set clocks 0 st.native;
         Array.unsafe_set clocks 1 st.vm);
+    (* Phi prologue: the whole stage-then-commit pass was compiled per
+       predecessor label. *)
     let rows = tb.r_phi_rows in
     if Array.length rows > 0 then begin
       if prevl >= 0 && prevl < Array.length rows then
@@ -2870,6 +1819,9 @@ and exec_rlinked (st : state) (fi : func_info) (args : Ir.Eval.value array) :
         fault "@%s/bb%d: phi has no entry for predecessor bb%d"
           f.Ir.Func.name curl prevl
     end;
+    (* Body: an array walk of pre-decoded closures.  The runtime faults
+       an instruction can raise get the block context the Reference
+       engine attaches per instruction. *)
     (try
        let ops = tb.r_ops in
        if tb.r_sync then begin
@@ -2916,8 +1868,7 @@ and exec_rlinked (st : state) (fi : func_info) (args : Ir.Eval.value array) :
           (match Hashtbl.find_opt tbl sv with Some t -> t | None -> dflt)
           curl budget
     | RL_none -> (
-        (* unlinked terminator: transfer through the indexed path,
-           faulting exactly where the unlinked engine would *)
+        (* unlinked terminator: transfer through the indexed path *)
         match tb.r_term with
         | R_halt -> None
         | R_ret g -> Some (g fr)
@@ -2949,2088 +1900,19 @@ and exec_rlinked (st : state) (fi : func_info) (args : Ir.Eval.value array) :
   Memory.release st.memory frame_mark;
   result
 
-(* Engine selection for resolved calls: compiled [Call] closures and
-   the run entry point go through [enter], so the linking and typed
-   register-file knobs apply to callees too. *)
-and enter (st : state) (fi : func_info) (args : Ir.Eval.value array) :
-    Ir.Eval.value option =
-  if st.tuning.regalloc then
-    if st.tuning.link then exec_rlinked st fi args else exec_rthreaded st fi args
-  else if st.tuning.link then exec_linked st fi args
-  else exec_threaded st fi args
-
-(** Compile one function's blocks to threaded code.  All of the
+(** Compile one function's blocks, recording the register classes and
+    the per-class slot renumbering.  A register's slot is its index
+    within its class's frame array, so a frame allocates one word per
+    register total instead of one per register per class.  With
+    [tuning.regalloc] off every register is [C_boxed].  All of the
     module's functions must already be prepared in [st.funcs] so callee
-    [func_info]s can be captured; their own [tblocks] may be compiled
-    later (the closure reads them at call time). *)
-and compile_func (st : state) (fi : func_info) : tblock array =
-  Array.mapi (fun bnum bi -> compile_block st fi bnum bi) fi.blocks
-
-and compile_block (st : state) (fi : func_info) (bnum : int) (bi : block_info) :
-    tblock =
-  let fname = fi.func.Ir.Func.name in
-  let nphi = bi.phi_count in
-  let t_phi_srcs =
-    Array.init nphi (fun k ->
-        Array.map
-          (function
-            | None -> P_missing
-            | Some op -> (
-                match decode_operand op with
-                | Slot r -> P_slot r
-                | Imm v -> P_imm v))
-          bi.phi_incoming.(k))
-  in
-  let mem = st.memory in
-  let nregs = max 1 fi.func.Ir.Func.next_reg in
-  let compile_instr (i : Ir.Instr.t) : Ir.Eval.value array -> unit =
-    let d = i.Ir.Instr.id in
-    let ty = i.Ir.Instr.ty in
-    match i.Ir.Instr.kind with
-    | Ir.Instr.Phi _ ->
-        (* Mirrors the reference engine: a phi after a non-phi is a
-           runtime fault of the block, not a compile error. *)
-        fun _ -> fault "@%s/bb%d: phi after non-phi" fname bnum
-    | Ir.Instr.Binop (op, a, b) ->
-        compile_binop ~nregs ty op d (decode_operand a) (decode_operand b)
-    | Ir.Instr.Icmp (p, a, b) ->
-        compile_icmp ~nregs p d (decode_operand a) (decode_operand b)
-    | Ir.Instr.Fcmp (p, a, b) ->
-        compile_fcmp ~nregs p d (decode_operand a) (decode_operand b)
-    | Ir.Instr.Cast (c, a) ->
-        let from_ =
-          match a with
-          | Ir.Instr.Const cst -> Ir.Instr.const_ty cst
-          | Ir.Instr.Reg r -> fi.reg_tys.(r)
-        in
-        compile_cast ~nregs c ~from_ ~to_:ty d (decode_operand a)
-    | Ir.Instr.Select (c, a, b) -> (
-        let sc = decode_operand c
-        and sa = decode_operand a
-        and sb = decode_operand b in
-        let ok r = r >= 0 && r < nregs in
-        match (sc, sa, sb) with
-        | Slot rc, Slot ra, Slot rb when ok d && ok rc && ok ra && ok rb ->
-            fun regs ->
-              Array.unsafe_set regs d
-                (if Ir.Eval.is_true (Array.unsafe_get regs rc) then
-                   Array.unsafe_get regs ra
-                 else Array.unsafe_get regs rb)
-        | _ ->
-            (* all three operands are read strictly, like the reference
-               engine's [eval_select] call *)
-            fun regs ->
-              let vc = fetch regs sc
-              and va = fetch regs sa
-              and vb = fetch regs sb in
-              regs.(d) <- (if Ir.Eval.is_true vc then va else vb))
-    | Ir.Instr.Alloca (_, count) ->
-        fun regs -> regs.(d) <- Ir.Eval.VPtr (Memory.alloc mem count)
-    | Ir.Instr.Load a -> (
-        match decode_operand a with
-        | Slot ra when d >= 0 && d < nregs && ra >= 0 && ra < nregs ->
-            fun regs ->
-              Array.unsafe_set regs d
-                (Memory.load mem (Ir.Eval.as_ptr (Array.unsafe_get regs ra)))
-        | Slot ra ->
-            fun regs -> regs.(d) <- Memory.load mem (Ir.Eval.as_ptr regs.(ra))
-        | Imm va -> fun regs -> regs.(d) <- Memory.load mem (Ir.Eval.as_ptr va)
-        )
-    | Ir.Instr.Store (x, a) -> (
-        match (decode_operand x, decode_operand a) with
-        | Slot rx, Slot ra when rx < nregs && ra < nregs && rx >= 0 && ra >= 0
-          ->
-            fun regs ->
-              Memory.store mem
-                (Ir.Eval.as_ptr (Array.unsafe_get regs ra))
-                (Array.unsafe_get regs rx)
-        | sx, sa ->
-            fun regs ->
-              Memory.store mem (Ir.Eval.as_ptr (fetch regs sa)) (fetch regs sx)
-        )
-    | Ir.Instr.Gep (base, idx) -> (
-        let sb = decode_operand base and si = decode_operand idx in
-        let ok r = r >= 0 && r < nregs in
-        match (sb, si) with
-        | Slot a, Slot b when ok d && ok a && ok b ->
-            fun regs ->
-              Array.unsafe_set regs d
-                (Ir.Eval.VPtr
-                   (Ir.Eval.as_ptr (Array.unsafe_get regs a)
-                   + Int64.to_int (Ir.Eval.as_int (Array.unsafe_get regs b))))
-        | Slot a, Imm (Ir.Eval.VInt ib) when ok d && ok a ->
-            let n = Int64.to_int ib in
-            fun regs ->
-              Array.unsafe_set regs d
-                (Ir.Eval.VPtr (Ir.Eval.as_ptr (Array.unsafe_get regs a) + n))
-        | _ ->
-            bin_closure ~nregs
-              (fun vb vi ->
-                Ir.Eval.VPtr
-                  (Ir.Eval.as_ptr vb + Int64.to_int (Ir.Eval.as_int vi)))
-              d sb si)
-    | Ir.Instr.Gaddr g ->
-        (* Resolved lazily on first execution: resolving at compile time
-           would turn an unknown global in never-executed code into an
-           eager error the reference engine doesn't raise.  Within one
-           run the layout is fixed after [load_globals], so the base is
-           memoized; an unknown global re-raises the same
-           [Invalid_argument] on every execution, like the reference. *)
-        let cell = ref (-1) in
-        fun regs ->
-          let b = !cell in
-          let b =
-            if b >= 0 then b
-            else begin
-              let b = Memory.global_base mem g in
-              cell := b;
-              b
-            end
-          in
-          regs.(d) <- Ir.Eval.VPtr b
-    | Ir.Instr.Call (name, argops) -> (
-        let srcs = Array.of_list (List.map decode_operand argops) in
-        let eval_args = args_fn srcs in
-        match Hashtbl.find_opt st.funcs name with
-        | Some callee -> (
-            fun regs ->
-              match enter st callee (eval_args regs) with
-              | Some r -> regs.(d) <- r
-              | None -> ())
-        | None -> (
-            match find_intrinsic name with
-            | Some impl -> fun regs -> regs.(d) <- impl (eval_args regs)
-            | None -> fun _ -> fault "call to unknown function @%s" name))
-    | Ir.Instr.Ci_call (ci, argops) -> (
-        let srcs = Array.of_list (List.map decode_operand argops) in
-        let eval_args = args_fn srcs in
-        match Hashtbl.find_opt st.cis ci with
-        | Some impl -> (
-            (* CI-native dispatch: when the knob is on and the CI ships
-               a fused closure compiled from its MISO subgraph, one
-               dispatch executes the whole subgraph — functionally
-               identical to [ci_eval] by construction (pinned by the
-               differential suite).  The cycle charge is untouched:
-               with a monitor it is still read from the swap cell at
-               dispatch, so the controller's software/hardware rebinds
-               land identically whichever body runs. *)
-            let eval =
-              if st.tuning.ci_native then
-                match impl.ci_native with Some f -> f | None -> impl.ci_eval
-              else impl.ci_eval
-            in
-            match st.swap with
-            | None ->
-                let cyc = float_of_int impl.ci_cycles in
-                fun regs ->
-                  regs.(d) <- eval (eval_args regs);
-                  st.native <- st.native +. cyc;
-                  st.vm <- st.vm +. cyc
-            | Some cells ->
-                (* Hot-swappable binding: the charge is read from the
-                   CI's swap cell at dispatch so the controller can
-                   rebind software/hardware cost between blocks without
-                   recompiling the fused closures. *)
-                let cell =
-                  match Hashtbl.find_opt cells ci with
-                  | Some c -> c
-                  | None ->
-                      let c = ref (float_of_int impl.ci_cycles) in
-                      Hashtbl.replace cells ci c;
-                      c
-                in
-                fun regs ->
-                  regs.(d) <- eval (eval_args regs);
-                  let cyc = !cell in
-                  st.native <- st.native +. cyc;
-                  st.vm <- st.vm +. cyc)
-        | None -> fun _ -> fault "custom instruction #%d is not configured" ci)
-  in
-  (* --- sink-tree fusion: planning ------------------------------- *)
-  let n = bi.ninstrs in
-  let ok r = r >= 0 && r < nregs in
-  (* A producer is sinkable when deferring it from its own body
-     position to its consumer's is unobservable on type-sound
-     executions.  The pure kinds neither read memory nor fault.  A
-     [Load] may fault ([Bad_address]) and reads memory, so it is only a
-     candidate here; a veto pass below keeps it anchored unless nothing
-     observable sits inside its sink window.  Divisions fault on
-     type-sound programs and stay anchored. *)
-  let sinkable (i : Ir.Instr.t) =
-    match i.Ir.Instr.kind with
-    | Ir.Instr.Binop
-        ((Ir.Instr.Sdiv | Ir.Instr.Udiv | Ir.Instr.Srem | Ir.Instr.Urem), _, _)
-      ->
-        false
-    | Ir.Instr.Binop _ | Ir.Instr.Icmp _ | Ir.Instr.Fcmp _ | Ir.Instr.Cast _
-    | Ir.Instr.Select _ | Ir.Instr.Gep _ | Ir.Instr.Gaddr _ | Ir.Instr.Load _
-      ->
-        true
-    | _ -> false
-  in
-  (* [def_at.(r)] is the body index of the sinkable single-use
-     definition of register [r] in this block, or -1.  Only in-range
-     destinations qualify: an absorbed producer skips its register
-     write, which must not swallow the [Invalid_argument] an
-     out-of-range write would have raised. *)
-  let def_at = Array.make nregs (-1) in
-  let absorbed = Array.make (max 1 n) false in
-  (* [consumer.(j)] is the body index of the instruction that absorbs
-     producer [j] ([n] when it is the fused terminator scrutinee's
-     tree); used to resolve the anchor position a sunk load would
-     execute at. *)
-  let consumer = Array.make (max 1 n) (-1) in
-  if st.tuning.fuse then
-    for j = nphi to n - 1 do
-      let i = bi.instrs.(j) in
-      let d = i.Ir.Instr.id in
-      if
-        sinkable i && ok d
-        && d < Array.length fi.use_counts
-        && fi.use_counts.(d) = 1
-      then def_at.(d) <- j
-    done;
-  (* Mark the producers a tree-compiled instruction at body index [j]
-     absorbs: every register operand whose sinkable single-use
-     definition lies strictly earlier in this block's body.  The
-     single static use is the operand being inspected, so no other
-     reader can observe the skipped register write. *)
-  let plan_operand j (op : Ir.Instr.operand) =
-    match op with
-    | Ir.Instr.Reg r when ok r && def_at.(r) >= 0 && def_at.(r) < j ->
-        absorbed.(def_at.(r)) <- true;
-        consumer.(def_at.(r)) <- j
-    | _ -> ()
-  in
-  let plan_instr j (i : Ir.Instr.t) =
-    match i.Ir.Instr.kind with
-    | Ir.Instr.Binop (_, a, b)
-    | Ir.Instr.Icmp (_, a, b)
-    | Ir.Instr.Fcmp (_, a, b)
-    | Ir.Instr.Gep (a, b)
-    | Ir.Instr.Store (a, b) ->
-        plan_operand j a;
-        plan_operand j b
-    | Ir.Instr.Cast (_, a) | Ir.Instr.Load a -> plan_operand j a
-    | Ir.Instr.Select (c, a, b) ->
-        plan_operand j c;
-        plan_operand j a;
-        plan_operand j b
-    | Ir.Instr.Phi _ | Ir.Instr.Alloca _ | Ir.Instr.Gaddr _ | Ir.Instr.Call _
-    | Ir.Instr.Ci_call _ ->
-        (* calls keep their argument evaluation exactly as compiled;
-           the others have no register operands *)
-        ()
-  in
-  let op_absorbed (op : Ir.Instr.operand) =
-    match op with
-    | Ir.Instr.Reg r -> ok r && def_at.(r) >= 0 && absorbed.(def_at.(r))
-    | Ir.Instr.Const _ -> false
-  in
-  let has_absorbed (i : Ir.Instr.t) =
-    match i.Ir.Instr.kind with
-    | Ir.Instr.Binop (_, a, b)
-    | Ir.Instr.Icmp (_, a, b)
-    | Ir.Instr.Fcmp (_, a, b)
-    | Ir.Instr.Gep (a, b)
-    | Ir.Instr.Store (a, b) ->
-        op_absorbed a || op_absorbed b
-    | Ir.Instr.Cast (_, a) | Ir.Instr.Load a -> op_absorbed a
-    | Ir.Instr.Select (c, a, b) ->
-        op_absorbed c || op_absorbed a || op_absorbed b
-    | _ -> false
-  in
-  (* Compare-and-branch fusion: when the scrutinee of this block's
-     conditional is the sinkable last body instruction and is used
-     nowhere else, it folds into the terminator and its body position
-     is skipped. *)
-  let fused_scrutinee =
-    if st.tuning.fuse && n > nphi then
-      match bi.term with
-      | Ir.Instr.Cond_br (Ir.Instr.Reg r, a, b)
-        when bi.instrs.(n - 1).Ir.Instr.id = r
-             && r >= 0
-             && r < Array.length fi.use_counts
-             && fi.use_counts.(r) = 1
-             && sinkable bi.instrs.(n - 1) ->
-          Some (bi.instrs.(n - 1), a, b)
-      | _ -> None
-    else None
-  in
-  let body_end = match fused_scrutinee with Some _ -> n - 1 | None -> n in
-  if st.tuning.fuse then begin
-    (match fused_scrutinee with
-    | Some (ci, _, _) -> plan_instr n ci
-    | None -> ());
-    (* Anchors and absorbed producers alike absorb their own operands,
-       so chains collapse transitively.  A single pass suffices: the
-       marks depend only on [def_at] and static use counts. *)
-    for j = nphi to body_end - 1 do
-      let i = bi.instrs.(j) in
-      match i.Ir.Instr.kind with
-      | Ir.Instr.Phi _ | Ir.Instr.Alloca _ | Ir.Instr.Call _
-      | Ir.Instr.Ci_call _ ->
-          ()
-      | _ -> plan_instr j i
-    done;
-    (* Load-sink veto.  A sunk load executes at its anchor's position,
-       so its sink window — the body indices strictly between its own
-       position and the anchor's — must contain nothing observable:
-       no store, call, alloca, and no other load at its original
-       position (two loads with bad addresses would otherwise swap
-       which address the block's fault reports).  Pure sinkable
-       producers in the window are fine: they cannot fault on
-       type-sound executions.  This veto also caps each fused tree at
-       one load, since a second absorbed load necessarily sits in the
-       earlier one's window. *)
-    let barrier (m : int) =
-      match bi.instrs.(m).Ir.Instr.kind with
-      | Ir.Instr.Load _ | Ir.Instr.Store _ | Ir.Instr.Alloca _
-      | Ir.Instr.Call _ | Ir.Instr.Ci_call _ ->
-          true
-      | _ -> false
-    in
-    let rec anchor k =
-      if k >= n then n else if absorbed.(k) then anchor consumer.(k) else k
-    in
-    for j = nphi to body_end - 1 do
-      match bi.instrs.(j).Ir.Instr.kind with
-      | Ir.Instr.Load _ when absorbed.(j) ->
-          let k = anchor consumer.(j) in
-          let m = ref (j + 1) in
-          let blocked = ref false in
-          while (not !blocked) && !m < k do
-            if barrier !m then blocked := true;
-            incr m
-          done;
-          if !blocked then absorbed.(j) <- false
-      | _ -> ()
-    done
-  end;
-  (* --- sink-tree fusion: emission ------------------------------- *)
-  (* Typed tree compilers.  Each compiles the value of instruction [j]
-     (or an operand) into an {e unboxed} closure for one of the scalar
-     classes — the int64 an [as_int] of the boxed value would give
-     ([iop]/[inode]), the float of [as_float] ([fop]/[fnode]), the
-     address of [as_ptr] ([pop]/[pnode]), a comparison's boolean
-     ([bnode]) — so a fused chain allocates no intermediate [value]s.
-     [None] means the shape has no unboxed form in that class; the
-     boxed compilers ([vop]/[vnode]/[gnode]) then take over, and any
-     type conversion happens exactly where the unfused consumer's
-     [Ir.Eval] closure would perform it.  The scalar expressions
-     mirror the [Ir.Eval.*_fn] arms (same renormalization, shift
-     masking, NaN and division-by-zero treatment); the differential
-     suite pins both engines to identical outcomes.  Operands evaluate
-     left-to-right in operand order, each subtree fully before the
-     consumer's own conversions. *)
-  let from_ty_of (a : Ir.Instr.operand) =
-    match a with
-    | Ir.Instr.Const cst -> Ir.Instr.const_ty cst
-    | Ir.Instr.Reg r -> fi.reg_tys.(r)
-  in
-  let rec iop (op : Ir.Instr.operand) : iarg option =
-    match op with
-    | Ir.Instr.Const c -> (
-        match E.of_const c with
-        | E.VInt k -> Some (IConst k)
-        | E.VPtr p -> Some (IConst (Int64.of_int p))
-        | E.VFloat _ -> None)
-    | Ir.Instr.Reg r ->
-        if ok r then
-          if def_at.(r) >= 0 && absorbed.(def_at.(r)) then
-            match inode def_at.(r) with
-            | Some f -> Some (IFun f)
-            | None -> None
-          else Some (ISlot r)
-        else None
-  and inode (j : int) : (Ir.Eval.value array -> int64) option =
-    let i = bi.instrs.(j) in
-    let ty = i.Ir.Instr.ty in
-    match i.Ir.Instr.kind with
-    | Ir.Instr.Binop (op, a, b) -> (
-        let sh = E.norm_shift ty in
-        let sm = E.shift_amount ty (-1L) in
-        let um = E.umask ty (-1L) in
-        (* Per-shape arms: slot and constant leaves are inlined into the
-           node closure's body; mixed shapes fall through to the
-           materialized generic arm.  Same scalar expression in every
-           arm of an operator. *)
-        match (op, iop a, iop b) with
-        | Ir.Instr.Add, Some aa, Some bb ->
-            Some
-              (match (aa, bb) with
-              | ISlot ra, ISlot rb ->
-                  fun regs ->
-                    let x = geti regs ra in
-                    let y = geti regs rb in
-                    E.renorm sh (Int64.add x y)
-              | ISlot ra, IConst kb ->
-                  fun regs -> E.renorm sh (Int64.add (geti regs ra) kb)
-              | IConst ka, ISlot rb ->
-                  fun regs -> E.renorm sh (Int64.add ka (geti regs rb))
-              | IFun fa, ISlot rb ->
-                  fun regs ->
-                    let x = fa regs in
-                    let y = geti regs rb in
-                    E.renorm sh (Int64.add x y)
-              | ISlot ra, IFun fb ->
-                  fun regs ->
-                    let x = geti regs ra in
-                    let y = fb regs in
-                    E.renorm sh (Int64.add x y)
-              | IFun fa, IConst kb ->
-                  fun regs -> E.renorm sh (Int64.add (fa regs) kb)
-              | IFun fa, IFun fb ->
-                  fun regs ->
-                    let x = fa regs in
-                    let y = fb regs in
-                    E.renorm sh (Int64.add x y)
-              | aa, bb ->
-                  let fa = ifn aa and fb = ifn bb in
-                  fun regs ->
-                    let x = fa regs in
-                    let y = fb regs in
-                    E.renorm sh (Int64.add x y))
-        | Ir.Instr.Sub, Some aa, Some bb ->
-            Some
-              (match (aa, bb) with
-              | ISlot ra, ISlot rb ->
-                  fun regs ->
-                    let x = geti regs ra in
-                    let y = geti regs rb in
-                    E.renorm sh (Int64.sub x y)
-              | ISlot ra, IConst kb ->
-                  fun regs -> E.renorm sh (Int64.sub (geti regs ra) kb)
-              | IConst ka, ISlot rb ->
-                  fun regs -> E.renorm sh (Int64.sub ka (geti regs rb))
-              | IFun fa, ISlot rb ->
-                  fun regs ->
-                    let x = fa regs in
-                    let y = geti regs rb in
-                    E.renorm sh (Int64.sub x y)
-              | ISlot ra, IFun fb ->
-                  fun regs ->
-                    let x = geti regs ra in
-                    let y = fb regs in
-                    E.renorm sh (Int64.sub x y)
-              | IFun fa, IConst kb ->
-                  fun regs -> E.renorm sh (Int64.sub (fa regs) kb)
-              | IFun fa, IFun fb ->
-                  fun regs ->
-                    let x = fa regs in
-                    let y = fb regs in
-                    E.renorm sh (Int64.sub x y)
-              | aa, bb ->
-                  let fa = ifn aa and fb = ifn bb in
-                  fun regs ->
-                    let x = fa regs in
-                    let y = fb regs in
-                    E.renorm sh (Int64.sub x y))
-        | Ir.Instr.Mul, Some aa, Some bb ->
-            Some
-              (match (aa, bb) with
-              | ISlot ra, ISlot rb ->
-                  fun regs ->
-                    let x = geti regs ra in
-                    let y = geti regs rb in
-                    E.renorm sh (Int64.mul x y)
-              | ISlot ra, IConst kb ->
-                  fun regs -> E.renorm sh (Int64.mul (geti regs ra) kb)
-              | IConst ka, ISlot rb ->
-                  fun regs -> E.renorm sh (Int64.mul ka (geti regs rb))
-              | IFun fa, ISlot rb ->
-                  fun regs ->
-                    let x = fa regs in
-                    let y = geti regs rb in
-                    E.renorm sh (Int64.mul x y)
-              | ISlot ra, IFun fb ->
-                  fun regs ->
-                    let x = geti regs ra in
-                    let y = fb regs in
-                    E.renorm sh (Int64.mul x y)
-              | IFun fa, IConst kb ->
-                  fun regs -> E.renorm sh (Int64.mul (fa regs) kb)
-              | IFun fa, IFun fb ->
-                  fun regs ->
-                    let x = fa regs in
-                    let y = fb regs in
-                    E.renorm sh (Int64.mul x y)
-              | aa, bb ->
-                  let fa = ifn aa and fb = ifn bb in
-                  fun regs ->
-                    let x = fa regs in
-                    let y = fb regs in
-                    E.renorm sh (Int64.mul x y))
-        | Ir.Instr.And, Some aa, Some bb ->
-            Some
-              (match (aa, bb) with
-              | ISlot ra, ISlot rb ->
-                  fun regs ->
-                    let x = geti regs ra in
-                    let y = geti regs rb in
-                    E.renorm sh (Int64.logand x y)
-              | ISlot ra, IConst kb ->
-                  fun regs -> E.renorm sh (Int64.logand (geti regs ra) kb)
-              | IFun fa, ISlot rb ->
-                  fun regs ->
-                    let x = fa regs in
-                    let y = geti regs rb in
-                    E.renorm sh (Int64.logand x y)
-              | IFun fa, IConst kb ->
-                  fun regs -> E.renorm sh (Int64.logand (fa regs) kb)
-              | IFun fa, IFun fb ->
-                  fun regs ->
-                    let x = fa regs in
-                    let y = fb regs in
-                    E.renorm sh (Int64.logand x y)
-              | aa, bb ->
-                  let fa = ifn aa and fb = ifn bb in
-                  fun regs ->
-                    let x = fa regs in
-                    let y = fb regs in
-                    E.renorm sh (Int64.logand x y))
-        | Ir.Instr.Or, Some aa, Some bb ->
-            Some
-              (match (aa, bb) with
-              | ISlot ra, ISlot rb ->
-                  fun regs ->
-                    let x = geti regs ra in
-                    let y = geti regs rb in
-                    E.renorm sh (Int64.logor x y)
-              | ISlot ra, IConst kb ->
-                  fun regs -> E.renorm sh (Int64.logor (geti regs ra) kb)
-              | IFun fa, ISlot rb ->
-                  fun regs ->
-                    let x = fa regs in
-                    let y = geti regs rb in
-                    E.renorm sh (Int64.logor x y)
-              | IFun fa, IConst kb ->
-                  fun regs -> E.renorm sh (Int64.logor (fa regs) kb)
-              | IFun fa, IFun fb ->
-                  fun regs ->
-                    let x = fa regs in
-                    let y = fb regs in
-                    E.renorm sh (Int64.logor x y)
-              | aa, bb ->
-                  let fa = ifn aa and fb = ifn bb in
-                  fun regs ->
-                    let x = fa regs in
-                    let y = fb regs in
-                    E.renorm sh (Int64.logor x y))
-        | Ir.Instr.Xor, Some aa, Some bb ->
-            Some
-              (match (aa, bb) with
-              | ISlot ra, ISlot rb ->
-                  fun regs ->
-                    let x = geti regs ra in
-                    let y = geti regs rb in
-                    E.renorm sh (Int64.logxor x y)
-              | ISlot ra, IConst kb ->
-                  fun regs -> E.renorm sh (Int64.logxor (geti regs ra) kb)
-              | IFun fa, ISlot rb ->
-                  fun regs ->
-                    let x = fa regs in
-                    let y = geti regs rb in
-                    E.renorm sh (Int64.logxor x y)
-              | IFun fa, IConst kb ->
-                  fun regs -> E.renorm sh (Int64.logxor (fa regs) kb)
-              | IFun fa, IFun fb ->
-                  fun regs ->
-                    let x = fa regs in
-                    let y = fb regs in
-                    E.renorm sh (Int64.logxor x y)
-              | aa, bb ->
-                  let fa = ifn aa and fb = ifn bb in
-                  fun regs ->
-                    let x = fa regs in
-                    let y = fb regs in
-                    E.renorm sh (Int64.logxor x y))
-        | Ir.Instr.Shl, Some aa, Some bb ->
-            Some
-              (match (aa, bb) with
-              | ISlot ra, ISlot rb ->
-                  fun regs ->
-                    let x = geti regs ra in
-                    let y = geti regs rb in
-                    E.renorm sh (Int64.shift_left x (Int64.to_int y land sm))
-              | ISlot ra, IConst kb ->
-                  let n = Int64.to_int kb land sm in
-                  fun regs -> E.renorm sh (Int64.shift_left (geti regs ra) n)
-              | IFun fa, ISlot rb ->
-                  fun regs ->
-                    let x = fa regs in
-                    let y = geti regs rb in
-                    E.renorm sh (Int64.shift_left x (Int64.to_int y land sm))
-              | IFun fa, IConst kb ->
-                  let n = Int64.to_int kb land sm in
-                  fun regs -> E.renorm sh (Int64.shift_left (fa regs) n)
-              | aa, bb ->
-                  let fa = ifn aa and fb = ifn bb in
-                  fun regs ->
-                    let x = fa regs in
-                    let y = fb regs in
-                    E.renorm sh (Int64.shift_left x (Int64.to_int y land sm)))
-        | Ir.Instr.Lshr, Some aa, Some bb ->
-            Some
-              (match (aa, bb) with
-              | ISlot ra, ISlot rb ->
-                  fun regs ->
-                    let x = geti regs ra in
-                    let y = geti regs rb in
-                    E.renorm sh
-                      (Int64.shift_right_logical (Int64.logand x um)
-                         (Int64.to_int y land sm))
-              | ISlot ra, IConst kb ->
-                  let n = Int64.to_int kb land sm in
-                  fun regs ->
-                    E.renorm sh
-                      (Int64.shift_right_logical
-                         (Int64.logand (geti regs ra) um)
-                         n)
-              | IFun fa, IConst kb ->
-                  let n = Int64.to_int kb land sm in
-                  fun regs ->
-                    E.renorm sh
-                      (Int64.shift_right_logical (Int64.logand (fa regs) um) n)
-              | aa, bb ->
-                  let fa = ifn aa and fb = ifn bb in
-                  fun regs ->
-                    let x = fa regs in
-                    let y = fb regs in
-                    E.renorm sh
-                      (Int64.shift_right_logical (Int64.logand x um)
-                         (Int64.to_int y land sm)))
-        | Ir.Instr.Ashr, Some aa, Some bb ->
-            Some
-              (match (aa, bb) with
-              | ISlot ra, ISlot rb ->
-                  fun regs ->
-                    let x = geti regs ra in
-                    let y = geti regs rb in
-                    E.renorm sh (Int64.shift_right x (Int64.to_int y land sm))
-              | ISlot ra, IConst kb ->
-                  let n = Int64.to_int kb land sm in
-                  fun regs -> E.renorm sh (Int64.shift_right (geti regs ra) n)
-              | IFun fa, IConst kb ->
-                  let n = Int64.to_int kb land sm in
-                  fun regs -> E.renorm sh (Int64.shift_right (fa regs) n)
-              | aa, bb ->
-                  let fa = ifn aa and fb = ifn bb in
-                  fun regs ->
-                    let x = fa regs in
-                    let y = fb regs in
-                    E.renorm sh (Int64.shift_right x (Int64.to_int y land sm)))
-        | Ir.Instr.Sdiv, Some aa, Some bb ->
-            let fa = ifn aa and fb = ifn bb in
-            Some
-              (fun regs ->
-                let x = fa regs in
-                let y = fb regs in
-                if y = 0L then raise E.Division_by_zero
-                else E.renorm sh (Int64.div x y))
-        | Ir.Instr.Srem, Some aa, Some bb ->
-            let fa = ifn aa and fb = ifn bb in
-            Some
-              (fun regs ->
-                let x = fa regs in
-                let y = fb regs in
-                if y = 0L then raise E.Division_by_zero
-                else E.renorm sh (Int64.rem x y))
-        | Ir.Instr.Udiv, Some aa, Some bb ->
-            let fa = ifn aa and fb = ifn bb in
-            Some
-              (fun regs ->
-                let x = fa regs in
-                let y = fb regs in
-                let y' = Int64.logand y um in
-                if y' = 0L then raise E.Division_by_zero
-                else E.renorm sh (Int64.unsigned_div (Int64.logand x um) y'))
-        | Ir.Instr.Urem, Some aa, Some bb ->
-            let fa = ifn aa and fb = ifn bb in
-            Some
-              (fun regs ->
-                let x = fa regs in
-                let y = fb regs in
-                let y' = Int64.logand y um in
-                if y' = 0L then raise E.Division_by_zero
-                else E.renorm sh (Int64.unsigned_rem (Int64.logand x um) y'))
-        | _ -> None)
-    | Ir.Instr.Icmp _ | Ir.Instr.Fcmp _ -> (
-        match bnode j with
-        | Some bt -> Some (fun regs -> if bt regs then 1L else 0L)
-        | None -> None)
-    | Ir.Instr.Cast (c, a) -> (
-        match c with
-        | Ir.Instr.Trunc | Ir.Instr.Sext -> (
-            let sh = E.norm_shift ty in
-            match iop a with
-            | Some (ISlot ra) ->
-                Some (fun regs -> E.renorm sh (geti regs ra))
-            | Some (IConst ka) ->
-                let v = E.renorm sh ka in
-                Some (fun _ -> v)
-            | Some (IFun fa) -> Some (fun regs -> E.renorm sh (fa regs))
-            | None -> None)
-        | Ir.Instr.Zext -> (
-            let sh = E.norm_shift ty in
-            let um = E.umask (from_ty_of a) (-1L) in
-            match iop a with
-            | Some (ISlot ra) ->
-                Some
-                  (fun regs ->
-                    E.renorm sh (Int64.logand (geti regs ra) um))
-            | Some (IConst ka) ->
-                let v = E.renorm sh (Int64.logand ka um) in
-                Some (fun _ -> v)
-            | Some (IFun fa) ->
-                Some (fun regs -> E.renorm sh (Int64.logand (fa regs) um))
-            | None -> None)
-        | Ir.Instr.Fptosi -> (
-            let sh = E.norm_shift ty in
-            match fop a with
-            | Some fa ->
-                let fa = ffn fa in
-                Some
-                  (fun regs ->
-                    let f = fa regs in
-                    if Float.is_nan f then 0L
-                    else E.renorm sh (Int64.of_float f))
-            | None -> None)
-        | _ -> None)
-    | Ir.Instr.Gep _ | Ir.Instr.Gaddr _ -> (
-        match pnode j with
-        | Some pp -> Some (fun regs -> Int64.of_int (pp regs))
-        | None -> None)
-    | Ir.Instr.Load a -> (
-        (* sunk load (the veto pass admitted it); the [as_int] is the
-           conversion the unfused consumer would apply.  An absorbed
-           [Gep] address is inlined here so the whole array read stays
-           one closure. *)
-        match gep_of a with
-        | Some (base, idx) -> (
-            match (pop base, iop idx) with
-            | Some pb, Some pi ->
-                Some
-                  (match (pb, pi) with
-                  | PSlot rb, ISlot ri ->
-                      fun regs ->
-                        let p = E.as_ptr (Array.unsafe_get regs rb) in
-                        let x = geti regs ri in
-                        E.as_int (Memory.load mem (p + Int64.to_int x))
-                  | PSlot rb, IConst ki ->
-                      let nn = Int64.to_int ki in
-                      fun regs ->
-                        E.as_int
-                          (Memory.load mem
-                             (E.as_ptr (Array.unsafe_get regs rb) + nn))
-                  | PFun pf, ISlot ri ->
-                      fun regs ->
-                        let p = pf regs in
-                        let x = geti regs ri in
-                        E.as_int (Memory.load mem (p + Int64.to_int x))
-                  | PFun pf, IConst ki ->
-                      let nn = Int64.to_int ki in
-                      fun regs ->
-                        let p = pf regs in
-                        E.as_int (Memory.load mem (p + nn))
-                  | pb, pi ->
-                      let fp = pfn pb and fx = ifn pi in
-                      fun regs ->
-                        let p = fp regs in
-                        let x = fx regs in
-                        E.as_int (Memory.load mem (p + Int64.to_int x)))
-            | _ -> None)
-        | None -> (
-            match pop a with
-            | Some pa ->
-                let fp = pfn pa in
-                Some (fun regs -> E.as_int (Memory.load mem (fp regs)))
-            | None -> None))
-    | _ -> None
-  and gep_of (a : Ir.Instr.operand) :
-      (Ir.Instr.operand * Ir.Instr.operand) option =
-    (* the absorbed [Gep] behind operand [a], if that is what it is *)
-    match a with
-    | Ir.Instr.Reg r when ok r && def_at.(r) >= 0 && absorbed.(def_at.(r))
-      -> (
-        match bi.instrs.(def_at.(r)).Ir.Instr.kind with
-        | Ir.Instr.Gep (base, idx) -> Some (base, idx)
-        | _ -> None)
-    | _ -> None
-  and fop (op : Ir.Instr.operand) : farg option =
-    match op with
-    | Ir.Instr.Const c -> (
-        match E.of_const c with
-        | E.VFloat f -> Some (FConst f)
-        | E.VInt _ | E.VPtr _ -> None)
-    | Ir.Instr.Reg r ->
-        if ok r then
-          if def_at.(r) >= 0 && absorbed.(def_at.(r)) then
-            match fnode def_at.(r) with
-            | Some f -> Some (FFun f)
-            | None -> None
-          else Some (FSlot r)
-        else None
-  and fnode (j : int) : (Ir.Eval.value array -> float) option =
-    let i = bi.instrs.(j) in
-    let ty = i.Ir.Instr.ty in
-    match i.Ir.Instr.kind with
-    (* F32 rounds per operation; those nodes stay on the boxed
-       [Ir.Eval.binop_fn] path *)
-    | Ir.Instr.Binop (op, a, b) when ty <> Ir.Ty.F32 -> (
-        match (op, fop a, fop b) with
-        | Ir.Instr.Fadd, Some aa, Some bb ->
-            Some
-              (match (aa, bb) with
-              | FSlot ra, FSlot rb ->
-                  fun regs ->
-                    let x = getf regs ra in
-                    let y = getf regs rb in
-                    x +. y
-              | FSlot ra, FConst kb -> fun regs -> getf regs ra +. kb
-              | FConst ka, FSlot rb -> fun regs -> ka +. getf regs rb
-              | FFun fa, FSlot rb ->
-                  fun regs ->
-                    let x = fa regs in
-                    let y = getf regs rb in
-                    x +. y
-              | FSlot ra, FFun fb ->
-                  fun regs ->
-                    let x = getf regs ra in
-                    let y = fb regs in
-                    x +. y
-              | FFun fa, FConst kb -> fun regs -> fa regs +. kb
-              | FFun fa, FFun fb ->
-                  fun regs ->
-                    let x = fa regs in
-                    let y = fb regs in
-                    x +. y
-              | aa, bb ->
-                  let fa = ffn aa and fb = ffn bb in
-                  fun regs ->
-                    let x = fa regs in
-                    let y = fb regs in
-                    x +. y)
-        | Ir.Instr.Fsub, Some aa, Some bb ->
-            Some
-              (match (aa, bb) with
-              | FSlot ra, FSlot rb ->
-                  fun regs ->
-                    let x = getf regs ra in
-                    let y = getf regs rb in
-                    x -. y
-              | FSlot ra, FConst kb -> fun regs -> getf regs ra -. kb
-              | FConst ka, FSlot rb -> fun regs -> ka -. getf regs rb
-              | FFun fa, FSlot rb ->
-                  fun regs ->
-                    let x = fa regs in
-                    let y = getf regs rb in
-                    x -. y
-              | FSlot ra, FFun fb ->
-                  fun regs ->
-                    let x = getf regs ra in
-                    let y = fb regs in
-                    x -. y
-              | FFun fa, FConst kb -> fun regs -> fa regs -. kb
-              | FFun fa, FFun fb ->
-                  fun regs ->
-                    let x = fa regs in
-                    let y = fb regs in
-                    x -. y
-              | aa, bb ->
-                  let fa = ffn aa and fb = ffn bb in
-                  fun regs ->
-                    let x = fa regs in
-                    let y = fb regs in
-                    x -. y)
-        | Ir.Instr.Fmul, Some aa, Some bb ->
-            Some
-              (match (aa, bb) with
-              | FSlot ra, FSlot rb ->
-                  fun regs ->
-                    let x = getf regs ra in
-                    let y = getf regs rb in
-                    x *. y
-              | FSlot ra, FConst kb -> fun regs -> getf regs ra *. kb
-              | FConst ka, FSlot rb -> fun regs -> ka *. getf regs rb
-              | FFun fa, FSlot rb ->
-                  fun regs ->
-                    let x = fa regs in
-                    let y = getf regs rb in
-                    x *. y
-              | FSlot ra, FFun fb ->
-                  fun regs ->
-                    let x = getf regs ra in
-                    let y = fb regs in
-                    x *. y
-              | FFun fa, FConst kb -> fun regs -> fa regs *. kb
-              | FFun fa, FFun fb ->
-                  fun regs ->
-                    let x = fa regs in
-                    let y = fb regs in
-                    x *. y
-              | aa, bb ->
-                  let fa = ffn aa and fb = ffn bb in
-                  fun regs ->
-                    let x = fa regs in
-                    let y = fb regs in
-                    x *. y)
-        | Ir.Instr.Fdiv, Some aa, Some bb ->
-            Some
-              (match (aa, bb) with
-              | FSlot ra, FSlot rb ->
-                  fun regs ->
-                    let x = getf regs ra in
-                    let y = getf regs rb in
-                    x /. y
-              | FSlot ra, FConst kb -> fun regs -> getf regs ra /. kb
-              | FConst ka, FSlot rb -> fun regs -> ka /. getf regs rb
-              | FFun fa, FSlot rb ->
-                  fun regs ->
-                    let x = fa regs in
-                    let y = getf regs rb in
-                    x /. y
-              | FSlot ra, FFun fb ->
-                  fun regs ->
-                    let x = getf regs ra in
-                    let y = fb regs in
-                    x /. y
-              | FFun fa, FConst kb -> fun regs -> fa regs /. kb
-              | FFun fa, FFun fb ->
-                  fun regs ->
-                    let x = fa regs in
-                    let y = fb regs in
-                    x /. y
-              | aa, bb ->
-                  let fa = ffn aa and fb = ffn bb in
-                  fun regs ->
-                    let x = fa regs in
-                    let y = fb regs in
-                    x /. y)
-        | _ -> None)
-    | Ir.Instr.Cast (c, a) -> (
-        match c with
-        | Ir.Instr.Sitofp when ty <> Ir.Ty.F32 -> (
-            match iop a with
-            | Some (ISlot ra) ->
-                Some (fun regs -> Int64.to_float (geti regs ra))
-            | Some (IConst ka) ->
-                let v = Int64.to_float ka in
-                Some (fun _ -> v)
-            | Some (IFun fa) -> Some (fun regs -> Int64.to_float (fa regs))
-            | None -> None)
-        | Ir.Instr.Fpext -> (
-            match fop a with Some fa -> Some (ffn fa) | None -> None)
-        | Ir.Instr.Fptrunc when ty <> Ir.Ty.F32 -> (
-            match fop a with Some fa -> Some (ffn fa) | None -> None)
-        | _ -> None)
-    | Ir.Instr.Load a -> (
-        match gep_of a with
-        | Some (base, idx) -> (
-            match (pop base, iop idx) with
-            | Some pb, Some pi ->
-                Some
-                  (match (pb, pi) with
-                  | PSlot rb, ISlot ri ->
-                      fun regs ->
-                        let p = E.as_ptr (Array.unsafe_get regs rb) in
-                        let x = geti regs ri in
-                        E.as_float (Memory.load mem (p + Int64.to_int x))
-                  | PSlot rb, IConst ki ->
-                      let nn = Int64.to_int ki in
-                      fun regs ->
-                        E.as_float
-                          (Memory.load mem
-                             (E.as_ptr (Array.unsafe_get regs rb) + nn))
-                  | PFun pf, ISlot ri ->
-                      fun regs ->
-                        let p = pf regs in
-                        let x = geti regs ri in
-                        E.as_float (Memory.load mem (p + Int64.to_int x))
-                  | PFun pf, IConst ki ->
-                      let nn = Int64.to_int ki in
-                      fun regs ->
-                        let p = pf regs in
-                        E.as_float (Memory.load mem (p + nn))
-                  | pb, pi ->
-                      let fp = pfn pb and fx = ifn pi in
-                      fun regs ->
-                        let p = fp regs in
-                        let x = fx regs in
-                        E.as_float (Memory.load mem (p + Int64.to_int x)))
-            | _ -> None)
-        | None -> (
-            match pop a with
-            | Some pa ->
-                let fp = pfn pa in
-                Some (fun regs -> E.as_float (Memory.load mem (fp regs)))
-            | None -> None))
-    | _ -> None
-  and pop (op : Ir.Instr.operand) : parg option =
-    match op with
-    | Ir.Instr.Const c -> (
-        match E.of_const c with
-        | E.VPtr p -> Some (PConst p)
-        | E.VInt v -> Some (PConst (Int64.to_int v))
-        | E.VFloat _ -> None)
-    | Ir.Instr.Reg r ->
-        if ok r then
-          if def_at.(r) >= 0 && absorbed.(def_at.(r)) then
-            match pnode def_at.(r) with
-            | Some f -> Some (PFun f)
-            | None -> None
-          else Some (PSlot r)
-        else None
-  and pnode (j : int) : (Ir.Eval.value array -> int) option =
-    let i = bi.instrs.(j) in
-    match i.Ir.Instr.kind with
-    | Ir.Instr.Gep (base, idx) -> (
-        match (pop base, iop idx) with
-        | Some pb, Some pi ->
-            Some
-              (match (pb, pi) with
-              | PSlot rb, ISlot ri ->
-                  fun regs ->
-                    let p = E.as_ptr (Array.unsafe_get regs rb) in
-                    let x = geti regs ri in
-                    p + Int64.to_int x
-              | PSlot rb, IConst ki ->
-                  let n = Int64.to_int ki in
-                  fun regs -> E.as_ptr (Array.unsafe_get regs rb) + n
-              | PFun pf, ISlot ri ->
-                  fun regs ->
-                    let p = pf regs in
-                    let x = geti regs ri in
-                    p + Int64.to_int x
-              | PFun pf, IConst ki ->
-                  let n = Int64.to_int ki in
-                  fun regs -> pf regs + n
-              | PSlot rb, IFun fi' ->
-                  fun regs ->
-                    let p = E.as_ptr (Array.unsafe_get regs rb) in
-                    let x = fi' regs in
-                    p + Int64.to_int x
-              | PFun pf, IFun fi' ->
-                  fun regs ->
-                    let p = pf regs in
-                    let x = fi' regs in
-                    p + Int64.to_int x
-              | pb, pi ->
-                  let fp = pfn pb and fx = ifn pi in
-                  fun regs ->
-                    let p = fp regs in
-                    let x = fx regs in
-                    p + Int64.to_int x)
-        | _ -> None)
-    | Ir.Instr.Gaddr g ->
-        (* lazily memoized, like [compile_instr] *)
-        let cell = ref (-1) in
-        Some
-          (fun _ ->
-            let b = !cell in
-            if b >= 0 then b
-            else begin
-              let b = Memory.global_base mem g in
-              cell := b;
-              b
-            end)
-    | Ir.Instr.Binop _ | Ir.Instr.Icmp _ | Ir.Instr.Fcmp _ | Ir.Instr.Cast _
-      -> (
-        (* [as_ptr] of an integer value is [Int64.to_int] *)
-        match inode j with
-        | Some ii -> Some (fun regs -> Int64.to_int (ii regs))
-        | None -> None)
-    | Ir.Instr.Load a -> (
-        match gep_of a with
-        | Some (base, idx) -> (
-            match (pop base, iop idx) with
-            | Some pb, Some pi ->
-                Some
-                  (match (pb, pi) with
-                  | PSlot rb, ISlot ri ->
-                      fun regs ->
-                        let p = E.as_ptr (Array.unsafe_get regs rb) in
-                        let x = geti regs ri in
-                        E.as_ptr (Memory.load mem (p + Int64.to_int x))
-                  | PSlot rb, IConst ki ->
-                      let nn = Int64.to_int ki in
-                      fun regs ->
-                        E.as_ptr
-                          (Memory.load mem
-                             (E.as_ptr (Array.unsafe_get regs rb) + nn))
-                  | PFun pf, ISlot ri ->
-                      fun regs ->
-                        let p = pf regs in
-                        let x = geti regs ri in
-                        E.as_ptr (Memory.load mem (p + Int64.to_int x))
-                  | PFun pf, IConst ki ->
-                      let nn = Int64.to_int ki in
-                      fun regs ->
-                        let p = pf regs in
-                        E.as_ptr (Memory.load mem (p + nn))
-                  | pb, pi ->
-                      let fp = pfn pb and fx = ifn pi in
-                      fun regs ->
-                        let p = fp regs in
-                        let x = fx regs in
-                        E.as_ptr (Memory.load mem (p + Int64.to_int x)))
-            | _ -> None)
-        | None -> (
-            match pop a with
-            | Some pa ->
-                let fp = pfn pa in
-                Some (fun regs -> E.as_ptr (Memory.load mem (fp regs)))
-            | None -> None))
-    | _ -> None
-  and bnode (j : int) : (Ir.Eval.value array -> bool) option =
-    let i = bi.instrs.(j) in
-    match i.Ir.Instr.kind with
-    | Ir.Instr.Icmp (p, a, b) -> (
-        match (iop a, iop b) with
-        | Some aa, Some bb ->
-            let ct = icmp_bool p in
-            Some
-              (match (aa, bb) with
-              | ISlot ra, ISlot rb ->
-                  fun regs ->
-                    let x = geti regs ra in
-                    let y = geti regs rb in
-                    ct x y
-              | ISlot ra, IConst kb ->
-                  fun regs ->
-                    let x = geti regs ra in
-                    ct x kb
-              | IConst ka, ISlot rb ->
-                  fun regs ->
-                    let y = geti regs rb in
-                    ct ka y
-              | IFun fa, ISlot rb ->
-                  fun regs ->
-                    let x = fa regs in
-                    let y = geti regs rb in
-                    ct x y
-              | ISlot ra, IFun fb ->
-                  fun regs ->
-                    let x = geti regs ra in
-                    let y = fb regs in
-                    ct x y
-              | IFun fa, IConst kb ->
-                  fun regs ->
-                    let x = fa regs in
-                    ct x kb
-              | aa, bb ->
-                  let fa = ifn aa and fb = ifn bb in
-                  fun regs ->
-                    let x = fa regs in
-                    let y = fb regs in
-                    ct x y)
-        | _ -> None)
-    | Ir.Instr.Fcmp (p, a, b) -> (
-        match (fop a, fop b) with
-        | Some aa, Some bb ->
-            let ct = fcmp_bool p in
-            Some
-              (match (aa, bb) with
-              | FSlot ra, FSlot rb ->
-                  fun regs ->
-                    let x = getf regs ra in
-                    let y = getf regs rb in
-                    ct x y
-              | FSlot ra, FConst kb ->
-                  fun regs ->
-                    let x = getf regs ra in
-                    ct x kb
-              | FConst ka, FSlot rb ->
-                  fun regs ->
-                    let y = getf regs rb in
-                    ct ka y
-              | FFun fa, FSlot rb ->
-                  fun regs ->
-                    let x = fa regs in
-                    let y = getf regs rb in
-                    ct x y
-              | FSlot ra, FFun fb ->
-                  fun regs ->
-                    let x = getf regs ra in
-                    let y = fb regs in
-                    ct x y
-              | FFun fa, FConst kb ->
-                  fun regs ->
-                    let x = fa regs in
-                    ct x kb
-              | aa, bb ->
-                  let fa = ffn aa and fb = ffn bb in
-                  fun regs ->
-                    let x = fa regs in
-                    let y = fb regs in
-                    ct x y)
-        | _ -> None)
-    | _ -> None
-  and vop (op : Ir.Instr.operand) : Ir.Eval.value array -> Ir.Eval.value =
-    match op with
-    | Ir.Instr.Const c ->
-        let v = Ir.Eval.of_const c in
-        fun _ -> v
-    | Ir.Instr.Reg r ->
-        if ok r then
-          if def_at.(r) >= 0 && absorbed.(def_at.(r)) then vnode def_at.(r)
-          else fun regs -> Array.unsafe_get regs r
-        else fun regs -> regs.(r)
-  and vnode (j : int) : Ir.Eval.value array -> Ir.Eval.value =
-    (* boxed value of node [j]: an unboxed subtree wrapped in one
-       constructor when the class is static, the generic [Ir.Eval]
-       closure chain otherwise *)
-    let i = bi.instrs.(j) in
-    match i.Ir.Instr.kind with
-    | Ir.Instr.Binop
-        ((Ir.Instr.Fadd | Ir.Instr.Fsub | Ir.Instr.Fmul | Ir.Instr.Fdiv), _, _)
-      -> (
-        match fnode j with
-        | Some ff -> fun regs -> Ir.Eval.VFloat (ff regs)
-        | None -> gnode j)
-    | Ir.Instr.Binop _ -> (
-        match inode j with
-        | Some ii -> fun regs -> Ir.Eval.VInt (ii regs)
-        | None -> gnode j)
-    | Ir.Instr.Icmp _ | Ir.Instr.Fcmp _ -> (
-        match bnode j with
-        | Some bt -> fun regs -> if bt regs then vtrue else vfalse
-        | None -> gnode j)
-    | Ir.Instr.Cast
-        ((Ir.Instr.Trunc | Ir.Instr.Zext | Ir.Instr.Sext | Ir.Instr.Fptosi), _)
-      -> (
-        match inode j with
-        | Some ii -> fun regs -> Ir.Eval.VInt (ii regs)
-        | None -> gnode j)
-    | Ir.Instr.Cast
-        ((Ir.Instr.Sitofp | Ir.Instr.Fpext | Ir.Instr.Fptrunc), _) -> (
-        match fnode j with
-        | Some ff -> fun regs -> Ir.Eval.VFloat (ff regs)
-        | None -> gnode j)
-    | Ir.Instr.Gep _ | Ir.Instr.Gaddr _ -> (
-        match pnode j with
-        | Some pp -> fun regs -> Ir.Eval.VPtr (pp regs)
-        | None -> gnode j)
-    | Ir.Instr.Load a -> (
-        (* a sunk load's boxed value needs no conversion at all *)
-        match gep_of a with
-        | Some (base, idx) -> (
-            match (pop base, iop idx) with
-            | Some pb, Some pi -> (
-                match (pb, pi) with
-                | PSlot rb, ISlot ri ->
-                    fun regs ->
-                      let p = E.as_ptr (Array.unsafe_get regs rb) in
-                      let x = geti regs ri in
-                      Memory.load mem (p + Int64.to_int x)
-                | PSlot rb, IConst ki ->
-                    let nn = Int64.to_int ki in
-                    fun regs ->
-                      Memory.load mem
-                        (E.as_ptr (Array.unsafe_get regs rb) + nn)
-                | PFun pf, ISlot ri ->
-                    fun regs ->
-                      let p = pf regs in
-                      let x = geti regs ri in
-                      Memory.load mem (p + Int64.to_int x)
-                | PFun pf, IConst ki ->
-                    let nn = Int64.to_int ki in
-                    fun regs ->
-                      let p = pf regs in
-                      Memory.load mem (p + nn)
-                | pb, pi ->
-                    let fp = pfn pb and fx = ifn pi in
-                    fun regs ->
-                      let p = fp regs in
-                      let x = fx regs in
-                      Memory.load mem (p + Int64.to_int x))
-            | _ -> gnode j)
-        | None -> (
-            match pop a with
-            | Some pa ->
-                let fp = pfn pa in
-                fun regs -> Memory.load mem (fp regs)
-            | None -> gnode j))
-    | _ -> gnode j
-  and gnode (j : int) : Ir.Eval.value array -> Ir.Eval.value =
-    (* generic boxed node: delegates the scalar semantics to the
-       [Ir.Eval] closures, which are the reference behavior by
-       definition *)
-    let i = bi.instrs.(j) in
-    let ty = i.Ir.Instr.ty in
-    match i.Ir.Instr.kind with
-    | Ir.Instr.Binop (op, a, b) ->
-        let fn = E.binop_fn ty op in
-        let fa = vop a and fb = vop b in
-        fun regs ->
-          let va = fa regs in
-          let vb = fb regs in
-          fn va vb
-    | Ir.Instr.Icmp (p, a, b) ->
-        let fn = E.icmp_fn p in
-        let fa = vop a and fb = vop b in
-        fun regs ->
-          let va = fa regs in
-          let vb = fb regs in
-          fn va vb
-    | Ir.Instr.Fcmp (p, a, b) ->
-        let fn = E.fcmp_fn p in
-        let fa = vop a and fb = vop b in
-        fun regs ->
-          let va = fa regs in
-          let vb = fb regs in
-          fn va vb
-    | Ir.Instr.Cast (c, a) ->
-        let fn = E.cast_fn c ~from_:(from_ty_of a) ~to_:ty in
-        let fa = vop a in
-        fun regs -> fn (fa regs)
-    | Ir.Instr.Select (c, a, b) ->
-        (* strict, like the reference engine's [eval_select]; the
-           branch values stay boxed so only the selected one is ever
-           converted by the consumer *)
-        let fc = vop c and fa = vop a and fb = vop b in
-        fun regs ->
-          let vc = fc regs in
-          let va = fa regs in
-          let vb = fb regs in
-          if Ir.Eval.is_true vc then va else vb
-    | Ir.Instr.Gep (base, idx) ->
-        let fbase = vop base and fidx = vop idx in
-        fun regs ->
-          let vb = fbase regs in
-          let vi = fidx regs in
-          Ir.Eval.VPtr (Ir.Eval.as_ptr vb + Int64.to_int (Ir.Eval.as_int vi))
-    | Ir.Instr.Gaddr g ->
-        let cell = ref (-1) in
-        fun _ ->
-          let b = !cell in
-          if b >= 0 then Ir.Eval.VPtr b
-          else begin
-            let b = Memory.global_base mem g in
-            cell := b;
-            Ir.Eval.VPtr b
-          end
-    | Ir.Instr.Load a ->
-        let fa = vop a in
-        fun regs -> Memory.load mem (Ir.Eval.as_ptr (fa regs))
-    | _ -> assert false (* [sinkable] excludes every other kind *)
-  in
-  (* One anchor instruction with at least one absorbed operand, as a
-     single fused closure.  Returns the closure and its counter name.
-     Typed arms keep the whole chain unboxed up to the final register
-     write; [boxed_anchor] covers the rest. *)
-  let boxed_anchor (i : Ir.Instr.t) : (Ir.Eval.value array -> unit) * string =
-    let d = i.Ir.Instr.id in
-    let ty = i.Ir.Instr.ty in
-    let emit2 fn fa fb name =
-      ( (if ok d then fun regs ->
-           let va = fa regs in
-           let vb = fb regs in
-           Array.unsafe_set regs d (fn va vb)
-         else fun regs ->
-           let va = fa regs in
-           let vb = fb regs in
-           regs.(d) <- fn va vb),
-        name )
-    in
-    match i.Ir.Instr.kind with
-    | Ir.Instr.Binop (op, a, b) ->
-        emit2 (E.binop_fn ty op) (vop a) (vop b) ("tree:" ^ binop_name op)
-    | Ir.Instr.Icmp (p, a, b) ->
-        emit2 (E.icmp_fn p) (vop a) (vop b) "tree:icmp"
-    | Ir.Instr.Fcmp (p, a, b) ->
-        emit2 (E.fcmp_fn p) (vop a) (vop b) "tree:fcmp"
-    | Ir.Instr.Cast (c, a) ->
-        let fn = E.cast_fn c ~from_:(from_ty_of a) ~to_:ty in
-        let fa = vop a in
-        ( (if ok d then fun regs -> Array.unsafe_set regs d (fn (fa regs))
-           else fun regs -> regs.(d) <- fn (fa regs)),
-          "tree:cast" )
-    | Ir.Instr.Select (c, a, b) ->
-        let fc = vop c and fa = vop a and fb = vop b in
-        ( (if ok d then fun regs ->
-             let vc = fc regs in
-             let va = fa regs in
-             let vb = fb regs in
-             Array.unsafe_set regs d (if Ir.Eval.is_true vc then va else vb)
-           else fun regs ->
-             let vc = fc regs in
-             let va = fa regs in
-             let vb = fb regs in
-             regs.(d) <- (if Ir.Eval.is_true vc then va else vb)),
-          "tree:select" )
-    | Ir.Instr.Load a ->
-        let fa = vop a in
-        ( (if ok d then fun regs ->
-             Array.unsafe_set regs d (Memory.load mem (Ir.Eval.as_ptr (fa regs)))
-           else fun regs ->
-             regs.(d) <- Memory.load mem (Ir.Eval.as_ptr (fa regs))),
-          "tree:load" )
-    | Ir.Instr.Store (x, a) ->
-        let fx = vop x and fa = vop a in
-        (* value before address — the order the unfused closure's
-           right-to-left argument evaluation gives *)
-        ( (fun regs ->
-            let vx = fx regs in
-            let va = fa regs in
-            Memory.store mem (Ir.Eval.as_ptr va) vx),
-          "tree:store" )
-    | Ir.Instr.Gep (base, idx) ->
-        emit2
-          (fun vb vi ->
-            Ir.Eval.VPtr (Ir.Eval.as_ptr vb + Int64.to_int (Ir.Eval.as_int vi)))
-          (vop base) (vop idx) "tree:gep"
-    | _ ->
-        (* unreachable: [has_absorbed] is false for every other kind *)
-        (compile_instr i, "tree:other")
-  in
-  let compile_anchor (j : int) : (Ir.Eval.value array -> unit) * string =
-    let i = bi.instrs.(j) in
-    let d = i.Ir.Instr.id in
-    match i.Ir.Instr.kind with
-    | Ir.Instr.Binop
-        ( ((Ir.Instr.Fadd | Ir.Instr.Fsub | Ir.Instr.Fmul | Ir.Instr.Fdiv) as
-           op),
-          a,
-          b )
-      when ok d -> (
-        let name = "tree:" ^ binop_name op in
-        (* the top node inlines into the register write for the common
-           shapes — an anchor always has at least one [FFun] side — and
-           falls back to the value-form tree otherwise *)
-        let direct =
-          if i.Ir.Instr.ty = Ir.Ty.F32 then None
-          else
-            match (op, fop a, fop b) with
-            | Ir.Instr.Fadd, Some (FFun fa), Some (FSlot rb) ->
-                Some
-                  (fun regs ->
-                    let x = fa regs in
-                    let y = getf regs rb in
-                    setf regs d (x +. y))
-            | Ir.Instr.Fadd, Some (FSlot ra), Some (FFun fb) ->
-                Some
-                  (fun regs ->
-                    let x = getf regs ra in
-                    let y = fb regs in
-                    setf regs d (x +. y))
-            | Ir.Instr.Fadd, Some (FFun fa), Some (FConst kb) ->
-                Some (fun regs -> setf regs d (fa regs +. kb))
-            | Ir.Instr.Fadd, Some (FConst ka), Some (FFun fb) ->
-                Some (fun regs -> setf regs d (ka +. fb regs))
-            | Ir.Instr.Fadd, Some (FFun fa), Some (FFun fb) ->
-                Some
-                  (fun regs ->
-                    let x = fa regs in
-                    let y = fb regs in
-                    setf regs d (x +. y))
-            | Ir.Instr.Fsub, Some (FFun fa), Some (FSlot rb) ->
-                Some
-                  (fun regs ->
-                    let x = fa regs in
-                    let y = getf regs rb in
-                    setf regs d (x -. y))
-            | Ir.Instr.Fsub, Some (FSlot ra), Some (FFun fb) ->
-                Some
-                  (fun regs ->
-                    let x = getf regs ra in
-                    let y = fb regs in
-                    setf regs d (x -. y))
-            | Ir.Instr.Fsub, Some (FFun fa), Some (FConst kb) ->
-                Some (fun regs -> setf regs d (fa regs -. kb))
-            | Ir.Instr.Fsub, Some (FConst ka), Some (FFun fb) ->
-                Some (fun regs -> setf regs d (ka -. fb regs))
-            | Ir.Instr.Fsub, Some (FFun fa), Some (FFun fb) ->
-                Some
-                  (fun regs ->
-                    let x = fa regs in
-                    let y = fb regs in
-                    setf regs d (x -. y))
-            | Ir.Instr.Fmul, Some (FFun fa), Some (FSlot rb) ->
-                Some
-                  (fun regs ->
-                    let x = fa regs in
-                    let y = getf regs rb in
-                    setf regs d (x *. y))
-            | Ir.Instr.Fmul, Some (FSlot ra), Some (FFun fb) ->
-                Some
-                  (fun regs ->
-                    let x = getf regs ra in
-                    let y = fb regs in
-                    setf regs d (x *. y))
-            | Ir.Instr.Fmul, Some (FFun fa), Some (FConst kb) ->
-                Some (fun regs -> setf regs d (fa regs *. kb))
-            | Ir.Instr.Fmul, Some (FConst ka), Some (FFun fb) ->
-                Some (fun regs -> setf regs d (ka *. fb regs))
-            | Ir.Instr.Fmul, Some (FFun fa), Some (FFun fb) ->
-                Some
-                  (fun regs ->
-                    let x = fa regs in
-                    let y = fb regs in
-                    setf regs d (x *. y))
-            | Ir.Instr.Fdiv, Some (FFun fa), Some (FSlot rb) ->
-                Some
-                  (fun regs ->
-                    let x = fa regs in
-                    let y = getf regs rb in
-                    setf regs d (x /. y))
-            | Ir.Instr.Fdiv, Some (FSlot ra), Some (FFun fb) ->
-                Some
-                  (fun regs ->
-                    let x = getf regs ra in
-                    let y = fb regs in
-                    setf regs d (x /. y))
-            | Ir.Instr.Fdiv, Some (FFun fa), Some (FConst kb) ->
-                Some (fun regs -> setf regs d (fa regs /. kb))
-            | Ir.Instr.Fdiv, Some (FConst ka), Some (FFun fb) ->
-                Some (fun regs -> setf regs d (ka /. fb regs))
-            | Ir.Instr.Fdiv, Some (FFun fa), Some (FFun fb) ->
-                Some
-                  (fun regs ->
-                    let x = fa regs in
-                    let y = fb regs in
-                    setf regs d (x /. y))
-            | _ -> None
-        in
-        match direct with
-        | Some cl -> (cl, name)
-        | None -> (
-            match fnode j with
-            | Some ff -> ((fun regs -> setf regs d (ff regs)), name)
-            | None -> boxed_anchor i))
-    | Ir.Instr.Binop (op, a, b) when ok d -> (
-        let name = "tree:" ^ binop_name op in
-        let ty = i.Ir.Instr.ty in
-        let sh = E.norm_shift ty in
-        let sm = E.shift_amount ty (-1L) in
-        let um = E.umask ty (-1L) in
-        let direct =
-          match (op, iop a, iop b) with
-          | Ir.Instr.Add, Some (IFun fa), Some (ISlot rb) ->
-              Some
-                (fun regs ->
-                  let x = fa regs in
-                  let y = geti regs rb in
-                  seti regs d (E.renorm sh (Int64.add x y)))
-          | Ir.Instr.Add, Some (ISlot ra), Some (IFun fb) ->
-              Some
-                (fun regs ->
-                  let x = geti regs ra in
-                  let y = fb regs in
-                  seti regs d (E.renorm sh (Int64.add x y)))
-          | Ir.Instr.Add, Some (IFun fa), Some (IConst kb) ->
-              Some
-                (fun regs -> seti regs d (E.renorm sh (Int64.add (fa regs) kb)))
-          | Ir.Instr.Add, Some (IConst ka), Some (IFun fb) ->
-              Some
-                (fun regs -> seti regs d (E.renorm sh (Int64.add ka (fb regs))))
-          | Ir.Instr.Add, Some (IFun fa), Some (IFun fb) ->
-              Some
-                (fun regs ->
-                  let x = fa regs in
-                  let y = fb regs in
-                  seti regs d (E.renorm sh (Int64.add x y)))
-          | Ir.Instr.Sub, Some (IFun fa), Some (ISlot rb) ->
-              Some
-                (fun regs ->
-                  let x = fa regs in
-                  let y = geti regs rb in
-                  seti regs d (E.renorm sh (Int64.sub x y)))
-          | Ir.Instr.Sub, Some (ISlot ra), Some (IFun fb) ->
-              Some
-                (fun regs ->
-                  let x = geti regs ra in
-                  let y = fb regs in
-                  seti regs d (E.renorm sh (Int64.sub x y)))
-          | Ir.Instr.Sub, Some (IFun fa), Some (IConst kb) ->
-              Some
-                (fun regs -> seti regs d (E.renorm sh (Int64.sub (fa regs) kb)))
-          | Ir.Instr.Sub, Some (IConst ka), Some (IFun fb) ->
-              Some
-                (fun regs -> seti regs d (E.renorm sh (Int64.sub ka (fb regs))))
-          | Ir.Instr.Sub, Some (IFun fa), Some (IFun fb) ->
-              Some
-                (fun regs ->
-                  let x = fa regs in
-                  let y = fb regs in
-                  seti regs d (E.renorm sh (Int64.sub x y)))
-          | Ir.Instr.Mul, Some (IFun fa), Some (ISlot rb) ->
-              Some
-                (fun regs ->
-                  let x = fa regs in
-                  let y = geti regs rb in
-                  seti regs d (E.renorm sh (Int64.mul x y)))
-          | Ir.Instr.Mul, Some (ISlot ra), Some (IFun fb) ->
-              Some
-                (fun regs ->
-                  let x = geti regs ra in
-                  let y = fb regs in
-                  seti regs d (E.renorm sh (Int64.mul x y)))
-          | Ir.Instr.Mul, Some (IFun fa), Some (IConst kb) ->
-              Some
-                (fun regs -> seti regs d (E.renorm sh (Int64.mul (fa regs) kb)))
-          | Ir.Instr.Mul, Some (IConst ka), Some (IFun fb) ->
-              Some
-                (fun regs -> seti regs d (E.renorm sh (Int64.mul ka (fb regs))))
-          | Ir.Instr.Mul, Some (IFun fa), Some (IFun fb) ->
-              Some
-                (fun regs ->
-                  let x = fa regs in
-                  let y = fb regs in
-                  seti regs d (E.renorm sh (Int64.mul x y)))
-          | Ir.Instr.And, Some (IFun fa), Some (ISlot rb) ->
-              Some
-                (fun regs ->
-                  let x = fa regs in
-                  let y = geti regs rb in
-                  seti regs d (E.renorm sh (Int64.logand x y)))
-          | Ir.Instr.And, Some (ISlot ra), Some (IFun fb) ->
-              Some
-                (fun regs ->
-                  let x = geti regs ra in
-                  let y = fb regs in
-                  seti regs d (E.renorm sh (Int64.logand x y)))
-          | Ir.Instr.And, Some (IFun fa), Some (IConst kb) ->
-              Some
-                (fun regs ->
-                  seti regs d (E.renorm sh (Int64.logand (fa regs) kb)))
-          | Ir.Instr.And, Some (IConst ka), Some (IFun fb) ->
-              Some
-                (fun regs ->
-                  seti regs d (E.renorm sh (Int64.logand ka (fb regs))))
-          | Ir.Instr.And, Some (IFun fa), Some (IFun fb) ->
-              Some
-                (fun regs ->
-                  let x = fa regs in
-                  let y = fb regs in
-                  seti regs d (E.renorm sh (Int64.logand x y)))
-          | Ir.Instr.Or, Some (IFun fa), Some (ISlot rb) ->
-              Some
-                (fun regs ->
-                  let x = fa regs in
-                  let y = geti regs rb in
-                  seti regs d (E.renorm sh (Int64.logor x y)))
-          | Ir.Instr.Or, Some (ISlot ra), Some (IFun fb) ->
-              Some
-                (fun regs ->
-                  let x = geti regs ra in
-                  let y = fb regs in
-                  seti regs d (E.renorm sh (Int64.logor x y)))
-          | Ir.Instr.Or, Some (IFun fa), Some (IConst kb) ->
-              Some
-                (fun regs ->
-                  seti regs d (E.renorm sh (Int64.logor (fa regs) kb)))
-          | Ir.Instr.Or, Some (IConst ka), Some (IFun fb) ->
-              Some
-                (fun regs ->
-                  seti regs d (E.renorm sh (Int64.logor ka (fb regs))))
-          | Ir.Instr.Or, Some (IFun fa), Some (IFun fb) ->
-              Some
-                (fun regs ->
-                  let x = fa regs in
-                  let y = fb regs in
-                  seti regs d (E.renorm sh (Int64.logor x y)))
-          | Ir.Instr.Xor, Some (IFun fa), Some (ISlot rb) ->
-              Some
-                (fun regs ->
-                  let x = fa regs in
-                  let y = geti regs rb in
-                  seti regs d (E.renorm sh (Int64.logxor x y)))
-          | Ir.Instr.Xor, Some (ISlot ra), Some (IFun fb) ->
-              Some
-                (fun regs ->
-                  let x = geti regs ra in
-                  let y = fb regs in
-                  seti regs d (E.renorm sh (Int64.logxor x y)))
-          | Ir.Instr.Xor, Some (IFun fa), Some (IConst kb) ->
-              Some
-                (fun regs ->
-                  seti regs d (E.renorm sh (Int64.logxor (fa regs) kb)))
-          | Ir.Instr.Xor, Some (IConst ka), Some (IFun fb) ->
-              Some
-                (fun regs ->
-                  seti regs d (E.renorm sh (Int64.logxor ka (fb regs))))
-          | Ir.Instr.Xor, Some (IFun fa), Some (IFun fb) ->
-              Some
-                (fun regs ->
-                  let x = fa regs in
-                  let y = fb regs in
-                  seti regs d (E.renorm sh (Int64.logxor x y)))
-          | Ir.Instr.Shl, Some (IFun fa), Some (IConst kb) ->
-              let nn = Int64.to_int kb land sm in
-              Some
-                (fun regs ->
-                  seti regs d (E.renorm sh (Int64.shift_left (fa regs) nn)))
-          | Ir.Instr.Shl, Some (IFun fa), Some (ISlot rb) ->
-              Some
-                (fun regs ->
-                  let x = fa regs in
-                  let y = geti regs rb in
-                  seti regs d
-                    (E.renorm sh (Int64.shift_left x (Int64.to_int y land sm))))
-          | Ir.Instr.Shl, Some (IFun fa), Some (IFun fb) ->
-              Some
-                (fun regs ->
-                  let x = fa regs in
-                  let y = fb regs in
-                  seti regs d
-                    (E.renorm sh (Int64.shift_left x (Int64.to_int y land sm))))
-          | Ir.Instr.Lshr, Some (IFun fa), Some (IConst kb) ->
-              let nn = Int64.to_int kb land sm in
-              Some
-                (fun regs ->
-                  seti regs d
-                    (E.renorm sh
-                       (Int64.shift_right_logical
-                          (Int64.logand (fa regs) um)
-                          nn)))
-          | Ir.Instr.Lshr, Some (IFun fa), Some (ISlot rb) ->
-              Some
-                (fun regs ->
-                  let x = fa regs in
-                  let y = geti regs rb in
-                  seti regs d
-                    (E.renorm sh
-                       (Int64.shift_right_logical (Int64.logand x um)
-                          (Int64.to_int y land sm))))
-          | Ir.Instr.Ashr, Some (IFun fa), Some (IConst kb) ->
-              let nn = Int64.to_int kb land sm in
-              Some
-                (fun regs ->
-                  seti regs d (E.renorm sh (Int64.shift_right (fa regs) nn)))
-          | Ir.Instr.Ashr, Some (IFun fa), Some (ISlot rb) ->
-              Some
-                (fun regs ->
-                  let x = fa regs in
-                  let y = geti regs rb in
-                  seti regs d
-                    (E.renorm sh (Int64.shift_right x (Int64.to_int y land sm))))
-          | _ -> None
-        in
-        match direct with
-        | Some cl -> (cl, name)
-        | None -> (
-            match inode j with
-            | Some ii -> ((fun regs -> seti regs d (ii regs)), name)
-            | None -> boxed_anchor i))
-    | Ir.Instr.Icmp _ when ok d -> (
-        match bnode j with
-        | Some bt -> ((fun regs -> setb regs d (bt regs)), "tree:icmp")
-        | None -> boxed_anchor i)
-    | Ir.Instr.Fcmp _ when ok d -> (
-        match bnode j with
-        | Some bt -> ((fun regs -> setb regs d (bt regs)), "tree:fcmp")
-        | None -> boxed_anchor i)
-    | Ir.Instr.Cast (c, a) when ok d -> (
-        let ty = i.Ir.Instr.ty in
-        let direct =
-          match c with
-          | Ir.Instr.Trunc | Ir.Instr.Sext -> (
-              let sh = E.norm_shift ty in
-              match iop a with
-              | Some (IFun fa) ->
-                  Some (fun regs -> seti regs d (E.renorm sh (fa regs)))
-              | _ -> None)
-          | Ir.Instr.Zext -> (
-              let sh = E.norm_shift ty in
-              let um = E.umask (from_ty_of a) (-1L) in
-              match iop a with
-              | Some (IFun fa) ->
-                  Some
-                    (fun regs ->
-                      seti regs d (E.renorm sh (Int64.logand (fa regs) um)))
-              | _ -> None)
-          | Ir.Instr.Fptosi -> (
-              let sh = E.norm_shift ty in
-              match fop a with
-              | Some (FFun fa) ->
-                  Some
-                    (fun regs ->
-                      let f = fa regs in
-                      seti regs d
-                        (if Float.is_nan f then 0L
-                         else E.renorm sh (Int64.of_float f)))
-              | _ -> None)
-          | Ir.Instr.Sitofp when ty <> Ir.Ty.F32 -> (
-              match iop a with
-              | Some (IFun fa) ->
-                  Some (fun regs -> setf regs d (Int64.to_float (fa regs)))
-              | _ -> None)
-          | _ -> None
-        in
-        match direct with
-        | Some cl -> (cl, "tree:cast")
-        | None -> (
-            match inode j with
-            | Some ii -> ((fun regs -> seti regs d (ii regs)), "tree:cast")
-            | None -> (
-                match fnode j with
-                | Some ff -> ((fun regs -> setf regs d (ff regs)), "tree:cast")
-                | None -> boxed_anchor i)))
-    | Ir.Instr.Load a when ok d -> (
-        (* the hottest anchor shape is a load through an absorbed [Gep];
-           inline the address combination into the load closure itself
-           so the whole array read is a single call *)
-        let gep_load =
-          match a with
-          | Ir.Instr.Reg r when ok r && def_at.(r) >= 0 && absorbed.(def_at.(r))
-            -> (
-              match bi.instrs.(def_at.(r)).Ir.Instr.kind with
-              | Ir.Instr.Gep (base, idx) -> (
-                  match (pop base, iop idx) with
-                  | Some pb, Some pi ->
-                      Some
-                        (match (pb, pi) with
-                        | PSlot rb, ISlot ri ->
-                            fun regs ->
-                              let p = E.as_ptr (Array.unsafe_get regs rb) in
-                              let x = geti regs ri in
-                              Array.unsafe_set regs d
-                                (Memory.load mem (p + Int64.to_int x))
-                        | PSlot rb, IConst ki ->
-                            let n = Int64.to_int ki in
-                            fun regs ->
-                              Array.unsafe_set regs d
-                                (Memory.load mem
-                                   (E.as_ptr (Array.unsafe_get regs rb) + n))
-                        | PFun pf, ISlot ri ->
-                            fun regs ->
-                              let p = pf regs in
-                              let x = geti regs ri in
-                              Array.unsafe_set regs d
-                                (Memory.load mem (p + Int64.to_int x))
-                        | PFun pf, IConst ki ->
-                            let n = Int64.to_int ki in
-                            fun regs ->
-                              let p = pf regs in
-                              Array.unsafe_set regs d (Memory.load mem (p + n))
-                        | PFun pf, IFun fi' ->
-                            fun regs ->
-                              let p = pf regs in
-                              let x = fi' regs in
-                              Array.unsafe_set regs d
-                                (Memory.load mem (p + Int64.to_int x))
-                        | pb, pi ->
-                            let fp = pfn pb and fx = ifn pi in
-                            fun regs ->
-                              let p = fp regs in
-                              let x = fx regs in
-                              Array.unsafe_set regs d
-                                (Memory.load mem (p + Int64.to_int x)))
-                  | _ -> None)
-              | _ -> None)
-          | _ -> None
-        in
-        match gep_load with
-        | Some cl -> (cl, "tree:load")
-        | None -> (
-            match pop a with
-            | Some pa ->
-                let fp = pfn pa in
-                ( (fun regs ->
-                    Array.unsafe_set regs d (Memory.load mem (fp regs))),
-                  "tree:load" )
-            | None -> boxed_anchor i))
-    | Ir.Instr.Store (x, a) -> (
-        (* value before address — the order the unfused closure's
-           right-to-left argument evaluation gives.  An absorbed [Gep]
-           address inlines into the store closure like the load case. *)
-        let gep_store =
-          match gep_of a with
-          | Some (base, idx) -> (
-              match (pop base, iop idx) with
-              | Some pb, Some pi ->
-                  let fx = vop x in
-                  Some
-                    (match (pb, pi) with
-                    | PSlot rb, ISlot ri ->
-                        fun regs ->
-                          let vx = fx regs in
-                          let p = E.as_ptr (Array.unsafe_get regs rb) in
-                          let xi = geti regs ri in
-                          Memory.store mem (p + Int64.to_int xi) vx
-                    | PSlot rb, IConst ki ->
-                        let nn = Int64.to_int ki in
-                        fun regs ->
-                          let vx = fx regs in
-                          Memory.store mem
-                            (E.as_ptr (Array.unsafe_get regs rb) + nn)
-                            vx
-                    | PFun pf, ISlot ri ->
-                        fun regs ->
-                          let vx = fx regs in
-                          let p = pf regs in
-                          let xi = geti regs ri in
-                          Memory.store mem (p + Int64.to_int xi) vx
-                    | PFun pf, IConst ki ->
-                        let nn = Int64.to_int ki in
-                        fun regs ->
-                          let vx = fx regs in
-                          let p = pf regs in
-                          Memory.store mem (p + nn) vx
-                    | pb, pi ->
-                        let fp = pfn pb and fi2 = ifn pi in
-                        fun regs ->
-                          let vx = fx regs in
-                          let p = fp regs in
-                          let xi = fi2 regs in
-                          Memory.store mem (p + Int64.to_int xi) vx)
-              | _ -> None)
-          | None -> None
-        in
-        match gep_store with
-        | Some cl -> (cl, "tree:store")
-        | None -> (
-            match pop a with
-            | Some pa ->
-                let fx = vop x in
-                let fp = pfn pa in
-                ( (fun regs ->
-                    let vx = fx regs in
-                    let p = fp regs in
-                    Memory.store mem p vx),
-                  "tree:store" )
-            | None -> boxed_anchor i))
-    | Ir.Instr.Gep (base, idx) when ok d -> (
-        match (pop base, iop idx) with
-        | Some pb, Some pi ->
-            ( (match (pb, pi) with
-              | PSlot rb, ISlot ri ->
-                  fun regs ->
-                    let p = E.as_ptr (Array.unsafe_get regs rb) in
-                    let x = geti regs ri in
-                    Array.unsafe_set regs d (Ir.Eval.VPtr (p + Int64.to_int x))
-              | PSlot rb, IConst ki ->
-                  let nn = Int64.to_int ki in
-                  fun regs ->
-                    Array.unsafe_set regs d
-                      (Ir.Eval.VPtr (E.as_ptr (Array.unsafe_get regs rb) + nn))
-              | PFun pf, ISlot ri ->
-                  fun regs ->
-                    let p = pf regs in
-                    let x = geti regs ri in
-                    Array.unsafe_set regs d (Ir.Eval.VPtr (p + Int64.to_int x))
-              | PFun pf, IConst ki ->
-                  let nn = Int64.to_int ki in
-                  fun regs ->
-                    let p = pf regs in
-                    Array.unsafe_set regs d (Ir.Eval.VPtr (p + nn))
-              | pb, pi ->
-                  let fp = pfn pb and fx = ifn pi in
-                  fun regs ->
-                    let p = fp regs in
-                    let x = fx regs in
-                    Array.unsafe_set regs d (Ir.Eval.VPtr (p + Int64.to_int x))),
-              "tree:gep" )
-        | _ -> boxed_anchor i)
-    | _ -> boxed_anchor i
-  in
-  let fused_term =
-    match fused_scrutinee with
-    | None -> None
-    | Some (ci, a, b) ->
-        let test =
-          match bool_cmp ~nregs ci with
-          | Some t when not (has_absorbed ci) ->
-              bump_fusion
-                (match ci.Ir.Instr.kind with
-                | Ir.Instr.Icmp _ -> "icmp+br"
-                | _ -> "fcmp+br");
-              t
-          | _ -> (
-              (* a scrutinee with absorbed producers (or a shape the
-                 flat compare does not cover): test its value tree
-                 exactly like [T_cond_s] would *)
-              bump_fusion "br:tree";
-              match bnode (n - 1) with
-              | Some bt -> bt
-              | None ->
-                  let tv = vnode (n - 1) in
-                  fun regs -> Ir.Eval.is_true (tv regs))
-        in
-        Some (T_cmp_br (test, a, b))
-  in
-  let t_ops =
-    if not st.tuning.fuse then
-      Array.init (body_end - nphi) (fun j -> compile_instr bi.instrs.(nphi + j))
-    else begin
-      let acc = ref [] in
-      for j = body_end - 1 downto nphi do
-        if not absorbed.(j) then
-          if has_absorbed bi.instrs.(j) then begin
-            let cl, name = compile_anchor j in
-            bump_fusion name;
-            acc := cl :: !acc
-          end
-          else acc := compile_instr bi.instrs.(j) :: !acc
-      done;
-      Array.of_list !acc
-    end
-  in
-  let t_term =
-    match fused_term with
-    | Some t -> t
-    | None -> (
-        match bi.term with
-        | Ir.Instr.Ret None -> T_halt
-        | Ir.Instr.Ret (Some op) -> T_ret (decode_operand op)
-        | Ir.Instr.Br l -> T_br l
-        | Ir.Instr.Cond_br (c, a, b) -> (
-            match decode_operand c with
-            | Slot r -> T_cond_s (r, a, b)
-            | s -> T_cond (s, a, b))
-        | Ir.Instr.Switch (s, default, _) ->
-            let tbl =
-              match bi.switch_cases with Some tbl -> tbl | None -> assert false
-            in
-            T_switch (decode_operand s, default, tbl))
-  in
-  (* A block needs fuel/clock synchronization only when its body can
-     reach the shared [state]: a call that resolves to a user function
-     (the callee runs on [st]) or a configured custom instruction
-     (charges [st] clocks).  Intrinsic calls and the fault closures for
-     unresolved names touch only the register file. *)
-  let t_sync =
-    Array.exists
-      (fun (i : Ir.Instr.t) ->
-        match i.Ir.Instr.kind with
-        | Ir.Instr.Call (name, _) -> Hashtbl.mem st.funcs name
-        | Ir.Instr.Ci_call (ci, _) -> Hashtbl.mem st.cis ci
-        | _ -> false)
-      bi.instrs
-  in
-  {
-    t_info = bi;
-    t_label = bnum;
-    t_ops;
-    t_phi_dests = bi.phi_dests;
-    t_phi_srcs;
-    t_phi_scratch = Array.make (max 1 nphi) (Ir.Eval.VInt 0L);
-    t_term;
-    t_link = L_none;
-    t_sync;
-    (* Fuel, native and VM charges come from the ORIGINAL instruction
-       counts ([bi.ninstrs], [bi.static_cycles]), never from the fused
-       closure count: the simulated machine dispatches one IR
-       instruction at a time whatever the host engine batches. *)
-    t_fuel = bi.ninstrs + 1;
-    t_native = float_of_int bi.static_cycles;
-    (* The exact float expressions [Jit_model.block_execution_cycles]
-       evaluates on each branch, performed once. *)
-    t_hot = st.jit.Jit_model.hot_factor *. float_of_int bi.static_cycles;
-    t_cold =
-      float_of_int
-        (bi.static_cycles + Ir.Cost.block_dispatch_cycles ~ninstrs:bi.ninstrs);
-  }
-
-(** Compile one function's blocks to typed-register-file threaded
-    code, recording the register classes and the per-class slot
-    renumbering.  A register's slot is its index within its class's
-    frame array, so a frame allocates one word per register total
-    instead of one per register per class.  Like {!compile_func}, the
-    whole module must already be prepared in [st.funcs]. *)
+    [func_info]s can be captured; their own blocks may be compiled
+    later (the [Call] closure reads them at call time). *)
 and compile_rfunc (st : state) (fi : func_info) : unit =
-  let classes = Array.map rclass_of_ty fi.reg_tys in
+  let classes =
+    if st.tuning.regalloc then Array.map rclass_of_ty fi.reg_tys
+    else Array.make (Array.length fi.reg_tys) C_boxed
+  in
   let n = Array.length classes in
   let slots = Array.make n 0 in
   let counts = Array.make 4 0 in
@@ -5200,7 +2082,7 @@ and compile_rblock (st : state) (fi : func_info) (classes : rclass array)
             fun fr -> w fr (Memory.load mem (ga fr)))
     | Ir.Instr.Store (x, a) -> (
         let gx = rget_box classes slots (decode_operand x) in
-        (* value before address, like the boxed engines (right-to-left
+        (* value before address, like the Reference engine (right-to-left
            application order made explicit) *)
         match rarg_p classes slots (decode_operand a) with
         | RpS p ->
@@ -5236,7 +2118,8 @@ and compile_rblock (st : state) (fi : func_info) (classes : rclass array)
           let w = rwr_box classes slots d in
           fun fr -> w fr (Ir.Eval.VPtr (gb fr + Int64.to_int (gi fr)))
     | Ir.Instr.Gaddr g ->
-        (* Lazily resolved and memoized, like the boxed compiler. *)
+        (* Lazily resolved on first execution and memoized: resolving
+           at compile time would fault on blocks that never run. *)
         let cell = ref (-1) in
         if ok d && classes.(d) = C_ptr then (
           let sd = slots.(d) in
@@ -5313,13 +2196,15 @@ and compile_rblock (st : state) (fi : func_info) (classes : rclass array)
         | None -> fun _ -> fault "custom instruction #%d is not configured" ci)
   in
   let n = bi.ninstrs in
-  (* Compare-and-branch fusion, the one superinstruction the typed
-     compiler keeps: plain typed code is already allocation-free, so
-     sink trees buy nothing here, but fusing the trailing single-use
-     compare into the branch still skips a flag write and a dispatch.
-     Same conditions as the boxed [fused_scrutinee], restricted to
-     compare scrutinees (anything else compiles normally and the
-     terminator tests its register — observably identical). *)
+  (* Compare-and-branch fusion ([tuning.fuse]): a block's trailing
+     compare whose only use is the conditional branch is folded into
+     the branch decision, skipping a flag write and a dispatch.  Any
+     other scrutinee compiles normally and the terminator tests its
+     register — observably identical.  Skipping the compare's register
+     write is unobservable: the register file is not part of the
+     outcome, and its static use count is 1.  Fuel, cycles and profiles
+     come from the original instruction counts, never from the closure
+     count. *)
   let fused_scrutinee =
     if st.tuning.fuse && n > nphi then
       match bi.term with
@@ -5473,9 +2358,9 @@ and compile_rblock (st : state) (fi : func_info) (classes : rclass array)
             let tbl =
               match bi.switch_cases with Some tbl -> tbl | None -> assert false
             in
-            (* the executors evaluate the scrutinee outside the body
+            (* the driver evaluates the scrutinee outside the body
                handlers, so [rget_i]'s raw [Type_error] propagates
-               uncaught exactly like the boxed engines' [as_int] *)
+               uncaught exactly like the Reference engine's [as_int] *)
             R_switch (rget_i classes slots (decode_operand s), default, tbl))
   in
   let r_sync =
@@ -5504,34 +2389,9 @@ and compile_rblock (st : state) (fi : func_info) (classes : rclass array)
   }
 
 (* Patch every compiled terminator with direct references to the
-   successor [tblock]s.  A terminator naming a label outside the
-   function keeps [L_none]: the linked executor then transfers through
-   the indexed path and faults exactly like the unlinked engine. *)
-let link_func (fi : func_info) : unit =
-  let tbs = fi.tblocks in
-  let nb = Array.length tbs in
-  let okl l = l >= 0 && l < nb in
-  Array.iter
-    (fun tb ->
-      tb.t_link <-
-        (match tb.t_term with
-        | T_halt -> L_halt
-        | T_ret s -> L_ret s
-        | T_br l when okl l -> L_br tbs.(l)
-        | T_cond (s, a, b) when okl a && okl b -> L_cond (s, tbs.(a), tbs.(b))
-        | T_cond_s (r, a, b) when okl a && okl b ->
-            L_cond_s (r, tbs.(a), tbs.(b))
-        | T_cmp_br (t, a, b) when okl a && okl b ->
-            L_cmp_br (t, tbs.(a), tbs.(b))
-        | T_switch (s, d, tbl)
-          when okl d && Hashtbl.fold (fun _ l acc -> acc && okl l) tbl true ->
-            let ltbl = Hashtbl.create (max 4 (Hashtbl.length tbl)) in
-            Hashtbl.iter (fun v l -> Hashtbl.replace ltbl v tbs.(l)) tbl;
-            L_switch (s, tbs.(d), ltbl)
-        | _ -> L_none))
-    tbs
-
-(* {!link_func} for the typed-register-file engine. *)
+   successor [rtblock]s.  A terminator naming a label outside the
+   function keeps [RL_none]: {!enter} then transfers through the
+   indexed path and faults exactly as an unlinked run does. *)
 let link_rfunc (fi : func_info) : unit =
   let tbs = fi.rtblocks in
   let nb = Array.length tbs in
@@ -5646,14 +2506,8 @@ let run ?(fuel = 4_000_000_000L) ?(jit = Jit_model.default)
     match engine with
     | Reference -> exec_func st fi (Array.of_list args)
     | Threaded ->
-        if tuning.regalloc then begin
-          Hashtbl.iter (fun _ fi -> compile_rfunc st fi) funcs;
-          if tuning.link then Hashtbl.iter (fun _ fi -> link_rfunc fi) funcs
-        end
-        else begin
-          Hashtbl.iter (fun _ fi -> fi.tblocks <- compile_func st fi) funcs;
-          if tuning.link then Hashtbl.iter (fun _ fi -> link_func fi) funcs
-        end;
+        Hashtbl.iter (fun _ fi -> compile_rfunc st fi) funcs;
+        if tuning.link then Hashtbl.iter (fun _ fi -> link_rfunc fi) funcs;
         enter st fi (Array.of_list args)
   in
   (* Fold the run-local counters into a profile. *)

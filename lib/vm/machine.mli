@@ -11,7 +11,8 @@
     Two execution engines produce byte-identical outcomes: {!Reference}
     walks the instruction AST (the semantics baseline), {!Threaded}
     (the default) compiles each basic block once into an array of
-    pre-decoded operation closures.  See DESIGN.md §9. *)
+    pre-decoded operation closures over a typed register file.  See
+    DESIGN.md §9. *)
 
 module Ir = Jitise_ir
 
@@ -71,7 +72,8 @@ val engine_of_string : string -> engine option
 (* Engine tuning                                                       *)
 (* ------------------------------------------------------------------ *)
 
-(** Optimization knobs of the {!Threaded} engine.  Every knob is
+(** Optimization knobs of the {!Threaded} engine.  There is one
+    compiler; each knob switches one layer inside it.  Every knob is
     semantics-preserving: outcomes — clocks, fuel, profiles, fault
     messages — are byte-identical across all combinations (pinned by
     the differential suite), so the knobs exist for isolation
@@ -80,11 +82,11 @@ val engine_of_string : string -> engine option
 type tuning = {
   link : bool;
       (** block linking: terminators transfer to the successor's
-          compiled block directly instead of returning to the indexed
-          dispatch loop *)
+          compiled block directly instead of re-indexing the function's
+          block array.  Off = no link pass; every transfer is indexed. *)
   fuse : bool;
-      (** superinstructions: peephole-fuse hot multi-op sequences into
-          single non-allocating closures *)
+      (** compare-and-branch fusion: a block's trailing single-use
+          [icmp]/[fcmp] is folded into its conditional branch *)
   ci_native : bool;
       (** dispatch a loaded CI's pre-compiled fused closure
           ({!ci_impl.ci_native}) instead of interpreting its MISO
@@ -94,11 +96,12 @@ type tuning = {
           declared type into unboxed int64/float/address slot arrays,
           boxing only at the call/return, intrinsic, CI and memory
           seams — hot int/float paths allocate nothing.  Off = the
-          boxed compiled blocks, exactly (DESIGN.md §14). *)
+          same compiler with every register classified boxed
+          (DESIGN.md §14). *)
   max_linked_blocks : int;
       (** linked-transfer budget: after this many consecutive direct
-          block-to-block transfers the engine takes one trip through
-          the indexed dispatch path (the escape hatch).  Fuel, clocks
+          block-to-block transfers the driver takes one trip through
+          the indexed path (the escape hatch).  Fuel, clocks
           and the monitor hook run at every block boundary regardless.
           Must be >= 1. *)
 }
@@ -106,12 +109,13 @@ type tuning = {
 (** Everything on, [max_linked_blocks = 64]. *)
 val default_tuning : tuning
 
-(** The PR 4 threaded engine: every optimization layer off. *)
+(** Every optimization layer off: all registers boxed, no block
+    linking, no fusion, CIs interpreted. *)
 val untuned : tuning
 
-(** Per-pattern superinstruction hit counts since start (or the last
-    {!reset_fusion_stats}), sorted by pattern name.  Counted at block
-    compile time, one bump per fused window. *)
+(** Per-pattern fusion hit counts ([icmp+br], [fcmp+br]) since start
+    (or the last {!reset_fusion_stats}), sorted by pattern name.
+    Counted at block compile time, one bump per fused branch. *)
 val fusion_stats : unit -> (string * int) list
 
 val reset_fusion_stats : unit -> unit

@@ -519,7 +519,7 @@ let test_diff_fault_parity () =
   check_fault_parity "unconfigured ci" ~n:6 (ci_module ())
 
 (* ------------------------------------------------------------------ *)
-(* Tuning-knob differential: all (link, fuse, ci_native) combinations  *)
+(* Tuning-knob differential: all 16 knob combinations                  *)
 (* ------------------------------------------------------------------ *)
 
 (* The sixteen (link, fuse, ci_native, regalloc) knob combinations
@@ -699,6 +699,99 @@ let test_tuning_load_sink_faults () =
        "int a[4]; int b[4];\n\
         int main(int n) { int x = a[n]; b[0] = 7; return x + 1; }\n")
 
+(* A loop header the MiniC frontend never emits: a 3-cycle of i64 phis
+   (a <- b, b <- c, c <- a), a swapped pair of f64 phis and a ptr phi
+   walking a global, all fed from the back edge.  Parallel assignment
+   must hold per register class (typed staging and commit) and on the
+   all-boxed compile alike. *)
+let phi_cycle_module () =
+  let f =
+    Ir.Func.create ~name:"main" ~params:[ (0, Ir.Ty.I64) ] ~ret_ty:Ir.Ty.I64
+  in
+  let b = Ir.Builder.create f in
+  let entry = Ir.Builder.new_block b ~name:"entry" in
+  let header = Ir.Builder.new_block b ~name:"header" in
+  let body = Ir.Builder.new_block b ~name:"body" in
+  let exit = Ir.Builder.new_block b ~name:"exit" in
+  let r = Ir.Builder.reg in
+  Ir.Builder.position_at b entry;
+  let base = Ir.Builder.add b Ir.Ty.Ptr (Ir.Instr.Gaddr "cells") in
+  Ir.Builder.br b header.Ir.Block.label;
+  (* Phis first with no incoming edges; they are wired below, once the
+     back-edge registers exist. *)
+  Ir.Builder.position_at b header;
+  let phi ty = Ir.Builder.phi b ty [] in
+  let pa = phi Ir.Ty.I64 and pb = phi Ir.Ty.I64 and pc = phi Ir.Ty.I64 in
+  let px = phi Ir.Ty.F64 and py = phi Ir.Ty.F64 in
+  let pp = phi Ir.Ty.Ptr and pi = phi Ir.Ty.I64 in
+  let cond = Ir.Builder.icmp b Ir.Instr.Islt (r pi) (r 0) in
+  Ir.Builder.cond_br b (r cond) body.Ir.Block.label exit.Ir.Block.label;
+  Ir.Builder.position_at b body;
+  Ir.Builder.store b (r pi) (r pp);
+  let q = Ir.Builder.gep b (r pp) (Ir.Builder.ci64 1L) in
+  let i1 = Ir.Builder.binop b Ir.Instr.Add Ir.Ty.I64 (r pi) (Ir.Builder.ci64 1L) in
+  Ir.Builder.br b header.Ir.Block.label;
+  let e = entry.Ir.Block.label and l = body.Ir.Block.label in
+  let incoming =
+    [
+      (pa, [ (e, Ir.Builder.ci64 1L); (l, r pb) ]);
+      (pb, [ (e, Ir.Builder.ci64 2L); (l, r pc) ]);
+      (pc, [ (e, Ir.Builder.ci64 3L); (l, r pa) ]);
+      (px, [ (e, Ir.Builder.cf64 0.5); (l, r py) ]);
+      (py, [ (e, Ir.Builder.cf64 (-1.25)); (l, r px) ]);
+      (pp, [ (e, r base); (l, r q) ]);
+      (pi, [ (e, Ir.Builder.ci64 0L); (l, r i1) ]);
+    ]
+  in
+  Ir.Block.set_instrs header
+    (List.map
+       (fun (i : Ir.Instr.t) ->
+         match List.assoc_opt i.Ir.Instr.id incoming with
+         | Some inc -> { i with Ir.Instr.kind = Ir.Instr.Phi inc }
+         | None -> i)
+       header.Ir.Block.instrs);
+  (* exit: a*100 + b*10 + c + 1000*fptosi(8x) + 100000*fptosi(8y)
+     + 10^7 * cells[trips] (the cell past the last store) *)
+  Ir.Builder.position_at b exit;
+  let mul k v = Ir.Builder.binop b Ir.Instr.Mul Ir.Ty.I64 (Ir.Builder.ci64 k) v in
+  let add x y = Ir.Builder.binop b Ir.Instr.Add Ir.Ty.I64 (r x) (r y) in
+  let scaled v k =
+    let f8 =
+      Ir.Builder.binop b Ir.Instr.Fmul Ir.Ty.F64 v (Ir.Builder.cf64 8.0)
+    in
+    mul k (r (Ir.Builder.cast b Ir.Instr.Fptosi Ir.Ty.I64 (r f8)))
+  in
+  let ints = add (add (mul 100L (r pa)) (mul 10L (r pb))) pc in
+  let floats = add (scaled (r px) 1000L) (scaled (r py) 100000L) in
+  let cell = mul 10_000_000L (r (Ir.Builder.load b Ir.Ty.I64 (r pp))) in
+  Ir.Builder.ret b (Some (r (add (add ints floats) cell)));
+  let m = Ir.Irmod.create ~name:"phicycle" in
+  Ir.Irmod.add_global m
+    {
+      Ir.Irmod.gname = "cells";
+      gty = Ir.Ty.I64;
+      gsize = 16;
+      ginit = Ir.Irmod.Ints (Array.init 16 (fun k -> Int64.of_int (k + 1)));
+    };
+  Ir.Irmod.add_func m (Ir.Builder.finish b);
+  m
+
+let test_tuning_phi_cycle () =
+  let m = phi_cycle_module () in
+  Alcotest.(check int) "verifier-valid" 0
+    (List.length (Ir.Verifier.check_module m));
+  List.iter
+    (fun n ->
+      let out = diff_all_n ~n (Printf.sprintf "phi cycle n=%d" n) m in
+      (* the cycle has period 3 and the float pair period 2 *)
+      let abc = [| 123; 231; 312 |].(n mod 3) in
+      let fx, fy = if n mod 2 = 0 then (4, -10) else (-10, 4) in
+      Alcotest.(check int)
+        (Printf.sprintf "phi cycle n=%d value" n)
+        ((10_000_000 * (n + 1)) + (100000 * fy) + (1000 * fx) + abc)
+        (ret_int out))
+    [ 0; 1; 2; 3; 4; 5; 6; 13 ]
+
 let test_fusion_stats () =
   let m =
     compile
@@ -733,22 +826,40 @@ let test_fusion_stats () =
     "reset clears" []
     (Vm.Machine.fusion_stats ())
 
-let test_diff_registry_workloads () =
-  (* Full differential over real workloads from the registry, every
-     dataset each. *)
+(* Full differential over real workloads from the registry, every
+   dataset each, under each of [tunings]. *)
+let diff_registry tunings =
   List.iter
     (fun name ->
       let w = Option.get (W.Registry.find name) in
       let compiled = W.Workload.compile w in
-      let outs engine = W.Workload.run_all ~engine compiled w in
-      List.iter2
-        (fun (d, r) (_, t) ->
-          check_outcomes_equal
-            (Printf.sprintf "%s/%s" name d.W.Workload.label)
-            r t)
-        (outs Vm.Machine.Reference)
-        (outs Vm.Machine.Threaded))
+      let reference =
+        W.Workload.run_all ~engine:Vm.Machine.Reference compiled w
+      in
+      List.iter
+        (fun tuning ->
+          List.iter2
+            (fun (d, r) (_, t) ->
+              check_outcomes_equal
+                (Printf.sprintf "%s/%s [%s]" name d.W.Workload.label
+                   (tuning_tag tuning))
+                r t)
+            reference
+            (W.Workload.run_all ~engine:Vm.Machine.Threaded ~tuning compiled
+               w))
+        tunings)
     [ "fft"; "sor"; "whetstone"; "adpcm" ]
+
+let test_diff_registry_workloads () =
+  diff_registry [ Vm.Machine.default_tuning ]
+
+(* Every knob off, and default minus typed registers: the all-boxed
+   compile of the one compiler, on real workloads. *)
+let test_diff_registry_knobs_off () =
+  diff_registry
+    [
+      Vm.Machine.untuned; { Vm.Machine.default_tuning with regalloc = false };
+    ]
 
 let qcheck_diff_generated =
   let open QCheck in
@@ -1198,6 +1309,8 @@ let () =
           Alcotest.test_case "fault parity" `Quick test_diff_fault_parity;
           Alcotest.test_case "registry workloads" `Slow
             test_diff_registry_workloads;
+          Alcotest.test_case "registry workloads, knobs off" `Slow
+            test_diff_registry_knobs_off;
           QCheck_alcotest.to_alcotest qcheck_diff_generated;
         ] );
       ( "tuning differential",
@@ -1210,6 +1323,8 @@ let () =
           Alcotest.test_case "ci call" `Quick test_tuning_ci_call;
           Alcotest.test_case "load-sink faults" `Quick
             test_tuning_load_sink_faults;
+          Alcotest.test_case "mixed-class phi cycle" `Quick
+            test_tuning_phi_cycle;
           Alcotest.test_case "fusion stats" `Quick test_fusion_stats;
         ] );
       ( "adversarial scalars",
