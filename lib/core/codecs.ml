@@ -135,8 +135,9 @@ let profile : Vm.Profile.t B.codec =
       p)
     (B.pair (B.list (B.pair (B.pair B.string B.int) B.int64)) B.int64)
 
-(** VM memory: the initialized cells below the stack pointer, the
-    global layout and the growth limit.  [load] only ever reads below
+(** VM memory: the backed cells below the stack pointer (one boxed
+    [value] each, whatever the in-memory cell layout), the global
+    layout and the growth limit.  [load] only ever reads below
     [stack_pointer], so this reconstructs an observationally identical
     memory. *)
 let memory : Vm.Memory.t B.codec =
@@ -144,10 +145,10 @@ let memory : Vm.Memory.t B.codec =
     (fun b (m : Vm.Memory.t) ->
       B.w_int b m.Vm.Memory.stack_pointer;
       B.w_int b m.Vm.Memory.limit;
-      let n = min m.Vm.Memory.stack_pointer (Array.length m.Vm.Memory.cells) in
+      let n = min m.Vm.Memory.stack_pointer (Vm.Memory.capacity m) in
       B.w_len b n;
       for i = 0 to n - 1 do
-        value.B.enc b m.Vm.Memory.cells.(i)
+        value.B.enc b (Vm.Memory.cell m i)
       done;
       let globals =
         Hashtbl.fold (fun k v acc -> (k, v) :: acc) m.Vm.Memory.globals []
@@ -158,9 +159,10 @@ let memory : Vm.Memory.t B.codec =
       let stack_pointer = B.r_int r in
       let limit = B.r_int r in
       let n = B.r_len r in
-      let cells = Array.make (max 1024 n) (Ir.Eval.VInt 0L) in
+      let m = Vm.Memory.create ~limit ~capacity:(max 1024 n) () in
+      m.Vm.Memory.stack_pointer <- stack_pointer;
       for i = 0 to n - 1 do
-        cells.(i) <- value.B.dec r
+        Vm.Memory.set_cell m i (value.B.dec r)
       done;
       let pairs =
         B.r_list
@@ -170,9 +172,8 @@ let memory : Vm.Memory.t B.codec =
             (k, v))
           r
       in
-      let globals = Hashtbl.create 16 in
-      List.iter (fun (k, v) -> Hashtbl.replace globals k v) pairs;
-      { Vm.Memory.cells; stack_pointer; globals; limit })
+      List.iter (fun (k, v) -> Hashtbl.replace m.Vm.Memory.globals k v) pairs;
+      m)
 
 let machine_outcome : Vm.Machine.outcome B.codec =
   B.codec

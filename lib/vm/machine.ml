@@ -158,15 +158,15 @@ type tuning = {
           subgraph op by op *)
   regalloc : bool;
       (** typed register files: partition each function's virtual
-          registers by their declared types into unboxed slot arrays
-          ([int64]/[float]/[int] address slots), so hot int/float
-          arithmetic, compares, casts, address computation and
-          load/store addressing read and write machine scalars instead
-          of boxed {!Jitise_ir.Eval.value}s.  Boxing happens only at
-          the seams: call arguments and returns, intrinsics, custom
-          instructions and memory cells (which stay untyped).  Off =
-          the same compiler with every register classified [C_boxed]
-          (DESIGN.md §14). *)
+          registers by their declared types into unboxed lanes (8-byte
+          int64 slots in a [Bytes.t], a flat [float array], an [int]
+          array of addresses), so hot int/float arithmetic, compares,
+          casts, address computation and typed loads and stores read
+          and write machine scalars instead of boxed
+          {!Jitise_ir.Eval.value}s.  Boxing happens only at the seams:
+          call arguments and returns, intrinsics and custom
+          instructions.  Off = the same compiler with every register
+          classified [C_boxed] (DESIGN.md §14). *)
   max_linked_blocks : int;
       (** linked-transfer budget: after this many consecutive direct
           block-to-block transfers the driver takes one trip through
@@ -264,13 +264,18 @@ type block_info = {
 type rclass = C_int | C_float | C_ptr | C_boxed
 
 (* A typed register file: one invocation's registers, partitioned by
-   {!rclass} into parallel unboxed slot arrays.  Registers are
-   renumbered per class at compile time ({!func_info.rslots}), so a
-   frame allocates one word per register — the same footprint as the
-   boxed file — and int/float traffic reads and writes machine scalars
-   with no constructor matching and no allocation. *)
+   {!rclass} into parallel unboxed lanes.  Registers are renumbered per
+   class at compile time ({!func_info.rslots}), so a frame allocates one
+   word per register — the same footprint as the boxed file — and
+   int/float traffic reads and writes machine scalars with no
+   constructor matching and no allocation.  The int lane is a [Bytes.t]
+   holding 8 bytes per register, read and written through
+   {!bget64}/{!bset64}: an [int64 array] would hold a pointer to a
+   boxed int64 per element, so every write would allocate.  Int slots
+   are therefore byte offsets; float ([float array] is flat), address
+   and boxed slots are element indices. *)
 type frame = {
-  fr_i : int64 array;
+  fr_i : Bytes.t;
   fr_f : float array;
   fr_p : int array;
   fr_v : Ir.Eval.value array;
@@ -289,8 +294,9 @@ type func_info = {
   mutable rclasses : rclass array;
       (* per-register class, [||] until {!compile_rfunc} runs *)
   mutable rslots : int array;
-      (* per-register index inside its class's frame array — the
-         per-class renumbering; [||] until {!compile_rfunc} runs *)
+      (* per-register position inside its class's frame lane — the
+         per-class renumbering, a byte offset for [C_int] and an index
+         otherwise; [||] until {!compile_rfunc} runs *)
   mutable rcounts : int array;
       (* frame-array lengths, indexed [C_int; C_float; C_ptr; C_boxed];
          [||] until {!compile_rfunc} runs *)
@@ -303,9 +309,9 @@ type func_info = {
    [state] exists, so op closures capture the state (and the memory,
    the CI registry, callee [func_info]s, ...) directly instead of
    receiving them as arguments.  Every op closure works over a {!frame}
-   — int/float/address traffic reads and writes the unboxed slot arrays
-   directly, and boxed [Ir.Eval.value]s appear only at the seams
-   (call/return, CI dispatch, intrinsics, memory cells, [C_boxed]
+   — int/float/address traffic reads and writes the unboxed lanes and
+   the typed memory cells directly, and boxed [Ir.Eval.value]s appear
+   only at the seams (call/return, CI dispatch, intrinsics, [C_boxed]
    registers).  The cycle charges of {!Jit_model.block_execution_cycles}
    only depend on whether the block is past warm-up, so both are
    precomputed ([r_hot], [r_cold]) — the identical float operations,
@@ -685,6 +691,90 @@ let decode_operand : Ir.Instr.operand -> src = function
 
 module E = Ir.Eval
 
+(* Hot helpers, local on purpose.  The dev build compiles every module
+   with [-opaque], which hides a module's implementation from the
+   others: a call to [Eval.renorm], [Eval.round_f32] or a [Memory]
+   accessor from here is an out-of-line call whatever its [[@inline]]
+   says, and the generic calling convention boxes its int64 / float
+   arguments and result.  Same-module [[@inline]] functions and
+   [%]-primitives are inlined by every build, so the typed arms below
+   use these copies and allocate nothing.  Each copy computes exactly
+   what the function it mirrors computes. *)
+
+(* Unboxed 8-byte access to a [Bytes.t] at a byte offset, no bounds
+   check: the int lane of a {!frame}, phi staging scratch, and the
+   int payloads of {!Memory.t} cells. *)
+external bget64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external bset64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+(* {!Ir.Eval.renorm} *)
+let[@inline] renorm sh v =
+  if sh >= 0 then Int64.shift_right (Int64.shift_left v sh) sh
+  else Int64.logand v 1L
+
+(* {!Ir.Eval.round_f32} *)
+let[@inline] round_f32 v = Int32.float_of_bits (Int32.bits_of_float v)
+
+(* Typed cell access over {!Memory.t}'s fields (layout and tag bytes
+   in memory.mli):
+   each is the boxed [Memory.load]/[Memory.store] fused with
+   [Eval.as_int]/[as_float]/[as_ptr] or the matching constructor —
+   the same results and the same exceptions in the same order, the
+   live-range [Bad_address] before any [Type_error].  Only the
+   never-taken growth path of a store leaves the module. *)
+let tag_int = '\000'
+let tag_float = '\001'
+let tag_ptr = '\002'
+
+let[@inline] mcheck (m : Memory.t) a =
+  if a <= 0 || a >= m.Memory.stack_pointer then raise (Memory.Bad_address a)
+
+let[@inline] mload_i (m : Memory.t) a =
+  mcheck m a;
+  if a >= Bytes.length m.Memory.tags then 0L
+  else if Bytes.unsafe_get m.Memory.tags a = tag_float then
+    raise (E.Type_error "expected an integer value")
+  else bget64 m.Memory.ints (8 * a)
+
+let[@inline] mload_f (m : Memory.t) a =
+  mcheck m a;
+  if
+    a < Bytes.length m.Memory.tags
+    && Bytes.unsafe_get m.Memory.tags a = tag_float
+  then Array.unsafe_get m.Memory.floats a
+  else raise (E.Type_error "expected a float value")
+
+let[@inline] mload_p (m : Memory.t) a =
+  mcheck m a;
+  if a >= Bytes.length m.Memory.tags then 0
+  else if Bytes.unsafe_get m.Memory.tags a = tag_float then
+    raise (E.Type_error "expected an address")
+  else Int64.to_int (bget64 m.Memory.ints (8 * a))
+
+let[@inline] mstore_i (m : Memory.t) a x =
+  mcheck m a;
+  if a < Bytes.length m.Memory.tags then begin
+    Bytes.unsafe_set m.Memory.tags a tag_int;
+    bset64 m.Memory.ints (8 * a) x
+  end
+  else Memory.store_int m a x
+
+let[@inline] mstore_f (m : Memory.t) a x =
+  mcheck m a;
+  if a < Bytes.length m.Memory.tags then begin
+    Bytes.unsafe_set m.Memory.tags a tag_float;
+    Array.unsafe_set m.Memory.floats a x
+  end
+  else Memory.store_float m a x
+
+let[@inline] mstore_p (m : Memory.t) a p =
+  mcheck m a;
+  if a < Bytes.length m.Memory.tags then begin
+    Bytes.unsafe_set m.Memory.tags a tag_ptr;
+    bset64 m.Memory.ints (8 * a) (Int64.of_int p)
+  end
+  else Memory.store_ptr m a p
+
 (* Unboxed comparison predicates — one arm per predicate like
    {!Ir.Eval.icmp_fn}/{!Ir.Eval.fcmp_fn}, over already converted
    scalars. *)
@@ -722,12 +812,12 @@ let int_of_int64_clamped v =
 
 (* The compiler partitions a function's registers by declared type
    ({!rclass}) and compiles every operation into a closure over the
-   {!frame}'s unboxed slot arrays.  The box/unbox seams are exactly:
-   call arguments and returns, intrinsics, CI dispatch, [Memory] cells
-   (which stay untyped boxed values) and [C_boxed] registers.
-   Everything else — int/float binops, compares, casts, geps,
-   load/store address arithmetic, phi staging, branch tests — moves
-   machine scalars between unboxed arrays and allocates nothing.  With
+   {!frame}'s unboxed lanes.  The box/unbox seams are exactly: call
+   arguments and returns, intrinsics, CI dispatch and [C_boxed]
+   registers (including loads into and stores from them).  Everything
+   else — int/float binops, compares, casts, geps, typed loads and
+   stores, phi staging, branch tests — moves machine scalars between
+   unboxed lanes and typed memory cells and allocates nothing.  With
    [tuning.regalloc] off every register is classified [C_boxed], so the
    same compiler runs entirely on boxed values.
 
@@ -739,7 +829,8 @@ let int_of_int64_clamped v =
    executions are byte-identical to the Reference engine.  The one
    documented divergence (DESIGN.md §14): a type-{e confused} execution
    — a declared register type contradicting the runtime value, only
-   reachable through untyped memory cells or call seams — may observe a
+   reachable through memory cells (whose tag is dynamic) or call seams
+   — may observe a
    conversion fault at the defining seam instead of at a later use, and
    pointer/integer values are canonicalized by the destination's class.
    The differential and tuning suites only assert type-sound
@@ -762,7 +853,7 @@ let rrd_box (classes : rclass array) (slots : int array) (r : int) :
   if r >= 0 && r < Array.length classes then
     let s = slots.(r) in
     match classes.(r) with
-    | C_int -> fun fr -> E.VInt (Array.unsafe_get fr.fr_i s)
+    | C_int -> fun fr -> E.VInt (bget64 fr.fr_i s)
     | C_float -> fun fr -> E.VFloat (Array.unsafe_get fr.fr_f s)
     | C_ptr -> fun fr -> E.VPtr (Array.unsafe_get fr.fr_p s)
     | C_boxed -> fun fr -> Array.unsafe_get fr.fr_v s
@@ -773,7 +864,7 @@ let rrd_i (classes : rclass array) (slots : int array) (r : int) :
   if r >= 0 && r < Array.length classes then
     let s = slots.(r) in
     match classes.(r) with
-    | C_int -> fun fr -> Array.unsafe_get fr.fr_i s
+    | C_int -> fun fr -> bget64 fr.fr_i s
     | C_ptr -> fun fr -> Int64.of_int (Array.unsafe_get fr.fr_p s)
     | C_float -> fun _ -> raise (E.Type_error "expected an integer value")
     | C_boxed -> fun fr -> E.as_int (Array.unsafe_get fr.fr_v s)
@@ -795,7 +886,7 @@ let rrd_p (classes : rclass array) (slots : int array) (r : int) :
     let s = slots.(r) in
     match classes.(r) with
     | C_ptr -> fun fr -> Array.unsafe_get fr.fr_p s
-    | C_int -> fun fr -> Int64.to_int (Array.unsafe_get fr.fr_i s)
+    | C_int -> fun fr -> Int64.to_int (bget64 fr.fr_i s)
     | C_float -> fun _ -> raise (E.Type_error "expected an address")
     | C_boxed -> fun fr -> E.as_ptr (Array.unsafe_get fr.fr_v s)
   else fun fr -> E.as_ptr fr.fr_v.(r)
@@ -840,7 +931,7 @@ let rarg_p (classes : rclass array) (slots : int array) : src -> rp = function
 (* Closure form of a shape, for residual arms and class-generic
    consumers (phi staging of rare shapes, switch scrutinees, seams). *)
 let ri_fn : ri -> frame -> int64 = function
-  | RiS s -> fun fr -> Array.unsafe_get fr.fr_i s
+  | RiS s -> fun fr -> bget64 fr.fr_i s
   | RiK k -> fun _ -> k
   | RiG g -> g
 
@@ -874,7 +965,7 @@ let rwr_box (classes : rclass array) (slots : int array) (d : int) :
   if d >= 0 && d < Array.length classes then
     let s = slots.(d) in
     match classes.(d) with
-    | C_int -> fun fr v -> Array.unsafe_set fr.fr_i s (E.as_int v)
+    | C_int -> fun fr v -> bset64 fr.fr_i s (E.as_int v)
     | C_float -> fun fr v -> Array.unsafe_set fr.fr_f s (E.as_float v)
     | C_ptr -> fun fr v -> Array.unsafe_set fr.fr_p s (E.as_ptr v)
     | C_boxed -> fun fr v -> Array.unsafe_set fr.fr_v s v
@@ -889,7 +980,7 @@ let rtest (classes : rclass array) (slots : int array) :
       if r >= 0 && r < Array.length classes then (
         let s = slots.(r) in
         match classes.(r) with
-        | C_int -> fun fr -> Array.unsafe_get fr.fr_i s <> 0L
+        | C_int -> fun fr -> bget64 fr.fr_i s <> 0L
         | C_float -> fun fr -> Array.unsafe_get fr.fr_f s <> 0.0
         | C_ptr -> fun fr -> Array.unsafe_get fr.fr_p s <> 0
         | C_boxed -> fun fr -> E.is_true (Array.unsafe_get fr.fr_v s))
@@ -954,178 +1045,178 @@ let compile_rbinop (classes : rclass array) (slots : int array)
         match (op, aa, bb) with
         | Ir.Instr.Add, RiS a, RiS b ->
             fun fr ->
-              Array.unsafe_set fr.fr_i sd
-                (E.renorm sh
+              bset64 fr.fr_i sd
+                (renorm sh
                    (Int64.add
-                      (Array.unsafe_get fr.fr_i a)
-                      (Array.unsafe_get fr.fr_i b)))
+                      (bget64 fr.fr_i a)
+                      (bget64 fr.fr_i b)))
         | Ir.Instr.Add, RiS a, RiK kb ->
             fun fr ->
-              Array.unsafe_set fr.fr_i sd
-                (E.renorm sh (Int64.add (Array.unsafe_get fr.fr_i a) kb))
+              bset64 fr.fr_i sd
+                (renorm sh (Int64.add (bget64 fr.fr_i a) kb))
         | Ir.Instr.Add, RiK ka, RiS b ->
             fun fr ->
-              Array.unsafe_set fr.fr_i sd
-                (E.renorm sh (Int64.add ka (Array.unsafe_get fr.fr_i b)))
+              bset64 fr.fr_i sd
+                (renorm sh (Int64.add ka (bget64 fr.fr_i b)))
         | Ir.Instr.Sub, RiS a, RiS b ->
             fun fr ->
-              Array.unsafe_set fr.fr_i sd
-                (E.renorm sh
+              bset64 fr.fr_i sd
+                (renorm sh
                    (Int64.sub
-                      (Array.unsafe_get fr.fr_i a)
-                      (Array.unsafe_get fr.fr_i b)))
+                      (bget64 fr.fr_i a)
+                      (bget64 fr.fr_i b)))
         | Ir.Instr.Sub, RiS a, RiK kb ->
             fun fr ->
-              Array.unsafe_set fr.fr_i sd
-                (E.renorm sh (Int64.sub (Array.unsafe_get fr.fr_i a) kb))
+              bset64 fr.fr_i sd
+                (renorm sh (Int64.sub (bget64 fr.fr_i a) kb))
         | Ir.Instr.Sub, RiK ka, RiS b ->
             fun fr ->
-              Array.unsafe_set fr.fr_i sd
-                (E.renorm sh (Int64.sub ka (Array.unsafe_get fr.fr_i b)))
+              bset64 fr.fr_i sd
+                (renorm sh (Int64.sub ka (bget64 fr.fr_i b)))
         | Ir.Instr.Mul, RiS a, RiS b ->
             fun fr ->
-              Array.unsafe_set fr.fr_i sd
-                (E.renorm sh
+              bset64 fr.fr_i sd
+                (renorm sh
                    (Int64.mul
-                      (Array.unsafe_get fr.fr_i a)
-                      (Array.unsafe_get fr.fr_i b)))
+                      (bget64 fr.fr_i a)
+                      (bget64 fr.fr_i b)))
         | Ir.Instr.Mul, RiS a, RiK kb ->
             fun fr ->
-              Array.unsafe_set fr.fr_i sd
-                (E.renorm sh (Int64.mul (Array.unsafe_get fr.fr_i a) kb))
+              bset64 fr.fr_i sd
+                (renorm sh (Int64.mul (bget64 fr.fr_i a) kb))
         | Ir.Instr.Mul, RiK ka, RiS b ->
             fun fr ->
-              Array.unsafe_set fr.fr_i sd
-                (E.renorm sh (Int64.mul ka (Array.unsafe_get fr.fr_i b)))
+              bset64 fr.fr_i sd
+                (renorm sh (Int64.mul ka (bget64 fr.fr_i b)))
         | Ir.Instr.And, RiS a, RiS b ->
             fun fr ->
-              Array.unsafe_set fr.fr_i sd
-                (E.renorm sh
+              bset64 fr.fr_i sd
+                (renorm sh
                    (Int64.logand
-                      (Array.unsafe_get fr.fr_i a)
-                      (Array.unsafe_get fr.fr_i b)))
+                      (bget64 fr.fr_i a)
+                      (bget64 fr.fr_i b)))
         | Ir.Instr.And, RiS a, RiK kb ->
             fun fr ->
-              Array.unsafe_set fr.fr_i sd
-                (E.renorm sh (Int64.logand (Array.unsafe_get fr.fr_i a) kb))
+              bset64 fr.fr_i sd
+                (renorm sh (Int64.logand (bget64 fr.fr_i a) kb))
         | Ir.Instr.And, RiK ka, RiS b ->
             fun fr ->
-              Array.unsafe_set fr.fr_i sd
-                (E.renorm sh (Int64.logand ka (Array.unsafe_get fr.fr_i b)))
+              bset64 fr.fr_i sd
+                (renorm sh (Int64.logand ka (bget64 fr.fr_i b)))
         | Ir.Instr.Or, RiS a, RiS b ->
             fun fr ->
-              Array.unsafe_set fr.fr_i sd
-                (E.renorm sh
+              bset64 fr.fr_i sd
+                (renorm sh
                    (Int64.logor
-                      (Array.unsafe_get fr.fr_i a)
-                      (Array.unsafe_get fr.fr_i b)))
+                      (bget64 fr.fr_i a)
+                      (bget64 fr.fr_i b)))
         | Ir.Instr.Or, RiS a, RiK kb ->
             fun fr ->
-              Array.unsafe_set fr.fr_i sd
-                (E.renorm sh (Int64.logor (Array.unsafe_get fr.fr_i a) kb))
+              bset64 fr.fr_i sd
+                (renorm sh (Int64.logor (bget64 fr.fr_i a) kb))
         | Ir.Instr.Or, RiK ka, RiS b ->
             fun fr ->
-              Array.unsafe_set fr.fr_i sd
-                (E.renorm sh (Int64.logor ka (Array.unsafe_get fr.fr_i b)))
+              bset64 fr.fr_i sd
+                (renorm sh (Int64.logor ka (bget64 fr.fr_i b)))
         | Ir.Instr.Xor, RiS a, RiS b ->
             fun fr ->
-              Array.unsafe_set fr.fr_i sd
-                (E.renorm sh
+              bset64 fr.fr_i sd
+                (renorm sh
                    (Int64.logxor
-                      (Array.unsafe_get fr.fr_i a)
-                      (Array.unsafe_get fr.fr_i b)))
+                      (bget64 fr.fr_i a)
+                      (bget64 fr.fr_i b)))
         | Ir.Instr.Xor, RiS a, RiK kb ->
             fun fr ->
-              Array.unsafe_set fr.fr_i sd
-                (E.renorm sh (Int64.logxor (Array.unsafe_get fr.fr_i a) kb))
+              bset64 fr.fr_i sd
+                (renorm sh (Int64.logxor (bget64 fr.fr_i a) kb))
         | Ir.Instr.Xor, RiK ka, RiS b ->
             fun fr ->
-              Array.unsafe_set fr.fr_i sd
-                (E.renorm sh (Int64.logxor ka (Array.unsafe_get fr.fr_i b)))
+              bset64 fr.fr_i sd
+                (renorm sh (Int64.logxor ka (bget64 fr.fr_i b)))
         | Ir.Instr.Shl, RiS a, RiS b ->
             fun fr ->
-              Array.unsafe_set fr.fr_i sd
-                (E.renorm sh
+              bset64 fr.fr_i sd
+                (renorm sh
                    (Int64.shift_left
-                      (Array.unsafe_get fr.fr_i a)
-                      (Int64.to_int (Array.unsafe_get fr.fr_i b) land sm)))
+                      (bget64 fr.fr_i a)
+                      (Int64.to_int (bget64 fr.fr_i b) land sm)))
         | Ir.Instr.Shl, RiS a, RiK kb ->
             let n = E.shift_amount ty kb in
             fun fr ->
-              Array.unsafe_set fr.fr_i sd
-                (E.renorm sh (Int64.shift_left (Array.unsafe_get fr.fr_i a) n))
+              bset64 fr.fr_i sd
+                (renorm sh (Int64.shift_left (bget64 fr.fr_i a) n))
         | Ir.Instr.Lshr, RiS a, RiS b ->
             fun fr ->
-              Array.unsafe_set fr.fr_i sd
-                (E.renorm sh
+              bset64 fr.fr_i sd
+                (renorm sh
                    (Int64.shift_right_logical
-                      (Int64.logand (Array.unsafe_get fr.fr_i a) um)
-                      (Int64.to_int (Array.unsafe_get fr.fr_i b) land sm)))
+                      (Int64.logand (bget64 fr.fr_i a) um)
+                      (Int64.to_int (bget64 fr.fr_i b) land sm)))
         | Ir.Instr.Lshr, RiS a, RiK kb ->
             let n = E.shift_amount ty kb in
             fun fr ->
-              Array.unsafe_set fr.fr_i sd
-                (E.renorm sh
+              bset64 fr.fr_i sd
+                (renorm sh
                    (Int64.shift_right_logical
-                      (Int64.logand (Array.unsafe_get fr.fr_i a) um)
+                      (Int64.logand (bget64 fr.fr_i a) um)
                       n))
         | Ir.Instr.Ashr, RiS a, RiS b ->
             fun fr ->
-              Array.unsafe_set fr.fr_i sd
-                (E.renorm sh
+              bset64 fr.fr_i sd
+                (renorm sh
                    (Int64.shift_right
-                      (Array.unsafe_get fr.fr_i a)
-                      (Int64.to_int (Array.unsafe_get fr.fr_i b) land sm)))
+                      (bget64 fr.fr_i a)
+                      (Int64.to_int (bget64 fr.fr_i b) land sm)))
         | Ir.Instr.Ashr, RiS a, RiK kb ->
             let n = E.shift_amount ty kb in
             fun fr ->
-              Array.unsafe_set fr.fr_i sd
-                (E.renorm sh
-                   (Int64.shift_right (Array.unsafe_get fr.fr_i a) n))
+              bset64 fr.fr_i sd
+                (renorm sh
+                   (Int64.shift_right (bget64 fr.fr_i a) n))
         | _ -> (
             let ga = ri_fn aa and gb = ri_fn bb in
             match op with
             | Ir.Instr.Add ->
                 fun fr ->
-                  Array.unsafe_set fr.fr_i sd
-                    (E.renorm sh (Int64.add (ga fr) (gb fr)))
+                  bset64 fr.fr_i sd
+                    (renorm sh (Int64.add (ga fr) (gb fr)))
             | Ir.Instr.Sub ->
                 fun fr ->
-                  Array.unsafe_set fr.fr_i sd
-                    (E.renorm sh (Int64.sub (ga fr) (gb fr)))
+                  bset64 fr.fr_i sd
+                    (renorm sh (Int64.sub (ga fr) (gb fr)))
             | Ir.Instr.Mul ->
                 fun fr ->
-                  Array.unsafe_set fr.fr_i sd
-                    (E.renorm sh (Int64.mul (ga fr) (gb fr)))
+                  bset64 fr.fr_i sd
+                    (renorm sh (Int64.mul (ga fr) (gb fr)))
             | Ir.Instr.And ->
                 fun fr ->
-                  Array.unsafe_set fr.fr_i sd
-                    (E.renorm sh (Int64.logand (ga fr) (gb fr)))
+                  bset64 fr.fr_i sd
+                    (renorm sh (Int64.logand (ga fr) (gb fr)))
             | Ir.Instr.Or ->
                 fun fr ->
-                  Array.unsafe_set fr.fr_i sd
-                    (E.renorm sh (Int64.logor (ga fr) (gb fr)))
+                  bset64 fr.fr_i sd
+                    (renorm sh (Int64.logor (ga fr) (gb fr)))
             | Ir.Instr.Xor ->
                 fun fr ->
-                  Array.unsafe_set fr.fr_i sd
-                    (E.renorm sh (Int64.logxor (ga fr) (gb fr)))
+                  bset64 fr.fr_i sd
+                    (renorm sh (Int64.logxor (ga fr) (gb fr)))
             | Ir.Instr.Shl ->
                 fun fr ->
-                  Array.unsafe_set fr.fr_i sd
-                    (E.renorm sh
+                  bset64 fr.fr_i sd
+                    (renorm sh
                        (Int64.shift_left (ga fr)
                           (Int64.to_int (gb fr) land sm)))
             | Ir.Instr.Lshr ->
                 fun fr ->
-                  Array.unsafe_set fr.fr_i sd
-                    (E.renorm sh
+                  bset64 fr.fr_i sd
+                    (renorm sh
                        (Int64.shift_right_logical
                           (Int64.logand (ga fr) um)
                           (Int64.to_int (gb fr) land sm)))
             | Ir.Instr.Ashr ->
                 fun fr ->
-                  Array.unsafe_set fr.fr_i sd
-                    (E.renorm sh
+                  bset64 fr.fr_i sd
+                    (renorm sh
                        (Int64.shift_right (ga fr)
                           (Int64.to_int (gb fr) land sm)))
             | _ -> generic ()))
@@ -1138,38 +1229,38 @@ let compile_rbinop (classes : rclass array) (slots : int array)
           | Ir.Instr.Fadd, RfS a, RfS b ->
               fun fr ->
                 Array.unsafe_set fr.fr_f sd
-                  (E.round_f32
+                  (round_f32
                      (Array.unsafe_get fr.fr_f a +. Array.unsafe_get fr.fr_f b))
           | Ir.Instr.Fsub, RfS a, RfS b ->
               fun fr ->
                 Array.unsafe_set fr.fr_f sd
-                  (E.round_f32
+                  (round_f32
                      (Array.unsafe_get fr.fr_f a -. Array.unsafe_get fr.fr_f b))
           | Ir.Instr.Fmul, RfS a, RfS b ->
               fun fr ->
                 Array.unsafe_set fr.fr_f sd
-                  (E.round_f32
+                  (round_f32
                      (Array.unsafe_get fr.fr_f a *. Array.unsafe_get fr.fr_f b))
           | Ir.Instr.Fdiv, RfS a, RfS b ->
               fun fr ->
                 Array.unsafe_set fr.fr_f sd
-                  (E.round_f32
+                  (round_f32
                      (Array.unsafe_get fr.fr_f a /. Array.unsafe_get fr.fr_f b))
           | _ -> (
               let ga = rf_fn aa and gb = rf_fn bb in
               match op with
               | Ir.Instr.Fadd ->
                   fun fr ->
-                    Array.unsafe_set fr.fr_f sd (E.round_f32 (ga fr +. gb fr))
+                    Array.unsafe_set fr.fr_f sd (round_f32 (ga fr +. gb fr))
               | Ir.Instr.Fsub ->
                   fun fr ->
-                    Array.unsafe_set fr.fr_f sd (E.round_f32 (ga fr -. gb fr))
+                    Array.unsafe_set fr.fr_f sd (round_f32 (ga fr -. gb fr))
               | Ir.Instr.Fmul ->
                   fun fr ->
-                    Array.unsafe_set fr.fr_f sd (E.round_f32 (ga fr *. gb fr))
+                    Array.unsafe_set fr.fr_f sd (round_f32 (ga fr *. gb fr))
               | Ir.Instr.Fdiv ->
                   fun fr ->
-                    Array.unsafe_set fr.fr_f sd (E.round_f32 (ga fr /. gb fr))
+                    Array.unsafe_set fr.fr_f sd (round_f32 (ga fr /. gb fr))
               | _ -> generic ())
         else
           match (op, aa, bb) with
@@ -1241,159 +1332,159 @@ let compile_ricmp (classes : rclass array) (slots : int array)
     match (p, aa, bb) with
     | Ir.Instr.Ieq, RiS a, RiS b ->
         fun fr ->
-          Array.unsafe_set fr.fr_i sd
+          bset64 fr.fr_i sd
             (if
                Int64.equal
-                 (Array.unsafe_get fr.fr_i a)
-                 (Array.unsafe_get fr.fr_i b)
+                 (bget64 fr.fr_i a)
+                 (bget64 fr.fr_i b)
              then 1L
              else 0L)
     | Ir.Instr.Ieq, RiS a, RiK kb ->
         fun fr ->
-          Array.unsafe_set fr.fr_i sd
-            (if Int64.equal (Array.unsafe_get fr.fr_i a) kb then 1L else 0L)
+          bset64 fr.fr_i sd
+            (if Int64.equal (bget64 fr.fr_i a) kb then 1L else 0L)
     | Ir.Instr.Ine, RiS a, RiS b ->
         fun fr ->
-          Array.unsafe_set fr.fr_i sd
+          bset64 fr.fr_i sd
             (if
                Int64.equal
-                 (Array.unsafe_get fr.fr_i a)
-                 (Array.unsafe_get fr.fr_i b)
+                 (bget64 fr.fr_i a)
+                 (bget64 fr.fr_i b)
              then 0L
              else 1L)
     | Ir.Instr.Ine, RiS a, RiK kb ->
         fun fr ->
-          Array.unsafe_set fr.fr_i sd
-            (if Int64.equal (Array.unsafe_get fr.fr_i a) kb then 0L else 1L)
+          bset64 fr.fr_i sd
+            (if Int64.equal (bget64 fr.fr_i a) kb then 0L else 1L)
     | Ir.Instr.Islt, RiS a, RiS b ->
         fun fr ->
-          Array.unsafe_set fr.fr_i sd
+          bset64 fr.fr_i sd
             (if
                Int64.compare
-                 (Array.unsafe_get fr.fr_i a)
-                 (Array.unsafe_get fr.fr_i b)
+                 (bget64 fr.fr_i a)
+                 (bget64 fr.fr_i b)
                < 0
              then 1L
              else 0L)
     | Ir.Instr.Islt, RiS a, RiK kb ->
         fun fr ->
-          Array.unsafe_set fr.fr_i sd
-            (if Int64.compare (Array.unsafe_get fr.fr_i a) kb < 0 then 1L
+          bset64 fr.fr_i sd
+            (if Int64.compare (bget64 fr.fr_i a) kb < 0 then 1L
              else 0L)
     | Ir.Instr.Isle, RiS a, RiS b ->
         fun fr ->
-          Array.unsafe_set fr.fr_i sd
+          bset64 fr.fr_i sd
             (if
                Int64.compare
-                 (Array.unsafe_get fr.fr_i a)
-                 (Array.unsafe_get fr.fr_i b)
+                 (bget64 fr.fr_i a)
+                 (bget64 fr.fr_i b)
                <= 0
              then 1L
              else 0L)
     | Ir.Instr.Isle, RiS a, RiK kb ->
         fun fr ->
-          Array.unsafe_set fr.fr_i sd
-            (if Int64.compare (Array.unsafe_get fr.fr_i a) kb <= 0 then 1L
+          bset64 fr.fr_i sd
+            (if Int64.compare (bget64 fr.fr_i a) kb <= 0 then 1L
              else 0L)
     | Ir.Instr.Isgt, RiS a, RiS b ->
         fun fr ->
-          Array.unsafe_set fr.fr_i sd
+          bset64 fr.fr_i sd
             (if
                Int64.compare
-                 (Array.unsafe_get fr.fr_i a)
-                 (Array.unsafe_get fr.fr_i b)
+                 (bget64 fr.fr_i a)
+                 (bget64 fr.fr_i b)
                > 0
              then 1L
              else 0L)
     | Ir.Instr.Isgt, RiS a, RiK kb ->
         fun fr ->
-          Array.unsafe_set fr.fr_i sd
-            (if Int64.compare (Array.unsafe_get fr.fr_i a) kb > 0 then 1L
+          bset64 fr.fr_i sd
+            (if Int64.compare (bget64 fr.fr_i a) kb > 0 then 1L
              else 0L)
     | Ir.Instr.Isge, RiS a, RiS b ->
         fun fr ->
-          Array.unsafe_set fr.fr_i sd
+          bset64 fr.fr_i sd
             (if
                Int64.compare
-                 (Array.unsafe_get fr.fr_i a)
-                 (Array.unsafe_get fr.fr_i b)
+                 (bget64 fr.fr_i a)
+                 (bget64 fr.fr_i b)
                >= 0
              then 1L
              else 0L)
     | Ir.Instr.Isge, RiS a, RiK kb ->
         fun fr ->
-          Array.unsafe_set fr.fr_i sd
-            (if Int64.compare (Array.unsafe_get fr.fr_i a) kb >= 0 then 1L
+          bset64 fr.fr_i sd
+            (if Int64.compare (bget64 fr.fr_i a) kb >= 0 then 1L
              else 0L)
     | Ir.Instr.Iult, RiS a, RiS b ->
         fun fr ->
-          Array.unsafe_set fr.fr_i sd
+          bset64 fr.fr_i sd
             (if
                Int64.unsigned_compare
-                 (Array.unsafe_get fr.fr_i a)
-                 (Array.unsafe_get fr.fr_i b)
+                 (bget64 fr.fr_i a)
+                 (bget64 fr.fr_i b)
                < 0
              then 1L
              else 0L)
     | Ir.Instr.Iult, RiS a, RiK kb ->
         fun fr ->
-          Array.unsafe_set fr.fr_i sd
-            (if Int64.unsigned_compare (Array.unsafe_get fr.fr_i a) kb < 0
+          bset64 fr.fr_i sd
+            (if Int64.unsigned_compare (bget64 fr.fr_i a) kb < 0
              then 1L
              else 0L)
     | Ir.Instr.Iule, RiS a, RiS b ->
         fun fr ->
-          Array.unsafe_set fr.fr_i sd
+          bset64 fr.fr_i sd
             (if
                Int64.unsigned_compare
-                 (Array.unsafe_get fr.fr_i a)
-                 (Array.unsafe_get fr.fr_i b)
+                 (bget64 fr.fr_i a)
+                 (bget64 fr.fr_i b)
                <= 0
              then 1L
              else 0L)
     | Ir.Instr.Iule, RiS a, RiK kb ->
         fun fr ->
-          Array.unsafe_set fr.fr_i sd
-            (if Int64.unsigned_compare (Array.unsafe_get fr.fr_i a) kb <= 0
+          bset64 fr.fr_i sd
+            (if Int64.unsigned_compare (bget64 fr.fr_i a) kb <= 0
              then 1L
              else 0L)
     | Ir.Instr.Iugt, RiS a, RiS b ->
         fun fr ->
-          Array.unsafe_set fr.fr_i sd
+          bset64 fr.fr_i sd
             (if
                Int64.unsigned_compare
-                 (Array.unsafe_get fr.fr_i a)
-                 (Array.unsafe_get fr.fr_i b)
+                 (bget64 fr.fr_i a)
+                 (bget64 fr.fr_i b)
                > 0
              then 1L
              else 0L)
     | Ir.Instr.Iugt, RiS a, RiK kb ->
         fun fr ->
-          Array.unsafe_set fr.fr_i sd
-            (if Int64.unsigned_compare (Array.unsafe_get fr.fr_i a) kb > 0
+          bset64 fr.fr_i sd
+            (if Int64.unsigned_compare (bget64 fr.fr_i a) kb > 0
              then 1L
              else 0L)
     | Ir.Instr.Iuge, RiS a, RiS b ->
         fun fr ->
-          Array.unsafe_set fr.fr_i sd
+          bset64 fr.fr_i sd
             (if
                Int64.unsigned_compare
-                 (Array.unsafe_get fr.fr_i a)
-                 (Array.unsafe_get fr.fr_i b)
+                 (bget64 fr.fr_i a)
+                 (bget64 fr.fr_i b)
                >= 0
              then 1L
              else 0L)
     | Ir.Instr.Iuge, RiS a, RiK kb ->
         fun fr ->
-          Array.unsafe_set fr.fr_i sd
-            (if Int64.unsigned_compare (Array.unsafe_get fr.fr_i a) kb >= 0
+          bset64 fr.fr_i sd
+            (if Int64.unsigned_compare (bget64 fr.fr_i a) kb >= 0
              then 1L
              else 0L)
     | _ ->
         let t = icmp_bool p in
         let ga = ri_fn aa and gb = ri_fn bb in
         fun fr ->
-          Array.unsafe_set fr.fr_i sd (if t (ga fr) (gb fr) then 1L else 0L))
+          bset64 fr.fr_i sd (if t (ga fr) (gb fr) then 1L else 0L))
   else
     let f = E.icmp_fn p in
     let ga = rget_box classes slots sa and gb = rget_box classes slots sb in
@@ -1412,61 +1503,61 @@ let compile_rfcmp (classes : rclass array) (slots : int array)
         fun fr ->
           let x = Array.unsafe_get fr.fr_f a
           and y = Array.unsafe_get fr.fr_f b in
-          Array.unsafe_set fr.fr_i sd (if ord x y && x = y then 1L else 0L)
+          bset64 fr.fr_i sd (if ord x y && x = y then 1L else 0L)
     | Ir.Instr.Foeq, RfS a, RfK kb ->
         fun fr ->
           let x = Array.unsafe_get fr.fr_f a in
-          Array.unsafe_set fr.fr_i sd (if ord x kb && x = kb then 1L else 0L)
+          bset64 fr.fr_i sd (if ord x kb && x = kb then 1L else 0L)
     | Ir.Instr.Fone, RfS a, RfS b ->
         fun fr ->
           let x = Array.unsafe_get fr.fr_f a
           and y = Array.unsafe_get fr.fr_f b in
-          Array.unsafe_set fr.fr_i sd (if ord x y && x <> y then 1L else 0L)
+          bset64 fr.fr_i sd (if ord x y && x <> y then 1L else 0L)
     | Ir.Instr.Fone, RfS a, RfK kb ->
         fun fr ->
           let x = Array.unsafe_get fr.fr_f a in
-          Array.unsafe_set fr.fr_i sd (if ord x kb && x <> kb then 1L else 0L)
+          bset64 fr.fr_i sd (if ord x kb && x <> kb then 1L else 0L)
     | Ir.Instr.Folt, RfS a, RfS b ->
         fun fr ->
           let x = Array.unsafe_get fr.fr_f a
           and y = Array.unsafe_get fr.fr_f b in
-          Array.unsafe_set fr.fr_i sd (if ord x y && x < y then 1L else 0L)
+          bset64 fr.fr_i sd (if ord x y && x < y then 1L else 0L)
     | Ir.Instr.Folt, RfS a, RfK kb ->
         fun fr ->
           let x = Array.unsafe_get fr.fr_f a in
-          Array.unsafe_set fr.fr_i sd (if ord x kb && x < kb then 1L else 0L)
+          bset64 fr.fr_i sd (if ord x kb && x < kb then 1L else 0L)
     | Ir.Instr.Fole, RfS a, RfS b ->
         fun fr ->
           let x = Array.unsafe_get fr.fr_f a
           and y = Array.unsafe_get fr.fr_f b in
-          Array.unsafe_set fr.fr_i sd (if ord x y && x <= y then 1L else 0L)
+          bset64 fr.fr_i sd (if ord x y && x <= y then 1L else 0L)
     | Ir.Instr.Fole, RfS a, RfK kb ->
         fun fr ->
           let x = Array.unsafe_get fr.fr_f a in
-          Array.unsafe_set fr.fr_i sd (if ord x kb && x <= kb then 1L else 0L)
+          bset64 fr.fr_i sd (if ord x kb && x <= kb then 1L else 0L)
     | Ir.Instr.Fogt, RfS a, RfS b ->
         fun fr ->
           let x = Array.unsafe_get fr.fr_f a
           and y = Array.unsafe_get fr.fr_f b in
-          Array.unsafe_set fr.fr_i sd (if ord x y && x > y then 1L else 0L)
+          bset64 fr.fr_i sd (if ord x y && x > y then 1L else 0L)
     | Ir.Instr.Fogt, RfS a, RfK kb ->
         fun fr ->
           let x = Array.unsafe_get fr.fr_f a in
-          Array.unsafe_set fr.fr_i sd (if ord x kb && x > kb then 1L else 0L)
+          bset64 fr.fr_i sd (if ord x kb && x > kb then 1L else 0L)
     | Ir.Instr.Foge, RfS a, RfS b ->
         fun fr ->
           let x = Array.unsafe_get fr.fr_f a
           and y = Array.unsafe_get fr.fr_f b in
-          Array.unsafe_set fr.fr_i sd (if ord x y && x >= y then 1L else 0L)
+          bset64 fr.fr_i sd (if ord x y && x >= y then 1L else 0L)
     | Ir.Instr.Foge, RfS a, RfK kb ->
         fun fr ->
           let x = Array.unsafe_get fr.fr_f a in
-          Array.unsafe_set fr.fr_i sd (if ord x kb && x >= kb then 1L else 0L)
+          bset64 fr.fr_i sd (if ord x kb && x >= kb then 1L else 0L)
     | _ ->
         let t = fcmp_bool p in
         let ga = rf_fn aa and gb = rf_fn bb in
         fun fr ->
-          Array.unsafe_set fr.fr_i sd (if t (ga fr) (gb fr) then 1L else 0L))
+          bset64 fr.fr_i sd (if t (ga fr) (gb fr) then 1L else 0L))
   else
     let f = E.fcmp_fn p in
     let ga = rget_box classes slots sa and gb = rget_box classes slots sb in
@@ -1482,73 +1573,73 @@ let rbool_icmp (classes : rclass array) (slots : int array)
   match (p, aa, bb) with
   | Ir.Instr.Ieq, RiS a, RiS b ->
       fun fr ->
-        Int64.equal (Array.unsafe_get fr.fr_i a) (Array.unsafe_get fr.fr_i b)
+        Int64.equal (bget64 fr.fr_i a) (bget64 fr.fr_i b)
   | Ir.Instr.Ieq, RiS a, RiK kb ->
-      fun fr -> Int64.equal (Array.unsafe_get fr.fr_i a) kb
+      fun fr -> Int64.equal (bget64 fr.fr_i a) kb
   | Ir.Instr.Ine, RiS a, RiS b ->
       fun fr ->
         not
           (Int64.equal
-             (Array.unsafe_get fr.fr_i a)
-             (Array.unsafe_get fr.fr_i b))
+             (bget64 fr.fr_i a)
+             (bget64 fr.fr_i b))
   | Ir.Instr.Ine, RiS a, RiK kb ->
-      fun fr -> not (Int64.equal (Array.unsafe_get fr.fr_i a) kb)
+      fun fr -> not (Int64.equal (bget64 fr.fr_i a) kb)
   | Ir.Instr.Islt, RiS a, RiS b ->
       fun fr ->
-        Int64.compare (Array.unsafe_get fr.fr_i a) (Array.unsafe_get fr.fr_i b)
+        Int64.compare (bget64 fr.fr_i a) (bget64 fr.fr_i b)
         < 0
   | Ir.Instr.Islt, RiS a, RiK kb ->
-      fun fr -> Int64.compare (Array.unsafe_get fr.fr_i a) kb < 0
+      fun fr -> Int64.compare (bget64 fr.fr_i a) kb < 0
   | Ir.Instr.Isle, RiS a, RiS b ->
       fun fr ->
-        Int64.compare (Array.unsafe_get fr.fr_i a) (Array.unsafe_get fr.fr_i b)
+        Int64.compare (bget64 fr.fr_i a) (bget64 fr.fr_i b)
         <= 0
   | Ir.Instr.Isle, RiS a, RiK kb ->
-      fun fr -> Int64.compare (Array.unsafe_get fr.fr_i a) kb <= 0
+      fun fr -> Int64.compare (bget64 fr.fr_i a) kb <= 0
   | Ir.Instr.Isgt, RiS a, RiS b ->
       fun fr ->
-        Int64.compare (Array.unsafe_get fr.fr_i a) (Array.unsafe_get fr.fr_i b)
+        Int64.compare (bget64 fr.fr_i a) (bget64 fr.fr_i b)
         > 0
   | Ir.Instr.Isgt, RiS a, RiK kb ->
-      fun fr -> Int64.compare (Array.unsafe_get fr.fr_i a) kb > 0
+      fun fr -> Int64.compare (bget64 fr.fr_i a) kb > 0
   | Ir.Instr.Isge, RiS a, RiS b ->
       fun fr ->
-        Int64.compare (Array.unsafe_get fr.fr_i a) (Array.unsafe_get fr.fr_i b)
+        Int64.compare (bget64 fr.fr_i a) (bget64 fr.fr_i b)
         >= 0
   | Ir.Instr.Isge, RiS a, RiK kb ->
-      fun fr -> Int64.compare (Array.unsafe_get fr.fr_i a) kb >= 0
+      fun fr -> Int64.compare (bget64 fr.fr_i a) kb >= 0
   | Ir.Instr.Iult, RiS a, RiS b ->
       fun fr ->
         Int64.unsigned_compare
-          (Array.unsafe_get fr.fr_i a)
-          (Array.unsafe_get fr.fr_i b)
+          (bget64 fr.fr_i a)
+          (bget64 fr.fr_i b)
         < 0
   | Ir.Instr.Iult, RiS a, RiK kb ->
-      fun fr -> Int64.unsigned_compare (Array.unsafe_get fr.fr_i a) kb < 0
+      fun fr -> Int64.unsigned_compare (bget64 fr.fr_i a) kb < 0
   | Ir.Instr.Iule, RiS a, RiS b ->
       fun fr ->
         Int64.unsigned_compare
-          (Array.unsafe_get fr.fr_i a)
-          (Array.unsafe_get fr.fr_i b)
+          (bget64 fr.fr_i a)
+          (bget64 fr.fr_i b)
         <= 0
   | Ir.Instr.Iule, RiS a, RiK kb ->
-      fun fr -> Int64.unsigned_compare (Array.unsafe_get fr.fr_i a) kb <= 0
+      fun fr -> Int64.unsigned_compare (bget64 fr.fr_i a) kb <= 0
   | Ir.Instr.Iugt, RiS a, RiS b ->
       fun fr ->
         Int64.unsigned_compare
-          (Array.unsafe_get fr.fr_i a)
-          (Array.unsafe_get fr.fr_i b)
+          (bget64 fr.fr_i a)
+          (bget64 fr.fr_i b)
         > 0
   | Ir.Instr.Iugt, RiS a, RiK kb ->
-      fun fr -> Int64.unsigned_compare (Array.unsafe_get fr.fr_i a) kb > 0
+      fun fr -> Int64.unsigned_compare (bget64 fr.fr_i a) kb > 0
   | Ir.Instr.Iuge, RiS a, RiS b ->
       fun fr ->
         Int64.unsigned_compare
-          (Array.unsafe_get fr.fr_i a)
-          (Array.unsafe_get fr.fr_i b)
+          (bget64 fr.fr_i a)
+          (bget64 fr.fr_i b)
         >= 0
   | Ir.Instr.Iuge, RiS a, RiK kb ->
-      fun fr -> Int64.unsigned_compare (Array.unsafe_get fr.fr_i a) kb >= 0
+      fun fr -> Int64.unsigned_compare (bget64 fr.fr_i a) kb >= 0
   | _ ->
       let t = icmp_bool p in
       let ga = ri_fn aa and gb = ri_fn bb in
@@ -1635,12 +1726,12 @@ let compile_rcast (classes : rclass array) (slots : int array)
         match rarg_i classes slots sa with
         | RiS a ->
             fun fr ->
-              Array.unsafe_set fr.fr_i slots.(d)
-                (E.renorm sh (Array.unsafe_get fr.fr_i a))
+              bset64 fr.fr_i slots.(d)
+                (renorm sh (bget64 fr.fr_i a))
         | aa ->
             let ga = ri_fn aa in
             let sd = slots.(d) in
-            fun fr -> Array.unsafe_set fr.fr_i sd (E.renorm sh (ga fr)))
+            fun fr -> bset64 fr.fr_i sd (renorm sh (ga fr)))
     | Ir.Instr.Zext, C_int -> (
         let sh = E.norm_shift to_ in
         let um = E.umask from_ (-1L) in
@@ -1648,14 +1739,14 @@ let compile_rcast (classes : rclass array) (slots : int array)
         | RiS a ->
             let sd = slots.(d) in
             fun fr ->
-              Array.unsafe_set fr.fr_i sd
-                (E.renorm sh (Int64.logand (Array.unsafe_get fr.fr_i a) um))
+              bset64 fr.fr_i sd
+                (renorm sh (Int64.logand (bget64 fr.fr_i a) um))
         | aa ->
             let ga = ri_fn aa in
             let sd = slots.(d) in
             fun fr ->
-              Array.unsafe_set fr.fr_i sd
-                (E.renorm sh (Int64.logand (ga fr) um)))
+              bset64 fr.fr_i sd
+                (renorm sh (Int64.logand (ga fr) um)))
     | Ir.Instr.Fptosi, C_int -> (
         let sh = E.norm_shift to_ in
         match rarg_f classes slots sa with
@@ -1663,15 +1754,15 @@ let compile_rcast (classes : rclass array) (slots : int array)
             let sd = slots.(d) in
             fun fr ->
               let f = Array.unsafe_get fr.fr_f a in
-              Array.unsafe_set fr.fr_i sd
-                (if Float.is_nan f then 0L else E.renorm sh (Int64.of_float f))
+              bset64 fr.fr_i sd
+                (if Float.is_nan f then 0L else renorm sh (Int64.of_float f))
         | aa ->
             let ga = rf_fn aa in
             let sd = slots.(d) in
             fun fr ->
               let f = ga fr in
-              Array.unsafe_set fr.fr_i sd
-                (if Float.is_nan f then 0L else E.renorm sh (Int64.of_float f))
+              bset64 fr.fr_i sd
+                (if Float.is_nan f then 0L else renorm sh (Int64.of_float f))
         )
     | Ir.Instr.Sitofp, C_float -> (
         let sd = slots.(d) in
@@ -1679,15 +1770,15 @@ let compile_rcast (classes : rclass array) (slots : int array)
         | RiS a ->
             if to_ = Ir.Ty.F32 then fun fr ->
               Array.unsafe_set fr.fr_f sd
-                (E.round_f32 (Int64.to_float (Array.unsafe_get fr.fr_i a)))
+                (round_f32 (Int64.to_float (bget64 fr.fr_i a)))
             else fun fr ->
               Array.unsafe_set fr.fr_f sd
-                (Int64.to_float (Array.unsafe_get fr.fr_i a))
+                (Int64.to_float (bget64 fr.fr_i a))
         | aa ->
             let ga = ri_fn aa in
             if to_ = Ir.Ty.F32 then fun fr ->
               Array.unsafe_set fr.fr_f sd
-                (E.round_f32 (Int64.to_float (ga fr)))
+                (round_f32 (Int64.to_float (ga fr)))
             else fun fr ->
               Array.unsafe_set fr.fr_f sd (Int64.to_float (ga fr)))
     | Ir.Instr.Fpext, C_float -> (
@@ -1704,13 +1795,13 @@ let compile_rcast (classes : rclass array) (slots : int array)
         | RfS a ->
             if to_ = Ir.Ty.F32 then fun fr ->
               Array.unsafe_set fr.fr_f sd
-                (E.round_f32 (Array.unsafe_get fr.fr_f a))
+                (round_f32 (Array.unsafe_get fr.fr_f a))
             else fun fr ->
               Array.unsafe_set fr.fr_f sd (Array.unsafe_get fr.fr_f a)
         | aa ->
             let ga = rf_fn aa in
             if to_ = Ir.Ty.F32 then fun fr ->
-              Array.unsafe_set fr.fr_f sd (E.round_f32 (ga fr))
+              Array.unsafe_set fr.fr_f sd (round_f32 (ga fr))
             else fun fr -> Array.unsafe_set fr.fr_f sd (ga fr))
     | _ -> generic ()
 
@@ -1746,7 +1837,7 @@ let rec enter (st : state) (fi : func_info) (args : Ir.Eval.value array) :
   let counts = fi.rcounts in
   let fr =
     {
-      fr_i = Array.make counts.(0) 0L;
+      fr_i = Bytes.make (8 * counts.(0)) '\000';
       fr_f = Array.make counts.(1) 0.0;
       fr_p = Array.make counts.(2) 0;
       fr_v = Array.make (max 1 counts.(3)) (Ir.Eval.VInt 0L);
@@ -1760,7 +1851,7 @@ let rec enter (st : state) (fi : func_info) (args : Ir.Eval.value array) :
       if i >= 0 && i < Array.length classes then (
         let s = slots.(i) in
         match classes.(i) with
-        | C_int -> fr.fr_i.(s) <- E.as_int v
+        | C_int -> bset64 fr.fr_i s (E.as_int v)
         | C_float -> fr.fr_f.(s) <- E.as_float v
         | C_ptr -> fr.fr_p.(s) <- E.as_ptr v
         | C_boxed -> fr.fr_v.(s) <- v)
@@ -1901,9 +1992,10 @@ let rec enter (st : state) (fi : func_info) (args : Ir.Eval.value array) :
   result
 
 (** Compile one function's blocks, recording the register classes and
-    the per-class slot renumbering.  A register's slot is its index
-    within its class's frame array, so a frame allocates one word per
-    register total instead of one per register per class.  With
+    the per-class slot renumbering.  A register's slot is its position
+    within its class's frame lane (a byte offset in the int lane), so a
+    frame allocates one word per register total instead of one per
+    register per class.  With
     [tuning.regalloc] off every register is [C_boxed].  All of the
     module's functions must already be prepared in [st.funcs] so callee
     [func_info]s can be captured; their own blocks may be compiled
@@ -1919,7 +2011,7 @@ and compile_rfunc (st : state) (fi : func_info) : unit =
   let idx = function C_int -> 0 | C_float -> 1 | C_ptr -> 2 | C_boxed -> 3 in
   for r = 0 to n - 1 do
     let k = idx classes.(r) in
-    slots.(r) <- counts.(k);
+    slots.(r) <- (if k = 0 then 8 * counts.(k) else counts.(k));
     counts.(k) <- counts.(k) + 1
   done;
   fi.rclasses <- classes;
@@ -1971,25 +2063,25 @@ and compile_rblock (st : state) (fi : func_info) (classes : rclass array)
             match (rarg_i classes slots sa, rarg_i classes slots sb) with
             | RiS a, RiS b ->
                 fun fr ->
-                  Array.unsafe_set fr.fr_i sd
-                    (if tc fr then Array.unsafe_get fr.fr_i a
-                     else Array.unsafe_get fr.fr_i b)
+                  bset64 fr.fr_i sd
+                    (if tc fr then bget64 fr.fr_i a
+                     else bget64 fr.fr_i b)
             | RiS a, RiK kb ->
                 fun fr ->
-                  Array.unsafe_set fr.fr_i sd
-                    (if tc fr then Array.unsafe_get fr.fr_i a else kb)
+                  bset64 fr.fr_i sd
+                    (if tc fr then bget64 fr.fr_i a else kb)
             | RiK ka, RiS b ->
                 fun fr ->
-                  Array.unsafe_set fr.fr_i sd
-                    (if tc fr then ka else Array.unsafe_get fr.fr_i b)
+                  bset64 fr.fr_i sd
+                    (if tc fr then ka else bget64 fr.fr_i b)
             | RiK ka, RiK kb ->
                 fun fr ->
-                  Array.unsafe_set fr.fr_i sd (if tc fr then ka else kb)
+                  bset64 fr.fr_i sd (if tc fr then ka else kb)
             | aa, bb ->
                 let ga = ri_fn aa and gb = ri_fn bb in
                 fun fr ->
                   let vc = tc fr and va = ga fr and vb = gb fr in
-                  Array.unsafe_set fr.fr_i sd (if vc then va else vb))
+                  bset64 fr.fr_i sd (if vc then va else vb))
         | C_float when ok d -> (
             let sd = slots.(d) in
             match (rarg_f classes slots sa, rarg_f classes slots sb) with
@@ -2036,61 +2128,83 @@ and compile_rblock (st : state) (fi : func_info) (classes : rclass array)
           fun fr -> w fr (Ir.Eval.VPtr (Memory.alloc mem count))
     | Ir.Instr.Load a -> (
         let aa = rarg_p classes slots (decode_operand a) in
-        (* The load's unbox IS the memory seam: the cell keeps its
-           boxed value, the destination takes the scalar.  No
-           allocation on any class. *)
+        (* A typed destination takes the cell's unboxed payload
+           directly ([mload_*]); only a boxed destination builds a
+           value.  No allocation on any typed class. *)
         match (if ok d then classes.(d) else C_boxed) with
         | C_int when ok d -> (
             let sd = slots.(d) in
             match aa with
             | RpS p ->
                 fun fr ->
-                  Array.unsafe_set fr.fr_i sd
-                    (E.as_int (Memory.load mem (Array.unsafe_get fr.fr_p p)))
+                  bset64 fr.fr_i sd (mload_i mem (Array.unsafe_get fr.fr_p p))
             | _ ->
                 let ga = rp_fn aa in
-                fun fr ->
-                  Array.unsafe_set fr.fr_i sd
-                    (E.as_int (Memory.load mem (ga fr))))
+                fun fr -> bset64 fr.fr_i sd (mload_i mem (ga fr)))
         | C_float when ok d -> (
             let sd = slots.(d) in
             match aa with
             | RpS p ->
                 fun fr ->
                   Array.unsafe_set fr.fr_f sd
-                    (E.as_float (Memory.load mem (Array.unsafe_get fr.fr_p p)))
+                    (mload_f mem (Array.unsafe_get fr.fr_p p))
             | _ ->
                 let ga = rp_fn aa in
-                fun fr ->
-                  Array.unsafe_set fr.fr_f sd
-                    (E.as_float (Memory.load mem (ga fr))))
+                fun fr -> Array.unsafe_set fr.fr_f sd (mload_f mem (ga fr)))
         | C_ptr when ok d -> (
             let sd = slots.(d) in
             match aa with
             | RpS p ->
                 fun fr ->
                   Array.unsafe_set fr.fr_p sd
-                    (E.as_ptr (Memory.load mem (Array.unsafe_get fr.fr_p p)))
+                    (mload_p mem (Array.unsafe_get fr.fr_p p))
             | _ ->
                 let ga = rp_fn aa in
-                fun fr ->
-                  Array.unsafe_set fr.fr_p sd
-                    (E.as_ptr (Memory.load mem (ga fr))))
+                fun fr -> Array.unsafe_set fr.fr_p sd (mload_p mem (ga fr)))
         | _ ->
             let ga = rp_fn aa in
             let w = rwr_box classes slots d in
             fun fr -> w fr (Memory.load mem (ga fr)))
     | Ir.Instr.Store (x, a) -> (
-        let gx = rget_box classes slots (decode_operand x) in
-        (* value before address, like the Reference engine (right-to-left
-           application order made explicit) *)
-        match rarg_p classes slots (decode_operand a) with
-        | RpS p ->
-            fun fr ->
-              let v = gx fr in
-              Memory.store mem (Array.unsafe_get fr.fr_p p) v
-        | aa ->
-            let ga = rp_fn aa in
+        (* The value keeps its own class: a typed register or an
+           immediate is written as the cell's unboxed payload and tag
+           ([mstore_*]); reading it cannot fault, so it may follow the
+           address.  A boxed value is read before the address, like the
+           Reference engine (right-to-left application order made
+           explicit). *)
+        let aa = rarg_p classes slots (decode_operand a) in
+        let ga = rp_fn aa in
+        match decode_operand x with
+        | Slot r when ok r && classes.(r) = C_int -> (
+            let sx = slots.(r) in
+            match aa with
+            | RpS p ->
+                fun fr ->
+                  mstore_i mem (Array.unsafe_get fr.fr_p p) (bget64 fr.fr_i sx)
+            | _ -> fun fr -> mstore_i mem (ga fr) (bget64 fr.fr_i sx))
+        | Slot r when ok r && classes.(r) = C_float -> (
+            let sx = slots.(r) in
+            match aa with
+            | RpS p ->
+                fun fr ->
+                  mstore_f mem
+                    (Array.unsafe_get fr.fr_p p)
+                    (Array.unsafe_get fr.fr_f sx)
+            | _ -> fun fr -> mstore_f mem (ga fr) (Array.unsafe_get fr.fr_f sx))
+        | Slot r when ok r && classes.(r) = C_ptr -> (
+            let sx = slots.(r) in
+            match aa with
+            | RpS p ->
+                fun fr ->
+                  mstore_p mem
+                    (Array.unsafe_get fr.fr_p p)
+                    (Array.unsafe_get fr.fr_p sx)
+            | _ -> fun fr -> mstore_p mem (ga fr) (Array.unsafe_get fr.fr_p sx))
+        | Imm (E.VInt k) -> fun fr -> mstore_i mem (ga fr) k
+        | Imm (E.VFloat k) -> fun fr -> mstore_f mem (ga fr) k
+        | Imm (E.VPtr k) -> fun fr -> mstore_p mem (ga fr) k
+        | sx ->
+            let gx = rget_box classes slots sx in
             fun fr ->
               let v = gx fr in
               Memory.store mem (ga fr) v)
@@ -2104,7 +2218,7 @@ and compile_rblock (st : state) (fi : func_info) (classes : rclass array)
               fun fr ->
                 Array.unsafe_set fr.fr_p sd
                   (Array.unsafe_get fr.fr_p pb
-                  + Int64.to_int (Array.unsafe_get fr.fr_i ri))
+                  + Int64.to_int (bget64 fr.fr_i ri))
           | RpS pb, RiK k ->
               let n = Int64.to_int k in
               fun fr ->
@@ -2248,7 +2362,7 @@ and compile_rblock (st : state) (fi : func_info) (classes : rclass array)
     if nphi = 0 then [||]
     else begin
       let npred = Array.length bi.phi_incoming.(0) in
-      let si = Array.make nphi 0L in
+      let si = Bytes.make (8 * nphi) '\000' in
       let sf = Array.make nphi 0.0 in
       let sp = Array.make nphi 0 in
       let sv = Array.make nphi (Ir.Eval.VInt 0L) in
@@ -2274,17 +2388,17 @@ and compile_rblock (st : state) (fi : func_info) (classes : rclass array)
                 match rarg_i classes slots s with
                 | RiS a ->
                     if direct then fun fr ->
-                      Array.unsafe_set fr.fr_i sdk (Array.unsafe_get fr.fr_i a)
+                      bset64 fr.fr_i sdk (bget64 fr.fr_i a)
                     else fun fr ->
-                      Array.unsafe_set si k (Array.unsafe_get fr.fr_i a)
+                      bset64 si (8 * k) (bget64 fr.fr_i a)
                 | RiK kv ->
-                    if direct then fun fr -> Array.unsafe_set fr.fr_i sdk kv
-                    else fun _ -> Array.unsafe_set si k kv
+                    if direct then fun fr -> bset64 fr.fr_i sdk kv
+                    else fun _ -> bset64 si (8 * k) kv
                 | aa ->
                     let g = ri_fn aa in
                     if direct then fun fr ->
-                      Array.unsafe_set fr.fr_i sdk (g fr)
-                    else fun fr -> Array.unsafe_set si k (g fr))
+                      bset64 fr.fr_i sdk (g fr)
+                    else fun fr -> bset64 si (8 * k) (g fr))
             | C_float -> (
                 let sdk = slots.(dk) in
                 match rarg_f classes slots s with
@@ -2318,7 +2432,7 @@ and compile_rblock (st : state) (fi : func_info) (classes : rclass array)
             match lane k with
             | C_int ->
                 let sdk = slots.(dk) in
-                fun fr -> Array.unsafe_set fr.fr_i sdk (Array.unsafe_get si k)
+                fun fr -> bset64 fr.fr_i sdk (bget64 si (8 * k))
             | C_float ->
                 let sdk = slots.(dk) in
                 fun fr -> Array.unsafe_set fr.fr_f sdk (Array.unsafe_get sf k)

@@ -93,11 +93,14 @@ type tuning = {
           subgraph op by op *)
   regalloc : bool;
       (** typed register files: partition each function's registers by
-          declared type into unboxed int64/float/address slot arrays,
-          boxing only at the call/return, intrinsic, CI and memory
-          seams — hot int/float paths allocate nothing.  Off = the
-          same compiler with every register classified boxed
-          (DESIGN.md §14). *)
+          declared type into unboxed lanes (int64 slots in a
+          [Bytes.t], a flat [float array], an [int array] of
+          addresses) and move loads and stores through {!Memory}'s
+          typed cells, boxing only at the call/return, intrinsic and
+          CI seams.  Arithmetic, compares, casts, addressing, loads
+          and stores allocate nothing; calls still do.  Off = the same
+          compiler with every register classified boxed (DESIGN.md
+          §14). *)
   max_linked_blocks : int;
       (** linked-transfer budget: after this many consecutive direct
           block-to-block transfers the driver takes one trip through

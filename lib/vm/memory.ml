@@ -5,12 +5,20 @@
     that a null pointer never aliases a global); the stack for allocas
     grows above the globals.  One cell holds one scalar regardless of
     width — address arithmetic in the IR is in cells, which keeps the
-    model simple without affecting anything the ISE study measures. *)
+    model simple without affecting anything the ISE study measures.
+
+    A cell is stored unboxed: a tag byte in [tags] says which
+    {!Jitise_ir.Eval.value} constructor it holds, an int or an address
+    lives as 8 native-endian bytes in [ints], a float in the flat
+    [floats] array.  The boxed {!load}/{!store} rebuild or take apart
+    the constructor; the typed accessors move the scalar directly. *)
 
 module Ir = Jitise_ir
 
 type t = {
-  mutable cells : Ir.Eval.value array;
+  mutable tags : Bytes.t;
+  mutable ints : Bytes.t;
+  mutable floats : float array;
   mutable stack_pointer : int;  (** next free cell *)
   globals : (string, int) Hashtbl.t;  (** global name -> base address *)
   limit : int;  (** hard cap on memory growth, in cells *)
@@ -19,47 +27,117 @@ type t = {
 exception Out_of_memory
 exception Bad_address of int
 
+let tag_int = '\000'
+let tag_float = '\001'
+let tag_ptr = '\002'
+
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
 let default_limit = 1 lsl 24  (* 16 M cells *)
 
-let create ?(limit = default_limit) () =
-  {
-    cells = Array.make 1024 (Ir.Eval.VInt 0L);
-    stack_pointer = 1;
-    globals = Hashtbl.create 16;
-    limit;
-  }
+(* Zeroed backing of [n] cells: every cell reads as [VInt 0L]. *)
+let backing n =
+  (Bytes.make n tag_int, Bytes.make (8 * n) '\000', Array.make n 0.0)
+
+let create ?(limit = default_limit) ?(capacity = 1024) () =
+  let tags, ints, floats = backing (max 1 capacity) in
+  { tags; ints; floats; stack_pointer = 1; globals = Hashtbl.create 16; limit }
+
+let capacity t = Bytes.length t.tags
 
 let ensure t addr =
   if addr < 0 then raise (Bad_address addr);
-  if addr >= Array.length t.cells then begin
+  let len = capacity t in
+  if addr >= len then begin
     if addr >= t.limit then raise Out_of_memory;
-    let new_len = min t.limit (max (addr + 1) (2 * Array.length t.cells)) in
-    let cells = Array.make new_len (Ir.Eval.VInt 0L) in
-    Array.blit t.cells 0 cells 0 (Array.length t.cells);
-    t.cells <- cells
+    let tags, ints, floats = backing (min t.limit (max (addr + 1) (2 * len))) in
+    Bytes.blit t.tags 0 tags 0 len;
+    Bytes.blit t.ints 0 ints 0 (8 * len);
+    Array.blit t.floats 0 floats 0 len;
+    t.tags <- tags;
+    t.ints <- ints;
+    t.floats <- floats
   end
 
-(* [load] and [store] sit on the hottest interpreter path; the address
-   has already been validated against [stack_pointer] (and 0), so the
-   backing-array access can skip the second bounds check.  [alloc]
-   always [ensure]s up to the stack pointer, so the slow store path only
-   exists for robustness against future layout changes. *)
+(* Raw cell access, no live-range check ([0 <= addr < capacity t]). *)
 
-let[@inline] load t addr =
-  if addr <= 0 || addr >= t.stack_pointer then raise (Bad_address addr);
-  let cells = t.cells in
-  if addr < Array.length cells then Array.unsafe_get cells addr
-  else Ir.Eval.VInt 0L
+let cell t addr =
+  let tag = Bytes.get t.tags addr in
+  if tag = tag_float then Ir.Eval.VFloat (Array.unsafe_get t.floats addr)
+  else
+    let v = get64 t.ints (8 * addr) in
+    if tag = tag_ptr then Ir.Eval.VPtr (Int64.to_int v) else Ir.Eval.VInt v
 
-let store_slow t addr v =
+let set_int t addr x =
   ensure t addr;
-  t.cells.(addr) <- v
+  Bytes.unsafe_set t.tags addr tag_int;
+  set64 t.ints (8 * addr) x
 
-let[@inline] store t addr v =
-  if addr <= 0 || addr >= t.stack_pointer then raise (Bad_address addr);
-  let cells = t.cells in
-  if addr < Array.length cells then Array.unsafe_set cells addr v
-  else store_slow t addr v
+let set_float t addr x =
+  ensure t addr;
+  Bytes.unsafe_set t.tags addr tag_float;
+  Array.unsafe_set t.floats addr x
+
+let set_ptr t addr p =
+  ensure t addr;
+  Bytes.unsafe_set t.tags addr tag_ptr;
+  set64 t.ints (8 * addr) (Int64.of_int p)
+
+let set_cell t addr (v : Ir.Eval.value) =
+  match v with
+  | Ir.Eval.VInt x -> set_int t addr x
+  | Ir.Eval.VFloat x -> set_float t addr x
+  | Ir.Eval.VPtr p -> set_ptr t addr p
+
+(* Every access checks the live range [(0, stack_pointer)] first, so a
+   bad address is reported before any type mismatch.  [alloc] always
+   [ensure]s up to the stack pointer, so a live address past the
+   backing (a never-written cell, read as [VInt 0L]) and the growing
+   store only exist for robustness against future layout changes. *)
+
+let[@inline] check t addr =
+  if addr <= 0 || addr >= t.stack_pointer then raise (Bad_address addr)
+
+let load t addr =
+  check t addr;
+  if addr < capacity t then cell t addr else Ir.Eval.VInt 0L
+
+let store t addr v =
+  check t addr;
+  set_cell t addr v
+
+let load_int t addr =
+  check t addr;
+  if addr >= capacity t then 0L
+  else if Bytes.unsafe_get t.tags addr = tag_float then
+    raise (Ir.Eval.Type_error "expected an integer value")
+  else get64 t.ints (8 * addr)
+
+let load_float t addr =
+  check t addr;
+  if addr < capacity t && Bytes.unsafe_get t.tags addr = tag_float then
+    Array.unsafe_get t.floats addr
+  else raise (Ir.Eval.Type_error "expected a float value")
+
+let load_ptr t addr =
+  check t addr;
+  if addr >= capacity t then 0
+  else if Bytes.unsafe_get t.tags addr = tag_float then
+    raise (Ir.Eval.Type_error "expected an address")
+  else Int64.to_int (get64 t.ints (8 * addr))
+
+let store_int t addr x =
+  check t addr;
+  set_int t addr x
+
+let store_float t addr x =
+  check t addr;
+  set_float t addr x
+
+let store_ptr t addr p =
+  check t addr;
+  set_ptr t addr p
 
 (** Reserve [n] cells and return their base address. *)
 let alloc t n =
@@ -75,32 +153,28 @@ let mark t = t.stack_pointer
 (** Pop the stack back to a previous {!mark}. *)
 let release t m = t.stack_pointer <- m
 
-let zero_value (ty : Ir.Ty.t) =
-  if Ir.Ty.is_float ty then Ir.Eval.VFloat 0.0 else Ir.Eval.VInt 0L
-
 (** Lay out and initialize all globals of a module. *)
 let load_globals t (m : Ir.Irmod.t) =
   List.iter
     (fun (g : Ir.Irmod.global) ->
       let base = alloc t g.Ir.Irmod.gsize in
       Hashtbl.replace t.globals g.Ir.Irmod.gname base;
-      (match g.Ir.Irmod.ginit with
+      match g.Ir.Irmod.ginit with
       | Ir.Irmod.Zero ->
           for i = 0 to g.Ir.Irmod.gsize - 1 do
-            t.cells.(base + i) <- zero_value g.Ir.Irmod.gty
+            if Ir.Ty.is_float g.Ir.Irmod.gty then set_float t (base + i) 0.0
+            else set_int t (base + i) 0L
           done
       | Ir.Irmod.Ints a ->
           for i = 0 to g.Ir.Irmod.gsize - 1 do
             let v = if i < Array.length a then a.(i) else 0L in
-            t.cells.(base + i) <-
-              Ir.Eval.VInt (Ir.Eval.normalize g.Ir.Irmod.gty v)
+            set_int t (base + i) (Ir.Eval.normalize g.Ir.Irmod.gty v)
           done
       | Ir.Irmod.Floats a ->
           for i = 0 to g.Ir.Irmod.gsize - 1 do
             let v = if i < Array.length a then a.(i) else 0.0 in
-            t.cells.(base + i) <-
-              Ir.Eval.VFloat (Ir.Eval.round_float g.Ir.Irmod.gty v)
-          done))
+            set_float t (base + i) (Ir.Eval.round_float g.Ir.Irmod.gty v)
+          done)
     m.Ir.Irmod.globals
 
 let global_base t name =
@@ -131,9 +205,9 @@ let read_global_ints t name len =
     injection). *)
 let write_global_ints t name data =
   let base = global_base t name in
-  Array.iteri (fun i v -> store t (base + i) (Ir.Eval.VInt v)) data
+  Array.iteri (fun i v -> store_int t (base + i) v) data
 
 (** Overwrite a global's cells with float data. *)
 let write_global_floats t name data =
   let base = global_base t name in
-  Array.iteri (fun i v -> store t (base + i) (Ir.Eval.VFloat v)) data
+  Array.iteri (fun i v -> store_float t (base + i) v) data

@@ -17,9 +17,26 @@
       {!global_base} of an unknown global. *)
 
 (** The memory state.  The representation is concrete on purpose: the
-    outcome codecs serialize and rebuild it field by field. *)
+    compiled VM engine reads and writes cells through these fields
+    directly (a cross-module call on its hot path would box every int64
+    and float it moves), and the outcome codecs serialize and rebuild
+    memory through {!cell}/{!set_cell}.
+
+    Cell layout, one cell per address [a < capacity t]:
+    - [tags.[a]] is the constructor tag: ['\000'] {!Jitise_ir.Eval.VInt},
+      ['\001'] {!Jitise_ir.Eval.VFloat}, ['\002']
+      {!Jitise_ir.Eval.VPtr};
+    - an int, or an address as [Int64.of_int], is the native-endian
+      int64 at byte offset [8 * a] of [ints];
+    - a float is [floats.(a)], bit for bit (NaN payloads and -0.0
+      survive).
+
+    The payload lane a tag does not name is stale and never read.  A
+    fresh cell is [VInt 0L]. *)
 type t = {
-  mutable cells : Jitise_ir.Eval.value array;
+  mutable tags : Bytes.t;
+  mutable ints : Bytes.t;
+  mutable floats : float array;
   mutable stack_pointer : int;  (** next free cell *)
   globals : (string, int) Hashtbl.t;  (** global name -> base address *)
   limit : int;  (** hard cap on memory growth, in cells *)
@@ -29,8 +46,16 @@ exception Out_of_memory
 exception Bad_address of int
 
 (** Fresh memory with an empty global table and the stack at address 1.
-    @param limit growth cap in cells (default 16 M) *)
-val create : ?limit:int -> unit -> t
+    @param limit growth cap in cells (default 16 M)
+    @param capacity initial backing, in cells (default 1024) *)
+val create : ?limit:int -> ?capacity:int -> unit -> t
+
+(** Cells currently backed; grows on demand up to [limit]. *)
+val capacity : t -> int
+
+(** {2 Boxed access}
+
+    The Reference engine's view: one {!Jitise_ir.Eval.value} per cell. *)
 
 (** Read one cell.
     @raise Bad_address outside [(0, stack_pointer)]. *)
@@ -40,6 +65,35 @@ val load : t -> int -> Jitise_ir.Eval.value
     @raise Bad_address outside [(0, stack_pointer)].
     @raise Out_of_memory if backing growth would exceed the limit. *)
 val store : t -> int -> Jitise_ir.Eval.value -> unit
+
+(** {2 Typed access}
+
+    Each typed load equals the boxed {!load} followed by
+    {!Jitise_ir.Eval.as_int} / [as_float] / [as_ptr]: the same result,
+    the same exceptions in the same order ({!Bad_address} before any
+    [Type_error]), with no boxed value built.  Each typed store equals
+    {!store} of [VInt] / [VFloat] / [VPtr]. *)
+
+val load_int : t -> int -> int64
+val load_float : t -> int -> float
+val load_ptr : t -> int -> int
+val store_int : t -> int -> int64 -> unit
+val store_float : t -> int -> float -> unit
+val store_ptr : t -> int -> int -> unit
+
+(** {2 Raw cells}
+
+    No live-range check: for serialization, which covers every backed
+    cell below the stack pointer, address 0 included. *)
+
+(** [cell t a] for [0 <= a < capacity t].
+    @raise Invalid_argument otherwise. *)
+val cell : t -> int -> Jitise_ir.Eval.value
+
+(** Write cell [a], growing the backing as needed.
+    @raise Bad_address if [a < 0].
+    @raise Out_of_memory past the growth cap. *)
+val set_cell : t -> int -> Jitise_ir.Eval.value -> unit
 
 (** Reserve [n] cells and return their base address.
     @raise Invalid_argument if [n <= 0].

@@ -262,6 +262,42 @@ let test_codec_hw_and_cad () =
   Alcotest.(check bool) "corrupt bitstream stays corrupt" false
     (Cad.Bitstream.well_formed (rt Core.Codecs.bitstream bad))
 
+(* Golden bytes for the memory codec.  The laws above hold for any
+   format that encode and decode change together; stores written by
+   earlier builds must stay readable, so the bytes of a small fixed
+   memory are pinned.  The memory mixes every cell kind: ints at the
+   I32 width, -0.0, a NaN with payload bits, a pointer, [Int64.min_int],
+   and a never-written (zero) cell. *)
+let golden_memory () =
+  let modul = Ir.Irmod.create ~name:"g" in
+  Ir.Irmod.add_global modul
+    { Ir.Irmod.gname = "xs"; gty = Ir.Ty.I32; gsize = 2;
+      ginit = Ir.Irmod.Ints [| 7L; -3L |] };
+  Ir.Irmod.add_global modul
+    { Ir.Irmod.gname = "fs"; gty = Ir.Ty.F64; gsize = 2;
+      ginit = Ir.Irmod.Floats [| -0.0; 1.5 |] };
+  let m = Vm.Memory.create ~limit:4096 () in
+  Vm.Memory.load_globals m modul;
+  let base = Vm.Memory.alloc m 4 in
+  Vm.Memory.store m base (Ir.Eval.VPtr (Vm.Memory.global_base m "fs"));
+  Vm.Memory.store m (base + 1) (Ir.Eval.VInt Int64.min_int);
+  Vm.Memory.store m (base + 2)
+    (Ir.Eval.VFloat (Int64.float_of_bits 0x7ff8_0000_0000_0abcL));
+  m
+
+let hex s =
+  String.concat "" (List.map (fun c -> Printf.sprintf "%02x" (Char.code c))
+    (List.of_seq (String.to_seq s)))
+
+let test_codec_memory_golden () =
+  let m = golden_memory () in
+  Alcotest.(check string) "memory bytes"
+    ("1280400900000000000000000000070000000000000000fdffffffffffffff01"
+   ^ "000000000000008001000000000000f83f020600000000000000008001bc0a00"
+   ^ "000000f87f000000000000000000020266730602787302")
+    (hex (B.encode Core.Codecs.memory m));
+  stable "memory" Core.Codecs.memory m
+
 (* ------------------------------------------------------------------ *)
 (* Store_disk: envelope, crash-safety, defect tolerance                *)
 (* ------------------------------------------------------------------ *)
@@ -540,6 +576,8 @@ let () =
             test_codec_search_artifacts;
           Alcotest.test_case "project/flow_run/bitstream" `Quick
             test_codec_hw_and_cad;
+          Alcotest.test_case "memory golden bytes" `Quick
+            test_codec_memory_golden;
         ] );
       ( "disk",
         [
