@@ -514,9 +514,10 @@ let vm_regalloc_arg =
         ~doc:
           "Threaded-engine typed register files: partition each function's \
            virtual registers by declared type into unboxed \
-           int64/float/address slots and load/store memory cells \
-           unboxed, boxing only at call/return, intrinsic and \
-           custom-instruction seams.  Off, the same compiler keeps every \
+           int64/float/address slots, load/store memory cells unboxed \
+           and pass call arguments and results lane to lane, boxing \
+           only at intrinsic and custom-instruction seams.  Off, the \
+           same compiler keeps every \
            register boxed (slower).  Semantics-preserving; on by default.")
 
 let vm_link_budget_arg =

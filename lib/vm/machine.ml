@@ -161,12 +161,14 @@ type tuning = {
           registers by their declared types into unboxed lanes (8-byte
           int64 slots in a [Bytes.t], a flat [float array], an [int]
           array of addresses), so hot int/float arithmetic, compares,
-          casts, address computation and typed loads and stores read
-          and write machine scalars instead of boxed
-          {!Jitise_ir.Eval.value}s.  Boxing happens only at the seams:
-          call arguments and returns, intrinsics and custom
-          instructions.  Off = the same compiler with every register
-          classified [C_boxed] (DESIGN.md §14). *)
+          casts, address computation, typed loads and stores, and
+          same-class call arguments and returns read and write machine
+          scalars instead of boxed {!Jitise_ir.Eval.value}s.  Boxing
+          happens only at the seams: custom instructions, intrinsics
+          other than the typed one-argument float ones, class
+          mismatches across a call, and the run's entry and exit.
+          Off = the same compiler with every register classified
+          [C_boxed] (DESIGN.md §14). *)
   max_linked_blocks : int;
       (** linked-transfer budget: after this many consecutive direct
           block-to-block transfers the driver takes one trip through
@@ -292,17 +294,22 @@ type func_info = {
          count is exactly 1: the register file is not part of the
          outcome, and nothing else reads the slot. *)
   mutable rclasses : rclass array;
-      (* per-register class, [||] until {!compile_rfunc} runs *)
+      (* per-register class, [||] until {!classify_rfunc} runs *)
   mutable rslots : int array;
       (* per-register position inside its class's frame lane — the
          per-class renumbering, a byte offset for [C_int] and an index
-         otherwise; [||] until {!compile_rfunc} runs *)
+         otherwise; [||] until {!classify_rfunc} runs *)
   mutable rcounts : int array;
       (* frame-array lengths, indexed [C_int; C_float; C_ptr; C_boxed];
-         [||] until {!compile_rfunc} runs *)
+         [||] until {!classify_rfunc} runs *)
   mutable rtblocks : rtblock array;
       (* compiled code, [||] until {!compile_rfunc} runs (the
          reference engine never compiles) *)
+  mutable frames : frame array;
+      (* the frame stack: [frames.(d)] is the register file of this
+         function's invocation at recursion depth [d] (see
+         {!push_frame}); grown on demand *)
+  mutable depth : int;  (* live invocations of this function *)
 }
 
 (* One compiled block.  Blocks are compiled per run, after the run's
@@ -311,11 +318,11 @@ type func_info = {
    receiving them as arguments.  Every op closure works over a {!frame}
    — int/float/address traffic reads and writes the unboxed lanes and
    the typed memory cells directly, and boxed [Ir.Eval.value]s appear
-   only at the seams (call/return, CI dispatch, intrinsics, [C_boxed]
-   registers).  The cycle charges of {!Jit_model.block_execution_cycles}
-   only depend on whether the block is past warm-up, so both are
-   precomputed ([r_hot], [r_cold]) — the identical float operations,
-   performed once. *)
+   only at the seams (CI dispatch, untyped intrinsics, [C_boxed]
+   registers, run entry and exit).  The cycle charges of
+   {!Jit_model.block_execution_cycles} only depend on whether the block
+   is past warm-up, so both are precomputed ([r_hot], [r_cold]) — the
+   identical float operations, performed once. *)
 and rtblock = {
   r_info : block_info;  (* shared counters and static cycle data *)
   r_label : int;
@@ -333,11 +340,6 @@ and rtblock = {
          {!link_rfunc} patches the function (never, with [tuning.link]
          off), and permanently for terminators whose labels fall
          outside the function. *)
-  r_sync : bool;
-      (* block contains a resolved user call or custom instruction, so
-         the driver's local fuel / clock accumulators must be written
-         back to the shared [state] before the body runs and re-read
-         after *)
   r_fuel : int;  (* ninstrs + 1 *)
   r_native : float;  (* float_of_int static_cycles *)
   r_hot : float;  (* post-warm-up VM charge per execution *)
@@ -346,10 +348,11 @@ and rtblock = {
 
 (* A pre-decoded terminator over typed register files.  Scrutinees and
    return operands are compiled accessors rather than [src]s: the class
-   dispatch happens at compile time, not per execution. *)
+   dispatch happens at compile time, not per execution.  [R_ret] writes
+   the returned operand into the state's typed return cell. *)
 and rterm =
   | R_halt
-  | R_ret of (frame -> Ir.Eval.value)
+  | R_ret of (frame -> unit)
   | R_br of int
   | R_cond of (frame -> bool) * int * int
   | R_cmp_br of (frame -> bool) * int * int
@@ -364,7 +367,7 @@ and rterm =
 and rlinkterm =
   | RL_none
   | RL_halt
-  | RL_ret of (frame -> Ir.Eval.value)
+  | RL_ret of (frame -> unit)
   | RL_br of rtblock
   | RL_cond of (frame -> bool) * rtblock * rtblock
   | RL_cmp_br of (frame -> bool) * rtblock * rtblock
@@ -383,9 +386,23 @@ and state = {
       (* compiled-engine optimization knobs; ignored by the reference
          engine *)
   mutable mon : (func:string -> label:int -> ninstrs:int -> unit) option;
-  mutable native : float;
-  mutable vm : float;
-  mutable fuel : int64;  (* remaining dynamic instructions; negative = out *)
+  clocks : float array;
+      (* [| native; vm |] cycles, updated in place by both engines: a
+         flat float array store is an unboxed write, a mutable float
+         field of this record would box on every store *)
+  mutable fuel : int;
+      (* remaining dynamic instructions, negative = out; an immediate
+         int ({!int_of_int64_clamped}), so the per-block decrement
+         never allocates *)
+  warmup : int;  (* the clamped [jit.warmup_threshold] *)
+  (* The typed return cell: a compiled [Ret] writes the returned
+     operand's payload into the lane of its class and sets [ret_c];
+     the caller copies it straight into its destination lane. *)
+  ret_i : Bytes.t;  (* 8 bytes: a [C_int] payload *)
+  ret_f : float array;  (* one element: a [C_float] payload *)
+  mutable ret_p : int;  (* a [C_ptr] payload *)
+  mutable ret_v : Ir.Eval.value;  (* a [C_boxed] payload *)
+  mutable ret_c : rclass;  (* the class of the last returned value *)
 }
 
 let prepare_func (m : Ir.Irmod.t) (f : Ir.Func.t) : func_info =
@@ -495,6 +512,8 @@ let prepare_func (m : Ir.Irmod.t) (f : Ir.Func.t) : func_info =
     rslots = [||];
     rcounts = [||];
     rtblocks = [||];
+    frames = [||];
+    depth = 0;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -513,11 +532,10 @@ type outcome = {
 let seconds_of_cycles c = c *. Ir.Cost.cycle_time
 
 (** Handle an online controller uses to observe and steer a run from
-    inside the monitor callback.  Only valid during the callback: the
-    threaded engine flushes its local accumulators to the shared state
-    before invoking the monitor and reloads them after, so the clocks
-    read consistently and stalls/rebinds land between blocks without
-    disturbing the fused closures. *)
+    inside the monitor callback.  Only valid during the callback: both
+    engines keep the clocks in the shared state, updated in place, so
+    the callback reads them consistently and stalls/rebinds land
+    between blocks without disturbing the fused closures. *)
 type control = {
   ctl_native : unit -> float;  (** native clock, cycles *)
   ctl_vm : unit -> float;  (** VM clock, cycles *)
@@ -560,15 +578,16 @@ let rec exec_func (st : state) (fi : func_info) (args : Ir.Eval.value array) :
   while !running do
     let bi = fi.blocks.(!cur) in
     (* Fuel. *)
-    st.fuel <- Int64.sub st.fuel (Int64.of_int (bi.ninstrs + 1));
-    if st.fuel < 0L then fault "execution budget exhausted in @%s" f.Ir.Func.name;
+    st.fuel <- st.fuel - (bi.ninstrs + 1);
+    if st.fuel < 0 then
+      fault "execution budget exhausted in @%s" f.Ir.Func.name;
     (* Profile and clocks.  [prior] is the pre-increment count used by
        the JIT warm-up model. *)
     let prior = bi.exec_count in
     bi.exec_count <- prior + 1;
-    st.native <- st.native +. float_of_int bi.static_cycles;
-    st.vm <-
-      st.vm
+    st.clocks.(0) <- st.clocks.(0) +. float_of_int bi.static_cycles;
+    st.clocks.(1) <-
+      st.clocks.(1)
       +. Jit_model.block_execution_cycles st.jit ~prior:(Int64.of_int prior)
            ~ninstrs:bi.ninstrs ~native_cycles:bi.static_cycles;
     (match st.mon with
@@ -649,8 +668,8 @@ let rec exec_func (st : state) (fi : func_info) (args : Ir.Eval.value array) :
                       | Some c -> !c
                       | None -> float_of_int impl.ci_cycles)
                 in
-                st.native <- st.native +. cyc;
-                st.vm <- st.vm +. cyc
+                st.clocks.(0) <- st.clocks.(0) +. cyc;
+                st.clocks.(1) <- st.clocks.(1) +. cyc
             | None -> fault "custom instruction #%d is not configured" ci)
       with
       | Ir.Eval.Division_by_zero ->
@@ -800,24 +819,30 @@ let fcmp_bool : Ir.Instr.fcmp_pred -> float -> float -> bool =
   | Ir.Instr.Fogt -> fun x y -> ord x y && x > y
   | Ir.Instr.Foge -> fun x y -> ord x y && x >= y
 
-(* Clamp an int64 to the native int range.  Fuel budgets and the
-   warm-up threshold are kept as immediate ints inside the threaded
-   interpreter so the per-block bookkeeping never allocates; a budget
-   beyond [max_int] (4.6e18 dynamic instructions — centuries of
-   simulated execution) is indistinguishable from unlimited. *)
+(* Clamp an int64 fuel budget or warm-up threshold to [-1, max_int].
+   Both live in the run's [state] as immediate ints, so the per-block
+   fuel decrement and warm-up test never allocate.  A budget beyond
+   [max_int] (4.6e18 dynamic instructions — centuries of simulated
+   execution) is indistinguishable from unlimited; every negative
+   budget is already exhausted and every negative threshold already
+   passed, so clamping them to -1 changes nothing and keeps the
+   in-place decrement [fuel - (ninstrs + 1)] from wrapping. *)
 let int_of_int64_clamped v =
   if Int64.compare v (Int64.of_int max_int) > 0 then max_int
-  else if Int64.compare v (Int64.of_int min_int) < 0 then min_int
+  else if Int64.compare v 0L < 0 then -1
   else Int64.to_int v
 
 (* The compiler partitions a function's registers by declared type
    ({!rclass}) and compiles every operation into a closure over the
-   {!frame}'s unboxed lanes.  The box/unbox seams are exactly: call
-   arguments and returns, intrinsics, CI dispatch and [C_boxed]
-   registers (including loads into and stores from them).  Everything
-   else — int/float binops, compares, casts, geps, typed loads and
-   stores, phi staging, branch tests — moves machine scalars between
-   unboxed lanes and typed memory cells and allocates nothing.  With
+   {!frame}'s unboxed lanes.  The box/unbox seams are exactly: CI
+   dispatch, intrinsics other than the typed one-argument float ones,
+   [C_boxed] registers (including loads into and stores from them),
+   call arguments and returns whose classes differ between caller and
+   callee, and the run's entry and exit.  Everything else — int/float
+   binops and divisions, compares, casts, geps, typed loads and
+   stores, phi staging, branch tests, same-class call arguments and
+   returns — moves machine scalars between unboxed lanes and typed
+   memory cells and allocates nothing.  With
    [tuning.regalloc] off every register is classified [C_boxed], so the
    same compiler runs entirely on boxed values.
 
@@ -989,8 +1014,9 @@ let rtest (classes : rclass array) (slots : int array) :
       let b = E.is_true v in
       fun _ -> b
 
-(* Boxed argument vectors for calls/CIs, arity-specialized — the
-   boxing here IS the call seam. *)
+(* Boxed argument vectors for CIs and untyped intrinsics,
+   arity-specialized — the boxing here IS their seam.  User calls do
+   not box ({!compile_rcall}). *)
 let rargs_fn (classes : rclass array) (slots : int array) (srcs : src array) :
     frame -> E.value array =
   let g = rget_box classes slots in
@@ -1012,14 +1038,45 @@ let rargs_fn (classes : rclass array) (slots : int array) (srcs : src array) :
       let gs = Array.map g srcs in
       fun fr -> Array.map (fun gk -> gk fr) gs
 
+(* Integer division, the [Ir.Eval.binop_fn] arms over unboxed
+   operands: the zero test, [umask] and renormalization are the same.
+   For widths below 64 bits both masked operands are non-negative, so
+   signed division computes the unsigned quotient exactly and the
+   out-of-line (boxing) [Int64.unsigned_div]/[unsigned_rem] is only
+   called at 64 bits ([um = -1L]). *)
+let[@inline] sdiv sh x y =
+  if Int64.equal y 0L then raise E.Division_by_zero
+  else renorm sh (Int64.div x y)
+
+let[@inline] srem sh x y =
+  if Int64.equal y 0L then raise E.Division_by_zero
+  else renorm sh (Int64.rem x y)
+
+let[@inline] udiv sh um x y =
+  let y = Int64.logand y um in
+  if Int64.equal y 0L then raise E.Division_by_zero
+  else
+    let x = Int64.logand x um in
+    renorm sh
+      (if Int64.equal um (-1L) then Int64.unsigned_div x y else Int64.div x y)
+
+let[@inline] urem sh um x y =
+  let y = Int64.logand y um in
+  if Int64.equal y 0L then raise E.Division_by_zero
+  else
+    let x = Int64.logand x um in
+    renorm sh
+      (if Int64.equal um (-1L) then Int64.unsigned_rem x y else Int64.rem x y)
+
 (* Typed binop compiler.  The scalar expressions are the
    [Ir.Eval.binop_fn] arm bodies over unboxed operands (same
-   renormalization, shift masking and F32 rounding), with the hottest
-   operator x shape combinations reading their slots directly inside
-   the closure body — no allocation, no nested call.  Shapes with a
-   residual operand keep the closure form; divisions and non-scalar
-   destinations fall back to the boxed closure, which keeps
-   [Division_by_zero] and its operand-conversion order exactly. *)
+   renormalization, shift masking, division checks and F32 rounding),
+   with the hottest operator x shape combinations reading their slots
+   directly inside the closure body — no allocation, no nested call.
+   Shapes with a residual operand keep the closure form, except
+   divisions, which like non-scalar destinations fall back to the
+   boxed closure: it keeps [Division_by_zero] and the operand-conversion
+   order exactly. *)
 let compile_rbinop (classes : rclass array) (slots : int array)
     (ty : Ir.Ty.t) (op : Ir.Instr.binop) (d : int) (sa : src) (sb : src) :
     frame -> unit =
@@ -1220,6 +1277,43 @@ let compile_rbinop (classes : rclass array) (slots : int array)
                        (Int64.shift_right (ga fr)
                           (Int64.to_int (gb fr) land sm)))
             | _ -> generic ()))
+    | ( (Ir.Instr.Sdiv | Ir.Instr.Srem | Ir.Instr.Udiv | Ir.Instr.Urem),
+        C_int ) -> (
+        let sh = E.norm_shift ty in
+        let um = E.umask ty (-1L) in
+        let sd = slots.(d) in
+        match (op, rarg_i classes slots sa, rarg_i classes slots sb) with
+        | Ir.Instr.Sdiv, RiS a, RiS b ->
+            fun fr ->
+              bset64 fr.fr_i sd (sdiv sh (bget64 fr.fr_i a) (bget64 fr.fr_i b))
+        | Ir.Instr.Sdiv, RiS a, RiK kb ->
+            fun fr -> bset64 fr.fr_i sd (sdiv sh (bget64 fr.fr_i a) kb)
+        | Ir.Instr.Sdiv, RiK ka, RiS b ->
+            fun fr -> bset64 fr.fr_i sd (sdiv sh ka (bget64 fr.fr_i b))
+        | Ir.Instr.Srem, RiS a, RiS b ->
+            fun fr ->
+              bset64 fr.fr_i sd (srem sh (bget64 fr.fr_i a) (bget64 fr.fr_i b))
+        | Ir.Instr.Srem, RiS a, RiK kb ->
+            fun fr -> bset64 fr.fr_i sd (srem sh (bget64 fr.fr_i a) kb)
+        | Ir.Instr.Srem, RiK ka, RiS b ->
+            fun fr -> bset64 fr.fr_i sd (srem sh ka (bget64 fr.fr_i b))
+        | Ir.Instr.Udiv, RiS a, RiS b ->
+            fun fr ->
+              bset64 fr.fr_i sd
+                (udiv sh um (bget64 fr.fr_i a) (bget64 fr.fr_i b))
+        | Ir.Instr.Udiv, RiS a, RiK kb ->
+            fun fr -> bset64 fr.fr_i sd (udiv sh um (bget64 fr.fr_i a) kb)
+        | Ir.Instr.Udiv, RiK ka, RiS b ->
+            fun fr -> bset64 fr.fr_i sd (udiv sh um ka (bget64 fr.fr_i b))
+        | Ir.Instr.Urem, RiS a, RiS b ->
+            fun fr ->
+              bset64 fr.fr_i sd
+                (urem sh um (bget64 fr.fr_i a) (bget64 fr.fr_i b))
+        | Ir.Instr.Urem, RiS a, RiK kb ->
+            fun fr -> bset64 fr.fr_i sd (urem sh um (bget64 fr.fr_i a) kb)
+        | Ir.Instr.Urem, RiK ka, RiS b ->
+            fun fr -> bset64 fr.fr_i sd (urem sh um ka (bget64 fr.fr_i b))
+        | _ -> generic ())
     | ( (Ir.Instr.Fadd | Ir.Instr.Fsub | Ir.Instr.Fmul | Ir.Instr.Fdiv),
         C_float ) -> (
         let sd = slots.(d) in
@@ -1805,16 +1899,83 @@ let compile_rcast (classes : rclass array) (slots : int array)
             else fun fr -> Array.unsafe_set fr.fr_f sd (ga fr))
     | _ -> generic ()
 
+(* ------------------------------------------------------------------ *)
+(* The compiled driver and the typed calling convention                *)
+(* ------------------------------------------------------------------ *)
+
+let zero_value = E.VInt 0L
+
+let fresh_frame (counts : int array) : frame =
+  {
+    fr_i = Bytes.make (8 * counts.(0)) '\000';
+    fr_f = Array.make counts.(1) 0.0;
+    fr_p = Array.make counts.(2) 0;
+    fr_v = Array.make (max 1 counts.(3)) zero_value;
+  }
+
+(* Claim the frame of [fi]'s next invocation.  [fi.frames.(d)] belongs
+   to the invocation at recursion depth [d] of this function, so every
+   live invocation owns a distinct frame — a callee at depth 2 never
+   shares depth 1's — and a call allocates no frame once its depth has
+   been reached before.  A reused frame is re-zeroed, so it reads
+   exactly like a fresh one.  {!enter} gives the frame back.  A fault
+   skips that, which is harmless: it ends the run, and the next run
+   prepares fresh [func_info]s. *)
+let push_frame (fi : func_info) : frame =
+  let d = fi.depth in
+  if d >= Array.length fi.frames then begin
+    let old = fi.frames in
+    fi.frames <-
+      Array.init
+        (max 4 (2 * d))
+        (fun k -> if k < d then old.(k) else fresh_frame fi.rcounts)
+  end;
+  let fr = Array.unsafe_get fi.frames d in
+  fi.depth <- d + 1;
+  for k = 0 to (Bytes.length fr.fr_i / 8) - 1 do
+    bset64 fr.fr_i (8 * k) 0L
+  done;
+  for k = 0 to Array.length fr.fr_f - 1 do
+    Array.unsafe_set fr.fr_f k 0.0
+  done;
+  for k = 0 to Array.length fr.fr_p - 1 do
+    Array.unsafe_set fr.fr_p k 0
+  done;
+  for k = 0 to Array.length fr.fr_v - 1 do
+    Array.unsafe_set fr.fr_v k zero_value
+  done;
+  fr
+
+(* The return cell as a boxed value: the run's exit seam, and a
+   caller whose destination class differs from the returned one. *)
+let ret_box (st : state) : E.value =
+  match st.ret_c with
+  | C_int -> E.VInt (bget64 st.ret_i 0)
+  | C_float -> E.VFloat (Array.unsafe_get st.ret_f 0)
+  | C_ptr -> E.VPtr st.ret_p
+  | C_boxed -> st.ret_v
+
+(* A fused compare-and-branch condition, its faults re-wrapped with the
+   body's block context. *)
+let cmp_test (fi : func_info) curl (test : frame -> bool) fr =
+  try test fr with
+  | Ir.Eval.Type_error m -> fault "@%s/bb%d: %s" fi.func.Ir.Func.name curl m
+  | Memory.Bad_address a ->
+      fault "@%s/bb%d: bad address %d" fi.func.Ir.Func.name curl a
+  | Memory.Out_of_memory -> fault "@%s: out of memory" fi.func.Ir.Func.name
+
 (** Run one function's compiled blocks: the single compiled driver.
-    Every call goes through it — the run's entry point and each
-    pre-bound [Call] closure — so it is mutually recursive with the
-    compiler, which captures callee [func_info]s whose blocks it reads
-    at call time.
+    Every call goes through {!enter} — the run's entry point and each
+    pre-bound [Call] closure ({!compile_rcall}).  [go] and [goto] are
+    top-level functions over the whole driver state
+    [(st, fi, fr, tb, prevl, budget)], so a call allocates no closure.
 
     Per block, in this order and with the Reference engine's
     arithmetic: fuel, profile count, both clocks, the monitor hook, the
-    phi prologue, the body, the terminator.  The clocks are float sums,
-    so the order of additions matters for byte-identical outcomes.
+    phi prologue, the body, the terminator.  Fuel and clocks live in
+    [st] and are updated in place; the clocks are float sums, so the
+    order of additions matters for byte-identical outcomes, and it is
+    the Reference engine's.
 
     Control transfers follow the [r_link] references as mutually
     tail-recursive calls.  Every [max_linked_blocks] consecutive direct
@@ -1824,183 +1985,276 @@ let compile_rcast (classes : rclass array) (slots : int array)
     outside the function) always takes the indexed path, so it faults
     exactly where an out-of-range label must.  Both paths land on the
     same [rtblock] and run the same per-block protocol, so linking
-    changes host speed only. *)
-let rec enter (st : state) (fi : func_info) (args : Ir.Eval.value array) :
-    Ir.Eval.value option =
-  let f = fi.func in
-  if Array.length args <> List.length f.Ir.Func.params then
-    fault "@%s: expected %d arguments, got %d" f.Ir.Func.name
-      (List.length f.Ir.Func.params)
-      (Array.length args);
-  let classes = fi.rclasses in
-  let slots = fi.rslots in
-  let counts = fi.rcounts in
-  let fr =
-    {
-      fr_i = Bytes.make (8 * counts.(0)) '\000';
-      fr_f = Array.make counts.(1) 0.0;
-      fr_p = Array.make counts.(2) 0;
-      fr_v = Array.make (max 1 counts.(3)) (Ir.Eval.VInt 0L);
-    }
-  in
-  (* Unbox the arguments into their parameter registers' classes — the
-     callee-side half of the call seam.  Parameter registers are
-     0..n-1. *)
-  Array.iteri
-    (fun i v ->
-      if i >= 0 && i < Array.length classes then (
-        let s = slots.(i) in
-        match classes.(i) with
-        | C_int -> bset64 fr.fr_i s (E.as_int v)
-        | C_float -> fr.fr_f.(s) <- E.as_float v
-        | C_ptr -> fr.fr_p.(s) <- E.as_ptr v
-        | C_boxed -> fr.fr_v.(s) <- v)
-      else fr.fr_v.(i) <- v)
-    args;
-  let frame_mark = Memory.mark st.memory in
-  let rtblocks = fi.rtblocks in
-  let warmup = int_of_int64_clamped st.jit.Jit_model.warmup_threshold in
-  (* Per-block bookkeeping lives in non-allocating locals: an immediate
-     int counts fuel spent by this invocation against an immediate-int
-     limit, and a flat float array holds the two clocks (a float-array
-     store is an unboxed write; a mutable record field store boxes).
-     They are synced with the shared [state] around the monitor hook,
-     around blocks that contain resolved calls ([r_sync]) and at
-     function exit. *)
-  let spent = ref 0 in
-  let limit = ref (int_of_int64_clamped st.fuel) in
-  let clocks = [| st.native; st.vm |] in
-  let budget0 = st.tuning.max_linked_blocks in
-  let rec goto (next : rtblock) (prevl : int) (budget : int) =
-    if budget > 0 then go next prevl (budget - 1)
-    else go rtblocks.(next.r_label) prevl budget0
-  and go (tb : rtblock) (prevl : int) (budget : int) : Ir.Eval.value option =
-    let bi = tb.r_info in
-    let curl = tb.r_label in
-    spent := !spent + tb.r_fuel;
-    if !spent > !limit then
-      fault "execution budget exhausted in @%s" f.Ir.Func.name;
-    let prior = bi.exec_count in
-    bi.exec_count <- prior + 1;
-    Array.unsafe_set clocks 0 (Array.unsafe_get clocks 0 +. tb.r_native);
-    Array.unsafe_set clocks 1
-      (Array.unsafe_get clocks 1
-      +. (if prior >= warmup then tb.r_hot else tb.r_cold));
-    (* Monitor hook: flush the local accumulators so the callback sees
-       consistent clocks and fuel, then reload (never taken without a
-       monitor). *)
-    (match st.mon with
-    | None -> ()
-    | Some mon ->
-        st.fuel <- Int64.sub st.fuel (Int64.of_int !spent);
-        spent := 0;
-        st.native <- Array.unsafe_get clocks 0;
-        st.vm <- Array.unsafe_get clocks 1;
-        mon ~func:f.Ir.Func.name ~label:curl ~ninstrs:bi.ninstrs;
-        limit := int_of_int64_clamped st.fuel;
-        Array.unsafe_set clocks 0 st.native;
-        Array.unsafe_set clocks 1 st.vm);
-    (* Phi prologue: the whole stage-then-commit pass was compiled per
-       predecessor label. *)
-    let rows = tb.r_phi_rows in
-    if Array.length rows > 0 then begin
-      if prevl >= 0 && prevl < Array.length rows then
-        (Array.unsafe_get rows prevl) fr
-      else
-        fault "@%s/bb%d: phi has no entry for predecessor bb%d"
-          f.Ir.Func.name curl prevl
-    end;
-    (* Body: an array walk of pre-decoded closures.  The runtime faults
-       an instruction can raise get the block context the Reference
-       engine attaches per instruction. *)
-    (try
-       let ops = tb.r_ops in
-       if tb.r_sync then begin
-         st.fuel <- Int64.sub st.fuel (Int64.of_int !spent);
-         spent := 0;
-         st.native <- Array.unsafe_get clocks 0;
-         st.vm <- Array.unsafe_get clocks 1;
-         for k = 0 to Array.length ops - 1 do
-           (Array.unsafe_get ops k) fr
-         done;
-         limit := int_of_int64_clamped st.fuel;
-         Array.unsafe_set clocks 0 st.native;
-         Array.unsafe_set clocks 1 st.vm
-       end
-       else
-         for k = 0 to Array.length ops - 1 do
-           (Array.unsafe_get ops k) fr
-         done
-     with
-    | Ir.Eval.Division_by_zero ->
-        fault "@%s/bb%d: division by zero" f.Ir.Func.name curl
-    | Ir.Eval.Type_error m -> fault "@%s/bb%d: %s" f.Ir.Func.name curl m
-    | Memory.Bad_address a ->
-        fault "@%s/bb%d: bad address %d" f.Ir.Func.name curl a
-    | Memory.Out_of_memory -> fault "@%s: out of memory" f.Ir.Func.name);
-    match tb.r_link with
-    | RL_halt -> None
-    | RL_ret g -> Some (g fr)
-    | RL_br nb -> goto nb curl budget
-    | RL_cond (t, x, y) -> goto (if t fr then x else y) curl budget
-    | RL_cmp_br (test, x, y) ->
-        let c =
-          try test fr with
-          | Ir.Eval.Type_error m ->
-              fault "@%s/bb%d: %s" f.Ir.Func.name curl m
-          | Memory.Bad_address a ->
-              fault "@%s/bb%d: bad address %d" f.Ir.Func.name curl a
-          | Memory.Out_of_memory -> fault "@%s: out of memory" f.Ir.Func.name
-        in
-        goto (if c then x else y) curl budget
-    | RL_switch (g, dflt, tbl) ->
-        let sv = g fr in
-        goto
-          (match Hashtbl.find_opt tbl sv with Some t -> t | None -> dflt)
-          curl budget
-    | RL_none -> (
-        (* unlinked terminator: transfer through the indexed path *)
-        match tb.r_term with
-        | R_halt -> None
-        | R_ret g -> Some (g fr)
-        | R_br l -> go rtblocks.(l) curl budget0
-        | R_cond (t, x, y) -> go rtblocks.(if t fr then x else y) curl budget0
-        | R_cmp_br (test, x, y) ->
-            let c =
-              try test fr with
-              | Ir.Eval.Type_error m ->
-                  fault "@%s/bb%d: %s" f.Ir.Func.name curl m
-              | Memory.Bad_address a ->
-                  fault "@%s/bb%d: bad address %d" f.Ir.Func.name curl a
-              | Memory.Out_of_memory ->
-                  fault "@%s: out of memory" f.Ir.Func.name
-            in
-            go rtblocks.(if c then x else y) curl budget0
-        | R_switch (g, dflt, tbl) ->
-            let sv = g fr in
-            go
-              rtblocks.(match Hashtbl.find_opt tbl sv with
-                        | Some l -> l
-                        | None -> dflt)
-              curl budget0)
-  in
-  let result = go rtblocks.(Ir.Func.entry_label) (-1) budget0 in
-  st.fuel <- Int64.sub st.fuel (Int64.of_int !spent);
-  st.native <- Array.unsafe_get clocks 0;
-  st.vm <- Array.unsafe_get clocks 1;
-  Memory.release st.memory frame_mark;
-  result
+    changes host speed only.
 
-(** Compile one function's blocks, recording the register classes and
-    the per-class slot renumbering.  A register's slot is its position
-    within its class's frame lane (a byte offset in the int lane), so a
-    frame allocates one word per register total instead of one per
-    register per class.  With
-    [tuning.regalloc] off every register is [C_boxed].  All of the
-    module's functions must already be prepared in [st.funcs] so callee
-    [func_info]s can be captured; their own blocks may be compiled
-    later (the [Call] closure reads them at call time). *)
-and compile_rfunc (st : state) (fi : func_info) : unit =
+    The result is [true] when the function returned a value, which is
+    then in the state's return cell. *)
+let rec go (st : state) (fi : func_info) (fr : frame) (tb : rtblock)
+    (prevl : int) (budget : int) : bool =
+  let bi = tb.r_info in
+  let curl = tb.r_label in
+  let fuel = st.fuel - tb.r_fuel in
+  st.fuel <- fuel;
+  if fuel < 0 then
+    fault "execution budget exhausted in @%s" fi.func.Ir.Func.name;
+  let prior = bi.exec_count in
+  bi.exec_count <- prior + 1;
+  let clocks = st.clocks in
+  Array.unsafe_set clocks 0 (Array.unsafe_get clocks 0 +. tb.r_native);
+  Array.unsafe_set clocks 1
+    (Array.unsafe_get clocks 1
+    +. if prior >= st.warmup then tb.r_hot else tb.r_cold);
+  (match st.mon with
+  | None -> ()
+  | Some mon -> mon ~func:fi.func.Ir.Func.name ~label:curl ~ninstrs:bi.ninstrs);
+  (* Phi prologue: the whole stage-then-commit pass was compiled per
+     predecessor label. *)
+  let rows = tb.r_phi_rows in
+  if Array.length rows > 0 then begin
+    if prevl >= 0 && prevl < Array.length rows then
+      (Array.unsafe_get rows prevl) fr
+    else
+      fault "@%s/bb%d: phi has no entry for predecessor bb%d"
+        fi.func.Ir.Func.name curl prevl
+  end;
+  (* Body: an array walk of pre-decoded closures.  The runtime faults
+     an instruction can raise get the block context the Reference
+     engine attaches per instruction. *)
+  (try
+     let ops = tb.r_ops in
+     for k = 0 to Array.length ops - 1 do
+       (Array.unsafe_get ops k) fr
+     done
+   with
+  | Ir.Eval.Division_by_zero ->
+      fault "@%s/bb%d: division by zero" fi.func.Ir.Func.name curl
+  | Ir.Eval.Type_error m -> fault "@%s/bb%d: %s" fi.func.Ir.Func.name curl m
+  | Memory.Bad_address a ->
+      fault "@%s/bb%d: bad address %d" fi.func.Ir.Func.name curl a
+  | Memory.Out_of_memory -> fault "@%s: out of memory" fi.func.Ir.Func.name);
+  match tb.r_link with
+  | RL_halt -> false
+  | RL_ret w ->
+      w fr;
+      true
+  | RL_br nb -> goto st fi fr nb curl budget
+  | RL_cond (t, x, y) -> goto st fi fr (if t fr then x else y) curl budget
+  | RL_cmp_br (test, x, y) ->
+      goto st fi fr (if cmp_test fi curl test fr then x else y) curl budget
+  | RL_switch (g, dflt, tbl) ->
+      let sv = g fr in
+      goto st fi fr
+        (match Hashtbl.find_opt tbl sv with Some t -> t | None -> dflt)
+        curl budget
+  | RL_none -> (
+      (* unlinked terminator: transfer through the indexed path *)
+      let budget0 = st.tuning.max_linked_blocks in
+      let rtblocks = fi.rtblocks in
+      match tb.r_term with
+      | R_halt -> false
+      | R_ret w ->
+          w fr;
+          true
+      | R_br l -> go st fi fr rtblocks.(l) curl budget0
+      | R_cond (t, x, y) ->
+          go st fi fr rtblocks.(if t fr then x else y) curl budget0
+      | R_cmp_br (test, x, y) ->
+          go st fi fr
+            rtblocks.(if cmp_test fi curl test fr then x else y)
+            curl budget0
+      | R_switch (g, dflt, tbl) ->
+          let sv = g fr in
+          go st fi fr
+            rtblocks.(match Hashtbl.find_opt tbl sv with
+                      | Some l -> l
+                      | None -> dflt)
+            curl budget0)
+
+and goto st fi fr (next : rtblock) prevl budget =
+  if budget > 0 then go st fi fr next prevl (budget - 1)
+  else
+    go st fi fr fi.rtblocks.(next.r_label) prevl st.tuning.max_linked_blocks
+
+(* Run [fi] on [fr], a frame claimed by {!push_frame} whose parameter
+   slots are filled, then give the frame and the invocation's stack
+   cells back. *)
+let enter (st : state) (fi : func_info) (fr : frame) : bool =
+  let frame_mark = Memory.mark st.memory in
+  let r =
+    go st fi fr fi.rtblocks.(Ir.Func.entry_label) (-1)
+      st.tuning.max_linked_blocks
+  in
+  Memory.release st.memory frame_mark;
+  fi.depth <- fi.depth - 1;
+  r
+
+(* The typed calling convention, compiled per call site.  Argument [i]
+   moves straight from the caller's lane slot into the callee's
+   parameter slot (parameter registers are 0..n-1) — a "mover", bound
+   at compile time from both functions' classifications.  Same-class
+   moves are one unboxed copy; a class mismatch reads through the
+   standard conversions ([rarg_*], i.e. [as_int] & co. on the boxed
+   value), so the same [Type_error] rises in the caller's block
+   context.  The result comes back through the state's typed return
+   cell and is copied into the destination lane; only a class mismatch
+   boxes it. *)
+let rmove (classes : rclass array) (slots : int array) (callee : func_info)
+    (i : int) (s : src) : frame -> frame -> unit =
+  let cc = callee.rclasses in
+  if i < Array.length cc then
+    let t = callee.rslots.(i) in
+    match cc.(i) with
+    | C_int -> (
+        match rarg_i classes slots s with
+        | RiS a -> fun fr cfr -> bset64 cfr.fr_i t (bget64 fr.fr_i a)
+        | RiK k -> fun _ cfr -> bset64 cfr.fr_i t k
+        | RiG g -> fun fr cfr -> bset64 cfr.fr_i t (g fr))
+    | C_float -> (
+        match rarg_f classes slots s with
+        | RfS a ->
+            fun fr cfr ->
+              Array.unsafe_set cfr.fr_f t (Array.unsafe_get fr.fr_f a)
+        | RfK k -> fun _ cfr -> Array.unsafe_set cfr.fr_f t k
+        | RfG g -> fun fr cfr -> Array.unsafe_set cfr.fr_f t (g fr))
+    | C_ptr -> (
+        match rarg_p classes slots s with
+        | RpS a ->
+            fun fr cfr ->
+              Array.unsafe_set cfr.fr_p t (Array.unsafe_get fr.fr_p a)
+        | RpK k -> fun _ cfr -> Array.unsafe_set cfr.fr_p t k
+        | RpG g -> fun fr cfr -> Array.unsafe_set cfr.fr_p t (g fr))
+    | C_boxed ->
+        let g = rget_box classes slots s in
+        fun fr cfr -> Array.unsafe_set cfr.fr_v t (g fr)
+  else
+    let g = rget_box classes slots s in
+    fun fr cfr -> cfr.fr_v.(i) <- g fr
+
+(* [R_ret] of one operand: write its payload into the return cell lane
+   of its own class. *)
+let rret (st : state) (classes : rclass array) (slots : int array) :
+    src -> frame -> unit = function
+  | Slot r when r >= 0 && r < Array.length classes -> (
+      let s = slots.(r) in
+      match classes.(r) with
+      | C_int ->
+          fun fr ->
+            bset64 st.ret_i 0 (bget64 fr.fr_i s);
+            st.ret_c <- C_int
+      | C_float ->
+          fun fr ->
+            Array.unsafe_set st.ret_f 0 (Array.unsafe_get fr.fr_f s);
+            st.ret_c <- C_float
+      | C_ptr ->
+          fun fr ->
+            st.ret_p <- Array.unsafe_get fr.fr_p s;
+            st.ret_c <- C_ptr
+      | C_boxed ->
+          fun fr ->
+            st.ret_v <- Array.unsafe_get fr.fr_v s;
+            st.ret_c <- C_boxed)
+  | Slot r ->
+      fun fr ->
+        st.ret_v <- fr.fr_v.(r);
+        st.ret_c <- C_boxed
+  | Imm (E.VInt k) ->
+      fun _ ->
+        bset64 st.ret_i 0 k;
+        st.ret_c <- C_int
+  | Imm (E.VFloat k) ->
+      fun _ ->
+        Array.unsafe_set st.ret_f 0 k;
+        st.ret_c <- C_float
+  | Imm (E.VPtr p) ->
+      fun _ ->
+        st.ret_p <- p;
+        st.ret_c <- C_ptr
+
+(* The caller's half of a return: copy the return cell into
+   destination [d]'s lane. *)
+let rrecv (st : state) (classes : rclass array) (slots : int array) (d : int)
+    : frame -> unit =
+  let w = rwr_box classes slots d in
+  if d >= 0 && d < Array.length classes then
+    let sd = slots.(d) in
+    match classes.(d) with
+    | C_int ->
+        fun fr ->
+          (match st.ret_c with
+          | C_int -> bset64 fr.fr_i sd (bget64 st.ret_i 0)
+          | _ -> w fr (ret_box st))
+    | C_float ->
+        fun fr ->
+          (match st.ret_c with
+          | C_float -> Array.unsafe_set fr.fr_f sd (Array.unsafe_get st.ret_f 0)
+          | _ -> w fr (ret_box st))
+    | C_ptr ->
+        fun fr ->
+          (match st.ret_c with
+          | C_ptr -> Array.unsafe_set fr.fr_p sd st.ret_p
+          | _ -> w fr (ret_box st))
+    | C_boxed -> fun fr -> Array.unsafe_set fr.fr_v sd (ret_box st)
+  else fun fr -> w fr (ret_box st)
+
+(* A resolved user call.  An arity mismatch is known at compile time
+   but faults at run time, after reading the arguments, with the
+   Reference engine's text. *)
+let compile_rcall (st : state) (classes : rclass array) (slots : int array)
+    (d : int) (srcs : src array) (callee : func_info) : frame -> unit =
+  let cname = callee.func.Ir.Func.name in
+  let nparams = List.length callee.func.Ir.Func.params in
+  let nargs = Array.length srcs in
+  if nargs <> nparams then
+    let gs = Array.map (rget_box classes slots) srcs in
+    fun fr ->
+      Array.iter (fun g -> ignore (g fr)) gs;
+      fault "@%s: expected %d arguments, got %d" cname nparams nargs
+  else
+    let movers = Array.mapi (rmove classes slots callee) srcs in
+    let recv = rrecv st classes slots d in
+    fun fr ->
+      let cfr = push_frame callee in
+      for k = 0 to nargs - 1 do
+        (Array.unsafe_get movers k) fr cfr
+      done;
+      if enter st callee cfr then recv fr
+
+(* One-argument float intrinsics with a [C_float] source slot and
+   destination, bound as direct [float -> float] primitives: the
+   boxed table entry would box the argument array, the argument and
+   the result.  Each arm computes what [intrinsic_table]'s entry
+   computes; the slot read is written out in each arm so that the
+   primitive gets its argument unboxed. *)
+let typed_intrinsic (classes : rclass array) (slots : int array) (d : int)
+    (name : string) (srcs : src array) : (frame -> unit) option =
+  let ok r = r >= 0 && r < Array.length classes in
+  match srcs with
+  | [| Slot r |] when ok d && classes.(d) = C_float && ok r
+                      && classes.(r) = C_float -> (
+      let sd = slots.(d) and a = slots.(r) in
+      let[@inline] set fr x = Array.unsafe_set fr.fr_f sd x in
+      match name with
+      | "sqrt" -> Some (fun fr -> set fr (sqrt (Array.unsafe_get fr.fr_f a)))
+      | "sin" -> Some (fun fr -> set fr (sin (Array.unsafe_get fr.fr_f a)))
+      | "cos" -> Some (fun fr -> set fr (cos (Array.unsafe_get fr.fr_f a)))
+      | "atan" -> Some (fun fr -> set fr (atan (Array.unsafe_get fr.fr_f a)))
+      | "exp" -> Some (fun fr -> set fr (exp (Array.unsafe_get fr.fr_f a)))
+      | "log" -> Some (fun fr -> set fr (log (Array.unsafe_get fr.fr_f a)))
+      | "fabs" ->
+          Some (fun fr -> set fr (abs_float (Array.unsafe_get fr.fr_f a)))
+      | "floor" -> Some (fun fr -> set fr (floor (Array.unsafe_get fr.fr_f a)))
+      | _ -> None)
+  | _ -> None
+
+(** Record one function's register classes and the per-class slot
+    renumbering.  A register's slot is its position within its class's
+    frame lane (a byte offset in the int lane), so a frame allocates one
+    word per register total instead of one per register per class.
+    With [tuning.regalloc] off every register is [C_boxed].  Every
+    function of the module is classified before any block compiles, so
+    a [Call] site binds its argument movers against the callee's
+    parameter slots ({!compile_rcall}). *)
+let classify_rfunc (st : state) (fi : func_info) : unit =
   let classes =
     if st.tuning.regalloc then Array.map rclass_of_ty fi.reg_tys
     else Array.make (Array.length fi.reg_tys) C_boxed
@@ -2016,13 +2270,9 @@ and compile_rfunc (st : state) (fi : func_info) : unit =
   done;
   fi.rclasses <- classes;
   fi.rslots <- slots;
-  fi.rcounts <- counts;
-  fi.rtblocks <-
-    Array.mapi
-      (fun bnum bi -> compile_rblock st fi classes slots bnum bi)
-      fi.blocks
+  fi.rcounts <- counts
 
-and compile_rblock (st : state) (fi : func_info) (classes : rclass array)
+let compile_rblock (st : state) (fi : func_info) (classes : rclass array)
     (slots : int array) (bnum : int) (bi : block_info) : rtblock =
   let fname = fi.func.Ir.Func.name in
   let nphi = bi.phi_count in
@@ -2263,18 +2513,18 @@ and compile_rblock (st : state) (fi : func_info) (classes : rclass array)
             w fr (Ir.Eval.VPtr b)
     | Ir.Instr.Call (name, argops) -> (
         let srcs = Array.of_list (List.map decode_operand argops) in
-        let eval_args = rargs_fn classes slots srcs in
-        let w = rwr_box classes slots d in
         match Hashtbl.find_opt st.funcs name with
-        | Some callee -> (
-            fun fr ->
-              match enter st callee (eval_args fr) with
-              | Some r -> w fr r
-              | None -> ())
+        | Some callee -> compile_rcall st classes slots d srcs callee
         | None -> (
-            match find_intrinsic name with
-            | Some impl -> fun fr -> w fr (impl (eval_args fr))
-            | None -> fun _ -> fault "call to unknown function @%s" name))
+            match
+              (find_intrinsic name, typed_intrinsic classes slots d name srcs)
+            with
+            | Some _, Some op -> op
+            | Some impl, None ->
+                let eval_args = rargs_fn classes slots srcs in
+                let w = rwr_box classes slots d in
+                fun fr -> w fr (impl (eval_args fr))
+            | None, _ -> fun _ -> fault "call to unknown function @%s" name))
     | Ir.Instr.Ci_call (ci, argops) -> (
         let srcs = Array.of_list (List.map decode_operand argops) in
         let eval_args = rargs_fn classes slots srcs in
@@ -2291,8 +2541,8 @@ and compile_rblock (st : state) (fi : func_info) (classes : rclass array)
                 let cyc = float_of_int impl.ci_cycles in
                 fun fr ->
                   w fr (eval (eval_args fr));
-                  st.native <- st.native +. cyc;
-                  st.vm <- st.vm +. cyc
+                  st.clocks.(0) <- st.clocks.(0) +. cyc;
+                  st.clocks.(1) <- st.clocks.(1) +. cyc
             | Some cells ->
                 let cell =
                   match Hashtbl.find_opt cells ci with
@@ -2305,8 +2555,8 @@ and compile_rblock (st : state) (fi : func_info) (classes : rclass array)
                 fun fr ->
                   w fr (eval (eval_args fr));
                   let cyc = !cell in
-                  st.native <- st.native +. cyc;
-                  st.vm <- st.vm +. cyc)
+                  st.clocks.(0) <- st.clocks.(0) +. cyc;
+                  st.clocks.(1) <- st.clocks.(1) +. cyc)
         | None -> fun _ -> fault "custom instruction #%d is not configured" ci)
   in
   let n = bi.ninstrs in
@@ -2463,8 +2713,7 @@ and compile_rblock (st : state) (fi : func_info) (classes : rclass array)
         match bi.term with
         | Ir.Instr.Ret None -> R_halt
         | Ir.Instr.Ret (Some op) ->
-            (* the return seam: the result leaves as a boxed value *)
-            R_ret (rget_box classes slots (decode_operand op))
+            R_ret (rret st classes slots (decode_operand op))
         | Ir.Instr.Br l -> R_br l
         | Ir.Instr.Cond_br (c, a, b) ->
             R_cond (rtest classes slots (decode_operand c), a, b)
@@ -2477,15 +2726,6 @@ and compile_rblock (st : state) (fi : func_info) (classes : rclass array)
                uncaught exactly like the Reference engine's [as_int] *)
             R_switch (rget_i classes slots (decode_operand s), default, tbl))
   in
-  let r_sync =
-    Array.exists
-      (fun (i : Ir.Instr.t) ->
-        match i.Ir.Instr.kind with
-        | Ir.Instr.Call (name, _) -> Hashtbl.mem st.funcs name
-        | Ir.Instr.Ci_call (ci, _) -> Hashtbl.mem st.cis ci
-        | _ -> false)
-      bi.instrs
-  in
   {
     r_info = bi;
     r_label = bnum;
@@ -2493,7 +2733,6 @@ and compile_rblock (st : state) (fi : func_info) (classes : rclass array)
     r_phi_rows;
     r_term;
     r_link = RL_none;
-    r_sync;
     r_fuel = bi.ninstrs + 1;
     r_native = float_of_int bi.static_cycles;
     r_hot = st.jit.Jit_model.hot_factor *. float_of_int bi.static_cycles;
@@ -2501,6 +2740,15 @@ and compile_rblock (st : state) (fi : func_info) (classes : rclass array)
       float_of_int
         (bi.static_cycles + Ir.Cost.block_dispatch_cycles ~ninstrs:bi.ninstrs);
   }
+
+(** Compile one classified function's blocks ({!classify_rfunc}).  The
+    [Call] closures capture callee [func_info]s and read their compiled
+    blocks at call time, so functions compile in any order. *)
+let compile_rfunc (st : state) (fi : func_info) : unit =
+  fi.rtblocks <-
+    Array.mapi
+      (fun bnum bi -> compile_rblock st fi fi.rclasses fi.rslots bnum bi)
+      fi.blocks
 
 (* Patch every compiled terminator with direct references to the
    successor [rtblock]s.  A terminator naming a label outside the
@@ -2515,7 +2763,7 @@ let link_rfunc (fi : func_info) : unit =
       tb.r_link <-
         (match tb.r_term with
         | R_halt -> RL_halt
-        | R_ret g -> RL_ret g
+        | R_ret w -> RL_ret w
         | R_br l when okl l -> RL_br tbs.(l)
         | R_cond (t, a, b) when okl a && okl b -> RL_cond (t, tbs.(a), tbs.(b))
         | R_cmp_br (t, a, b) when okl a && okl b ->
@@ -2574,9 +2822,14 @@ let run ?(fuel = 4_000_000_000L) ?(jit = Jit_model.default)
       swap;
       tuning;
       mon = None;
-      native = 0.0;
-      vm = 0.0;
-      fuel;
+      clocks = [| 0.0; 0.0 |];
+      fuel = int_of_int64_clamped fuel;
+      warmup = int_of_int64_clamped jit.Jit_model.warmup_threshold;
+      ret_i = Bytes.make 8 '\000';
+      ret_f = [| 0.0 |];
+      ret_p = 0;
+      ret_v = zero_value;
+      ret_c = C_boxed;
     }
   in
   (match (monitor, swap) with
@@ -2590,12 +2843,12 @@ let run ?(fuel = 4_000_000_000L) ?(jit = Jit_model.default)
         cis;
       let control =
         {
-          ctl_native = (fun () -> st.native);
-          ctl_vm = (fun () -> st.vm);
+          ctl_native = (fun () -> st.clocks.(0));
+          ctl_vm = (fun () -> st.clocks.(1));
           ctl_stall =
             (fun c ->
-              st.native <- st.native +. c;
-              st.vm <- st.vm +. c);
+              st.clocks.(0) <- st.clocks.(0) +. c;
+              st.clocks.(1) <- st.clocks.(1) +. c);
           ctl_bind =
             (fun ci c ->
               match Hashtbl.find_opt cells ci with
@@ -2607,8 +2860,8 @@ let run ?(fuel = 4_000_000_000L) ?(jit = Jit_model.default)
       in
       st.mon <- Some (mk control));
   (* Whole-module dynamic translation at load time. *)
-  st.vm <-
-    st.vm
+  st.clocks.(1) <-
+    st.clocks.(1)
     +. Jit_model.module_translation_cycles jit
          ~module_instrs:(Ir.Irmod.num_instrs m);
   let fi =
@@ -2620,9 +2873,19 @@ let run ?(fuel = 4_000_000_000L) ?(jit = Jit_model.default)
     match engine with
     | Reference -> exec_func st fi (Array.of_list args)
     | Threaded ->
+        Hashtbl.iter (fun _ fi -> classify_rfunc st fi) funcs;
         Hashtbl.iter (fun _ fi -> compile_rfunc st fi) funcs;
         if tuning.link then Hashtbl.iter (fun _ fi -> link_rfunc fi) funcs;
-        enter st fi (Array.of_list args)
+        (* The entry and exit seam: box-free calls start here. *)
+        let args = Array.of_list args in
+        let f = fi.func in
+        if Array.length args <> List.length f.Ir.Func.params then
+          fault "@%s: expected %d arguments, got %d" f.Ir.Func.name
+            (List.length f.Ir.Func.params)
+            (Array.length args);
+        let fr = push_frame fi in
+        Array.iteri (fun i v -> rwr_box fi.rclasses fi.rslots i fr v) args;
+        if enter st fi fr then Some (ret_box st) else None
   in
   (* Fold the run-local counters into a profile. *)
   let profile = Profile.create () in
@@ -2635,4 +2898,5 @@ let run ?(fuel = 4_000_000_000L) ?(jit = Jit_model.default)
               ~count:(Int64.of_int bi.exec_count) ~instrs:bi.ninstrs)
         fi.blocks)
     funcs;
-  { ret; native_cycles = st.native; vm_cycles = st.vm; profile; memory }
+  { ret; native_cycles = st.clocks.(0); vm_cycles = st.clocks.(1); profile;
+    memory }

@@ -96,11 +96,14 @@ type tuning = {
           declared type into unboxed lanes (int64 slots in a
           [Bytes.t], a flat [float array], an [int array] of
           addresses) and move loads and stores through {!Memory}'s
-          typed cells, boxing only at the call/return, intrinsic and
-          CI seams.  Arithmetic, compares, casts, addressing, loads
-          and stores allocate nothing; calls still do.  Off = the same
-          compiler with every register classified boxed (DESIGN.md
-          §14). *)
+          typed cells.  Arithmetic, divisions, compares, casts,
+          addressing, loads, stores and calls between typed frames
+          (arguments lane to lane, results through a typed return
+          cell, frames from a per-function stack) allocate nothing;
+          boxing is left to the CI and untyped-intrinsic seams, class
+          mismatches across a call, and the run's entry and exit.
+          Off = the same compiler with every register classified
+          boxed (DESIGN.md §14). *)
   max_linked_blocks : int;
       (** linked-transfer budget: after this many consecutive direct
           block-to-block transfers the driver takes one trip through
@@ -143,11 +146,10 @@ val seconds_of_cycles : float -> float
 (* ------------------------------------------------------------------ *)
 
 (** Handle an online controller uses to observe and steer a run from
-    inside the monitor callback.  Only valid during the callback: the
-    threaded engine flushes its local accumulators before invoking the
-    monitor and reloads them after, so the clocks read consistently and
-    stalls/rebinds land between blocks without disturbing the fused
-    closures. *)
+    inside the monitor callback.  Only valid during the callback.  Both
+    engines keep the clocks in the run's state, updated in place, so
+    the callback reads them consistently and stalls/rebinds land
+    between blocks without disturbing the fused closures. *)
 type control = {
   ctl_native : unit -> float;  (** native clock, cycles *)
   ctl_vm : unit -> float;  (** VM clock, cycles *)
