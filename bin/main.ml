@@ -273,7 +273,8 @@ let run_timeline name jobs fault_options =
    the batch sweep's pruning filter: the controller itself decides what
    is worth implementing, using live evidence instead of a whole-run
    profile. *)
-let run_online name slots evict window decay latency_scale jobs =
+let run_online name slots evict window decay latency_scale jobs vm_engine
+    vm_tuning =
   let w = load_workload name in
   let db = Lazy.force db in
   let online = { Core.Spec.slots; evict; window; decay; latency_scale } in
@@ -282,6 +283,8 @@ let run_online name slots evict window decay latency_scale jobs =
     |> Core.Spec.with_prune Ise.Prune.none
     |> Core.Spec.with_jobs jobs
     |> Core.Spec.with_online online
+    |> Core.Spec.with_vm_engine vm_engine
+    |> Core.Spec.with_vm_tuning vm_tuning
   in
   let o = Core.Jit_manager.online ~spec db w in
   Format.printf "%a" Core.Jit_manager.pp_online o
@@ -774,7 +777,8 @@ let cmds =
             phased.* workloads)")
       Term.(
         const run_online $ workload_arg $ slots_arg $ evict_arg $ window_arg
-        $ decay_arg $ latency_scale_arg $ jobs_arg);
+        $ decay_arg $ latency_scale_arg $ jobs_arg $ vm_engine_arg
+        $ vm_tuning_term);
     Cmd.v
       (Cmd.info "ablation"
          ~doc:"Sweep pruning filters over a workload (search time vs speedup)")

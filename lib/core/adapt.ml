@@ -6,8 +6,9 @@
     carrying the candidate's external inputs; the call defines the same
     register the candidate's root defined, so all downstream uses are
     untouched.  The companion {!Jitise_vm.Machine.ci_registry} gives the
-    VM the functional semantics (interpreting the extracted subgraph)
-    and the hardware latency of each custom instruction. *)
+    VM each custom instruction's extracted subgraph ([ci_body]), its
+    functional semantics ([ci_eval], interpreting that subgraph) and
+    its hardware latency. *)
 
 module Ir = Jitise_ir
 module Vm = Jitise_vm
@@ -33,196 +34,88 @@ let copy_module (m : Ir.Irmod.t) : Ir.Irmod.t =
     globals = m.Ir.Irmod.globals;
   }
 
-(* Build the interpreter closure for one candidate: evaluates the
-   subgraph over the input values, in node order. *)
-let eval_closure (f : Ir.Func.t) (dfg : Ir.Dfg.t) (c : Ise.Candidate.t) =
+(** The structure of one candidate as a custom-instruction body: its
+    external inputs (typed by the declaring function, [I32] when
+    undeclared), its nodes in node order, and its root. *)
+let body_of (f : Ir.Func.t) (dfg : Ir.Dfg.t) (c : Ise.Candidate.t) :
+    Vm.Machine.ci_body =
   let inputs = Ise.Candidate.external_input_regs dfg c.Ise.Candidate.nodes in
-  let input_pos = List.mapi (fun i r -> (r, i)) inputs in
-  let nodes =
-    List.map (fun n -> dfg.Ir.Dfg.nodes.(n).Ir.Dfg.instr) c.Ise.Candidate.nodes
-  in
-  let inset = Hashtbl.create 16 in
-  List.iter
-    (fun (i : Ir.Instr.t) -> Hashtbl.replace inset i.Ir.Instr.id ())
-    nodes;
-  (* Types of external input registers, for cast semantics. *)
-  let input_tys =
-    List.map
-      (fun r ->
-        match Ir.Func.reg_ty f r with
-        | ty -> (r, ty)
-        | exception Not_found -> (r, Ir.Ty.I32))
-      inputs
-  in
-  let root_id = dfg.Ir.Dfg.nodes.(c.Ise.Candidate.root).Ir.Dfg.instr.Ir.Instr.id in
-  fun (args : Ir.Eval.value array) ->
-    let env : (Ir.Instr.reg, Ir.Eval.value) Hashtbl.t = Hashtbl.create 16 in
-    List.iter
-      (fun (r, pos) ->
-        if pos < Array.length args then Hashtbl.replace env r args.(pos))
-      input_pos;
-    let value_of = function
-      | Ir.Instr.Const cst -> Ir.Eval.of_const cst
-      | Ir.Instr.Reg r -> (
-          match Hashtbl.find_opt env r with
-          | Some v -> v
-          | None -> Ir.Eval.VInt 0L)
-    in
-    let ty_of = function
-      | Ir.Instr.Const cst -> Ir.Instr.const_ty cst
-      | Ir.Instr.Reg r -> (
-          match List.assoc_opt r input_tys with
-          | Some ty -> ty
-          | None -> (
-              match
-                List.find_opt (fun (i : Ir.Instr.t) -> i.Ir.Instr.id = r) nodes
-              with
-              | Some i -> i.Ir.Instr.ty
-              | None -> Ir.Ty.I32))
-    in
-    List.iter
-      (fun (i : Ir.Instr.t) ->
-        let result =
-          match i.Ir.Instr.kind with
-          | Ir.Instr.Binop (op, a, b) ->
-              Ir.Eval.eval_binop i.Ir.Instr.ty op (value_of a) (value_of b)
-          | Ir.Instr.Icmp (p, a, b) ->
-              Ir.Eval.eval_icmp p (value_of a) (value_of b)
-          | Ir.Instr.Fcmp (p, a, b) ->
-              Ir.Eval.eval_fcmp p (value_of a) (value_of b)
-          | Ir.Instr.Cast (cast, a) ->
-              Ir.Eval.eval_cast cast ~from_:(ty_of a) ~to_:i.Ir.Instr.ty
-                (value_of a)
-          | Ir.Instr.Select (cc, a, b) ->
-              Ir.Eval.eval_select (value_of cc) (value_of a) (value_of b)
-          | _ ->
-              invalid_arg
-                "Adapt: infeasible instruction inside a custom instruction"
-        in
-        Hashtbl.replace env i.Ir.Instr.id result)
-      nodes;
-    match Hashtbl.find_opt env root_id with
-    | Some v -> v
-    | None -> Ir.Eval.VInt 0L
+  {
+    Vm.Machine.cb_inputs =
+      Array.of_list
+        (List.map
+           (fun r ->
+             match Ir.Func.reg_ty f r with
+             | ty -> (r, ty)
+             | exception Not_found -> (r, Ir.Ty.I32))
+           inputs);
+    cb_nodes =
+      Array.of_list
+        (List.map
+           (fun n -> dfg.Ir.Dfg.nodes.(n).Ir.Dfg.instr)
+           c.Ise.Candidate.nodes);
+    cb_root = dfg.Ir.Dfg.nodes.(c.Ise.Candidate.root).Ir.Dfg.instr.Ir.Instr.id;
+  }
 
-(* Compile the candidate's MISO subgraph to one fused native closure —
-   the hardware execution path of the VM's threaded engine (the CI
-   behaves as a single functional unit: one dispatch evaluates the
-   whole subgraph).  Same observable semantics as {!eval_closure} by
-   construction:
-
-   - the hashtable environment becomes a flat slot array, one slot per
-     input position then per node result, pre-initialized to [VInt 0L]
-     — exactly the interpreter's default for a missing env entry;
-   - operand resolution, type lookup and node order are decided at
-     compile time from the same static data the interpreter consults
-     per call ([input_tys], the node list), through the same
-     [Ir.Eval.*_fn] closures ([eval_*] is [*_fn] applied, so
-     pre-resolving the function is identity);
-   - an infeasible node kind compiles to a closure that raises the same
-     [Invalid_argument] at call time the interpreter raises;
-   - a fresh env array per call keeps the closure re-entrant and
-     domain-safe (parallel sweeps share registries). *)
-let native_closure (f : Ir.Func.t) (dfg : Ir.Dfg.t) (c : Ise.Candidate.t) =
-  let inputs = Ise.Candidate.external_input_regs dfg c.Ise.Candidate.nodes in
-  let input_pos = List.mapi (fun i r -> (r, i)) inputs in
-  let ninputs = List.length inputs in
-  let nodes =
-    List.map (fun n -> dfg.Ir.Dfg.nodes.(n).Ir.Dfg.instr) c.Ise.Candidate.nodes
-  in
-  let input_tys =
-    List.map
-      (fun r ->
-        match Ir.Func.reg_ty f r with
-        | ty -> (r, ty)
-        | exception Not_found -> (r, Ir.Ty.I32))
-      inputs
-  in
-  let root_id =
-    dfg.Ir.Dfg.nodes.(c.Ise.Candidate.root).Ir.Dfg.instr.Ir.Instr.id
-  in
-  (* Slot assignment: input positions first (for a register passed at
-     several positions the LAST wins, like the interpreter's
-     [Hashtbl.replace] loop), then node results in node order. *)
-  let slots : (Ir.Instr.reg, int) Hashtbl.t = Hashtbl.create 16 in
-  List.iter (fun (r, pos) -> Hashtbl.replace slots r pos) input_pos;
-  let next = ref ninputs in
-  let slot_of_def r =
-    match Hashtbl.find_opt slots r with
-    | Some s -> s
-    | None ->
-        let s = !next in
-        incr next;
-        Hashtbl.replace slots r s;
-        s
-  in
-  let node_slots =
-    List.map (fun (i : Ir.Instr.t) -> slot_of_def i.Ir.Instr.id) nodes
-  in
-  let nslots = max 1 !next in
-  let fetch_of (op : Ir.Instr.operand) : Ir.Eval.value array -> Ir.Eval.value =
-    match op with
-    | Ir.Instr.Const cst ->
-        let v = Ir.Eval.of_const cst in
-        fun _ -> v
+(** Interpret a custom-instruction body over its argument values: the
+    CI's functional semantics ([ci_eval]), which the threaded engine's
+    spliced bodies are checked against.  Inputs bind by position (a
+    register listed twice takes the later argument; a missing argument
+    leaves its input unbound), nodes evaluate in order, and an unbound
+    register reads as [VInt 0L].  A cast's source type is the declared
+    input type, else the node type, else [I32]. *)
+let eval_body (b : Vm.Machine.ci_body) (args : Ir.Eval.value array) :
+    Ir.Eval.value =
+  let env : (Ir.Instr.reg, Ir.Eval.value) Hashtbl.t = Hashtbl.create 16 in
+  Array.iteri
+    (fun pos (r, _) ->
+      if pos < Array.length args then Hashtbl.replace env r args.(pos))
+    b.Vm.Machine.cb_inputs;
+  let value_of = function
+    | Ir.Instr.Const cst -> Ir.Eval.of_const cst
     | Ir.Instr.Reg r -> (
-        match Hashtbl.find_opt slots r with
-        | Some s -> fun env -> Array.unsafe_get env s
-        | None ->
-            (* neither an input nor a node result: the interpreter's
-               env miss default *)
-            fun _ -> Ir.Eval.VInt 0L)
+        match Hashtbl.find_opt env r with
+        | Some v -> v
+        | None -> Ir.Eval.VInt 0L)
   in
   let ty_of = function
     | Ir.Instr.Const cst -> Ir.Instr.const_ty cst
     | Ir.Instr.Reg r -> (
-        match List.assoc_opt r input_tys with
-        | Some ty -> ty
+        match Array.find_opt (fun (x, _) -> x = r) b.Vm.Machine.cb_inputs with
+        | Some (_, ty) -> ty
         | None -> (
             match
-              List.find_opt (fun (i : Ir.Instr.t) -> i.Ir.Instr.id = r) nodes
+              Array.find_opt
+                (fun (i : Ir.Instr.t) -> i.Ir.Instr.id = r)
+                b.Vm.Machine.cb_nodes
             with
             | Some i -> i.Ir.Instr.ty
             | None -> Ir.Ty.I32))
   in
-  let compile_node (i : Ir.Instr.t) (dst : int) :
-      Ir.Eval.value array -> unit =
-    match i.Ir.Instr.kind with
-    | Ir.Instr.Binop (op, a, b) ->
-        let fn = Ir.Eval.binop_fn i.Ir.Instr.ty op in
-        let fa = fetch_of a and fb = fetch_of b in
-        fun env -> Array.unsafe_set env dst (fn (fa env) (fb env))
-    | Ir.Instr.Icmp (p, a, b) ->
-        let fn = Ir.Eval.icmp_fn p in
-        let fa = fetch_of a and fb = fetch_of b in
-        fun env -> Array.unsafe_set env dst (fn (fa env) (fb env))
-    | Ir.Instr.Fcmp (p, a, b) ->
-        let fn = Ir.Eval.fcmp_fn p in
-        let fa = fetch_of a and fb = fetch_of b in
-        fun env -> Array.unsafe_set env dst (fn (fa env) (fb env))
-    | Ir.Instr.Cast (cast, a) ->
-        let fn = Ir.Eval.cast_fn cast ~from_:(ty_of a) ~to_:i.Ir.Instr.ty in
-        let fa = fetch_of a in
-        fun env -> Array.unsafe_set env dst (fn (fa env))
-    | Ir.Instr.Select (cc, a, b) ->
-        let fc = fetch_of cc and fa = fetch_of a and fb = fetch_of b in
-        fun env ->
-          Array.unsafe_set env dst
-            (if Ir.Eval.is_true (fc env) then fa env else fb env)
-    | _ ->
-        fun _ ->
-          invalid_arg "Adapt: infeasible instruction inside a custom instruction"
-  in
-  let ops = Array.of_list (List.map2 compile_node nodes node_slots) in
-  let root_slot = Hashtbl.find_opt slots root_id in
-  fun (args : Ir.Eval.value array) ->
-    let env = Array.make nslots (Ir.Eval.VInt 0L) in
-    let k = min (Array.length args) ninputs in
-    Array.blit args 0 env 0 k;
-    for i = 0 to Array.length ops - 1 do
-      (Array.unsafe_get ops i) env
-    done;
-    (match root_slot with Some s -> env.(s) | None -> Ir.Eval.VInt 0L)
+  Array.iter
+    (fun (i : Ir.Instr.t) ->
+      let result =
+        match i.Ir.Instr.kind with
+        | Ir.Instr.Binop (op, a, b) ->
+            Ir.Eval.eval_binop i.Ir.Instr.ty op (value_of a) (value_of b)
+        | Ir.Instr.Icmp (p, a, b) ->
+            Ir.Eval.eval_icmp p (value_of a) (value_of b)
+        | Ir.Instr.Fcmp (p, a, b) ->
+            Ir.Eval.eval_fcmp p (value_of a) (value_of b)
+        | Ir.Instr.Cast (cast, a) ->
+            Ir.Eval.eval_cast cast ~from_:(ty_of a) ~to_:i.Ir.Instr.ty
+              (value_of a)
+        | Ir.Instr.Select (cc, a, b) ->
+            Ir.Eval.eval_select (value_of cc) (value_of a) (value_of b)
+        | _ ->
+            invalid_arg
+              "Adapt: infeasible instruction inside a custom instruction"
+      in
+      Hashtbl.replace env i.Ir.Instr.id result)
+    b.Vm.Machine.cb_nodes;
+  match Hashtbl.find_opt env b.Vm.Machine.cb_root with
+  | Some v -> v
+  | None -> Ir.Eval.VInt 0L
 
 type t = {
   modul : Ir.Irmod.t;              (** the adapted binary *)
@@ -259,27 +152,30 @@ let apply (m : Ir.Irmod.t) (selection : Ise.Select.scored list) : t =
       in
       let orig_block = Ir.Func.block orig_f c.Ise.Candidate.block in
       let dfg = Ir.Dfg.of_block orig_f orig_block in
-      let inputs = Ise.Candidate.external_input_regs dfg c.Ise.Candidate.nodes in
-      let node_ids =
-        List.map
-          (fun n -> dfg.Ir.Dfg.nodes.(n).Ir.Dfg.instr.Ir.Instr.id)
-          c.Ise.Candidate.nodes
+      let body = body_of orig_f dfg c in
+      let is_node (i : Ir.Instr.t) =
+        Array.exists
+          (fun (n : Ir.Instr.t) -> n.Ir.Instr.id = i.Ir.Instr.id)
+          body.Vm.Machine.cb_nodes
       in
-      let root_instr = dfg.Ir.Dfg.nodes.(c.Ise.Candidate.root).Ir.Dfg.instr in
       let new_instrs =
         List.filter_map
           (fun (i : Ir.Instr.t) ->
-            if i.Ir.Instr.id = root_instr.Ir.Instr.id then begin
+            if i.Ir.Instr.id = body.Vm.Machine.cb_root then begin
               incr replaced;
               Some
                 {
                   i with
                   Ir.Instr.kind =
                     Ir.Instr.Ci_call
-                      (ci_id, List.map (fun r -> Ir.Instr.Reg r) inputs);
+                      ( ci_id,
+                        Array.to_list
+                          (Array.map
+                             (fun (r, _) -> Ir.Instr.Reg r)
+                             body.Vm.Machine.cb_inputs) );
                 }
             end
-            else if List.mem i.Ir.Instr.id node_ids then begin
+            else if is_node i then begin
               incr replaced;
               None
             end
@@ -289,9 +185,9 @@ let apply (m : Ir.Irmod.t) (selection : Ise.Select.scored list) : t =
       Ir.Block.set_instrs block new_instrs;
       Hashtbl.replace registry ci_id
         {
-          Vm.Machine.ci_eval = eval_closure orig_f dfg c;
+          Vm.Machine.ci_eval = eval_body body;
           ci_cycles = s.Ise.Select.estimate.Pp.Estimator.hw_cycles;
-          ci_native = Some (native_closure orig_f dfg c);
+          ci_body = Some body;
         })
     selection;
   { modul = adapted; registry; replaced_instrs = !replaced }

@@ -264,6 +264,9 @@ type ci_entry = {
   mutable oc_ids : int list;  (** CI numbers in the adapted module *)
   oc_sig : string;  (** structural signature (fabric key) *)
   oc_home : string * int;  (** home (function, block) of the candidate *)
+  mutable oc_block : int;
+      (** the home block's dense VM id, resolved when a monitored run
+          starts ({!Vm.Machine.control}) *)
   oc_sw : float;  (** software cycles per dispatch *)
   oc_hw : float;  (** hardware cycles per dispatch *)
   oc_cad_seconds : float;  (** predicted CAD latency, scaled *)
@@ -365,6 +368,7 @@ let entries_of_slots ~latency_scale (slots : Asip_sp.candidate_result list) :
               oc_ids = [ i ];
               oc_sig = cand.Ise.Candidate.signature;
               oc_home = (cand.Ise.Candidate.func, cand.Ise.Candidate.block);
+              oc_block = -1;
               oc_sw = float_of_int est.Pp.Estimator.sw_cycles;
               oc_hw = float_of_int est.Pp.Estimator.hw_cycles;
               oc_cad_seconds =
@@ -410,7 +414,8 @@ let monitored_run ~(spec : Spec.t) ~label ~(adapt : Adapt.t)
     Wool.Asip.create ~slots:cfg.Spec.slots ~policy:cfg.Spec.evict ()
   in
   let window =
-    Vm.Profile.Window.create ~size:cfg.Spec.window ~decay:cfg.Spec.decay ()
+    Vm.Profile.Window.create ~size:cfg.Spec.window ~decay:cfg.Spec.decay
+      ~blocks:(Ir.Irmod.num_blocks adapt.Adapt.modul)
   in
   stalls := 0.0;
   swaps := 0;
@@ -420,6 +425,8 @@ let monitored_run ~(spec : Spec.t) ~label ~(adapt : Adapt.t)
        fabric holds the bitstream. *)
     List.iter
       (fun e ->
+        let func, label = e.oc_home in
+        e.oc_block <- ctl.Vm.Machine.ctl_block ~func ~label;
         List.iter (fun id -> ctl.Vm.Machine.ctl_bind id e.oc_sw) e.oc_ids)
       entries;
     (match init with
@@ -429,8 +436,8 @@ let monitored_run ~(spec : Spec.t) ~label ~(adapt : Adapt.t)
           ~stall:(fun cyc ->
             ctl.Vm.Machine.ctl_stall cyc;
             stalls := !stalls +. cyc));
-    fun ~func ~label:blabel ~ninstrs:_ ->
-      if Vm.Profile.Window.observe window ~func ~label:blabel then begin
+    fun bid ->
+      if Vm.Profile.Window.observe window bid then begin
         Vm.Profile.Window.advance window;
         match step with
         | None -> ()
@@ -582,13 +589,12 @@ let online ?(spec = Spec.default) (db : Pp.Database.t) (w : W.Workload.t) :
        moved on. *)
     List.iter
       (fun e ->
-        let func, blabel = e.oc_home in
-        let n_last = Vm.Profile.Window.last win ~func ~label:blabel in
+        let n_last = Vm.Profile.Window.last win e.oc_block in
         if e.oc_bound && n_last > 0 then Wool.Asip.touch asip e.oc_sig;
         (* Refresh the recorded benefit every window, resident or not:
            the decayed rate of a phase that went cold sinks, so its
            occupant becomes evictable once a new phase heats up. *)
-        let rate = Vm.Profile.Window.rate win ~func ~label:blabel in
+        let rate = Vm.Profile.Window.rate win e.oc_block in
         Wool.Asip.set_benefit asip e.oc_sig
           (rate *. (e.oc_sw -. e.oc_hw) *. float_of_int (copies e));
         if n_last >= hot_threshold then begin

@@ -42,19 +42,30 @@ let fault fmt = Printf.ksprintf (fun m -> raise (Fault m)) fmt
 (* Custom instruction registry                                         *)
 (* ------------------------------------------------------------------ *)
 
+(* The structure of a custom instruction: its MISO subgraph as the
+   instructions it was cut from.  Operand position [k] of a call binds
+   input register [fst cb_inputs.(k)] (for a register listed at several
+   positions the last one wins); the nodes run in order, each defining
+   its own id; the call returns the value of [cb_root]. *)
+type ci_body = {
+  cb_inputs : (Ir.Instr.reg * Ir.Ty.t) array;
+      (* declared input registers and types, by operand position *)
+  cb_nodes : Ir.Instr.t array;  (* the subgraph's instructions, in order *)
+  cb_root : Ir.Instr.reg;  (* the node whose value the call returns *)
+}
+
 type ci_impl = {
   ci_eval : Ir.Eval.value array -> Ir.Eval.value;
       (** functional semantics of the custom instruction *)
   ci_cycles : int;
       (** CPU cycles one invocation takes on the custom functional
           unit, including the instruction-interface overhead *)
-  ci_native : (Ir.Eval.value array -> Ir.Eval.value) option;
-      (** fused closure compiled ahead of time from the CI's MISO
-          subgraph: one dispatch, no per-node interpretation.  Must be
-          functionally identical to [ci_eval] — the threaded engine
-          dispatches it when the [ci_native] tuning knob is on, the
-          reference engine never does, and the differential suite pins
-          the two paths to identical outcomes. *)
+  ci_body : ci_body option;
+      (** the subgraph [ci_eval] interprets.  With the [ci_native]
+          tuning knob on, the threaded engine compiles it into each
+          call site's typed lanes ({!splice_ok}); the reference engine
+          never does, and the differential suite pins the two paths to
+          identical outcomes. *)
 }
 
 type ci_registry = (int, ci_impl) Hashtbl.t
@@ -153,9 +164,9 @@ type tuning = {
           [icmp]/[fcmp] is folded into its conditional branch, skipping
           the flag write and one dispatch *)
   ci_native : bool;
-      (** dispatch a loaded CI's pre-compiled fused closure
-          ({!ci_impl.ci_native}) instead of interpreting its MISO
-          subgraph op by op *)
+      (** compile a loaded CI's body ({!ci_impl.ci_body}) into each
+          call site's typed lanes instead of interpreting it through
+          [ci_eval] *)
   regalloc : bool;
       (** typed register files: partition each function's virtual
           registers by their declared types into unboxed lanes (8-byte
@@ -164,9 +175,10 @@ type tuning = {
           casts, address computation, typed loads and stores, and
           same-class call arguments and returns read and write machine
           scalars instead of boxed {!Jitise_ir.Eval.value}s.  Boxing
-          happens only at the seams: custom instructions, intrinsics
-          other than the typed one-argument float ones, class
-          mismatches across a call, and the run's entry and exit.
+          happens only at the seams: custom instructions interpreted
+          through [ci_eval], intrinsics other than the typed
+          one-argument float ones, class mismatches across a call, and
+          the run's entry and exit.
           Off = the same compiler with every register classified
           [C_boxed] (DESIGN.md §14). *)
   max_linked_blocks : int;
@@ -283,9 +295,18 @@ type frame = {
   fr_v : Ir.Eval.value array;
 }
 
+(* A CI call site whose body compiles into the caller's lanes: the
+   body, and the first of the fresh registers {!classify_rfunc}
+   appended for its non-root nodes (node [k] defines [sp_temp + k]). *)
+type splice = { sp_body : ci_body; sp_temp : int }
+
 type func_info = {
   func : Ir.Func.t;
   blocks : block_info array;
+  bid_base : int;
+      (* the dense per-run id of block 0; block [label] is
+         [bid_base + label].  Blocks are numbered once per run, in
+         module function order and then by label. *)
   reg_tys : Ir.Ty.t array;  (* type of each register, Void if undefined *)
   use_counts : int array;
       (* static use count of each register over the whole function
@@ -302,6 +323,12 @@ type func_info = {
   mutable rcounts : int array;
       (* frame-array lengths, indexed [C_int; C_float; C_ptr; C_boxed];
          [||] until {!classify_rfunc} runs *)
+  mutable rsplices : splice option array array;
+      (* [rsplices.(label).(k)]: the splice plan of instruction [k] of
+         block [label] when it is a CI call whose body compiles inline.
+         A block with no such site has [||], and so has the whole
+         array when no site of the function splices (or until
+         {!classify_rfunc} runs). *)
   mutable rtblocks : rtblock array;
       (* compiled code, [||] until {!compile_rfunc} runs (the
          reference engine never compiles) *)
@@ -318,7 +345,7 @@ type func_info = {
    receiving them as arguments.  Every op closure works over a {!frame}
    — int/float/address traffic reads and writes the unboxed lanes and
    the typed memory cells directly, and boxed [Ir.Eval.value]s appear
-   only at the seams (CI dispatch, untyped intrinsics, [C_boxed]
+   only at the seams ([ci_eval] dispatch, untyped intrinsics, [C_boxed]
    registers, run entry and exit).  The cycle charges of
    {!Jit_model.block_execution_cycles} only depend on whether the block
    is past warm-up, so both are precomputed ([r_hot], [r_cold]) — the
@@ -385,7 +412,8 @@ and state = {
   tuning : tuning;
       (* compiled-engine optimization knobs; ignored by the reference
          engine *)
-  mutable mon : (func:string -> label:int -> ninstrs:int -> unit) option;
+  mutable mon : (int -> unit) option;
+      (* the monitor's per-block callback, fed the block's dense id *)
   clocks : float array;
       (* [| native; vm |] cycles, updated in place by both engines: a
          flat float array store is an unboxed write, a mutable float
@@ -405,7 +433,7 @@ and state = {
   mutable ret_c : rclass;  (* the class of the last returned value *)
 }
 
-let prepare_func (m : Ir.Irmod.t) (f : Ir.Func.t) : func_info =
+let prepare_func (m : Ir.Irmod.t) (f : Ir.Func.t) ~(base : int) : func_info =
   let is_user_func name = Ir.Irmod.find_func m name <> None in
   let reg_tys = Array.make (max 1 f.Ir.Func.next_reg) Ir.Ty.Void in
   List.iter (fun (r, ty) -> reg_tys.(r) <- ty) f.Ir.Func.params;
@@ -506,11 +534,13 @@ let prepare_func (m : Ir.Irmod.t) (f : Ir.Func.t) : func_info =
   {
     func = f;
     blocks;
+    bid_base = base;
     reg_tys;
     use_counts;
     rclasses = [||];
     rslots = [||];
     rcounts = [||];
+    rsplices = [||];
     rtblocks = [||];
     frames = [||];
     depth = 0;
@@ -532,26 +562,27 @@ type outcome = {
 let seconds_of_cycles c = c *. Ir.Cost.cycle_time
 
 (** Handle an online controller uses to observe and steer a run from
-    inside the monitor callback.  Only valid during the callback: both
+    inside the monitor callback.  Only valid during the run: both
     engines keep the clocks in the shared state, updated in place, so
     the callback reads them consistently and stalls/rebinds land
-    between blocks without disturbing the fused closures. *)
+    between blocks without disturbing the compiled code. *)
 type control = {
   ctl_native : unit -> float;  (** native clock, cycles *)
-  ctl_vm : unit -> float;  (** VM clock, cycles *)
   ctl_stall : float -> unit;
       (** charge a stall (e.g. a reconfiguration wait) to both clocks *)
   ctl_bind : int -> float -> unit;
       (** set the per-dispatch cycle charge of a CI — the hot-swap
           point: software-mode and hardware-mode cost per call *)
-  ctl_charge : int -> float option;  (** current per-dispatch charge *)
+  ctl_block : func:string -> label:int -> int;
+      (** the dense id of a block, as the callback receives it *)
 }
 
 (** A monitor receives the {!control} handle at run start (before any
     block executes) and returns a callback invoked once per dynamic
-    basic block, after that block's clock charge.  When absent, the run
-    takes exactly the unmonitored code path — byte-identical clocks. *)
-type monitor = control -> func:string -> label:int -> ninstrs:int -> unit
+    basic block, after that block's clock charge, with the block's
+    dense id.  When absent, the run takes exactly the unmonitored code
+    path — byte-identical clocks. *)
+type monitor = control -> int -> unit
 
 let value_of_operand regs = function
   | Ir.Instr.Const c -> Ir.Eval.of_const c
@@ -592,7 +623,7 @@ let rec exec_func (st : state) (fi : func_info) (args : Ir.Eval.value array) :
            ~ninstrs:bi.ninstrs ~native_cycles:bi.static_cycles;
     (match st.mon with
     | None -> ()
-    | Some mon -> mon ~func:f.Ir.Func.name ~label:!cur ~ninstrs:bi.ninstrs);
+    | Some mon -> mon (fi.bid_base + !cur));
     (* Phis first, read atomically: the incoming operand per
        predecessor was pre-resolved into an array in [prepare_func]. *)
     let n = bi.ninstrs in
@@ -835,7 +866,8 @@ let int_of_int64_clamped v =
 (* The compiler partitions a function's registers by declared type
    ({!rclass}) and compiles every operation into a closure over the
    {!frame}'s unboxed lanes.  The box/unbox seams are exactly: CI
-   dispatch, intrinsics other than the typed one-argument float ones,
+   dispatch through [ci_eval] (a spliced CI body is ordinary typed
+   code), intrinsics other than the typed one-argument float ones,
    [C_boxed] registers (including loads into and stores from them),
    call arguments and returns whose classes differ between caller and
    callee, and the run's entry and exit.  Everything else — int/float
@@ -1014,7 +1046,7 @@ let rtest (classes : rclass array) (slots : int array) :
       let b = E.is_true v in
       fun _ -> b
 
-(* Boxed argument vectors for CIs and untyped intrinsics,
+(* Boxed argument vectors for [ci_eval] and untyped intrinsics,
    arity-specialized — the boxing here IS their seam.  User calls do
    not box ({!compile_rcall}). *)
 let rargs_fn (classes : rclass array) (slots : int array) (srcs : src array) :
@@ -2006,7 +2038,7 @@ let rec go (st : state) (fi : func_info) (fr : frame) (tb : rtblock)
     +. if prior >= st.warmup then tb.r_hot else tb.r_cold);
   (match st.mon with
   | None -> ()
-  | Some mon -> mon ~func:fi.func.Ir.Func.name ~label:curl ~ninstrs:bi.ninstrs);
+  | Some mon -> mon (fi.bid_base + curl));
   (* Phi prologue: the whole stage-then-commit pass was compiled per
      predecessor label. *)
   let rows = tb.r_phi_rows in
@@ -2246,18 +2278,195 @@ let typed_intrinsic (classes : rclass array) (slots : int array) (d : int)
       | _ -> None)
   | _ -> None
 
+(* The declared type of a body operand, as [ci_eval] resolves it for a
+   [Cast]'s source: an input's declared type, else a node's type. *)
+let body_ty (b : ci_body) : Ir.Instr.operand -> Ir.Ty.t = function
+  | Ir.Instr.Const c -> Ir.Instr.const_ty c
+  | Ir.Instr.Reg r -> (
+      match Array.find_opt (fun (x, _) -> x = r) b.cb_inputs with
+      | Some (_, ty) -> ty
+      | None -> (
+          match
+            Array.find_opt (fun (n : Ir.Instr.t) -> n.Ir.Instr.id = r)
+              b.cb_nodes
+          with
+          | Some n -> n.Ir.Instr.ty
+          | None -> Ir.Ty.I32))
+
+(* Whether a call site of body [b] with operands [argops] may compile
+   the body into the caller's lanes ({!compile_rblock}) with outcomes
+   provably identical to [ci_eval]'s.  Every node then becomes an
+   ordinary typed instruction of the caller, so the proof obligation
+   is that every value [ci_eval] would compute lands losslessly in a
+   register of its class:
+
+   - the operands match the inputs one to one, each with exactly the
+     declared type (a constant by its own type, holding a value of that
+     type's class), so an input reads a slot or an immediate of the
+     declared class;
+   - node ids are distinct and are not inputs, and each node reads
+     constants, inputs and earlier nodes only (where [ci_eval] would
+     read a missing binding as [VInt 0L]);
+   - each node is of a kind [ci_eval] evaluates (binop, compare, cast,
+     select) and statically produces a value of its type's class — a
+     float add typed [I32] or a select between pointers typed [I64]
+     would be canonicalized by a typed register where [ci_eval] keeps
+     the value as it is;
+   - the root is the last node, so it can write the call's destination
+     after every other node has run.
+
+   Every other site keeps the boxed [ci_eval] seam. *)
+let splice_ok (reg_tys : Ir.Ty.t array) (b : ci_body)
+    (argops : Ir.Instr.operand list) : bool =
+  let nn = Array.length b.cb_nodes in
+  (* The class of the value each readable register holds: the inputs
+     by their declared types ({!body_ty}: the first position wins),
+     then each node's as it is defined. *)
+  let known = Hashtbl.create 8 in
+  Array.iter
+    (fun (r, ty) ->
+      if not (Hashtbl.mem known r) then Hashtbl.add known r (rclass_of_ty ty))
+    b.cb_inputs;
+  let vclass = function
+    | Ir.Instr.Const (Ir.Instr.Cint _) -> Some C_int
+    | Ir.Instr.Const (Ir.Instr.Cfloat _) -> Some C_float
+    | Ir.Instr.Reg r -> Hashtbl.find_opt known r
+  in
+  let node_ok (n : Ir.Instr.t) =
+    let reads ops k =
+      if List.for_all (fun op -> vclass op <> None) ops then Some k else None
+    in
+    let produced =
+      match n.Ir.Instr.kind with
+      | Ir.Instr.Binop
+          ((Ir.Instr.Fadd | Ir.Instr.Fsub | Ir.Instr.Fmul | Ir.Instr.Fdiv), x, y)
+        ->
+          reads [ x; y ] C_float
+      | Ir.Instr.Binop (_, x, y)
+      | Ir.Instr.Icmp (_, x, y)
+      | Ir.Instr.Fcmp (_, x, y) ->
+          reads [ x; y ] C_int
+      | Ir.Instr.Cast
+          ((Ir.Instr.Trunc | Ir.Instr.Zext | Ir.Instr.Sext | Ir.Instr.Fptosi), x)
+        ->
+          reads [ x ] C_int
+      | Ir.Instr.Cast
+          ((Ir.Instr.Sitofp | Ir.Instr.Fpext | Ir.Instr.Fptrunc), x) ->
+          reads [ x ] C_float
+      | Ir.Instr.Cast (Ir.Instr.Bitcast, x) ->
+          (* [Eval.cast_fn]'s bitcast arms, by operand class *)
+          Option.map
+            (fun from ->
+              match (from, n.Ir.Instr.ty) with
+              | C_int, (Ir.Ty.F32 | Ir.Ty.F64) -> C_float
+              | C_float, ty when Ir.Ty.is_int ty -> C_int
+              | k, _ -> k)
+            (vclass x)
+      | Ir.Instr.Select (c, x, y) -> (
+          match (vclass c, vclass x, vclass y) with
+          | Some _, Some kx, Some ky when kx = ky -> Some kx
+          | _ -> None)
+      | _ -> None
+    in
+    let want = rclass_of_ty n.Ir.Instr.ty in
+    let ok =
+      want <> C_boxed && produced = Some want
+      && not (Hashtbl.mem known n.Ir.Instr.id)
+    in
+    Hashtbl.replace known n.Ir.Instr.id want;
+    ok
+  in
+  (* a constant operand must also hold a value of the declared class:
+     an integer constant typed [Ptr] is a [VInt] to [ci_eval] *)
+  let arg_ok op (_, ty) =
+    match op with
+    | Ir.Instr.Const c ->
+        Ir.Instr.const_ty c = ty && vclass op = Some (rclass_of_ty ty)
+    | Ir.Instr.Reg r -> r >= 0 && r < Array.length reg_tys && reg_tys.(r) = ty
+  in
+  nn > 0
+  && b.cb_nodes.(nn - 1).Ir.Instr.id = b.cb_root
+  && List.length argops = Array.length b.cb_inputs
+  && List.for_all2 arg_ok argops (Array.to_list b.cb_inputs)
+  && Array.for_all node_ok b.cb_nodes
+
+(* Whether every register [fi] names is one of its own.  Fresh
+   registers are numbered past the function's own, so in a function
+   naming a register out of that range (malformed IR, which must fault
+   on that slot as the Reference engine does) they would alias it. *)
+let own_regs_only (fi : func_info) : bool =
+  let n = Array.length fi.reg_tys in
+  let own = function
+    | Ir.Instr.Reg r -> r >= 0 && r < n
+    | Ir.Instr.Const _ -> true
+  in
+  Array.for_all
+    (fun bi ->
+      Array.for_all
+        (fun (i : Ir.Instr.t) ->
+          own (Ir.Instr.Reg i.Ir.Instr.id)
+          && List.for_all own (Ir.Instr.operands i.Ir.Instr.kind))
+        bi.instrs
+      && List.for_all own (Ir.Instr.terminator_operands bi.term))
+    fi.blocks
+
+(* Give every CI call site of [fi] that passes {!splice_ok} a splice
+   plan ([fi.rsplices]), numbering its body's non-root nodes as fresh
+   registers past the function's own; returns their types in register
+   order. *)
+let plan_splices (st : state) (fi : func_info) : Ir.Ty.t list =
+  let temps = ref [] in
+  let next = ref (Array.length fi.reg_tys) in
+  let plan (i : Ir.Instr.t) =
+    match i.Ir.Instr.kind with
+    | Ir.Instr.Ci_call (ci, argops) -> (
+        match Hashtbl.find_opt st.cis ci with
+        | Some { ci_body = Some b; _ } when splice_ok fi.reg_tys b argops ->
+            let sp = { sp_body = b; sp_temp = !next } in
+            for k = 0 to Array.length b.cb_nodes - 2 do
+              temps := b.cb_nodes.(k).Ir.Instr.ty :: !temps;
+              incr next
+            done;
+            Some sp
+        | _ -> None)
+    | _ -> None
+  in
+  let rows =
+    Array.map
+      (fun bi ->
+        let row = Array.map plan bi.instrs in
+        if Array.exists Option.is_some row then row else [||])
+      fi.blocks
+  in
+  if Array.exists (fun row -> Array.length row > 0) rows then
+    fi.rsplices <- rows;
+  List.rev !temps
+
 (** Record one function's register classes and the per-class slot
     renumbering.  A register's slot is its position within its class's
     frame lane (a byte offset in the int lane), so a frame allocates one
     word per register total instead of one per register per class.
-    With [tuning.regalloc] off every register is [C_boxed].  Every
-    function of the module is classified before any block compiles, so
-    a [Call] site binds its argument movers against the callee's
-    parameter slots ({!compile_rcall}). *)
+    With [tuning.regalloc] off every register is [C_boxed].  With
+    [tuning.ci_native] on, the CI call sites of a function that names
+    only its own registers get their splice plans first
+    ({!plan_splices}), and the fresh registers of
+    the spliced bodies are classified by the node types like any
+    other.  Every function of the module is classified before any
+    block compiles, so a [Call] site binds its argument movers against
+    the callee's parameter slots ({!compile_rcall}). *)
 let classify_rfunc (st : state) (fi : func_info) : unit =
+  let tys =
+    match
+      if st.tuning.ci_native && Hashtbl.length st.cis > 0 && own_regs_only fi
+      then plan_splices st fi
+      else []
+    with
+    | [] -> fi.reg_tys
+    | temps -> Array.append fi.reg_tys (Array.of_list temps)
+  in
   let classes =
-    if st.tuning.regalloc then Array.map rclass_of_ty fi.reg_tys
-    else Array.make (Array.length fi.reg_tys) C_boxed
+    if st.tuning.regalloc then Array.map rclass_of_ty tys
+    else Array.make (Array.length tys) C_boxed
   in
   let n = Array.length classes in
   let slots = Array.make n 0 in
@@ -2272,6 +2481,29 @@ let classify_rfunc (st : state) (fi : func_info) : unit =
   fi.rslots <- slots;
   fi.rcounts <- counts
 
+(* A CI call's clock charge: the statically bound hardware latency, or
+   the run's swap cell when a monitor may rebind it. *)
+let ci_charge (st : state) ci impl : frame -> unit =
+  match st.swap with
+  | None ->
+      let cyc = float_of_int impl.ci_cycles in
+      fun _ ->
+        st.clocks.(0) <- st.clocks.(0) +. cyc;
+        st.clocks.(1) <- st.clocks.(1) +. cyc
+  | Some cells ->
+      let cell =
+        match Hashtbl.find_opt cells ci with
+        | Some c -> c
+        | None ->
+            let c = ref (float_of_int impl.ci_cycles) in
+            Hashtbl.replace cells ci c;
+            c
+      in
+      fun _ ->
+        let cyc = !cell in
+        st.clocks.(0) <- st.clocks.(0) +. cyc;
+        st.clocks.(1) <- st.clocks.(1) +. cyc
+
 let compile_rblock (st : state) (fi : func_info) (classes : rclass array)
     (slots : int array) (bnum : int) (bi : block_info) : rtblock =
   let fname = fi.func.Ir.Func.name in
@@ -2279,29 +2511,35 @@ let compile_rblock (st : state) (fi : func_info) (classes : rclass array)
   let mem = st.memory in
   let nregs = Array.length classes in
   let ok r = r >= 0 && r < nregs in
-  let compile_rinstr (i : Ir.Instr.t) : frame -> unit =
-    let d = i.Ir.Instr.id in
+  (* Compile one instruction, decoding its operands with [dec] and
+     writing register [d].  A caller instruction decodes its own
+     operands and writes its own id; a spliced CI body node
+     ([compile_site] below) reads its operands through the site's
+     substitution, takes a cast's source type from the body
+     ([from_ty]), and writes a fresh register or the call's
+     destination.  (Plain arguments: compile-time closures and optional
+     arguments allocate per block or instruction compiled, and the VM
+     compiles every module it runs.) *)
+  let compile_rinstr ~dec ~from_ty ~d (i : Ir.Instr.t) : frame -> unit =
     let ty = i.Ir.Instr.ty in
     match i.Ir.Instr.kind with
     | Ir.Instr.Phi _ -> fun _ -> fault "@%s/bb%d: phi after non-phi" fname bnum
     | Ir.Instr.Binop (op, a, b) ->
-        compile_rbinop classes slots ty op d (decode_operand a)
-          (decode_operand b)
+        compile_rbinop classes slots ty op d (dec a) (dec b)
     | Ir.Instr.Icmp (p, a, b) ->
-        compile_ricmp classes slots p d (decode_operand a) (decode_operand b)
+        compile_ricmp classes slots p d (dec a) (dec b)
     | Ir.Instr.Fcmp (p, a, b) ->
-        compile_rfcmp classes slots p d (decode_operand a) (decode_operand b)
+        compile_rfcmp classes slots p d (dec a) (dec b)
     | Ir.Instr.Cast (c, a) ->
         let from_ =
-          match a with
-          | Ir.Instr.Const cst -> Ir.Instr.const_ty cst
-          | Ir.Instr.Reg r -> fi.reg_tys.(r)
+          match (from_ty, a) with
+          | Some f, _ -> f a
+          | None, Ir.Instr.Const cst -> Ir.Instr.const_ty cst
+          | None, Ir.Instr.Reg r -> fi.reg_tys.(r)
         in
-        compile_rcast classes slots c ~from_ ~to_:ty d (decode_operand a)
+        compile_rcast classes slots c ~from_ ~to_:ty d (dec a)
     | Ir.Instr.Select (c, a, b) -> (
-        let sc = decode_operand c
-        and sa = decode_operand a
-        and sb = decode_operand b in
+        let sc = dec c and sa = dec a and sb = dec b in
         let tc = rtest classes slots sc in
         (* Both branch values are read strictly, like the reference
            engine's [eval_select] call; on direct (pure-read) shapes the
@@ -2377,7 +2615,7 @@ let compile_rblock (st : state) (fi : func_info) (classes : rclass array)
           let w = rwr_box classes slots d in
           fun fr -> w fr (Ir.Eval.VPtr (Memory.alloc mem count))
     | Ir.Instr.Load a -> (
-        let aa = rarg_p classes slots (decode_operand a) in
+        let aa = rarg_p classes slots (dec a) in
         (* A typed destination takes the cell's unboxed payload
            directly ([mload_*]); only a boxed destination builds a
            value.  No allocation on any typed class. *)
@@ -2422,9 +2660,9 @@ let compile_rblock (st : state) (fi : func_info) (classes : rclass array)
            address.  A boxed value is read before the address, like the
            Reference engine (right-to-left application order made
            explicit). *)
-        let aa = rarg_p classes slots (decode_operand a) in
+        let aa = rarg_p classes slots (dec a) in
         let ga = rp_fn aa in
-        match decode_operand x with
+        match dec x with
         | Slot r when ok r && classes.(r) = C_int -> (
             let sx = slots.(r) in
             match aa with
@@ -2459,8 +2697,8 @@ let compile_rblock (st : state) (fi : func_info) (classes : rclass array)
               let v = gx fr in
               Memory.store mem (ga fr) v)
     | Ir.Instr.Gep (base, idx) ->
-        let ab = rarg_p classes slots (decode_operand base) in
-        let ai = rarg_i classes slots (decode_operand idx) in
+        let ab = rarg_p classes slots (dec base) in
+        let ai = rarg_i classes slots (dec idx) in
         if ok d && classes.(d) = C_ptr then (
           let sd = slots.(d) in
           match (ab, ai) with
@@ -2512,7 +2750,7 @@ let compile_rblock (st : state) (fi : func_info) (classes : rclass array)
             in
             w fr (Ir.Eval.VPtr b)
     | Ir.Instr.Call (name, argops) -> (
-        let srcs = Array.of_list (List.map decode_operand argops) in
+        let srcs = Array.of_list (List.map dec argops) in
         match Hashtbl.find_opt st.funcs name with
         | Some callee -> compile_rcall st classes slots d srcs callee
         | None -> (
@@ -2526,38 +2764,22 @@ let compile_rblock (st : state) (fi : func_info) (classes : rclass array)
                 fun fr -> w fr (impl (eval_args fr))
             | None, _ -> fun _ -> fault "call to unknown function @%s" name))
     | Ir.Instr.Ci_call (ci, argops) -> (
-        let srcs = Array.of_list (List.map decode_operand argops) in
-        let eval_args = rargs_fn classes slots srcs in
-        let w = rwr_box classes slots d in
         match Hashtbl.find_opt st.cis ci with
-        | Some impl -> (
-            let eval =
-              if st.tuning.ci_native then
-                match impl.ci_native with Some f -> f | None -> impl.ci_eval
-              else impl.ci_eval
+        | Some impl ->
+            (* the boxed seam: [ci_eval] over a boxed argument vector *)
+            let eval_args =
+              rargs_fn classes slots (Array.of_list (List.map dec argops))
             in
-            match st.swap with
-            | None ->
-                let cyc = float_of_int impl.ci_cycles in
-                fun fr ->
-                  w fr (eval (eval_args fr));
-                  st.clocks.(0) <- st.clocks.(0) +. cyc;
-                  st.clocks.(1) <- st.clocks.(1) +. cyc
-            | Some cells ->
-                let cell =
-                  match Hashtbl.find_opt cells ci with
-                  | Some c -> c
-                  | None ->
-                      let c = ref (float_of_int impl.ci_cycles) in
-                      Hashtbl.replace cells ci c;
-                      c
-                in
-                fun fr ->
-                  w fr (eval (eval_args fr));
-                  let cyc = !cell in
-                  st.clocks.(0) <- st.clocks.(0) +. cyc;
-                  st.clocks.(1) <- st.clocks.(1) +. cyc)
+            let w = rwr_box classes slots d in
+            let eval = impl.ci_eval and charge = ci_charge st ci impl in
+            fun fr ->
+              w fr (eval (eval_args fr));
+              charge fr
         | None -> fun _ -> fault "custom instruction #%d is not configured" ci)
+  in
+  (* this block's splice plans, [||] when none of its sites splices *)
+  let splices =
+    if bnum < Array.length fi.rsplices then fi.rsplices.(bnum) else [||]
   in
   let n = bi.ninstrs in
   (* Compare-and-branch fusion ([tuning.fuse]): a block's trailing
@@ -2602,7 +2824,51 @@ let compile_rblock (st : state) (fi : func_info) (classes : rclass array)
         Some (R_cmp_br (test, a, b))
   in
   let r_ops =
-    Array.init (body_end - nphi) (fun j -> compile_rinstr bi.instrs.(nphi + j))
+    if Array.length splices = 0 then
+      Array.init (body_end - nphi) (fun j ->
+          let i = bi.instrs.(nphi + j) in
+          compile_rinstr ~dec:decode_operand ~from_ty:None ~d:i.Ir.Instr.id i)
+    else
+      (* The ops of instruction [k] of this block.  A CI call with a splice
+         plan ({!classify_rfunc}) becomes its body's nodes, compiled like
+         any instruction of the caller — inputs substituted by the call's
+         operands (the last position of a repeated register wins, as in
+         [ci_eval]), non-root nodes into their fresh registers, the root
+         into the call's destination — followed by the call's clock
+         charge.  No argument vector, no boxed value. *)
+      let compile_site k : (frame -> unit) array =
+        let i = bi.instrs.(k) in
+        match (i.Ir.Instr.kind, splices.(k)) with
+        | Ir.Instr.Ci_call (ci, argops), Some sp ->
+            let b = sp.sp_body in
+            let nn = Array.length b.cb_nodes in
+            let env = Hashtbl.create 8 in
+            List.iteri
+              (fun pos op ->
+                Hashtbl.replace env (fst b.cb_inputs.(pos)) (decode_operand op))
+              argops;
+            let dec = function
+              | Ir.Instr.Const _ as op -> decode_operand op
+              | Ir.Instr.Reg r -> Hashtbl.find env r
+            in
+            let nodes =
+              Array.mapi
+                (fun j (n : Ir.Instr.t) ->
+                  let d = if j = nn - 1 then i.Ir.Instr.id else sp.sp_temp + j in
+                  let op = compile_rinstr ~dec ~from_ty:(Some (body_ty b)) ~d n in
+                  Hashtbl.replace env n.Ir.Instr.id (Slot d);
+                  op)
+                b.cb_nodes
+            in
+            Array.append nodes [| ci_charge st ci (Hashtbl.find st.cis ci) |]
+        | _ ->
+            [|
+              compile_rinstr ~dec:decode_operand ~from_ty:None
+                ~d:i.Ir.Instr.id i;
+            |]
+      in
+      Array.concat
+        (List.init (body_end - nphi) (fun j -> compile_site (nphi + j)))
   in
   (* Phi prologue, compiled per predecessor label.  Staging goes into
      per-class scratch (parallel-assignment semantics); a single phi
@@ -2802,10 +3068,13 @@ let run ?(fuel = 4_000_000_000L) ?(jit = Jit_model.default)
   let memory = Memory.create () in
   Memory.load_globals memory m;
   let funcs = Hashtbl.create 16 in
-  List.iter
-    (fun (f : Ir.Func.t) ->
-      Hashtbl.replace funcs f.Ir.Func.name (prepare_func m f))
-    m.Ir.Irmod.funcs;
+  (* Block ids: dense, in module function order, then by label. *)
+  ignore
+    (List.fold_left
+       (fun base (f : Ir.Func.t) ->
+         Hashtbl.replace funcs f.Ir.Func.name (prepare_func m f ~base);
+         base + Array.length f.Ir.Func.blocks)
+       0 m.Ir.Irmod.funcs);
   let swap =
     match monitor with None -> None | Some _ -> Some (Hashtbl.create 16)
   in
@@ -2844,7 +3113,6 @@ let run ?(fuel = 4_000_000_000L) ?(jit = Jit_model.default)
       let control =
         {
           ctl_native = (fun () -> st.clocks.(0));
-          ctl_vm = (fun () -> st.clocks.(1));
           ctl_stall =
             (fun c ->
               st.clocks.(0) <- st.clocks.(0) +. c;
@@ -2854,8 +3122,15 @@ let run ?(fuel = 4_000_000_000L) ?(jit = Jit_model.default)
               match Hashtbl.find_opt cells ci with
               | Some cell -> cell := c
               | None -> Hashtbl.replace cells ci (ref c));
-          ctl_charge =
-            (fun ci -> Option.map ( ! ) (Hashtbl.find_opt cells ci));
+          ctl_block =
+            (fun ~func ~label ->
+              match Hashtbl.find_opt funcs func with
+              | Some fi when label >= 0 && label < Array.length fi.blocks ->
+                  fi.bid_base + label
+              | _ ->
+                  invalid_arg
+                    (Printf.sprintf "Machine.control: no block @%s/bb%d" func
+                       label));
         }
       in
       st.mon <- Some (mk control));

@@ -25,17 +25,41 @@ exception Fault of string
 (* Custom instruction registry                                         *)
 (* ------------------------------------------------------------------ *)
 
+(** The structure of a custom instruction: its MISO subgraph as the
+    instructions it was cut from.  Operand position [k] of a call
+    binds input register [fst cb_inputs.(k)] (for a register listed at
+    several positions the last one wins); the nodes run in order, each
+    defining its own id; the call returns the value of [cb_root]. *)
+type ci_body = {
+  cb_inputs : (Ir.Instr.reg * Ir.Ty.t) array;
+      (** declared input registers and types, by operand position *)
+  cb_nodes : Ir.Instr.t array;  (** the subgraph's instructions, in order *)
+  cb_root : Ir.Instr.reg;  (** the node whose value the call returns *)
+}
+
 type ci_impl = {
   ci_eval : Ir.Eval.value array -> Ir.Eval.value;
-      (** functional semantics of the custom instruction *)
+      (** functional semantics of the custom instruction: the
+          reference engine's path, and the threaded engine's whenever
+          the body is not compiled inline *)
   ci_cycles : int;
       (** CPU cycles one invocation takes on the custom functional
           unit, including the instruction-interface overhead *)
-  ci_native : (Ir.Eval.value array -> Ir.Eval.value) option;
-      (** fused closure compiled ahead of time from the CI's MISO
-          subgraph: one dispatch, no per-node interpretation.  Must be
-          functionally identical to [ci_eval]; the threaded engine
-          dispatches it when {!tuning.ci_native} is on. *)
+  ci_body : ci_body option;
+      (** the subgraph [ci_eval] interprets; [ci_eval] must compute
+          exactly what the body's instructions compute.  With
+          {!tuning.ci_native} on, the threaded engine compiles the body
+          into each call site's typed lanes, as ordinary instructions
+          of the caller: one fresh register per non-root node, the root
+          writing the call's destination, then the clock charge — no
+          argument vector and no boxed value.  A site it cannot prove
+          identical to [ci_eval] keeps the boxed [ci_eval] seam: an
+          arity mismatch, an operand whose static type differs from
+          the declared input type, a node reading a register that is
+          neither an input nor an earlier node, a node kind other than
+          binop/compare/cast/select, a node whose result class differs
+          from its type's, or a root that is not the last node
+          (DESIGN.md §13). *)
 }
 
 type ci_registry = (int, ci_impl) Hashtbl.t
@@ -88,19 +112,20 @@ type tuning = {
       (** compare-and-branch fusion: a block's trailing single-use
           [icmp]/[fcmp] is folded into its conditional branch *)
   ci_native : bool;
-      (** dispatch a loaded CI's pre-compiled fused closure
-          ({!ci_impl.ci_native}) instead of interpreting its MISO
-          subgraph op by op *)
+      (** compile a loaded CI's body ({!ci_impl.ci_body}) into each
+          call site's typed lanes instead of interpreting it through
+          [ci_eval] *)
   regalloc : bool;
       (** typed register files: partition each function's registers by
           declared type into unboxed lanes (int64 slots in a
           [Bytes.t], a flat [float array], an [int array] of
           addresses) and move loads and stores through {!Memory}'s
           typed cells.  Arithmetic, divisions, compares, casts,
-          addressing, loads, stores and calls between typed frames
-          (arguments lane to lane, results through a typed return
-          cell, frames from a per-function stack) allocate nothing;
-          boxing is left to the CI and untyped-intrinsic seams, class
+          addressing, loads, stores, spliced CI bodies and calls
+          between typed frames (arguments lane to lane, results
+          through a typed return cell, frames from a per-function
+          stack) allocate nothing; boxing is left to CIs interpreted
+          through [ci_eval], the untyped-intrinsic seam, class
           mismatches across a call, and the run's entry and exit.
           Off = the same compiler with every register classified
           boxed (DESIGN.md §14). *)
@@ -146,26 +171,32 @@ val seconds_of_cycles : float -> float
 (* ------------------------------------------------------------------ *)
 
 (** Handle an online controller uses to observe and steer a run from
-    inside the monitor callback.  Only valid during the callback.  Both
+    inside the monitor callback.  Only valid during the run.  Both
     engines keep the clocks in the run's state, updated in place, so
     the callback reads them consistently and stalls/rebinds land
-    between blocks without disturbing the fused closures. *)
+    between blocks without disturbing the compiled code. *)
 type control = {
   ctl_native : unit -> float;  (** native clock, cycles *)
-  ctl_vm : unit -> float;  (** VM clock, cycles *)
   ctl_stall : float -> unit;
       (** charge a stall (e.g. a reconfiguration wait) to both clocks *)
   ctl_bind : int -> float -> unit;
       (** set the per-dispatch cycle charge of a CI — the hot-swap
           point between software-mode and hardware-mode cost *)
-  ctl_charge : int -> float option;  (** current per-dispatch charge *)
+  ctl_block : func:string -> label:int -> int;
+      (** the dense id of block [label] of function [func], as the
+          callback receives it.  Ids number every block of the module
+          once per run, in module function order and then by label, so
+          they cover [0, Ir.Irmod.num_blocks m) and are the same in
+          every run of [m] on either engine.
+          @raise Invalid_argument on an unknown block. *)
 }
 
 (** A monitor receives the {!control} handle at run start (before any
     block executes) and returns a callback invoked once per dynamic
-    basic block, after that block's clock charge.  When absent, the run
-    takes exactly the unmonitored code path — byte-identical clocks. *)
-type monitor = control -> func:string -> label:int -> ninstrs:int -> unit
+    basic block, after that block's clock charge, with the block's
+    dense id ({!control.ctl_block}).  When absent, the run takes
+    exactly the unmonitored code path — byte-identical clocks. *)
+type monitor = control -> int -> unit
 
 (** Run [entry] with scalar [args].
 

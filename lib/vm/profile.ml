@@ -63,94 +63,70 @@ let merge ~into:dst src =
     dominated the previous window and vanishes from the next one marks
     a phase exit.
 
-    All state is per-window-close deterministic: the same observation
-    sequence produces the same rates regardless of hash-table iteration
-    order (per-key updates commute). *)
+    Blocks are keyed by the dense per-run block id the VM hands its
+    monitor ({!Machine.control}), so the open window, the last window
+    and the history are flat arrays and an observation is one array
+    increment.  Per-key arithmetic is independent across keys: the
+    same observation sequence produces the same rates. *)
 module Window = struct
   type w = {
     size : int;  (** block executions per window *)
     decay : float;  (** weight kept by history when a window closes *)
     mutable seen : int;  (** observations in the open window *)
     mutable closed : int;  (** windows closed so far *)
-    cur : (key, int) Hashtbl.t;  (** open window counts *)
-    prev : (key, int) Hashtbl.t;  (** last closed window counts *)
-    hot : (key, float) Hashtbl.t;  (** decayed per-window rates *)
+    cur : int array;  (** open window counts, by block id *)
+    prev : int array;  (** last closed window counts, by block id *)
+    hot : float array;  (** decayed per-window rates, by block id *)
   }
 
-  let create ?(size = 4096) ?(decay = 0.5) () =
+  let create ~size ~decay ~blocks =
     if size < 1 then invalid_arg "Profile.Window.create: size must be >= 1";
     if decay < 0.0 || decay >= 1.0 then
       invalid_arg "Profile.Window.create: decay must be in [0, 1)";
+    if blocks < 0 then
+      invalid_arg "Profile.Window.create: blocks must be >= 0";
     {
       size;
       decay;
       seen = 0;
       closed = 0;
-      cur = Hashtbl.create 64;
-      prev = Hashtbl.create 64;
-      hot = Hashtbl.create 64;
+      cur = Array.make blocks 0;
+      prev = Array.make blocks 0;
+      hot = Array.make blocks 0.0;
     }
 
-  (** Record one block execution.  Returns [true] when the open window
-      just filled — the caller should {!advance} and take a control
-      decision. *)
-  let observe w ~func ~label =
-    let key = (func, label) in
-    let c = Option.value ~default:0 (Hashtbl.find_opt w.cur key) in
-    Hashtbl.replace w.cur key (c + 1);
+  (** Record one execution of block [id].  Returns [true] when the
+      open window just filled — the caller should {!advance} and take a
+      control decision. *)
+  let observe w id =
+    w.cur.(id) <- w.cur.(id) + 1;
     w.seen <- w.seen + 1;
     w.seen >= w.size
 
   (** Close the open window: decay the history, fold the window in,
-      remember its raw counts, and start a fresh window. *)
+      remember its raw counts, and start a fresh window.  A decayed
+      rate below 1e-9 drops to zero, so long runs through many dead
+      phases keep no residue. *)
   let advance w =
-    (* Decay history; drop negligibly small entries so long runs with
-       many dead phases do not accumulate unbounded keys. *)
-    let stale =
-      Hashtbl.fold
-        (fun key r acc ->
-          let r' = r *. w.decay in
-          if r' < 1e-9 then key :: acc
-          else begin
-            Hashtbl.replace w.hot key r';
-            acc
-          end)
-        w.hot []
-    in
-    List.iter (Hashtbl.remove w.hot) stale;
-    Hashtbl.reset w.prev;
-    Hashtbl.iter
-      (fun key c ->
-        Hashtbl.replace w.prev key c;
-        let r = Option.value ~default:0.0 (Hashtbl.find_opt w.hot key) in
-        Hashtbl.replace w.hot key (r +. float_of_int c))
-      w.cur;
-    Hashtbl.reset w.cur;
+    for id = 0 to Array.length w.cur - 1 do
+      let r = w.hot.(id) *. w.decay in
+      let r = if r < 1e-9 then 0.0 else r in
+      let c = w.cur.(id) in
+      w.prev.(id) <- c;
+      w.hot.(id) <- (if c > 0 then r +. float_of_int c else r);
+      w.cur.(id) <- 0
+    done;
     w.seen <- 0;
     w.closed <- w.closed + 1
 
-  (** Decayed rate of a block (executions per window, history-weighted). *)
-  let rate w ~func ~label =
-    Option.value ~default:0.0 (Hashtbl.find_opt w.hot (func, label))
+  (** Decayed rate of block [id] (executions per window,
+      history-weighted). *)
+  let rate w id = w.hot.(id)
 
-  (** Raw count of a block in the last closed window. *)
-  let last w ~func ~label =
-    Option.value ~default:0 (Hashtbl.find_opt w.prev (func, label))
+  (** Raw count of block [id] in the last closed window. *)
+  let last w id = w.prev.(id)
 
   let windows w = w.closed
-
-  (** The [n] hottest blocks by decayed rate, ties broken by key for
-      determinism. *)
-  let hottest w n =
-    let all = Hashtbl.fold (fun key r acc -> (key, r) :: acc) w.hot [] in
-    let sorted =
-      List.sort
-        (fun (ka, ra) (kb, rb) ->
-          let c = compare rb ra in
-          if c <> 0 then c else compare ka kb)
-        all
-    in
-    List.filteri (fun i _ -> i < n) sorted
 end
 
 (** Total software cycles attributed to each block of [m] under this

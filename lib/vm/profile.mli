@@ -46,32 +46,32 @@ val block_costs : t -> Ir.Irmod.t -> ((string * Ir.Instr.label) * int64) list
 (** Sliding-window phase profiles for the online controller: block
     executions are counted into fixed-size windows; closed windows fold
     into a decayed history so what-is-hot-now dominates what-was-hot.
-    Deterministic: rates depend only on the observation sequence. *)
+    Blocks are keyed by the VM's dense per-run block id
+    ({!Machine.control}), in [0, blocks).  Deterministic: rates depend
+    only on the observation sequence. *)
 module Window : sig
   type w
 
-  (** [create ?size ?decay ()] — [size] block executions per window
-      (>= 1, default 4096); [decay] history weight in [0, 1) (default
-      0.5). *)
-  val create : ?size:int -> ?decay:float -> unit -> w
+  (** [create ~size ~decay ~blocks] — [size] block executions per
+      window (>= 1); [decay] history weight in [0, 1); [blocks] the
+      number of block ids (>= 0).
+      @raise Invalid_argument when an argument is out of range. *)
+  val create : size:int -> decay:float -> blocks:int -> w
 
-  (** Record one block execution; [true] when the window just filled
-      (caller should {!advance}). *)
-  val observe : w -> func:string -> label:Ir.Instr.label -> bool
+  (** Record one execution of block [id]; [true] when the window just
+      filled (caller should {!advance}). *)
+  val observe : w -> int -> bool
 
   (** Close the open window: decay history, fold the window in, start
       fresh. *)
   val advance : w -> unit
 
-  (** Decayed executions-per-window rate of a block. *)
-  val rate : w -> func:string -> label:Ir.Instr.label -> float
+  (** Decayed executions-per-window rate of block [id]. *)
+  val rate : w -> int -> float
 
-  (** Raw count of a block in the last closed window. *)
-  val last : w -> func:string -> label:Ir.Instr.label -> int
+  (** Raw count of block [id] in the last closed window. *)
+  val last : w -> int -> int
 
   (** Windows closed so far. *)
   val windows : w -> int
-
-  (** The [n] hottest blocks by decayed rate (ties broken by key). *)
-  val hottest : w -> int -> ((string * Ir.Instr.label) * float) list
 end

@@ -689,6 +689,32 @@ let test_online_replay_is_jobs_invariant () =
   Alcotest.(check string) "jobs:4 replays byte-identically" (render serial)
     (render par)
 
+let test_online_engine_differential () =
+  (* the monitored, hot-swapped loop is engine- and knob-invariant: the
+     monitor sees the same block ids, the swap cells charge the same
+     cycles, and spliced CI bodies compute what [ci_eval] computes.
+     [base] runs the threaded engine under the default tuning. *)
+  let w, base = Lazy.force online_sweep in
+  let render r = Format.asprintf "%a" JM.pp_online r in
+  let runs r = [ r.JM.o_adaptive; r.JM.o_oracle; r.JM.o_nospec ] in
+  let d = Vm.Machine.default_tuning in
+  List.iter
+    (fun (what, spec) ->
+      let r = JM.online ~spec db w in
+      Alcotest.(check string) (what ^ ": report") (render base) (render r);
+      Alcotest.(check bool) (what ^ ": runs") true (runs base = runs r))
+    [
+      ("reference", Core.Spec.with_vm_engine Vm.Machine.Reference online_spec);
+      ( "no ci_native",
+        Core.Spec.with_vm_tuning
+          { d with Vm.Machine.ci_native = false }
+          online_spec );
+      ( "no regalloc",
+        Core.Spec.with_vm_tuning
+          { d with Vm.Machine.regalloc = false }
+          online_spec );
+    ]
+
 let test_online_knobs_do_not_touch_the_sweep () =
   (* loop-off guarantee: the [online] record is consulted only by the
      online controller, so no setting of it may perturb the batch
@@ -805,6 +831,8 @@ let () =
             test_online_adaptive_pays_off;
           Alcotest.test_case "jobs-invariant replay" `Slow
             test_online_replay_is_jobs_invariant;
+          Alcotest.test_case "engine and knob differential" `Slow
+            test_online_engine_differential;
           Alcotest.test_case "loop off leaves the sweep alone" `Quick
             test_online_knobs_do_not_touch_the_sweep;
           Alcotest.test_case "spec validation" `Quick

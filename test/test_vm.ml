@@ -3,6 +3,7 @@
 module Ir = Jitise_ir
 module Vm = Jitise_vm
 module F = Jitise_frontend
+module Core = Jitise_core
 
 let compile src = (F.Compiler.compile_string ~name:"t" src).F.Compiler.modul
 
@@ -281,6 +282,156 @@ let test_profile_block_costs_ordering () =
   in
   Alcotest.(check bool) "sorted by cost" true (descending costs)
 
+let test_window_create_validation () =
+  let create ~size ~decay ~blocks () =
+    ignore (Vm.Profile.Window.create ~size ~decay ~blocks)
+  in
+  Alcotest.check_raises "size"
+    (Invalid_argument "Profile.Window.create: size must be >= 1")
+    (create ~size:0 ~decay:0.5 ~blocks:4);
+  Alcotest.check_raises "decay below"
+    (Invalid_argument "Profile.Window.create: decay must be in [0, 1)")
+    (create ~size:4 ~decay:(-0.1) ~blocks:4);
+  Alcotest.check_raises "decay at 1"
+    (Invalid_argument "Profile.Window.create: decay must be in [0, 1)")
+    (create ~size:4 ~decay:1.0 ~blocks:4);
+  Alcotest.check_raises "blocks"
+    (Invalid_argument "Profile.Window.create: blocks must be >= 0")
+    (create ~size:4 ~decay:0.5 ~blocks:(-1));
+  create ~size:1 ~decay:0.0 ~blocks:0 ()
+
+let test_window_counts () =
+  let w = Vm.Profile.Window.create ~size:3 ~decay:0.5 ~blocks:2 in
+  let obs id = Vm.Profile.Window.observe w id in
+  let o1 = obs 0 in
+  let o2 = obs 1 in
+  let o3 = obs 0 in
+  Alcotest.(check (list bool)) "fills on the third" [ false; false; true ]
+    [ o1; o2; o3 ];
+  Vm.Profile.Window.advance w;
+  Alcotest.(check int) "last 0" 2 (Vm.Profile.Window.last w 0);
+  Alcotest.(check int) "last 1" 1 (Vm.Profile.Window.last w 1);
+  Alcotest.(check (float 0.0)) "rate 0" 2.0 (Vm.Profile.Window.rate w 0);
+  ignore (obs 1);
+  Vm.Profile.Window.advance w;
+  Alcotest.(check int) "windows" 2 (Vm.Profile.Window.windows w);
+  Alcotest.(check int) "0 went cold" 0 (Vm.Profile.Window.last w 0);
+  Alcotest.(check (float 0.0)) "rate 0 decays" 1.0 (Vm.Profile.Window.rate w 0);
+  Alcotest.(check (float 0.0)) "rate 1" 1.5 (Vm.Profile.Window.rate w 1)
+
+(* The window over string-free dense ids must reproduce the keyed
+   sliding window it replaced: this model is that implementation, over
+   hash tables keyed by block id. *)
+module Window_model = struct
+  type t = {
+    size : int;
+    decay : float;
+    mutable seen : int;
+    mutable closed : int;
+    cur : (int, int) Hashtbl.t;
+    prev : (int, int) Hashtbl.t;
+    hot : (int, float) Hashtbl.t;
+  }
+
+  let create ~size ~decay =
+    {
+      size;
+      decay;
+      seen = 0;
+      closed = 0;
+      cur = Hashtbl.create 8;
+      prev = Hashtbl.create 8;
+      hot = Hashtbl.create 8;
+    }
+
+  let observe w id =
+    let c = Option.value ~default:0 (Hashtbl.find_opt w.cur id) in
+    Hashtbl.replace w.cur id (c + 1);
+    w.seen <- w.seen + 1;
+    w.seen >= w.size
+
+  let advance w =
+    let stale =
+      Hashtbl.fold
+        (fun id r acc ->
+          let r' = r *. w.decay in
+          if r' < 1e-9 then id :: acc
+          else begin
+            Hashtbl.replace w.hot id r';
+            acc
+          end)
+        w.hot []
+    in
+    List.iter (Hashtbl.remove w.hot) stale;
+    Hashtbl.reset w.prev;
+    Hashtbl.iter
+      (fun id c ->
+        Hashtbl.replace w.prev id c;
+        let r = Option.value ~default:0.0 (Hashtbl.find_opt w.hot id) in
+        Hashtbl.replace w.hot id (r +. float_of_int c))
+      w.cur;
+    Hashtbl.reset w.cur;
+    w.seen <- 0;
+    w.closed <- w.closed + 1
+
+  let rate w id = Option.value ~default:0.0 (Hashtbl.find_opt w.hot id)
+  let last w id = Option.value ~default:0 (Hashtbl.find_opt w.prev id)
+end
+
+(* Observation scripts: [Some id] observes block [id] (advancing when
+   the window fills, as the controller does), [None] closes the window
+   early. *)
+let qcheck_window_model =
+  let gen =
+    QCheck.Gen.(
+      let* blocks = int_range 1 6 in
+      let* size = int_range 1 8 in
+      let* decay = oneofl [ 0.0; 0.01; 0.3; 0.5; 0.9; 0.999 ] in
+      let* script =
+        list_size (int_range 0 300)
+          (frequency
+             [ (12, map Option.some (int_range 0 (blocks - 1))); (1, pure None) ])
+      in
+      pure (blocks, size, decay, script))
+  in
+  let print (blocks, size, decay, script) =
+    Printf.sprintf "blocks=%d size=%d decay=%g script=[%s]" blocks size decay
+      (String.concat ";"
+         (List.map
+            (function Some id -> string_of_int id | None -> "adv")
+            script))
+  in
+  QCheck.Test.make ~name:"window: dense ids = keyed model" ~count:300
+    (QCheck.make ~print gen) (fun (blocks, size, decay, script) ->
+      let w = Vm.Profile.Window.create ~size ~decay ~blocks in
+      let m = Window_model.create ~size ~decay in
+      let same () =
+        Vm.Profile.Window.windows w = m.Window_model.closed
+        && List.for_all
+             (fun id ->
+               Int64.equal
+                 (Int64.bits_of_float (Vm.Profile.Window.rate w id))
+                 (Int64.bits_of_float (Window_model.rate m id))
+               && Vm.Profile.Window.last w id = Window_model.last m id)
+             (List.init blocks Fun.id)
+      in
+      List.for_all
+        (fun step ->
+          (match step with
+          | Some id ->
+              let full = Vm.Profile.Window.observe w id in
+              if full <> Window_model.observe m id then
+                QCheck.Test.fail_report "observe disagrees";
+              if full then begin
+                Vm.Profile.Window.advance w;
+                Window_model.advance m
+              end
+          | None ->
+              Vm.Profile.Window.advance w;
+              Window_model.advance m);
+          same ())
+        script)
+
 (* ------------------------------------------------------------------ *)
 (* Machine                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -375,24 +526,45 @@ let ci_module () =
   Ir.Irmod.add_func m f;
   m
 
-let mul_ci_registry () =
+(* A custom-instruction body built with [Ir.Builder]: [build] emits the
+   nodes into a scratch block whose registers [0 .. k-1] are the
+   declared inputs, and returns the root. *)
+let build_ci_body (inputs : Ir.Ty.t list) build : Vm.Machine.ci_body =
+  let params = List.mapi (fun i ty -> (i, ty)) inputs in
+  let f = Ir.Func.create ~name:"ci" ~params ~ret_ty:Ir.Ty.Void in
+  let b = Ir.Builder.create f in
+  let bb = Ir.Builder.new_block b ~name:"body" in
+  Ir.Builder.position_at b bb;
+  let root = build b in
+  {
+    Vm.Machine.cb_inputs = Array.of_list params;
+    cb_nodes = Array.of_list bb.Ir.Block.instrs;
+    cb_root = root;
+  }
+
+(* A registry holding one CI per body, numbered from 0, interpreted by
+   {!Core.Adapt.eval_body}. *)
+let body_registry ?(cycles = 2) bodies =
   let cis = Vm.Machine.empty_cis () in
-  Hashtbl.replace cis 0
-    {
-      Vm.Machine.ci_eval =
-        (fun args ->
-          Ir.Eval.VInt
-            (Int64.mul (Ir.Eval.as_int args.(0)) (Ir.Eval.as_int args.(1))));
-      ci_cycles = 2;
-      (* a distinguishable native impl would break the differential
-         suite: the knob must be unobservable in outcomes *)
-      ci_native =
-        Some
-          (fun args ->
-            Ir.Eval.VInt
-              (Int64.mul (Ir.Eval.as_int args.(0)) (Ir.Eval.as_int args.(1))));
-    };
+  List.iteri
+    (fun id body ->
+      Hashtbl.replace cis id
+        {
+          Vm.Machine.ci_eval = Core.Adapt.eval_body body;
+          ci_cycles = cycles;
+          ci_body = Some body;
+        })
+    bodies;
   cis
+
+(* ci0(a, b) = a * b over i32, at 2 cycles. *)
+let mul_ci_registry () =
+  body_registry
+    [
+      build_ci_body [ Ir.Ty.I32; Ir.Ty.I32 ] (fun b ->
+          Ir.Builder.binop b Ir.Instr.Mul Ir.Ty.I32 (Ir.Builder.reg 0)
+            (Ir.Builder.reg 1));
+    ]
 
 let test_machine_ci_call () =
   (* The registry path: ci0(a, b) = a * b, at 2 cycles. *)
@@ -463,7 +635,6 @@ let test_seconds_of_cycles () =
    block-frequency profiles. *)
 
 module W = Jitise_workloads
-module Core = Jitise_core
 module Pp = Jitise_pivpav
 module Cad = Jitise_cad
 module An = Jitise_analysis
@@ -837,6 +1008,338 @@ let test_tuning_ci_call () =
   let cis = mul_ci_registry () in
   ignore (diff_all_n ~cis ~n:6 "tuned ci" m);
   ignore (diff_all_n ~cis ~n:(-3) "tuned ci negative" m)
+
+(* ------------------------------------------------------------------ *)
+(* CI bodies: spliced typed lanes against the ci_eval oracle           *)
+(* ------------------------------------------------------------------ *)
+
+(* A call-site operand: a register of the given type derived from
+   main's argument, a constant, or the operand at an earlier position
+   again (the same register passed twice). *)
+type ci_arg = Of of Ir.Ty.t | K of Ir.Instr.operand | Again of int
+
+(* main(n : i64) derives one register per [Of] operand from [n], calls
+   ci0 on the operands and returns its [ret]-typed result.  [stray]
+   adds the result to a register just past main's own. *)
+let ci_site_module ?(stray = false) ~ret (args : ci_arg list) =
+  let f =
+    Ir.Func.create ~name:"main" ~params:[ (0, Ir.Ty.I64) ] ~ret_ty:ret
+  in
+  let b = Ir.Builder.create f in
+  Ir.Builder.position_at b (Ir.Builder.new_block b ~name:"entry");
+  let r = Ir.Builder.reg and n = Ir.Builder.reg 0 in
+  let derive = function
+    | Ir.Ty.I64 -> n
+    | Ir.Ty.I1 -> r (Ir.Builder.icmp b Ir.Instr.Islt n (Ir.Builder.ci64 3L))
+    | (Ir.Ty.F32 | Ir.Ty.F64) as ty ->
+        let k =
+          if ty = Ir.Ty.F32 then Ir.Builder.cf32 0.37 else Ir.Builder.cf64 0.37
+        in
+        r
+          (Ir.Builder.binop b Ir.Instr.Fmul ty
+             (r (Ir.Builder.cast b Ir.Instr.Sitofp ty n))
+             k)
+    | ty ->
+        (* a narrower int: the low bits of a product, so sign and
+           truncation vary with n *)
+        let p =
+          Ir.Builder.binop b Ir.Instr.Mul Ir.Ty.I64 n
+            (Ir.Builder.ci64 0x9E3779B97F4A7C15L)
+        in
+        r (Ir.Builder.cast b Ir.Instr.Trunc ty (r p))
+  in
+  let placed = ref [] in
+  List.iter
+    (fun a ->
+      let op =
+        match a with
+        | Of ty -> derive ty
+        | K op -> op
+        | Again k -> List.nth (List.rev !placed) k
+      in
+      placed := op :: !placed)
+    args;
+  let d =
+    Ir.Builder.add b ret (Ir.Instr.Ci_call (0, List.rev !placed))
+  in
+  let d =
+    if stray then
+      let past = f.Ir.Func.next_reg + 1 in
+      Ir.Builder.binop b Ir.Instr.Add ret (r d) (r past)
+    else d
+  in
+  Ir.Builder.ret b (Some (r d));
+  let m = Ir.Irmod.create ~name:"cisite" in
+  Ir.Irmod.add_func m (Ir.Builder.finish b);
+  m
+
+type ci_case = {
+  cc_name : string;
+  cc_body : Vm.Machine.ci_body;
+  cc_args : ci_arg list;
+  cc_ret : Ir.Ty.t;  (** the call's destination type *)
+  cc_splices : bool;  (** compiled inline when [ci_native] is on *)
+}
+
+let ci_case ?args ?(ret = Ir.Ty.Void) ?(tweak = Fun.id) ~splices name inputs
+    build =
+  let body = tweak (build_ci_body inputs build) in
+  let root_ty =
+    match
+      Array.find_opt
+        (fun (i : Ir.Instr.t) -> i.Ir.Instr.id = body.Vm.Machine.cb_root)
+        body.Vm.Machine.cb_nodes
+    with
+    | Some i -> i.Ir.Instr.ty
+    | None -> Ir.Ty.I32
+  in
+  {
+    cc_name = name;
+    cc_body = body;
+    cc_args =
+      (match args with Some a -> a | None -> List.map (fun t -> Of t) inputs);
+    cc_ret = (if ret = Ir.Ty.Void then root_ty else ret);
+    cc_splices = splices;
+  }
+
+module B = Ir.Builder
+
+(* Every integer binop over [ty], chained so each result feeds the
+   next; divisors are forced odd, so only the shapes below divide by
+   zero. *)
+let int_chain ty b =
+  let r = B.reg and k v = Ir.Instr.Const (Ir.Instr.Cint (v, ty)) in
+  let bin op x y = B.binop b op ty x y in
+  let x = r 0 and y = r 1 in
+  let a = bin Ir.Instr.Add x y in
+  let s = bin Ir.Instr.Sub (r a) x in
+  let m = bin Ir.Instr.Mul (r s) y in
+  let an = bin Ir.Instr.And (r m) (k 0x5a5aL) in
+  let o = bin Ir.Instr.Or (r an) x in
+  let xo = bin Ir.Instr.Xor (r o) y in
+  let sh = bin Ir.Instr.Shl (r xo) (k 3L) in
+  let l = bin Ir.Instr.Lshr (r sh) y in
+  let ash = bin Ir.Instr.Ashr (r l) (k 1L) in
+  let odd v = r (bin Ir.Instr.Or v (k 1L)) in
+  let ud = bin Ir.Instr.Udiv (r ash) (odd y) in
+  let ur = bin Ir.Instr.Urem (r ud) (odd x) in
+  let sd = bin Ir.Instr.Sdiv (r ur) (k 3L) in
+  bin Ir.Instr.Srem (r sd) (odd (r xo))
+
+let float_chain ty b =
+  let r = B.reg in
+  let k v =
+    Ir.Instr.Const (Ir.Instr.Cfloat (v, ty))
+  in
+  let bin op x y = B.binop b op ty x y in
+  let a = bin Ir.Instr.Fadd (r 0) (r 1) in
+  let s = bin Ir.Instr.Fsub (r a) (k 0.1) in
+  let m = bin Ir.Instr.Fmul (r s) (r 1) in
+  bin Ir.Instr.Fdiv (r m) (r 0)
+
+let ci_cases =
+  let r = B.reg and i32 = Ir.Ty.I32 and i64 = Ir.Ty.I64 in
+  let f64 = Ir.Ty.F64 and f32 = Ir.Ty.F32 and i1 = Ir.Ty.I1 in
+  let i8 = Ir.Ty.I8 in
+  let mul b = B.binop b Ir.Instr.Mul i32 (r 0) (r 1) in
+  [
+    (* ---- spliced ---- *)
+    ci_case ~splices:true "int chain i64" [ i64; i64 ] (int_chain i64);
+    ci_case ~splices:true "int chain i32" [ i32; i32 ] (int_chain i32);
+    ci_case ~splices:true "int chain i8" [ i8; i8 ] (int_chain i8);
+    ci_case ~splices:true "sdiv by zero" [ i64; i64 ] (fun b ->
+        B.binop b Ir.Instr.Sdiv i64 (r 0) (r 1));
+    ci_case ~splices:true "float chain f64" [ f64; f64 ] (float_chain f64);
+    ci_case ~splices:true "float chain f32" [ f32; f32 ] (float_chain f32);
+    ci_case ~splices:true "compares" [ i32; i32; f64; f64 ] (fun b ->
+        let acc = ref None in
+        let fold c =
+          acc :=
+            Some
+              (match !acc with
+              | None -> c
+              | Some a -> B.binop b Ir.Instr.Xor i1 (r a) (r c))
+        in
+        List.iter
+          (fun p -> fold (B.icmp b p (r 0) (r 1)))
+          Ir.Instr.[ Ieq; Ine; Islt; Isle; Isgt; Isge; Iult; Iule; Iugt; Iuge ];
+        List.iter
+          (fun p -> fold (B.fcmp b p (r 2) (r 3)))
+          Ir.Instr.[ Foeq; Fone; Folt; Fole; Fogt; Foge ];
+        Option.get !acc);
+    ci_case ~splices:true "cross-class casts" [ i64; f64; f32; i8 ] (fun b ->
+        let c k ty x = B.cast b k ty x in
+        let t1 = c Ir.Instr.Trunc Ir.Ty.I16 (r 0) in
+        let t2 = c Ir.Instr.Sext i64 (r t1) in
+        let t3 = c Ir.Instr.Sitofp f32 (r t2) in
+        let t4 = c Ir.Instr.Fpext f64 (r t3) in
+        let t5 = B.binop b Ir.Instr.Fadd f64 (r t4) (r 1) in
+        let t6 = c Ir.Instr.Fptosi i32 (r t5) in
+        let t7 = c Ir.Instr.Zext i64 (r t6) in
+        let t8 = c Ir.Instr.Bitcast f64 (r t7) in
+        let t9 = c Ir.Instr.Fptrunc f32 (r t8) in
+        let t10 = B.binop b Ir.Instr.Fmul f32 (r t9) (r 2) in
+        let t11 = c Ir.Instr.Bitcast i32 (r t10) in
+        let t12 = c Ir.Instr.Zext i32 (r 3) in
+        let t13 = c Ir.Instr.Bitcast i64 (r 1) in
+        let t14 = c Ir.Instr.Trunc i32 (r t13) in
+        let t15 = B.binop b Ir.Instr.Xor i32 (r t11) (r t12) in
+        B.binop b Ir.Instr.Add i32 (r t15) (r t14));
+    ci_case ~splices:true "select" [ i1; i32; i32; f64; f64 ] (fun b ->
+        let s1 = B.select b i32 (r 0) (r 1) (r 2) in
+        let s2 = B.select b f64 (r 0) (r 3) (B.cf64 (-2.5)) in
+        let s3 = B.cast b Ir.Instr.Fptosi i32 (r s2) in
+        let s4 = B.select b i32 (B.cbool true) (r s3) (B.ci32 9) in
+        B.binop b Ir.Instr.Add i32 (r s1) (r s4));
+    ci_case ~splices:true "constant operands" [ i32; i32; f64 ]
+      ~args:[ Of i32; K (B.ci32 (-5)); K (B.cf64 2.5) ]
+      (fun b ->
+        let c = B.cast b Ir.Instr.Fptosi i32 (r 2) in
+        let m = mul b in
+        B.binop b Ir.Instr.Sub i32 (r m) (r c));
+    ci_case ~splices:true "one register at two positions" [ i32; i32 ]
+      ~args:[ Of i32; Again 0 ] mul;
+    ci_case ~splices:true "input listed twice: the last wins" [ i32 ]
+      ~args:[ K (B.ci32 1000); Of i32 ]
+      ~tweak:(fun body ->
+        { body with Vm.Machine.cb_inputs = [| (0, i32); (0, i32) |] })
+      (fun b -> B.binop b Ir.Instr.Add i32 (r 0) (B.ci32 1));
+    (* ---- the boxed ci_eval seam ---- *)
+    ci_case ~splices:false "too few operands" [ i32; i32 ] ~args:[ Of i32 ] mul;
+    ci_case ~splices:false "too many operands" [ i32; i32 ]
+      ~args:[ Of i32; Of i32; Of i32 ] mul;
+    ci_case ~splices:false "float register to an int input" [ i32; i32 ]
+      ~args:[ Of f64; Of i32 ] mul;
+    ci_case ~splices:false "static type differs" [ i32; i32 ]
+      ~args:[ Of i64; Of i32 ] mul;
+    ci_case ~splices:false "unbound register" [ i32 ] (fun b ->
+        B.binop b Ir.Instr.Add i32 (r 0) (r 7));
+    ci_case ~splices:false "reads a later node" [ i32 ]
+      ~tweak:(fun body ->
+        let nodes = Array.copy body.Vm.Machine.cb_nodes in
+        let later = nodes.(1).Ir.Instr.id in
+        nodes.(0) <-
+          {
+            (nodes.(0)) with
+            Ir.Instr.kind = Ir.Instr.Binop (Ir.Instr.Add, r 0, r later);
+          };
+        { body with Vm.Machine.cb_nodes = nodes })
+      (fun b ->
+        let a = B.binop b Ir.Instr.Add i32 (r 0) (B.ci32 1) in
+        B.binop b Ir.Instr.Mul i32 (r a) (B.ci32 3));
+    ci_case ~splices:false "infeasible node kind" [ i32 ] (fun b ->
+        let p = B.alloca b i32 1 in
+        let a = B.binop b Ir.Instr.Add i32 (r 0) (r p) in
+        a);
+    ci_case ~splices:false "root not last" [ i32 ]
+      ~tweak:(fun body ->
+        {
+          body with
+          Vm.Machine.cb_root = body.Vm.Machine.cb_nodes.(0).Ir.Instr.id;
+        })
+      (fun b ->
+        let a = B.binop b Ir.Instr.Add i32 (r 0) (B.ci32 1) in
+        B.binop b Ir.Instr.Mul i32 (r a) (B.ci32 3));
+    ci_case ~splices:false "result class differs from its type" [ f64; f64 ]
+      ~ret:f64
+      (fun b -> B.binop b Ir.Instr.Fadd i32 (r 0) (r 1));
+    ci_case ~splices:false "duplicate node ids" [ i32 ]
+      ~tweak:(fun body ->
+        let nodes = Array.copy body.Vm.Machine.cb_nodes in
+        nodes.(1) <- { (nodes.(1)) with Ir.Instr.id = nodes.(0).Ir.Instr.id };
+        {
+          body with
+          Vm.Machine.cb_nodes = nodes;
+          cb_root = nodes.(0).Ir.Instr.id;
+        })
+      (fun b ->
+        let a = B.binop b Ir.Instr.Add i32 (r 0) (B.ci32 1) in
+        B.binop b Ir.Instr.Mul i32 (r a) (B.ci32 3));
+  ]
+
+(* A run's observable result: the outcome, or the fault it raised. *)
+let ci_result ~cis ~engine ?tuning m n =
+  match
+    Vm.Machine.run ~cis ~engine ?tuning m ~entry:"main"
+      ~args:[ Ir.Eval.VInt n ]
+  with
+  | o -> Ok o
+  | exception Vm.Machine.Fault msg -> Error ("fault: " ^ msg)
+  | exception Invalid_argument msg -> Error ("invalid: " ^ msg)
+
+let test_tuning_ci_bodies () =
+  List.iter
+    (fun c ->
+      let calls = ref 0 in
+      let cis = Vm.Machine.empty_cis () in
+      let eval = Core.Adapt.eval_body c.cc_body in
+      Hashtbl.replace cis 0
+        {
+          Vm.Machine.ci_eval =
+            (fun args ->
+              incr calls;
+              eval args);
+          ci_cycles = 3;
+          ci_body = Some c.cc_body;
+        };
+      let m = ci_site_module ~ret:c.cc_ret c.cc_args in
+      List.iter
+        (fun n ->
+          let what = Printf.sprintf "%s n=%Ld" c.cc_name n in
+          let ref_out = ci_result ~cis ~engine:Vm.Machine.Reference m n in
+          List.iter
+            (fun tuning ->
+              let what = what ^ " [" ^ tuning_tag tuning ^ "]" in
+              let before = !calls in
+              (match
+                 ( ref_out,
+                   ci_result ~cis ~engine:Vm.Machine.Threaded ~tuning m n )
+               with
+              | Ok a, Ok b -> check_outcomes_equal what a b
+              | Error a, Error b -> Alcotest.(check string) what a b
+              | Ok _, Error e -> Alcotest.fail (what ^ ": only tuned: " ^ e)
+              | Error e, Ok _ -> Alcotest.fail (what ^ ": only reference: " ^ e));
+              let boxed = !calls > before in
+              Alcotest.(check bool)
+                (what ^ ": takes the ci_eval seam")
+                (not (tuning.Vm.Machine.ci_native && c.cc_splices))
+                boxed)
+            all_tunings)
+        [ 0L; 1L; -1L; 2L; 3L; 7L; 1000L; -123456789L; Int64.max_int ])
+    ci_cases;
+  (* the parity cases must actually fault, in the caller's block *)
+  let fault_of name n =
+    let c = List.find (fun c -> c.cc_name = name) ci_cases in
+    let m = ci_site_module ~ret:c.cc_ret c.cc_args in
+    match
+      ci_result ~cis:(body_registry [ c.cc_body ]) ~engine:Vm.Machine.Threaded m
+        n
+    with
+    | Error e -> e
+    | Ok _ -> "no fault"
+  in
+  Alcotest.(check string) "sdiv by zero" "fault: @main/bb0: division by zero"
+    (fault_of "sdiv by zero" 0L);
+  Alcotest.(check string) "float register to an int input"
+    "fault: @main/bb0: expected an integer value"
+    (fault_of "float register to an int input" 5L);
+  (* a caller reading a register past its own faults on it, as in the
+     Reference engine, even where a spliced body's fresh registers
+     would sit *)
+  let c = List.find (fun c -> c.cc_name = "int chain i32") ci_cases in
+  let m = ci_site_module ~stray:true ~ret:c.cc_ret c.cc_args in
+  let cis = body_registry [ c.cc_body ] in
+  let expect = ci_result ~cis ~engine:Vm.Machine.Reference m 5L in
+  Alcotest.(check bool) "stray register faults" true (Result.is_error expect);
+  List.iter
+    (fun tuning ->
+      match
+        (expect, ci_result ~cis ~engine:Vm.Machine.Threaded ~tuning m 5L)
+      with
+      | Error a, Error b ->
+          Alcotest.(check string) ("stray register " ^ tuning_tag tuning) a b
+      | _ -> Alcotest.fail ("stray register " ^ tuning_tag tuning))
+    all_tunings
 
 let test_tuning_load_sink_faults () =
   (* A fusable single-use load with a wild computed index: the sunk
@@ -1795,6 +2298,54 @@ let minor_words_per_instr name tuning =
   in
   (after -. before) /. Int64.to_float instrs
 
+(* Minor words per dynamic instruction of one monitored run of [name]'s
+   adapted module, on its last dataset, set up like the online
+   controller's runs: every CI starts at a software cost, a phase
+   window observes every block, and each closed window rebinds every CI
+   between software and hardware cost. *)
+let monitored_adapted_words_per_instr name =
+  let w = Option.get (W.Registry.find name) in
+  let spec = Core.Spec.default |> Core.Spec.with_prune Ise.Prune.none in
+  let r = Core.Experiment.evaluate ~spec (Pp.Database.create ()) w in
+  let adapt =
+    Core.Adapt.apply r.Core.Experiment.compiled.F.Compiler.modul
+      r.Core.Experiment.report.Core.Asip_sp.selection
+  in
+  let cis = adapt.Core.Adapt.registry and m = adapt.Core.Adapt.modul in
+  let n = (List.hd (List.rev w.W.Workload.datasets)).W.Workload.n in
+  let run () =
+    let window =
+      Vm.Profile.Window.create ~size:4096 ~decay:0.5
+        ~blocks:(Ir.Irmod.num_blocks m)
+    in
+    let bind ctl hw =
+      Hashtbl.iter
+        (fun id (impl : Vm.Machine.ci_impl) ->
+          ctl.Vm.Machine.ctl_bind id
+            (if hw then float_of_int impl.Vm.Machine.ci_cycles else 40.0))
+        cis
+    in
+    let monitor ctl =
+      bind ctl false;
+      let hw = ref false in
+      fun bid ->
+        if Vm.Profile.Window.observe window bid then begin
+          Vm.Profile.Window.advance window;
+          hw := not !hw;
+          bind ctl !hw
+        end
+    in
+    Vm.Machine.run ~cis ~monitor m ~entry:"main"
+      ~args:[ Ir.Eval.VInt (Int64.of_int n) ]
+  in
+  ignore (run ());
+  let before = Gc.minor_words () in
+  let o = run () in
+  let after = Gc.minor_words () in
+  Alcotest.(check bool) (name ^ ": the adapted module dispatches CIs") true
+    (Hashtbl.length cis > 0);
+  (after -. before) /. Int64.to_float o.profile.Vm.Profile.executed_instrs
+
 let test_regalloc_allocation_probe () =
   let off =
     minor_words_per_instr "sor"
@@ -1825,7 +2376,13 @@ let test_regalloc_allocation_probe () =
       Alcotest.(check bool)
         (Printf.sprintf "%s: %.4f words/instr < %.3f" app w ceiling)
         true (w < ceiling))
-    [ ("458.sjeng", 0.015); ("whetstone", 0.025); ("adpcm", 0.008) ]
+    [ ("458.sjeng", 0.015); ("whetstone", 0.025); ("adpcm", 0.008) ];
+  let mon = monitored_adapted_words_per_instr "phased.sweep" in
+  Printf.printf "minor words/instr: monitored adapted phased.sweep %.4f\n" mon;
+  Alcotest.(check bool)
+    (Printf.sprintf "monitored adapted phased.sweep: %.4f words/instr < %.3f"
+       mon 0.065)
+    true (mon < 0.065)
 
 (* ------------------------------------------------------------------ *)
 (* Engine golden: full Experiment reports are engine-invariant         *)
@@ -1988,6 +2545,11 @@ let () =
           Alcotest.test_case "counts" `Quick test_profile_counts;
           Alcotest.test_case "merge" `Quick test_profile_merge;
           Alcotest.test_case "block costs" `Quick test_profile_block_costs_ordering;
+          Alcotest.test_case "window: create validation" `Quick
+            test_window_create_validation;
+          Alcotest.test_case "window: counts and decay" `Quick
+            test_window_counts;
+          QCheck_alcotest.to_alcotest qcheck_window_model;
         ] );
       ( "machine",
         [
@@ -2031,6 +2593,7 @@ let () =
           Alcotest.test_case "fuel mid-chain" `Quick
             test_tuning_fuel_mid_chain;
           Alcotest.test_case "ci call" `Quick test_tuning_ci_call;
+          Alcotest.test_case "ci bodies" `Quick test_tuning_ci_bodies;
           Alcotest.test_case "load-sink faults" `Quick
             test_tuning_load_sink_faults;
           Alcotest.test_case "mixed-class phi cycle" `Quick
