@@ -276,7 +276,8 @@ let regenerate_tables ~spec () =
   print_endline "";
   print_string (Core.Diagrams.figure1 ());
   print_endline "";
-  print_string (Core.Diagrams.figure2 ())
+  print_string (Core.Diagrams.figure2 ());
+  List.map (fun r -> r.Core.Experiment.report) results
 
 (* ------------------------------------------------------------------ *)
 (* Pipeline stage-cache report (BENCH_pipeline.json)                   *)
@@ -1179,7 +1180,7 @@ let () =
   in
   let spec =
     if List.mem "--shared-cache" argv then
-      Core.Spec.with_cache (Cad.Cache.create ()) spec
+      Core.Spec.with_cache (Jitise_util.Artifact.create ()) spec
     else spec
   in
   let spec =
@@ -1213,7 +1214,7 @@ let () =
       ~seeds:(int_arg "--chaos-seeds" ~default:10 ~min:1 argv)
       ~base_seed:(int_arg "--chaos-base-seed" ~default:4207 ~min:0 argv)
       chaos_json;
-  if tables then regenerate_tables ~spec ();
+  let reports = if tables then regenerate_tables ~spec () else [] in
   if benches then run_benchmarks ();
   (if not (vm_only || store_only || online_only) then
      Option.iter pipeline_report pipeline_json);
@@ -1230,7 +1231,5 @@ let () =
       Printf.eprintf "[trace] wrote %s (%d spans)\n%!" path
         (List.length (Jitise_util.Trace.events t))
   | _ -> ());
-  match spec.Core.Spec.cache with
-  | Some c ->
-      Format.eprintf "[cache] %a@." Cad.Cache.pp_stats (Cad.Cache.stats c)
-  | None -> ()
+  if spec.Core.Spec.cache <> None then
+    Format.eprintf "[cache] %a@." Core.Asip_sp.pp_cache_summary reports

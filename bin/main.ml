@@ -52,7 +52,6 @@ let mk_spec ~trace ~jobs ~shared_cache ~stage_cache ~store_dir ~vm_engine
     trace;
   let supervisor =
     {
-      U.Supervisor.default_policy with
       U.Supervisor.max_attempts = fo.stage_attempts;
       stage_deadline_seconds = fo.stage_deadline;
       run_deadline_seconds = fo.run_deadline;
@@ -76,7 +75,7 @@ let mk_spec ~trace ~jobs ~shared_cache ~stage_cache ~store_dir ~vm_engine
     else spec
   in
   let spec =
-    if shared_cache then Core.Spec.with_cache (Cad.Cache.create ()) spec
+    if shared_cache then Core.Spec.with_cache (U.Artifact.create ()) spec
     else spec
   in
   let spec =
@@ -96,18 +95,17 @@ let mk_spec ~trace ~jobs ~shared_cache ~stage_cache ~store_dir ~vm_engine
          |> U.Retry.with_max_attempts fo.retries
          |> U.Retry.with_specialization_deadline fo.deadline)
 
-(* Write the trace and report cache statistics once the work is done. *)
-let finish_spec ?(stage_stats = false) (spec : Core.Spec.t) trace =
+(* Write the trace and report cache statistics once the work is done;
+   [reports] are every report finalized against [spec.cache]. *)
+let finish_spec ?(stage_stats = false) (spec : Core.Spec.t) trace reports =
   (match (spec.Core.Spec.tracer, trace) with
   | Some t, Some path ->
       U.Trace.write t path;
       Printf.eprintf "[trace] wrote %s (%d spans)\n%!" path
         (List.length (U.Trace.events t))
   | _ -> ());
-  (match spec.Core.Spec.cache with
-  | Some c ->
-      Format.eprintf "[cache] %a@." Cad.Cache.pp_stats (Cad.Cache.stats c)
-  | None -> ());
+  if spec.Core.Spec.cache <> None then
+    Format.eprintf "[cache] %a@." Core.Asip_sp.pp_cache_summary reports;
   (match spec.Core.Spec.stage_cache with
   | Some store when stage_stats ->
       Format.eprintf "[stage-cache] %a@." U.Artifact.pp_stats
@@ -201,7 +199,7 @@ let run_specialize name trace jobs shared_cache stage_cache stage_stats
         (U.Duration.to_min_sec c.Core.Asip_sp.total_seconds)
         (match c.Core.Asip_sp.cache_hit with
         | Some kind ->
-            Printf.sprintf " (%s cache hit)" (Cad.Cache.hit_name kind)
+            Printf.sprintf " (%s cache hit)" (U.Artifact.hit_name kind)
         | None -> "")
         (if not fault_options.faults then ""
          else
@@ -250,7 +248,7 @@ let run_specialize name trace jobs shared_cache stage_cache stage_stats
     (match r.Core.Experiment.break_even with
     | Jitise_analysis.Breakeven.Never -> "never"
     | Jitise_analysis.Breakeven.After s -> U.Duration.to_dhms s);
-  finish_spec ~stage_stats spec trace
+  finish_spec ~stage_stats spec trace [ rep ]
 
 let run_timeline name jobs fault_options =
   let w = load_workload name in
@@ -640,7 +638,8 @@ let retries_arg =
 
 let deadline_arg =
   Arg.(
-    value & opt (some float) None
+    value
+    & opt (some positive_float) None
     & info [ "deadline" ] ~docv:"SECONDS"
         ~doc:
           "Simulated-time budget for a whole specialization run (with \
@@ -678,7 +677,7 @@ let stage_attempts_arg =
 let stage_deadline_arg =
   Arg.(
     value
-    & opt (some float) None
+    & opt (some positive_float) None
     & info [ "stage-deadline" ] ~docv:"SECONDS"
         ~doc:
           "Simulated stall budget per stage attempt; an attempt whose \
@@ -688,7 +687,7 @@ let stage_deadline_arg =
 let run_deadline_arg =
   Arg.(
     value
-    & opt (some float) None
+    & opt (some positive_float) None
     & info [ "run-deadline" ] ~docv:"SECONDS"
         ~doc:
           "Simulated supervision budget (stalls + backoffs) for all \
@@ -732,7 +731,8 @@ let sweep_cmd name doc render =
             Core.Experiment.sweep ~verbose:true ~spec (Lazy.force db)
           in
           render ~faults:fault_options.faults results;
-          finish_spec ~stage_stats spec trace)
+          finish_spec ~stage_stats spec trace
+            (List.map (fun r -> r.Core.Experiment.report) results))
       $ trace_arg $ jobs_arg $ shared_cache_arg $ stage_cache_arg
       $ stage_stats_arg $ store_dir_arg $ vm_engine_arg $ vm_tuning_term
       $ fault_options_term)

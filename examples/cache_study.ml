@@ -87,9 +87,8 @@ let () =
   | Some w2 ->
       Printf.eprintf "[cache_study] cross-application cache: %s then %s...\n%!"
         name other;
-      let cache = Jitise_cad.Cache.create () in
-      let spec = Core.Spec.with_cache cache Core.Spec.default in
-      let _r1 = Core.Experiment.evaluate ~spec db w in
+      let spec = Core.Spec.with_cache (U.Artifact.create ()) Core.Spec.default in
+      let r1 = Core.Experiment.evaluate ~spec db w in
       let r2 = Core.Experiment.evaluate ~spec db w2 in
       let local, shared = Core.Asip_sp.cache_hit_counts r2.Core.Experiment.report in
       Printf.printf
@@ -97,5 +96,5 @@ let () =
         \  %s: %d local hit(s), %d shared hit(s) out of %d candidate(s)\n"
         name other other local shared
         (List.length r2.Core.Experiment.report.Core.Asip_sp.candidates);
-      Format.printf "  cache totals: %a@." Jitise_cad.Cache.pp_stats
-        (Jitise_cad.Cache.stats cache)
+      Format.printf "  cache totals: %a@." Core.Asip_sp.pp_cache_summary
+        [ r1.Core.Experiment.report; r2.Core.Experiment.report ]

@@ -81,10 +81,6 @@ type run = {
       (** what the flow {e would} cost; on a cache hit the caller
           decides whether the cost is actually paid *)
   bitstream : Bitstream.t;
-  cache_hit : Cache.hit option;
-      (** [Some _] when a [?cache] passed to {!implement} already held
-          this data path — [Local] from the same application, [Shared]
-          from another one *)
   syntax_problems : string list;  (** non-empty = flow aborted *)
   relaxed : bool;
       (** the run was resynthesized with relaxed timing constraints
@@ -210,27 +206,21 @@ let emit_spans tracer (p : Hw.Project.t) stages ~failed =
     {!Faults} model is rolled for this [(signature, stage, attempt)]
     tuple.  On a failure the attempt aborts: the result is [Error f]
     where [f.wasted_seconds] covers every stage up to and including the
-    failing one, and nothing is recorded in [?cache] — failed runs must
-    never be served to other applications.  With [faults] disabled
-    (default) the result is always [Ok].
+    failing one.  With [faults] disabled (default) the result is always
+    [Ok].
 
     @param attempt 1-based CAD attempt number; seeds the fault rolls so
     a retry of the same data path fails (or succeeds) differently
     @param relaxed resynthesize with relaxed timing constraints: timing
     failures cannot occur, map/PAR cost ~15 % extra (the recovery move
     for {!Faults.Timing_failure})
-    @param cache a shared bitstream cache (Section VI-A); the produced
-    bitstream is recorded in it under the project's structural
-    signature, and [run.cache_hit] reports whether it was already there
-    @param app the application the data path belongs to, for the
-    cache's local/shared hit attribution
     @param tracer records one synthetic span per CAD stage (the
     durations are simulated, so the spans carry the modelled seconds,
     not wall-clock time)
     @raise Syntax_error when the generated VHDL fails the syntax
     check (indicates a data-path generator bug — tests assert this
     never fires on MAXMISO output). *)
-let implement_result ?cache ?(app = "") ?tracer ?(config = default_config)
+let implement_result ?tracer ?(config = default_config)
     ?(faults = Faults.none) ?(attempt = 1) ?(relaxed = false)
     (db : Pp.Database.t) (p : Hw.Project.t) : (run, failure) result =
   (* Validate the whole configuration up front — before the syntax
@@ -300,7 +290,7 @@ let implement_result ?cache ?(app = "") ?tracer ?(config = default_config)
   in
   match fault with
   | Some f ->
-      (* Bill only the stages that ran; never touch the cache. *)
+      (* Bill only the stages that ran. *)
       let ran =
         let rec take = function
           | [] -> []
@@ -323,19 +313,12 @@ let implement_result ?cache ?(app = "") ?tracer ?(config = default_config)
           ~frames ~luts ~generation_seconds:total_seconds
       in
       emit_spans tracer p stages ~failed:None;
-      let cache_hit =
-        match cache with
-        | None -> None
-        | Some c ->
-            Cache.note c ~app ~signature:p.Hw.Project.name ~bitstream
-      in
       Ok
         {
           project = p;
           stages;
           total_seconds;
           bitstream;
-          cache_hit;
           syntax_problems = [];
           relaxed;
         }
@@ -358,10 +341,8 @@ let run_of_result = function
 (** {!implement_result} with fault injection disabled: always succeeds
     (or raises {!Syntax_error} / [Invalid_argument], as documented
     there). *)
-let implement ?cache ?app ?tracer ?config (db : Pp.Database.t)
-    (p : Hw.Project.t) : run =
-  run_of_result
-    (implement_result ?cache ?app ?tracer ?config ~faults:Faults.none db p)
+let implement ?tracer ?config (db : Pp.Database.t) (p : Hw.Project.t) : run =
+  run_of_result (implement_result ?tracer ?config ~faults:Faults.none db p)
 
 (** Seconds spent in a given stage of a run. *)
 let stage_seconds run stage =

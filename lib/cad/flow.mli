@@ -59,10 +59,6 @@ type run = {
       (** what the flow {e would} cost; on a cache hit the caller
           decides whether the cost is actually paid *)
   bitstream : Bitstream.t;
-  cache_hit : Cache.hit option;
-      (** [Some _] when a [?cache] passed to {!implement} already held
-          this data path — [Local] from the same application, [Shared]
-          from another one *)
   syntax_problems : string list;  (** non-empty = flow aborted *)
   relaxed : bool;
       (** the run was resynthesized with relaxed timing constraints
@@ -95,8 +91,6 @@ val c2v_seconds : Hw.Project.t -> float
     C2V column: 3.22 s, sd 0.10). *)
 
 val implement_result :
-  ?cache:Cache.t ->
-  ?app:string ->
   ?tracer:Jitise_util.Trace.t ->
   ?config:config ->
   ?faults:Faults.config ->
@@ -112,20 +106,14 @@ val implement_result :
     {!Faults} model is rolled for this [(signature, stage, attempt)]
     tuple.  On a failure the attempt aborts: the result is [Error f]
     where [f.wasted_seconds] covers every stage up to and including the
-    failing one, and nothing is recorded in [?cache] — failed runs must
-    never be served to other applications.  With [faults] disabled
-    (default) the result is always [Ok].
+    failing one.  With [faults] disabled (default) the result is always
+    [Ok].
 
     @param attempt 1-based CAD attempt number; seeds the fault rolls so
     a retry of the same data path fails (or succeeds) differently
     @param relaxed resynthesize with relaxed timing constraints: timing
     failures cannot occur, map/PAR cost ~15 % extra (the recovery move
     for {!Faults.Timing_failure})
-    @param cache a shared bitstream cache (Section VI-A); the produced
-    bitstream is recorded in it under the project's structural
-    signature, and [run.cache_hit] reports whether it was already there
-    @param app the application the data path belongs to, for the
-    cache's local/shared hit attribution
     @param tracer records one synthetic span per CAD stage (the
     durations are simulated, so the spans carry the modelled seconds,
     not wall-clock time)
@@ -138,8 +126,6 @@ val run_of_result : (run, failure) result -> run
     @raise Internal_error on [Error], naming the failed stage. *)
 
 val implement :
-  ?cache:Cache.t ->
-  ?app:string ->
   ?tracer:Jitise_util.Trace.t ->
   ?config:config ->
   Pp.Database.t ->

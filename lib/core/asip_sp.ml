@@ -34,19 +34,20 @@
       per-candidate retry chain when fault injection is on) — and is
       safe to run for several applications concurrently (it never
       touches the shared cache);
-    - {!finalize} replays the staged candidates against the (local or
-      shared) bitstream cache {e in selection order} and aggregates the
-      report.  Running finalization sequentially in a fixed application
-      order makes parallel sweeps report-identical to serial ones.
+    - {!finalize} replays the staged candidates against the (run-local
+      or shared) bitstream store {e in selection order} and aggregates
+      the report.  Running finalization sequentially in a fixed
+      application order makes parallel sweeps report-identical to
+      serial ones.
 
     {b Failure handling} (when [spec.faults] is enabled): every
     candidate's CAD chain is governed by [spec.retry] — transient
     failures are retried after an exponential backoff, a timing-closure
     failure switches the retry to a relaxed resynthesis, and a chain
-    that exhausts its attempts or its per-candidate deadline degrades
-    gracefully: the next-best profitable candidate from the ranking is
-    promoted in its place, and if no alternate can be implemented the
-    instruction simply stays in software.  A whole-specialization
+    that exhausts its attempts degrades gracefully: the next-best
+    profitable candidate from the ranking is promoted in its place, and
+    if no alternate can be implemented the instruction simply stays in
+    software.  A whole-specialization
     deadline bounds the total simulated time; candidates past it are
     dropped (cache hits are still taken — they are free).  All of this
     is deterministic in the fault seed, and fault chains are computed
@@ -66,7 +67,6 @@ module U = Jitise_util
 (** Why a selected candidate was abandoned (left in software). *)
 type drop_reason =
   | Retries_exhausted  (** every permitted CAD attempt failed *)
-  | Candidate_deadline  (** the per-candidate time budget ran out *)
   | Specialization_deadline
       (** the whole-specialization budget was already exhausted, so no
           CAD attempt was even started *)
@@ -78,7 +78,6 @@ type drop_reason =
 
 let drop_reason_name = function
   | Retries_exhausted -> "retries exhausted"
-  | Candidate_deadline -> "candidate deadline"
   | Specialization_deadline -> "specialization deadline"
   | Stage_failure -> "stage failure"
 
@@ -97,7 +96,7 @@ type candidate_result = {
   vhdl_lines : int;
   c2v_seconds : float;
   run : Cad.Flow.run;
-  cache_hit : Cad.Cache.hit option;
+  cache_hit : U.Artifact.hit option;
       (** [Some Local] — this application already built an identical
           data path (same structural signature); [Some Shared] — a
           different application in the same sweep built it (the
@@ -240,13 +239,13 @@ let chain_wasted_seconds ch =
 module B = U.Binio
 
 let drop_reason_codec : drop_reason B.codec =
-  (* Appended constructors keep old stores decodable (enum codecs
-     encode by list index); [Stage_failure] never actually appears in
-     persisted chains — supervision failures happen outside the CAD
-     chain — but the codec must cover the type. *)
+  (* Enum codecs encode by list index: removing or reordering a
+     constructor requires a [Store_disk.version] bump.  [Stage_failure]
+     never actually appears in persisted chains — supervision failures
+     happen outside the CAD chain — but the codec must cover the
+     type. *)
   B.enum ~name:"drop_reason"
-    [ Retries_exhausted; Candidate_deadline; Specialization_deadline;
-      Stage_failure ]
+    [ Retries_exhausted; Specialization_deadline; Stage_failure ]
 
 let attempt_info_codec : attempt_info B.codec =
   B.codec
@@ -287,14 +286,16 @@ let chain_codec : chain B.codec =
       in
       { ch_attempts; ch_result })
 
+(* The [implement] stage's artifact: the C2V seconds and the chain. *)
+let implement_codec : (float * chain) B.codec = B.pair B.float chain_codec
+
 (* Run a candidate's CAD chain under the retry policy.  Pure in
-   (project, config, faults, policy): safe in the parallel phase.  The
-   candidate deadline covers C2V, failed attempts, backoffs and is
-   checked before starting another attempt. *)
-let build_chain ?tracer ~config ~faults ~(policy : U.Retry.policy) ~c2v db
+   (project, config, faults, max_attempts): safe in the parallel
+   phase. *)
+let build_chain ?tracer ~config ~faults ~max_attempts db
     (project : Hw.Project.t) : chain =
   let key = project.Hw.Project.name in
-  let rec go attempt relaxed spent rev =
+  let rec go attempt relaxed rev =
     match
       Cad.Flow.implement_result ?tracer ~config ~faults ~attempt ~relaxed db
         project
@@ -311,43 +312,30 @@ let build_chain ?tracer ~config ~faults ~(policy : U.Retry.policy) ~c2v db
         in
         { ch_attempts = List.rev rev; ch_result = Ok run }
     | Error f ->
-        let stop reason backoff =
-          let rev =
-            {
-              att_number = attempt;
-              att_relaxed = relaxed;
-              att_failure = Some f;
-              att_backoff_seconds = backoff;
-            }
-            :: rev
-          in
-          { ch_attempts = List.rev rev; ch_result = Error (f, reason) }
+        let last = attempt >= max_attempts in
+        let backoff =
+          if last then 0.0 else U.Retry.backoff_seconds ~key ~attempt
         in
-        if attempt >= policy.U.Retry.max_attempts then stop Retries_exhausted 0.0
+        let rev =
+          {
+            att_number = attempt;
+            att_relaxed = relaxed;
+            att_failure = Some f;
+            att_backoff_seconds = backoff;
+          }
+          :: rev
+        in
+        if last then
+          {
+            ch_attempts = List.rev rev;
+            ch_result = Error (f, Retries_exhausted);
+          }
         else
-          let backoff = U.Retry.backoff_seconds policy ~key ~attempt in
-          let spent = spent +. f.Cad.Flow.wasted_seconds +. backoff in
-          let over_deadline =
-            match policy.U.Retry.candidate_deadline_seconds with
-            | Some d -> spent >= d
-            | None -> false
-          in
-          if over_deadline then stop Candidate_deadline backoff
-          else
-            let rev =
-              {
-                att_number = attempt;
-                att_relaxed = relaxed;
-                att_failure = Some f;
-                att_backoff_seconds = backoff;
-              }
-              :: rev
-            in
-            go (attempt + 1)
-              (relaxed || f.Cad.Flow.fault = Cad.Faults.Timing_failure)
-              spent rev
+          go (attempt + 1)
+            (relaxed || f.Cad.Flow.fault = Cad.Faults.Timing_failure)
+            rev
   in
-  go 1 false c2v []
+  go 1 false []
 
 (** One candidate staged for finalization: the CAD project, the
     (speedup-scaled) C2V seconds and the precomputed retry chain. *)
@@ -559,10 +547,10 @@ let vhdl_stage : (env * Ise.Select.scored, Hw.Project.t) Pipeline.stage =
 
 (* Phase 3: the candidate's full CAD retry chain plus its (speedup-
    scaled) C2V constant.  The chain is a pure function of the project,
-   the CAD model and the fault/retry configuration (rolls are keyed by
-   fault seed + signature + stage + attempt), so it memoizes cleanly —
-   but it must be recomputed whenever any of those knobs move, hence
-   the widest digest of the chain. *)
+   the CAD model, the fault configuration and the attempt limit (rolls
+   are keyed by fault seed + signature + stage + attempt), so the
+   digest hashes exactly those.  The specialization deadline is spent
+   in {!finalize}, not here, so changing it reuses every chain. *)
 let chain_stage :
     (env * Ise.Select.scored * Hw.Project.t, float * chain) Pipeline.stage =
   Pipeline.stage ~cat:"cad" "implement"
@@ -572,17 +560,17 @@ let chain_stage :
       add_candidate c s.Ise.Select.candidate;
       Pipeline.add_cad c spec.Spec.cad;
       Pipeline.add_faults c spec.Spec.faults;
-      Pipeline.add_retry c spec.Spec.retry;
+      U.Digest.add_int c spec.Spec.retry.U.Retry.max_attempts;
       U.Digest.finish c)
-    ~codec:(B.pair B.float chain_codec)
+    ~codec:implement_codec
     (fun ctx (env, _s, project) ->
       let spec = ctx.Pipeline.spec in
       let c2v = Cad.Flow.c2v_seconds project in
       let c2v = c2v *. (1.0 -. spec.Spec.cad.Cad.Flow.speedup_factor) in
       let chain =
         build_chain ?tracer:spec.Spec.tracer ~config:spec.Spec.cad
-          ~faults:spec.Spec.faults ~policy:spec.Spec.retry ~c2v env.env_db
-          project
+          ~faults:spec.Spec.faults
+          ~max_attempts:spec.Spec.retry.U.Retry.max_attempts env.env_db project
       in
       (c2v, chain))
 
@@ -712,42 +700,29 @@ type resolution =
       (* the supervision layer poisoned the slot before any CAD chain
          existed; its simulated waste has been spent on the budget *)
 
-(** Replay the staged candidates against the bitstream cache (the
-    shared one from [spec.cache] if present, a run-local one
+(* The bitstream store's one key (Section VI-A): a built data path's
+   bitstream under the digest of its structural signature.  No codec,
+   so bitstreams never reach a persistent backend. *)
+let bitstream_key : Cad.Bitstream.t U.Artifact.key =
+  U.Artifact.key "cad.bitstream"
+
+(** Replay the staged candidates against the bitstream store (the
+    shared one from [spec.cache] if present, a fresh run-local one
     otherwise), in selection order, and aggregate the report.  Cheap
     and sequential: a sweep calls this once per application in a fixed
     order so that local/shared hit attribution is deterministic.
 
-    With faults enabled, this is also where recovery policy is applied:
-    the whole-specialization deadline is spent in selection order,
-    failed candidates consume promotion alternates, and — crucially for
-    the shared cache — a slot's bitstream is recorded only after its
-    chain {e succeeded}, so a failed run is never served to another
-    application. *)
+    Each slot probes the store with {!U.Artifact.find} and records its
+    bitstream with {!U.Artifact.put} only after its chain {e
+    succeeded}, so a failed run is never served to another
+    application.  With faults enabled, this is also where recovery
+    policy is applied: the whole-specialization deadline is spent in
+    selection order and failed candidates consume promotion
+    alternates. *)
 let finalize ?(spec = Spec.default) ~app (st : staged) : report =
   let faults_on = spec.Spec.faults.Cad.Faults.enabled in
-  let local : (string, unit) Hashtbl.t = Hashtbl.create 16 in
-  (* Probe: counts and attributes a hit, never inserts.  Record:
-     inserts after a successful build.  With faults off both collapse
-     into the single legacy [note] call. *)
-  let probe_hit signature bitstream =
-    match spec.Spec.cache with
-    | Some cache ->
-        if faults_on then Cad.Cache.find_hit cache ~app ~signature
-        else Cad.Cache.note cache ~app ~signature ~bitstream
-    | None ->
-        if Hashtbl.mem local signature then Some Cad.Cache.Local
-        else begin
-          if not faults_on then Hashtbl.replace local signature ();
-          None
-        end
-  in
-  let record_built signature bitstream =
-    if faults_on then
-      match spec.Spec.cache with
-      | Some cache ->
-          ignore (Cad.Cache.note cache ~app ~signature ~bitstream)
-      | None -> Hashtbl.replace local signature ()
+  let store =
+    match spec.Spec.cache with Some s -> s | None -> U.Artifact.create ()
   in
   let budget =
     U.Retry.budget
@@ -770,8 +745,9 @@ let finalize ?(spec = Spec.default) ~app (st : staged) : report =
         end
     | Slot_ok sc -> (
     let s = sc.sc_scored in
-    let signature = s.Ise.Select.candidate.Ise.Candidate.signature in
-    let bitstream_of run = run.Cad.Flow.bitstream in
+    let digest =
+      U.Digest.of_string s.Ise.Select.candidate.Ise.Candidate.signature
+    in
     let mk_hit hit run =
       (* The bitstream is free, but the chaos stalls survived while
          staging this candidate's stages were still simulated time:
@@ -793,8 +769,8 @@ let finalize ?(spec = Spec.default) ~app (st : staged) : report =
     in
     match sc.sc_chain.ch_result with
     | Ok run -> (
-        match probe_hit signature (bitstream_of run) with
-        | Some hit -> mk_hit hit run
+        match U.Artifact.find store bitstream_key ~app ~digest with
+        | Some (_, hit) -> mk_hit hit run
         | None ->
             if U.Retry.exhausted budget then R_no_budget
             else begin
@@ -803,7 +779,8 @@ let finalize ?(spec = Spec.default) ~app (st : staged) : report =
               in
               let total = sc.sc_c2v +. run.Cad.Flow.total_seconds in
               U.Retry.spend budget (total +. wasted);
-              record_built signature (bitstream_of run);
+              U.Artifact.put store bitstream_key ~app ~digest
+                run.Cad.Flow.bitstream;
               R_built
                 {
                   scored = s;
@@ -1043,10 +1020,31 @@ let cache_hit_counts (r : report) : int * int =
   List.fold_left
     (fun (l, s) c ->
       match c.cache_hit with
-      | Some Cad.Cache.Local -> (l + 1, s)
-      | Some Cad.Cache.Shared -> (l, s + 1)
+      | Some U.Artifact.Local -> (l + 1, s)
+      | Some U.Artifact.Shared -> (l, s + 1)
       | None -> (l, s))
     (0, 0) r.candidates
+
+(** The [[cache]] line for a shared bitstream store: data paths built
+    (one store entry each), local and shared hits, the built
+    bitstreams' bytes and the CAD seconds the hits avoided, summed over
+    every report finalized against the store. *)
+let pp_cache_summary ppf (reports : report list) =
+  let candidates = List.concat_map (fun r -> r.candidates) reports in
+  let built, hits = List.partition (fun c -> c.cache_hit = None) candidates in
+  let count kind =
+    List.length (List.filter (fun c -> c.cache_hit = Some kind) hits)
+  in
+  let bitstream c = c.run.Cad.Flow.bitstream in
+  Format.fprintf ppf
+    "%d bitstream(s), %d local + %d shared hit(s), %d bytes, %.1f s of CAD saved"
+    (List.length built) (count U.Artifact.Local) (count U.Artifact.Shared)
+    (List.fold_left
+       (fun acc c -> acc + (bitstream c).Cad.Bitstream.size_bytes)
+       0 built)
+    (List.fold_left
+       (fun acc c -> acc +. (bitstream c).Cad.Bitstream.generation_seconds)
+       0.0 hits)
 
 (** Per-candidate cache cost records for the Table IV extrapolation. *)
 let candidate_costs (r : report) : Jitise_analysis.Cache_model.candidate_cost list =

@@ -486,9 +486,6 @@ let fault_kind : Cad.Faults.kind B.codec =
   B.enum ~name:"fault_kind"
     Cad.Faults.[ Tool_crash; Congestion; Timing_failure; Bitgen_corruption ]
 
-let cache_hit : Cad.Cache.hit B.codec =
-  B.enum ~name:"cache_hit" Jitise_util.Artifact.[ Local; Shared ]
-
 let flow_failure : Cad.Flow.failure B.codec =
   B.codec
     (fun b (f : Cad.Flow.failure) ->
@@ -510,7 +507,6 @@ let flow_run : Cad.Flow.run B.codec =
       B.w_list stage_report.B.enc b run.stages;
       B.w_float b run.total_seconds;
       bitstream.B.enc b run.bitstream;
-      B.w_option cache_hit.B.enc b run.cache_hit;
       B.w_list B.w_string b run.syntax_problems;
       B.w_bool b run.relaxed)
     (fun r ->
@@ -518,7 +514,6 @@ let flow_run : Cad.Flow.run B.codec =
       let stages = B.r_list stage_report.B.dec r in
       let total_seconds = B.r_float r in
       let bitstream = bitstream.B.dec r in
-      let cache_hit = B.r_option cache_hit.B.dec r in
       let syntax_problems = B.r_list B.r_string r in
       let relaxed = B.r_bool r in
       {
@@ -526,7 +521,6 @@ let flow_run : Cad.Flow.run B.codec =
         stages;
         total_seconds;
         bitstream;
-        cache_hit;
         syntax_problems;
         relaxed;
       })

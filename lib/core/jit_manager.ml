@@ -134,7 +134,7 @@ let timeline ?(arch = Wool.Arch.default) ?(jobs = 1)
                 emit
                   lanes.(earliest_lane ())
                   "%s: bitstream cache hit (%s)"
-                  (sig_of c.Asip_sp.scored) (Cad.Cache.hit_name kind)
+                  (sig_of c.Asip_sp.scored) (Jitise_util.Artifact.hit_name kind)
             | None ->
                 let lane = earliest_lane () in
                 let t0 = lanes.(lane) in

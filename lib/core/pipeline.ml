@@ -20,9 +20,8 @@
     fault/retry configuration and seeds — so a sweep point re-runs only
     the stages whose inputs actually changed: varying only the
     selection config across twenty sweep points reuses the
-    compile/profile/prune/MAXMISO artifacts outright.  This generalizes
-    the bitstream-only [Cad.Cache] of PR 1 to per-stage reuse with the
-    same Local/Shared hit attribution.
+    compile/profile/prune/MAXMISO artifacts outright, with the same
+    Local/Shared hit attribution as the bitstream store.
 
     With [spec.stage_cache = None] (the default) the engine degrades to
     pure tracing + recording: no digests are computed and behaviour is
@@ -321,11 +320,3 @@ let add_faults c (f : Cad.Faults.config) =
   D.add_float c f.Cad.Faults.congestion_rate;
   D.add_float c f.Cad.Faults.timing_rate;
   D.add_float c f.Cad.Faults.corruption_rate
-
-let add_retry c (p : U.Retry.policy) =
-  D.add_int c p.U.Retry.max_attempts;
-  D.add_float c p.U.Retry.backoff_seconds;
-  D.add_float c p.U.Retry.backoff_multiplier;
-  D.add_float c p.U.Retry.jitter;
-  D.add_option c (D.add_float c) p.U.Retry.candidate_deadline_seconds;
-  D.add_option c (D.add_float c) p.U.Retry.specialization_deadline_seconds

@@ -149,4 +149,3 @@ val add_prune : U.Digest.ctx -> Ise.Prune.t -> unit
 val add_select : U.Digest.ctx -> Ise.Select.config -> unit
 val add_cad : U.Digest.ctx -> Cad.Flow.config -> unit
 val add_faults : U.Digest.ctx -> Cad.Faults.config -> unit
-val add_retry : U.Digest.ctx -> U.Retry.policy -> unit

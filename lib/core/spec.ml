@@ -12,7 +12,7 @@
       let spec =
         Spec.default
         |> Spec.with_jobs 4
-        |> Spec.with_cache (Jitise_cad.Cache.create ())
+        |> Spec.with_cache (Jitise_util.Artifact.create ())
         |> Spec.with_tracer (Jitise_util.Trace.create ())
       in
       Experiment.sweep ~spec db
@@ -67,10 +67,13 @@ type t = {
       (** domains used by {!Experiment.sweep} (across workloads) and
           {!Asip_sp.stage} (across selected candidates); 1 = serial.
           Reports are identical whatever the value. *)
-  cache : Cad.Cache.t option;
-      (** shared bitstream cache; [None] (the default) reuses data
-          paths within one specialization run only, [Some c] also
-          shares them across applications (Section VI-A) *)
+  cache : U.Artifact.t option;
+      (** shared bitstream store, keyed by structural signature;
+          [None] (the default) reuses data paths within one
+          specialization run only, [Some store] also shares them
+          across applications (Section VI-A).  Separate from
+          [stage_cache], so a stage cache alone never shares
+          bitstreams across applications. *)
   tracer : U.Trace.t option;
       (** when set, every pipeline stage records a span; export with
           {!U.Trace.write} *)
@@ -89,9 +92,9 @@ type t = {
       (** CAD fault-injection model; {!Cad.Faults.none} (the default)
           reproduces the failure-free flow byte for byte *)
   retry : U.Retry.policy;
-      (** recovery policy for injected CAD failures: attempts, backoff,
-          per-candidate and whole-specialization deadlines.  Only
-          consulted when [faults] is enabled. *)
+      (** recovery policy for injected CAD failures: attempts and the
+          whole-specialization deadline.  Only consulted when [faults]
+          is enabled. *)
   vm_engine : Vm.Machine.engine;
       (** VM execution engine used by the profiling stage (default
           {!Vm.Machine.Threaded}).  Outcomes — and therefore reports

@@ -1,11 +1,12 @@
 (** Thread-safe content-addressed artifact store for the staged pipeline.
 
     Stage outputs are stored under [(stage name, input digest)] and shared
-    between sweep points and between worker domains, generalizing the
-    bitstream-only [Cad.Cache] of PR 1 to every pipeline stage.  Hits carry
-    the same Local/Shared attribution: [Local] when the artifact was first
-    built under the same application, [Shared] when another application
-    built it.
+    between sweep points and between worker domains.  The shared
+    bitstream store of Section VI-A is one more key: codec-less
+    ["cad.bitstream"], keyed by the digest of a data path's structural
+    signature.  Hits carry Local/Shared attribution: [Local] when the
+    artifact was first built under the same application, [Shared] when
+    another application built it.
 
     Values are heterogeneous: each stage owns a typed {!key} created once
     with {!key}, and the store guarantees that a value stored under a key

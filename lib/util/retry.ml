@@ -2,48 +2,22 @@
 
 type policy = {
   max_attempts : int;
-  backoff_seconds : float;
-  backoff_multiplier : float;
-  jitter : float;
-  candidate_deadline_seconds : float option;
   specialization_deadline_seconds : float option;
 }
 
-let default =
-  {
-    max_attempts = 3;
-    backoff_seconds = 30.0;
-    backoff_multiplier = 2.0;
-    jitter = 0.25;
-    candidate_deadline_seconds = None;
-    specialization_deadline_seconds = None;
-  }
+let default = { max_attempts = 3; specialization_deadline_seconds = None }
 
 let validate p =
   if p.max_attempts < 1 then
     invalid_arg
       (Printf.sprintf "Retry: max_attempts must be >= 1 (got %d)" p.max_attempts);
-  if p.backoff_seconds < 0.0 then
-    invalid_arg "Retry: backoff_seconds must be non-negative";
-  if p.backoff_multiplier < 1.0 then
-    invalid_arg "Retry: backoff_multiplier must be >= 1";
-  if p.jitter < 0.0 || p.jitter >= 1.0 then
-    invalid_arg "Retry: jitter must be in [0, 1)";
-  let check_deadline what = function
-    | Some d when d <= 0.0 ->
-        invalid_arg (Printf.sprintf "Retry: %s deadline must be positive" what)
-    | _ -> ()
-  in
-  check_deadline "candidate" p.candidate_deadline_seconds;
-  check_deadline "specialization" p.specialization_deadline_seconds
+  match p.specialization_deadline_seconds with
+  | Some d when d <= 0.0 ->
+      invalid_arg "Retry: specialization deadline must be positive"
+  | _ -> ()
 
 let with_max_attempts max_attempts p =
   let p = { p with max_attempts } in
-  validate p;
-  p
-
-let with_candidate_deadline candidate_deadline_seconds p =
-  let p = { p with candidate_deadline_seconds } in
   validate p;
   p
 
@@ -52,18 +26,16 @@ let with_specialization_deadline specialization_deadline_seconds p =
   validate p;
   p
 
-let backoff_seconds p ~key ~attempt =
+(* The one backoff schedule of the code base: 30 s after the first
+   failure, doubling per further failure, plus up to 25 % jitter. *)
+let backoff_seconds ~key ~attempt =
   if attempt < 1 then invalid_arg "Retry.backoff_seconds: attempt must be >= 1";
-  let base =
-    p.backoff_seconds *. (p.backoff_multiplier ** float_of_int (attempt - 1))
+  let base = 30.0 *. (2.0 ** float_of_int (attempt - 1)) in
+  let prng =
+    Prng.create
+      ~seed:(Prng.hash_string (Printf.sprintf "backoff:%s:%d" key attempt))
   in
-  if base <= 0.0 || p.jitter = 0.0 then base
-  else
-    let prng =
-      Prng.create
-        ~seed:(Prng.hash_string (Printf.sprintf "backoff:%s:%d" key attempt))
-    in
-    base *. (1.0 +. Prng.float prng p.jitter)
+  base *. (1.0 +. Prng.float prng 0.25)
 
 type budget = { mutable left : float option }
 

@@ -5,49 +5,41 @@
     many attempts a candidate gets, how long to back off between attempts
     (exponential with deterministic jitter, in {e simulated} seconds —
     real CAD servers impose cool-down and queueing delays between
-    resubmissions), and how much total simulated time a single candidate
-    or a whole specialization run may burn before giving up.
+    resubmissions), and how much total simulated time a whole
+    specialization run may burn before giving up.
 
-    Everything is deterministic: jitter is drawn from a [Prng] seeded by
-    the caller-supplied key and attempt number, so a parallel sweep
-    replays the exact backoff schedule of a serial one. *)
+    There is one backoff schedule, shared by CAD retry chains and
+    supervised pipeline stages ({!Supervisor}): 30 s after the first
+    failed attempt, doubling per further failure, with up to 25 %
+    jitter.  Everything is deterministic: jitter is drawn from a [Prng]
+    seeded by the caller-supplied key and attempt number, so a parallel
+    sweep replays the exact backoff schedule of a serial one. *)
 
 type policy = {
   max_attempts : int;
       (** CAD attempts per data path (>= 1); attempt 1 is the initial
           run, attempts 2.. are retries *)
-  backoff_seconds : float;
-      (** simulated cool-down after the first failed attempt *)
-  backoff_multiplier : float;
-      (** exponential growth factor applied per further failure *)
-  jitter : float;
-      (** uniform jitter as a fraction of the backoff, in [0, 1);
-          desynchronizes retry storms without losing determinism *)
-  candidate_deadline_seconds : float option;
-      (** simulated-time budget for one data path (attempts + backoffs);
-          [None] = unbounded *)
   specialization_deadline_seconds : float option;
       (** simulated-time budget for a whole specialization run, spent in
           selection order; [None] = unbounded *)
 }
 
 val default : policy
-(** 3 attempts, 30 s base backoff doubling per failure with 25 % jitter,
-    no deadlines. *)
+(** 3 attempts, no deadline. *)
 
 val validate : policy -> unit
-(** @raise Invalid_argument on a non-positive attempt count, negative
-    backoff/jitter, or a non-positive deadline. *)
+(** @raise Invalid_argument on a non-positive attempt count or a
+    non-positive deadline. *)
 
 val with_max_attempts : int -> policy -> policy
-val with_candidate_deadline : float option -> policy -> policy
 val with_specialization_deadline : float option -> policy -> policy
 
-val backoff_seconds : policy -> key:string -> attempt:int -> float
-(** [backoff_seconds p ~key ~attempt] is the simulated cool-down after
-    failed attempt [attempt] (1-based) of the data path identified by
-    [key].  Exponential in [attempt] with deterministic jitter: equal
-    [(key, attempt)] pairs always produce equal backoffs. *)
+val backoff_seconds : key:string -> attempt:int -> float
+(** [backoff_seconds ~key ~attempt] is the simulated cool-down after
+    failed attempt [attempt] (1-based) of the work identified by [key]:
+    [30 * 2^(attempt-1)] seconds times a jitter factor in [[1, 1.25)].
+    Equal [(key, attempt)] pairs always produce equal backoffs.
+    @raise Invalid_argument when [attempt < 1]. *)
 
 (** A mutable simulated-seconds budget (e.g. the whole-specialization
     deadline).  An unbounded budget never exhausts. *)

@@ -23,7 +23,7 @@
     invalidates old stores safely rather than breaking them. *)
 
 let magic = "JTSE"
-let version = 1
+let version = 2
 
 (* Unique tmp-file suffixes within one process; the pid namespaces
    concurrent processes sharing a store root. *)

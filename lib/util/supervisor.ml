@@ -27,7 +27,6 @@ let check t =
 
 type policy = {
   max_attempts : int;
-  backoff : Retry.policy;
   stage_deadline_seconds : float option;
   run_deadline_seconds : float option;
 }
@@ -35,7 +34,6 @@ type policy = {
 let default_policy =
   {
     max_attempts = 3;
-    backoff = Retry.default;
     stage_deadline_seconds = None;
     run_deadline_seconds = None;
   }
@@ -45,7 +43,6 @@ let validate_policy p =
     invalid_arg
       (Printf.sprintf "Supervisor: max_attempts must be >= 1 (got %d)"
          p.max_attempts);
-  Retry.validate p.backoff;
   let check_deadline what = function
     | Some d when d <= 0.0 ->
         invalid_arg
@@ -185,7 +182,7 @@ let supervise (type a) t ~site ?(transient = fun _ -> false) ?meter
       end
       else begin
         Mutex.protect t.lock (fun () -> t.retries <- t.retries + 1);
-        let backoff = Retry.backoff_seconds t.policy.backoff ~key:site ~attempt in
+        let backoff = Retry.backoff_seconds ~key:site ~attempt in
         bill (attempt_cost +. backoff);
         attempt_loop (attempt + 1) (wasted +. attempt_cost +. backoff)
       end

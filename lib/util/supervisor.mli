@@ -58,9 +58,6 @@ val check : token -> unit
 
 type policy = {
   max_attempts : int;  (** attempts per stage execution (>= 1) *)
-  backoff : Retry.policy;
-      (** backoff schedule between transient-failure retries (only its
-          backoff fields are consulted, not its CAD deadlines) *)
   stage_deadline_seconds : float option;
       (** simulated stall budget per attempt; [None] = unbounded *)
   run_deadline_seconds : float option;
@@ -69,7 +66,7 @@ type policy = {
 }
 
 val default_policy : policy
-(** 3 attempts, {!Retry.default} backoff, no deadlines. *)
+(** 3 attempts, no deadlines. *)
 
 val validate_policy : policy -> unit
 (** @raise Invalid_argument on a non-positive attempt count or

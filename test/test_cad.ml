@@ -1,5 +1,6 @@
 (* Tests for Jitise_cad: the tool-flow simulator's calibration against
-   the paper's Table III and Section V-C, and its determinism. *)
+   the paper's Table III and Section V-C, and its determinism; plus the
+   bitstream store its runs feed, exercised through Asip_sp.finalize. *)
 
 module Ir = Jitise_ir
 module F = Jitise_frontend
@@ -7,6 +8,9 @@ module Ise = Jitise_ise
 module Pp = Jitise_pivpav
 module Hw = Jitise_hwgen
 module Cad = Jitise_cad
+module Core = Jitise_core
+module W = Jitise_workloads
+module U = Jitise_util
 
 let db = Pp.Database.create ()
 
@@ -32,8 +36,7 @@ let projects =
            (Ise.Maxmiso.of_module m))
        srcs)
 
-let implement ?cache ?app ?tracer ?config p =
-  Cad.Flow.implement ?cache ?app ?tracer ?config db p
+let implement ?tracer ?config p = Cad.Flow.implement ?tracer ?config db p
 
 let test_flow_runs_all_stages () =
   let p = List.hd (Lazy.force projects) in
@@ -192,76 +195,8 @@ let test_flow_syntax_error_raises () =
      with Cad.Flow.Syntax_error _ -> true)
 
 (* ------------------------------------------------------------------ *)
-(* Cache                                                               *)
+(* Flow tracing                                                        *)
 (* ------------------------------------------------------------------ *)
-
-let hit_opt : Cad.Cache.hit option Alcotest.testable =
-  Alcotest.testable
-    (fun ppf -> function
-      | None -> Format.fprintf ppf "miss"
-      | Some k -> Format.fprintf ppf "hit(%s)" (Cad.Cache.hit_name k))
-    ( = )
-
-let test_cache_local_vs_shared () =
-  let cache = Cad.Cache.create () in
-  let p = List.hd (Lazy.force projects) in
-  let b = (implement p).Cad.Flow.bitstream in
-  let note app =
-    Cad.Cache.note cache ~app ~signature:p.Hw.Project.name ~bitstream:b
-  in
-  Alcotest.check hit_opt "first request misses" None (note "alpha");
-  Alcotest.check hit_opt "same app reuses locally" (Some Cad.Cache.Local)
-    (note "alpha");
-  Alcotest.check hit_opt "other app hits the shared entry"
-    (Some Cad.Cache.Shared) (note "beta");
-  Alcotest.check
-    Alcotest.(option string)
-    "find returns the stored bitstream" (Some p.Hw.Project.name)
-    (Option.map
-       (fun (b : Cad.Bitstream.t) -> b.Cad.Bitstream.signature)
-       (Cad.Cache.find cache p.Hw.Project.name));
-  Alcotest.check Alcotest.(option string) "unknown signature" None
-    (Option.map
-       (fun (b : Cad.Bitstream.t) -> b.Cad.Bitstream.signature)
-       (Cad.Cache.find cache "no-such-data-path"))
-
-let test_cache_stats () =
-  let cache = Cad.Cache.create () in
-  let ps = Lazy.force projects in
-  let p1 = List.nth ps 0 and p2 = List.nth ps 1 in
-  let note app (p : Hw.Project.t) =
-    ignore
-      (Cad.Cache.note cache ~app ~signature:p.Hw.Project.name
-         ~bitstream:(implement p).Cad.Flow.bitstream)
-  in
-  note "alpha" p1;      (* miss: builds the entry *)
-  note "alpha" p1;      (* local hit *)
-  note "beta" p1;       (* shared hit *)
-  note "beta" p1;       (* shared hit *)
-  note "beta" p2;       (* miss: second entry *)
-  let s = Cad.Cache.stats cache in
-  Alcotest.(check int) "entries" 2 s.Cad.Cache.entries;
-  Alcotest.(check int) "local hits" 1 s.Cad.Cache.local_hits;
-  Alcotest.(check int) "shared hits" 2 s.Cad.Cache.shared_hits;
-  Alcotest.(check (list (pair string int))) "per-app hit counts"
-    [ ("alpha", 1); ("beta", 2) ]
-    s.Cad.Cache.by_app;
-  Alcotest.(check bool) "cached payload accounted" true (s.Cad.Cache.bytes > 0);
-  Alcotest.(check bool) "saved CAD time accounted" true
-    (s.Cad.Cache.saved_seconds > 0.0)
-
-let test_flow_cache_integration () =
-  (* the flow's own cache plumbing classifies hits the same way *)
-  let cache = Cad.Cache.create () in
-  let p = List.hd (Lazy.force projects) in
-  let hit app = (implement ~cache ~app p).Cad.Flow.cache_hit in
-  Alcotest.check hit_opt "first build misses" None (hit "alpha");
-  Alcotest.check hit_opt "rebuild is a local hit" (Some Cad.Cache.Local)
-    (hit "alpha");
-  Alcotest.check hit_opt "other app is a shared hit" (Some Cad.Cache.Shared)
-    (hit "beta");
-  Alcotest.check hit_opt "no cache, no classification" None
-    (implement p).Cad.Flow.cache_hit
 
 let test_flow_tracer_spans () =
   (* one synthetic span per CAD stage, modelled durations *)
@@ -464,43 +399,153 @@ let test_bitstream_integrity () =
      in
      String.length s >= 9 && String.sub s (String.length s - 9) 9 = "[CORRUPT]")
 
-let test_cache_find_hit_probe () =
-  let cache = Cad.Cache.create () in
-  let p = List.hd (Lazy.force projects) in
-  let signature = p.Hw.Project.name in
-  let b = (implement p).Cad.Flow.bitstream in
-  Alcotest.check hit_opt "probe misses on empty cache" None
-    (Cad.Cache.find_hit cache ~app:"alpha" ~signature);
-  (* crucially, the probe did NOT insert: a subsequent note still
-     reports a miss and becomes the builder *)
-  Alcotest.check hit_opt "note after probe is still a miss" None
-    (Cad.Cache.note cache ~app:"alpha" ~signature ~bitstream:b);
-  Alcotest.check hit_opt "probe hits locally" (Some Cad.Cache.Local)
-    (Cad.Cache.find_hit cache ~app:"alpha" ~signature);
-  Alcotest.check hit_opt "probe hits shared" (Some Cad.Cache.Shared)
-    (Cad.Cache.find_hit cache ~app:"beta" ~signature);
-  let s = Cad.Cache.stats cache in
-  Alcotest.(check int) "probe hits counted" 1 s.Cad.Cache.local_hits;
-  Alcotest.(check int) "probe hits attributed" 1 s.Cad.Cache.shared_hits
+(* ------------------------------------------------------------------ *)
+(* Bitstream store (Section VI-A), exercised through Asip_sp.finalize  *)
+(* ------------------------------------------------------------------ *)
+
+(* fft and sor share a data path, so the shared store crosses an
+   application boundary; finalized in this order. *)
+let sweep_apps = [ "fft"; "sor"; "whetstone"; "adpcm" ]
+
+let signature_of (s : Ise.Select.scored) =
+  s.Ise.Select.candidate.Ise.Candidate.signature
+
+(* A faulted sweep over [sweep_apps]: staged once, then finalized in
+   order against [cache] (a fresh shared store, or run-local stores
+   when [None]).  With one attempt per chain, the pinned fault seed
+   leaves failed chains in the sweep.  Returns the staged values and
+   the reports. *)
+let faulted_sweep =
+  let spec =
+    Core.Spec.default
+    |> Core.Spec.with_faults (Cad.Faults.defaults ~seed:20110516)
+    |> Core.Spec.with_retry (U.Retry.with_max_attempts 1 U.Retry.default)
+  in
+  let prepared =
+    lazy
+      (List.map
+         (fun n -> Core.Experiment.prepare ~spec db (Option.get (W.Registry.find n)))
+         sweep_apps)
+  in
+  fun cache ->
+    let spec =
+      match cache with Some c -> Core.Spec.with_cache c spec | None -> spec
+    in
+    let prepared = Lazy.force prepared in
+    ( List.map (fun p -> p.Core.Experiment.pre_staged) prepared,
+      List.map
+        (fun p ->
+          let r = Core.Experiment.finish ~spec p in
+          (r.Core.Experiment.workload.W.Workload.name, r.Core.Experiment.report))
+        prepared )
+
+(* Walk the reports in finalization order and check every hit against
+   the app that first built its data path. *)
+let check_attribution ~shared reports =
+  let builder = Hashtbl.create 16 in
+  List.iter
+    (fun (app, (r : Core.Asip_sp.report)) ->
+      if not shared then Hashtbl.reset builder;
+      List.iter
+        (fun (c : Core.Asip_sp.candidate_result) ->
+          let signature = signature_of c.Core.Asip_sp.scored in
+          match (c.Core.Asip_sp.cache_hit, Hashtbl.find_opt builder signature) with
+          | None, None -> Hashtbl.replace builder signature app
+          | None, Some b ->
+              Alcotest.failf "%s rebuilt %s, already built by %s" app signature b
+          | Some _, None ->
+              Alcotest.failf "%s hit %s, which nobody built" app signature
+          | Some hit, Some b ->
+              Alcotest.(check string)
+                (Printf.sprintf "%s: %s attribution" app signature)
+                (if b = app then "local" else "shared")
+                (U.Artifact.hit_name hit))
+        r.Core.Asip_sp.candidates)
+    reports
+
+let hit_totals reports =
+  List.fold_left
+    (fun (l, s) (_, r) ->
+      let l', s' = Core.Asip_sp.cache_hit_counts r in
+      (l + l', s + s'))
+    (0, 0) reports
+
+let test_cache_local_vs_shared () =
+  let _, shared = faulted_sweep (Some (U.Artifact.create ())) in
+  check_attribution ~shared:true shared;
+  let local, cross = hit_totals shared in
+  Alcotest.(check bool) "local hits within an app" true (local > 0);
+  Alcotest.(check bool) "shared hits across apps" true (cross > 0);
+  (* Without a shared store each run gets a fresh one: only local hits. *)
+  let _, run_local = faulted_sweep None in
+  check_attribution ~shared:false run_local;
+  Alcotest.(check int) "no shared hits without a shared store" 0
+    (snd (hit_totals run_local))
+
+let test_cache_stats () =
+  let store = U.Artifact.create () in
+  let _, reports = faulted_sweep (Some store) in
+  let built =
+    List.fold_left
+      (fun n (_, r) ->
+        n
+        + List.length
+            (List.filter
+               (fun (c : Core.Asip_sp.candidate_result) ->
+                 c.Core.Asip_sp.cache_hit = None)
+               r.Core.Asip_sp.candidates))
+      0 reports
+  in
+  let st =
+    List.find
+      (fun (s : U.Artifact.stage_stats) -> s.U.Artifact.stage = "cad.bitstream")
+      (U.Artifact.stats store).U.Artifact.by_stage
+  in
+  Alcotest.(check int) "one store entry per built candidate" built
+    st.U.Artifact.entries;
+  let local, shared = hit_totals reports in
+  Alcotest.(check int) "store and reports agree on local hits" local
+    st.U.Artifact.local_hits;
+  Alcotest.(check int) "store and reports agree on shared hits" shared
+    st.U.Artifact.shared_hits;
+  let line =
+    Format.asprintf "%a" Core.Asip_sp.pp_cache_summary (List.map snd reports)
+  in
+  let prefix =
+    Printf.sprintf "%d bitstream(s), %d local + %d shared hit(s), " built local
+      shared
+  in
+  Alcotest.(check string) "summary line counts" prefix
+    (String.sub line 0 (min (String.length line) (String.length prefix)));
+  Alcotest.(check bool) "summary line accounts bytes and saved CAD time" false
+    (String.ends_with ~suffix:", 0 bytes, 0.0 s of CAD saved" line)
 
 let test_cache_not_poisoned_by_failure () =
-  let cache = Cad.Cache.create () in
-  let p = List.hd (Lazy.force projects) in
-  (match Cad.Flow.implement_result ~cache ~app:"alpha" ~faults:always_crash db p with
-  | Ok _ -> Alcotest.fail "crash_rate 1.0 must fail"
-  | Error _ -> ());
-  Alcotest.(check int) "failed run not recorded" 0
-    (Cad.Cache.stats cache).Cad.Cache.entries;
-  Alcotest.check
-    Alcotest.(option string)
-    "failed signature not served" None
-    (Option.map
-       (fun (b : Cad.Bitstream.t) -> b.Cad.Bitstream.signature)
-       (Cad.Cache.find cache p.Hw.Project.name));
-  (* a later clean build does get recorded *)
-  ignore (implement ~cache ~app:"beta" p);
-  Alcotest.(check int) "clean run recorded" 1
-    (Cad.Cache.stats cache).Cad.Cache.entries
+  let staged, reports = faulted_sweep (Some (U.Artifact.create ())) in
+  let failed =
+    List.concat_map
+      (fun (st : Core.Asip_sp.staged) ->
+        List.filter_map
+          (function
+            | Core.Asip_sp.Slot_ok sc -> (
+                match sc.Core.Asip_sp.sc_chain.Core.Asip_sp.ch_result with
+                | Error _ -> Some (signature_of sc.Core.Asip_sp.sc_scored)
+                | Ok _ -> None)
+            | Core.Asip_sp.Slot_failed _ -> None)
+          (st.Core.Asip_sp.stg_candidates @ st.Core.Asip_sp.stg_alternates))
+      staged
+  in
+  Alcotest.(check bool) "the sweep has failed chains" true (failed <> []);
+  List.iter
+    (fun (app, (r : Core.Asip_sp.report)) ->
+      List.iter
+        (fun (c : Core.Asip_sp.candidate_result) ->
+          let signature = signature_of c.Core.Asip_sp.scored in
+          if c.Core.Asip_sp.cache_hit <> None && List.mem signature failed then
+            Alcotest.failf "%s: failed data path %s served from the store" app
+              signature)
+        r.Core.Asip_sp.candidates)
+    reports
 
 let () =
   Alcotest.run "cad"
@@ -528,10 +573,7 @@ let () =
         [
           Alcotest.test_case "local vs shared" `Quick test_cache_local_vs_shared;
           Alcotest.test_case "stats" `Quick test_cache_stats;
-          Alcotest.test_case "flow integration" `Quick
-            test_flow_cache_integration;
           Alcotest.test_case "tracer spans" `Quick test_flow_tracer_spans;
-          Alcotest.test_case "find_hit probe" `Quick test_cache_find_hit_probe;
           Alcotest.test_case "never poisoned by failure" `Quick
             test_cache_not_poisoned_by_failure;
         ] );

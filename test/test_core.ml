@@ -140,7 +140,7 @@ let test_asip_sp_cache_dedups_unrolled_copies () =
     List.length
       (List.filter
          (fun (c : Core.Asip_sp.candidate_result) ->
-           c.Core.Asip_sp.cache_hit = Some Jitise_cad.Cache.Local)
+           c.Core.Asip_sp.cache_hit = Some Jitise_util.Artifact.Local)
          r.Core.Asip_sp.candidates)
   in
   Alcotest.(check bool) "duplicated data paths hit the run cache" true (hits > 0)
@@ -331,7 +331,7 @@ let test_diagrams () =
 let test_spec_builders () =
   let spec =
     Core.Spec.default |> Core.Spec.with_jobs 4
-    |> Core.Spec.with_cache (Jitise_cad.Cache.create ())
+    |> Core.Spec.with_cache (Jitise_util.Artifact.create ())
     |> Core.Spec.with_stage_cache (Jitise_util.Artifact.create ())
     |> Core.Spec.with_tracer (Jitise_util.Trace.create ())
   in

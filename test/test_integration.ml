@@ -148,7 +148,7 @@ type candidate_projection = {
   p_signature : string;
   p_c2v : float;
   p_total : float;
-  p_cache_hit : Cad.Cache.hit option;
+  p_cache_hit : Jitise_util.Artifact.hit option;
 }
 
 type app_projection = {
@@ -202,7 +202,8 @@ let test_parallel_sweep_deterministic () =
     in
     Core.Experiment.sweep ~spec (Pp.Database.create ())
   in
-  let c_serial = Cad.Cache.create () and c_parallel = Cad.Cache.create () in
+  let c_serial = Jitise_util.Artifact.create ()
+  and c_parallel = Jitise_util.Artifact.create () in
   let serial = sweep 1 c_serial and parallel = sweep 4 c_parallel in
   Alcotest.(check int) "same number of applications" (List.length serial)
     (List.length parallel);
@@ -213,17 +214,27 @@ let test_parallel_sweep_deterministic () =
         (s.p_app ^ " report identical under jobs:4")
         true (s = p))
     serial parallel;
-  let ss = Cad.Cache.stats c_serial and ps = Cad.Cache.stats c_parallel in
-  Alcotest.(check int) "same cache entries" ss.Cad.Cache.entries
-    ps.Cad.Cache.entries;
-  Alcotest.(check int) "same local hits" ss.Cad.Cache.local_hits
-    ps.Cad.Cache.local_hits;
-  Alcotest.(check int) "same shared hits" ss.Cad.Cache.shared_hits
-    ps.Cad.Cache.shared_hits;
-  Alcotest.(check (list (pair string int))) "same per-app attribution"
-    ss.Cad.Cache.by_app ps.Cad.Cache.by_app;
+  let ss = Jitise_util.Artifact.stats c_serial
+  and ps = Jitise_util.Artifact.stats c_parallel in
+  Alcotest.(check int) "same cache entries" ss.Jitise_util.Artifact.total_entries
+    ps.Jitise_util.Artifact.total_entries;
+  Alcotest.(check int) "same local hits"
+    ss.Jitise_util.Artifact.total_local_hits
+    ps.Jitise_util.Artifact.total_local_hits;
+  Alcotest.(check int) "same shared hits"
+    ss.Jitise_util.Artifact.total_shared_hits
+    ps.Jitise_util.Artifact.total_shared_hits;
+  let by_app results =
+    List.map
+      (fun (r : Core.Experiment.app_result) ->
+        ( r.Core.Experiment.workload.W.Workload.name,
+          Core.Asip_sp.cache_hit_counts r.Core.Experiment.report ))
+      results
+  in
+  Alcotest.(check (list (pair string (pair int int))))
+    "same per-app attribution" (by_app serial) (by_app parallel);
   Alcotest.(check bool) "at least one cross-application hit" true
-    (ss.Cad.Cache.shared_hits >= 1)
+    (ss.Jitise_util.Artifact.total_shared_hits >= 1)
 
 (* Fault injection composes with the parallel sweep engine: rolls are
    keyed by candidate signature and attempt, never by scheduling, so a
@@ -246,8 +257,8 @@ let test_faulted_parallel_sweep_deterministic () =
     in
     Core.Experiment.sweep ~spec (Pp.Database.create ())
   in
-  let serial = sweep 1 (Cad.Cache.create ())
-  and parallel = sweep 4 (Cad.Cache.create ()) in
+  let serial = sweep 1 (Jitise_util.Artifact.create ())
+  and parallel = sweep 4 (Jitise_util.Artifact.create ()) in
   let fault_stats (r : Core.Experiment.app_result) =
     let rep = r.Core.Experiment.report in
     ( rep.Core.Asip_sp.total_attempts,
@@ -277,7 +288,7 @@ let test_faulted_parallel_sweep_deterministic () =
 
 (* Two workloads with a common candidate signature share bitstreams. *)
 let test_shared_cache_across_two_workloads () =
-  let cache = Cad.Cache.create () in
+  let cache = Jitise_util.Artifact.create () in
   let spec = Core.Spec.with_cache cache Core.Spec.default in
   let db = Pp.Database.create () in
   let eval name = Core.Experiment.evaluate ~spec db (Option.get (W.Registry.find name)) in
@@ -288,9 +299,9 @@ let test_shared_cache_across_two_workloads () =
   in
   Alcotest.(check bool) "second app hits the first app's bitstreams" true
     (shared >= 1);
-  let s = Cad.Cache.stats cache in
   Alcotest.(check int) "report and cache agree on shared hits"
-    s.Cad.Cache.shared_hits shared;
+    (Jitise_util.Artifact.stats cache).Jitise_util.Artifact.total_shared_hits
+    shared;
   Alcotest.(check bool) "local reuse still detected" true (local >= 0);
   (* every hit zeroes the candidate's accounted cost *)
   List.iter

@@ -38,7 +38,7 @@ type candidate_projection = {
   p_signature : string;
   p_c2v : float;
   p_total : float;
-  p_cache_hit : Cad.Cache.hit option;
+  p_cache_hit : U.Artifact.hit option;
   p_attempts : int;
   p_wasted : float;
 }
@@ -438,6 +438,29 @@ let test_stage_records_cover_the_chain () =
            t.Core.Jit_manager.events))
     [ "prune"; "maxmiso"; "select" ]
 
+(* The specialization deadline is spent in finalize, not in the CAD
+   chain, so moving it must reuse every [implement] artifact. *)
+let test_deadline_change_zero_recompute () =
+  let db = Pp.Database.create () in
+  let store = U.Artifact.create () in
+  let spec deadline =
+    Core.Spec.default
+    |> Core.Spec.with_stage_cache store
+    |> Core.Spec.with_faults (Cad.Faults.defaults ~seed:fault_seed)
+    |> Core.Spec.with_retry
+         (U.Retry.default |> U.Retry.with_specialization_deadline deadline)
+  in
+  let cold = eval_apps ~spec:(spec None) db in
+  let warm = eval_apps ~spec:(spec (Some 1_000_000.0)) db in
+  check_identical "report identical under a non-binding deadline" cold warm;
+  List.iter
+    (fun r ->
+      Alcotest.(check int)
+        ((project r).p_app ^ " recomputes no implement stage")
+        0
+        (Core.Pipeline.computed_of (records r) "implement"))
+    warm
+
 let () =
   Alcotest.run "pipeline-engine"
     [
@@ -462,6 +485,8 @@ let () =
         [
           Alcotest.test_case "selection sweep recomputes nothing upstream"
             `Slow test_selection_sweep_zero_recompute;
+          Alcotest.test_case "deadline change recomputes no implement stage"
+            `Slow test_deadline_change_zero_recompute;
         ] );
       ( "records",
         [

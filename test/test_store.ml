@@ -298,6 +298,102 @@ let test_codec_memory_golden () =
     (hex (B.encode Core.Codecs.memory m));
   stable "memory" Core.Codecs.memory m
 
+(* Golden bytes for one [implement] artifact, pinned like the memory
+   above: a hand-built chain whose first attempt misses timing closure
+   at PAR and whose relaxed second attempt succeeds. *)
+let golden_chain () =
+  let candidate =
+    {
+      Ise.Candidate.func = "f";
+      block = 2;
+      nodes = [ 0; 1 ];
+      root = 1;
+      size = 2;
+      num_inputs = 2;
+      opcodes = [ "mul"; "add" ];
+      signature = "ci_g";
+    }
+  in
+  let project =
+    {
+      Hw.Project.name = "ci_g";
+      candidate;
+      vhdl =
+        {
+          Hw.Vhdl.entity_name = "ci_g";
+          source = "-- ci_g";
+          components = [ { Pp.Component.opcode = "add"; width = 32 } ];
+          num_ports = 3;
+          lines = 1;
+        };
+      netlists = [ ("add_32", "n") ];
+      device = Hw.Project.virtex4_fx100;
+      netlist_cache_hits = 0;
+      netlist_cache_misses = 1;
+    }
+  in
+  let stages =
+    List.map
+      (fun (stage, seconds) -> { Cad.Flow.stage; seconds })
+      Cad.Flow.
+        [
+          (Check_syntax, 4.25); (Synthesis, 10.5); (Translate, 9.0);
+          (Map, 46.0); (Place_and_route, 69.0); (Bitgen, 151.0);
+        ]
+  in
+  let failure =
+    {
+      Cad.Flow.failed_stage = Cad.Flow.Place_and_route;
+      fault = Cad.Faults.Timing_failure;
+      wasted_seconds = 129.25;
+      failed_attempt = 1;
+    }
+  in
+  let run =
+    {
+      Cad.Flow.project;
+      stages;
+      total_seconds = 289.75;
+      bitstream =
+        Cad.Bitstream.make ~signature:"ci_g" ~size_bytes:3280 ~frames:5
+          ~luts:120 ~generation_seconds:289.75;
+      syntax_problems = [];
+      relaxed = true;
+    }
+  in
+  ( 3.25,
+    {
+      Core.Asip_sp.ch_attempts =
+        [
+          {
+            Core.Asip_sp.att_number = 1;
+            att_relaxed = false;
+            att_failure = Some failure;
+            att_backoff_seconds = 33.5;
+          };
+          {
+            Core.Asip_sp.att_number = 2;
+            att_relaxed = true;
+            att_failure = None;
+            att_backoff_seconds = 0.0;
+          };
+        ];
+      ch_result = Ok run;
+    } )
+
+let test_codec_implement_golden () =
+  let v = golden_chain () in
+  Alcotest.(check string) "implement bytes"
+    ("0000000000000a400202000104020000000000286040020000000000c0404004"
+   ^ "01000000000000000000000463695f6701660402000202040402036d756c0361"
+   ^ "64640463695f670463695f67072d2d2063695f67010361646440060201066164"
+   ^ "645f3332016e127863347666783130302d313066663135313780a60ac002a00a"
+   ^ "0002060000000000000011400100000000000025400200000000000022400300"
+   ^ "00000000004740040000000000405140050000000000e0624000000000001c72"
+   ^ "400463695f67a0330af00100000000001c72409a9ff9f5c6ae95ab580001")
+    (hex (B.encode Core.Asip_sp.implement_codec v));
+  stable "implement" Core.Asip_sp.implement_codec v
+
 (* ------------------------------------------------------------------ *)
 (* Store_disk: envelope, crash-safety, defect tolerance                *)
 (* ------------------------------------------------------------------ *)
@@ -578,6 +674,8 @@ let () =
             test_codec_hw_and_cad;
           Alcotest.test_case "memory golden bytes" `Quick
             test_codec_memory_golden;
+          Alcotest.test_case "implement golden bytes" `Quick
+            test_codec_implement_golden;
         ] );
       ( "disk",
         [
