@@ -11,7 +11,7 @@
     - a {!Jitise_util.Trace} span (same [stage:detail:app] labels the
       monolithic orchestrator used),
     - a {!record} of wall time and outcome for
-      [Jit_manager.timeline]/[Experiment]/bench consumption, and
+      [Jit_manager.timeline]/[Experiment]/test consumption, and
     - optional memoization through a content-addressed
       {!Jitise_util.Artifact} store ([spec.stage_cache]).
 
@@ -52,8 +52,8 @@ let outcome_name = function
   | Hit h -> U.Artifact.hit_name h ^ " stage-cache hit"
   | Failed e -> "failed: " ^ e
 
-(** One stage execution, as consumed by [Jit_manager.timeline] and the
-    bench's [BENCH_pipeline.json]. *)
+(** One stage execution, as consumed by [Jit_manager.timeline] and
+    {!summarize}. *)
 type record = {
   rec_stage : string;
   rec_app : string;
@@ -202,7 +202,7 @@ let compose a b =
 let ( >>> ) = compose
 
 (* ------------------------------------------------------------------ *)
-(* Per-stage aggregation of records, for tests and BENCH_pipeline.json *)
+(* Per-stage aggregation of records, for tests                        *)
 
 type summary = {
   sum_stage : string;

@@ -34,8 +34,8 @@ type outcome =
 
 val outcome_name : outcome -> string
 
-(** One stage execution, as consumed by [Jit_manager.timeline] and the
-    bench's [BENCH_pipeline.json]. *)
+(** One stage execution, as consumed by [Jit_manager.timeline] and
+    {!summarize}. *)
 type record = {
   rec_stage : string;
   rec_app : string;

@@ -6,8 +6,8 @@
     with at most [max_inputs] register inputs and one output, keeping
     the best by estimated hardware speedup.  Worst-case exponential in
     the block size, which is exactly why it is unusable for
-    just-in-time customization — the ablation bench demonstrates the
-    blow-up. *)
+    just-in-time customization, and why [step_budget] and [max_nodes]
+    cap the search. *)
 
 module Ir = Jitise_ir
 

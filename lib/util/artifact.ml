@@ -33,7 +33,6 @@ type backend = {
   backend_get : stage:string -> digest:string -> (string * string) option;
   backend_put :
     stage:string -> digest:string -> builder:string -> payload:string -> unit;
-  backend_entries : unit -> (string * int * int) list;
 }
 
 let memory_backend () =
@@ -49,19 +48,6 @@ let memory_backend () =
         Mutex.protect lock (fun () ->
             if not (Hashtbl.mem table (stage, digest)) then
               Hashtbl.replace table (stage, digest) (builder, payload)));
-    backend_entries =
-      (fun () ->
-        Mutex.protect lock (fun () ->
-            let per = Hashtbl.create 16 in
-            Hashtbl.iter
-              (fun (stage, _) (_, payload) ->
-                let n, b =
-                  Option.value ~default:(0, 0) (Hashtbl.find_opt per stage)
-                in
-                Hashtbl.replace per stage (n + 1, b + String.length payload))
-              table;
-            Hashtbl.fold (fun s (n, b) acc -> (s, n, b) :: acc) per []
-            |> List.sort (fun (a, _, _) (b, _, _) -> String.compare a b)));
   }
 
 type entry = { value : univ; builder : string }
@@ -95,9 +81,6 @@ let create ?backend () =
   }
 
 let backend_kind t = Option.map (fun b -> b.backend_kind) t.backend
-
-let backend_entries t =
-  match t.backend with None -> [] | Some b -> b.backend_entries ()
 
 let counter_of t stage =
   Mutex.protect t.lock (fun () ->

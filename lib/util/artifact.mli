@@ -72,9 +72,6 @@ type backend = {
   backend_get : stage:string -> digest:string -> (string * string) option;
   backend_put :
     stage:string -> digest:string -> builder:string -> payload:string -> unit;
-  backend_entries : unit -> (string * int * int) list;
-      (** per-stage [(stage, entry count, serialized bytes)], sorted by
-          stage name *)
 }
 
 val memory_backend : unit -> backend
@@ -89,10 +86,6 @@ val create : ?backend:backend -> unit -> t
 
 val backend_kind : t -> string option
 (** [None] when the store is purely in-process. *)
-
-val backend_entries : t -> (string * int * int) list
-(** Per-stage [(stage, entries, bytes)] persisted in the backend; [[]]
-    without a backend.  Feeds the bench [BENCH_store.json] size report. *)
 
 val find : t -> 'a key -> app:string -> digest:Digest.t -> ('a * hit) option
 (** Probe for a stage artifact.  A hit is counted and attributed ([Local]

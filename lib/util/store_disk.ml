@@ -109,40 +109,6 @@ let put ?(chaos = Chaos.none) ~root ~stage ~digest ~builder ~payload () =
     with Sys_error _ -> (try Sys.remove tmp with Sys_error _ -> ())
   end
 
-let is_hex_name name =
-  String.length name > 0
-  && String.for_all
-       (function '0' .. '9' | 'a' .. 'f' -> true | _ -> false)
-       name
-
-let entries ~root () =
-  let stage_dirs =
-    match Sys.readdir root with
-    | exception Sys_error _ -> []
-    | names ->
-        Array.to_list names
-        |> List.filter (fun n -> Sys.is_directory (Filename.concat root n))
-  in
-  List.filter_map
-    (fun stage ->
-      let dir = Filename.concat root stage in
-      match Sys.readdir dir with
-      | exception Sys_error _ -> None
-      | names ->
-          let count = ref 0 and bytes = ref 0 in
-          Array.iter
-            (fun n ->
-              if is_hex_name n then
-                match Unix.stat (Filename.concat dir n) with
-                | exception Unix.Unix_error _ -> ()
-                | st ->
-                    incr count;
-                    bytes := !bytes + st.Unix.st_size)
-            names;
-          if !count = 0 then None else Some (stage, !count, !bytes))
-    stage_dirs
-  |> List.sort (fun (a, _, _) (b, _, _) -> String.compare a b)
-
 let is_tmp_name name =
   (* "<digest>.tmp.<pid>.<seq>" — match on the marker, not the exact
      shape, so orphans from older layouts are swept too. *)
@@ -190,5 +156,4 @@ let backend ?chaos ~root () : Artifact.backend =
     backend_put =
       (fun ~stage ~digest ~builder ~payload ->
         put ?chaos ~root ~stage ~digest ~builder ~payload ());
-    backend_entries = entries ~root;
   }

@@ -13,7 +13,9 @@
      waste-billed, while the sweep completes;
    - a poisoned sequential stage fails the run with
      [Supervisor.Stage_failed] after bounded retries — never a hang,
-     never a silent wrong answer. *)
+     never a silent wrong answer;
+   - the campaign case checks all of this at once, over storm seeds,
+     six workloads, CAD faults and a disk store. *)
 
 module W = Jitise_workloads
 module Ise = Jitise_ise
@@ -36,6 +38,9 @@ let project (r : Core.Experiment.app_result) =
     List.map
       (fun (c : Core.Asip_sp.candidate_result) ->
         ( signature c.Core.Asip_sp.scored,
+          (match c.Core.Asip_sp.outcome with
+          | Core.Asip_sp.Implemented -> None
+          | Core.Asip_sp.Promoted { from; _ } -> Some (signature from)),
           c.Core.Asip_sp.total_seconds,
           c.Core.Asip_sp.attempts,
           c.Core.Asip_sp.failed_attempts,
@@ -46,25 +51,58 @@ let project (r : Core.Experiment.app_result) =
         ( signature d.Core.Asip_sp.drop_scored,
           Core.Asip_sp.drop_reason_name d.Core.Asip_sp.drop_reason,
           d.Core.Asip_sp.drop_attempts,
-          d.Core.Asip_sp.drop_wasted_seconds ))
+          d.Core.Asip_sp.drop_wasted_seconds,
+          d.Core.Asip_sp.drop_at_index ))
       rep.Core.Asip_sp.dropped,
     ( rep.Core.Asip_sp.sum_seconds,
       rep.Core.Asip_sp.wasted_seconds,
+      rep.Core.Asip_sp.total_attempts,
+      rep.Core.Asip_sp.failed_attempts,
       rep.Core.Asip_sp.stage_failures,
       rep.Core.Asip_sp.degraded,
-      rep.Core.Asip_sp.asip_ratio.Ise.Speedup.ratio ) )
+      rep.Core.Asip_sp.deadline_exceeded ),
+    ( rep.Core.Asip_sp.asip_ratio.Ise.Speedup.ratio,
+      rep.Core.Asip_sp.asip_ratio_max.Ise.Speedup.ratio ) )
+
+let rec rm_rf dir =
+  if Sys.file_exists dir then begin
+    Array.iter
+      (fun name ->
+        let p = Filename.concat dir name in
+        if Sys.is_directory p then rm_rf p else Sys.remove p)
+      (Sys.readdir dir);
+    Sys.rmdir dir
+  end
+
+let tmp_root what =
+  Filename.concat
+    (Filename.get_temp_dir_name ())
+    (Printf.sprintf "jitise-chaos-%s-%d" what (Unix.getpid ()))
 
 let evaluate ?(jobs = 1) ?(chaos = U.Chaos.none)
-    ?(policy = U.Supervisor.default_policy) name =
+    ?(policy = U.Supervisor.default_policy) ?(faults = Cad.Faults.none) ?root
+    name =
   let spec =
     Core.Spec.default |> Core.Spec.with_jobs jobs
     |> Core.Spec.with_supervisor policy
     |> Core.Spec.with_chaos chaos
+    |> Core.Spec.with_faults faults
+  in
+  (* after [with_chaos]: the disk backend takes the store planes *)
+  let spec =
+    match root with
+    | Some dir -> Core.Spec.with_store_dir dir spec
+    | None -> spec
   in
   Core.Experiment.evaluate ~spec db (find_workload name)
 
+let deadline_policy =
+  { U.Supervisor.default_policy with
+    U.Supervisor.stage_deadline_seconds = Some 60.0 }
+
 (* CI pins the chaos seed via JITISE_CHAOS_SEED; every assertion holds
-   for any seed. *)
+   for any seed, except the campaign's pinned outcomes, which are
+   checked for the default seed only. *)
 let chaos_seed =
   match Sys.getenv_opt "JITISE_CHAOS_SEED" with
   | Some s -> int_of_string s
@@ -80,10 +118,7 @@ let test_chaos_off_is_golden () =
 
 let test_chaos_deterministic_across_jobs () =
   let chaos = U.Chaos.storm ~seed:chaos_seed in
-  let policy =
-    { U.Supervisor.default_policy with
-      U.Supervisor.stage_deadline_seconds = Some 60.0 }
-  in
+  let policy = deadline_policy in
   let serial = evaluate ~chaos ~policy "fft" in
   let parallel = evaluate ~jobs:4 ~chaos ~policy "fft" in
   Alcotest.(check bool) "serial and jobs:4 agree" true
@@ -168,21 +203,7 @@ let test_chaotic_store_run_is_exact () =
      drop, envelopes tear — the run must still produce exactly the
      store-less report (the store is an optimization, never an input),
      and a warm replay over the damaged root must agree too. *)
-  let root =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "jitise-chaos-test-%d" (Unix.getpid ()))
-  in
-  let rec rm_rf dir =
-    if Sys.file_exists dir then begin
-      Array.iter
-        (fun name ->
-          let p = Filename.concat dir name in
-          if Sys.is_directory p then rm_rf p else Sys.remove p)
-        (Sys.readdir dir);
-      Sys.rmdir dir
-    end
-  in
+  let root = tmp_root "test" in
   rm_rf root;
   Fun.protect ~finally:(fun () -> rm_rf root) @@ fun () ->
   let chaos =
@@ -193,13 +214,7 @@ let test_chaotic_store_run_is_exact () =
       store_write_drop_rate = 0.4;
       store_torn_rate = 0.4 }
   in
-  let eval_store () =
-    let spec =
-      Core.Spec.default |> Core.Spec.with_chaos chaos
-      |> Core.Spec.with_store_dir root
-    in
-    Core.Experiment.evaluate ~spec db (find_workload "fft")
-  in
+  let eval_store () = evaluate ~chaos ~root "fft" in
   let baseline = Core.Experiment.evaluate ~spec:Core.Spec.default db
       (find_workload "fft")
   in
@@ -209,6 +224,154 @@ let test_chaotic_store_run_is_exact () =
     (project baseline = project cold);
   Alcotest.(check bool) "warm replay over the damaged root agrees" true
     (project cold = project warm)
+
+(* ------------------------------------------------------------------ *)
+(* Chaos campaign                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* Storm fault mixes (every chaos plane plus CAD faults) over six
+   registry workloads and a real disk store, one seed at a time.  Each
+   seed must keep the supervision contract: every run completes, no
+   corrupt artifact is accepted, every degradation is flagged and
+   waste-billed, no temp file outlives the store's own sweep, and the
+   seed replays byte-identically — cold vs warm against the same
+   (possibly torn) store root, and serial vs [jobs:4] against a fresh
+   one.  Small-to-medium workloads keep the campaign tractable; together
+   they exercise every pipeline stage and both fan-out shapes (few and
+   many selected candidates). *)
+let campaign_apps =
+  [ "adpcm"; "sor"; "fft"; "183.equake"; "429.mcf"; "whetstone" ]
+
+let check_invariants add_violation name outcome =
+  let violate fmt = Printf.ksprintf add_violation fmt in
+  match outcome with
+  | Error (_ : U.Supervisor.failure) -> ()
+  | Ok (r : Core.Experiment.app_result) ->
+      let rep = r.Core.Experiment.report in
+      let n_sel = List.length rep.Core.Asip_sp.selection in
+      let n_cand = List.length rep.Core.Asip_sp.candidates in
+      let n_drop = List.length rep.Core.Asip_sp.dropped in
+      if n_cand + n_drop <> n_sel then
+        violate "%s: %d candidates + %d dropped <> %d selected" name n_cand
+          n_drop n_sel;
+      List.iter
+        (fun (c : Core.Asip_sp.candidate_result) ->
+          let run = c.Core.Asip_sp.run in
+          if not (Cad.Bitstream.well_formed run.Cad.Flow.bitstream) then
+            violate "%s: accepted candidate %s has a corrupt bitstream" name
+              c.Core.Asip_sp.scored.Ise.Select.candidate.Ise.Candidate
+                .signature;
+          if run.Cad.Flow.syntax_problems <> [] then
+            violate "%s: accepted candidate carries syntax problems" name;
+          if c.Core.Asip_sp.wasted_seconds < 0.0 then
+            violate "%s: negative waste on a candidate" name)
+        rep.Core.Asip_sp.candidates;
+      List.iter
+        (fun (d : Core.Asip_sp.dropped) ->
+          if d.Core.Asip_sp.drop_wasted_seconds < 0.0 then
+            violate "%s: negative waste on a drop" name;
+          if
+            d.Core.Asip_sp.drop_reason = Core.Asip_sp.Stage_failure
+            && d.Core.Asip_sp.drop_failure <> None
+          then violate "%s: stage-failure drop carries a CAD failure" name)
+        rep.Core.Asip_sp.dropped;
+      let flagged =
+        List.length
+          (List.filter
+             (fun (d : Core.Asip_sp.dropped) ->
+               d.Core.Asip_sp.drop_reason = Core.Asip_sp.Stage_failure)
+             rep.Core.Asip_sp.dropped)
+      in
+      if flagged <> rep.Core.Asip_sp.stage_failures then
+        violate "%s: stage_failures %d but %d flagged drops" name
+          rep.Core.Asip_sp.stage_failures flagged
+
+(* One seed of the campaign: its contract violations and a one-line
+   summary of what the faults did to the cold run. *)
+let campaign_seed seed =
+  let chaos = U.Chaos.storm ~seed in
+  let faults = Cad.Faults.defaults ~seed in
+  let run ~jobs ~root name =
+    match evaluate ~jobs ~chaos ~policy:deadline_policy ~faults ~root name with
+    | r -> Ok r
+    | exception U.Supervisor.Stage_failed f -> Error f
+  in
+  let root_a = tmp_root (Printf.sprintf "a-%d" seed)
+  and root_b = tmp_root (Printf.sprintf "b-%d" seed) in
+  let cleanup () = rm_rf root_a; rm_rf root_b in
+  cleanup ();
+  Fun.protect ~finally:cleanup @@ fun () ->
+  let cold = List.map (run ~jobs:1 ~root:root_a) campaign_apps in
+  (* Warm replay over the same (possibly torn) store: corrupt entries
+     must degrade to recomputation, never change the outcome. *)
+  let warm = List.map (run ~jobs:1 ~root:root_a) campaign_apps in
+  (* Parallel replay against a fresh root: scheduling independence. *)
+  let par = List.map (run ~jobs:4 ~root:root_b) campaign_apps in
+  let violations = ref [] in
+  let add_violation msg =
+    violations := Printf.sprintf "seed %d: %s" seed msg :: !violations
+  in
+  let violate fmt = Printf.ksprintf add_violation fmt in
+  let replay = function
+    | Ok r -> Ok (project r)
+    | Error (f : U.Supervisor.failure) ->
+        Error
+          ( f.U.Supervisor.f_site,
+            U.Supervisor.error_name f.U.Supervisor.f_error,
+            f.U.Supervisor.f_attempts,
+            f.U.Supervisor.f_wasted_seconds )
+  in
+  List.iteri
+    (fun j name ->
+      let c = List.nth cold j in
+      check_invariants add_violation name c;
+      if replay c <> replay (List.nth warm j) then
+        violate "%s: warm replay diverged from the cold run" name;
+      if replay c <> replay (List.nth par j) then
+        violate "%s: jobs:4 replay diverged from the serial run" name)
+    campaign_apps;
+  let orphans = U.Store_disk.sweep_orphans ~root:root_a in
+  if orphans <> 0 then
+    violate "%d orphan temp files survived the store's own sweep" orphans;
+  let sum f = List.fold_left (fun acc o -> acc + f o) 0 cold in
+  let report f = sum (function Ok r -> f r.Core.Experiment.report | Error _ -> 0) in
+  let wasted =
+    List.fold_left
+      (fun acc -> function
+        | Ok (r : Core.Experiment.app_result) ->
+            acc +. r.Core.Experiment.report.Core.Asip_sp.wasted_seconds
+        | Error (f : U.Supervisor.failure) -> acc +. f.U.Supervisor.f_wasted_seconds)
+      0.0 cold
+  in
+  ( List.rev !violations,
+    Printf.sprintf
+      "seed %d: run_failures %d stage_failures %d promoted %d dropped %d \
+       failed_attempts %d wasted_seconds %.3f"
+      seed
+      (sum (function Error _ -> 1 | Ok _ -> 0))
+      (report (fun rep -> rep.Core.Asip_sp.stage_failures))
+      (report (fun rep -> rep.Core.Asip_sp.degraded))
+      (report (fun rep -> List.length rep.Core.Asip_sp.dropped))
+      (report (fun rep -> rep.Core.Asip_sp.failed_attempts))
+      wasted )
+
+let test_chaos_campaign () =
+  let results = List.map campaign_seed (List.init 3 (fun i -> chaos_seed + i)) in
+  Alcotest.(check (list string)) "no contract violations" []
+    (List.concat_map fst results);
+  (* Pinned outcomes for the default base seed, so a change in what the
+     faults do fails a test instead of passing unnoticed. *)
+  if chaos_seed = 4207 then
+    Alcotest.(check (list string)) "per-seed fault outcomes"
+      [
+        "seed 4207: run_failures 0 stage_failures 0 promoted 0 dropped 1 \
+         failed_attempts 7 wasted_seconds 5406.467";
+        "seed 4208: run_failures 0 stage_failures 0 promoted 0 dropped 0 \
+         failed_attempts 8 wasted_seconds 3999.668";
+        "seed 4209: run_failures 0 stage_failures 0 promoted 0 dropped 0 \
+         failed_attempts 5 wasted_seconds 3499.171";
+      ]
+      (List.map snd results)
 
 let () =
   Alcotest.run "chaos"
@@ -227,5 +390,10 @@ let () =
             test_stage_stall_hits_deadline;
           Alcotest.test_case "chaotic store is exact" `Quick
             test_chaotic_store_run_is_exact;
+        ] );
+      ( "campaign",
+        [
+          Alcotest.test_case "three storm seeds over six apps" `Slow
+            test_chaos_campaign;
         ] );
     ]

@@ -823,7 +823,6 @@ let test_chaos_wrap_backend_planes () =
       backend_put =
         (fun ~stage ~digest ~builder ~payload ->
           Hashtbl.replace tbl (stage ^ digest) (builder, payload));
-      backend_entries = (fun () -> []);
     }
   in
   let all_errors =
