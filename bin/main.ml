@@ -24,16 +24,16 @@ let db = lazy (Pp.Database.create ())
 (* Sweep-engine configuration shared by the table/specialize commands  *)
 (* ------------------------------------------------------------------ *)
 
-(* Everything the [--faults]/[--fault-seed]/[--retries]/[--deadline]
-   and [--chaos]/[--chaos-seed]/[--stage-*]/[--run-deadline] flags
-   decide, bundled so every command threads one value. *)
+(* Everything the [--faults]/[--retries]/[--deadline],
+   [--chaos]/[--stage-*]/[--run-deadline] and [--chaos-seed] (alias
+   [--fault-seed]) flags decide, bundled so every command threads one
+   value. *)
 type fault_options = {
-  faults : bool;
-  fault_seed : int;
+  faults : bool;  (** the CAD plane at its default rates *)
   retries : int;
   deadline : float option;  (** whole-specialization budget, seconds *)
-  chaos : bool;
-  chaos_seed : int;
+  chaos : bool;  (** the stage, pool and store planes at their defaults *)
+  chaos_seed : int;  (** the one seed of every plane *)
   stage_attempts : int;  (** supervised attempts per stage execution *)
   stage_deadline : float option;  (** simulated stall budget per attempt *)
   run_deadline : float option;  (** simulated supervision budget per run *)
@@ -57,18 +57,23 @@ let mk_spec ~trace ~jobs ~shared_cache ~stage_cache ~store_dir ~vm_engine
       run_deadline_seconds = fo.run_deadline;
     }
   in
+  let chaos =
+    if fo.chaos then U.Chaos.defaults ~seed:fo.chaos_seed
+    else { U.Chaos.none with U.Chaos.seed = fo.chaos_seed }
+  in
+  let chaos = if fo.faults then U.Chaos.with_cad_defaults chaos else chaos in
+  (* Chaos before the store: {!Core.Spec.with_store_dir} wires the
+     store fault planes from the spec's chaos config. *)
   let spec =
     Core.Spec.default |> Core.Spec.with_jobs jobs
     |> Core.Spec.with_vm_engine vm_engine
     |> Core.Spec.with_vm_tuning vm_tuning
     |> Core.Spec.with_supervisor supervisor
-  in
-  (* Chaos before the store: {!Core.Spec.with_store_dir} wires the
-     store fault planes from the spec's chaos config. *)
-  let spec =
-    if fo.chaos then
-      Core.Spec.with_chaos (U.Chaos.defaults ~seed:fo.chaos_seed) spec
-    else spec
+    |> Core.Spec.with_chaos chaos
+    |> Core.Spec.with_retry
+         (U.Retry.default
+         |> U.Retry.with_max_attempts fo.retries
+         |> U.Retry.with_specialization_deadline fo.deadline)
   in
   let spec =
     if trace <> None then Core.Spec.with_tracer (U.Trace.create ()) spec
@@ -78,22 +83,11 @@ let mk_spec ~trace ~jobs ~shared_cache ~stage_cache ~store_dir ~vm_engine
     if shared_cache then Core.Spec.with_cache (U.Artifact.create ()) spec
     else spec
   in
-  let spec =
-    match store_dir with
-    | Some dir -> Core.Spec.with_store_dir dir spec
-    | None ->
-        if stage_cache then
-          Core.Spec.with_stage_cache (U.Artifact.create ()) spec
-        else spec
-  in
-  if not fo.faults then spec
-  else
-    spec
-    |> Core.Spec.with_faults (Cad.Faults.defaults ~seed:fo.fault_seed)
-    |> Core.Spec.with_retry
-         (U.Retry.default
-         |> U.Retry.with_max_attempts fo.retries
-         |> U.Retry.with_specialization_deadline fo.deadline)
+  match store_dir with
+  | Some dir -> Core.Spec.with_store_dir dir spec
+  | None ->
+      if stage_cache then Core.Spec.with_stage_cache (U.Artifact.create ()) spec
+      else spec
 
 (* Write the trace and report cache statistics once the work is done;
    [reports] are every report finalized against [spec.cache]. *)
@@ -119,16 +113,16 @@ let finish_spec ?(stage_stats = false) (spec : Core.Spec.t) trace reports =
           (String.concat ", "
              (List.map (fun (name, n) -> Printf.sprintf "%s=%d" name n) stats))
 
-let render_table1 ~faults:_ results =
+let render_table1 results =
   print_string (Core.Tables.render_table1 (Core.Tables.table1 results))
 
 let render_table2 ~faults results =
   print_string (Core.Tables.render_table2 ~faults (Core.Tables.table2 results))
 
-let render_table3 ~faults:_ results =
+let render_table3 results =
   print_string (Core.Tables.render_table3 (Core.Tables.table3 results))
 
-let render_table4 ~faults:_ results =
+let render_table4 results =
   print_string (Core.Tables.render_table4 (Core.Tables.table4 results))
 
 let run_figure1 () = print_string (Core.Diagrams.figure1 ())
@@ -136,13 +130,13 @@ let run_figure2 () = print_string (Core.Diagrams.figure2 ())
 
 let render_all ~faults results =
   print_endline "=== Table I ===";
-  render_table1 ~faults results;
+  render_table1 results;
   print_endline "\n=== Table II ===";
   render_table2 ~faults results;
   print_endline "\n=== Table III ===";
-  render_table3 ~faults results;
+  render_table3 results;
   print_endline "\n=== Table IV ===";
-  render_table4 ~faults results;
+  render_table4 results;
   print_endline "\n=== Figure 1 ===";
   run_figure1 ();
   print_endline "\n=== Figure 2 ===";
@@ -216,7 +210,11 @@ let run_specialize name trace jobs shared_cache stage_cache stage_stats
                  from.Ise.Select.candidate.Ise.Candidate.signature
            | Core.Asip_sp.Implemented -> retry))
     rep.Core.Asip_sp.candidates;
-  if fault_options.faults || fault_options.chaos then begin
+  (* [--deadline] alone can drop slots too. *)
+  if
+    fault_options.faults || fault_options.chaos
+    || rep.Core.Asip_sp.dropped <> []
+  then begin
     List.iter
       (fun (d : Core.Asip_sp.dropped) ->
         Printf.printf "  %s  abandoned: %s, %d failed attempt(s), %s wasted\n"
@@ -620,21 +618,14 @@ let faults_arg =
            policy.  Off by default, which reproduces the failure-free flow \
            exactly.")
 
-let fault_seed_arg =
-  Arg.(
-    value & opt int 20110516
-    & info [ "fault-seed" ] ~docv:"SEED"
-        ~doc:
-          "Seed of the fault-injection model.  The same seed produces the \
-           same failures, whatever $(b,--jobs) is.")
-
 let retries_arg =
   Arg.(
     value & opt positive_int 3
     & info [ "retries" ] ~docv:"N"
         ~doc:
           "CAD attempts per candidate before it degrades to the next-ranked \
-           candidate or to software (with $(b,--faults)).")
+           candidate or to software (only CAD failures use more than one; \
+           see $(b,--faults)).")
 
 let deadline_arg =
   Arg.(
@@ -642,8 +633,8 @@ let deadline_arg =
     & opt (some positive_float) None
     & info [ "deadline" ] ~docv:"SECONDS"
         ~doc:
-          "Simulated-time budget for a whole specialization run (with \
-           $(b,--faults)); candidates past it are left in software.")
+          "Simulated-time budget for a whole specialization run; \
+           candidates past it are left in software.")
 
 let chaos_arg =
   Arg.(
@@ -659,11 +650,12 @@ let chaos_arg =
 
 let chaos_seed_arg =
   Arg.(
-    value & opt int 4207
-    & info [ "chaos-seed" ] ~docv:"SEED"
+    value & opt int 20110516
+    & info [ "chaos-seed"; "fault-seed" ] ~docv:"SEED"
         ~doc:
-          "Seed of the chaos model.  The same seed replays the same \
-           faults on every plane, whatever $(b,--jobs) is.")
+          "The one seed of the fault model, shared by $(b,--faults) and \
+           $(b,--chaos).  The same seed replays the same faults on every \
+           plane, whatever $(b,--jobs) is.  Give it under one name only.")
 
 let stage_attempts_arg =
   Arg.(
@@ -697,11 +689,10 @@ let run_deadline_arg =
 let fault_options_term =
   Term.(
     const
-      (fun faults fault_seed retries deadline chaos chaos_seed stage_attempts
+      (fun faults retries deadline chaos chaos_seed stage_attempts
            stage_deadline run_deadline ->
         {
           faults;
-          fault_seed;
           retries;
           deadline;
           chaos;
@@ -710,7 +701,7 @@ let fault_options_term =
           stage_deadline;
           run_deadline;
         })
-    $ faults_arg $ fault_seed_arg $ retries_arg $ deadline_arg $ chaos_arg
+    $ faults_arg $ retries_arg $ deadline_arg $ chaos_arg
     $ chaos_seed_arg $ stage_attempts_arg $ stage_deadline_arg
     $ run_deadline_arg)
 
@@ -740,13 +731,13 @@ let sweep_cmd name doc render =
 let cmds =
   [
     sweep_cmd "table1" "Reproduce Table I (application characterization)"
-      render_table1;
+      (fun ~faults:_ -> render_table1);
     sweep_cmd "table2" "Reproduce Table II (ASIP-SP runtime overheads)"
       render_table2;
     sweep_cmd "table3" "Reproduce Table III (constant CAD overheads)"
-      render_table3;
+      (fun ~faults:_ -> render_table3);
     sweep_cmd "table4" "Reproduce Table IV (cache / faster-CAD break-even)"
-      render_table4;
+      (fun ~faults:_ -> render_table4);
     unit_cmd "figure1" "Render Figure 1 (tool-flow overview)" run_figure1;
     unit_cmd "figure2" "Render Figure 2 (ASIP specialization process)"
       run_figure2;

@@ -1,20 +1,23 @@
-(** Deterministic fault injection for the CAD tool-flow simulator.
+(** The CAD plane of {!Jitise_util.Chaos}: failure kinds of the
+    simulated Xilinx tool flow and the roll that draws them.
 
     The paper's feasibility argument leans on commodity Xilinx tools
     that, in practice, fail routinely: tools crash, map/PAR runs abort on
     congestion, place-and-route misses timing closure, and bitgen
-    occasionally emits a corrupt configuration image.  This module
-    defines that failure model so {!Flow.implement_result} can return
-    per-stage failures instead of assuming every run succeeds, making
-    the break-even analysis and the JIT-manager timeline account for
+    occasionally emits a corrupt configuration image.  The four
+    [cad_*] rates of a {!Jitise_util.Chaos.config} set how often;
+    {!Flow.implement_result} rolls them per stage and returns
+    per-stage failures instead of assuming every run succeeds, so the
+    break-even analysis and the JIT-manager timeline account for
     wasted CAD time.
 
-    Every roll is a pure function of [(config.seed, signature, stage,
-    attempt)] via {!Jitise_util.Prng}, so fault injection is
-    reproducible and independent of scheduling: a [jobs:4] sweep injects
-    exactly the same failures as a serial one, and the same data path
-    fails the same way on the same attempt — the way a deterministic
-    tool chain on fixed input would. *)
+    Every roll is a pure function of [(seed, signature, stage,
+    attempt)], so fault injection is reproducible and independent of
+    scheduling: a [jobs:4] sweep injects exactly the same failures as a
+    serial one, and the same data path fails the same way on the same
+    attempt — the way a deterministic tool chain on fixed input would. *)
+
+module Chaos = Jitise_util.Chaos
 
 type kind =
   | Tool_crash  (** transient tool/license/IO crash; any stage *)
@@ -33,115 +36,48 @@ let kind_name = function
   | Timing_failure -> "timing closure"
   | Bitgen_corruption -> "bitstream corruption"
 
-(** [true] if retrying the identical run can succeed (crashes) or the
-    retry strategy changes the run (congestion re-seeds placement,
-    timing failures resynthesize relaxed, corrupt bitstreams are
-    regenerated).  Everything in this model is worth retrying; permanent
-    failure arises from exhausting the {!Jitise_util.Retry} policy, not
-    from an unretryable kind. *)
-let is_transient = function
-  | Tool_crash | Congestion | Bitgen_corruption -> true
-  | Timing_failure -> false
-
-type config = {
-  enabled : bool;
-  seed : int;  (** mixed into every roll; the [--fault-seed] flag *)
-  crash_rate : float;  (** per-stage transient crash probability *)
-  congestion_rate : float;
-      (** map/PAR congestion probability at full complexity; scaled by
-          the data path's LUT area *)
-  timing_rate : float;
-      (** PAR timing-closure failure probability at full complexity;
-          never rolled on a relaxed (resynthesized) attempt *)
-  corruption_rate : float;  (** bitgen CRC-failure probability *)
-}
-
-(** Faults disabled — the flow behaves exactly as before this model
-    existed. *)
-let none =
-  {
-    enabled = false;
-    seed = 0;
-    crash_rate = 0.0;
-    congestion_rate = 0.0;
-    timing_rate = 0.0;
-    corruption_rate = 0.0;
-  }
-
-(** The default injected failure model ([--faults]): rates chosen so a
-    multi-candidate sweep sees occasional transient crashes, congestion
-    on big data paths, and the odd timing miss, while most candidates
-    still implement within a 3-attempt budget. *)
-let defaults ~seed =
-  {
-    enabled = true;
-    seed;
-    crash_rate = 0.02;
-    congestion_rate = 0.15;
-    timing_rate = 0.20;
-    corruption_rate = 0.03;
-  }
-
-let validate c =
-  let check what rate =
-    if rate < 0.0 || rate > 1.0 then
-      invalid_arg
-        (Printf.sprintf "Faults: %s must be a probability in [0, 1] (got %g)"
-           what rate)
-  in
-  check "crash_rate" c.crash_rate;
-  check "congestion_rate" c.congestion_rate;
-  check "timing_rate" c.timing_rate;
-  check "corruption_rate" c.corruption_rate
-
-(* One independent PRNG per (seed, signature, stage, attempt, roll)
-   tuple: rolls never share a stream, so adding a roll site cannot
-   perturb unrelated draws.  The CAD flow is one plane of the general
-   chaos model; the "fault:" key format predates [Chaos] and is kept
-   verbatim so existing fault seeds replay old runs bit for bit. *)
-let roll_prng c ~signature ~stage ~attempt what =
-  Jitise_util.Chaos.key_prng ~seed:c.seed
-    (Printf.sprintf "fault:%d:%s:%s:%d:%s" c.seed signature stage attempt what)
-
-let bernoulli = Jitise_util.Chaos.bernoulli
-
-(** Congestion/timing probabilities grow with data-path complexity;
-    [complexity] is the LUT-area fraction of a large design, clamped to
-    [0, 1].  Small data paths keep ~30 % of the base rate. *)
-let scaled rate ~complexity =
-  rate *. (0.3 +. (0.7 *. Float.min 1.0 (Float.max 0.0 complexity)))
-
-(** Roll the failure model for one stage of one attempt.
+(** Roll the CAD plane of [c] for one stage of one attempt.
 
     @param signature the data path's structural signature (the cache key)
     @param stage a stable stage name ({!Flow.stage_name})
     @param attempt 1-based CAD attempt number
     @param relaxed the attempt was resynthesized with relaxed timing
     constraints (skips the timing roll)
-    @param complexity LUT-area fraction of a large design, in [0, 1] *)
-let roll c ~signature ~stage ~attempt ~relaxed ~complexity : kind option =
-  if not c.enabled then None
-  else
-    let roll_for what rate kind =
-      if bernoulli (roll_prng c ~signature ~stage ~attempt what) rate then
-        Some kind
-      else None
+    @param complexity LUT-area fraction of a large design, in [0, 1];
+    congestion and timing rates grow with it, and small data paths keep
+    ~30 % of the base rate *)
+let roll (c : Chaos.config) ~signature ~stage ~attempt ~relaxed ~complexity :
+    kind option =
+  (* One independent PRNG per (seed, signature, stage, attempt, roll)
+     tuple: rolls never share a stream, so adding a roll site cannot
+     perturb unrelated draws.  The "fault:" key format predates the
+     other chaos planes and is kept verbatim so existing fault seeds
+     replay old runs bit for bit. *)
+  let roll_for what rate kind =
+    let prng =
+      Chaos.key_prng ~seed:c.Chaos.seed
+        (Printf.sprintf "fault:%d:%s:%s:%d:%s" c.Chaos.seed signature stage
+           attempt what)
     in
-    let ( <|> ) a b = match a with Some _ -> a | None -> b () in
-    roll_for "crash" c.crash_rate Tool_crash
-    <|> fun () ->
-    (match stage with
-    | "map" | "par" ->
-        roll_for "congestion"
-          (scaled c.congestion_rate ~complexity)
-          Congestion
-    | _ -> None)
-    <|> fun () ->
-    (match stage with
-    | "par" when not relaxed ->
-        roll_for "timing" (scaled c.timing_rate ~complexity) Timing_failure
-    | _ -> None)
-    <|> fun () ->
-    match stage with
-    | "bitgen" -> roll_for "corruption" c.corruption_rate Bitgen_corruption
-    | _ -> None
+    if Chaos.bernoulli prng rate then Some kind else None
+  in
+  let scaled rate =
+    rate *. (0.3 +. (0.7 *. Float.min 1.0 (Float.max 0.0 complexity)))
+  in
+  let ( <|> ) a b = match a with Some _ -> a | None -> b () in
+  roll_for "crash" c.Chaos.cad_crash_rate Tool_crash
+  <|> fun () ->
+  (match stage with
+  | "map" | "par" ->
+      roll_for "congestion" (scaled c.Chaos.cad_congestion_rate) Congestion
+  | _ -> None)
+  <|> fun () ->
+  (match stage with
+  | "par" when not relaxed ->
+      roll_for "timing" (scaled c.Chaos.cad_timing_rate) Timing_failure
+  | _ -> None)
+  <|> fun () ->
+  match stage with
+  | "bitgen" ->
+      roll_for "corruption" c.Chaos.cad_corruption_rate Bitgen_corruption
+  | _ -> None

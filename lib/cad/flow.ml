@@ -20,10 +20,11 @@
       an EAPR overhead the paper calls out explicitly.
 
     Failure model: commodity CAD tools fail routinely, so
-    {!implement_result} can inject per-stage failures from a
-    {!Faults.config} and returns [(run, failure) result]; a failure
+    {!implement_result} can inject per-stage failures from the CAD
+    plane of a {!Jitise_util.Chaos.config} (rolled by {!Faults.roll})
+    and returns [(run, failure) result]; a failure
     reports the stage it hit and the simulated seconds wasted up to it.
-    {!implement} is the never-failing entry point (faults disabled). *)
+    {!implement} is the never-failing entry point (CAD plane off). *)
 
 module Ir = Jitise_ir
 module Pp = Jitise_pivpav
@@ -203,11 +204,12 @@ let emit_spans tracer (p : Hw.Project.t) stages ~failed =
     fault injection.
 
     The six stages run in order; before each stage completes, the
-    {!Faults} model is rolled for this [(signature, stage, attempt)]
-    tuple.  On a failure the attempt aborts: the result is [Error f]
-    where [f.wasted_seconds] covers every stage up to and including the
-    failing one.  With [faults] disabled (default) the result is always
-    [Ok].
+    CAD plane of [chaos] is rolled ({!Faults.roll}) for this
+    [(signature, stage, attempt)] tuple.  On a failure the attempt
+    aborts: the result is [Error f] where [f.wasted_seconds] covers
+    every stage up to and including the failing one.  With the CAD
+    plane off (the default {!Jitise_util.Chaos.none}) the result is
+    always [Ok].
 
     @param attempt 1-based CAD attempt number; seeds the fault rolls so
     a retry of the same data path fails (or succeeds) differently
@@ -221,12 +223,12 @@ let emit_spans tracer (p : Hw.Project.t) stages ~failed =
     check (indicates a data-path generator bug — tests assert this
     never fires on MAXMISO output). *)
 let implement_result ?tracer ?(config = default_config)
-    ?(faults = Faults.none) ?(attempt = 1) ?(relaxed = false)
+    ?(chaos = Jitise_util.Chaos.none) ?(attempt = 1) ?(relaxed = false)
     (db : Pp.Database.t) (p : Hw.Project.t) : (run, failure) result =
   (* Validate the whole configuration up front — before the syntax
      check and before any simulated work. *)
   validate_config config;
-  Faults.validate faults;
+  Jitise_util.Chaos.validate chaos;
   if attempt < 1 then invalid_arg "Flow.implement: attempt must be >= 1";
   let syntax_problems = Hw.Vhdl.check_syntax p.Hw.Project.vhdl in
   if syntax_problems <> [] then raise (Syntax_error syntax_problems);
@@ -263,7 +265,7 @@ let implement_result ?tracer ?(config = default_config)
   (* Fault rolls, in stage order; the first hit aborts the attempt with
      every stage up to and including the failing one billed. *)
   let fault =
-    if not faults.Faults.enabled then None
+    if not (Jitise_util.Chaos.cad_on chaos) then None
     else begin
       let area_fraction = float_of_int luts /. 9_000.0 in
       let rec scan elapsed = function
@@ -271,7 +273,7 @@ let implement_result ?tracer ?(config = default_config)
         | s :: rest -> (
             let elapsed = elapsed +. s.seconds in
             match
-              Faults.roll faults ~signature:p.Hw.Project.name
+              Faults.roll chaos ~signature:p.Hw.Project.name
                 ~stage:(stage_name s.stage) ~attempt ~relaxed
                 ~complexity:area_fraction
             with
@@ -338,11 +340,11 @@ let run_of_result = function
               (Faults.kind_name f.fault)
               (stage_name f.failed_stage)))
 
-(** {!implement_result} with fault injection disabled: always succeeds
+(** {!implement_result} with the CAD plane off: always succeeds
     (or raises {!Syntax_error} / [Invalid_argument], as documented
     there). *)
 let implement ?tracer ?config (db : Pp.Database.t) (p : Hw.Project.t) : run =
-  run_of_result (implement_result ?tracer ?config ~faults:Faults.none db p)
+  run_of_result (implement_result ?tracer ?config db p)
 
 (** Seconds spent in a given stage of a run. *)
 let stage_seconds run stage =

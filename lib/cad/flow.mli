@@ -11,11 +11,12 @@
     paper measures.
 
     Failure model: commodity CAD tools fail routinely, so
-    {!implement_result} can inject per-stage failures from a
-    {!Faults.config} and returns [(run, failure) result]; a failure
+    {!implement_result} can inject per-stage failures from the CAD
+    plane of a {!Jitise_util.Chaos.config} (rolled by {!Faults.roll})
+    and returns [(run, failure) result]; a failure
     reports the stage it hit and the simulated seconds wasted up to
-    it.  {!implement} is the never-failing entry point (faults
-    disabled). *)
+    it.  {!implement} is the never-failing entry point (CAD plane
+    off). *)
 
 module Pp = Jitise_pivpav
 module Hw = Jitise_hwgen
@@ -93,7 +94,7 @@ val c2v_seconds : Hw.Project.t -> float
 val implement_result :
   ?tracer:Jitise_util.Trace.t ->
   ?config:config ->
-  ?faults:Faults.config ->
+  ?chaos:Jitise_util.Chaos.config ->
   ?attempt:int ->
   ?relaxed:bool ->
   Pp.Database.t ->
@@ -103,11 +104,12 @@ val implement_result :
     fault injection.
 
     The six stages run in order; before each stage completes, the
-    {!Faults} model is rolled for this [(signature, stage, attempt)]
-    tuple.  On a failure the attempt aborts: the result is [Error f]
-    where [f.wasted_seconds] covers every stage up to and including the
-    failing one.  With [faults] disabled (default) the result is always
-    [Ok].
+    CAD plane of [chaos] is rolled ({!Faults.roll}) for this
+    [(signature, stage, attempt)] tuple.  On a failure the attempt
+    aborts: the result is [Error f] where [f.wasted_seconds] covers
+    every stage up to and including the failing one.  With the CAD
+    plane off (the default {!Jitise_util.Chaos.none}) the result is
+    always [Ok].
 
     @param attempt 1-based CAD attempt number; seeds the fault rolls so
     a retry of the same data path fails (or succeeds) differently
@@ -131,7 +133,7 @@ val implement :
   Pp.Database.t ->
   Hw.Project.t ->
   run
-(** {!implement_result} with fault injection disabled: always succeeds
+(** {!implement_result} with the CAD plane off: always succeeds
     (or raises {!Syntax_error} / [Invalid_argument], as documented
     there). *)
 

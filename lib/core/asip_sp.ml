@@ -40,7 +40,7 @@
       application order makes parallel sweeps report-identical to
       serial ones.
 
-    {b Failure handling} (when [spec.faults] is enabled): every
+    {b Failure handling} (when the CAD plane of [spec.chaos] is on): every
     candidate's CAD chain is governed by [spec.retry] — transient
     failures are retried after an exponential backoff, a timing-closure
     failure switches the retry to a relaxed resynthesis, and a chain
@@ -48,9 +48,10 @@
     profitable candidate from the ranking is promoted in its place, and
     if no alternate can be implemented the instruction simply stays in
     software.  A whole-specialization
-    deadline bounds the total simulated time; candidates past it are
-    dropped (cache hits are still taken — they are free).  All of this
-    is deterministic in the fault seed, and fault chains are computed
+    deadline ([spec.retry], consulted whatever planes are on) bounds the
+    total simulated time; candidates past it are dropped (cache hits
+    are still taken — they are free).  All of this is deterministic in
+    the chaos seed, and fault chains are computed
     in the parallel phase from per-candidate seeds, so the recovery
     behaviour is identical however many domains run the sweep.
 
@@ -290,14 +291,14 @@ let chain_codec : chain B.codec =
 let implement_codec : (float * chain) B.codec = B.pair B.float chain_codec
 
 (* Run a candidate's CAD chain under the retry policy.  Pure in
-   (project, config, faults, max_attempts): safe in the parallel
-   phase. *)
-let build_chain ?tracer ~config ~faults ~max_attempts db
+   (project, config, chaos CAD plane, max_attempts): safe in the
+   parallel phase. *)
+let build_chain ?tracer ~config ~chaos ~max_attempts db
     (project : Hw.Project.t) : chain =
   let key = project.Hw.Project.name in
   let rec go attempt relaxed rev =
     match
-      Cad.Flow.implement_result ?tracer ~config ~faults ~attempt ~relaxed db
+      Cad.Flow.implement_result ?tracer ~config ~chaos ~attempt ~relaxed db
         project
     with
     | Ok run ->
@@ -501,12 +502,12 @@ let alternates_stage :
       let c = base_digest env in
       Pipeline.add_select c spec.Spec.select;
       U.Digest.add_list c (add_candidate c) candidates;
-      U.Digest.add_bool c spec.Spec.faults.Cad.Faults.enabled;
+      U.Digest.add_bool c (U.Chaos.cad_on spec.Spec.chaos);
       U.Digest.finish c)
     ~codec:Codecs.scored_list
     (fun ctx (env, candidates, selection) ->
       let spec = ctx.Pipeline.spec in
-      if not spec.Spec.faults.Cad.Faults.enabled then []
+      if not (U.Chaos.cad_on spec.Spec.chaos) then []
       else
         let unconstrained =
           {
@@ -547,10 +548,12 @@ let vhdl_stage : (env * Ise.Select.scored, Hw.Project.t) Pipeline.stage =
 
 (* Phase 3: the candidate's full CAD retry chain plus its (speedup-
    scaled) C2V constant.  The chain is a pure function of the project,
-   the CAD model, the fault configuration and the attempt limit (rolls
-   are keyed by fault seed + signature + stage + attempt), so the
-   digest hashes exactly those.  The specialization deadline is spent
-   in {!finalize}, not here, so changing it reuses every chain. *)
+   the CAD model, the chaos CAD plane and the attempt limit (rolls are
+   keyed by seed + signature + stage + attempt), so the digest hashes
+   exactly those — the seed and the CAD rates only when the plane is
+   on, so a config that differs only in other planes reuses every
+   chain.  The specialization deadline is spent in {!finalize}, not
+   here, so changing it reuses every chain too. *)
 let chain_stage :
     (env * Ise.Select.scored * Hw.Project.t, float * chain) Pipeline.stage =
   Pipeline.stage ~cat:"cad" "implement"
@@ -559,7 +562,16 @@ let chain_stage :
       U.Digest.add_digest c (Lazy.force env.env_mdigest);
       add_candidate c s.Ise.Select.candidate;
       Pipeline.add_cad c spec.Spec.cad;
-      Pipeline.add_faults c spec.Spec.faults;
+      let ch = spec.Spec.chaos in
+      let cad_on = U.Chaos.cad_on ch in
+      U.Digest.add_bool c cad_on;
+      if cad_on then begin
+        U.Digest.add_int c ch.U.Chaos.seed;
+        U.Digest.add_float c ch.U.Chaos.cad_crash_rate;
+        U.Digest.add_float c ch.U.Chaos.cad_congestion_rate;
+        U.Digest.add_float c ch.U.Chaos.cad_timing_rate;
+        U.Digest.add_float c ch.U.Chaos.cad_corruption_rate
+      end;
       U.Digest.add_int c spec.Spec.retry.U.Retry.max_attempts;
       U.Digest.finish c)
     ~codec:implement_codec
@@ -569,7 +581,7 @@ let chain_stage :
       let c2v = c2v *. (1.0 -. spec.Spec.cad.Cad.Flow.speedup_factor) in
       let chain =
         build_chain ?tracer:spec.Spec.tracer ~config:spec.Spec.cad
-          ~faults:spec.Spec.faults
+          ~chaos:spec.Spec.chaos
           ~max_attempts:spec.Spec.retry.U.Retry.max_attempts env.env_db project
       in
       (c2v, chain))
@@ -715,20 +727,15 @@ let bitstream_key : Cad.Bitstream.t U.Artifact.key =
     Each slot probes the store with {!U.Artifact.find} and records its
     bitstream with {!U.Artifact.put} only after its chain {e
     succeeded}, so a failed run is never served to another
-    application.  With faults enabled, this is also where recovery
-    policy is applied: the whole-specialization deadline is spent in
-    selection order and failed candidates consume promotion
-    alternates. *)
+    application.  This is also where recovery policy is applied: the
+    whole-specialization deadline is spent in selection order and
+    failed candidates consume promotion alternates. *)
 let finalize ?(spec = Spec.default) ~app (st : staged) : report =
-  let faults_on = spec.Spec.faults.Cad.Faults.enabled in
   let store =
     match spec.Spec.cache with Some s -> s | None -> U.Artifact.create ()
   in
   let budget =
-    U.Retry.budget
-      (if faults_on then
-         spec.Spec.retry.U.Retry.specialization_deadline_seconds
-       else None)
+    U.Retry.budget spec.Spec.retry.U.Retry.specialization_deadline_seconds
   in
   (* Decide one slot: supervision failure (waste billed, software
      fallback), cache hit (free, always allowed; survived chaos stalls
@@ -963,15 +970,12 @@ let finalize ?(spec = Spec.default) ~app (st : staged) : report =
     st.stg_asip_ratio.Ise.Speedup.ratio /. safe st.stg_search_wall
     /. (st.stg_asip_ratio_max.Ise.Speedup.ratio /. safe st.stg_nopruning_wall)
   in
-  (* Degradation changes what is actually in hardware; recompute the
-     speedup over the implemented slots.  With faults off the
-     implemented list IS the selection, so keep the staged value (and
-     its bit-exact floats). *)
+  (* Degradation changes what is actually in hardware; the speedup is
+     over the implemented slots.  When nothing is dropped that list IS
+     the selection, and this is the staged value's fold, bit for bit. *)
   let asip_ratio =
-    if faults_on then
-      Ise.Speedup.of_selection ~total_cycles:st.stg_total_cycles
-        (List.map (fun c -> c.scored) candidates)
-    else st.stg_asip_ratio
+    Ise.Speedup.of_selection ~total_cycles:st.stg_total_cycles
+      (List.map (fun c -> c.scored) candidates)
   in
   {
     search_wall_seconds = st.stg_search_wall;

@@ -149,9 +149,14 @@ let finish ~(spec : Spec.t) (p : prepared) : app_result =
   let report =
     Asip_sp.finalize ~spec ~app:w.W.Workload.name p.pre_staged
   in
+  (* Savings come from what reached hardware: a dropped slot saves
+     nothing, a promoted alternate saves its own cycles.  When nothing is
+     dropped this is the selection, in selection order. *)
   let split =
     An.Breakeven.split_costs modul train.Vm.Machine.profile p.pre_coverage
-      report.Asip_sp.selection
+      (List.map
+         (fun (c : Asip_sp.candidate_result) -> c.Asip_sp.scored)
+         report.Asip_sp.candidates)
   in
   let break_even =
     An.Breakeven.of_split split ~overhead_seconds:report.Asip_sp.sum_seconds

@@ -312,11 +312,3 @@ let add_cad c (cfg : Cad.Flow.config) =
   D.add_float c cfg.Cad.Flow.speedup_factor;
   D.add_bool c cfg.Cad.Flow.eapr;
   D.add_float c cfg.Cad.Flow.device_scale
-
-let add_faults c (f : Cad.Faults.config) =
-  D.add_bool c f.Cad.Faults.enabled;
-  D.add_int c f.Cad.Faults.seed;
-  D.add_float c f.Cad.Faults.crash_rate;
-  D.add_float c f.Cad.Faults.congestion_rate;
-  D.add_float c f.Cad.Faults.timing_rate;
-  D.add_float c f.Cad.Faults.corruption_rate

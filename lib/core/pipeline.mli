@@ -148,4 +148,3 @@ val digest_profile : Vm.Profile.t -> U.Digest.t
 val add_prune : U.Digest.ctx -> Ise.Prune.t -> unit
 val add_select : U.Digest.ctx -> Ise.Select.config -> unit
 val add_cad : U.Digest.ctx -> Cad.Flow.config -> unit
-val add_faults : U.Digest.ctx -> Cad.Faults.config -> unit

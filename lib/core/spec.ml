@@ -88,13 +88,11 @@ type t = {
   store_backend : store_backend;
       (** the backend [stage_cache] was built over, for reporting;
           maintained by {!with_stage_cache}/{!with_store_dir} *)
-  faults : Cad.Faults.config;
-      (** CAD fault-injection model; {!Cad.Faults.none} (the default)
-          reproduces the failure-free flow byte for byte *)
   retry : U.Retry.policy;
-      (** recovery policy for injected CAD failures: attempts and the
-          whole-specialization deadline.  Only consulted when [faults]
-          is enabled. *)
+      (** CAD recovery policy: attempts per data path (they matter only
+          when the CAD plane of [chaos] is on) and the
+          whole-specialization deadline (always spent; the default has
+          none) *)
   vm_engine : Vm.Machine.engine;
       (** VM execution engine used by the profiling stage (default
           {!Vm.Machine.Threaded}).  Outcomes — and therefore reports
@@ -108,10 +106,10 @@ type t = {
           are tuning-invariant, so the field is excluded from stage
           digests. *)
   chaos : U.Chaos.config;
-      (** multi-plane chaos model (stage crashes/stalls, pool worker
-          poisoning, store I/O faults); {!U.Chaos.none} (the default)
-          reproduces the chaos-free pipeline byte for byte.  The CAD
-          fault plane stays separate, under [faults]. *)
+      (** the one fault model: stage crashes/stalls, pool worker
+          poisoning, store I/O faults and CAD tool-flow failures, under
+          one seed; {!U.Chaos.none} (the default) reproduces the
+          fault-free pipeline byte for byte *)
   supervisor : U.Supervisor.policy;
       (** supervision policy for pipeline-stage executions: transient
           retry, per-stage stall deadline, whole-run waste deadline.
@@ -132,7 +130,6 @@ let default =
     tracer = None;
     stage_cache = None;
     store_backend = Memory_store;
-    faults = Cad.Faults.none;
     retry = U.Retry.default;
     vm_engine = Vm.Machine.default_engine;
     vm_tuning = Vm.Machine.default_tuning;
@@ -190,10 +187,6 @@ let with_store_dir dir t =
       (U.Store_disk.backend ~chaos:t.chaos ~root:dir ())
   in
   with_stage_cache (U.Artifact.create ~backend ()) t
-
-let with_faults faults t =
-  Cad.Faults.validate faults;
-  { t with faults }
 
 let with_retry retry t =
   U.Retry.validate retry;

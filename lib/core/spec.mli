@@ -3,7 +3,8 @@
     One value configures the whole sweep engine: the pruning filter,
     candidate-selection constraints and CAD model, plus the engine
     knobs — domain count, shared bitstream cache, span tracer, stage
-    cache (and its backend) and fault/retry model.
+    cache (and its backend), and the fault, retry and supervision
+    policies.
 
     Build a spec from {!default} with the [with_*] setters:
 
@@ -77,13 +78,11 @@ type t = {
   store_backend : store_backend;
       (** the backend [stage_cache] was built over, for reporting;
           maintained by {!with_stage_cache}/{!with_store_dir} *)
-  faults : Cad.Faults.config;
-      (** CAD fault-injection model; {!Cad.Faults.none} (the default)
-          reproduces the failure-free flow byte for byte *)
   retry : U.Retry.policy;
-      (** recovery policy for injected CAD failures: attempts and the
-          whole-specialization deadline.  Only consulted when [faults]
-          is enabled. *)
+      (** CAD recovery policy: attempts per data path (they matter only
+          when the CAD plane of [chaos] is on) and the
+          whole-specialization deadline (always spent; the default has
+          none) *)
   vm_engine : Vm.Machine.engine;
       (** VM execution engine used by the profiling stage (default
           {!Vm.Machine.Threaded}).  Outcomes — and therefore reports
@@ -97,10 +96,10 @@ type t = {
           are tuning-invariant, so the field is excluded from stage
           digests. *)
   chaos : U.Chaos.config;
-      (** multi-plane chaos model (stage crashes/stalls, pool worker
-          poisoning, store I/O faults); {!U.Chaos.none} (the default)
-          reproduces the chaos-free pipeline byte for byte.  The CAD
-          fault plane stays separate, under [faults]. *)
+      (** the one fault model: stage crashes/stalls, pool worker
+          poisoning, store I/O faults and CAD tool-flow failures, under
+          one seed; {!U.Chaos.none} (the default) reproduces the
+          fault-free pipeline byte for byte *)
   supervisor : U.Supervisor.policy;
       (** supervision policy for pipeline-stage executions: transient
           retry, per-stage stall deadline, whole-run waste deadline.
@@ -135,9 +134,6 @@ val with_store_dir : string -> t -> t
     restartable stage memoization.  The store chaos planes are wired
     in from [t.chaos] at construction time, so apply {!with_chaos}
     {e before} this when combining them. *)
-
-val with_faults : Cad.Faults.config -> t -> t
-(** @raise Invalid_argument on an out-of-range fault configuration. *)
 
 val with_retry : U.Retry.policy -> t -> t
 (** @raise Invalid_argument on an invalid retry policy. *)

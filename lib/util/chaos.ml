@@ -2,15 +2,13 @@
 
 (* One independent PRNG per fully-qualified key: planes, sites and roll
    names never share a stream, so adding a roll site cannot perturb
-   unrelated draws.  This is the same derivation [Cad.Faults] has used
-   since PR 2 (and now delegates to), so CAD fault streams are
-   byte-identical to the pre-chaos implementation. *)
+   unrelated draws.  The CAD plane's rolls ([Cad.Faults.roll]) use the
+   same derivation. *)
 let key_prng ~seed key = Prng.create ~seed:(Prng.hash_string key lxor seed)
 
 let bernoulli prng p = p > 0.0 && Prng.float prng 1.0 < p
 
 type config = {
-  enabled : bool;
   seed : int;
   stage_crash_rate : float;
   stage_stall_rate : float;
@@ -21,11 +19,14 @@ type config = {
   store_torn_rate : float;
   store_latency_rate : float;
   store_latency_seconds : float;
+  cad_crash_rate : float;
+  cad_congestion_rate : float;
+  cad_timing_rate : float;
+  cad_corruption_rate : float;
 }
 
 let none =
   {
-    enabled = false;
     seed = 0;
     stage_crash_rate = 0.0;
     stage_stall_rate = 0.0;
@@ -36,11 +37,15 @@ let none =
     store_torn_rate = 0.0;
     store_latency_rate = 0.0;
     store_latency_seconds = 0.0;
+    cad_crash_rate = 0.0;
+    cad_congestion_rate = 0.0;
+    cad_timing_rate = 0.0;
+    cad_corruption_rate = 0.0;
   }
 
 let defaults ~seed =
   {
-    enabled = true;
+    none with
     seed;
     stage_crash_rate = 0.03;
     stage_stall_rate = 0.05;
@@ -53,6 +58,15 @@ let defaults ~seed =
     store_latency_seconds = 0.001;
   }
 
+let with_cad_defaults c =
+  {
+    c with
+    cad_crash_rate = 0.02;
+    cad_congestion_rate = 0.15;
+    cad_timing_rate = 0.20;
+    cad_corruption_rate = 0.03;
+  }
+
 (* Fixed draw order, so a storm configuration is a pure function of its
    seed.  Rates are capped low enough that a supervised pipeline with a
    3-attempt budget still lands most candidates, but high enough that a
@@ -61,7 +75,6 @@ let storm ~seed =
   let p = key_prng ~seed (Printf.sprintf "chaos:storm:%d" seed) in
   let rate cap = Prng.float p cap in
   {
-    enabled = true;
     seed;
     stage_crash_rate = rate 0.10;
     stage_stall_rate = rate 0.20;
@@ -72,6 +85,10 @@ let storm ~seed =
     store_torn_rate = rate 0.10;
     store_latency_rate = rate 0.20;
     store_latency_seconds = Prng.float p 0.002;
+    cad_crash_rate = 0.0;
+    cad_congestion_rate = 0.0;
+    cad_timing_rate = 0.0;
+    cad_corruption_rate = 0.0;
   }
 
 let validate c =
@@ -88,6 +105,10 @@ let validate c =
   check_rate "store_write_drop_rate" c.store_write_drop_rate;
   check_rate "store_torn_rate" c.store_torn_rate;
   check_rate "store_latency_rate" c.store_latency_rate;
+  check_rate "cad_crash_rate" c.cad_crash_rate;
+  check_rate "cad_congestion_rate" c.cad_congestion_rate;
+  check_rate "cad_timing_rate" c.cad_timing_rate;
+  check_rate "cad_corruption_rate" c.cad_corruption_rate;
   if c.stage_stall_seconds < 0.0 then
     invalid_arg "Chaos: stage_stall_seconds must be non-negative";
   if c.store_latency_seconds < 0.0 || c.store_latency_seconds > 0.05 then
@@ -103,8 +124,9 @@ let is_injected = function Injected _ -> true | _ -> false
 (* Plane rolls.  Stage rolls are keyed per (site, attempt) so a retry
    re-rolls; store rolls are keyed per site only — backend call counts
    depend on scheduling (an L1 promotion races a concurrent probe), so
-   a per-call key would break replay.  Every roll of a disabled config
-   is a constant [false]/[None]. *)
+   a per-call key would break replay.  A zero rate is a constant
+   [false]/[None] and never builds its site's generator, so a plane
+   whose rates are all zero costs one comparison per roll. *)
 
 let stage_site c ~site ~attempt what =
   key_prng ~seed:c.seed
@@ -117,11 +139,11 @@ let pool_site c ~site =
   key_prng ~seed:c.seed (Printf.sprintf "chaos:pool:%d:%s" c.seed site)
 
 let stage_crash c ~site ~attempt =
-  c.enabled
+  c.stage_crash_rate > 0.0
   && bernoulli (stage_site c ~site ~attempt "crash") c.stage_crash_rate
 
 let stage_stall c ~site ~attempt =
-  if not c.enabled then None
+  if c.stage_stall_rate <= 0.0 then None
   else
     let p = stage_site c ~site ~attempt "stall" in
     if bernoulli p c.stage_stall_rate then
@@ -129,24 +151,32 @@ let stage_stall c ~site ~attempt =
     else None
 
 let pool_crash c ~site =
-  c.enabled && bernoulli (pool_site c ~site) c.pool_crash_rate
+  c.pool_crash_rate > 0.0
+  && bernoulli (pool_site c ~site) c.pool_crash_rate
 
 let store_read_error c ~site =
-  c.enabled && bernoulli (store_site c ~site "read") c.store_read_error_rate
+  c.store_read_error_rate > 0.0
+  && bernoulli (store_site c ~site "read") c.store_read_error_rate
 
 let store_write_drop c ~site =
-  c.enabled && bernoulli (store_site c ~site "drop") c.store_write_drop_rate
+  c.store_write_drop_rate > 0.0
+  && bernoulli (store_site c ~site "drop") c.store_write_drop_rate
 
 let store_torn c ~site =
-  c.enabled && bernoulli (store_site c ~site "torn") c.store_torn_rate
+  c.store_torn_rate > 0.0
+  && bernoulli (store_site c ~site "torn") c.store_torn_rate
 
 let store_latency c ~site =
-  if not c.enabled then None
+  if c.store_latency_rate <= 0.0 then None
   else
     let p = store_site c ~site "latency" in
     if bernoulli p c.store_latency_rate then
       Some (c.store_latency_seconds *. (0.5 +. Prng.float p 1.5))
     else None
+
+let cad_on c =
+  c.cad_crash_rate > 0.0 || c.cad_congestion_rate > 0.0
+  || c.cad_timing_rate > 0.0 || c.cad_corruption_rate > 0.0
 
 let torn_length c ~site ~len =
   if len <= 1 then 0
@@ -157,7 +187,11 @@ let torn_length c ~site ~len =
 (* ------------------------------------------------------------------ *)
 
 let wrap_backend c (b : Artifact.backend) : Artifact.backend =
-  if not c.enabled then b
+  if
+    c.store_read_error_rate <= 0.0
+    && c.store_write_drop_rate <= 0.0
+    && c.store_latency_rate <= 0.0
+  then b
   else
     {
       b with

@@ -1,8 +1,7 @@
-(** Deterministic multi-plane chaos model.
-
-    PR 2 gave the {e CAD flow} a seeded failure model ([Cad.Faults]);
-    this module generalizes the idea to every other layer the pipeline
-    leans on.  A {!config} holds one fault {e plane} per subsystem:
+(** Deterministic multi-plane fault model — the only fault-injection
+    configuration of the pipeline.  A {!config} holds one fault
+    {e plane} per subsystem, and a plane is on when one of its rates is
+    positive:
 
     - {b stage}: a pipeline-stage execution crashes (a transient,
       retryable {!Injected} exception) or stalls for a drawn number of
@@ -14,7 +13,11 @@
       (served as a miss), writes are silently dropped, written
       envelopes are torn ({!Store_disk} truncates the on-disk bytes so
       the envelope checksum catches it), and reads suffer bounded
-      {e real} latency spikes.
+      {e real} latency spikes;
+    - {b cad}: the simulated Xilinx tool flow fails — a tool crashes,
+      map/PAR gives up on congestion, PAR misses timing closure, or
+      bitgen emits a corrupt image.  [Cad.Faults.roll] draws these
+      rolls and [Cad.Flow.implement_result] applies them.
 
     {2 Determinism contract}
 
@@ -22,7 +25,8 @@
     via {!key_prng} on disjoint {!Prng} streams:
 
     - chaos-off output is byte-identical to a build without this
-      module — every roll of a disabled config is a constant;
+      module — a roll whose rate is zero is a constant and draws
+      nothing;
     - a faulted run replays exactly: rolls are keyed by {e site} (a
       stage label, a candidate signature, a [stage/digest] store
       entry), never by call count or wall clock, so a [jobs:4] run
@@ -30,15 +34,14 @@
     - store rolls deliberately drop the attempt component: backend
       call counts are scheduling-dependent (an L1 promotion races a
       concurrent probe), so a given [(stage, digest)] entry either
-      always or never misbehaves under one seed.
-
-    [Cad.Faults] keeps its own plane (and its exact PR 2 key format)
-    on top of {!key_prng}, so existing fault seeds reproduce old runs
-    bit for bit. *)
+      always or never misbehaves under one seed;
+    - the CAD plane keeps its original [fault:] roll keys on top of
+      {!key_prng}, so a fault seed replays the runs it always did. *)
 
 type config = {
-  enabled : bool;  (** [false] short-circuits every roll *)
-  seed : int;  (** mixed into every roll; the [--chaos-seed] flag *)
+  seed : int;
+      (** mixed into every roll of every plane; the [--chaos-seed] flag
+          (alias [--fault-seed]) *)
   stage_crash_rate : float;
       (** per-(stage execution, attempt) transient crash probability *)
   stage_stall_rate : float;  (** per-(stage execution, attempt) stall *)
@@ -53,20 +56,39 @@ type config = {
   store_latency_rate : float;  (** backend read latency spike *)
   store_latency_seconds : float;
       (** mean spike, {e real} seconds; bounded by {!validate} *)
+  cad_crash_rate : float;
+      (** per-(CAD stage, attempt) transient tool crash probability *)
+  cad_congestion_rate : float;
+      (** map/PAR congestion probability at full complexity; scaled by
+          the data path's LUT area *)
+  cad_timing_rate : float;
+      (** PAR timing-closure failure probability at full complexity;
+          never rolled on a relaxed (resynthesized) attempt *)
+  cad_corruption_rate : float;  (** bitgen CRC-failure probability *)
 }
 
 val none : config
-(** Chaos disabled — every roll is constant, output is byte-identical
-    to a chaos-free build. *)
+(** Every rate zero — every roll is constant, output is byte-identical
+    to a fault-free build. *)
 
 val defaults : seed:int -> config
-(** Modest fixed rates ([--chaos]): occasional crashes, stalls and
-    store faults that a default supervision policy absorbs. *)
+(** Modest fixed stage, pool and store rates ([--chaos]): occasional
+    crashes, stalls and store faults that a default supervision policy
+    absorbs.  The CAD plane stays off. *)
+
+val with_cad_defaults : config -> config
+(** Turn the CAD plane on at its default rates ([--faults]): crash
+    0.02, congestion 0.15, timing 0.20, corruption 0.03 — a
+    multi-candidate sweep sees occasional crashes, congestion on big
+    data paths and the odd timing miss, while most candidates still
+    implement within a 3-attempt budget.  Every other field is kept. *)
 
 val storm : seed:int -> config
-(** A randomized fault mix for campaign runs: every rate (and both
-    magnitudes) is drawn from the seed, so [N] seeds explore [N]
-    different storm shapes while each remains exactly replayable. *)
+(** A randomized fault mix for campaign runs: every stage, pool and
+    store rate (and both magnitudes) is drawn from the seed, so [N]
+    seeds explore [N] different storm shapes while each remains exactly
+    replayable.  The CAD plane stays off; add it with
+    {!with_cad_defaults}. *)
 
 val validate : config -> unit
 (** @raise Invalid_argument on an out-of-range rate, a negative stall,
@@ -84,8 +106,9 @@ val is_injected : exn -> bool
 
 val key_prng : seed:int -> string -> Prng.t
 (** [key_prng ~seed key] is the generator for one roll site: a fresh
-    {!Prng} seeded by [hash key lxor seed].  Shared with [Cad.Faults]
-    so all planes draw from the same keyed-stream construction. *)
+    {!Prng} seeded by [hash key lxor seed].  Every plane, the CAD one
+    in [Cad.Faults] included, draws from this keyed-stream
+    construction. *)
 
 val bernoulli : Prng.t -> float -> bool
 (** [bernoulli prng p] is [true] with probability [p]; [p <= 0] never
@@ -105,13 +128,17 @@ val store_torn : config -> site:string -> bool
 val store_latency : config -> site:string -> float option
 (** Real seconds to sleep on this read, if any. *)
 
+val cad_on : config -> bool
+(** [true] when one of the four CAD rates is positive. *)
+
 val torn_length : config -> site:string -> len:int -> int
 (** How many of [len] envelope bytes survive a torn write; always
     [< len], so the truncation is detectable. *)
 
 val wrap_backend : config -> Artifact.backend -> Artifact.backend
 (** Inject the store plane's read errors, write drops and latency
-    spikes in front of a backend.  Disabled configs return the backend
-    unchanged.  Torn writes are {e not} injected here — they must
-    corrupt bytes {e below} the integrity envelope to be a sound
-    model, so {!Store_disk.backend} takes the config directly. *)
+    spikes in front of a backend.  When those three rates are zero the
+    backend is returned unchanged.  Torn writes are {e not} injected
+    here — they must corrupt bytes {e below} the integrity envelope to
+    be a sound model, so {!Store_disk.backend} takes the config
+    directly. *)

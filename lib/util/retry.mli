@@ -1,7 +1,8 @@
 (** Retry and deadline policies for failure-prone simulated stages.
 
-    The CAD flow simulator can inject per-stage failures (see
-    [Jitise_cad.Faults]); this module provides the {e recovery} side: how
+    The CAD flow simulator can inject per-stage failures (the CAD plane
+    of {!Chaos}, rolled by [Jitise_cad.Faults]); this module provides
+    the {e recovery} side: how
     many attempts a candidate gets, how long to back off between attempts
     (exponential with deterministic jitter, in {e simulated} seconds —
     real CAD servers impose cool-down and queueing delays between

@@ -225,15 +225,14 @@ let test_flow_tracer_spans () =
 (* ------------------------------------------------------------------ *)
 
 (* Every stage crashes: the very first attempt fails at Check_syntax. *)
-let always_crash = { (Cad.Faults.defaults ~seed:0) with Cad.Faults.crash_rate = 1.0 }
+let always_crash =
+  { (U.Chaos.with_cad_defaults U.Chaos.none) with U.Chaos.cad_crash_rate = 1.0 }
 
 let only_timing ~seed =
   {
-    (Cad.Faults.defaults ~seed) with
-    Cad.Faults.crash_rate = 0.0;
-    congestion_rate = 0.0;
-    timing_rate = 1.0;
-    corruption_rate = 0.0;
+    U.Chaos.none with
+    U.Chaos.seed;
+    cad_timing_rate = 1.0;
   }
 
 let test_faults_disabled_is_noop () =
@@ -242,18 +241,18 @@ let test_faults_disabled_is_noop () =
     (fun stage ->
       Alcotest.(check bool)
         ("no roll at " ^ stage) true
-        (Cad.Faults.roll Cad.Faults.none ~signature:"s" ~stage ~attempt:1
+        (Cad.Faults.roll U.Chaos.none ~signature:"s" ~stage ~attempt:1
            ~relaxed:false ~complexity:1.0
         = None))
     [ "syn"; "xst"; "tra"; "map"; "par"; "bitgen" ];
-  match Cad.Flow.implement_result ~faults:Cad.Faults.none db p with
+  match Cad.Flow.implement_result db p with
   | Ok run ->
       Alcotest.(check (float 1e-9)) "same run as implement"
         (implement p).Cad.Flow.total_seconds run.Cad.Flow.total_seconds
   | Error _ -> Alcotest.fail "faults disabled must not fail"
 
 let test_faults_roll_deterministic () =
-  let c = Cad.Faults.defaults ~seed:42 in
+  let c = U.Chaos.with_cad_defaults { U.Chaos.none with U.Chaos.seed = 42 } in
   let roll () =
     List.map
       (fun (stage, attempt) ->
@@ -327,13 +326,13 @@ let test_validation_before_syntax_check () =
 
 let test_implement_result_failure () =
   let p = List.hd (Lazy.force projects) in
-  match Cad.Flow.implement_result ~faults:always_crash db p with
+  match Cad.Flow.implement_result ~chaos:always_crash db p with
   | Ok _ -> Alcotest.fail "crash_rate 1.0 must fail"
   | Error f ->
       Alcotest.(check bool) "fails at the first stage" true
         (f.Cad.Flow.failed_stage = Cad.Flow.Check_syntax);
-      Alcotest.(check bool) "transient kind" true
-        (Cad.Faults.is_transient f.Cad.Flow.fault);
+      Alcotest.(check bool) "tool crash" true
+        (f.Cad.Flow.fault = Cad.Faults.Tool_crash);
       Alcotest.(check int) "attempt recorded" 1 f.Cad.Flow.failed_attempt;
       let clean = implement p in
       Alcotest.(check bool) "waste is positive and partial" true
@@ -346,14 +345,14 @@ let test_implement_result_failure () =
    synthetic failure and check the error names the stage. *)
 let test_run_of_result_internal_error () =
   let p = List.hd (Lazy.force projects) in
-  (match Cad.Flow.implement_result ~faults:Cad.Faults.none db p with
+  (match Cad.Flow.implement_result db p with
   | Ok run ->
       let again = Cad.Flow.run_of_result (Ok run) in
       Alcotest.(check (float 1e-9)) "Ok passes through" run.Cad.Flow.total_seconds
         again.Cad.Flow.total_seconds
   | Error _ -> Alcotest.fail "faultless flow must not fail");
   let synthetic =
-    match Cad.Flow.implement_result ~faults:always_crash db p with
+    match Cad.Flow.implement_result ~chaos:always_crash db p with
     | Error f -> f
     | Ok _ -> Alcotest.fail "crash_rate 1.0 must fail"
   in
@@ -418,7 +417,8 @@ let signature_of (s : Ise.Select.scored) =
 let faulted_sweep =
   let spec =
     Core.Spec.default
-    |> Core.Spec.with_faults (Cad.Faults.defaults ~seed:20110516)
+    |> Core.Spec.with_chaos
+         (U.Chaos.with_cad_defaults { U.Chaos.none with U.Chaos.seed = 20110516 })
     |> Core.Spec.with_retry (U.Retry.with_max_attempts 1 U.Retry.default)
   in
   let prepared =

@@ -80,13 +80,11 @@ let tmp_root what =
     (Printf.sprintf "jitise-chaos-%s-%d" what (Unix.getpid ()))
 
 let evaluate ?(jobs = 1) ?(chaos = U.Chaos.none)
-    ?(policy = U.Supervisor.default_policy) ?(faults = Cad.Faults.none) ?root
-    name =
+    ?(policy = U.Supervisor.default_policy) ?root name =
   let spec =
     Core.Spec.default |> Core.Spec.with_jobs jobs
     |> Core.Spec.with_supervisor policy
     |> Core.Spec.with_chaos chaos
-    |> Core.Spec.with_faults faults
   in
   (* after [with_chaos]: the disk backend takes the store planes *)
   let spec =
@@ -128,7 +126,7 @@ let test_pool_crash_degrades_per_candidate () =
   (* Every fan-out worker crashes: each selected candidate degrades to
      software — flagged and billed — and the sweep still completes. *)
   let chaos =
-    { U.Chaos.none with U.Chaos.enabled = true; seed = 1; pool_crash_rate = 1.0 }
+    { U.Chaos.none with U.Chaos.seed = 1; pool_crash_rate = 1.0 }
   in
   let r = evaluate ~jobs:4 ~chaos "sor" in
   let rep = r.Core.Experiment.report in
@@ -146,17 +144,20 @@ let test_pool_crash_degrades_per_candidate () =
         (d.Core.Asip_sp.drop_reason = Core.Asip_sp.Stage_failure);
       Alcotest.(check (option Alcotest.reject)) "no CAD failure attached" None
         d.Core.Asip_sp.drop_failure)
-    rep.Core.Asip_sp.dropped
+    rep.Core.Asip_sp.dropped;
+  (* Nothing reached hardware, so nothing is sped up and the overhead
+     is never recovered. *)
+  Alcotest.(check (float 0.0)) "ASIP ratio of software only" 1.0
+    rep.Core.Asip_sp.asip_ratio.Ise.Speedup.ratio;
+  Alcotest.(check bool) "no break-even" true
+    (r.Core.Experiment.break_even = Jitise_analysis.Breakeven.Never)
 
 let test_stage_crash_fails_run_after_retries () =
   (* Every stage execution crashes on every attempt: the first
      sequential stage exhausts its supervised attempts and the run
      fails loudly with Stage_failed — bounded, not hung. *)
   let chaos =
-    { U.Chaos.none with
-      U.Chaos.enabled = true;
-      seed = 1;
-      stage_crash_rate = 1.0 }
+    { U.Chaos.none with U.Chaos.seed = 1; stage_crash_rate = 1.0 }
   in
   match evaluate ~chaos "sor" with
   | (_ : Core.Experiment.app_result) ->
@@ -176,8 +177,7 @@ let test_stage_stall_hits_deadline () =
      killed at the deadline and billed exactly the deadline. *)
   let chaos =
     { U.Chaos.none with
-      U.Chaos.enabled = true;
-      seed = 1;
+      U.Chaos.seed = 1;
       stage_stall_rate = 1.0;
       stage_stall_seconds = 1000.0 }
   in
@@ -208,8 +208,7 @@ let test_chaotic_store_run_is_exact () =
   Fun.protect ~finally:(fun () -> rm_rf root) @@ fun () ->
   let chaos =
     { U.Chaos.none with
-      U.Chaos.enabled = true;
-      seed = chaos_seed;
+      U.Chaos.seed = chaos_seed;
       store_read_error_rate = 0.4;
       store_write_drop_rate = 0.4;
       store_torn_rate = 0.4 }
@@ -289,10 +288,9 @@ let check_invariants add_violation name outcome =
 (* One seed of the campaign: its contract violations and a one-line
    summary of what the faults did to the cold run. *)
 let campaign_seed seed =
-  let chaos = U.Chaos.storm ~seed in
-  let faults = Cad.Faults.defaults ~seed in
+  let chaos = U.Chaos.with_cad_defaults (U.Chaos.storm ~seed) in
   let run ~jobs ~root name =
-    match evaluate ~jobs ~chaos ~policy:deadline_policy ~faults ~root name with
+    match evaluate ~jobs ~chaos ~policy:deadline_policy ~root name with
     | r -> Ok r
     | exception U.Supervisor.Stage_failed f -> Error f
   in

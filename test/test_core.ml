@@ -393,7 +393,8 @@ let faulted_report ?(kernel = float_kernel) ?(rates = fun c -> c)
   let m, out = Lazy.force kernel in
   let spec =
     Core.Spec.default
-    |> Core.Spec.with_faults (rates (Cad.Faults.defaults ~seed))
+    |> Core.Spec.with_chaos
+         (rates (U.Chaos.with_cad_defaults { U.Chaos.none with U.Chaos.seed }))
     |> Core.Spec.with_retry
          (U.Retry.default
          |> U.Retry.with_max_attempts retries
@@ -477,7 +478,7 @@ let test_faults_off_report_is_clean () =
 let cap1 =
   { Ise.Select.default_config with Ise.Select.max_candidates = Some 1 }
 
-let harsh c = { c with Cad.Faults.crash_rate = 0.5 }
+let harsh c = { c with U.Chaos.cad_crash_rate = 0.5 }
 
 let test_faults_promotion () =
   let r =
@@ -507,7 +508,7 @@ let test_faults_promotion () =
 
 let test_faults_retries_exhausted_drops () =
   (* every stage crashes: no retry budget can save any slot *)
-  let always c = { c with Cad.Faults.crash_rate = 1.0 } in
+  let always c = { c with U.Chaos.cad_crash_rate = 1.0 } in
   let r = faulted_report ~rates:always ~retries:2 ~seed:0 () in
   Alcotest.(check bool) "nothing implemented" true
     (r.Core.Asip_sp.candidates = []);
@@ -557,15 +558,16 @@ let test_faults_specialization_deadline () =
 let test_spec_fault_builders () =
   let spec =
     Core.Spec.default
-    |> Core.Spec.with_faults (Cad.Faults.defaults ~seed:7)
+    |> Core.Spec.with_chaos
+         (U.Chaos.with_cad_defaults { U.Chaos.none with U.Chaos.seed = 7 })
     |> Core.Spec.with_retry (U.Retry.with_max_attempts 5 U.Retry.default)
   in
   Alcotest.(check bool) "faults stored" true
-    spec.Core.Spec.faults.Cad.Faults.enabled;
+    (U.Chaos.cad_on spec.Core.Spec.chaos);
   Alcotest.(check int) "retry stored" 5
     spec.Core.Spec.retry.U.Retry.max_attempts;
   Alcotest.(check bool) "default has faults off" false
-    Core.Spec.default.Core.Spec.faults.Cad.Faults.enabled;
+    (U.Chaos.cad_on Core.Spec.default.Core.Spec.chaos);
   let invalid name f =
     Alcotest.(check bool) name true
       (try
@@ -574,8 +576,8 @@ let test_spec_fault_builders () =
        with Invalid_argument _ -> true)
   in
   invalid "bad fault rate rejected" (fun () ->
-      Core.Spec.with_faults
-        { (Cad.Faults.defaults ~seed:0) with Cad.Faults.crash_rate = 1.5 }
+      Core.Spec.with_chaos
+        { U.Chaos.none with U.Chaos.cad_crash_rate = 1.5 }
         Core.Spec.default);
   invalid "bad retry policy rejected" (fun () ->
       Core.Spec.with_retry

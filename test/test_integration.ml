@@ -251,7 +251,8 @@ let test_faulted_parallel_sweep_deterministic () =
     let spec =
       Core.Spec.default |> Core.Spec.with_jobs jobs
       |> Core.Spec.with_cache cache
-      |> Core.Spec.with_faults (Cad.Faults.defaults ~seed:fault_seed)
+      |> Core.Spec.with_chaos
+           Jitise_util.Chaos.(with_cad_defaults { none with seed = fault_seed })
       |> Core.Spec.with_retry
            (Jitise_util.Retry.with_max_attempts 3 Jitise_util.Retry.default)
     in

@@ -110,6 +110,10 @@ let fault_seed =
   | Some s -> int_of_string s
   | None -> 20110516
 
+(* The CAD plane alone, at its default rates, under [fault_seed]. *)
+let cad_faults =
+  U.Chaos.with_cad_defaults { U.Chaos.none with U.Chaos.seed = fault_seed }
+
 (* ------------------------------------------------------------------ *)
 (* Golden: staged engine = store-less engine, three modes              *)
 (* ------------------------------------------------------------------ *)
@@ -147,22 +151,22 @@ let test_golden_jobs4 () =
   check_identical "report identical with stage cache (jobs:4)" plain staged
 
 let test_golden_faults () =
-  let with_faults spec =
+  let faulted spec =
     spec
-    |> Core.Spec.with_faults (Cad.Faults.defaults ~seed:fault_seed)
+    |> Core.Spec.with_chaos cad_faults
     |> Core.Spec.with_retry
          (U.Retry.with_max_attempts 3 U.Retry.default)
   in
   let db = Pp.Database.create () in
-  let plain = eval_apps ~spec:(with_faults Core.Spec.default) db in
+  let plain = eval_apps ~spec:(faulted Core.Spec.default) db in
   let serial_spec =
-    with_faults
+    faulted
       (Core.Spec.with_stage_cache (U.Artifact.create ()) Core.Spec.default)
   in
   let staged = eval_apps ~spec:serial_spec db in
   check_identical "faulted report identical with stage cache" plain staged;
   let parallel_spec =
-    with_faults
+    faulted
       (Core.Spec.default |> Core.Spec.with_jobs 4
       |> Core.Spec.with_stage_cache (U.Artifact.create ()))
   in
@@ -235,14 +239,14 @@ let test_golden_disk_jobs4 () =
 
 let test_golden_disk_faults () =
   with_root (fun root ->
-      let with_faults spec =
+      let faulted spec =
         spec
-        |> Core.Spec.with_faults (Cad.Faults.defaults ~seed:fault_seed)
+        |> Core.Spec.with_chaos cad_faults
         |> Core.Spec.with_retry (U.Retry.with_max_attempts 3 U.Retry.default)
       in
       let db = Pp.Database.create () in
-      let plain = eval_apps ~spec:(with_faults Core.Spec.default) db in
-      let spec () = with_faults (Core.Spec.with_store_dir root Core.Spec.default) in
+      let plain = eval_apps ~spec:(faulted Core.Spec.default) db in
+      let spec () = faulted (Core.Spec.with_store_dir root Core.Spec.default) in
       let cold = eval_apps ~spec:(spec ()) db in
       check_identical "faulted report identical with disk store" plain cold;
       let warm = eval_apps ~spec:(spec ()) db in
@@ -446,7 +450,7 @@ let test_deadline_change_zero_recompute () =
   let spec deadline =
     Core.Spec.default
     |> Core.Spec.with_stage_cache store
-    |> Core.Spec.with_faults (Cad.Faults.defaults ~seed:fault_seed)
+    |> Core.Spec.with_chaos cad_faults
     |> Core.Spec.with_retry
          (U.Retry.default |> U.Retry.with_specialization_deadline deadline)
   in
@@ -460,6 +464,58 @@ let test_deadline_change_zero_recompute () =
         0
         (Core.Pipeline.computed_of (records r) "implement"))
     warm
+
+(* Only the CAD plane enters the [implement] digest: a warm run whose
+   chaos config differs from the cold one in non-CAD fields alone reuses
+   every CAD chain.  Every stage stalls (billed as waste, never killed);
+   the store rates are set too, though only {!Core.Spec.with_store_dir}
+   wires them into a backend, so they change the config and nothing
+   else here. *)
+let test_non_cad_chaos_zero_recompute () =
+  let db = Pp.Database.create () in
+  let store = U.Artifact.create () in
+  let spec chaos =
+    Core.Spec.default
+    |> Core.Spec.with_stage_cache store
+    |> Core.Spec.with_chaos chaos
+  in
+  ignore (eval_apps ~spec:(spec cad_faults) db);
+  let stalled =
+    {
+      cad_faults with
+      U.Chaos.stage_stall_rate = 1.0;
+      stage_stall_seconds = 1.0;
+      store_read_error_rate = 0.5;
+      store_write_drop_rate = 0.5;
+      store_torn_rate = 0.5;
+    }
+  in
+  List.iter
+    (fun r ->
+      Alcotest.(check int)
+        ((project r).p_app ^ " recomputes no implement stage")
+        0
+        (Core.Pipeline.computed_of (records r) "implement"))
+    (eval_apps ~spec:(spec stalled) db)
+
+(* ... and changing one CAD rate does invalidate the chains. *)
+let test_cad_rate_change_recomputes () =
+  let db = Pp.Database.create () in
+  let store = U.Artifact.create () in
+  let spec chaos =
+    Core.Spec.default
+    |> Core.Spec.with_stage_cache store
+    |> Core.Spec.with_chaos chaos
+  in
+  let implements rs =
+    List.map (fun r -> Core.Pipeline.computed_of (records r) "implement") rs
+  in
+  let cold = implements (eval_apps ~spec:(spec cad_faults) db) in
+  Alcotest.(check bool) "the cold run implements candidates" true
+    (List.for_all (fun n -> n > 0) cold);
+  let harsher = { cad_faults with U.Chaos.cad_crash_rate = 0.05 } in
+  Alcotest.(check (list int)) "every implement stage recomputed" cold
+    (implements (eval_apps ~spec:(spec harsher) db))
 
 let () =
   Alcotest.run "pipeline-engine"
@@ -487,6 +543,10 @@ let () =
             `Slow test_selection_sweep_zero_recompute;
           Alcotest.test_case "deadline change recomputes no implement stage"
             `Slow test_deadline_change_zero_recompute;
+          Alcotest.test_case "non-CAD chaos recomputes no implement stage"
+            `Slow test_non_cad_chaos_zero_recompute;
+          Alcotest.test_case "CAD rate change recomputes implement stages"
+            `Slow test_cad_rate_change_recomputes;
         ] );
       ( "records",
         [

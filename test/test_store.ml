@@ -542,10 +542,7 @@ let test_disk_torn_write_reads_as_miss () =
   with_root (fun root ->
       let digest = digest_hex "torn" in
       let always_torn =
-        { U.Chaos.none with
-          U.Chaos.enabled = true;
-          seed = 1;
-          store_torn_rate = 1.0 }
+        { U.Chaos.none with U.Chaos.seed = 1; store_torn_rate = 1.0 }
       in
       U.Store_disk.put ~chaos:always_torn ~root ~stage:"s" ~digest
         ~builder:"app" ~payload:"value" ();

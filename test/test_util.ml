@@ -781,7 +781,8 @@ let test_chaos_storm_valid_and_deterministic () =
   for seed = 0 to 30 do
     let c = U.Chaos.storm ~seed in
     U.Chaos.validate c;
-    Alcotest.(check bool) "storm is enabled" true c.U.Chaos.enabled
+    Alcotest.(check bool) "storm leaves the CAD plane off" false
+      (U.Chaos.cad_on c)
   done;
   let a = U.Chaos.storm ~seed:5 and b = U.Chaos.storm ~seed:5 in
   Alcotest.(check bool) "same seed, same mix" true (a = b);
@@ -827,8 +828,7 @@ let test_chaos_wrap_backend_planes () =
   in
   let all_errors =
     { U.Chaos.none with
-      U.Chaos.enabled = true;
-      seed = 1;
+      U.Chaos.seed = 1;
       store_read_error_rate = 1.0;
       store_write_drop_rate = 1.0 }
   in

@@ -2482,7 +2482,8 @@ let test_golden_engine_faults () =
   let db = Pp.Database.create () in
   let spec =
     Core.Spec.default
-    |> Core.Spec.with_faults (Cad.Faults.defaults ~seed:fault_seed)
+    |> Core.Spec.with_chaos
+         (U.Chaos.with_cad_defaults { U.Chaos.none with U.Chaos.seed = fault_seed })
     |> Core.Spec.with_retry (U.Retry.with_max_attempts 3 U.Retry.default)
   in
   let threaded = eval_apps ~spec:(with_engine Vm.Machine.Threaded spec) db in
