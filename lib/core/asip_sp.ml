@@ -390,7 +390,7 @@ type staged = {
 
 (* ------------------------------------------------------------------ *)
 (* Stage definitions.  Each stage's digest hashes exactly the canonical
-   inputs its output depends on: the IR text, the profile counts, and
+   inputs its output depends on: the IR module, the profile counts, and
    the relevant Spec knobs (pruning filter, selection constraints, CAD
    model, fault and retry configuration — seeds included).  The module
    and profile digests are computed lazily once per staging so that the

@@ -9,9 +9,12 @@
     - Every codec is a lossless round-trip for the fields the pipeline
       and report tables consume (the qcheck laws in the test suite pin
       this per codec).
-    - IR modules travel as printed text and are re-parsed on decode —
-      [Printer]/[Parser] round-tripping is already a documented,
-      tested invariant of the IR layer.
+    - IR modules travel structurally ({!irmod}), never as printed
+      text: every field survives, floats bit-exact, void
+      instructions' register ids and [next_reg] included.  The same
+      bytes are the module's content address
+      ({!Pipeline.digest_module}), so one format serves both storage
+      and stage keys.
     - Bitstream checksums are encoded verbatim, never recomputed: a
       stored corrupt bitstream must stay corrupt ({!Cad.Bitstream.well_formed}
       still fails after a round-trip).
@@ -31,6 +34,223 @@ module Pp = Jitise_pivpav
 module Hw = Jitise_hwgen
 module Cad = Jitise_cad
 module B = Jitise_util.Binio
+
+(* ------------------------------------------------------------------ *)
+(* IR modules: the store format and the content-addressing format.    *)
+(* ------------------------------------------------------------------ *)
+
+module I = Ir.Instr
+
+let ir_ty : Ir.Ty.t B.codec =
+  B.enum ~name:"ty" Ir.Ty.[ I1; I8; I16; I32; I64; F32; F64; Ptr; Void ]
+
+let ir_binop : I.binop B.codec =
+  B.enum ~name:"binop"
+    I.
+      [
+        Add; Sub; Mul; Sdiv; Udiv; Srem; Urem; And; Or; Xor; Shl; Lshr; Ashr;
+        Fadd; Fsub; Fmul; Fdiv;
+      ]
+
+let ir_icmp : I.icmp_pred B.codec =
+  B.enum ~name:"icmp"
+    I.[ Ieq; Ine; Islt; Isle; Isgt; Isge; Iult; Iule; Iugt; Iuge ]
+
+let ir_fcmp : I.fcmp_pred B.codec =
+  B.enum ~name:"fcmp" I.[ Foeq; Fone; Folt; Fole; Fogt; Foge ]
+
+let ir_cast : I.cast B.codec =
+  B.enum ~name:"cast"
+    I.[ Trunc; Zext; Sext; Fptosi; Sitofp; Fpext; Fptrunc; Bitcast ]
+
+(* Constants are folded into the operand tag: 0 register, 1 integer
+   constant, 2 float constant. *)
+let w_operand b = function
+  | I.Reg r -> B.w_byte b 0; B.w_int b r
+  | I.Const (I.Cint (v, ty)) -> B.w_byte b 1; ir_ty.B.enc b ty; B.w_vint64 b v
+  | I.Const (I.Cfloat (v, ty)) -> B.w_byte b 2; ir_ty.B.enc b ty; B.w_float b v
+
+let r_operand r =
+  match B.r_byte r with
+  | 0 -> I.Reg (B.r_int r)
+  | 1 ->
+      let ty = ir_ty.B.dec r in
+      I.Const (I.Cint (B.r_vint64 r, ty))
+  | 2 ->
+      let ty = ir_ty.B.dec r in
+      I.Const (I.Cfloat (B.r_float r, ty))
+  | n -> B.corrupt "bad operand tag %d" n
+
+let w_operands b ops = List.iter (w_operand b) ops
+
+let w_array w b a =
+  B.w_len b (Array.length a);
+  Array.iter (w b) a
+
+(* [Array.init] reads the elements in index order. *)
+let r_array rd r =
+  let n = B.r_len r in
+  Array.init n (fun _ -> rd r)
+
+let w_kind b = function
+  | I.Binop (op, x, y) ->
+      B.w_byte b 0; ir_binop.B.enc b op; w_operands b [ x; y ]
+  | I.Icmp (p, x, y) -> B.w_byte b 1; ir_icmp.B.enc b p; w_operands b [ x; y ]
+  | I.Fcmp (p, x, y) -> B.w_byte b 2; ir_fcmp.B.enc b p; w_operands b [ x; y ]
+  | I.Cast (c, x) -> B.w_byte b 3; ir_cast.B.enc b c; w_operand b x
+  | I.Select (c, x, y) -> B.w_byte b 4; w_operands b [ c; x; y ]
+  | I.Alloca (ty, n) -> B.w_byte b 5; ir_ty.B.enc b ty; B.w_int b n
+  | I.Load a -> B.w_byte b 6; w_operand b a
+  | I.Store (v, a) -> B.w_byte b 7; w_operands b [ v; a ]
+  | I.Gep (x, i) -> B.w_byte b 8; w_operands b [ x; i ]
+  | I.Gaddr g -> B.w_byte b 9; B.w_string b g
+  | I.Call (f, args) ->
+      B.w_byte b 10; B.w_string b f; B.w_list w_operand b args
+  | I.Phi incoming ->
+      B.w_byte b 11;
+      B.w_list (fun b (l, op) -> B.w_int b l; w_operand b op) b incoming
+  | I.Ci_call (id, args) ->
+      B.w_byte b 12; B.w_int b id; B.w_list w_operand b args
+
+let r_kind r =
+  let two k =
+    let x = r_operand r in
+    let y = r_operand r in
+    k x y
+  in
+  match B.r_byte r with
+  | 0 ->
+      let op = ir_binop.B.dec r in
+      two (fun x y -> I.Binop (op, x, y))
+  | 1 ->
+      let p = ir_icmp.B.dec r in
+      two (fun x y -> I.Icmp (p, x, y))
+  | 2 ->
+      let p = ir_fcmp.B.dec r in
+      two (fun x y -> I.Fcmp (p, x, y))
+  | 3 ->
+      let c = ir_cast.B.dec r in
+      I.Cast (c, r_operand r)
+  | 4 ->
+      let c = r_operand r in
+      two (fun x y -> I.Select (c, x, y))
+  | 5 ->
+      let ty = ir_ty.B.dec r in
+      I.Alloca (ty, B.r_int r)
+  | 6 -> I.Load (r_operand r)
+  | 7 -> two (fun v a -> I.Store (v, a))
+  | 8 -> two (fun x i -> I.Gep (x, i))
+  | 9 -> I.Gaddr (B.r_string r)
+  | 10 ->
+      let f = B.r_string r in
+      I.Call (f, B.r_list r_operand r)
+  | 11 -> I.Phi (B.r_list (fun r -> let l = B.r_int r in (l, r_operand r)) r)
+  | 12 ->
+      let id = B.r_int r in
+      I.Ci_call (id, B.r_list r_operand r)
+  | n -> B.corrupt "bad instr kind tag %d" n
+
+let w_instr b (i : I.t) =
+  B.w_int b i.id;
+  ir_ty.B.enc b i.ty;
+  w_kind b i.kind
+
+let r_instr r =
+  let id = B.r_int r in
+  let ty = ir_ty.B.dec r in
+  { I.id; ty; kind = r_kind r }
+
+let w_term b = function
+  | I.Ret op -> B.w_byte b 0; B.w_option w_operand b op
+  | I.Br l -> B.w_byte b 1; B.w_int b l
+  | I.Cond_br (c, t, f) -> B.w_byte b 2; w_operand b c; B.w_int b t; B.w_int b f
+  | I.Switch (s, d, cases) ->
+      B.w_byte b 3;
+      w_operand b s;
+      B.w_int b d;
+      B.w_list (fun b (v, l) -> B.w_vint64 b v; B.w_int b l) b cases
+
+let r_term r =
+  match B.r_byte r with
+  | 0 -> I.Ret (B.r_option r_operand r)
+  | 1 -> I.Br (B.r_int r)
+  | 2 ->
+      let c = r_operand r in
+      let t = B.r_int r in
+      I.Cond_br (c, t, B.r_int r)
+  | 3 ->
+      let s = r_operand r in
+      let d = B.r_int r in
+      I.Switch
+        (s, d, B.r_list (fun r -> let v = B.r_vint64 r in (v, B.r_int r)) r)
+  | n -> B.corrupt "bad terminator tag %d" n
+
+let w_block b (blk : Ir.Block.t) =
+  B.w_int b blk.label;
+  B.w_string b blk.name;
+  B.w_list w_instr b blk.instrs;
+  w_term b blk.term
+
+let r_block r =
+  let label = B.r_int r in
+  let name = B.r_string r in
+  let instrs = B.r_list r_instr r in
+  { Ir.Block.label; name; instrs; term = r_term r }
+
+let w_func b (f : Ir.Func.t) =
+  B.w_string b f.name;
+  B.w_list (fun b (reg, ty) -> B.w_int b reg; ir_ty.B.enc b ty) b f.params;
+  ir_ty.B.enc b f.ret_ty;
+  B.w_int b f.next_reg;
+  w_array w_block b f.blocks
+
+let r_func r =
+  let name = B.r_string r in
+  let params =
+    B.r_list (fun r -> let reg = B.r_int r in (reg, ir_ty.B.dec r)) r
+  in
+  let ret_ty = ir_ty.B.dec r in
+  let next_reg = B.r_int r in
+  let blocks = r_array r_block r in
+  { Ir.Func.name; params; ret_ty; blocks; next_reg }
+
+let w_global b (g : Ir.Irmod.global) =
+  B.w_string b g.gname;
+  ir_ty.B.enc b g.gty;
+  B.w_int b g.gsize;
+  match g.ginit with
+  | Ir.Irmod.Zero -> B.w_byte b 0
+  | Ir.Irmod.Ints a -> B.w_byte b 1; w_array B.w_vint64 b a
+  | Ir.Irmod.Floats a -> B.w_byte b 2; w_array B.w_float b a
+
+let r_global r =
+  let gname = B.r_string r in
+  let gty = ir_ty.B.dec r in
+  let gsize = B.r_int r in
+  let ginit =
+    match B.r_byte r with
+    | 0 -> Ir.Irmod.Zero
+    | 1 -> Ir.Irmod.Ints (r_array B.r_vint64 r)
+    | 2 -> Ir.Irmod.Floats (r_array B.r_float r)
+    | n -> B.corrupt "bad initializer tag %d" n
+  in
+  { Ir.Irmod.gname; gty; gsize; ginit }
+
+(** IR modules, structurally: every field of every global, function,
+    block, instruction and terminator, floats bit-exact.  These bytes
+    are also what {!Pipeline.digest_module} hashes, so structurally
+    equal modules share one store entry. *)
+let irmod : Ir.Irmod.t B.codec =
+  B.codec
+    (fun b (m : Ir.Irmod.t) ->
+      B.w_string b m.mname;
+      B.w_list w_global b m.globals;
+      B.w_list w_func b m.funcs)
+    (fun r ->
+      let mname = B.r_string r in
+      let globals = B.r_list r_global r in
+      let funcs = B.r_list r_func r in
+      { Ir.Irmod.mname; globals; funcs })
 
 (* ------------------------------------------------------------------ *)
 (* Frontend: compile stage.                                           *)
@@ -60,16 +280,6 @@ let opt_report : F.Opt.report B.codec =
         unreachable_removed;
         blocks_merged;
       })
-
-(** IR modules as printed text: [Parser.parse (Printer.print m)] is a
-    documented structural identity of the IR layer. *)
-let irmod : Ir.Irmod.t B.codec =
-  B.map
-    ~enc:(fun m -> Ir.Printer.module_to_string m)
-    ~dec:(fun s ->
-      try Ir.Parser.parse_module s
-      with e -> B.corrupt "unparsable stored IR: %s" (Printexc.to_string e))
-    B.string
 
 let compiler_stats : F.Compiler.stats B.codec =
   B.codec

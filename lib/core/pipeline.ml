@@ -16,7 +16,7 @@
       {!Jitise_util.Artifact} store ([spec.stage_cache]).
 
     The digest function hashes exactly the inputs the stage's output
-    depends on — IR text, profile counts, the relevant [Spec] knobs,
+    depends on — the IR module, profile counts, the relevant [Spec] knobs,
     fault/retry configuration and seeds — so a sweep point re-runs only
     the stages whose inputs actually changed: varying only the
     selection config across twenty sweep points reuses the
@@ -281,9 +281,8 @@ let computed_of (rs : record list) stage =
 
 module D = U.Digest
 
-(** Digest of a module's canonical text (the printer round-trips, so
-    structurally equal modules digest equally). *)
-let digest_module (m : Ir.Irmod.t) = D.of_string (Ir.Printer.module_to_string m)
+let digest_module (m : Ir.Irmod.t) =
+  D.of_string (U.Binio.encode Codecs.irmod m)
 
 (** Digest of a profile's sorted (func, label, count) triples plus the
     dynamic instruction count. *)

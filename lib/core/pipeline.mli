@@ -138,8 +138,10 @@ val computed_of : record list -> string -> int
     measured may be. *)
 
 val digest_module : Ir.Irmod.t -> U.Digest.t
-(** Digest of a module's canonical text (the printer round-trips, so
-    structurally equal modules digest equally). *)
+(** Digest of the module's {!Codecs.irmod} bytes, the same encoding the
+    store keeps: structurally equal modules digest equally, and a
+    module decoded from the store digests like the one that was
+    encoded, so warm runs hit the downstream stages. *)
 
 val digest_profile : Vm.Profile.t -> U.Digest.t
 (** Digest of a profile's sorted (func, label, count) triples plus the

@@ -98,6 +98,9 @@ let r_int64 r =
   r.pos <- r.pos + 8;
   v
 
+let w_vint64 b n = w_varint64 b (zigzag n)
+let r_vint64 r = unzigzag (r_varint64 r)
+
 let w_float b f = w_int64 b (Int64.bits_of_float f)
 let r_float r = Int64.float_of_bits (r_int64 r)
 

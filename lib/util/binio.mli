@@ -9,7 +9,7 @@
 
     Wire format summary:
     - ints: zigzag + LEB128 varint (small magnitudes are one byte)
-    - int64: fixed 8-byte little-endian
+    - int64: fixed 8-byte little-endian, or a zigzag varint ([vint64])
     - float: IEEE-754 bits as a fixed 8-byte little-endian int64
     - bool/option tags: one byte (0/1), other values are corrupt
     - string: varint length + raw bytes
@@ -35,6 +35,13 @@ val w_int : Buffer.t -> int -> unit
 val r_int : reader -> int
 val w_int64 : Buffer.t -> int64 -> unit
 val r_int64 : reader -> int64
+
+(** [int64] as a zigzag varint, like [w_int] over the full 64-bit
+    range: small magnitudes take one byte, [Int64.min_int] ten. *)
+val w_vint64 : Buffer.t -> int64 -> unit
+
+val r_vint64 : reader -> int64
+
 val w_float : Buffer.t -> float -> unit
 val r_float : reader -> float
 val w_bool : Buffer.t -> bool -> unit

@@ -1,8 +1,8 @@
 (** Stable 64-bit content digests over canonical inputs.
 
     The staged pipeline engine keys its artifact store on digests of each
-    stage's canonical inputs (IR text, profile counts, spec knobs, fault and
-    retry configuration, seeds).  The implementation is FNV-1a/64 with
+    stage's canonical inputs (IR module bytes, profile counts, spec knobs,
+    fault and retry configuration, seeds).  The implementation is FNV-1a/64 with
     type-tagged, length-prefixed encoding, so digests are:
 
     - deterministic across runs and processes (no [Marshal], no addresses),

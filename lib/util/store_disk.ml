@@ -20,10 +20,12 @@
     defect — missing file, short read, bad magic or version, framing
     errors, checksum mismatch — as a cache miss: the pipeline
     recomputes and (re)writes the entry.  Bumping [version] therefore
-    invalidates old stores safely rather than breaking them. *)
+    invalidates old stores safely rather than breaking them: an entry
+    whose complete header names another version is the one thing a
+    [put] replaces, so an upgraded store warms again after one run. *)
 
 let magic = "JTSE"
-let version = 2
+let version = 3
 
 (* Unique tmp-file suffixes within one process; the pid namespaces
    concurrent processes sharing a store root. *)
@@ -79,9 +81,23 @@ let get ~root ~stage ~digest =
   | Some bytes -> (
       try Some (decode_envelope bytes) with Binio.Corrupt _ -> None)
 
+(* Whether the entry at [path] has a complete header (magic and version
+   byte) naming a version other than this build's.  A missing, torn or
+   current-version entry is not stale. *)
+let stale path =
+  let header_len = String.length magic + 1 in
+  match
+    In_channel.with_open_bin path (fun ic ->
+        In_channel.really_input_string ic header_len)
+  with
+  | Some h ->
+      String.starts_with ~prefix:magic h
+      && Char.code h.[String.length magic] <> version
+  | None | (exception Sys_error _) -> false
+
 let put ?(chaos = Chaos.none) ~root ~stage ~digest ~builder ~payload () =
   let target = entry_path ~root ~stage ~digest in
-  if not (Sys.file_exists target) then begin
+  if not (Sys.file_exists target) || stale target then begin
     mkdir_p (Filename.dirname target);
     let tmp =
       Printf.sprintf "%s.tmp.%d.%d" target (Unix.getpid ())

@@ -44,4 +44,7 @@ val put :
   ?chaos:Chaos.config ->
   root:string -> stage:string -> digest:string -> builder:string -> payload:string -> unit -> unit
 (** Low-level crash-safe first-put-wins write; [chaos] injects the
-    torn-envelope plane (see {!backend}). *)
+    torn-envelope plane (see {!backend}).  The one exception to
+    first-put-wins is an entry whose complete header names another
+    format version: [put] replaces it, so a store written by an older
+    build warms again instead of missing forever. *)

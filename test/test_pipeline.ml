@@ -517,6 +517,42 @@ let test_cad_rate_change_recomputes () =
   Alcotest.(check (list int)) "every implement stage recomputed" cold
     (implements (eval_apps ~spec:(spec harsher) db))
 
+(* ------------------------------------------------------------------ *)
+(* Module digest: the content address of the search stages             *)
+(* ------------------------------------------------------------------ *)
+
+(* A module decoded from the store must digest like the one that was
+   stored, or every warm run misses the stages keyed on it. *)
+let test_digest_module_survives_the_store () =
+  let codec = Core.Codecs.irmod in
+  List.iter
+    (fun w ->
+      let m = (W.Workload.compile w).Jitise_frontend.Compiler.modul in
+      let m' = U.Binio.decode codec (U.Binio.encode codec m) in
+      Alcotest.(check string)
+        (w.W.Workload.name ^ " digest survives a round trip")
+        (U.Digest.to_hex (Core.Pipeline.digest_module m))
+        (U.Digest.to_hex (Core.Pipeline.digest_module m')))
+    W.Registry.all
+
+let test_digest_module_sees_one_constant () =
+  let returning v =
+    let open Jitise_ir in
+    let f = Func.create ~name:"main" ~params:[] ~ret_ty:Ty.I32 in
+    f.Func.blocks <-
+      [|
+        Block.create ~label:0 ~name:"entry"
+          ~term:(Instr.Ret (Some (Instr.Const (Instr.Cint (v, Ty.I32)))));
+      |];
+    let m = Irmod.create ~name:"k" in
+    Irmod.add_func m f;
+    m
+  in
+  Alcotest.(check bool) "one constant apart, different digests" false
+    (U.Digest.equal
+       (Core.Pipeline.digest_module (returning 1L))
+       (Core.Pipeline.digest_module (returning 2L)))
+
 let () =
   Alcotest.run "pipeline-engine"
     [
@@ -552,5 +588,12 @@ let () =
         [
           Alcotest.test_case "cover the chain" `Slow
             test_stage_records_cover_the_chain;
+        ] );
+      ( "digest",
+        [
+          Alcotest.test_case "survives the store" `Quick
+            test_digest_module_survives_the_store;
+          Alcotest.test_case "sees one constant" `Quick
+            test_digest_module_sees_one_constant;
         ] );
     ]

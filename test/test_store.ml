@@ -77,6 +77,12 @@ let prop_int64_roundtrip =
   QCheck.Test.make ~name:"binio int64 round trip" ~count:1000 QCheck.int64
     (fun v -> rt B.int64 v = v)
 
+let vint64 = B.codec B.w_vint64 B.r_vint64
+
+let prop_vint64_roundtrip =
+  QCheck.Test.make ~name:"binio vint64 round trip" ~count:1000 QCheck.int64
+    (fun v -> rt vint64 v = v)
+
 (* Bit-level comparison so NaN payloads and signed zeros count too. *)
 let prop_float_roundtrip =
   QCheck.Test.make ~name:"binio float round trip" ~count:1000 QCheck.float
@@ -119,7 +125,8 @@ let test_int_boundaries () =
     [ 0; 1; -1; 63; 64; -64; -65; max_int; min_int ];
   List.iter
     (fun v ->
-      Alcotest.(check int64) (Int64.to_string v) v (rt B.int64 v))
+      Alcotest.(check int64) (Int64.to_string v) v (rt B.int64 v);
+      Alcotest.(check int64) (Int64.to_string v ^ " varint") v (rt vint64 v))
     [ 0L; Int64.max_int; Int64.min_int; -1L ]
 
 let test_enum_roundtrip () =
@@ -188,14 +195,24 @@ let test_codec_compiler_result () =
   let r = Lazy.force compiled in
   stable "compiler_result" Core.Codecs.compiler_result r;
   let r' = rt Core.Codecs.compiler_result r in
-  (* The module survives as re-parsed text... *)
-  Alcotest.(check string) "module text survives"
-    (Ir.Printer.module_to_string r.F.Compiler.modul)
-    (Ir.Printer.module_to_string r'.F.Compiler.modul);
-  (* ...and the stats (including the measured compile time, which is
-     part of the artifact, not of the record log) survive exactly. *)
+  (* The stats (including the measured compile time, which is part of
+     the artifact, not of the record log) survive exactly. *)
   Alcotest.(check bool) "stats survive" true
-    (r.F.Compiler.stats = r'.F.Compiler.stats)
+    (r.F.Compiler.stats = r'.F.Compiler.stats);
+  (* Every registry module survives structurally — void instructions'
+     ids and [next_reg] included, which printed text does not carry —
+     and its printed text, the parser's oracle, is unchanged too. *)
+  List.iter
+    (fun w ->
+      let m = (W.Workload.compile w).F.Compiler.modul in
+      let m' = rt Core.Codecs.irmod m in
+      Alcotest.(check bool) (w.W.Workload.name ^ " module survives") true
+        (m = m');
+      Alcotest.(check string)
+        (w.W.Workload.name ^ " module text survives")
+        (Ir.Printer.module_to_string m)
+        (Ir.Printer.module_to_string m'))
+    W.Registry.all
 
 let test_codec_profile_outcomes () =
   let r = Lazy.force compiled in
@@ -394,6 +411,194 @@ let test_codec_implement_golden () =
     (hex (B.encode Core.Asip_sp.implement_codec v));
   stable "implement" Core.Asip_sp.implement_codec v
 
+(* Golden bytes for the IR module codec, pinned like the memory above.
+   The module is hand-built, not verifier-valid: it reaches every
+   [Ty.t], every instruction kind (Ci_call and Phi included), every
+   terminator, a switch with duplicate cases, [Int64.min_int], -0.0, a
+   NaN with payload bits, all three initializers and a [next_reg] above
+   the highest register id. *)
+let nan_payload = Int64.float_of_bits 0x7ff8_0000_0000_0abcL
+
+let golden_irmod () =
+  let open Ir.Instr in
+  let instr id ty kind = { id; ty; kind } in
+  let int v ty = Const (Cint (v, ty)) in
+  let block label name instrs term = { Ir.Block.label; name; instrs; term } in
+  let f =
+    {
+      Ir.Func.name = "f";
+      params = [ (0, Ir.Ty.I32); (1, Ir.Ty.F64); (2, Ir.Ty.Ptr) ];
+      ret_ty = Ir.Ty.I32;
+      next_reg = 40;
+      blocks =
+        [|
+          block 0 "entry"
+            [
+              instr 3 Ir.Ty.I32 (Binop (Add, Reg 0, int Int64.min_int Ir.Ty.I64));
+              instr 4 Ir.Ty.I1 (Icmp (Islt, Reg 3, int 7L Ir.Ty.I32));
+              instr 5 Ir.Ty.I1 (Fcmp (Folt, Reg 1, Const (Cfloat (-0.0, Ir.Ty.F64))));
+              instr 6 Ir.Ty.I16 (Cast (Trunc, Reg 3));
+              instr 7 Ir.Ty.I32 (Select (Reg 4, Reg 3, int (-1L) Ir.Ty.I32));
+              instr 8 Ir.Ty.Ptr (Alloca (Ir.Ty.F32, 4));
+              instr 9 Ir.Ty.F32 (Load (Reg 8));
+              instr 10 Ir.Ty.Void
+                (Store (Const (Cfloat (nan_payload, Ir.Ty.F32)), Reg 8));
+              instr 11 Ir.Ty.Ptr (Gep (Reg 2, int 3L Ir.Ty.I32));
+              instr 12 Ir.Ty.Ptr (Gaddr "xs");
+              instr 13 Ir.Ty.Void (Call ("g", [ Reg 3; Reg 6 ]));
+              instr 14 Ir.Ty.I8 (Ci_call (2, [ Reg 3; int 1L Ir.Ty.I8 ]));
+            ]
+            (Cond_br (Reg 4, 1, 2));
+          block 1 "loop"
+            [ instr 15 Ir.Ty.I32 (Phi [ (0, Reg 3); (1, Reg 15) ]) ]
+            (Switch (Reg 15, 2, [ (1L, 1); (1L, 2); (-5L, 1) ]));
+          block 2 "exit" [] (Ret (Some (Reg 7)));
+        |];
+    }
+  in
+  let g =
+    {
+      Ir.Func.name = "g";
+      params = [ (0, Ir.Ty.I32); (1, Ir.Ty.I16) ];
+      ret_ty = Ir.Ty.Void;
+      next_reg = 2;
+      blocks = [| block 0 "entry" [] (Br 1); block 1 "out" [] (Ret None) |];
+    }
+  in
+  {
+    Ir.Irmod.mname = "golden";
+    globals =
+      [
+        { Ir.Irmod.gname = "z"; gty = Ir.Ty.I8; gsize = 4; ginit = Ir.Irmod.Zero };
+        { Ir.Irmod.gname = "xs"; gty = Ir.Ty.I64; gsize = 2;
+          ginit = Ir.Irmod.Ints [| Int64.min_int; 5L |] };
+        { Ir.Irmod.gname = "fs"; gty = Ir.Ty.F32; gsize = 2;
+          ginit = Ir.Irmod.Floats [| -0.0; nan_payload |] };
+      ];
+    funcs = [ f; g ];
+  }
+
+let golden_irmod_hex =
+  ("06676f6c64656e03017a01080002787304040102ffffffffffffffffff010a02"
+   ^ "6673050402020000000000000080bc0a00000000f87f02016603000302060407"
+   ^ "0350030005656e7472790c0603000000000104ffffffffffffffffff01080001"
+   ^ "02000601030e0a0002020002020600000000000000800c02030000060e030400"
+   ^ "080006010301100705050812050600101408070205bc0a00000000f87f001016"
+   ^ "070800040103061807090278731a080a0167020006000c1c010c040200060101"
+   ^ "02020008020402046c6f6f70011e030b0200000602001e03001e040302020204"
+   ^ "0902040465786974000001000e016702000302020804020005656e7472790001"
+   ^ "0202036f7574000000")
+
+let test_codec_irmod_golden () =
+  let m = golden_irmod () in
+  let bytes = B.encode Core.Codecs.irmod m in
+  Alcotest.(check string) "irmod bytes" golden_irmod_hex (hex bytes);
+  stable "irmod" Core.Codecs.irmod m;
+  (* [=] cannot see NaN payloads or signed zeros; the bits can. *)
+  let m' = B.decode Core.Codecs.irmod bytes in
+  let fs = Option.get (Ir.Irmod.find_global m' "fs") in
+  (match fs.Ir.Irmod.ginit with
+  | Ir.Irmod.Floats [| z; n |] ->
+      Alcotest.(check int64) "-0.0 survives" (Int64.bits_of_float (-0.0))
+        (Int64.bits_of_float z);
+      Alcotest.(check int64) "NaN payload survives"
+        (Int64.bits_of_float nan_payload) (Int64.bits_of_float n)
+  | _ -> Alcotest.fail "float initializer lost");
+  Alcotest.(check int) "next_reg survives" 40
+    (Option.get (Ir.Irmod.find_func m' "f")).Ir.Func.next_reg
+
+(* Malformed IR bytes: every out-of-range tag raises [Corrupt] naming
+   its field.  The bytes are written by hand — one global or one
+   function of one block — so each tag sits where the format puts it. *)
+let ir_bytes ?(globals = []) instrs term =
+  let b = Buffer.create 64 in
+  B.w_string b "m";
+  B.w_len b (List.length globals);
+  List.iter (fun g -> g b) globals;
+  B.w_len b 1;
+  B.w_string b "f";
+  B.w_len b 0;
+  Core.Codecs.ir_ty.B.enc b Ir.Ty.Void;
+  B.w_int b 1;
+  B.w_len b 1;
+  B.w_int b 0;
+  B.w_string b "entry";
+  B.w_len b (List.length instrs);
+  List.iter (fun i -> i b) instrs;
+  term b;
+  Buffer.contents b
+
+let ret_void b =
+  B.w_byte b 0;
+  B.w_byte b 0
+
+(* One instruction [%0 : i32] whose kind bytes are [tags]. *)
+let instr_with tags b =
+  B.w_int b 0;
+  Core.Codecs.ir_ty.B.enc b Ir.Ty.I32;
+  List.iter (B.w_byte b) tags
+
+let contains ~sub s =
+  let n = String.length sub in
+  let rec at i = i + n <= String.length s && (String.sub s i n = sub || at (i + 1)) in
+  at 0
+
+let test_codec_irmod_bad_tags () =
+  let expect field bytes =
+    match B.decode Core.Codecs.irmod bytes with
+    | exception B.Corrupt msg ->
+        if not (contains ~sub:field msg) then
+          Alcotest.failf "bad %s tag: message %S does not name it" field msg
+    | _ -> Alcotest.failf "bad %s tag decoded" field
+  in
+  let bad_ty b =
+    B.w_int b 0;
+    B.w_byte b 9
+  in
+  expect "ty" (ir_bytes [ bad_ty ] ret_void);
+  (* Load whose operand tag is 3. *)
+  expect "operand" (ir_bytes [ instr_with [ 6; 3 ] ] ret_void);
+  expect "kind" (ir_bytes [ instr_with [ 13 ] ] ret_void);
+  expect "binop" (ir_bytes [ instr_with [ 0; 17 ] ] ret_void);
+  expect "icmp" (ir_bytes [ instr_with [ 1; 10 ] ] ret_void);
+  expect "fcmp" (ir_bytes [ instr_with [ 2; 6 ] ] ret_void);
+  expect "cast" (ir_bytes [ instr_with [ 3; 8 ] ] ret_void);
+  expect "terminator" (ir_bytes [] (fun b -> B.w_byte b 4));
+  let bad_init b =
+    B.w_string b "g";
+    Core.Codecs.ir_ty.B.enc b Ir.Ty.I32;
+    B.w_int b 1;
+    B.w_byte b 3
+  in
+  expect "initializer" (ir_bytes ~globals:[ bad_init ] [] ret_void);
+  (* The hand-written frame itself is well formed. *)
+  ignore (B.decode Core.Codecs.irmod (ir_bytes [ instr_with [ 6; 0; 0 ] ] ret_void))
+
+(* Damage to the golden encoding: every prefix and every single-byte
+   substitution either decodes or raises [Corrupt] — never another
+   exception. *)
+let test_codec_irmod_mutations () =
+  let bytes = B.encode Core.Codecs.irmod (golden_irmod ()) in
+  let survives what s =
+    match B.decode Core.Codecs.irmod s with
+    | _ | (exception B.Corrupt _) -> ()
+    | exception e ->
+        Alcotest.failf "%s raised %s" what (Printexc.to_string e)
+  in
+  for len = 0 to String.length bytes - 1 do
+    survives (Printf.sprintf "prefix %d" len) (String.sub bytes 0 len)
+  done;
+  String.iteri
+    (fun i c ->
+      for v = 0 to 255 do
+        if v <> Char.code c then begin
+          let b = Bytes.of_string bytes in
+          Bytes.set b i (Char.chr v);
+          survives (Printf.sprintf "byte %d := %d" i v) (Bytes.to_string b)
+        end
+      done)
+    bytes
+
 (* ------------------------------------------------------------------ *)
 (* Store_disk: envelope, crash-safety, defect tolerance                *)
 (* ------------------------------------------------------------------ *)
@@ -422,6 +627,31 @@ let test_disk_first_put_wins () =
       Alcotest.(check (option (pair string string)))
         "first write wins"
         (Some ("first", "one"))
+        (U.Store_disk.get ~root ~stage:"s" ~digest))
+
+(* A store written by an older build: the v2 entry reads as a miss, and
+   the recompute's [put] replaces it instead of being blocked by it. *)
+let test_disk_old_version_is_replaced () =
+  with_root (fun root ->
+      let digest = digest_hex "old" in
+      let path = U.Store_disk.entry_path ~root ~stage:"s" ~digest in
+      Unix.mkdir (Filename.dirname path) 0o755;
+      let b = Buffer.create 64 in
+      Buffer.add_string b "JTSE";
+      B.w_byte b 2;
+      B.w_string b "app";
+      B.w_string b (digest_hex "old payload");
+      B.w_string b "old payload";
+      Out_channel.with_open_bin path (fun oc ->
+          Out_channel.output_string oc (Buffer.contents b));
+      Alcotest.(check (option (pair string string)))
+        "a v2 entry reads as a miss" None
+        (U.Store_disk.get ~root ~stage:"s" ~digest);
+      U.Store_disk.put ~root ~stage:"s" ~digest ~builder:"app"
+        ~payload:"new payload" ();
+      Alcotest.(check (option (pair string string)))
+        "the recompute replaces it"
+        (Some ("app", "new payload"))
         (U.Store_disk.get ~root ~stage:"s" ~digest))
 
 let test_disk_defects_read_as_misses () =
@@ -637,7 +867,8 @@ let () =
         ]
         @ qsuite
             [
-              prop_int_roundtrip; prop_int64_roundtrip; prop_float_roundtrip;
+              prop_int_roundtrip; prop_int64_roundtrip; prop_vint64_roundtrip;
+              prop_float_roundtrip;
               prop_string_roundtrip; prop_bool_roundtrip;
               prop_option_roundtrip; prop_list_roundtrip;
               prop_nested_roundtrip; prop_varint_compact;
@@ -657,11 +888,18 @@ let () =
             test_codec_memory_golden;
           Alcotest.test_case "implement golden bytes" `Quick
             test_codec_implement_golden;
+          Alcotest.test_case "irmod golden bytes" `Quick
+            test_codec_irmod_golden;
+          Alcotest.test_case "irmod bad tags" `Quick test_codec_irmod_bad_tags;
+          Alcotest.test_case "irmod truncations and byte flips" `Quick
+            test_codec_irmod_mutations;
         ] );
       ( "disk",
         [
           Alcotest.test_case "put/get" `Quick test_disk_put_get;
           Alcotest.test_case "first put wins" `Quick test_disk_first_put_wins;
+          Alcotest.test_case "old version is replaced" `Quick
+            test_disk_old_version_is_replaced;
           Alcotest.test_case "defects read as misses" `Quick
             test_disk_defects_read_as_misses;
           Alcotest.test_case "orphan sweep" `Quick test_disk_orphan_sweep;
