@@ -40,7 +40,7 @@ type fault_options = {
 }
 
 let mk_spec ~trace ~jobs ~shared_cache ~stage_cache ~store_dir ~vm_engine
-    ~vm_tuning ~fault_options:fo =
+    ~fault_options:fo =
   (* Fail before the sweep, not after: a full run takes minutes and an
      unwritable trace path would otherwise only surface at the end. *)
   Option.iter
@@ -67,7 +67,6 @@ let mk_spec ~trace ~jobs ~shared_cache ~stage_cache ~store_dir ~vm_engine
   let spec =
     Core.Spec.default |> Core.Spec.with_jobs jobs
     |> Core.Spec.with_vm_engine vm_engine
-    |> Core.Spec.with_vm_tuning vm_tuning
     |> Core.Spec.with_supervisor supervisor
     |> Core.Spec.with_chaos chaos
     |> Core.Spec.with_retry
@@ -165,13 +164,13 @@ let run_inspect name =
   print_string (Ir.Printer.module_to_string r.F.Compiler.modul)
 
 let run_specialize name trace jobs shared_cache stage_cache stage_stats
-    store_dir vm_engine vm_tuning fault_options =
+    store_dir vm_engine fault_options =
   let w = load_workload name in
   let db = Lazy.force db in
   let spec =
     mk_spec ~trace ~jobs ~shared_cache
       ~stage_cache:(stage_cache || stage_stats)
-      ~store_dir ~vm_engine ~vm_tuning ~fault_options
+      ~store_dir ~vm_engine ~fault_options
   in
   let r = Core.Experiment.evaluate ~spec db w in
   let rep = r.Core.Experiment.report in
@@ -253,8 +252,7 @@ let run_timeline name jobs fault_options =
   let db = Lazy.force db in
   let spec =
     mk_spec ~trace:None ~jobs:1 ~shared_cache:false ~stage_cache:false
-      ~store_dir:None ~vm_engine:Vm.Machine.default_engine
-      ~vm_tuning:Vm.Machine.default_tuning ~fault_options
+      ~store_dir:None ~vm_engine:Vm.Machine.default_engine ~fault_options
   in
   let r = Core.Experiment.evaluate ~spec db w in
   let t = Core.Jit_manager.timeline ~jobs r.Core.Experiment.report in
@@ -269,8 +267,7 @@ let run_timeline name jobs fault_options =
    the batch sweep's pruning filter: the controller itself decides what
    is worth implementing, using live evidence instead of a whole-run
    profile. *)
-let run_online name slots evict window decay latency_scale jobs vm_engine
-    vm_tuning =
+let run_online name slots evict window decay latency_scale jobs vm_engine =
   let w = load_workload name in
   let db = Lazy.force db in
   let online = { Core.Spec.slots; evict; window; decay; latency_scale } in
@@ -280,7 +277,6 @@ let run_online name slots evict window decay latency_scale jobs vm_engine
     |> Core.Spec.with_jobs jobs
     |> Core.Spec.with_online online
     |> Core.Spec.with_vm_engine vm_engine
-    |> Core.Spec.with_vm_tuning vm_tuning
   in
   let o = Core.Jit_manager.online ~spec db w in
   Format.printf "%a" Core.Jit_manager.pp_online o
@@ -346,7 +342,7 @@ let run_compile path no_opt =
       Printf.eprintf "%s\n" m;
       exit 1
 
-let run_run path n engine tuning =
+let run_run path n engine =
   let src = read_file path in
   match F.Compiler.compile ~module_name:path [ (path, src) ] with
   | exception F.Compiler.Error m ->
@@ -354,7 +350,7 @@ let run_run path n engine tuning =
       exit 1
   | r -> (
       match
-        Vm.Machine.run ~engine ~tuning r.F.Compiler.modul ~entry:"main"
+        Vm.Machine.run ~engine r.F.Compiler.modul ~entry:"main"
           ~args:[ Ir.Eval.VInt (Int64.of_int n) ]
       with
       | exception Vm.Machine.Fault m ->
@@ -473,67 +469,6 @@ let vm_engine_arg =
            compilation with pre-decoded operands) or $(b,reference) (the \
            AST-walking baseline).  Profiles, reports and stage digests are \
            identical either way.")
-
-let vm_link_arg =
-  Arg.(
-    value
-    & opt bool Vm.Machine.default_tuning.Vm.Machine.link
-    & info [ "vm-link" ] ~docv:"BOOL"
-        ~doc:
-          "Threaded-engine block linking: terminators transfer to the \
-           successor's compiled block directly instead of re-indexing the \
-           function's block array.  Semantics-preserving; on by default.")
-
-let vm_fuse_arg =
-  Arg.(
-    value
-    & opt bool Vm.Machine.default_tuning.Vm.Machine.fuse
-    & info [ "vm-fuse" ] ~docv:"BOOL"
-        ~doc:
-          "Threaded-engine compare-and-branch fusion: fold a block's \
-           trailing single-use integer or float compare into its \
-           conditional branch.  Semantics-preserving; on by default.  \
-           Per-pattern hit counts print under $(b,--stage-stats).")
-
-let vm_ci_native_arg =
-  Arg.(
-    value
-    & opt bool Vm.Machine.default_tuning.Vm.Machine.ci_native
-    & info [ "vm-ci-native" ] ~docv:"BOOL"
-        ~doc:
-          "Execute loaded custom instructions as one fused native closure \
-           compiled from the MISO subgraph instead of interpreting the \
-           constituent ops.  Semantics-preserving; on by default.")
-
-let vm_regalloc_arg =
-  Arg.(
-    value
-    & opt bool Vm.Machine.default_tuning.Vm.Machine.regalloc
-    & info [ "vm-regalloc" ] ~docv:"BOOL"
-        ~doc:
-          "Threaded-engine typed register files: partition each function's \
-           virtual registers by declared type into unboxed \
-           int64/float/address slots, load/store memory cells unboxed \
-           and pass call arguments and results lane to lane, boxing \
-           only at intrinsic and custom-instruction seams.  Off, the \
-           same compiler keeps every \
-           register boxed (slower).  Semantics-preserving; on by default.")
-
-let vm_link_budget_arg =
-  Arg.(
-    value
-    & opt positive_int Vm.Machine.default_tuning.Vm.Machine.max_linked_blocks
-    & info [ "vm-link-budget" ] ~docv:"N"
-        ~doc:
-          "Consecutive direct block-to-block transfers before the linked \
-           engine takes one trip through the indexed dispatch path.")
-
-let vm_tuning_term =
-  Term.(
-    const (fun link fuse ci_native regalloc max_linked_blocks ->
-        { Vm.Machine.link; fuse; ci_native; regalloc; max_linked_blocks })
-    $ vm_link_arg $ vm_fuse_arg $ vm_ci_native_arg $ vm_regalloc_arg
-    $ vm_link_budget_arg)
 
 let evict_conv =
   let parse s =
@@ -712,11 +647,11 @@ let sweep_cmd name doc render =
     Term.(
       const
         (fun trace jobs shared_cache stage_cache stage_stats store_dir
-             vm_engine vm_tuning fault_options ->
+             vm_engine fault_options ->
           let spec =
             mk_spec ~trace ~jobs ~shared_cache
               ~stage_cache:(stage_cache || stage_stats)
-              ~store_dir ~vm_engine ~vm_tuning ~fault_options
+              ~store_dir ~vm_engine ~fault_options
           in
           let results =
             Core.Experiment.sweep ~verbose:true ~spec (Lazy.force db)
@@ -725,8 +660,7 @@ let sweep_cmd name doc render =
           finish_spec ~stage_stats spec trace
             (List.map (fun r -> r.Core.Experiment.report) results))
       $ trace_arg $ jobs_arg $ shared_cache_arg $ stage_cache_arg
-      $ stage_stats_arg $ store_dir_arg $ vm_engine_arg $ vm_tuning_term
-      $ fault_options_term)
+      $ stage_stats_arg $ store_dir_arg $ vm_engine_arg $ fault_options_term)
 
 let cmds =
   [
@@ -752,7 +686,7 @@ let cmds =
       Term.(
         const run_specialize $ workload_arg $ trace_arg $ jobs_arg
         $ shared_cache_arg $ stage_cache_arg $ stage_stats_arg $ store_dir_arg
-        $ vm_engine_arg $ vm_tuning_term $ fault_options_term);
+        $ vm_engine_arg $ fault_options_term);
     Cmd.v
       (Cmd.info "timeline"
          ~doc:
@@ -768,8 +702,7 @@ let cmds =
             phased.* workloads)")
       Term.(
         const run_online $ workload_arg $ slots_arg $ evict_arg $ window_arg
-        $ decay_arg $ latency_scale_arg $ jobs_arg $ vm_engine_arg
-        $ vm_tuning_term);
+        $ decay_arg $ latency_scale_arg $ jobs_arg $ vm_engine_arg);
     Cmd.v
       (Cmd.info "ablation"
          ~doc:"Sweep pruning filters over a workload (search time vs speedup)")
@@ -786,7 +719,7 @@ let cmds =
         $ Arg.(
             value & opt int 10
             & info [ "n" ] ~docv:"N" ~doc:"Argument passed to main")
-        $ vm_engine_arg $ vm_tuning_term);
+        $ vm_engine_arg);
   ]
 
 let () =

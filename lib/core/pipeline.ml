@@ -185,22 +185,6 @@ let exec ?detail ?meter ctx (s : ('i, 'o) stage) (input : 'i) : 'o =
           note (Failed (U.Supervisor.error_name f.U.Supervisor.f_error));
           raise e)
 
-(** Sequential composition.  The composite has no digest of its own —
-    each constituent stage still probes the store individually, which
-    is what makes partial reuse (prefix hits, suffix recomputed)
-    work. *)
-let compose a b =
-  let nm = a.stage_name ^ ">>" ^ b.stage_name in
-  {
-    stage_name = nm;
-    stage_cat = a.stage_cat;
-    stage_digest = None;
-    stage_key = U.Artifact.key nm;
-    stage_body = (fun ctx x -> exec ctx b (exec ctx a x));
-  }
-
-let ( >>> ) = compose
-
 (* ------------------------------------------------------------------ *)
 (* Per-stage aggregation of records, for tests                        *)
 

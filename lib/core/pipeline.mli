@@ -102,14 +102,6 @@ val exec :
     Non-transient exceptions from the stage body propagate
     unchanged. *)
 
-val compose : ('a, 'b) stage -> ('b, 'c) stage -> ('a, 'c) stage
-(** Sequential composition.  The composite has no digest of its own —
-    each constituent stage still probes the store individually, which
-    is what makes partial reuse (prefix hits, suffix recomputed)
-    work. *)
-
-val ( >>> ) : ('a, 'b) stage -> ('b, 'c) stage -> ('a, 'c) stage
-
 (** {1 Per-stage aggregation of records} *)
 
 type summary = {

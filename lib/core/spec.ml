@@ -50,15 +50,6 @@ let default_online =
     latency_scale = 100_000.0;
   }
 
-(** Which byte backend the artifact store sits on. *)
-type store_backend =
-  | Memory_store
-      (** in-process only: artifacts die with the process (the default,
-          and the only choice before the disk backend existed) *)
-  | Disk_store of string
-      (** persistent {!U.Store_disk} rooted at this directory: a later
-          process — or a concurrent one — warm-starts from it *)
-
 type t = {
   prune : Ise.Prune.t;  (** block filter, default the paper's [@50pS3L] *)
   select : Ise.Select.config;  (** candidate-selection constraints *)
@@ -85,9 +76,6 @@ type t = {
           re-executes zero compile/profile/prune/MAXMISO stages.
           Orthogonal to [cache], which shares {e bitstreams} across
           applications at a finer grain. *)
-  store_backend : store_backend;
-      (** the backend [stage_cache] was built over, for reporting;
-          maintained by {!with_stage_cache}/{!with_store_dir} *)
   retry : U.Retry.policy;
       (** CAD recovery policy: attempts per data path (they matter only
           when the CAD plane of [chaos] is on) and the
@@ -129,7 +117,6 @@ let default =
     cache = None;
     tracer = None;
     stage_cache = None;
-    store_backend = Memory_store;
     retry = U.Retry.default;
     vm_engine = Vm.Machine.default_engine;
     vm_tuning = Vm.Machine.default_tuning;
@@ -166,21 +153,11 @@ let with_jobs jobs t =
 let with_cache cache t = { t with cache = Some cache }
 let with_tracer tracer t = { t with tracer = Some tracer }
 
-(* Recover the backend variant from the store's self-description, so a
-   caller handing us a disk-backed store they built themselves still
-   gets accurate reporting. *)
-let backend_of_store store =
-  match U.Artifact.backend_kind store with
-  | Some k when String.length k > 5 && String.equal (String.sub k 0 5) "disk:" ->
-      Disk_store (String.sub k 5 (String.length k - 5))
-  | _ -> Memory_store
+let with_stage_cache store t = { t with stage_cache = Some store }
 
-let with_stage_cache store t =
-  { t with stage_cache = Some store; store_backend = backend_of_store store }
-
-(* The store chaos planes ride on the spec's chaos config, so set
-   [with_chaos] BEFORE [with_store_dir] when combining them: the
-   backend is wrapped at construction time. *)
+(* The store chaos planes ride on the spec's chaos config and the
+   backend is wrapped at construction time, so [with_chaos] must come
+   first; it refuses store faults once a byte backend exists. *)
 let with_store_dir dir t =
   let backend =
     U.Chaos.wrap_backend t.chaos
@@ -204,6 +181,18 @@ let with_vm_tuning (vm_tuning : Vm.Machine.tuning) t =
 
 let with_chaos chaos t =
   U.Chaos.validate chaos;
+  let store_faults =
+    chaos.U.Chaos.store_read_error_rate > 0.0
+    || chaos.store_write_drop_rate > 0.0
+    || chaos.store_torn_rate > 0.0
+    || chaos.store_latency_rate > 0.0
+  in
+  if store_faults && Option.bind t.stage_cache U.Artifact.backend_kind <> None
+  then
+    invalid_arg
+      "Spec.with_chaos: the stage cache already has a byte backend, which \
+       cannot take store faults any more; apply with_chaos before \
+       with_store_dir";
   { t with chaos }
 
 let with_supervisor supervisor t =

@@ -40,15 +40,6 @@ type online = {
 
 val default_online : online
 
-(** Which byte backend the artifact store sits on. *)
-type store_backend =
-  | Memory_store
-      (** in-process only: artifacts die with the process (the default,
-          and the only choice before the disk backend existed) *)
-  | Disk_store of string
-      (** persistent {!U.Store_disk} rooted at this directory: a later
-          process — or a concurrent one — warm-starts from it *)
-
 type t = {
   prune : Ise.Prune.t;  (** block filter, default the paper's [@50pS3L] *)
   select : Ise.Select.config;  (** candidate-selection constraints *)
@@ -75,9 +66,6 @@ type t = {
           re-executes zero compile/profile/prune/MAXMISO stages.
           Orthogonal to [cache], which shares {e bitstreams} across
           applications at a finer grain. *)
-  store_backend : store_backend;
-      (** the backend [stage_cache] was built over, for reporting;
-          maintained by {!with_stage_cache}/{!with_store_dir} *)
   retry : U.Retry.policy;
       (** CAD recovery policy: attempts per data path (they matter only
           when the CAD plane of [chaos] is on) and the
@@ -123,9 +111,8 @@ val with_cache : U.Artifact.t -> t -> t
 val with_tracer : U.Trace.t -> t -> t
 
 val with_stage_cache : U.Artifact.t -> t -> t
-(** Memoize stages through [store].  [store_backend] is derived from
-    the store's own backend description, so handing over a disk-backed
-    store reports as {!Disk_store}. *)
+(** Memoize stages through [store]; {!U.Artifact.backend_kind} tells
+    which byte backend, if any, it sits on. *)
 
 val with_store_dir : string -> t -> t
 (** [with_store_dir dir t] builds a fresh artifact store over
@@ -144,7 +131,10 @@ val with_vm_tuning : Vm.Machine.tuning -> t -> t
 (** @raise Invalid_argument when [max_linked_blocks < 1]. *)
 
 val with_chaos : U.Chaos.config -> t -> t
-(** @raise Invalid_argument on an out-of-range chaos configuration. *)
+(** @raise Invalid_argument on an out-of-range chaos configuration, or
+    when [stage_cache] already sits on a byte backend and the config
+    has a positive store-plane rate: that backend was wired with the
+    earlier config, so set chaos before {!with_store_dir}. *)
 
 val with_supervisor : U.Supervisor.policy -> t -> t
 (** @raise Invalid_argument on an invalid supervision policy. *)

@@ -1,7 +1,6 @@
-(** Textual rendering of IR modules, LLVM-flavoured.
-
-    The format round-trips through {!Parser}; tests rely on
-    [parse (print m)] being structurally equal to [m]. *)
+(** Textual rendering of IR modules, LLVM-flavoured, for humans: the
+    [inspect] and [compile] commands print it.  Nothing reads it back;
+    stores and digests use the binary [Codecs.irmod] encoding. *)
 
 open Format
 

@@ -60,7 +60,6 @@ type counter = {
   computed : int Atomic.t;
   local_hits : int Atomic.t;
   shared_hits : int Atomic.t;
-  misses : int Atomic.t;
 }
 
 type t = {
@@ -92,7 +91,6 @@ let counter_of t stage =
               computed = Atomic.make 0;
               local_hits = Atomic.make 0;
               shared_hits = Atomic.make 0;
-              misses = Atomic.make 0;
             }
           in
           Hashtbl.replace t.counters stage c;
@@ -101,10 +99,6 @@ let counter_of t stage =
 let find t k ~app ~digest =
   let c = counter_of t k.key_name in
   let hex = Digest.to_hex digest in
-  let miss () =
-    Atomic.incr c.misses;
-    None
-  in
   let record_hit builder v =
     let hit = if String.equal builder app then Local else Shared in
     (match hit with
@@ -121,7 +115,7 @@ let find t k ~app ~digest =
       | None ->
           (* Same stage name registered twice with different keys;
              treat as a miss rather than return a foreign value. *)
-          miss ()
+          None
       | Some v -> record_hit e.builder v)
   | None -> (
       (* L1 miss: fall through to the byte backend when this key can
@@ -131,10 +125,10 @@ let find t k ~app ~digest =
       match (t.backend, k.codec) with
       | Some b, Some codec -> (
           match b.backend_get ~stage:k.key_name ~digest:hex with
-          | None -> miss ()
+          | None -> None
           | Some (builder, payload) -> (
               match Binio.decode_opt codec payload with
-              | None -> miss ()
+              | None -> None
               | Some v -> (
                   let e =
                     (* Promote into L1 so later probes skip the backend;
@@ -148,9 +142,9 @@ let find t k ~app ~digest =
                             e)
                   in
                   match k.proj e.value with
-                  | None -> miss ()
+                  | None -> None
                   | Some v -> record_hit e.builder v)))
-      | _ -> miss ())
+      | _ -> None)
 
 let put t k ~app ~digest v =
   let c = counter_of t k.key_name in

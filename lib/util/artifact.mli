@@ -30,7 +30,7 @@
 
     {2 Counter guarantees}
 
-    Hit/miss/computed counters are one [Atomic.t] per event class per
+    Hit and computed counters are one [Atomic.t] per event class per
     stage: increments are lock-free and never lost, and {!stats} always
     reads whole values — per-stage and total counts are {e never torn},
     even while worker domains are mid-probe.  The counts themselves
@@ -90,7 +90,7 @@ val backend_kind : t -> string option
 val find : t -> 'a key -> app:string -> digest:Digest.t -> ('a * hit) option
 (** Probe for a stage artifact.  A hit is counted and attributed ([Local]
     if [app] matches the builder recorded at {!put} time); a miss is
-    counted as such.  Backend hits are promoted into the in-process
+    not counted.  Backend hits are promoted into the in-process
     table.  Never inserts new artifacts. *)
 
 val put : t -> 'a key -> app:string -> digest:Digest.t -> 'a -> unit

@@ -4,10 +4,6 @@ let mean = function
   | [] -> 0.0
   | xs -> sum xs /. float_of_int (List.length xs)
 
-let mean_arr a =
-  if Array.length a = 0 then 0.0
-  else Array.fold_left ( +. ) 0.0 a /. float_of_int (Array.length a)
-
 let stdev xs =
   match xs with
   | [] | [ _ ] -> 0.0
@@ -81,7 +77,3 @@ let summarize = function
         max = maximum xs;
         median = median xs;
       }
-
-let pp_summary ppf s =
-  Format.fprintf ppf "n=%d mean=%.3f sd=%.3f min=%.3f med=%.3f max=%.3f" s.n
-    s.mean s.stdev s.min s.median s.max

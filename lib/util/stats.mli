@@ -5,9 +5,6 @@
 val mean : float list -> float
 (** Arithmetic mean; 0 for the empty list. *)
 
-val mean_arr : float array -> float
-(** Arithmetic mean of an array; 0 for the empty array. *)
-
 val stdev : float list -> float
 (** Sample standard deviation (n-1 denominator); 0 for fewer than two
     samples. *)
@@ -49,6 +46,3 @@ type summary = {
 val summarize : float list -> summary
 (** Computes all [summary] fields in one pass over a non-empty list;
     zeros with [n = 0] for the empty list. *)
-
-val pp_summary : Format.formatter -> summary -> unit
-(** Human-readable rendering, e.g. ["n=12 mean=3.22 sd=0.10 ..."]. *)

@@ -206,8 +206,3 @@ let read_global_ints t name len =
 let write_global_ints t name data =
   let base = global_base t name in
   Array.iteri (fun i v -> store_int t (base + i) v) data
-
-(** Overwrite a global's cells with float data. *)
-let write_global_floats t name data =
-  let base = global_base t name in
-  Array.iteri (fun i v -> store_float t (base + i) v) data

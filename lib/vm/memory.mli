@@ -123,6 +123,3 @@ val read_global_ints : t -> string -> int -> int64 array
 (** Overwrite a global's cells with integer data (workload dataset
     injection). *)
 val write_global_ints : t -> string -> int64 array -> unit
-
-(** Overwrite a global's cells with float data. *)
-val write_global_floats : t -> string -> float array -> unit

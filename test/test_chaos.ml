@@ -98,8 +98,8 @@ let deadline_policy =
   { U.Supervisor.default_policy with
     U.Supervisor.stage_deadline_seconds = Some 60.0 }
 
-(* CI pins the chaos seed via JITISE_CHAOS_SEED; every assertion holds
-   for any seed, except the campaign's pinned outcomes, which are
+(* CI pins a non-default seed via JITISE_CHAOS_SEED; every assertion
+   holds for any seed, except the campaign's pinned outcomes, which are
    checked for the default seed only. *)
 let chaos_seed =
   match Sys.getenv_opt "JITISE_CHAOS_SEED" with
@@ -223,6 +223,39 @@ let test_chaotic_store_run_is_exact () =
     (project baseline = project cold);
   Alcotest.(check bool) "warm replay over the damaged root agrees" true
     (project cold = project warm)
+
+let test_store_chaos_after_store_raises () =
+  (* [with_store_dir] wires the store planes into the disk backend it
+     builds; store faults set after it could never reach that backend,
+     so [with_chaos] refuses them instead of dropping them. *)
+  let root = tmp_root "order" in
+  rm_rf root;
+  Fun.protect ~finally:(fun () -> rm_rf root) @@ fun () ->
+  let stored = Core.Spec.with_store_dir root Core.Spec.default in
+  let none = { U.Chaos.none with U.Chaos.seed = chaos_seed } in
+  List.iter
+    (fun (plane, chaos) ->
+      Alcotest.(check bool) (plane ^ " after the store raises") true
+        (try
+           ignore (Core.Spec.with_chaos chaos stored);
+           false
+         with Invalid_argument _ -> true);
+      let ordered =
+        Core.Spec.default |> Core.Spec.with_chaos chaos
+        |> Core.Spec.with_store_dir root
+      in
+      Alcotest.(check bool) (plane ^ " before the store is kept") true
+        (ordered.Core.Spec.chaos = chaos))
+    [
+      ("read errors", { none with U.Chaos.store_read_error_rate = 0.1 });
+      ("write drops", { none with U.Chaos.store_write_drop_rate = 0.1 });
+      ("torn writes", { none with U.Chaos.store_torn_rate = 0.1 });
+      ("latency", { none with U.Chaos.store_latency_rate = 0.1 });
+    ];
+  (* The other planes do not touch the backend. *)
+  ignore (Core.Spec.with_chaos (U.Chaos.with_cad_defaults none) stored);
+  ignore
+    (Core.Spec.with_chaos { none with U.Chaos.stage_crash_rate = 0.1 } stored)
 
 (* ------------------------------------------------------------------ *)
 (* Chaos campaign                                                      *)
@@ -388,6 +421,8 @@ let () =
             test_stage_stall_hits_deadline;
           Alcotest.test_case "chaotic store is exact" `Quick
             test_chaotic_store_run_is_exact;
+          Alcotest.test_case "store chaos after the store raises" `Quick
+            test_store_chaos_after_store_raises;
         ] );
       ( "campaign",
         [

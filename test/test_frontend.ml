@@ -439,8 +439,8 @@ let gen_expr =
               ])
         size)
 
-let prop_parser_roundtrip_random =
-  QCheck.Test.make ~name:"random program: print/parse fixpoint" ~count:40
+let prop_irmod_roundtrip_random =
+  QCheck.Test.make ~name:"random program: irmod codec round trip" ~count:40
     (QCheck.make gen_expr)
     (fun expr ->
       let src =
@@ -449,9 +449,8 @@ let prop_parser_roundtrip_random =
           expr
       in
       let m = (F.Compiler.compile_string ~name:"t" src).F.Compiler.modul in
-      let printed = Ir.Printer.module_to_string m in
-      let reparsed = Ir.Parser.parse_module printed in
-      Ir.Printer.module_to_string reparsed = printed)
+      let codec = Jitise_core.Codecs.irmod in
+      Jitise_util.Binio.decode codec (Jitise_util.Binio.encode codec m) = m)
 
 let prop_opt_equivalence =
   QCheck.Test.make ~name:"random expr: -O0 = -O3 (incl. unrolling)" ~count:60
@@ -520,5 +519,5 @@ let () =
             test_verifier_accepts_all_output;
           Alcotest.test_case "stats" `Quick test_compiler_stats;
         ]
-        @ qsuite [ prop_opt_equivalence; prop_parser_roundtrip_random ] );
+        @ qsuite [ prop_opt_equivalence; prop_irmod_roundtrip_random ] );
     ]

@@ -239,10 +239,10 @@ let test_parallel_sweep_deterministic () =
 (* Fault injection composes with the parallel sweep engine: rolls are
    keyed by candidate signature and attempt, never by scheduling, so a
    faulted jobs:4 sweep reproduces the serial reports exactly.  The
-   assertions hold for any seed; CI pins one via JITISE_FAULT_SEED so
-   every push exercises the same recovery paths. *)
+   assertions hold for any seed; CI pins a non-default one via
+   JITISE_CHAOS_SEED, the one seed variable of every suite. *)
 let fault_seed =
-  match Sys.getenv_opt "JITISE_FAULT_SEED" with
+  match Sys.getenv_opt "JITISE_CHAOS_SEED" with
   | Some s -> int_of_string s
   | None -> 20110516
 

@@ -422,110 +422,6 @@ let test_printer_output () =
   Alcotest.(check bool) "phi" true (contains "phi i32");
   Alcotest.(check bool) "condbr" true (contains "condbr")
 
-(* ------------------------------------------------------------------ *)
-(* Parser round trip                                                   *)
-(* ------------------------------------------------------------------ *)
-
-let roundtrip m =
-  let printed = Printer.module_to_string m in
-  let reparsed = Parser.parse_module printed in
-  Alcotest.(check string) "round trip is a fixpoint" printed
-    (Printer.module_to_string reparsed);
-  Alcotest.(check bool) "reparsed module verifies" true
-    (Verifier.check_module reparsed = [])
-
-let test_parser_roundtrip_diamond () =
-  let m = Irmod.create ~name:"m" in
-  Irmod.add_global m
-    { Irmod.gname = "tbl"; gty = Ty.F64; gsize = 2;
-      ginit = Irmod.Floats [| 1.5; -2.5 |] };
-  Irmod.add_global m
-    { Irmod.gname = "z"; gty = Ty.I32; gsize = 4; ginit = Irmod.Zero };
-  Irmod.add_global m
-    { Irmod.gname = "iv"; gty = Ty.I64; gsize = 2; ginit = Irmod.Ints [| -7L; 9L |] };
-  Irmod.add_func m (diamond_func ());
-  roundtrip m
-
-let test_parser_roundtrip_all_instr_kinds () =
-  let f =
-    Func.create ~name:"kinds" ~params:[ (0, Ty.I32); (1, Ty.F64) ]
-      ~ret_ty:Ty.I32
-  in
-  let b = Builder.create f in
-  let bb0 = Builder.new_block b ~name:"entry" in
-  let bb1 = Builder.new_block b ~name:"next" in
-  let bb2 = Builder.new_block b ~name:"exit" in
-  Builder.position_at b bb0;
-  let add = Builder.binop b Instr.Add Ty.I32 (Builder.reg 0) (Builder.ci32 7) in
-  let fm = Builder.binop b Instr.Fmul Ty.F64 (Builder.reg 1) (Builder.cf64 2.5) in
-  let ic = Builder.icmp b Instr.Iult (Builder.reg add) (Builder.ci32 100) in
-  let _fc = Builder.fcmp b Instr.Foge (Builder.reg fm) (Builder.cf64 0.0) in
-  let sel = Builder.select b Ty.I32 (Builder.reg ic) (Builder.reg add) (Builder.ci32 0) in
-  let al = Builder.alloca b Ty.I32 4 in
-  let _st = Builder.store b (Builder.reg sel) (Builder.reg al) in
-  let ld = Builder.load b Ty.I32 (Builder.reg al) in
-  let _gep = Builder.gep b (Builder.reg al) (Builder.reg ld) in
-  let _ga = Builder.add b Ty.Ptr (Instr.Gaddr "glob") in
-  let cl = Builder.call b Ty.F64 "sqrt" [ Builder.reg fm ] in
-  let tr = Builder.cast b Instr.Fptosi Ty.I32 (Builder.reg cl) in
-  Builder.set_term b
-    (Instr.Switch (Builder.reg tr, bb1.Block.label, [ (3L, bb2.Block.label) ]));
-  Builder.position_at b bb1;
-  Builder.cond_br b (Builder.reg ic) bb2.Block.label bb2.Block.label;
-  Builder.position_at b bb2;
-  let p =
-    Builder.phi b Ty.I32
-      [ (bb0.Block.label, Builder.reg sel); (bb1.Block.label, Builder.ci32 1) ]
-  in
-  Builder.ret b (Some (Builder.reg p));
-  let f = Builder.finish b in
-  let m = Irmod.create ~name:"kinds" in
-  Irmod.add_global m
-    { Irmod.gname = "glob"; gty = Ty.I32; gsize = 1; ginit = Irmod.Zero };
-  Irmod.add_func m f;
-  let printed = Printer.module_to_string m in
-  let reparsed = Parser.parse_module printed in
-  Alcotest.(check string) "fixpoint" printed (Printer.module_to_string reparsed)
-
-let test_parser_roundtrip_workloads () =
-  List.iter
-    (fun (w : Jitise_workloads.Workload.t) ->
-      let r = Jitise_workloads.Workload.compile w in
-      let m = r.Jitise_frontend.Compiler.modul in
-      let printed = Printer.module_to_string m in
-      let reparsed = Parser.parse_module printed in
-      Alcotest.(check string)
-        (w.Jitise_workloads.Workload.name ^ " round trips")
-        printed
-        (Printer.module_to_string reparsed))
-    Jitise_workloads.Registry.all
-
-let test_parser_errors () =
-  let bad input =
-    try
-      ignore (Parser.parse_module input);
-      false
-    with Parser.Error _ -> true
-  in
-  Alcotest.(check bool) "garbage" true (bad "module m\nwat");
-  Alcotest.(check bool) "bad operand" true
-    (bad "module m\nfunc i32 @f() {\nbb0:\n  %1 = add i32 oops, 1:i32\n  ret %1\n}");
-  Alcotest.(check bool) "unterminated func" true
-    (bad "module m\nfunc i32 @f() {\nbb0:\n  ret 0:i32");
-  Alcotest.(check bool) "unknown instr" true
-    (bad "module m\nfunc i32 @f() {\nbb0:\n  %1 = frobnicate i32 1:i32, 2:i32\n  ret %1\n}")
-
-let test_parser_executes_same () =
-  (* parse(print(m)) runs identically *)
-  let w = Option.get (Jitise_workloads.Registry.find "sor") in
-  let r = Jitise_workloads.Workload.compile w in
-  let m = r.Jitise_frontend.Compiler.modul in
-  let reparsed = Parser.parse_module (Printer.module_to_string m) in
-  let run m =
-    (Jitise_vm.Machine.run m ~entry:"main" ~args:[ Eval.VInt 5L ]).Jitise_vm.Machine.ret
-  in
-  Alcotest.(check bool) "same results" true (run m = run reparsed)
-
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -589,16 +485,4 @@ let () =
           Alcotest.test_case "block" `Quick test_cost_block;
         ] );
       ("printer", [ Alcotest.test_case "output" `Quick test_printer_output ]);
-      ( "parser",
-        [
-          Alcotest.test_case "diamond round trip" `Quick
-            test_parser_roundtrip_diamond;
-          Alcotest.test_case "all instruction kinds" `Quick
-            test_parser_roundtrip_all_instr_kinds;
-          Alcotest.test_case "workload round trips" `Slow
-            test_parser_roundtrip_workloads;
-          Alcotest.test_case "errors" `Quick test_parser_errors;
-          Alcotest.test_case "executes identically" `Quick
-            test_parser_executes_same;
-        ] );
     ]

@@ -103,10 +103,10 @@ let check_identical what a b =
 let records (r : Core.Experiment.app_result) =
   r.Core.Experiment.report.Core.Asip_sp.stage_records
 
-(* CI pins the fault seed via JITISE_FAULT_SEED (same convention as
+(* CI pins a non-default seed via JITISE_CHAOS_SEED (same convention as
    test_integration); the assertions hold for any seed. *)
 let fault_seed =
-  match Sys.getenv_opt "JITISE_FAULT_SEED" with
+  match Sys.getenv_opt "JITISE_CHAOS_SEED" with
   | Some s -> int_of_string s
   | None -> 20110516
 

@@ -574,13 +574,13 @@ let test_codec_irmod_bad_tags () =
   (* The hand-written frame itself is well formed. *)
   ignore (B.decode Core.Codecs.irmod (ir_bytes [ instr_with [ 6; 0; 0 ] ] ret_void))
 
-(* Damage to the golden encoding: every prefix and every single-byte
+(* Damage to a golden encoding: every prefix and every single-byte
    substitution either decodes or raises [Corrupt] — never another
    exception. *)
-let test_codec_irmod_mutations () =
-  let bytes = B.encode Core.Codecs.irmod (golden_irmod ()) in
+let check_mutations codec v =
+  let bytes = B.encode codec v in
   let survives what s =
-    match B.decode Core.Codecs.irmod s with
+    match B.decode codec s with
     | _ | (exception B.Corrupt _) -> ()
     | exception e ->
         Alcotest.failf "%s raised %s" what (Printexc.to_string e)
@@ -598,6 +598,15 @@ let test_codec_irmod_mutations () =
         end
       done)
     bytes
+
+let test_codec_irmod_mutations () =
+  check_mutations Core.Codecs.irmod (golden_irmod ())
+
+let test_codec_memory_mutations () =
+  check_mutations Core.Codecs.memory (golden_memory ())
+
+let test_codec_implement_mutations () =
+  check_mutations Core.Asip_sp.implement_codec (golden_chain ())
 
 (* ------------------------------------------------------------------ *)
 (* Store_disk: envelope, crash-safety, defect tolerance                *)
@@ -893,6 +902,10 @@ let () =
           Alcotest.test_case "irmod bad tags" `Quick test_codec_irmod_bad_tags;
           Alcotest.test_case "irmod truncations and byte flips" `Quick
             test_codec_irmod_mutations;
+          Alcotest.test_case "memory truncations and byte flips" `Quick
+            test_codec_memory_mutations;
+          Alcotest.test_case "implement truncations and byte flips" `Quick
+            test_codec_implement_mutations;
         ] );
       ( "disk",
         [

@@ -2454,8 +2454,9 @@ let check_reports_identical what a b =
 
 let with_engine engine spec = Core.Spec.with_vm_engine engine spec
 
+(* JITISE_CHAOS_SEED, as in test_integration; any seed passes. *)
 let fault_seed =
-  match Sys.getenv_opt "JITISE_FAULT_SEED" with
+  match Sys.getenv_opt "JITISE_CHAOS_SEED" with
   | Some s -> int_of_string s
   | None -> 20110516
 
