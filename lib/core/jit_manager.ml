@@ -241,9 +241,10 @@ module U = Jitise_util
     on — and hot-swaps the CI binding between software and hardware
     cost through the VM's swap cells.
 
-    Three runs of the same adapted module differ only in controller
-    policy, so their outcomes (return value, control flow) are
-    identical and their native-cycle totals are directly comparable:
+    Three baselines of the same adapted module differ only in
+    controller policy, so their outcomes (return value, control flow)
+    are identical: they run as three clock lanes of one monitored VM
+    execution, and their native-cycle totals are directly comparable:
 
     - {e adaptive}: the closed loop described above;
     - {e oracle}: whole-run offline specialization — the top-[slots]
@@ -286,7 +287,8 @@ type ci_entry = {
 
 let copies e = List.length e.oc_ids
 
-(** Cycle totals and fabric counters of one monitored run. *)
+(** Cycle totals and fabric counters of one baseline: one clock lane
+    of the monitored run. *)
 type online_run = {
   run_label : string;
   run_cycles : float;  (** native cycles, stalls included *)
@@ -309,7 +311,7 @@ type online_report = {
   o_oracle : online_run;
   o_nospec : online_run;
   o_events : event list;  (** adaptive controller events, chronological *)
-  o_windows : int;  (** phase-profile windows closed (adaptive) *)
+  o_windows : int;  (** phase-profile windows closed *)
   o_phase_exits : int;
   o_cad_launched : int;
   o_cad_completed : int;
@@ -393,84 +395,111 @@ let entries_of_slots ~latency_scale (slots : Asip_sp.candidate_result list) :
     slots;
   List.rev !order
 
-(* One monitored run of the adapted module.  [controller] receives the
-   control handle, the fabric and the stall/swap counters and returns
-   the per-window step function (or None for a pure software run). *)
-let monitored_run ~(spec : Spec.t) ~label ~(adapt : Adapt.t)
-    ~(entries : ci_entry list) ~(dataset : W.Workload.dataset)
-    ~(step :
-       (Vm.Machine.control ->
-       Wool.Asip.t ->
-       Vm.Profile.Window.w ->
-       now:float ->
-       unit)
-       option)
-    ~(init :
-       (Vm.Machine.control -> Wool.Asip.t -> stall:(float -> unit) -> unit)
-       option) ~(stalls : float ref) ~(swaps : int ref) :
-    online_run * Wool.Asip.t * int =
+(* One baseline of the online report: a clock lane of the single
+   monitored run ({!Vm.Machine.control}), with its own CI entries,
+   fabric and counters.  [ln_init] runs at monitor start, after every CI
+   of the lane is bound to its software cost; [ln_step] runs on each
+   closed phase window. *)
+type lane = {
+  ln_label : string;
+  ln_entries : ci_entry list;
+  ln_asip : Wool.Asip.t;
+  ln_init : lane -> Vm.Machine.control -> unit;
+  ln_step :
+    lane -> Vm.Machine.control -> Vm.Profile.Window.w -> now:float -> unit;
+  mutable ln_stalls : float;  (** reconfiguration stall cycles charged *)
+  mutable ln_swaps : int;  (** software -> hardware rebinds *)
+}
+
+let lane ~(spec : Spec.t) ~label ~entries ?(init = fun _ _ -> ())
+    ?(step = fun _ _ _ ~now:_ -> ()) () =
   let cfg = spec.Spec.online in
-  let asip =
-    Wool.Asip.create ~slots:cfg.Spec.slots ~policy:cfg.Spec.evict ()
-  in
+  {
+    ln_label = label;
+    ln_entries = entries;
+    ln_asip = Wool.Asip.create ~slots:cfg.Spec.slots ~policy:cfg.Spec.evict ();
+    ln_init = init;
+    ln_step = step;
+    ln_stalls = 0.0;
+    ln_swaps = 0;
+  }
+
+let stall (ln : lane) (ctl : Vm.Machine.control) cyc =
+  ctl.Vm.Machine.ctl_stall cyc;
+  ln.ln_stalls <- ln.ln_stalls +. cyc
+
+(* One monitored run of the adapted module, every lane on the same
+   block trace: the lanes differ only in per-dispatch CI cost and
+   stalls, which never change the values computed.  One phase window
+   serves every lane; on each close it advances once, then the lanes
+   step in order.  Returns each lane's run and the windows closed. *)
+let monitored_run ~(spec : Spec.t) ~(adapt : Adapt.t)
+    ~(dataset : W.Workload.dataset) (lanes : lane array) :
+    online_run array * int =
+  let cfg = spec.Spec.online in
   let window =
     Vm.Profile.Window.create ~size:cfg.Spec.window ~decay:cfg.Spec.decay
       ~blocks:(Ir.Irmod.num_blocks adapt.Adapt.modul)
   in
-  stalls := 0.0;
-  swaps := 0;
-  let monitor ctl =
+  let ctls = ref [||] in
+  let monitor cs =
+    ctls := cs;
     (* Every CI starts in software mode: the adapted module's registry
        binds hardware cost statically, which is only earned once the
        fabric holds the bitstream. *)
-    List.iter
-      (fun e ->
-        let func, label = e.oc_home in
-        e.oc_block <- ctl.Vm.Machine.ctl_block ~func ~label;
-        List.iter (fun id -> ctl.Vm.Machine.ctl_bind id e.oc_sw) e.oc_ids)
-      entries;
-    (match init with
-    | None -> ()
-    | Some f ->
-        f ctl asip
-          ~stall:(fun cyc ->
-            ctl.Vm.Machine.ctl_stall cyc;
-            stalls := !stalls +. cyc));
+    Array.iteri
+      (fun i ln ->
+        let ctl = cs.(i) in
+        List.iter
+          (fun e ->
+            let func, label = e.oc_home in
+            e.oc_block <- ctl.Vm.Machine.ctl_block ~func ~label;
+            List.iter (fun id -> ctl.Vm.Machine.ctl_bind id e.oc_sw) e.oc_ids)
+          ln.ln_entries;
+        ln.ln_init ln ctl)
+      lanes;
     fun bid ->
       if Vm.Profile.Window.observe window bid then begin
         Vm.Profile.Window.advance window;
-        match step with
-        | None -> ()
-        | Some f ->
+        Array.iteri
+          (fun i ln ->
+            let ctl = cs.(i) in
             let now =
               Vm.Machine.seconds_of_cycles (ctl.Vm.Machine.ctl_native ())
             in
-            f ctl asip window ~now
+            ln.ln_step ln ctl window ~now)
+          lanes
       end
   in
   let outcome =
     Vm.Machine.run ~cis:adapt.Adapt.registry ~engine:spec.Spec.vm_engine
-      ~tuning:spec.Spec.vm_tuning ~monitor adapt.Adapt.modul ~entry:"main"
+      ~tuning:spec.Spec.vm_tuning ~lanes:(Array.length lanes) ~monitor
+      adapt.Adapt.modul ~entry:"main"
       ~args:[ Ir.Eval.VInt (Int64.of_int dataset.W.Workload.n) ]
   in
-  ( {
-      run_label = label;
-      run_cycles = outcome.Vm.Machine.native_cycles;
-      run_vm_cycles = outcome.Vm.Machine.vm_cycles;
-      run_ret = outcome.Vm.Machine.ret;
-      run_stall_cycles = !stalls;
-      run_reconfigurations = asip.Wool.Asip.reconfigurations;
-      run_evictions = asip.Wool.Asip.evictions;
-      run_swaps = !swaps;
-    },
-    asip,
+  ( Array.mapi
+      (fun i ln ->
+        let ctl = !ctls.(i) in
+        {
+          run_label = ln.ln_label;
+          run_cycles = ctl.Vm.Machine.ctl_native ();
+          run_vm_cycles = ctl.Vm.Machine.ctl_vm ();
+          run_ret = outcome.Vm.Machine.ret;
+          run_stall_cycles = ln.ln_stalls;
+          run_reconfigurations = ln.ln_asip.Wool.Asip.reconfigurations;
+          run_evictions = ln.ln_asip.Wool.Asip.evictions;
+          run_swaps = ln.ln_swaps;
+        })
+      lanes,
     Vm.Profile.Window.windows window )
 
-(* Rebind entries against the fabric state: evicted CIs fall back to
-   software; resident-and-ready CIs claim hardware cost.  [emit] takes
-   a preformatted string so callers can pass a silent sink. *)
-let sync_bindings ~(emit : float -> string -> unit) ~(swaps : int ref)
-    (ctl : Vm.Machine.control) asip ~now entries =
+(* Rebind a lane's entries against its fabric state: evicted CIs fall
+   back to software; resident-and-ready CIs claim hardware cost.
+   [emit] takes a preformatted string so callers can pass a silent
+   sink. *)
+let sync_bindings ~(emit : float -> string -> unit) (ln : lane)
+    (ctl : Vm.Machine.control) ~now =
+  let asip = ln.ln_asip in
   List.iter
     (fun e ->
       if e.oc_bound then begin
@@ -486,22 +515,22 @@ let sync_bindings ~(emit : float -> string -> unit) ~(swaps : int ref)
       else if Wool.Asip.dispatch_ready asip ~now_seconds:now e.oc_sig
       then begin
         e.oc_bound <- true;
-        incr swaps;
+        ln.ln_swaps <- ln.ln_swaps + 1;
         List.iter (fun id -> ctl.Vm.Machine.ctl_bind id e.oc_hw) e.oc_ids;
         emit now
           (Printf.sprintf
              "%s x%d: hot-swapped to hardware (%.0f -> %.0f cycles/call)"
              e.oc_sig (copies e) e.oc_sw e.oc_hw)
       end)
-    entries
+    ln.ln_entries
 
 (** Close the loop over one workload.  Prepares the staged
     specialization with {!Experiment.evaluate} (profiles, search, CAD —
     reusing the staged pipeline, supervisor, caches and fault model
     exactly as the batch path does), adapts the binary once, then runs
-    adaptive / oracle / nospec under the monitor.  The loop itself is a
-    sequential simulated-time computation, so its result is independent
-    of [spec.jobs] — asserted by the bench. *)
+    nospec / oracle / adaptive as three lanes of one monitored run.
+    The loop itself is a sequential simulated-time computation, so its
+    result is independent of [spec.jobs] — asserted by the bench. *)
 let online ?(spec = Spec.default) (db : Pp.Database.t) (w : W.Workload.t) :
     online_report =
   let cfg = spec.Spec.online in
@@ -523,15 +552,12 @@ let online ?(spec = Spec.default) (db : Pp.Database.t) (w : W.Workload.t) :
   let launched = ref 0 in
   let completed = ref 0 in
   let cancelled = ref 0 in
-  let windows = ref 0 in
-  let stalls = ref 0.0 in
-  let swaps = ref 0 in
 
   (* ---- no-specialization baseline: software cost forever ---- *)
-  let nospec_entries = entries_of_slots ~latency_scale:1.0 slots in
-  let nospec, _, _ =
-    monitored_run ~spec ~label:"nospec" ~adapt ~entries:nospec_entries
-      ~dataset ~step:None ~init:None ~stalls ~swaps
+  let nospec =
+    lane ~spec ~label:"nospec"
+      ~entries:(entries_of_slots ~latency_scale:1.0 slots)
+      ()
   in
 
   (* ---- oracle: static whole-run specialization, top slots ---- *)
@@ -549,38 +575,34 @@ let online ?(spec = Spec.default) (db : Pp.Database.t) (w : W.Workload.t) :
            | c -> c)
          oracle_entries)
   in
-  let oracle_init ctl asip ~stall =
+  let oracle_init ln ctl =
+    let asip = ln.ln_asip in
     List.iter
       (fun e ->
         let _, reconfigured, _ =
           Wool.Asip.begin_load asip ~now_seconds:0.0 e.oc_bits
         in
         if reconfigured then
-          stall
+          stall ln ctl
             (Wool.Arch.reconfiguration_seconds asip.Wool.Asip.arch e.oc_bits
             /. Ir.Cost.cycle_time))
       oracle_top;
     (* The stalls advanced the clock past every deadline: bind now so
        the oracle pays hardware cost from the very first dispatch. *)
     let now = Vm.Machine.seconds_of_cycles (ctl.Vm.Machine.ctl_native ()) in
-    sync_bindings ~emit:quiet ~swaps ctl asip ~now oracle_entries
+    sync_bindings ~emit:quiet ln ctl ~now
   in
-  let oracle_step ctl asip _win ~now =
-    sync_bindings ~emit:quiet ~swaps ctl asip ~now oracle_entries
-  in
-  let oracle, _, _ =
-    monitored_run ~spec ~label:"oracle" ~adapt ~entries:oracle_entries
-      ~dataset ~step:(Some oracle_step) ~init:(Some oracle_init) ~stalls
-      ~swaps
+  let oracle_step ln ctl _win ~now = sync_bindings ~emit:quiet ln ctl ~now in
+  let oracle =
+    lane ~spec ~label:"oracle" ~entries:oracle_entries ~init:oracle_init
+      ~step:oracle_step ()
   in
 
   (* ---- adaptive: the closed loop ---- *)
-  let entries =
-    entries_of_slots ~latency_scale:cfg.Spec.latency_scale slots
-  in
   let run_token = U.Supervisor.token () in
   let hot_threshold = max 1 (cfg.Spec.window / hot_fraction) in
-  let adaptive_step ctl asip win ~now =
+  let adaptive_step ln ctl win ~now =
+    let asip = ln.ln_asip and entries = ln.ln_entries in
     (* 1. Hot/cold classification and foregone-savings accounting.  A
        CI still in software during a hot window forgoes (sw - hw)
        cycles per execution: that is the "rent" the ski-rental rule
@@ -645,7 +667,7 @@ let online ?(spec = Spec.default) (db : Pp.Database.t) (w : W.Workload.t) :
         | _ -> ())
       entries;
     (* 3. Reconcile bindings with the fabric (evictions first). *)
-    sync_bindings ~emit ~swaps ctl asip ~now entries;
+    sync_bindings ~emit ln ctl ~now;
     (* 4. Investment decisions for hot CIs still in software. *)
     List.iter
       (fun e ->
@@ -670,11 +692,8 @@ let online ?(spec = Spec.default) (db : Pp.Database.t) (w : W.Workload.t) :
                 let _, reconfigured, _ =
                   Wool.Asip.begin_load asip ~now_seconds:now e.oc_bits
                 in
-                if reconfigured then begin
-                  let cyc = reconfig_s /. Ir.Cost.cycle_time in
-                  ctl.Vm.Machine.ctl_stall cyc;
-                  stalls := !stalls +. cyc
-                end;
+                if reconfigured then
+                  stall ln ctl (reconfig_s /. Ir.Cost.cycle_time);
                 e.oc_foregone <- 0.0;
                 emit now
                   (Printf.sprintf "%s: reconfiguring a slot (%.0f cycle stall)"
@@ -705,13 +724,18 @@ let online ?(spec = Spec.default) (db : Pp.Database.t) (w : W.Workload.t) :
     (* 5. Fresh loads whose stall already elapsed can bind right away
        (re-read the clock: the stall in step 4 advanced it). *)
     let now = Vm.Machine.seconds_of_cycles (ctl.Vm.Machine.ctl_native ()) in
-    sync_bindings ~emit ~swaps ctl asip ~now entries
+    sync_bindings ~emit ln ctl ~now
   in
-  let adaptive, _, adaptive_windows =
-    monitored_run ~spec ~label:"adaptive" ~adapt ~entries ~dataset
-      ~step:(Some adaptive_step) ~init:None ~stalls ~swaps
+  let adaptive =
+    lane ~spec ~label:"adaptive"
+      ~entries:(entries_of_slots ~latency_scale:cfg.Spec.latency_scale slots)
+      ~step:adaptive_step ()
   in
-  windows := adaptive_windows;
+  (* One execution, three clock lanes, started and stepped in this
+     order.  No lane reads another's state. *)
+  let runs, windows =
+    monitored_run ~spec ~adapt ~dataset [| nospec; oracle; adaptive |]
+  in
   {
     o_app = w.W.Workload.name;
     o_dataset = dataset.W.Workload.label;
@@ -719,11 +743,11 @@ let online ?(spec = Spec.default) (db : Pp.Database.t) (w : W.Workload.t) :
     o_policy = cfg.Spec.evict;
     o_window = cfg.Spec.window;
     o_cis = List.length slots;
-    o_adaptive = adaptive;
-    o_oracle = oracle;
-    o_nospec = nospec;
+    o_adaptive = runs.(2);
+    o_oracle = runs.(1);
+    o_nospec = runs.(0);
     o_events = List.rev !events;
-    o_windows = !windows;
+    o_windows = windows;
     o_phase_exits = !phase_exits;
     o_cad_launched = !launched;
     o_cad_completed = !completed;

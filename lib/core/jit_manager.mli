@@ -55,7 +55,8 @@ val pp_timeline : Format.formatter -> timeline -> unit
 (* Closed-loop (online) adaptive specialization                        *)
 (* ------------------------------------------------------------------ *)
 
-(** Cycle totals and fabric counters of one monitored run. *)
+(** Cycle totals and fabric counters of one baseline: one clock lane
+    of the monitored run. *)
 type online_run = {
   run_label : string;
   run_cycles : float;  (** native cycles, stalls included *)
@@ -80,7 +81,7 @@ type online_report = {
           offline saved cycles, bitstreams free at t=0, stalls billed *)
   o_nospec : online_run;  (** every CI at software cost forever *)
   o_events : event list;  (** adaptive controller events, chronological *)
-  o_windows : int;  (** phase-profile windows closed (adaptive) *)
+  o_windows : int;  (** phase-profile windows closed *)
   o_phase_exits : int;
   o_cad_launched : int;
   o_cad_completed : int;
@@ -89,12 +90,14 @@ type online_report = {
 
 (** Close the loop over one workload: run the staged specialization
     ({!Experiment.evaluate}), adapt the binary once, then execute the
-    adapted module three times on the last dataset — adaptive, oracle
-    and no-specialization — under the VM monitor.  All three runs share
-    one module and differ only in per-dispatch CI cost, so their return
-    values are identical and their native-cycle totals directly
-    comparable.  The loop is a sequential simulated-time computation:
-    the result is independent of [spec.jobs].
+    adapted module once on the last dataset under the VM monitor, with
+    three clock lanes ({!Vm.Machine.control}) — no-specialization,
+    oracle and adaptive.  The lanes differ only in per-dispatch CI cost
+    and stalls, so they share the block trace and the return value, and
+    each lane's cycle totals are those a separate run of that baseline
+    would read: directly comparable.  The loop is a sequential
+    simulated-time computation: the result is independent of
+    [spec.jobs].
     @raise Invalid_argument when the workload has no datasets. *)
 val online : ?spec:Spec.t -> Pp.Database.t -> W.Workload.t -> online_report
 

@@ -194,10 +194,6 @@ let table2_row (r : Experiment.app_result) : table2_row =
 
 let table2 results = List.map table2_row results
 
-let break_even_seconds = function
-  | An.Breakeven.Never -> Float.infinity
-  | An.Breakeven.After s -> s
-
 (** Numeric columns of a Table II row.  [faults] adds the attempts /
     failures / degradations columns (after "can"); leave it unset to
     reproduce the paper's exact layout. *)

@@ -71,12 +71,6 @@ type decl = Dglobal of global | Dfunc of func
 
 type program = decl list
 
-let base_ty_to_string = function
-  | Tint -> "int"
-  | Tlong -> "long"
-  | Tfloat -> "float"
-  | Tdouble -> "double"
-
 (** IR type of a MiniC base type. *)
 let ir_ty = function
   | Tint -> Ty.I32

@@ -16,10 +16,6 @@ let create ~label ~name ~term = { label; name; instrs = []; term }
 (** Number of non-terminator instructions. *)
 let size b = List.length b.instrs
 
-(** Instructions satisfying {!Instr.hw_feasible}. *)
-let feasible_instrs b =
-  List.filter (fun (i : Instr.t) -> Instr.hw_feasible i.kind) b.instrs
-
 (** Phi instructions (always a prefix of a well-formed block). *)
 let phis b =
   List.filter

@@ -74,21 +74,6 @@ let shift_amount ty b =
    same closures, so both VM engines and the constant folder share one
    set of semantics by construction. *)
 
-(** Width renormalization for [ty], with the bit arithmetic resolved
-    once: applying the returned function is branch-free for >= 64-bit
-    types and two shifts otherwise. *)
-let normalizer (ty : Ty.t) : int64 -> int64 =
-  let bits = Ty.bits ty in
-  if ty = Ty.I1 then fun v -> Int64.logand v 1L
-  else if bits >= 64 then fun v -> v
-  else
-    let shift = 64 - bits in
-    fun v -> Int64.shift_right (Int64.shift_left v shift) shift
-
-(** F32 rounding for [ty], resolved once. *)
-let rounder (ty : Ty.t) : float -> float =
-  if ty = Ty.F32 then round_f32 else fun v -> v
-
 (* Flattened renormalization: a closure-call-free inline of
    {!normalize}.  [norm_shift ty] is 0 for >= 64-bit types, making the
    two shifts an identity; [I1] needs the boolean mask instead and is

@@ -56,10 +56,3 @@ let reg_ty t r =
       let found = ref None in
       iter_instrs (fun _ (i : Instr.t) -> if i.id = r then found := Some i.ty) t;
       (match !found with Some ty -> ty | None -> raise Not_found)
-
-(** Find the defining instruction of a register, if any (parameters have
-    no defining instruction). *)
-let def_of t r =
-  let found = ref None in
-  iter_instrs (fun b (i : Instr.t) -> if i.id = r then found := Some (b, i)) t;
-  !found

@@ -178,11 +178,6 @@ let fcmp_name = function
   | Foeq -> "oeq" | Fone -> "one" | Folt -> "olt" | Fole -> "ole"
   | Fogt -> "ogt" | Foge -> "oge"
 
-let fcmp_of_name = function
-  | "oeq" -> Some Foeq | "one" -> Some Fone | "olt" -> Some Folt
-  | "ole" -> Some Fole | "ogt" -> Some Fogt | "oge" -> Some Foge
-  | _ -> None
-
 let cast_name = function
   | Trunc -> "trunc" | Zext -> "zext" | Sext -> "sext"
   | Fptosi -> "fptosi" | Sitofp -> "sitofp" | Fpext -> "fpext"

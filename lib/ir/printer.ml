@@ -97,5 +97,3 @@ let pp_module ppf (m : Irmod.t) =
   List.iter (fun f -> fprintf ppf "@\n%a" pp_func f) m.Irmod.funcs
 
 let module_to_string m = Format.asprintf "%a" pp_module m
-let func_to_string f = Format.asprintf "%a" pp_func f
-let instr_to_string i = Format.asprintf "%a" pp_instr i

@@ -15,10 +15,6 @@
     - {b degenerate case}: [jobs <= 1] (or a short list) runs inline on
       the calling domain, spawning nothing. *)
 
-(** A reasonable default for [~jobs]: the domains the runtime
-    recommends, minus one for the coordinating domain. *)
-let default_jobs () = max 1 (Domain.recommended_domain_count () - 1)
-
 let map ?(jobs = 1) (f : 'a -> 'b) (xs : 'a list) : 'b list =
   let n = List.length xs in
   if jobs <= 1 || n <= 1 then List.map f xs

@@ -8,6 +8,9 @@
     - [vm_cycles]: the cost under the VM's JIT execution model
       ({!Jit_model}), the paper's "VM" column.
 
+    A monitored run can carry several such clock pairs, one per clock
+    lane, over a single execution (see {!control}).
+
     The machine also records the block-frequency {!Profile} and executes
     custom-instruction calls ([Ci_call]) through a registry that charges
     the hardware latency of the reconfigurable functional unit instead
@@ -405,19 +408,21 @@ and state = {
   memory : Memory.t;
   jit : Jit_model.t;
   cis : ci_registry;
-  swap : (int, float ref) Hashtbl.t option;
-      (* online hot-swap: per-CI cycle-charge cells read at dispatch
-         instead of the statically bound charge; [None] (no monitor)
-         keeps the compiled fast path untouched *)
+  swap : (int, float array) Hashtbl.t option;
+      (* online hot-swap: per-CI cycle-charge cells, one charge per
+         lane, read at dispatch instead of the statically bound charge;
+         [None] (no monitor) keeps the compiled fast path untouched *)
   tuning : tuning;
       (* compiled-engine optimization knobs; ignored by the reference
          engine *)
   mutable mon : (int -> unit) option;
       (* the monitor's per-block callback, fed the block's dense id *)
+  lanes : int;  (* clock lanes; lanes past 0 exist only when monitored *)
   clocks : float array;
-      (* [| native; vm |] cycles, updated in place by both engines: a
-         flat float array store is an unboxed write, a mutable float
-         field of this record would box on every store *)
+      (* [| native; vm |] cycles per lane (lane [l] at [2l], [2l+1]),
+         updated in place by both engines: a flat float array store is
+         an unboxed write, a mutable float field of this record would
+         box on every store *)
   mutable fuel : int;
       (* remaining dynamic instructions, negative = out; an immediate
          int ({!int_of_int64_clamped}), so the per-block decrement
@@ -561,28 +566,52 @@ type outcome = {
 (** Simulated seconds for a cycle count, at the PowerPC 405 clock. *)
 let seconds_of_cycles c = c *. Ir.Cost.cycle_time
 
-(** Handle an online controller uses to observe and steer a run from
-    inside the monitor callback.  Only valid during the run: both
-    engines keep the clocks in the shared state, updated in place, so
-    the callback reads them consistently and stalls/rebinds land
-    between blocks without disturbing the compiled code. *)
+(** Handle an online controller uses to observe and steer one clock
+    lane of a run from inside the monitor callback.  Both engines keep
+    the clocks in the shared state, updated in place, so the callback
+    reads them consistently and stalls/rebinds land between blocks
+    without disturbing the compiled code. *)
 type control = {
-  ctl_native : unit -> float;  (** native clock, cycles *)
+  ctl_native : unit -> float;  (** the lane's native clock, cycles *)
+  ctl_vm : unit -> float;  (** the lane's VM clock, cycles *)
   ctl_stall : float -> unit;
-      (** charge a stall (e.g. a reconfiguration wait) to both clocks *)
+      (** charge a stall (e.g. a reconfiguration wait) to both of the
+          lane's clocks *)
   ctl_bind : int -> float -> unit;
-      (** set the per-dispatch cycle charge of a CI — the hot-swap
-          point: software-mode and hardware-mode cost per call *)
+      (** set the lane's per-dispatch cycle charge of a CI — the
+          hot-swap point: software-mode and hardware-mode cost per call *)
   ctl_block : func:string -> label:int -> int;
       (** the dense id of a block, as the callback receives it *)
 }
 
-(** A monitor receives the {!control} handle at run start (before any
-    block executes) and returns a callback invoked once per dynamic
-    basic block, after that block's clock charge, with the block's
-    dense id.  When absent, the run takes exactly the unmonitored code
-    path — byte-identical clocks. *)
-type monitor = control -> int -> unit
+(** A monitor receives one {!control} handle per lane at run start
+    (before any block executes) and returns a callback invoked once
+    per dynamic basic block, after every lane's clock charge for that
+    block, with the block's dense id.  When absent, the run takes
+    exactly the unmonitored code path — byte-identical clocks. *)
+type monitor = control array -> int -> unit
+
+(* A CI's swap cell, created at the statically bound charge in every
+   lane. *)
+let swap_cell (st : state) cells ci impl : float array =
+  match Hashtbl.find_opt cells ci with
+  | Some c -> c
+  | None ->
+      let c = Array.make st.lanes (float_of_int impl.ci_cycles) in
+      Hashtbl.replace cells ci c;
+      c
+
+(* One CI dispatch under a monitor: each lane's clocks advance by that
+   lane's charge in [cell]. *)
+let charge_lanes (st : state) (cell : float array) : unit =
+  let clocks = st.clocks in
+  for l = 0 to st.lanes - 1 do
+    let cyc = Array.unsafe_get cell l in
+    Array.unsafe_set clocks (2 * l) (Array.unsafe_get clocks (2 * l) +. cyc);
+    Array.unsafe_set clocks
+      ((2 * l) + 1)
+      (Array.unsafe_get clocks ((2 * l) + 1) +. cyc)
+  done
 
 let value_of_operand regs = function
   | Ir.Instr.Const c -> Ir.Eval.of_const c
@@ -616,14 +645,21 @@ let rec exec_func (st : state) (fi : func_info) (args : Ir.Eval.value array) :
        the JIT warm-up model. *)
     let prior = bi.exec_count in
     bi.exec_count <- prior + 1;
-    st.clocks.(0) <- st.clocks.(0) +. float_of_int bi.static_cycles;
-    st.clocks.(1) <-
-      st.clocks.(1)
-      +. Jit_model.block_execution_cycles st.jit ~prior:(Int64.of_int prior)
-           ~ninstrs:bi.ninstrs ~native_cycles:bi.static_cycles;
+    let native = float_of_int bi.static_cycles
+    and vm =
+      Jit_model.block_execution_cycles st.jit ~prior:(Int64.of_int prior)
+        ~ninstrs:bi.ninstrs ~native_cycles:bi.static_cycles
+    in
+    st.clocks.(0) <- st.clocks.(0) +. native;
+    st.clocks.(1) <- st.clocks.(1) +. vm;
     (match st.mon with
     | None -> ()
-    | Some mon -> mon (fi.bid_base + !cur));
+    | Some mon ->
+        for l = 1 to st.lanes - 1 do
+          st.clocks.(2 * l) <- st.clocks.(2 * l) +. native;
+          st.clocks.((2 * l) + 1) <- st.clocks.((2 * l) + 1) +. vm
+        done;
+        mon (fi.bid_base + !cur));
     (* Phis first, read atomically: the incoming operand per
        predecessor was pre-resolved into an array in [prepare_func]. *)
     let n = bi.ninstrs in
@@ -691,16 +727,12 @@ let rec exec_func (st : state) (fi : func_info) (args : Ir.Eval.value array) :
             | Some impl ->
                 let argv = Array.of_list (List.map v argops) in
                 set (impl.ci_eval argv);
-                let cyc =
-                  match st.swap with
-                  | None -> float_of_int impl.ci_cycles
-                  | Some cells -> (
-                      match Hashtbl.find_opt cells ci with
-                      | Some c -> !c
-                      | None -> float_of_int impl.ci_cycles)
-                in
-                st.clocks.(0) <- st.clocks.(0) +. cyc;
-                st.clocks.(1) <- st.clocks.(1) +. cyc
+                (match st.swap with
+                | None ->
+                    let cyc = float_of_int impl.ci_cycles in
+                    st.clocks.(0) <- st.clocks.(0) +. cyc;
+                    st.clocks.(1) <- st.clocks.(1) +. cyc
+                | Some cells -> charge_lanes st (swap_cell st cells ci impl))
             | None -> fault "custom instruction #%d is not configured" ci)
       with
       | Ir.Eval.Division_by_zero ->
@@ -2003,11 +2035,11 @@ let cmp_test (fi : func_info) curl (test : frame -> bool) fr =
     [(st, fi, fr, tb, prevl, budget)], so a call allocates no closure.
 
     Per block, in this order and with the Reference engine's
-    arithmetic: fuel, profile count, both clocks, the monitor hook, the
-    phi prologue, the body, the terminator.  Fuel and clocks live in
-    [st] and are updated in place; the clocks are float sums, so the
-    order of additions matters for byte-identical outcomes, and it is
-    the Reference engine's.
+    arithmetic: fuel, profile count, both clocks (of every lane, when
+    monitored), the monitor hook, the phi prologue, the body, the
+    terminator.  Fuel and clocks live in [st] and are updated in place;
+    the clocks are float sums, so the order of additions matters for
+    byte-identical outcomes, and it is the Reference engine's.
 
     Control transfers follow the [r_link] references as mutually
     tail-recursive calls.  Every [max_linked_blocks] consecutive direct
@@ -2038,7 +2070,16 @@ let rec go (st : state) (fi : func_info) (fr : frame) (tb : rtblock)
     +. if prior >= st.warmup then tb.r_hot else tb.r_cold);
   (match st.mon with
   | None -> ()
-  | Some mon -> mon (fi.bid_base + curl));
+  | Some mon ->
+      let vm = if prior >= st.warmup then tb.r_hot else tb.r_cold in
+      for l = 1 to st.lanes - 1 do
+        Array.unsafe_set clocks (2 * l)
+          (Array.unsafe_get clocks (2 * l) +. tb.r_native);
+        Array.unsafe_set clocks
+          ((2 * l) + 1)
+          (Array.unsafe_get clocks ((2 * l) + 1) +. vm)
+      done;
+      mon (fi.bid_base + curl));
   (* Phi prologue: the whole stage-then-commit pass was compiled per
      predecessor label. *)
   let rows = tb.r_phi_rows in
@@ -2482,7 +2523,8 @@ let classify_rfunc (st : state) (fi : func_info) : unit =
   fi.rcounts <- counts
 
 (* A CI call's clock charge: the statically bound hardware latency, or
-   the run's swap cell when a monitor may rebind it. *)
+   the run's swap cell, charged to every lane, when a monitor may
+   rebind it. *)
 let ci_charge (st : state) ci impl : frame -> unit =
   match st.swap with
   | None ->
@@ -2491,18 +2533,8 @@ let ci_charge (st : state) ci impl : frame -> unit =
         st.clocks.(0) <- st.clocks.(0) +. cyc;
         st.clocks.(1) <- st.clocks.(1) +. cyc
   | Some cells ->
-      let cell =
-        match Hashtbl.find_opt cells ci with
-        | Some c -> c
-        | None ->
-            let c = ref (float_of_int impl.ci_cycles) in
-            Hashtbl.replace cells ci c;
-            c
-      in
-      fun _ ->
-        let cyc = !cell in
-        st.clocks.(0) <- st.clocks.(0) +. cyc;
-        st.clocks.(1) <- st.clocks.(1) +. cyc
+      let cell = swap_cell st cells ci impl in
+      fun _ -> charge_lanes st cell
 
 let compile_rblock (st : state) (fi : func_info) (classes : rclass array)
     (slots : int array) (bnum : int) (bi : block_info) : rtblock =
@@ -3056,14 +3088,15 @@ let link_rfunc (fi : func_info) : unit =
     @param tuning threaded-engine optimization knobs (default
       {!default_tuning}: everything on); outcomes are identical across
       all combinations
-    @param monitor online controller hook: receives the {!control}
-      handle before any block executes, returns a per-dynamic-block
-      callback.  Absent means the exact unmonitored code path —
-      byte-identical clocks.
+    @param lanes clock lanes of a monitored run (default 1)
+    @param monitor online controller hook: receives one {!control}
+      handle per lane before any block executes, returns a
+      per-dynamic-block callback.  Absent means the exact unmonitored
+      code path — byte-identical clocks.
     @raise Fault on any runtime error. *)
 let run ?(fuel = 4_000_000_000L) ?(jit = Jit_model.default)
     ?(cis = empty_cis ()) ?(engine = default_engine)
-    ?(tuning = default_tuning) ?monitor (m : Ir.Irmod.t) ~entry
+    ?(tuning = default_tuning) ?(lanes = 1) ?monitor (m : Ir.Irmod.t) ~entry
     ~(args : Ir.Eval.value list) : outcome =
   let memory = Memory.create () in
   Memory.load_globals memory m;
@@ -3082,6 +3115,11 @@ let run ?(fuel = 4_000_000_000L) ?(jit = Jit_model.default)
     invalid_arg
       (Printf.sprintf "Machine.run: max_linked_blocks must be >= 1 (got %d)"
          tuning.max_linked_blocks);
+  if lanes < 1 || (lanes > 1 && Option.is_none monitor) then
+    invalid_arg
+      (Printf.sprintf
+         "Machine.run: lanes must be >= 1, and 1 without a monitor (got %d)"
+         lanes);
   let st =
     {
       funcs;
@@ -3091,7 +3129,8 @@ let run ?(fuel = 4_000_000_000L) ?(jit = Jit_model.default)
       swap;
       tuning;
       mon = None;
-      clocks = [| 0.0; 0.0 |];
+      lanes;
+      clocks = Array.make (2 * lanes) 0.0;
       fuel = int_of_int64_clamped fuel;
       warmup = int_of_int64_clamped jit.Jit_model.warmup_threshold;
       ret_i = Bytes.make 8 '\000';
@@ -3106,39 +3145,41 @@ let run ?(fuel = 4_000_000_000L) ?(jit = Jit_model.default)
   | Some mk, Some cells ->
       (* Every configured CI gets a swap cell up front so the monitor
          can rebind charges before the CI first executes. *)
-      Hashtbl.iter
-        (fun ci impl ->
-          Hashtbl.replace cells ci (ref (float_of_int impl.ci_cycles)))
-        cis;
-      let control =
+      Hashtbl.iter (fun ci impl -> ignore (swap_cell st cells ci impl)) cis;
+      let ctl_block ~func ~label =
+        match Hashtbl.find_opt funcs func with
+        | Some fi when label >= 0 && label < Array.length fi.blocks ->
+            fi.bid_base + label
+        | _ ->
+            invalid_arg
+              (Printf.sprintf "Machine.control: no block @%s/bb%d" func label)
+      in
+      let control l =
+        let n = 2 * l and v = (2 * l) + 1 in
         {
-          ctl_native = (fun () -> st.clocks.(0));
+          ctl_native = (fun () -> st.clocks.(n));
+          ctl_vm = (fun () -> st.clocks.(v));
           ctl_stall =
             (fun c ->
-              st.clocks.(0) <- st.clocks.(0) +. c;
-              st.clocks.(1) <- st.clocks.(1) +. c);
+              st.clocks.(n) <- st.clocks.(n) +. c;
+              st.clocks.(v) <- st.clocks.(v) +. c);
           ctl_bind =
             (fun ci c ->
               match Hashtbl.find_opt cells ci with
-              | Some cell -> cell := c
-              | None -> Hashtbl.replace cells ci (ref c));
-          ctl_block =
-            (fun ~func ~label ->
-              match Hashtbl.find_opt funcs func with
-              | Some fi when label >= 0 && label < Array.length fi.blocks ->
-                  fi.bid_base + label
-              | _ ->
-                  invalid_arg
-                    (Printf.sprintf "Machine.control: no block @%s/bb%d" func
-                       label));
+              | Some cell -> cell.(l) <- c
+              | None -> ());
+          ctl_block;
         }
       in
-      st.mon <- Some (mk control));
+      st.mon <- Some (mk (Array.init lanes control)));
   (* Whole-module dynamic translation at load time. *)
-  st.clocks.(1) <-
-    st.clocks.(1)
-    +. Jit_model.module_translation_cycles jit
-         ~module_instrs:(Ir.Irmod.num_instrs m);
+  let translation =
+    Jit_model.module_translation_cycles jit
+      ~module_instrs:(Ir.Irmod.num_instrs m)
+  in
+  for l = 0 to lanes - 1 do
+    st.clocks.((2 * l) + 1) <- st.clocks.((2 * l) + 1) +. translation
+  done;
   let fi =
     match Hashtbl.find_opt funcs entry with
     | Some fi -> fi

@@ -3,7 +3,8 @@
     An SSA interpreter with cycle accounting.  One run simultaneously
     accumulates two clocks: [native_cycles], the cost of the program
     under static compilation, and [vm_cycles], the cost under the VM's
-    JIT execution model ({!Jit_model}).  The machine also records the
+    JIT execution model ({!Jit_model}); a monitored run can carry one
+    such pair per clock lane ({!control}).  The machine also records the
     block-frequency {!Profile} and executes custom-instruction calls
     through a registry that charges the hardware latency of the
     reconfigurable functional unit.
@@ -170,18 +171,28 @@ val seconds_of_cycles : float -> float
 (* Online monitoring and hot-swap                                      *)
 (* ------------------------------------------------------------------ *)
 
-(** Handle an online controller uses to observe and steer a run from
-    inside the monitor callback.  Only valid during the run.  Both
-    engines keep the clocks in the run's state, updated in place, so
-    the callback reads them consistently and stalls/rebinds land
-    between blocks without disturbing the compiled code. *)
+(** Handle an online controller uses to observe and steer one clock
+    lane of a run from inside the monitor callback.  A monitored run
+    carries [lanes] pairs of (native, VM) clocks over one execution:
+    the block trace, fuel, profile, memory and return value are shared,
+    and each lane has its own clocks and its own per-CI charges, so a
+    lane's clocks are exactly those a single-lane run with the same
+    binds and stalls would read.  Both engines keep the clocks in the
+    run's state, updated in place, so the callback reads them
+    consistently and stalls/rebinds land between blocks without
+    disturbing the compiled code.  The clock readers stay valid after
+    the run returns and then read the lane's final clocks. *)
 type control = {
-  ctl_native : unit -> float;  (** native clock, cycles *)
+  ctl_native : unit -> float;  (** the lane's native clock, cycles *)
+  ctl_vm : unit -> float;  (** the lane's VM clock, cycles *)
   ctl_stall : float -> unit;
-      (** charge a stall (e.g. a reconfiguration wait) to both clocks *)
+      (** charge a stall (e.g. a reconfiguration wait) to both of the
+          lane's clocks *)
   ctl_bind : int -> float -> unit;
-      (** set the per-dispatch cycle charge of a CI — the hot-swap
-          point between software-mode and hardware-mode cost *)
+      (** set the lane's per-dispatch cycle charge of a CI — the
+          hot-swap point between software-mode and hardware-mode cost.
+          Every lane starts at the statically bound {!ci_impl.ci_cycles};
+          binding a CI that [cis] does not configure has no effect. *)
   ctl_block : func:string -> label:int -> int;
       (** the dense id of block [label] of function [func], as the
           callback receives it.  Ids number every block of the module
@@ -191,14 +202,19 @@ type control = {
           @raise Invalid_argument on an unknown block. *)
 }
 
-(** A monitor receives the {!control} handle at run start (before any
-    block executes) and returns a callback invoked once per dynamic
-    basic block, after that block's clock charge, with the block's
-    dense id ({!control.ctl_block}).  When absent, the run takes
-    exactly the unmonitored code path — byte-identical clocks. *)
-type monitor = control -> int -> unit
+(** A monitor receives one {!control} handle per lane, lane [l] at
+    index [l], at run start (before any block executes) and returns one
+    callback, invoked once per dynamic basic block after every lane's
+    clock charge for that block, with the block's dense id
+    ({!control.ctl_block}).  Per lane, the clocks receive their addends
+    in a single-lane run's order: the block charge, then that lane's
+    stalls from the callback, then its CI charges in the body; the
+    module-translation cycles land on each VM clock after the monitor
+    starts.  When absent, the run takes exactly the unmonitored code
+    path — byte-identical clocks. *)
+type monitor = control array -> int -> unit
 
-(** Run [entry] with scalar [args].
+(** Run [entry] with scalar [args].  The outcome's clocks are lane 0's.
 
     @param fuel maximum dynamic instructions (default 4e9)
     @param jit VM cost model (default {!Jit_model.default})
@@ -207,15 +223,20 @@ type monitor = control -> int -> unit
       outcomes are identical across engines
     @param tuning threaded-engine optimization knobs (default
       {!default_tuning}); outcomes are identical across combinations
+    @param lanes clock lanes of a monitored run (default 1); the
+      extra lanes cost a few float additions per block and per CI
+      dispatch, not another execution
     @param monitor online controller hook (see {!monitor})
     @raise Fault on any runtime error.
-    @raise Invalid_argument if [tuning.max_linked_blocks < 1]. *)
+    @raise Invalid_argument if [tuning.max_linked_blocks < 1], if
+      [lanes < 1], or if [lanes > 1] without a monitor. *)
 val run :
   ?fuel:int64 ->
   ?jit:Jit_model.t ->
   ?cis:ci_registry ->
   ?engine:engine ->
   ?tuning:tuning ->
+  ?lanes:int ->
   ?monitor:monitor ->
   Ir.Irmod.t ->
   entry:string ->

@@ -257,20 +257,9 @@ let shifting_phase_family ~prefix ~phases ~width =
   Buffer.add_string buf "}\n";
   Buffer.contents buf
 
-(** Fixed-size initialization code: a table-setup function whose loop
-    bounds never depend on the input — classified as {e constant}
-    coverage when called once per run. *)
-let const_init ~name ~array ~size =
-  Printf.sprintf
-    "void %s() {\n\
-    \  int i;\n\
-    \  for (i = 0; i < %d; i = i + 1) {\n\
-    \    %s[i] = (i * 73 + 41) %% 256 - 128;\n\
-    \  }\n\
-     }\n"
-    name size array
-
-(** Same, for float tables. *)
+(** Fixed-size initialization code for a float table: a table-setup
+    function whose loop bounds never depend on the input — classified
+    as {e constant} coverage when called once per run. *)
 let const_init_float ~name ~array ~size =
   Printf.sprintf
     "void %s() {\n\

@@ -650,7 +650,8 @@ let test_online_report_structure () =
   Alcotest.(check bool) "ci groups found" true (r.JM.o_cis > 0);
   Alcotest.(check bool) "cad accounting" true
     (r.JM.o_cad_completed + r.JM.o_cad_cancelled <= r.JM.o_cad_launched);
-  (* all three runs execute the same adapted module on the same input *)
+  (* all three baselines are lanes of one execution of the adapted
+     module, so they share its result *)
   let same a b =
     match (a, b) with
     | Some a, Some b -> Ir.Eval.equal_value a b

@@ -258,9 +258,6 @@ let test_pool_all_elements_visited () =
   U.Pool.iter ~jobs:4 (fun _ -> Atomic.incr counter) (List.init 50 (fun i -> i));
   Alcotest.(check int) "every element visited once" 50 (Atomic.get counter)
 
-let test_pool_default_jobs () =
-  Alcotest.(check bool) "default_jobs >= 1" true (U.Pool.default_jobs () >= 1)
-
 (* ------------------------------------------------------------------ *)
 (* Trace                                                               *)
 (* ------------------------------------------------------------------ *)
@@ -952,7 +949,6 @@ let () =
             test_pool_exception_propagation;
           Alcotest.test_case "iter visits all" `Quick
             test_pool_all_elements_visited;
-          Alcotest.test_case "default jobs" `Quick test_pool_default_jobs;
           Alcotest.test_case "map_result ok" `Quick test_pool_map_result_ok;
           Alcotest.test_case "map_result isolation" `Quick
             test_pool_map_result_isolates_failures;

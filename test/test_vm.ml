@@ -2298,12 +2298,9 @@ let minor_words_per_instr name tuning =
   in
   (after -. before) /. Int64.to_float instrs
 
-(* Minor words per dynamic instruction of one monitored run of [name]'s
-   adapted module, on its last dataset, set up like the online
-   controller's runs: every CI starts at a software cost, a phase
-   window observes every block, and each closed window rebinds every CI
-   between software and hardware cost. *)
-let monitored_adapted_words_per_instr name =
+(* [name]'s module adapted to its whole selection, the adapted CI
+   registry, and the size of its last dataset. *)
+let adapted_module name =
   let w = Option.get (W.Registry.find name) in
   let spec = Core.Spec.default |> Core.Spec.with_prune Ise.Prune.none in
   let r = Core.Experiment.evaluate ~spec (Pp.Database.create ()) w in
@@ -2311,8 +2308,18 @@ let monitored_adapted_words_per_instr name =
     Core.Adapt.apply r.Core.Experiment.compiled.F.Compiler.modul
       r.Core.Experiment.report.Core.Asip_sp.selection
   in
-  let cis = adapt.Core.Adapt.registry and m = adapt.Core.Adapt.modul in
-  let n = (List.hd (List.rev w.W.Workload.datasets)).W.Workload.n in
+  ( adapt.Core.Adapt.registry,
+    adapt.Core.Adapt.modul,
+    (List.hd (List.rev w.W.Workload.datasets)).W.Workload.n )
+
+(* Minor words per dynamic instruction of one monitored run of [name]'s
+   adapted module, on its last dataset, with [lanes] clock lanes, set up
+   like the online controller's run: every CI starts at a software cost
+   in every lane, a phase window observes every block, and each closed
+   window rebinds every CI between software and hardware cost, odd
+   lanes in the opposite mode to even ones. *)
+let monitored_adapted_words_per_instr ~lanes name =
+  let cis, m, n = adapted_module name in
   let run () =
     let window =
       Vm.Profile.Window.create ~size:4096 ~decay:0.5
@@ -2325,17 +2332,17 @@ let monitored_adapted_words_per_instr name =
             (if hw then float_of_int impl.Vm.Machine.ci_cycles else 40.0))
         cis
     in
-    let monitor ctl =
-      bind ctl false;
+    let monitor ctls =
+      Array.iter (fun ctl -> bind ctl false) ctls;
       let hw = ref false in
       fun bid ->
         if Vm.Profile.Window.observe window bid then begin
           Vm.Profile.Window.advance window;
           hw := not !hw;
-          bind ctl !hw
+          Array.iteri (fun l ctl -> bind ctl (!hw = (l mod 2 = 0))) ctls
         end
     in
-    Vm.Machine.run ~cis ~monitor m ~entry:"main"
+    Vm.Machine.run ~cis ~lanes ~monitor m ~entry:"main"
       ~args:[ Ir.Eval.VInt (Int64.of_int n) ]
   in
   ignore (run ());
@@ -2345,6 +2352,126 @@ let monitored_adapted_words_per_instr name =
   Alcotest.(check bool) (name ^ ": the adapted module dispatches CIs") true
     (Hashtbl.length cis > 0);
   (after -. before) /. Int64.to_float o.profile.Vm.Profile.executed_instrs
+
+(* Clock lanes: one monitored execution with several lanes reads, in
+   each lane, exactly the clocks a single-lane run under that lane's
+   schedule reads.  Lane schedules are keyed by the closed-window
+   count, [k = 0] being the monitor start, and differ in every
+   respect: which CIs they rebind, when, to what, and when they stall. *)
+let lane_schedules : (int -> Vm.Machine.control -> int list -> unit) array =
+  let bind_all ctl ids c =
+    List.iter (fun id -> ctl.Vm.Machine.ctl_bind id c) ids
+  in
+  [|
+    (* software cost from the start, a stall at monitor start, hardware
+       cost on every third window *)
+    (fun k ctl ids ->
+      if k = 0 then begin
+        ctl.Vm.Machine.ctl_stall 12345.5;
+        bind_all ctl ids 40.0
+      end
+      else bind_all ctl ids (if k mod 3 = 0 then 3.0 else 40.0));
+    (* static binding; odd CIs to software on odd windows, a stall on
+       every fifth *)
+    (fun k ctl ids ->
+      if k > 0 then begin
+        if k mod 5 = 0 then ctl.Vm.Machine.ctl_stall 777.25;
+        List.iter
+          (fun id ->
+            if id mod 2 = 1 then
+              ctl.Vm.Machine.ctl_bind id (if k mod 2 = 1 then 63.0 else 7.0))
+          ids
+      end);
+    (* a large stall at monitor start, software cost forever *)
+    (fun k ctl ids ->
+      if k = 0 then begin
+        bind_all ctl ids 40.0;
+        ctl.Vm.Machine.ctl_stall 1.0e6
+      end);
+  |]
+
+let test_monitor_lanes_match_single_runs () =
+  List.iter
+    (fun name ->
+      let cis, m, n = adapted_module name in
+      let ids =
+        List.sort compare (Hashtbl.fold (fun id _ acc -> id :: acc) cis [])
+      in
+      Alcotest.(check bool) (name ^ ": the adapted module has CIs") true
+        (ids <> []);
+      (* Run lanes [sel] of [lane_schedules] as one execution. *)
+      let run engine (sel : int array) =
+        let window =
+          Vm.Profile.Window.create ~size:2048 ~decay:0.5
+            ~blocks:(Ir.Irmod.num_blocks m)
+        in
+        let ctls = ref [||] in
+        let monitor cs =
+          ctls := cs;
+          Array.iteri (fun i ctl -> lane_schedules.(sel.(i)) 0 ctl ids) cs;
+          let k = ref 0 in
+          fun bid ->
+            if Vm.Profile.Window.observe window bid then begin
+              Vm.Profile.Window.advance window;
+              incr k;
+              Array.iteri (fun i ctl -> lane_schedules.(sel.(i)) !k ctl ids) cs
+            end
+        in
+        let o =
+          Vm.Machine.run ~cis ~engine ~lanes:(Array.length sel) ~monitor m
+            ~entry:"main" ~args:[ Ir.Eval.VInt (Int64.of_int n) ]
+        in
+        let clocks =
+          Array.map
+            (fun ctl ->
+              ( Int64.bits_of_float (ctl.Vm.Machine.ctl_native ()),
+                Int64.bits_of_float (ctl.Vm.Machine.ctl_vm ()) ))
+            !ctls
+        in
+        (o, clocks)
+      in
+      List.iter
+        (fun engine ->
+          let what = name ^ " " ^ Vm.Machine.engine_name engine in
+          let multi, lanes = run engine [| 0; 1; 2 |] in
+          Alcotest.(check bool) (what ^ ": outcome clocks are lane 0's") true
+            (lanes.(0)
+            = ( Int64.bits_of_float multi.Vm.Machine.native_cycles,
+                Int64.bits_of_float multi.Vm.Machine.vm_cycles ));
+          Array.iteri
+            (fun l clocks ->
+              let single, single_clocks = run engine [| l |] in
+              let lw = Printf.sprintf "%s lane %d" what l in
+              Alcotest.(check bool) (lw ^ ": clocks bit for bit") true
+                (clocks = single_clocks.(0));
+              Alcotest.(check bool) (lw ^ ": ret") true
+                (multi.Vm.Machine.ret = single.Vm.Machine.ret);
+              Alcotest.(check bool) (lw ^ ": profile") true
+                (Vm.Profile.to_list multi.Vm.Machine.profile
+                 = Vm.Profile.to_list single.Vm.Machine.profile
+                && multi.Vm.Machine.profile.Vm.Profile.executed_instrs
+                   = single.Vm.Machine.profile.Vm.Profile.executed_instrs))
+            lanes;
+          Alcotest.(check bool) (what ^ ": the schedules disagree") true
+            (lanes.(0) <> lanes.(1) && lanes.(1) <> lanes.(2)
+            && lanes.(0) <> lanes.(2)))
+        Vm.Machine.engines)
+    [ "phased.sweep"; "phased.flash" ]
+
+let test_monitor_lanes_validation () =
+  let m = compile "int main(int n) { return n; }" in
+  let invalid f =
+    match f () with _ -> false | exception Invalid_argument _ -> true
+  in
+  let monitor _ _ = () in
+  let go ?monitor lanes () =
+    Vm.Machine.run ~lanes ?monitor m ~entry:"main" ~args:[ Ir.Eval.VInt 1L ]
+  in
+  Alcotest.(check bool) "lanes 0" true (invalid (go ~monitor 0));
+  Alcotest.(check bool) "lanes -1" true (invalid (go ~monitor (-1)));
+  Alcotest.(check bool) "lanes 2 without a monitor" true (invalid (go 2));
+  Alcotest.(check bool) "lanes 2 with a monitor" false
+    (invalid (go ~monitor 2))
 
 let test_regalloc_allocation_probe () =
   let off =
@@ -2377,12 +2504,18 @@ let test_regalloc_allocation_probe () =
         (Printf.sprintf "%s: %.4f words/instr < %.3f" app w ceiling)
         true (w < ceiling))
     [ ("458.sjeng", 0.015); ("whetstone", 0.025); ("adpcm", 0.008) ];
-  let mon = monitored_adapted_words_per_instr "phased.sweep" in
-  Printf.printf "minor words/instr: monitored adapted phased.sweep %.4f\n" mon;
-  Alcotest.(check bool)
-    (Printf.sprintf "monitored adapted phased.sweep: %.4f words/instr < %.3f"
-       mon 0.065)
-    true (mon < 0.065)
+  List.iter
+    (fun lanes ->
+      let mon = monitored_adapted_words_per_instr ~lanes "phased.sweep" in
+      Printf.printf
+        "minor words/instr: monitored adapted phased.sweep, %d lanes %.4f\n"
+        lanes mon;
+      Alcotest.(check bool)
+        (Printf.sprintf
+           "monitored adapted phased.sweep, %d lanes: %.4f words/instr < %.3f"
+           lanes mon 0.065)
+        true (mon < 0.065))
+    [ 1; 3 ]
 
 (* ------------------------------------------------------------------ *)
 (* Engine golden: full Experiment reports are engine-invariant         *)
@@ -2627,6 +2760,13 @@ let () =
           QCheck_alcotest.to_alcotest qcheck_adversarial_ints;
           Alcotest.test_case "allocation probe" `Slow
             test_regalloc_allocation_probe;
+        ] );
+      ( "monitor lanes",
+        [
+          Alcotest.test_case "lanes match single-lane runs" `Slow
+            test_monitor_lanes_match_single_runs;
+          Alcotest.test_case "lane count validation" `Quick
+            test_monitor_lanes_validation;
         ] );
       ( "engine golden",
         [
