@@ -254,8 +254,8 @@ let run_timeline name jobs fault_options =
     mk_spec ~trace:None ~jobs:1 ~shared_cache:false ~stage_cache:false
       ~store_dir:None ~vm_engine:Vm.Machine.default_engine ~fault_options
   in
-  let r = Core.Experiment.evaluate ~spec db w in
-  let t = Core.Jit_manager.timeline ~jobs r.Core.Experiment.report in
+  let _, report = Core.Experiment.specialize ~spec db w in
+  let t = Core.Jit_manager.timeline ~jobs report in
   Format.printf "%a" Core.Jit_manager.pp_timeline t;
   Printf.printf
     "\nspeedup %.2fx; specialization %s; reconfiguration %.1f ms\n"

@@ -177,6 +177,42 @@ let evaluate ?(spec = Spec.default) (db : Pp.Database.t) (w : W.Workload.t) :
     app_result =
   finish ~spec (prepare ~spec db w)
 
+(** The specialization the paper's ASIP-SP performs at run time:
+    compile, profile the train dataset (the first) only, search and
+    CAD, under one {!Pipeline.ctx}.  Returns the compiled module and
+    the finalized report — all that the online controller and the
+    timeline read — without {!evaluate}'s runs of the other datasets
+    or its coverage, kernel and break-even analyses.  For the same
+    spec the report's selection, candidates, drops and simulated costs
+    are {!evaluate}'s.  [compile] keys on the whole workload, as in
+    {!prepare}; [profile]'s digest covers the dataset list, so the
+    train-only profile has its own key, while the search and CAD
+    stages, keyed on the module and the train profile, share
+    {!prepare}'s artifacts.
+    @raise Invalid_argument when the workload has no datasets. *)
+let specialize ?(spec = Spec.default) (db : Pp.Database.t) (w : W.Workload.t)
+    : F.Compiler.result * Asip_sp.report =
+  let train =
+    match w.W.Workload.datasets with
+    | d :: _ -> d
+    | [] -> invalid_arg "Experiment.specialize: workload has no datasets"
+  in
+  let app = w.W.Workload.name in
+  let ctx = Pipeline.context ~spec ~app () in
+  let compiled = Pipeline.exec ctx compile_stage w in
+  let outcome =
+    snd
+      (List.hd
+         (Pipeline.exec ctx profile_stage
+            ({ w with W.Workload.datasets = [ train ] }, compiled)))
+  in
+  let staged =
+    Asip_sp.stage_in ctx db compiled.F.Compiler.modul
+      outcome.Vm.Machine.profile
+      ~total_cycles:outcome.Vm.Machine.native_cycles
+  in
+  (compiled, Asip_sp.finalize ~spec ~app staged)
+
 (** Run every registered workload — the sweep engine.  [spec.jobs]
     domains prepare the applications concurrently; finalization runs
     sequentially in registry order, so the results (including the

@@ -524,26 +524,27 @@ let sync_bindings ~(emit : float -> string -> unit) (ln : lane)
       end)
     ln.ln_entries
 
-(** Close the loop over one workload.  Prepares the staged
-    specialization with {!Experiment.evaluate} (profiles, search, CAD —
-    reusing the staged pipeline, supervisor, caches and fault model
-    exactly as the batch path does), adapts the binary once, then runs
-    nospec / oracle / adaptive as three lanes of one monitored run.
-    The loop itself is a sequential simulated-time computation, so its
-    result is independent of [spec.jobs] — asserted by the bench. *)
+(** Close the loop over one workload.  Specializes from the train
+    profile alone with {!Experiment.specialize} (compile, train-dataset
+    profile, search, CAD — reusing the staged pipeline, supervisor,
+    caches and fault model exactly as the batch path does), adapts the
+    binary once, then runs nospec / oracle / adaptive as three lanes of
+    one monitored run on the last dataset.  The loop itself is a
+    sequential simulated-time computation, so its result is independent
+    of [spec.jobs] — asserted by the bench. *)
 let online ?(spec = Spec.default) (db : Pp.Database.t) (w : W.Workload.t) :
     online_report =
   let cfg = spec.Spec.online in
-  let r = Experiment.evaluate ~spec db w in
-  let slots = effective_slots r.Experiment.report in
-  let adapt =
-    Adapt.apply r.Experiment.compiled.F.Compiler.modul
-      (List.map (fun (c : Asip_sp.candidate_result) -> c.Asip_sp.scored) slots)
-  in
   let dataset =
     match List.rev w.W.Workload.datasets with
     | d :: _ -> d
     | [] -> invalid_arg "Jit_manager.online: workload has no datasets"
+  in
+  let compiled, report = Experiment.specialize ~spec db w in
+  let slots = effective_slots report in
+  let adapt =
+    Adapt.apply compiled.F.Compiler.modul
+      (List.map (fun (c : Asip_sp.candidate_result) -> c.Asip_sp.scored) slots)
   in
   let events = ref [] in
   let emit at_seconds what = events := { at_seconds; what } :: !events in

@@ -88,17 +88,21 @@ type online_report = {
   o_cad_cancelled : int;
 }
 
-(** Close the loop over one workload: run the staged specialization
-    ({!Experiment.evaluate}), adapt the binary once, then execute the
-    adapted module once on the last dataset under the VM monitor, with
-    three clock lanes ({!Vm.Machine.control}) — no-specialization,
-    oracle and adaptive.  The lanes differ only in per-dispatch CI cost
-    and stalls, so they share the block trace and the return value, and
-    each lane's cycle totals are those a separate run of that baseline
-    would read: directly comparable.  The loop is a sequential
-    simulated-time computation: the result is independent of
-    [spec.jobs].
-    @raise Invalid_argument when the workload has no datasets. *)
+(** Close the loop over one workload: specialize from the train
+    profile alone ({!Experiment.specialize}: compile, profile the first
+    dataset, search, CAD — no run of the other datasets and no
+    coverage or kernel analysis), adapt the binary once, then execute
+    the adapted module once on the last dataset under the VM monitor,
+    with three clock lanes ({!Vm.Machine.control}) — no-specialization,
+    oracle and adaptive.  A one-dataset workload is profiled and looped
+    on that same dataset.  The lanes differ only in per-dispatch CI
+    cost and stalls, so they share the block trace and the return
+    value, and each lane's cycle totals are those a separate run of
+    that baseline would read: directly comparable.  The loop is a
+    sequential simulated-time computation: the result is independent
+    of [spec.jobs].
+    @raise Invalid_argument ["Jit_manager.online: workload has no
+    datasets"] before any stage runs when the dataset list is empty. *)
 val online : ?spec:Spec.t -> Pp.Database.t -> W.Workload.t -> online_report
 
 val pp_online_run : Format.formatter -> online_run -> unit

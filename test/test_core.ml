@@ -774,6 +774,72 @@ let test_online_spec_validation () =
            { Core.Spec.default_online with Core.Spec.decay = 1.0 }
            Core.Spec.default))
 
+let test_online_dataset_checks () =
+  let w = Option.get (W.Registry.find "phased.blend") in
+  (* the dataset list is checked before any stage runs *)
+  Alcotest.check_raises "no datasets"
+    (Invalid_argument "Jit_manager.online: workload has no datasets")
+    (fun () ->
+      ignore (JM.online ~spec:online_spec db { w with W.Workload.datasets = [] }));
+  (* the train dataset alone is enough: it is profiled, then looped on *)
+  let train = List.hd w.W.Workload.datasets in
+  let r =
+    JM.online ~spec:online_spec db { w with W.Workload.datasets = [ train ] }
+  in
+  Alcotest.(check string) "loop runs on the only dataset"
+    train.W.Workload.label r.JM.o_dataset;
+  Alcotest.(check bool) "windows observed" true (r.JM.o_windows > 0)
+
+let test_specialize_matches_evaluate () =
+  (* the train-only entry decides exactly what the batch pipeline
+     decides: same selection, slots and drops, bit-identical costs *)
+  let bits x = Printf.sprintf "%h" x in
+  let speedup (s : Ise.Speedup.t) =
+    List.map bits
+      [ s.Ise.Speedup.total_cycles; s.Ise.Speedup.saved_cycles; s.Ise.Speedup.ratio ]
+  in
+  List.iter
+    (fun (name, spec) ->
+      let w = Option.get (W.Registry.find name) in
+      let full = (Core.Experiment.evaluate ~spec db w).Core.Experiment.report in
+      let _, train = Core.Experiment.specialize ~spec db w in
+      let check what ok = Alcotest.(check bool) (name ^ ": " ^ what) true ok in
+      check "selection"
+        (full.Core.Asip_sp.selection = train.Core.Asip_sp.selection);
+      check "candidates"
+        (full.Core.Asip_sp.candidates = train.Core.Asip_sp.candidates);
+      check "dropped" (full.Core.Asip_sp.dropped = train.Core.Asip_sp.dropped);
+      Alcotest.(check string) (name ^ ": sum_seconds")
+        (bits full.Core.Asip_sp.sum_seconds)
+        (bits train.Core.Asip_sp.sum_seconds);
+      Alcotest.(check (list string)) (name ^ ": asip_ratio")
+        (speedup full.Core.Asip_sp.asip_ratio)
+        (speedup train.Core.Asip_sp.asip_ratio))
+    [
+      ("phased.blend", online_spec);
+      ("phased.sweep", online_spec);
+      ("phased.flash", online_spec);
+      ("sor", Core.Spec.default);
+      ("fft", Core.Spec.default);
+    ]
+
+let test_online_profiles_train_only () =
+  (* the saving itself: one profile span (the train run), and none of
+     the batch analyses online never reads *)
+  let tracer = Jitise_util.Trace.create () in
+  let w = Option.get (W.Registry.find "phased.blend") in
+  ignore (JM.online ~spec:(Core.Spec.with_tracer tracer online_spec) db w);
+  let spans stage =
+    List.length
+      (List.filter
+         (fun (e : Jitise_util.Trace.event) ->
+           List.hd (String.split_on_char ':' e.Jitise_util.Trace.name) = stage)
+         (Jitise_util.Trace.events tracer))
+  in
+  Alcotest.(check int) "one profile span" 1 (spans "profile");
+  Alcotest.(check int) "no coverage span" 0 (spans "coverage");
+  Alcotest.(check int) "no kernel span" 0 (spans "kernel")
+
 let () =
   Alcotest.run "core"
     [
@@ -840,5 +906,10 @@ let () =
             test_online_knobs_do_not_touch_the_sweep;
           Alcotest.test_case "spec validation" `Quick
             test_online_spec_validation;
+          Alcotest.test_case "dataset checks" `Slow test_online_dataset_checks;
+          Alcotest.test_case "specialize matches evaluate" `Slow
+            test_specialize_matches_evaluate;
+          Alcotest.test_case "profiles the train set only" `Slow
+            test_online_profiles_train_only;
         ] );
     ]
