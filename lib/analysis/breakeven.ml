@@ -37,11 +37,12 @@ type split = {
 (** Split baseline cycles and candidate savings by coverage class. *)
 let split_costs (m : Ir.Irmod.t) (profile : Vm.Profile.t)
     (coverage : Coverage.t) (selection : Ise.Select.scored list) : split =
+  let class_of = Coverage.index coverage in
   let live_cycles = ref 0.0 and const_cycles = ref 0.0 in
   List.iter
     (fun ((fname, label), cycles) ->
       let c = Int64.to_float cycles in
-      match Coverage.class_of coverage ~func:fname ~label with
+      match class_of ~func:fname ~label with
       | Coverage.Live -> live_cycles := !live_cycles +. c
       | Coverage.Constant -> const_cycles := !const_cycles +. c
       | Coverage.Dead -> ())
@@ -51,8 +52,7 @@ let split_costs (m : Ir.Irmod.t) (profile : Vm.Profile.t)
     (fun (s : Ise.Select.scored) ->
       let c = s.Ise.Select.candidate in
       match
-        Coverage.class_of coverage ~func:c.Ise.Candidate.func
-          ~label:c.Ise.Candidate.block
+        class_of ~func:c.Ise.Candidate.func ~label:c.Ise.Candidate.block
       with
       | Coverage.Live -> live_saved := !live_saved +. s.Ise.Select.saved_cycles
       | Coverage.Constant ->

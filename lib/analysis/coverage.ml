@@ -97,10 +97,15 @@ let percentages t =
   in
   (pct t.live_instrs, pct t.dead_instrs, pct t.const_instrs)
 
-(** Classification of one block, [Dead] when unknown. *)
-let class_of t ~func ~label =
-  match
-    List.find_opt (fun b -> b.func = func && b.label = label) t.blocks
-  with
-  | Some b -> b.classification
-  | None -> Dead
+(** Block lookup: [index t] builds a [(func, label)] table in one pass
+    over [t.blocks] (the first entry for a block wins) and returns its
+    constant-time query, [Dead] for a block [t] does not list. *)
+let index t =
+  let tbl = Hashtbl.create (List.length t.blocks) in
+  List.iter
+    (fun b ->
+      let key = (b.func, b.label) in
+      if not (Hashtbl.mem tbl key) then Hashtbl.add tbl key b.classification)
+    t.blocks;
+  fun ~func ~label ->
+    match Hashtbl.find_opt tbl (func, label) with Some c -> c | None -> Dead

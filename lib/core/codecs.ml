@@ -345,61 +345,22 @@ let profile : Vm.Profile.t B.codec =
       p)
     (B.pair (B.list (B.pair (B.pair B.string B.int) B.int64)) B.int64)
 
-(** VM memory: the backed cells below the stack pointer (one boxed
-    [value] each, whatever the in-memory cell layout), the global
-    layout and the growth limit.  [load] only ever reads below
-    [stack_pointer], so this reconstructs an observationally identical
-    memory. *)
-let memory : Vm.Memory.t B.codec =
-  B.codec
-    (fun b (m : Vm.Memory.t) ->
-      B.w_int b m.Vm.Memory.stack_pointer;
-      B.w_int b m.Vm.Memory.limit;
-      let n = min m.Vm.Memory.stack_pointer (Vm.Memory.capacity m) in
-      B.w_len b n;
-      for i = 0 to n - 1 do
-        value.B.enc b (Vm.Memory.cell m i)
-      done;
-      let globals =
-        Hashtbl.fold (fun k v acc -> (k, v) :: acc) m.Vm.Memory.globals []
-        |> List.sort compare
-      in
-      B.w_list (fun b (k, v) -> B.w_string b k; B.w_int b v) b globals)
-    (fun r ->
-      let stack_pointer = B.r_int r in
-      let limit = B.r_int r in
-      let n = B.r_len r in
-      let m = Vm.Memory.create ~limit ~capacity:(max 1024 n) () in
-      m.Vm.Memory.stack_pointer <- stack_pointer;
-      for i = 0 to n - 1 do
-        Vm.Memory.set_cell m i (value.B.dec r)
-      done;
-      let pairs =
-        B.r_list
-          (fun r ->
-            let k = B.r_string r in
-            let v = B.r_int r in
-            (k, v))
-          r
-      in
-      List.iter (fun (k, v) -> Hashtbl.replace m.Vm.Memory.globals k v) pairs;
-      m)
-
+(** VM outcomes without their memory image, which no stage reads
+    (the profile stage drops it before storing): decoding yields
+    [memory = None]. *)
 let machine_outcome : Vm.Machine.outcome B.codec =
   B.codec
     (fun b (o : Vm.Machine.outcome) ->
       B.w_option value.B.enc b o.Vm.Machine.ret;
       B.w_float b o.Vm.Machine.native_cycles;
       B.w_float b o.Vm.Machine.vm_cycles;
-      profile.B.enc b o.Vm.Machine.profile;
-      memory.B.enc b o.Vm.Machine.memory)
+      profile.B.enc b o.Vm.Machine.profile)
     (fun r ->
       let ret = B.r_option value.B.dec r in
       let native_cycles = B.r_float r in
       let vm_cycles = B.r_float r in
       let profile = profile.B.dec r in
-      let memory = memory.B.dec r in
-      { Vm.Machine.ret; native_cycles; vm_cycles; profile; memory })
+      { Vm.Machine.ret; native_cycles; vm_cycles; profile; memory = None })
 
 let dataset : W.Workload.dataset B.codec =
   B.map

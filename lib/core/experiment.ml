@@ -88,9 +88,19 @@ let profile_stage :
        test_vm), so artifacts stay valid across all of them. *)
     ~digest:(fun _spec (w, _compiled) -> workload_digest w)
     ~codec:Codecs.profile_outcomes
+    (* No stage reads the final memory image, and the codec does not
+       store it: dropping it right after each run frees the image and
+       makes a computed artifact equal to a decoded one. *)
     (fun ctx (w, compiled) ->
-      W.Workload.run_all ~engine:ctx.Pipeline.spec.Spec.vm_engine
-        ~tuning:ctx.Pipeline.spec.Spec.vm_tuning compiled w)
+      let spec = ctx.Pipeline.spec in
+      List.map
+        (fun d ->
+          let o =
+            W.Workload.run ~engine:spec.Spec.vm_engine
+              ~tuning:spec.Spec.vm_tuning compiled d
+          in
+          (d, { o with Vm.Machine.memory = None }))
+        w.W.Workload.datasets)
 
 let coverage_stage :
     ( W.Workload.t * Ir.Irmod.t * Vm.Profile.t list,

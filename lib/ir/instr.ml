@@ -145,7 +145,7 @@ let successors = function
   | Switch (_, d, cases) -> d :: List.map snd cases
 
 (* ------------------------------------------------------------------ *)
-(* Names (shared by the printer and parser)                            *)
+(* Names (printer, DFG dumps, PivPav lookups)                         *)
 (* ------------------------------------------------------------------ *)
 
 let binop_name = function
@@ -155,24 +155,10 @@ let binop_name = function
   | Ashr -> "ashr" | Fadd -> "fadd" | Fsub -> "fsub" | Fmul -> "fmul"
   | Fdiv -> "fdiv"
 
-let binop_of_name = function
-  | "add" -> Some Add | "sub" -> Some Sub | "mul" -> Some Mul
-  | "sdiv" -> Some Sdiv | "udiv" -> Some Udiv | "srem" -> Some Srem
-  | "urem" -> Some Urem | "and" -> Some And | "or" -> Some Or
-  | "xor" -> Some Xor | "shl" -> Some Shl | "lshr" -> Some Lshr
-  | "ashr" -> Some Ashr | "fadd" -> Some Fadd | "fsub" -> Some Fsub
-  | "fmul" -> Some Fmul | "fdiv" -> Some Fdiv | _ -> None
-
 let icmp_name = function
   | Ieq -> "eq" | Ine -> "ne" | Islt -> "slt" | Isle -> "sle"
   | Isgt -> "sgt" | Isge -> "sge" | Iult -> "ult" | Iule -> "ule"
   | Iugt -> "ugt" | Iuge -> "uge"
-
-let icmp_of_name = function
-  | "eq" -> Some Ieq | "ne" -> Some Ine | "slt" -> Some Islt
-  | "sle" -> Some Isle | "sgt" -> Some Isgt | "sge" -> Some Isge
-  | "ult" -> Some Iult | "ule" -> Some Iule | "ugt" -> Some Iugt
-  | "uge" -> Some Iuge | _ -> None
 
 let fcmp_name = function
   | Foeq -> "oeq" | Fone -> "one" | Folt -> "olt" | Fole -> "ole"
@@ -182,12 +168,6 @@ let cast_name = function
   | Trunc -> "trunc" | Zext -> "zext" | Sext -> "sext"
   | Fptosi -> "fptosi" | Sitofp -> "sitofp" | Fpext -> "fpext"
   | Fptrunc -> "fptrunc" | Bitcast -> "bitcast"
-
-let cast_of_name = function
-  | "trunc" -> Some Trunc | "zext" -> Some Zext | "sext" -> Some Sext
-  | "fptosi" -> Some Fptosi | "sitofp" -> Some Sitofp
-  | "fpext" -> Some Fpext | "fptrunc" -> Some Fptrunc
-  | "bitcast" -> Some Bitcast | _ -> None
 
 (** Short mnemonic used in DFG dumps and PivPav component lookups. *)
 let opcode_name = function

@@ -37,8 +37,6 @@ let add_func t f =
 let find_func t name =
   List.find_opt (fun (f : Func.t) -> f.Func.name = name) t.funcs
 
-let find_global t name = List.find_opt (fun g -> g.gname = name) t.globals
-
 (** Total non-terminator instructions across all functions — the paper's
     "ins" column of Table I. *)
 let num_instrs t =

@@ -13,8 +13,6 @@ let pp_error ppf e =
   | None -> Format.fprintf ppf "%s: %s" e.func e.message
   | Some b -> Format.fprintf ppf "%s/bb%d: %s" e.func b e.message
 
-exception Invalid of error list
-
 (* Collect the type environment: register -> type for params and all
    instruction results.  Duplicate definitions are reported. *)
 let type_env (f : Func.t) errors =
@@ -163,10 +161,6 @@ let check_func (f : Func.t) =
 
 let check_module (m : Irmod.t) =
   List.concat_map check_func m.Irmod.funcs
-
-(** Raise {!Invalid} when the module has verification errors. *)
-let check_module_exn m =
-  match check_module m with [] -> () | errors -> raise (Invalid errors)
 
 let errors_to_string errors =
   String.concat "\n" (List.map (Format.asprintf "%a" pp_error) errors)

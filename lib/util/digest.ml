@@ -21,10 +21,21 @@ let feed_byte c b =
    add_string "b" even before length prefixes are considered. *)
 let tag c ch = feed_byte c (Char.code ch)
 
+(* The two loops below keep the state in a local [ref], which ocamlopt
+   turns into an unboxed mutable variable: the loop allocates nothing,
+   and the only box is the one written back to [c.h] at the end.
+   Going through [feed_byte] per byte would box every intermediate
+   state (3 words a byte). *)
 let feed_int64 c x =
+  let h = ref c.h in
   for i = 0 to 7 do
-    feed_byte c (Int64.to_int (Int64.shift_right_logical x (i * 8)))
-  done
+    h :=
+      Int64.mul
+        (Int64.logxor !h
+           (Int64.logand (Int64.shift_right_logical x (i * 8)) 0xffL))
+        fnv_prime
+  done;
+  c.h <- !h
 
 let add_int64 c x =
   tag c 'I';
@@ -37,7 +48,14 @@ let add_int c x =
 let add_string c s =
   tag c 'S';
   feed_int64 c (Int64.of_int (String.length s));
-  String.iter (fun ch -> feed_byte c (Char.code ch)) s
+  let h = ref c.h in
+  for i = 0 to String.length s - 1 do
+    h :=
+      Int64.mul
+        (Int64.logxor !h (Int64.of_int (Char.code (String.unsafe_get s i))))
+        fnv_prime
+  done;
+  c.h <- !h
 
 let add_float c x =
   tag c 'F';

@@ -560,7 +560,7 @@ type outcome = {
   native_cycles : float;
   vm_cycles : float;
   profile : Profile.t;
-  memory : Memory.t;
+  memory : Memory.t option;
 }
 
 (** Simulated seconds for a cycle count, at the PowerPC 405 clock. *)
@@ -3215,4 +3215,4 @@ let run ?(fuel = 4_000_000_000L) ?(jit = Jit_model.default)
         fi.blocks)
     funcs;
   { ret; native_cycles = st.clocks.(0); vm_cycles = st.clocks.(1); profile;
-    memory }
+    memory = Some memory }

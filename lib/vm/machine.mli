@@ -161,7 +161,11 @@ type outcome = {
   native_cycles : float;
   vm_cycles : float;
   profile : Profile.t;
-  memory : Memory.t;
+  memory : Memory.t option;
+      (** The final memory image.  {!run} always returns [Some]; a
+          caller that keeps outcomes around without reading their
+          memory (the pipeline's profile stage, whose stored artifact
+          does not carry it) drops it to [None]. *)
 }
 
 (** Simulated seconds for a cycle count, at the PowerPC 405 clock. *)

@@ -19,8 +19,7 @@
 (** The memory state.  The representation is concrete on purpose: the
     compiled VM engine reads and writes cells through these fields
     directly (a cross-module call on its hot path would box every int64
-    and float it moves), and the outcome codecs serialize and rebuild
-    memory through {!cell}/{!set_cell}.
+    and float it moves).
 
     Cell layout, one cell per address [a < capacity t]:
     - [tags.[a]] is the constructor tag: ['\000'] {!Jitise_ir.Eval.VInt},
@@ -80,20 +79,6 @@ val load_ptr : t -> int -> int
 val store_int : t -> int -> int64 -> unit
 val store_float : t -> int -> float -> unit
 val store_ptr : t -> int -> int -> unit
-
-(** {2 Raw cells}
-
-    No live-range check: for serialization, which covers every backed
-    cell below the stack pointer, address 0 included. *)
-
-(** [cell t a] for [0 <= a < capacity t].
-    @raise Invalid_argument otherwise. *)
-val cell : t -> int -> Jitise_ir.Eval.value
-
-(** Write cell [a], growing the backing as needed.
-    @raise Bad_address if [a < 0].
-    @raise Out_of_memory past the growth cap. *)
-val set_cell : t -> int -> Jitise_ir.Eval.value -> unit
 
 (** Reserve [n] cells and return their base address.
     @raise Invalid_argument if [n <= 0].

@@ -6,6 +6,8 @@ module Vm = Jitise_vm
 module F = Jitise_frontend
 module Ise = Jitise_ise
 module An = Jitise_analysis
+module W = Jitise_workloads
+module Core = Jitise_core
 
 let compile src = (F.Compiler.compile_string ~name:"t" src).F.Compiler.modul
 
@@ -42,8 +44,29 @@ let test_coverage_classes () =
   Alcotest.(check (float 1e-6)) "percentages sum to 100" 100.0
     (live +. dead +. const);
   (* the never() function is entirely dead *)
+  let class_of = An.Coverage.index cov in
   Alcotest.(check bool) "never() is dead" true
-    (An.Coverage.class_of cov ~func:"never" ~label:0 = An.Coverage.Dead)
+    (class_of ~func:"never" ~label:0 = An.Coverage.Dead);
+  Alcotest.(check bool) "unknown block is dead" true
+    (class_of ~func:"nosuch" ~label:0 = An.Coverage.Dead);
+  (* A block listed twice keeps its first classification. *)
+  let first = List.hd cov.An.Coverage.blocks in
+  let dup =
+    {
+      first with
+      An.Coverage.classification =
+        (if first.An.Coverage.classification = An.Coverage.Live then
+           An.Coverage.Dead
+         else An.Coverage.Live);
+    }
+  in
+  let class_of =
+    An.Coverage.index
+      { cov with An.Coverage.blocks = cov.An.Coverage.blocks @ [ dup ] }
+  in
+  Alcotest.(check bool) "first entry wins" true
+    (class_of ~func:first.An.Coverage.func ~label:first.An.Coverage.label
+    = first.An.Coverage.classification)
 
 let test_coverage_requires_two_profiles () =
   let m = compile coverage_src in
@@ -168,6 +191,76 @@ let test_breakeven_split_costs () =
   Alcotest.(check bool) "savings split consistent" true
     (s.An.Breakeven.live_saved +. s.An.Breakeven.const_saved
     <= List.fold_left (fun a x -> a +. x.Ise.Select.saved_cycles) 0.0 sel +. 1e-9)
+
+(* The linear-scan split that [split_costs] replaced: a [List.find_opt]
+   per block, [Dead] when absent, summed in [block_costs] order and
+   then selection order. *)
+let naive_split m profile (cov : An.Coverage.t) sel =
+  let class_of func label =
+    match
+      List.find_opt
+        (fun (b : An.Coverage.block_class) ->
+          b.An.Coverage.func = func && b.An.Coverage.label = label)
+        cov.An.Coverage.blocks
+    with
+    | Some b -> b.An.Coverage.classification
+    | None -> An.Coverage.Dead
+  in
+  let live = ref 0.0 and const = ref 0.0 in
+  List.iter
+    (fun ((f, l), cycles) ->
+      match class_of f l with
+      | An.Coverage.Live -> live := !live +. Int64.to_float cycles
+      | An.Coverage.Constant -> const := !const +. Int64.to_float cycles
+      | An.Coverage.Dead -> ())
+    (Vm.Profile.block_costs profile m);
+  let live_saved = ref 0.0 and const_saved = ref 0.0 in
+  List.iter
+    (fun (s : Ise.Select.scored) ->
+      let c = s.Ise.Select.candidate in
+      match class_of c.Ise.Candidate.func c.Ise.Candidate.block with
+      | An.Coverage.Live -> live_saved := !live_saved +. s.Ise.Select.saved_cycles
+      | An.Coverage.Constant ->
+          const_saved := !const_saved +. s.Ise.Select.saved_cycles
+      | An.Coverage.Dead -> ())
+    sel;
+  {
+    An.Breakeven.live_cycles = !live;
+    const_cycles = !const;
+    live_saved = !live_saved;
+    const_saved = !const_saved;
+  }
+
+(* Every registry app's own module, train profile, coverage and
+   hardware candidates, as [Experiment.finish] passes them: the indexed
+   split equals the naive one float for float, and is the split the
+   experiment reports. *)
+let test_breakeven_split_costs_reference () =
+  let db = Jitise_pivpav.Database.create () in
+  let hex (s : An.Breakeven.split) =
+    Printf.sprintf "%h %h %h %h" s.An.Breakeven.live_cycles
+      s.An.Breakeven.const_cycles s.An.Breakeven.live_saved
+      s.An.Breakeven.const_saved
+  in
+  List.iter
+    (fun w ->
+      let r = Core.Experiment.evaluate db w in
+      let m = r.Core.Experiment.compiled.F.Compiler.modul in
+      let train = (Core.Experiment.train_outcome r).Vm.Machine.profile in
+      let cov = r.Core.Experiment.coverage in
+      let sel =
+        List.map
+          (fun (c : Core.Asip_sp.candidate_result) -> c.Core.Asip_sp.scored)
+          r.Core.Experiment.report.Core.Asip_sp.candidates
+      in
+      let name = w.W.Workload.name in
+      let indexed = An.Breakeven.split_costs m train cov sel in
+      Alcotest.(check string) (name ^ " indexed = naive")
+        (hex (naive_split m train cov sel))
+        (hex indexed);
+      Alcotest.(check string) (name ^ " reported split") (hex indexed)
+        (hex r.Core.Experiment.split))
+    W.Registry.all
 
 (* Epsilon-aware comparisons: the boundary cases that used to fall to
    raw float equality. *)
@@ -323,6 +416,8 @@ let () =
           Alcotest.test_case "monotone" `Quick test_breakeven_monotone_in_overhead;
           Alcotest.test_case "const savings" `Quick test_breakeven_const_savings_help;
           Alcotest.test_case "split costs" `Quick test_breakeven_split_costs;
+          Alcotest.test_case "split costs reference" `Slow
+            test_breakeven_split_costs_reference;
           Alcotest.test_case "epsilon helpers" `Quick
             test_breakeven_epsilon_helpers;
           Alcotest.test_case "worthwhile boundary" `Quick

@@ -88,12 +88,6 @@ let test_instr_operands () =
 
 let test_instr_names () =
   Alcotest.(check string) "binop name" "fmul" (Instr.binop_name Instr.Fmul);
-  Alcotest.(check bool) "binop roundtrip" true
-    (Instr.binop_of_name "ashr" = Some Instr.Ashr);
-  Alcotest.(check bool) "icmp roundtrip" true
-    (Instr.icmp_of_name (Instr.icmp_name Instr.Iuge) = Some Instr.Iuge);
-  Alcotest.(check bool) "cast roundtrip" true
-    (Instr.cast_of_name (Instr.cast_name Instr.Fptosi) = Some Instr.Fptosi);
   Alcotest.(check string) "opcode of icmp" "icmp.slt"
     (Instr.opcode_name (Instr.Icmp (Instr.Islt, Builder.ci32 0, Builder.ci32 1)))
 
@@ -268,8 +262,7 @@ let test_verifier_catches_ret_mismatch () =
 let test_verifier_module () =
   let m = Irmod.create ~name:"m" in
   Irmod.add_func m (diamond_func ());
-  Alcotest.(check bool) "module clean" true (Verifier.check_module m = []);
-  Verifier.check_module_exn m
+  Alcotest.(check bool) "module clean" true (Verifier.check_module m = [])
 
 (* ------------------------------------------------------------------ *)
 (* Irmod                                                               *)

@@ -254,6 +254,35 @@ let test_golden_disk_faults () =
       Alcotest.(check int) "faulted warm restart computes nothing" 0
         (total_computed warm))
 
+(* The profile stage drops each run's memory image, which its codec
+   does not store: the outcomes a cold run computes and the ones a warm
+   restart decodes encode to the same bytes, and neither carries an
+   image. *)
+let test_disk_outcomes_cold_equal_warm () =
+  with_root (fun root ->
+      let db = Pp.Database.create () in
+      let spec () = Core.Spec.with_store_dir root Core.Spec.default in
+      let w = find_workload "sor" in
+      let cold = Core.Experiment.evaluate ~spec:(spec ()) db w in
+      let warm = Core.Experiment.evaluate ~spec:(spec ()) db w in
+      Alcotest.(check int) "warm restart computes nothing" 0
+        (total_computed [ warm ]);
+      let bytes (r : Core.Experiment.app_result) =
+        U.Binio.encode Core.Codecs.profile_outcomes r.Core.Experiment.outcomes
+      in
+      Alcotest.(check string) "outcome bytes" (bytes cold) (bytes warm);
+      List.iter
+        (fun (what, (r : Core.Experiment.app_result)) ->
+          List.iter
+            (fun ((d : W.Workload.dataset), (o : Vm.Machine.outcome)) ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%s %s: no memory image" what
+                   d.W.Workload.label)
+                true
+                (Option.is_none o.Vm.Machine.memory))
+            r.Core.Experiment.outcomes)
+        [ ("cold", cold); ("warm", warm) ])
+
 (* Corrupt and truncate store files under a warm root: the affected
    stages silently recompute, the report does not change, and the
    defective entries are the only extra computes. *)
@@ -572,6 +601,8 @@ let () =
             test_golden_disk_faults;
           Alcotest.test_case "corruption degrades to recompute" `Slow
             test_disk_corruption_degrades_to_recompute;
+          Alcotest.test_case "outcomes equal after warm restart" `Slow
+            test_disk_outcomes_cold_equal_warm;
         ] );
       ( "incremental",
         [

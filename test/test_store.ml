@@ -279,44 +279,82 @@ let test_codec_hw_and_cad () =
   Alcotest.(check bool) "corrupt bitstream stays corrupt" false
     (Cad.Bitstream.well_formed (rt Core.Codecs.bitstream bad))
 
-(* Golden bytes for the memory codec.  The laws above hold for any
-   format that encode and decode change together; stores written by
-   earlier builds must stay readable, so the bytes of a small fixed
-   memory are pinned.  The memory mixes every cell kind: ints at the
-   I32 width, -0.0, a NaN with payload bits, a pointer, [Int64.min_int],
-   and a never-written (zero) cell. *)
-let golden_memory () =
-  let modul = Ir.Irmod.create ~name:"g" in
-  Ir.Irmod.add_global modul
-    { Ir.Irmod.gname = "xs"; gty = Ir.Ty.I32; gsize = 2;
-      ginit = Ir.Irmod.Ints [| 7L; -3L |] };
-  Ir.Irmod.add_global modul
-    { Ir.Irmod.gname = "fs"; gty = Ir.Ty.F64; gsize = 2;
-      ginit = Ir.Irmod.Floats [| -0.0; 1.5 |] };
-  let m = Vm.Memory.create ~limit:4096 () in
-  Vm.Memory.load_globals m modul;
-  let base = Vm.Memory.alloc m 4 in
-  Vm.Memory.store m base (Ir.Eval.VPtr (Vm.Memory.global_base m "fs"));
-  Vm.Memory.store m (base + 1) (Ir.Eval.VInt Int64.min_int);
-  Vm.Memory.store m (base + 2)
-    (Ir.Eval.VFloat (Int64.float_of_bits 0x7ff8_0000_0000_0abcL));
-  m
+(* Golden bytes for the profile stage's artifact.  The laws above hold
+   for any format that encode and decode change together; a codec
+   change that forgets the store version bump would make old entries
+   decode wrongly instead of missing, so the bytes of a small fixed
+   value are pinned (store format 4: no memory image).  The outcomes
+   reach every value tag ([Int64.min_int], a NaN with payload bits, a
+   pointer) and [None], -0.0 and a NaN among the clocks, an empty
+   profile and one with counts at both int64 extremes. *)
+let golden_outcomes () =
+  let profile counts executed =
+    let p = Vm.Profile.create () in
+    List.iter (fun (k, n) -> Hashtbl.replace p.Vm.Profile.counts k n) counts;
+    p.Vm.Profile.executed_instrs <- executed;
+    p
+  in
+  let outcome ret native_cycles vm_cycles p =
+    { Vm.Machine.ret; native_cycles; vm_cycles; profile = p; memory = None }
+  in
+  [
+    ( { W.Workload.label = "train"; n = 3 },
+      outcome (Some (Ir.Eval.VInt Int64.min_int)) 1.5 (-0.0)
+        (profile
+           [ (("main", 0), 5L); (("f", 2), Int64.max_int); (("f", 0), -1L) ]
+           42L) );
+    ( { W.Workload.label = "ref"; n = -7 },
+      outcome
+        (Some (Ir.Eval.VFloat (Int64.float_of_bits 0x7ff8_0000_0000_0abcL)))
+        nan 0.0 (profile [] 0L) );
+    ( { W.Workload.label = ""; n = 0 },
+      outcome (Some (Ir.Eval.VPtr 7)) 0.0 2.25
+        (profile [ (("", 1), 0L) ] Int64.min_int) );
+    ({ W.Workload.label = "v"; n = 1 }, outcome None 3.0 4.0 (profile [] 1L));
+  ]
 
 let hex s =
   String.concat "" (List.map (fun c -> Printf.sprintf "%02x" (Char.code c))
     (List.of_seq (String.to_seq s)))
 
-let test_codec_memory_golden () =
-  let m = golden_memory () in
-  Alcotest.(check string) "memory bytes"
-    ("1280400900000000000000000000070000000000000000fdffffffffffffff01"
-   ^ "000000000000008001000000000000f83f020600000000000000008001bc0a00"
-   ^ "000000f87f000000000000000000020266730602787302")
-    (hex (B.encode Core.Codecs.memory m));
-  stable "memory" Core.Codecs.memory m
+let test_codec_outcomes_golden () =
+  let v = golden_outcomes () in
+  let bytes = B.encode Core.Codecs.profile_outcomes v in
+  Alcotest.(check string) "profile_outcomes bytes"
+    ("0405747261696e0601000000000000000080000000000000f83f000000000000"
+   ^ "008003016600ffffffffffffffff016604ffffffffffffff7f046d61696e0005"
+   ^ "000000000000002a00000000000000037265660d0101bc0a00000000f87f0100"
+   ^ "00000000f87f0000000000000000000000000000000000000001020e00000000"
+   ^ "0000000000000000000002400100020000000000000000000000000000008001"
+   ^ "76020000000000000008400000000000001040000100000000000000")
+    (hex bytes);
+  stable "profile_outcomes" Core.Codecs.profile_outcomes v;
+  (* Bit-level: [=] cannot see NaN payloads or signed zeros. *)
+  let bits (o : Vm.Machine.outcome) =
+    ( (match o.Vm.Machine.ret with
+      | Some (Ir.Eval.VFloat f) -> `Float (Int64.bits_of_float f)
+      | r -> `Other r),
+      Int64.bits_of_float o.Vm.Machine.native_cycles,
+      Int64.bits_of_float o.Vm.Machine.vm_cycles )
+  in
+  List.iter2
+    (fun (d, o) (d', o') ->
+      let what = d.W.Workload.label in
+      Alcotest.(check bool) (what ^ ": dataset") true (d = d');
+      Alcotest.(check bool) (what ^ ": ret and clock bits") true
+        (bits o = bits o');
+      Alcotest.(check bool) (what ^ ": profile") true
+        (Vm.Profile.to_list o.Vm.Machine.profile
+         = Vm.Profile.to_list o'.Vm.Machine.profile
+        && o.Vm.Machine.profile.Vm.Profile.executed_instrs
+           = o'.Vm.Machine.profile.Vm.Profile.executed_instrs);
+      Alcotest.(check bool) (what ^ ": no memory image") true
+        (Option.is_none o'.Vm.Machine.memory))
+    v
+    (B.decode Core.Codecs.profile_outcomes bytes)
 
-(* Golden bytes for one [implement] artifact, pinned like the memory
-   above: a hand-built chain whose first attempt misses timing closure
+(* Golden bytes for one [implement] artifact, pinned like the
+   outcomes above: a hand-built chain whose first attempt misses timing closure
    at PAR and whose relaxed second attempt succeeds. *)
 let golden_chain () =
   let candidate =
@@ -411,7 +449,7 @@ let test_codec_implement_golden () =
     (hex (B.encode Core.Asip_sp.implement_codec v));
   stable "implement" Core.Asip_sp.implement_codec v
 
-(* Golden bytes for the IR module codec, pinned like the memory above.
+(* Golden bytes for the IR module codec, pinned like the outcomes above.
    The module is hand-built, not verifier-valid: it reaches every
    [Ty.t], every instruction kind (Ci_call and Phi included), every
    terminator, a switch with duplicate cases, [Int64.min_int], -0.0, a
@@ -496,7 +534,9 @@ let test_codec_irmod_golden () =
   stable "irmod" Core.Codecs.irmod m;
   (* [=] cannot see NaN payloads or signed zeros; the bits can. *)
   let m' = B.decode Core.Codecs.irmod bytes in
-  let fs = Option.get (Ir.Irmod.find_global m' "fs") in
+  let fs =
+    List.find (fun g -> g.Ir.Irmod.gname = "fs") m'.Ir.Irmod.globals
+  in
   (match fs.Ir.Irmod.ginit with
   | Ir.Irmod.Floats [| z; n |] ->
       Alcotest.(check int64) "-0.0 survives" (Int64.bits_of_float (-0.0))
@@ -602,8 +642,8 @@ let check_mutations codec v =
 let test_codec_irmod_mutations () =
   check_mutations Core.Codecs.irmod (golden_irmod ())
 
-let test_codec_memory_mutations () =
-  check_mutations Core.Codecs.memory (golden_memory ())
+let test_codec_outcomes_mutations () =
+  check_mutations Core.Codecs.profile_outcomes (golden_outcomes ())
 
 let test_codec_implement_mutations () =
   check_mutations Core.Asip_sp.implement_codec (golden_chain ())
@@ -638,8 +678,9 @@ let test_disk_first_put_wins () =
         (Some ("first", "one"))
         (U.Store_disk.get ~root ~stage:"s" ~digest))
 
-(* A store written by an older build: the v2 entry reads as a miss, and
-   the recompute's [put] replaces it instead of being blocked by it. *)
+(* A store written by an older build: the v3 entry (the format before
+   outcomes dropped their memory image) reads as a miss, and the
+   recompute's [put] replaces it instead of being blocked by it. *)
 let test_disk_old_version_is_replaced () =
   with_root (fun root ->
       let digest = digest_hex "old" in
@@ -647,14 +688,14 @@ let test_disk_old_version_is_replaced () =
       Unix.mkdir (Filename.dirname path) 0o755;
       let b = Buffer.create 64 in
       Buffer.add_string b "JTSE";
-      B.w_byte b 2;
+      B.w_byte b 3;
       B.w_string b "app";
       B.w_string b (digest_hex "old payload");
       B.w_string b "old payload";
       Out_channel.with_open_bin path (fun oc ->
           Out_channel.output_string oc (Buffer.contents b));
       Alcotest.(check (option (pair string string)))
-        "a v2 entry reads as a miss" None
+        "a v3 entry reads as a miss" None
         (U.Store_disk.get ~root ~stage:"s" ~digest);
       U.Store_disk.put ~root ~stage:"s" ~digest ~builder:"app"
         ~payload:"new payload" ();
@@ -893,8 +934,8 @@ let () =
             test_codec_search_artifacts;
           Alcotest.test_case "project/flow_run/bitstream" `Quick
             test_codec_hw_and_cad;
-          Alcotest.test_case "memory golden bytes" `Quick
-            test_codec_memory_golden;
+          Alcotest.test_case "outcomes golden bytes" `Quick
+            test_codec_outcomes_golden;
           Alcotest.test_case "implement golden bytes" `Quick
             test_codec_implement_golden;
           Alcotest.test_case "irmod golden bytes" `Quick
@@ -902,8 +943,8 @@ let () =
           Alcotest.test_case "irmod bad tags" `Quick test_codec_irmod_bad_tags;
           Alcotest.test_case "irmod truncations and byte flips" `Quick
             test_codec_irmod_mutations;
-          Alcotest.test_case "memory truncations and byte flips" `Quick
-            test_codec_memory_mutations;
+          Alcotest.test_case "outcomes truncations and byte flips" `Quick
+            test_codec_outcomes_mutations;
           Alcotest.test_case "implement truncations and byte flips" `Quick
             test_codec_implement_mutations;
         ] );

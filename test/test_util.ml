@@ -417,7 +417,175 @@ let test_digest_pinned () =
   U.Digest.add_int c 42;
   U.Digest.add_string c "x";
   Alcotest.(check string) "int + string" "662becd93e401b9a"
-    (U.Digest.to_hex (U.Digest.finish c))
+    (U.Digest.to_hex (U.Digest.finish c));
+  let hex f =
+    let c = U.Digest.create () in
+    f c;
+    U.Digest.to_hex (U.Digest.finish c)
+  in
+  Alcotest.(check string) "empty string" "8aa984d6299805c2"
+    (U.Digest.to_hex (U.Digest.of_string ""));
+  Alcotest.(check string) "1 MB string" "64b388d06de1ec8b"
+    (U.Digest.to_hex
+       (U.Digest.of_string
+          (String.init 1_000_000 (fun i -> Char.chr (i land 0xff)))));
+  Alcotest.(check string) "NaN payload" "1567d72c2d81666e"
+    (hex (fun c ->
+         U.Digest.add_float c (Int64.float_of_bits 0x7ff8_0000_0000_0abcL)));
+  Alcotest.(check string) "every adder" "7628f4138912826c"
+    (hex (fun c ->
+         U.Digest.add_int64 c Int64.min_int;
+         U.Digest.add_int c (-1);
+         U.Digest.add_bool c false;
+         U.Digest.add_option c
+           (U.Digest.add_list c (U.Digest.add_option c (U.Digest.add_string c)))
+           (Some [ Some ""; None; Some "ab" ]);
+         U.Digest.add_digest c (U.Digest.of_string "jitise")))
+
+(* The adders against a byte-at-a-time FNV-1a/64 model of the tagged,
+   length-prefixed encoding.  Values are a small tree, so options and
+   lists nest; floats include NaNs with payloads and signed zeros. *)
+type dval =
+  | D_string of string
+  | D_int of int
+  | D_int64 of int64
+  | D_float of float
+  | D_bool of bool
+  | D_option of dval option
+  | D_list of dval list
+  | D_digest of string  (** [add_digest (of_string s)] *)
+
+let rec dval_to_string = function
+  | D_string s -> Printf.sprintf "S%S" s
+  | D_int i -> Printf.sprintf "i%d" i
+  | D_int64 i -> Printf.sprintf "I%Ld" i
+  | D_float f -> Printf.sprintf "F%Lx" (Int64.bits_of_float f)
+  | D_bool b -> Printf.sprintf "B%b" b
+  | D_option None -> "None"
+  | D_option (Some v) -> "Some(" ^ dval_to_string v ^ ")"
+  | D_list l -> "[" ^ String.concat "; " (List.map dval_to_string l) ^ "]"
+  | D_digest s -> Printf.sprintf "D%S" s
+
+let gen_dval =
+  let open QCheck.Gen in
+  let str =
+    oneof
+      [
+        return "";
+        string_size ~gen:char (0 -- 8);
+        string_size ~gen:char (0 -- 300);
+      ]
+  in
+  let flt =
+    oneof
+      [
+        float; return nan; return (-0.0); return infinity;
+        return (Int64.float_of_bits 0x7ff8_0000_0000_0abcL);
+        return (Int64.float_of_bits 0xfff0_0000_0000_0001L);
+      ]
+  in
+  sized_size (0 -- 4)
+  @@ fix (fun self n ->
+         let leaf =
+           [
+             map (fun s -> D_string s) str;
+             map
+               (fun i -> D_int i)
+               (oneof [ int; return min_int; return max_int ]);
+             map (fun i -> D_int64 i) ui64;
+             map (fun f -> D_float f) flt;
+             map (fun b -> D_bool b) bool;
+             map (fun s -> D_digest s) str;
+             return (D_option None);
+           ]
+         in
+         if n = 0 then oneof leaf
+         else
+           oneof
+             (leaf
+             @ [
+                 map (fun v -> D_option (Some v)) (self (n - 1));
+                 map (fun l -> D_list l) (list_size (0 -- 4) (self (n - 1)));
+               ]))
+
+let model_hex (vs : dval list) =
+  let fnv s =
+    String.fold_left
+      (fun h ch ->
+        Int64.mul (Int64.logxor h (Int64.of_int (Char.code ch))) 0x100000001b3L)
+      0xcbf29ce484222325L s
+  in
+  let rec encode buf v =
+    let byte c = Buffer.add_char buf c in
+    let i64 x = Buffer.add_int64_le buf x in
+    match v with
+    | D_string s ->
+        byte 'S';
+        i64 (Int64.of_int (String.length s));
+        Buffer.add_string buf s
+    | D_int i ->
+        byte 'i';
+        i64 (Int64.of_int i)
+    | D_int64 i ->
+        byte 'I';
+        i64 i
+    | D_float f ->
+        byte 'F';
+        i64 (Int64.bits_of_float f)
+    | D_bool b ->
+        byte 'B';
+        byte (if b then '\001' else '\000')
+    | D_option None -> byte 'n'
+    | D_option (Some v) ->
+        byte 's';
+        encode buf v
+    | D_list l ->
+        byte 'L';
+        i64 (Int64.of_int (List.length l));
+        List.iter (encode buf) l
+    | D_digest s ->
+        let inner = Buffer.create 16 in
+        encode inner (D_string s);
+        byte 'D';
+        i64 (fnv (Buffer.contents inner))
+  in
+  let buf = Buffer.create 64 in
+  List.iter (encode buf) vs;
+  Printf.sprintf "%016Lx" (fnv (Buffer.contents buf))
+
+let digest_hex (vs : dval list) =
+  let c = U.Digest.create () in
+  let rec add = function
+    | D_string s -> U.Digest.add_string c s
+    | D_int i -> U.Digest.add_int c i
+    | D_int64 i -> U.Digest.add_int64 c i
+    | D_float f -> U.Digest.add_float c f
+    | D_bool b -> U.Digest.add_bool c b
+    | D_option o -> U.Digest.add_option c add o
+    | D_list l -> U.Digest.add_list c add l
+    | D_digest s -> U.Digest.add_digest c (U.Digest.of_string s)
+  in
+  List.iter add vs;
+  U.Digest.to_hex (U.Digest.finish c)
+
+let prop_digest_matches_model =
+  QCheck.Test.make ~name:"adders match an FNV-1a model"
+    ~count:500
+    (QCheck.make
+       ~print:(fun vs -> String.concat " " (List.map dval_to_string vs))
+       QCheck.Gen.(list_size (0 -- 6) gen_dval))
+    (fun vs -> digest_hex vs = model_hex vs)
+
+(* Hashing stays off the minor heap: a 1 MB string costs the context
+   and a few boxes, not words per byte. *)
+let test_digest_allocation () =
+  let s = String.make 1_000_000 'x' in
+  let before = Gc.minor_words () in
+  let d = U.Digest.of_string s in
+  let words = Gc.minor_words () -. before in
+  ignore (Sys.opaque_identity d);
+  if words > 64.0 then
+    Alcotest.failf "of_string on 1 MB allocated %.0f minor words" words
 
 let test_digest_stable_across_runs () =
   let build () =
@@ -1022,7 +1190,9 @@ let () =
             test_digest_distinguishes;
           Alcotest.test_case "finish non-destructive" `Quick
             test_digest_finish_nondestructive;
-        ] );
+          Alcotest.test_case "allocation" `Quick test_digest_allocation;
+        ]
+        @ qsuite [ prop_digest_matches_model ] );
       ( "artifact",
         [
           Alcotest.test_case "put/find" `Quick test_artifact_put_find;

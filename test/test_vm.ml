@@ -671,15 +671,16 @@ let diff_n ?fuel ?cis ~n what m =
 (* Compare [len] cells of global [name] across the two outcomes. *)
 let check_global_equal what name len (a : Vm.Machine.outcome)
     (b : Vm.Machine.outcome) =
-  let base_a = Vm.Memory.global_base a.memory name
-  and base_b = Vm.Memory.global_base b.memory name in
+  let mem_a = Option.get a.memory and mem_b = Option.get b.memory in
+  let base_a = Vm.Memory.global_base mem_a name
+  and base_b = Vm.Memory.global_base mem_b name in
   for i = 0 to len - 1 do
     Alcotest.(check bool)
       (Printf.sprintf "%s: %s[%d]" what name i)
       true
       (Ir.Eval.equal_value
-         (Vm.Memory.load a.memory (base_a + i))
-         (Vm.Memory.load b.memory (base_b + i)))
+         (Vm.Memory.load mem_a (base_a + i))
+         (Vm.Memory.load mem_b (base_b + i)))
   done
 
 let test_diff_mode_family () =
@@ -1501,8 +1502,9 @@ let test_tuning_typed_memory () =
         reg (binop b Ir.Instr.Add Ir.Ty.I64 pi n))
   in
   let cells (o : Vm.Machine.outcome) =
-    let base = Vm.Memory.global_base o.memory "cells" in
-    List.init 8 (fun i -> cell_repr (Vm.Memory.load o.memory (base + i)))
+    let mem = Option.get o.memory in
+    let base = Vm.Memory.global_base mem "cells" in
+    List.init 8 (fun i -> cell_repr (Vm.Memory.load mem (base + i)))
   in
   List.iter
     (fun n ->
