@@ -163,12 +163,12 @@ let run_inspect name =
   let r = W.Workload.compile w in
   print_string (Ir.Printer.module_to_string r.F.Compiler.modul)
 
-let run_specialize name trace jobs shared_cache stage_cache stage_stats
-    store_dir vm_engine fault_options =
+let run_specialize name trace shared_cache stage_cache stage_stats store_dir
+    vm_engine fault_options =
   let w = load_workload name in
   let db = Lazy.force db in
   let spec =
-    mk_spec ~trace ~jobs ~shared_cache
+    mk_spec ~trace ~jobs:1 ~shared_cache
       ~stage_cache:(stage_cache || stage_stats)
       ~store_dir ~vm_engine ~fault_options
   in
@@ -267,14 +267,13 @@ let run_timeline name jobs fault_options =
    the batch sweep's pruning filter: the controller itself decides what
    is worth implementing, using live evidence instead of a whole-run
    profile. *)
-let run_online name slots evict window decay latency_scale jobs vm_engine =
+let run_online name slots evict window decay latency_scale vm_engine =
   let w = load_workload name in
   let db = Lazy.force db in
   let online = { Core.Spec.slots; evict; window; decay; latency_scale } in
   let spec =
     Core.Spec.default
     |> Core.Spec.with_prune Ise.Prune.none
-    |> Core.Spec.with_jobs jobs
     |> Core.Spec.with_online online
     |> Core.Spec.with_vm_engine vm_engine
   in
@@ -402,8 +401,14 @@ let jobs_arg =
     value & opt positive_int 1
     & info [ "jobs"; "j" ] ~docv:"N"
         ~doc:
-          "Evaluate workloads (and candidates) on $(docv) domains.  The \
-           reports are identical to a serial run.")
+          "Evaluate workloads on $(docv) domains.  The reports are \
+           identical to a serial run.")
+
+let timeline_jobs_arg =
+  Arg.(
+    value & opt positive_int 1
+    & info [ "jobs"; "j" ] ~docv:"N"
+        ~doc:"Model $(docv) concurrent CAD flows on the host.")
 
 let shared_cache_arg =
   Arg.(
@@ -684,15 +689,16 @@ let cmds =
       (Cmd.info "specialize"
          ~doc:"Run the ASIP specialization process on a workload")
       Term.(
-        const run_specialize $ workload_arg $ trace_arg $ jobs_arg
-        $ shared_cache_arg $ stage_cache_arg $ stage_stats_arg $ store_dir_arg
+        const run_specialize $ workload_arg $ trace_arg $ shared_cache_arg $ stage_cache_arg $ stage_stats_arg $ store_dir_arg
         $ vm_engine_arg $ fault_options_term);
     Cmd.v
       (Cmd.info "timeline"
          ~doc:
            "Simulate the concurrent JIT-customization timeline of a \
             workload (--jobs models concurrent CAD flows on the host)")
-      Term.(const run_timeline $ workload_arg $ jobs_arg $ fault_options_term);
+      Term.(
+        const run_timeline $ workload_arg $ timeline_jobs_arg
+        $ fault_options_term);
     Cmd.v
       (Cmd.info "online"
          ~doc:
@@ -702,7 +708,7 @@ let cmds =
             phased.* workloads)")
       Term.(
         const run_online $ workload_arg $ slots_arg $ evict_arg $ window_arg
-        $ decay_arg $ latency_scale_arg $ jobs_arg $ vm_engine_arg);
+        $ decay_arg $ latency_scale_arg $ vm_engine_arg);
     Cmd.v
       (Cmd.info "ablation"
          ~doc:"Sweep pruning filters over a workload (search time vs speedup)")

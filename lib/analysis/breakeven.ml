@@ -128,7 +128,3 @@ let of_split ?(cycle_time = Ir.Cost.cycle_time) (s : split)
 let compute (m : Ir.Irmod.t) (profile : Vm.Profile.t) (coverage : Coverage.t)
     (selection : Ise.Select.scored list) ~overhead_seconds : result =
   of_split (split_costs m profile coverage selection) ~overhead_seconds
-
-let pp ppf = function
-  | Never -> Format.pp_print_string ppf "never"
-  | After s -> Format.pp_print_string ppf (Jitise_util.Duration.to_dhms s)

@@ -69,29 +69,3 @@ let residual_overhead ?(trials = 32) ?(seed = 0x5EED) ~hit_rate ~cad_speedup
     let avg_miss_time = !total_trials /. float_of_int trials in
     avg_miss_time *. (1.0 -. cad_speedup)
   end
-
-type grid_cell = {
-  hit_rate : float;
-  cad_speedup : float;
-  break_even : Breakeven.result;
-}
-
-(** One application's full Table-IV-style grid: break-even time for
-    every (hit rate, CAD speedup) combination. *)
-let grid ?(hit_rates = [ 0.0; 0.1; 0.2; 0.3; 0.4; 0.5; 0.6; 0.7; 0.8; 0.9 ])
-    ?(cad_speedups = [ 0.0; 0.3; 0.6; 0.9 ]) ?trials ?seed
-    ~(split : Breakeven.split) (costs : candidate_cost list) : grid_cell list =
-  List.concat_map
-    (fun hit_rate ->
-      List.map
-        (fun cad_speedup ->
-          let overhead_seconds =
-            residual_overhead ?trials ?seed ~hit_rate ~cad_speedup costs
-          in
-          {
-            hit_rate;
-            cad_speedup;
-            break_even = Breakeven.of_split split ~overhead_seconds;
-          })
-        cad_speedups)
-    hit_rates

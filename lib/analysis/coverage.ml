@@ -21,8 +21,7 @@ type block_class = {
   func : string;
   label : Ir.Instr.label;
   classification : classification;
-  instrs : int;            (** static size of the block *)
-  frequencies : int64 list;  (** one entry per dataset, run order *)
+  instrs : int;  (** static size of the block *)
 }
 
 type t = {
@@ -68,7 +67,6 @@ let classify (m : Ir.Irmod.t) (profiles : Vm.Profile.t list) : t =
               label = b.Ir.Block.label;
               classification;
               instrs = Ir.Block.size b;
-              frequencies = freqs;
             }
             :: !blocks)
         f)

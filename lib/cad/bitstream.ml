@@ -49,11 +49,7 @@ let well_formed t =
       ~frames:t.frames ~luts:t.luts
 
 (** A corrupted copy of [t] (flipped checksum), as bitgen's
-    {!Faults.Bitgen_corruption} failure mode would produce.  Used by
-    tests and the fault model; [well_formed] rejects it. *)
+    {!Faults.Bitgen_corruption} failure mode would produce; a test
+    hook, since the fault model raises instead.  [well_formed] rejects
+    it. *)
 let corrupt t = { t with checksum = lnot t.checksum }
-
-let pp ppf t =
-  Format.fprintf ppf "%s: %d bytes, %d frames, %d LUTs (%.1f s to build)%s"
-    t.signature t.size_bytes t.frames t.luts t.generation_seconds
-    (if well_formed t then "" else " [CORRUPT]")

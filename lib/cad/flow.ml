@@ -24,7 +24,7 @@
     plane of a {!Jitise_util.Chaos.config} (rolled by {!Faults.roll})
     and returns [(run, failure) result]; a failure
     reports the stage it hit and the simulated seconds wasted up to it.
-    {!implement} is the never-failing entry point (CAD plane off). *)
+    With the CAD plane off it always returns [Ok]. *)
 
 module Ir = Jitise_ir
 module Pp = Jitise_pivpav
@@ -62,7 +62,6 @@ let default_config = { speedup_factor = 0.0; eapr = true; device_scale = 1.0 }
 
 (** Section VI-B's "use a smaller FPGA device": a Virtex-4 FX60-sized
     target with roughly 60 % of the FX100's frames. *)
-let small_device_config = { default_config with device_scale = 0.6 }
 
 (** Reject an out-of-range configuration.  Run before any simulated
     work (including the VHDL syntax check), so a bad config is reported
@@ -105,7 +104,6 @@ let pp_failure ppf f =
     f.wasted_seconds
 
 exception Syntax_error of string list
-exception Internal_error of string
 
 (* Deterministic per-candidate jitter source. *)
 let prng_for (p : Hw.Project.t) stage =
@@ -325,27 +323,6 @@ let implement_result ?tracer ?(config = default_config)
           relaxed;
         }
 
-(** Extract the run from a flow result that must not have failed.
-    @raise Internal_error on [Error], naming the stage — a faultless
-    flow reporting a failure is a simulator bug, not a modelled CAD
-    failure. *)
-let run_of_result = function
-  | Ok run -> run
-  | Error f ->
-      raise
-        (Internal_error
-           (Printf.sprintf
-              "Flow.implement: faultless flow reported a %s failure in \
-               stage %s"
-              (Faults.kind_name f.fault)
-              (stage_name f.failed_stage)))
-
-(** {!implement_result} with the CAD plane off: always succeeds
-    (or raises {!Syntax_error} / [Invalid_argument], as documented
-    there). *)
-let implement ?tracer ?config (db : Pp.Database.t) (p : Hw.Project.t) : run =
-  run_of_result (implement_result ?tracer ?config db p)
-
 (** Seconds spent in a given stage of a run. *)
 let stage_seconds run stage =
   List.fold_left
@@ -355,7 +332,7 @@ let stage_seconds run stage =
 (** The constant-time portion of a run (everything but map and PAR),
     as aggregated in the paper's "const" column of Table II.  The C2V
     project-creation time must be added by the caller (it happens
-    before [implement]). *)
+    before [implement_result]). *)
 let constant_seconds run =
   List.fold_left
     (fun acc s ->

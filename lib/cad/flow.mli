@@ -15,8 +15,7 @@
     plane of a {!Jitise_util.Chaos.config} (rolled by {!Faults.roll})
     and returns [(run, failure) result]; a failure
     reports the stage it hit and the simulated seconds wasted up to
-    it.  {!implement} is the never-failing entry point (CAD plane
-    off). *)
+    it.  With the CAD plane off it always returns [Ok]. *)
 
 module Pp = Jitise_pivpav
 module Hw = Jitise_hwgen
@@ -43,13 +42,6 @@ type config = {
 }
 
 val default_config : config
-
-val small_device_config : config
-(** Section VI-B's "use a smaller FPGA device": a Virtex-4 FX60-sized
-    target with roughly 60 % of the FX100's frames. *)
-
-val validate_config : config -> unit
-(** @raise Invalid_argument on an out-of-range configuration. *)
 
 type stage_report = { stage : stage; seconds : float }
 
@@ -81,7 +73,6 @@ val pp_failure : Format.formatter -> failure -> unit
 
 exception Syntax_error of string list
 
-exception Internal_error of string
 (** A flow invariant was broken — e.g. a faultless run reported a
     failure.  Indicates a bug in the flow simulator itself, never a
     modelled CAD failure; the message names the stage involved. *)
@@ -123,20 +114,6 @@ val implement_result :
     (indicates a data-path generator bug — tests assert this never
     fires on MAXMISO output). *)
 
-val run_of_result : (run, failure) result -> run
-(** Extract the run from a flow result that must not have failed.
-    @raise Internal_error on [Error], naming the failed stage. *)
-
-val implement :
-  ?tracer:Jitise_util.Trace.t ->
-  ?config:config ->
-  Pp.Database.t ->
-  Hw.Project.t ->
-  run
-(** {!implement_result} with the CAD plane off: always succeeds
-    (or raises {!Syntax_error} / [Invalid_argument], as documented
-    there). *)
-
 val stage_seconds : run -> stage -> float
 (** Seconds spent in a given stage of a run. *)
 
@@ -144,4 +121,4 @@ val constant_seconds : run -> float
 (** The constant-time portion of a run (everything but map and PAR),
     as aggregated in the paper's "const" column of Table II.  The C2V
     project-creation time must be added by the caller (it happens
-    before [implement]). *)
+    before [implement_result]). *)

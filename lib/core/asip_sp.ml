@@ -353,7 +353,7 @@ type staged_candidate = {
 }
 
 (** What the supervision layer left of one candidate slot after the
-    parallel fan-out: either its staged result, or the failure that
+    per-candidate fan-out: either its staged result, or the failure that
     poisoned it (that slot alone — the rest of the batch is kept). *)
 type slot =
   | Slot_ok of staged_candidate
@@ -589,8 +589,8 @@ let chain_stage :
 (** Phase 1 + the per-candidate hardware generation, with no shared
     state beyond the (thread-safe) PivPav database and the (thread-safe)
     artifact store: safe to run for many applications concurrently.
-    [ctx.spec.jobs] also parallelizes the per-candidate CAD simulation
-    within this one application.  Use this entry point to share a
+    The candidates of this one application run serially, on the
+    calling domain.  Use this entry point to share a
     {!Pipeline.ctx} (and its record log) with upstream stages, as
     {!Experiment.prepare} does; {!stage} wraps it for standalone use. *)
 let stage_in (ctx : Pipeline.ctx) (db : Pp.Database.t) (m : Ir.Irmod.t)
@@ -614,18 +614,21 @@ let stage_in (ctx : Pipeline.ctx) (db : Pp.Database.t) (m : Ir.Irmod.t)
   let alternates =
     Pipeline.exec ctx alternates_stage (env, candidates, selection)
   in
-  (* Phases 2 and 3 for every selected candidate (and staged alternate).
+  (* Phases 2 and 3 for every selected candidate (and staged alternate),
+     serially: [Experiment.sweep] already spreads the applications over
+     [spec.jobs] domains, and this per-candidate work (VHDL plus the
+     simulated CAD chain) is too small to pay for domains of its own.
      The flow simulation and its fault chain are deterministically
-     seeded by the candidate signature, so the parallel map commutes
-     with the serial one.  [Pool.map_result] isolates failures per
-     slot: a candidate whose stages the supervisor gave up on (or
-     whose pool worker the chaos model poisoned) degrades that one
-     slot to [Slot_failed] — everyone else's completed work is kept.
-     Each item gets its own waste meter so the simulated cost of
-     surviving (or not) chaos is billed later, sequentially.  Real
-     bugs — exceptions that are neither chaos injections, supervision
-     verdicts nor cancellations — re-raise exactly as [Pool.map]
-     did. *)
+     seeded by the candidate signature, and the chaos pool plane rolls
+     per candidate site, so outcomes do not depend on [spec.jobs].
+     [Pool.map_result] isolates failures per slot: a candidate whose
+     stages the supervisor gave up on (or whose pool-plane roll the
+     chaos model poisoned) degrades that one slot to [Slot_failed] —
+     everyone else's completed work is kept.  Each item gets its own
+     waste meter so the simulated cost of surviving (or not) chaos is
+     billed in slot order.  Real bugs — exceptions that are neither
+     chaos injections, supervision verdicts nor cancellations —
+     re-raise. *)
   let inputs =
     List.map
       (fun s -> (s, U.Supervisor.meter ()))
@@ -635,7 +638,6 @@ let stage_in (ctx : Pipeline.ctx) (db : Pp.Database.t) (m : Ir.Irmod.t)
   let implemented =
     U.Pool.map_result
       ~token:(U.Supervisor.token_of ctx.Pipeline.sup)
-      ~jobs:spec.Spec.jobs
       (fun ((s : Ise.Select.scored), meter) ->
         let detail = s.Ise.Select.candidate.Ise.Candidate.signature in
         if U.Chaos.pool_crash chaos ~site:(ctx.Pipeline.app ^ "/" ^ detail)

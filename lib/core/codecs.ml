@@ -386,15 +386,13 @@ let block_class : An.Coverage.block_class B.codec =
       B.w_string b c.func;
       B.w_int b c.label;
       classification.B.enc b c.classification;
-      B.w_int b c.instrs;
-      B.w_list B.w_int64 b c.frequencies)
+      B.w_int b c.instrs)
     (fun r ->
       let func = B.r_string r in
       let label = B.r_int r in
       let classification = classification.B.dec r in
       let instrs = B.r_int r in
-      let frequencies = B.r_list B.r_int64 r in
-      { An.Coverage.func; label; classification; instrs; frequencies })
+      { An.Coverage.func; label; classification; instrs })
 
 let coverage : An.Coverage.t B.codec =
   B.codec

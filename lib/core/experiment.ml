@@ -241,5 +241,4 @@ let sweep ?(verbose = false) ?(spec = Spec.default) (db : Pp.Database.t) :
   in
   List.map (finish ~spec) prepared
 
-let is_scientific r = r.workload.W.Workload.domain = W.Workload.Scientific
 let is_embedded r = r.workload.W.Workload.domain = W.Workload.Embedded

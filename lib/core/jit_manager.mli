@@ -105,5 +105,4 @@ type online_report = {
     datasets"] before any stage runs when the dataset list is empty. *)
 val online : ?spec:Spec.t -> Pp.Database.t -> W.Workload.t -> online_report
 
-val pp_online_run : Format.formatter -> online_run -> unit
 val pp_online : Format.formatter -> online_report -> unit

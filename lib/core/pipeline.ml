@@ -52,8 +52,7 @@ let outcome_name = function
   | Hit h -> U.Artifact.hit_name h ^ " stage-cache hit"
   | Failed e -> "failed: " ^ e
 
-(** One stage execution, as consumed by [Jit_manager.timeline] and
-    {!summarize}. *)
+(** One stage execution, as consumed by [Jit_manager.timeline]. *)
 type record = {
   rec_stage : string;
   rec_app : string;
@@ -63,8 +62,8 @@ type record = {
 
 (** Per-application execution context: the spec, the app label for
     trace spans and cache attribution, and the record log.  The log is
-    mutex-protected because [spec.jobs] parallelizes the per-candidate
-    stages within one application. *)
+    mutex-protected, so a context is safe to share between domains
+    (each application's stages run on one domain today). *)
 type ctx = {
   spec : Spec.t;
   app : string;
@@ -113,8 +112,6 @@ let stage ?(cat = "pipeline") ?digest ?codec name body =
     stage_key = U.Artifact.key ?codec name;
     stage_body = body;
   }
-
-let name s = s.stage_name
 
 (** Execute a stage under supervision: trace span, chaos stage-plane
     injection, artifact-store probe (when both a store and a digest
@@ -184,79 +181,6 @@ let exec ?detail ?meter ctx (s : ('i, 'o) stage) (input : 'i) : 'o =
       | exception (U.Supervisor.Stage_failed f as e) ->
           note (Failed (U.Supervisor.error_name f.U.Supervisor.f_error));
           raise e)
-
-(* ------------------------------------------------------------------ *)
-(* Per-stage aggregation of records, for tests                        *)
-
-type summary = {
-  sum_stage : string;
-  sum_executions : int;
-  sum_computed : int;
-  sum_local_hits : int;
-  sum_shared_hits : int;
-  sum_failed : int;
-  sum_wall_seconds : float;
-}
-
-(** Aggregate records per stage name, sorted by stage name. *)
-let summarize (rs : record list) : summary list =
-  let tbl : (string, summary ref) Hashtbl.t = Hashtbl.create 16 in
-  List.iter
-    (fun r ->
-      let s =
-        match Hashtbl.find_opt tbl r.rec_stage with
-        | Some s -> s
-        | None ->
-            let s =
-              ref
-                {
-                  sum_stage = r.rec_stage;
-                  sum_executions = 0;
-                  sum_computed = 0;
-                  sum_local_hits = 0;
-                  sum_shared_hits = 0;
-                  sum_failed = 0;
-                  sum_wall_seconds = 0.0;
-                }
-            in
-            Hashtbl.replace tbl r.rec_stage s;
-            s
-      in
-      s :=
-        {
-          !s with
-          sum_executions = !s.sum_executions + 1;
-          sum_computed =
-            (!s.sum_computed + match r.rec_outcome with Computed -> 1 | _ -> 0);
-          sum_local_hits =
-            (!s.sum_local_hits
-            + match r.rec_outcome with Hit U.Artifact.Local -> 1 | _ -> 0);
-          sum_shared_hits =
-            (!s.sum_shared_hits
-            + match r.rec_outcome with Hit U.Artifact.Shared -> 1 | _ -> 0);
-          sum_failed =
-            (!s.sum_failed + match r.rec_outcome with Failed _ -> 1 | _ -> 0);
-          sum_wall_seconds = !s.sum_wall_seconds +. r.rec_wall_seconds;
-        })
-    rs;
-  Hashtbl.fold (fun _ s acc -> !s :: acc) tbl []
-  |> List.sort (fun a b -> String.compare a.sum_stage b.sum_stage)
-
-(** Executions of [stage] in [rs] that were served from the store. *)
-let hits_of (rs : record list) stage =
-  List.length
-    (List.filter
-       (fun r ->
-         r.rec_stage = stage
-         && match r.rec_outcome with Hit _ -> true | _ -> false)
-       rs)
-
-(** Executions of [stage] in [rs] that actually ran the body. *)
-let computed_of (rs : record list) stage =
-  List.length
-    (List.filter
-       (fun r -> r.rec_stage = stage && r.rec_outcome = Computed)
-       rs)
 
 (* ------------------------------------------------------------------ *)
 (* Canonical-input digest helpers shared by the stage definitions in

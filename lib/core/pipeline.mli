@@ -34,8 +34,7 @@ type outcome =
 
 val outcome_name : outcome -> string
 
-(** One stage execution, as consumed by [Jit_manager.timeline] and
-    {!summarize}. *)
+(** One stage execution, as consumed by [Jit_manager.timeline]. *)
 type record = {
   rec_stage : string;
   rec_app : string;
@@ -45,8 +44,8 @@ type record = {
 
 (** Per-application execution context: the spec, the app label for
     trace spans and cache attribution, and the record log.  The log is
-    mutex-protected because [spec.jobs] parallelizes the per-candidate
-    stages within one application. *)
+    mutex-protected, so a context is safe to share between domains
+    (each application's stages run on one domain today). *)
 type ctx = {
   spec : Spec.t;
   app : string;
@@ -82,8 +81,6 @@ val stage :
     persistable through a byte backend (see {!Jitise_util.Artifact} and
     {!Codecs}) — without one the stage is memoized in-process only. *)
 
-val name : _ stage -> string
-
 val exec :
   ?detail:string -> ?meter:U.Supervisor.meter -> ctx -> ('i, 'o) stage -> 'i -> 'o
 (** Execute a stage under supervision ([ctx.sup]): trace span, chaos
@@ -101,27 +98,6 @@ val exec :
     or the run deadline give out; a {!Failed} record is noted first.
     Non-transient exceptions from the stage body propagate
     unchanged. *)
-
-(** {1 Per-stage aggregation of records} *)
-
-type summary = {
-  sum_stage : string;
-  sum_executions : int;
-  sum_computed : int;
-  sum_local_hits : int;
-  sum_shared_hits : int;
-  sum_failed : int;
-  sum_wall_seconds : float;
-}
-
-val summarize : record list -> summary list
-(** Aggregate records per stage name, sorted by stage name. *)
-
-val hits_of : record list -> string -> int
-(** Executions of the stage that were served from the store. *)
-
-val computed_of : record list -> string -> int
-(** Executions of the stage that actually ran the body. *)
 
 (** {1 Canonical-input digest helpers}
 

@@ -142,8 +142,6 @@ let validate_online (o : online) =
          o.latency_scale)
 
 let with_prune prune t = { t with prune }
-let with_select select t = { t with select }
-let with_cad cad t = { t with cad }
 
 let with_jobs jobs t =
   if jobs < 1 then

@@ -101,8 +101,6 @@ type t = {
 val default : t
 
 val with_prune : Ise.Prune.t -> t -> t
-val with_select : Ise.Select.config -> t -> t
-val with_cad : Cad.Flow.config -> t -> t
 
 val with_jobs : int -> t -> t
 (** @raise Invalid_argument when [jobs < 1]. *)

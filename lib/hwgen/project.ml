@@ -75,8 +75,3 @@ let area (db : Pp.Database.t) (t : t) =
             dsp + e.Pp.Database.metrics.Pp.Metrics.dsp48 )
       | None -> (luts, ffs, dsp))
     (0, 0, 0) t.vhdl.Vhdl.components
-
-(** Does the data path fit the device? *)
-let fits (db : Pp.Database.t) (t : t) =
-  let luts, _, dsp = area db t in
-  luts <= t.device.luts_available && dsp <= t.device.dsp_available

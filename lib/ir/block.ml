@@ -22,9 +22,6 @@ let phis b =
     (fun (i : Instr.t) -> match i.kind with Instr.Phi _ -> true | _ -> false)
     b.instrs
 
-let iter f b = List.iter f b.instrs
-let fold f acc b = List.fold_left f acc b.instrs
-
 (** Replace the instruction list (used by optimizer passes). *)
 let set_instrs b instrs = b.instrs <- instrs
 

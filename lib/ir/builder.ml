@@ -50,13 +50,11 @@ let binop t op ty a b = add t ty (Instr.Binop (op, a, b))
 let icmp t p a b = add t Ty.I1 (Instr.Icmp (p, a, b))
 let fcmp t p a b = add t Ty.I1 (Instr.Fcmp (p, a, b))
 let cast t c ty a = add t ty (Instr.Cast (c, a))
-let select t ty c a b = add t ty (Instr.Select (c, a, b))
 let alloca t ty n = add t Ty.Ptr (Instr.Alloca (ty, n))
 let load t ty addr = add t ty (Instr.Load addr)
 let store t v addr = add_void t (Instr.Store (v, addr))
 let gep t base index = add t Ty.Ptr (Instr.Gep (base, index))
 let call t ty name args = add t ty (Instr.Call (name, args))
-let phi t ty incoming = add t ty (Instr.Phi incoming)
 
 let ret t op = set_term t (Instr.Ret op)
 let br t l = set_term t (Instr.Br l)
@@ -76,5 +74,4 @@ let ci32 v = Instr.Const (Instr.Cint (Int64.of_int v, Ty.I32))
 let ci64 v = Instr.Const (Instr.Cint (v, Ty.I64))
 let cf64 v = Instr.Const (Instr.Cfloat (v, Ty.F64))
 let cf32 v = Instr.Const (Instr.Cfloat (v, Ty.F32))
-let cbool b = Instr.Const (Instr.Cint ((if b then 1L else 0L), Ty.I1))
 let reg r = Instr.Reg r

@@ -78,24 +78,3 @@ let of_block (func : Func.t) (block : Block.t) =
       end)
     func;
   { block; nodes; by_reg }
-
-(** Inputs of a node: operands produced outside the block or constant.
-    Returned as the raw operands. *)
-let external_inputs t n =
-  List.filter
-    (fun op ->
-      match op with
-      | Instr.Const _ -> false (* constants are free inputs, not counted *)
-      | Instr.Reg r -> not (Hashtbl.mem t.by_reg r))
-    (Instr.operands t.nodes.(n).instr.Instr.kind)
-
-(** Is node [n] an output of the block (its value is observable outside
-    the node set of the whole block)? *)
-let is_block_output t n =
-  let node = t.nodes.(n) in
-  node.external_uses
-
-(** Topological order of node indices (instruction order is already
-    topological for SSA within a block, so this is just 0..n-1; exposed
-    for documentation value and future reordering passes). *)
-let topological_order t = List.init (node_count t) Fun.id

@@ -39,16 +39,3 @@ val feasible : node -> bool
 val of_block : Func.t -> Block.t -> t
 (** Build the DFG of [block] within [func].  [external_uses] is
     computed by scanning every other block of the function. *)
-
-val external_inputs : t -> int -> Instr.operand list
-(** Inputs of a node: operands produced outside the block, as the raw
-    operands.  Constants are free inputs and not counted. *)
-
-val is_block_output : t -> int -> bool
-(** Is node [n] an output of the block (its value is observable outside
-    the node set of the whole block)? *)
-
-val topological_order : t -> int list
-(** Topological order of node indices (instruction order is already
-    topological for SSA within a block, so this is just [0..n-1];
-    exposed for documentation value and future reordering passes). *)

@@ -54,15 +54,6 @@ let compute (cfg : Cfg.t) =
   done;
   { idom; rpo_index; order }
 
-(** [dominates t a b]: does block [a] dominate block [b]?  Every block
-    dominates itself.  Unreachable blocks dominate nothing and are
-    dominated by nothing. *)
-let dominates t a b =
-  if t.idom.(b) = -1 || t.idom.(a) = -1 then false
-  else
-    let rec climb x = if x = a then true else if x = t.idom.(x) then false else climb t.idom.(x) in
-    climb b
-
 (** Dominance frontier of every block (Cytron et al. via the CHK
     formulation): [frontier.(b)] lists the blocks where [b]'s dominance
     ends. *)

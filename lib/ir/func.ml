@@ -36,8 +36,6 @@ let num_instrs t =
 
 let iter_blocks f t = Array.iter f t.blocks
 
-let fold_blocks f acc t = Array.fold_left f acc t.blocks
-
 let iter_instrs f t =
   iter_blocks (fun b -> List.iter (fun i -> f b i) b.Block.instrs) t
 

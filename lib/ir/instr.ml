@@ -89,11 +89,6 @@ type terminator =
 (* Classification                                                      *)
 (* ------------------------------------------------------------------ *)
 
-(** [accesses_memory k] holds for loads, stores and allocas. *)
-let accesses_memory = function
-  | Load _ | Store _ | Alloca _ -> true
-  | _ -> false
-
 (** [has_side_effect k] holds for instructions that may not be removed
     even when their result is unused. *)
 let has_side_effect = function

@@ -33,7 +33,6 @@ let bits = function
 
 let is_int = function I1 | I8 | I16 | I32 | I64 -> true | _ -> false
 let is_float = function F32 | F64 -> true | _ -> false
-let is_scalar = function Void -> false | _ -> true
 
 let to_string = function
   | I1 -> "i1"
@@ -45,17 +44,5 @@ let to_string = function
   | F64 -> "f64"
   | Ptr -> "ptr"
   | Void -> "void"
-
-let of_string = function
-  | "i1" -> Some I1
-  | "i8" -> Some I8
-  | "i16" -> Some I16
-  | "i32" -> Some I32
-  | "i64" -> Some I64
-  | "f32" -> Some F32
-  | "f64" -> Some F64
-  | "ptr" -> Some Ptr
-  | "void" -> Some Void
-  | _ -> None
 
 let pp ppf t = Format.pp_print_string ppf (to_string t)

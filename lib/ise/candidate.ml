@@ -146,12 +146,3 @@ let make (dfg : Ir.Dfg.t) ~func nodes =
     opcodes;
     signature = signature_of dfg nodes;
   }
-
-(** Instructions of the candidate in execution order. *)
-let instrs (dfg : Ir.Dfg.t) t =
-  List.map (fun n -> dfg.Ir.Dfg.nodes.(n).Ir.Dfg.instr) t.nodes
-
-let pp ppf t =
-  Format.fprintf ppf "%s/bb%d{%s} in=%d sig=%s" t.func t.block
-    (String.concat "," (List.map string_of_int t.nodes))
-    t.num_inputs t.signature

@@ -89,15 +89,3 @@ let of_block ?(min_size = 2) (dfg : Ir.Dfg.t) ~func : Candidate.t list =
   List.rev !cones
   |> List.filter (fun nodes -> List.length nodes >= min_size)
   |> List.map (fun nodes -> Candidate.make dfg ~func nodes)
-
-(** MAXMISOs of every block of a function. *)
-let of_func ?min_size (f : Ir.Func.t) : Candidate.t list =
-  Ir.Func.fold_blocks
-    (fun acc b ->
-      let dfg = Ir.Dfg.of_block f b in
-      acc @ of_block ?min_size dfg ~func:f.Ir.Func.name)
-    [] f
-
-(** MAXMISOs of a whole module. *)
-let of_module ?min_size (m : Ir.Irmod.t) : Candidate.t list =
-  List.concat_map (fun f -> of_func ?min_size f) m.Ir.Irmod.funcs

@@ -11,13 +11,7 @@
     belongs to two candidates, which the downstream savings accounting
     and binary adaptation rely on.  This interface pins the surface the
     staged pipeline engine's [maxmiso] stage depends on; the cone-growth
-    worklist is internal. *)
-
-val escape_roots : Jitise_ir.Dfg.t -> int list
-(** Escape roots: feasible nodes whose value leaves the feasible
-    candidate space (used outside the block, unconsumed, or consumed by
-    an infeasible instruction).  These root the first cones; exposed
-    for white-box tests of the partition invariant. *)
+    worklist and its escape roots are internal. *)
 
 val of_block :
   ?min_size:int -> Jitise_ir.Dfg.t -> func:string -> Candidate.t list
@@ -25,9 +19,3 @@ val of_block :
     [min_size] drops trivial cones (default 2, matching the paper's
     observation that one-op custom instructions never amortize the CI
     interface overhead). *)
-
-val of_func : ?min_size:int -> Jitise_ir.Func.t -> Candidate.t list
-(** MAXMISOs of every block of a function. *)
-
-val of_module : ?min_size:int -> Jitise_ir.Irmod.t -> Candidate.t list
-(** MAXMISOs of a whole module. *)

@@ -113,7 +113,3 @@ let select ?(config = default_config) (db : Pp.Database.t) (m : Ir.Irmod.t)
           end
           else false)
         capped
-
-(** Total instructions covered by the selected candidates. *)
-let covered_instrs scored =
-  List.fold_left (fun acc s -> acc + s.candidate.Candidate.size) 0 scored

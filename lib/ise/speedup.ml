@@ -25,7 +25,3 @@ let of_selection ~total_cycles (selection : Select.scored list) : t =
     saved_cycles = saved;
     ratio = (if total_cycles <= 0.0 then 1.0 else total_cycles /. (total_cycles -. saved));
   }
-
-let pp ppf t =
-  Format.fprintf ppf "%.2fx (saved %.0f of %.0f cycles)" t.ratio t.saved_cycles
-    t.total_cycles

@@ -36,5 +36,3 @@ let of_instr (i : Ir.Instr.t) : t option =
     in
     let width = if width <= 1 then 32 else width in
     Some { opcode = Ir.Instr.opcode_name i.Ir.Instr.kind; width }
-
-let pp ppf t = Format.pp_print_string ppf (name t)

@@ -8,7 +8,7 @@
     ~50 ps/bit, DSP48 multipliers, multi-cycle dividers, and
     software-profile-matched floating-point cores.
 
-    The database also counts queries and netlist-cache hits, which the
+    The database also counts netlist-cache hits and misses, which the
     Netlist Generation phase of the tool flow reports. *)
 
 module Ir = Jitise_ir
@@ -27,7 +27,6 @@ type t = {
       (** guards the counters and the lazy netlist forcing — one
           database instance is shared by every domain of a parallel
           sweep *)
-  mutable queries : int;
   mutable netlist_hits : int;
   mutable netlist_misses : int;
 }
@@ -201,7 +200,6 @@ let create () =
     {
       entries = Hashtbl.create 256;
       lock = Mutex.create ();
-      queries = 0;
       netlist_hits = 0;
       netlist_misses = 0;
     }
@@ -216,18 +214,9 @@ let create () =
   List.iter (fun op -> List.iter (add op) [ 32; 64 ]) float_opcodes;
   t
 
-let size t = Hashtbl.length t.entries
-
-(** Number of metrics per entry (constant across the library). *)
-let metrics_per_entry t =
-  match Hashtbl.fold (fun _ e acc -> Some e :: acc) t.entries [] with
-  | Some e :: _ -> Metrics.count e.metrics
-  | _ -> 0
-
 (** Look up a component; snaps unknown widths up to the next stocked
     width.  Returns [None] for opcodes with no hardware implementation. *)
 let lookup t (c : Component.t) =
-  Mutex.protect t.lock (fun () -> t.queries <- t.queries + 1);
   match Hashtbl.find_opt t.entries c with
   | Some e -> Some e
   | None ->
@@ -263,12 +252,11 @@ let fetch_netlist t (c : Component.t) =
              else t.netlist_misses <- t.netlist_misses + 1;
              Lazy.force e.netlist))
 
-type stats = { queries : int; netlist_hits : int; netlist_misses : int }
+type stats = { netlist_hits : int; netlist_misses : int }
 
 let stats (t : t) =
   Mutex.protect t.lock (fun () ->
       {
-        queries = t.queries;
         netlist_hits = t.netlist_hits;
         netlist_misses = t.netlist_misses;
       })

@@ -29,15 +29,3 @@ type t = {
   (* Synthesis-report counters (IO buffers, nets, fanout, ...) *)
   extra : (string * float) list;
 }
-
-(** Number of metrics an entry carries (typed fields plus [extra]);
-    the generated database keeps this above 90 per component to match
-    the PivPav description. *)
-let count t = 14 + List.length t.extra
-
-let pp ppf t =
-  Format.fprintf ppf
-    "latency=%.2fns fmax=%.0fMHz depth=%d luts=%d ff=%d slices=%d dsp=%d \
-     bram=%d"
-    t.latency_ns t.fmax_mhz t.pipeline_depth t.luts t.flip_flops t.slices
-    t.dsp48 t.bram

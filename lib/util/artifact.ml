@@ -25,30 +25,12 @@ let key (type a) ?codec name : a key =
     codec;
   }
 
-let key_name k = k.key_name
-let key_persistent k = Option.is_some k.codec
-
 type backend = {
   backend_kind : string;
   backend_get : stage:string -> digest:string -> (string * string) option;
   backend_put :
     stage:string -> digest:string -> builder:string -> payload:string -> unit;
 }
-
-let memory_backend () =
-  let table : (string * string, string * string) Hashtbl.t = Hashtbl.create 64 in
-  let lock = Mutex.create () in
-  {
-    backend_kind = "memory";
-    backend_get =
-      (fun ~stage ~digest ->
-        Mutex.protect lock (fun () -> Hashtbl.find_opt table (stage, digest)));
-    backend_put =
-      (fun ~stage ~digest ~builder ~payload ->
-        Mutex.protect lock (fun () ->
-            if not (Hashtbl.mem table (stage, digest)) then
-              Hashtbl.replace table (stage, digest) (builder, payload)));
-  }
 
 type entry = { value : univ; builder : string }
 

@@ -21,10 +21,9 @@
     {!Binio.codec}, misses fall through to the backend and decoded hits
     are promoted into L1, while fresh puts are serialized through the
     codec and persisted.  Keys without a codec never touch the backend.
-    Two implementations ship: {!memory_backend} (a per-process byte
-    table, mostly for testing serialization round-trips) and
-    {!Store_disk.backend} (a persistent on-disk layout enabling warm
-    restarts and multi-process sharing).  Corrupt or truncated backend
+    The implementation that ships is {!Store_disk.backend} (a
+    persistent on-disk layout enabling warm restarts and multi-process
+    sharing).  Corrupt or truncated backend
     payloads degrade to misses — the pipeline recomputes, it never
     errors.
 
@@ -57,12 +56,6 @@ val key : ?codec:'a Binio.codec -> string -> 'a key
     artifacts can be persisted through a byte backend; without it the
     stage is cached in-process only. *)
 
-val key_name : _ key -> string
-
-val key_persistent : _ key -> bool
-(** Whether the key carries a codec and thus participates in backend
-    persistence. *)
-
 (** A byte-oriented storage backend.  Implementations must be safe for
     concurrent use and first-put-wins; [backend_get] returns
     [(builder, payload)] or [None] for absent {e or unreadable}
@@ -73,11 +66,6 @@ type backend = {
   backend_put :
     stage:string -> digest:string -> builder:string -> payload:string -> unit;
 }
-
-val memory_backend : unit -> backend
-(** A fresh in-process byte table.  Functionally equivalent to running
-    without a backend, but exercises the full encode/decode path — used
-    to test codecs under the real store protocol. *)
 
 val create : ?backend:backend -> unit -> t
 (** An empty store, optionally over a persistent backend.  No eviction:

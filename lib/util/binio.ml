@@ -66,6 +66,8 @@ let r_varint64 r =
   while !continue_ do
     if !shift > 63 then corrupt "varint too long";
     let byte = r_byte r in
+    (* The tenth byte holds bit 63 only: anything more overflows. *)
+    if !shift = 63 && byte > 1 then corrupt "varint overflows 64 bits";
     result :=
       Int64.logor !result (Int64.shift_left (Int64.of_int (byte land 0x7f)) !shift);
     shift := !shift + 7;
@@ -163,10 +165,8 @@ let codec enc dec = { enc; dec }
 let int = { enc = w_int; dec = r_int }
 let int64 = { enc = w_int64; dec = r_int64 }
 let float = { enc = w_float; dec = r_float }
-let bool = { enc = w_bool; dec = r_bool }
 let string = { enc = w_string; dec = r_string }
 
-let option c = { enc = w_option c.enc; dec = r_option c.dec }
 let list c = { enc = w_list c.enc; dec = r_list c.dec }
 
 let pair a b =
@@ -180,21 +180,6 @@ let pair a b =
         let x = a.dec r in
         let y = b.dec r in
         (x, y));
-  }
-
-let triple a b c =
-  {
-    enc =
-      (fun buf (x, y, z) ->
-        a.enc buf x;
-        b.enc buf y;
-        c.enc buf z);
-    dec =
-      (fun r ->
-        let x = a.dec r in
-        let y = b.dec r in
-        let z = c.dec r in
-        (x, y, z));
   }
 
 (** Map a codec through a bijection, e.g. to (de)construct records or

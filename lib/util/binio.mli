@@ -67,12 +67,9 @@ val codec : (Buffer.t -> 'a -> unit) -> (reader -> 'a) -> 'a codec
 val int : int codec
 val int64 : int64 codec
 val float : float codec
-val bool : bool codec
 val string : string codec
-val option : 'a codec -> 'a option codec
 val list : 'a codec -> 'a list codec
 val pair : 'a codec -> 'b codec -> ('a * 'b) codec
-val triple : 'a codec -> 'b codec -> 'c codec -> ('a * 'b * 'c) codec
 
 (** Map a codec through a bijection, e.g. to (de)construct records or
     variants from tuples.  [dec] may raise {!Corrupt} on values that
@@ -87,9 +84,6 @@ val enum : name:string -> 'a list -> 'a codec
 (** [encode c v] serializes [v] to bytes. *)
 val encode : 'a codec -> 'a -> string
 
-(** [decode c s] parses [s], raising {!Corrupt} on malformed input,
-    including trailing bytes. *)
-val decode : 'a codec -> string -> 'a
-
-(** [decode_opt c s] is [decode] with {!Corrupt} mapped to [None]. *)
+(** [decode_opt c s] parses [s], or is [None] when [s] is malformed
+    ({!Corrupt}), trailing bytes included. *)
 val decode_opt : 'a codec -> string -> 'a option

@@ -67,30 +67,6 @@ let with_cad_defaults c =
     cad_corruption_rate = 0.03;
   }
 
-(* Fixed draw order, so a storm configuration is a pure function of its
-   seed.  Rates are capped low enough that a supervised pipeline with a
-   3-attempt budget still lands most candidates, but high enough that a
-   multi-seed campaign exercises every degradation path. *)
-let storm ~seed =
-  let p = key_prng ~seed (Printf.sprintf "chaos:storm:%d" seed) in
-  let rate cap = Prng.float p cap in
-  {
-    seed;
-    stage_crash_rate = rate 0.10;
-    stage_stall_rate = rate 0.20;
-    stage_stall_seconds = 10.0 +. Prng.float p 110.0;
-    pool_crash_rate = rate 0.05;
-    store_read_error_rate = rate 0.15;
-    store_write_drop_rate = rate 0.15;
-    store_torn_rate = rate 0.10;
-    store_latency_rate = rate 0.20;
-    store_latency_seconds = Prng.float p 0.002;
-    cad_crash_rate = 0.0;
-    cad_congestion_rate = 0.0;
-    cad_timing_rate = 0.0;
-    cad_corruption_rate = 0.0;
-  }
-
 let validate c =
   let check_rate what rate =
     if rate < 0.0 || rate > 1.0 then

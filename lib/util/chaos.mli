@@ -83,13 +83,6 @@ val with_cad_defaults : config -> config
     data paths and the odd timing miss, while most candidates still
     implement within a 3-attempt budget.  Every other field is kept. *)
 
-val storm : seed:int -> config
-(** A randomized fault mix for campaign runs: every stage, pool and
-    store rate (and both magnitudes) is drawn from the seed, so [N]
-    seeds explore [N] different storm shapes while each remains exactly
-    replayable.  The CAD plane stays off; add it with
-    {!with_cad_defaults}. *)
-
 val validate : config -> unit
 (** @raise Invalid_argument on an out-of-range rate, a negative stall,
     or a real-sleep latency above 50 ms. *)
@@ -122,11 +115,7 @@ val stage_stall : config -> site:string -> attempt:int -> float option
 
 val pool_crash : config -> site:string -> bool
 
-val store_read_error : config -> site:string -> bool
-val store_write_drop : config -> site:string -> bool
 val store_torn : config -> site:string -> bool
-val store_latency : config -> site:string -> float option
-(** Real seconds to sleep on this read, if any. *)
 
 val cad_on : config -> bool
 (** [true] when one of the four CAD rates is positive. *)

@@ -88,6 +88,3 @@ let of_string s =
   finish c
 
 let to_hex (d : t) = Printf.sprintf "%016Lx" d
-let equal = Int64.equal
-let compare = Int64.compare
-let pp ppf d = Format.pp_print_string ppf (to_hex d)

@@ -52,7 +52,3 @@ val of_string : string -> t
 
 val to_hex : t -> string
 (** 16 lowercase hex characters. *)
-
-val equal : t -> t -> bool
-val compare : t -> t -> int
-val pp : Format.formatter -> t -> unit

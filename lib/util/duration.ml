@@ -1,14 +1,7 @@
 type t = float
 
-let seconds s = s
-let minutes m = m *. 60.0
-let hours h = h *. 3600.0
-let days d = d *. 86400.0
-
 let check_non_negative name t =
   if t < 0.0 then invalid_arg (Printf.sprintf "Duration.%s: negative duration" name)
-
-let to_ms_string t = Printf.sprintf "%.2f" (t *. 1000.0)
 
 (* Round to whole seconds first so that e.g. 59.7 s prints as 1:00, not
    0:59 with a lost fraction. *)
@@ -29,30 +22,3 @@ let to_dhms t =
   let s = whole_seconds t in
   Printf.sprintf "%d:%02d:%02d:%02d" (s / 86400) (s mod 86400 / 3600)
     (s mod 3600 / 60) (s mod 60)
-
-let parse_fields name n s =
-  let parts = String.split_on_char ':' s in
-  if List.length parts <> n then
-    invalid_arg (Printf.sprintf "Duration.%s: expected %d fields in %S" name n s);
-  List.map
-    (fun p ->
-      match int_of_string_opt (String.trim p) with
-      | Some v when v >= 0 -> v
-      | _ -> invalid_arg (Printf.sprintf "Duration.%s: bad field %S" name p))
-    parts
-
-let of_min_sec s =
-  match parse_fields "of_min_sec" 2 s with
-  | [ m; sec ] -> float_of_int ((m * 60) + sec)
-  | _ -> assert false
-
-let of_hms s =
-  match parse_fields "of_hms" 3 s with
-  | [ h; m; sec ] -> float_of_int ((h * 3600) + (m * 60) + sec)
-  | _ -> assert false
-
-let of_dhms s =
-  match parse_fields "of_dhms" 4 s with
-  | [ d; h; m; sec ] ->
-      float_of_int ((d * 86400) + (h * 3600) + (m * 60) + sec)
-  | _ -> assert false

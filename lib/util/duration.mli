@@ -3,28 +3,12 @@
     All tool-flow runtimes in this reproduction are simulated seconds
     carried as [float].  The paper prints them in several fixed formats
     ([m:s] in Table II, [d:h:m:s] for break-even times, [h:m:s] in
-    Table IV); this module renders and parses those formats so our table
+    Table IV); this module renders those formats so our table
     output is directly comparable with the published tables. *)
 
 type t = float
 (** A duration in (simulated) seconds.  Negative durations are invalid
     inputs for the formatters. *)
-
-val seconds : float -> t
-(** Identity, for readability at call sites. *)
-
-val minutes : float -> t
-(** [minutes m] is [m *. 60.]. *)
-
-val hours : float -> t
-(** [hours h] is [h *. 3600.]. *)
-
-val days : float -> t
-(** [days d] is [d *. 86400.]. *)
-
-val to_ms_string : t -> string
-(** Milliseconds with two decimals, e.g. ["1.44"] for 1.44 ms input
-    given in seconds (0.00144). *)
 
 val to_min_sec : t -> string
 (** The paper's [m:s] format with zero-padded seconds, e.g. ["56:22"]
@@ -38,13 +22,3 @@ val to_hms : t -> string
 val to_dhms : t -> string
 (** [d:h:m:s], e.g. ["206:22:15:50"] meaning 206 days 22 h 15 m 50 s.
     @raise Invalid_argument on negative input. *)
-
-val of_min_sec : string -> t
-(** Parses the [m:s] format.  @raise Invalid_argument on malformed
-    input. *)
-
-val of_hms : string -> t
-(** Parses [h:m:s].  @raise Invalid_argument on malformed input. *)
-
-val of_dhms : string -> t
-(** Parses [d:h:m:s].  @raise Invalid_argument on malformed input. *)

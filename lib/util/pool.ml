@@ -1,9 +1,10 @@
 (** A small fixed-size domain pool for data-parallel maps.
 
-    The sweep engine is embarrassingly parallel: each workload (and each
-    selected candidate inside one specialization) is evaluated
-    independently, so a work queue over [Domain.spawn] is all that is
-    needed — no external dependency, no futures.
+    The sweep engine is embarrassingly parallel: each workload is
+    evaluated independently, so a work queue over [Domain.spawn] is all
+    that is needed — no external dependency, no futures.  There is one
+    level of parallelism: [map] over the applications.  The candidates
+    inside one specialization go through the serial {!map_result}.
 
     Guarantees:
     - {b order preservation}: [map ~jobs f xs] returns results in the
@@ -68,62 +69,26 @@ let map ?(jobs = 1) (f : 'a -> 'b) (xs : 'a list) : 'b list =
              results)
   end
 
-(** [iter ~jobs f xs] is [map ~jobs f xs] with unit results. *)
-let iter ?jobs (f : 'a -> unit) (xs : 'a list) : unit =
-  ignore (map ?jobs f xs)
-
-(** [map_result ?token ~jobs f xs] is [map] with per-item isolation: a
-    raising application poisons {e its own slot} only, as
+(** [map_result ?token f xs] is [List.map f xs] with per-item
+    isolation: a raising application poisons {e its own slot} only, as
     [Error (exn, backtrace)] — every other element's completed work is
-    kept.  Order-preserving like [map].
+    kept.  It runs serially on the calling domain: its one caller, the
+    per-candidate fan-out of [Asip_sp.stage_in], already runs inside
+    [map]'s per-application workers, and its work is too small to pay
+    for domains of its own.
 
     [token] makes the fan-out cooperatively cancellable: the token is
     checked before starting each item, and once cancelled the remaining
-    unstarted items resolve to [Error (Supervisor.Cancelled _, _)]
-    (items already running complete normally — cancellation is a drain,
-    not a kill). *)
-let map_result ?token ?(jobs = 1) (f : 'a -> 'b) (xs : 'a list) :
+    items resolve to [Error (Supervisor.Cancelled _, _)] (cancellation
+    is a drain, not a kill). *)
+let map_result ?token (f : 'a -> 'b) (xs : 'a list) :
     ('b, exn * Printexc.raw_backtrace) result list =
-  let one x =
-    match
-      (match token with Some t -> Supervisor.check t | None -> ());
-      f x
-    with
-    | r -> Ok r
-    | exception exn -> Error (exn, Printexc.get_raw_backtrace ())
-  in
-  let n = List.length xs in
-  if jobs <= 1 || n <= 1 then List.map one xs
-  else begin
-    let inputs = Array.of_list xs in
-    let results = Array.make n None in
-    let next = ref 0 in
-    let lock = Mutex.create () in
-    let take () =
-      Mutex.protect lock (fun () ->
-          if !next >= n then None
-          else begin
-            let i = !next in
-            incr next;
-            Some i
-          end)
-    in
-    let rec worker () =
-      match take () with
-      | None -> ()
-      | Some i ->
-          results.(i) <- Some (one inputs.(i));
-          worker ()
-    in
-    let domains = List.init (min jobs n) (fun _ -> Domain.spawn worker) in
-    List.iter Domain.join domains;
-    Array.to_list
-      (Array.mapi
-         (fun i r ->
-           match r with
-           | Some r -> r
-           | None ->
-               (* unreachable: [one] never raises *)
-               failwith (Printf.sprintf "Pool.map_result: slot %d not filled" i))
-         results)
-  end
+  List.map
+    (fun x ->
+      match
+        (match token with Some t -> Supervisor.check t | None -> ());
+        f x
+      with
+      | r -> Ok r
+      | exception exn -> Error (exn, Printexc.get_raw_backtrace ()))
+    xs

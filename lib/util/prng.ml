@@ -4,8 +4,6 @@ let golden_gamma = 0x9E3779B97F4A7C15L
 
 let create ~seed = { state = Int64.of_int seed }
 
-let copy t = { state = t.state }
-
 (* SplitMix64 step: advance by the golden gamma and mix. *)
 let int64 t =
   t.state <- Int64.add t.state golden_gamma;
@@ -13,10 +11,6 @@ let int64 t =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
-
-let split t =
-  let s = int64 t in
-  { state = s }
 
 let int t bound =
   if bound <= 0 then invalid_arg "Prng.int: bound must be positive";
@@ -29,8 +23,6 @@ let float t bound =
   (* 53 random bits scaled to [0, 1). *)
   let bits = Int64.to_float (Int64.shift_right_logical (int64 t) 11) in
   bits /. 9007199254740992.0 *. bound
-
-let bool t = Int64.logand (int64 t) 1L = 1L
 
 let gaussian t ~mu ~sigma =
   let rec draw () =
@@ -49,10 +41,6 @@ let shuffle t a =
     a.(i) <- a.(j);
     a.(j) <- tmp
   done
-
-let pick t a =
-  if Array.length a = 0 then invalid_arg "Prng.pick: empty array";
-  a.(int t (Array.length a))
 
 let hash_string s =
   let h = ref 0xCBF29CE484222325L in

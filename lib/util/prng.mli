@@ -13,19 +13,6 @@ val create : seed:int -> t
 (** [create ~seed] makes a fresh generator.  Equal seeds yield equal
     streams. *)
 
-val copy : t -> t
-(** [copy t] is an independent generator that will produce the same
-    future stream as [t]. *)
-
-val split : t -> t
-(** [split t] advances [t] and returns a new generator whose stream is
-    statistically independent from the continuation of [t]'s stream.
-    Used to hand sub-seeds to sub-components without coupling their
-    consumption order. *)
-
-val int64 : t -> int64
-(** Next raw 64-bit output. *)
-
 val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)].  @raise Invalid_argument
     if [bound <= 0]. *)
@@ -33,18 +20,12 @@ val int : t -> int -> int
 val float : t -> float -> float
 (** [float t bound] is uniform in [\[0, bound)]. *)
 
-val bool : t -> bool
-(** Fair coin. *)
-
 val gaussian : t -> mu:float -> sigma:float -> float
 (** [gaussian t ~mu ~sigma] draws from a normal distribution via
     Box-Muller. *)
 
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher-Yates shuffle. *)
-
-val pick : t -> 'a array -> 'a
-(** Uniformly random element.  @raise Invalid_argument on empty array. *)
 
 val hash_string : string -> int
 (** [hash_string s] is a stable 62-bit FNV-1a hash of [s], suitable for

@@ -51,4 +51,3 @@ let spend b cost =
   | Some left -> b.left <- Some (Float.max 0.0 (left -. cost))
 
 let exhausted b = match b.left with None -> false | Some left -> left <= 0.0
-let remaining b = b.left

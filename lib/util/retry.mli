@@ -52,4 +52,3 @@ val spend : budget -> float -> unit
 (** Deduct; clamps at zero. *)
 
 val exhausted : budget -> bool
-val remaining : budget -> float option

@@ -52,11 +52,6 @@ let maximum = function
   | [] -> invalid_arg "Stats.maximum: empty list"
   | x :: xs -> List.fold_left max x xs
 
-let weighted_mean wxs =
-  let wsum = List.fold_left (fun acc (w, _) -> acc +. w) 0.0 wxs in
-  if wsum = 0.0 then 0.0
-  else List.fold_left (fun acc (w, x) -> acc +. (w *. x)) 0.0 wxs /. wsum
-
 type summary = {
   n : int;
   mean : float;

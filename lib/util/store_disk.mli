@@ -27,24 +27,9 @@ val backend : ?chaos:Chaos.config -> root:string -> unit -> Artifact.backend
     degrades to a miss — modelling a partial write that the crash-safe
     rename protocol cannot see.  The other store planes (read errors,
     dropped writes, latency) live above the envelope; inject them with
-    {!Chaos.wrap_backend}. *)
+    {!Chaos.wrap_backend}.
 
-val sweep_orphans : root:string -> int
-(** Remove stale [*.tmp.*] files under [root]'s stage directories,
-    returning how many were removed.  Called by {!backend}. *)
-
-val entry_path : root:string -> stage:string -> digest:string -> string
-(** Path of the entry file for [(stage, digest-hex)] — exposed so tests
-    can truncate or corrupt specific entries. *)
-
-val get : root:string -> stage:string -> digest:string -> (string * string) option
-(** Low-level read, returning [(builder, payload)] for a valid entry. *)
-
-val put :
-  ?chaos:Chaos.config ->
-  root:string -> stage:string -> digest:string -> builder:string -> payload:string -> unit -> unit
-(** Low-level crash-safe first-put-wins write; [chaos] injects the
-    torn-envelope plane (see {!backend}).  The one exception to
-    first-put-wins is an entry whose complete header names another
-    format version: [put] replaces it, so a store written by an older
-    build warms again instead of missing forever. *)
+    Writes are crash-safe and first-put-wins, with one exception: an
+    entry whose complete header names another format version is
+    replaced, so a store written by an older build warms again instead
+    of missing forever. *)

@@ -77,15 +77,7 @@ type failure = {
 exception Stage_failed of failure
 
 (* ------------------------------------------------------------------ *)
-(* Stats and per-item meters                                           *)
-
-type stats = {
-  sup_executions : int;
-  sup_retries : int;
-  sup_stall_seconds : float;
-  sup_deadline_kills : int;
-  sup_failures : int;
-}
+(* Per-item meters                                                     *)
 
 type meter = { mutable m_spent : float }
 
@@ -99,12 +91,6 @@ type t = {
   policy : policy;
   tok : token;
   run_budget : Retry.budget;
-  lock : Mutex.t;
-  mutable executions : int;
-  mutable retries : int;
-  mutable stall_seconds : float;
-  mutable deadline_kills : int;
-  mutable failures : int;
 }
 
 let create ?(policy = default_policy) ?token:tok () =
@@ -114,36 +100,17 @@ let create ?(policy = default_policy) ?token:tok () =
     policy;
     tok;
     run_budget = Retry.budget policy.run_deadline_seconds;
-    lock = Mutex.create ();
-    executions = 0;
-    retries = 0;
-    stall_seconds = 0.0;
-    deadline_kills = 0;
-    failures = 0;
   }
 
 let token_of t = t.tok
-let cancel_run ?reason t = cancel ?reason t.tok
-let run_remaining t = Retry.remaining t.run_budget
-
-let stats t =
-  Mutex.protect t.lock (fun () ->
-      {
-        sup_executions = t.executions;
-        sup_retries = t.retries;
-        sup_stall_seconds = t.stall_seconds;
-        sup_deadline_kills = t.deadline_kills;
-        sup_failures = t.failures;
-      })
 
 (* Internal: the stall hook overran the per-stage deadline. *)
 exception Stage_timeout
 
 let supervise (type a) t ~site ?(transient = fun _ -> false) ?meter
     (body : attempt:int -> stall:(float -> unit) -> a) : a =
-  Mutex.protect t.lock (fun () -> t.executions <- t.executions + 1);
-  (* Simulated-waste accounting: per-item meters (parallel fan-outs)
-     collect their waste for the caller to bill sequentially; meter-less
+  (* Simulated-waste accounting: per-item meters (the per-candidate
+     fan-out) collect their waste for the caller to bill later; meter-less
      (sequential) sites charge the run budget directly, so the budget's
      spending order is deterministic. *)
   let bill cost =
@@ -152,7 +119,6 @@ let supervise (type a) t ~site ?(transient = fun _ -> false) ?meter
     | None -> Retry.spend t.run_budget cost
   in
   let fail attempts wasted error =
-    Mutex.protect t.lock (fun () -> t.failures <- t.failures + 1);
     raise (Stage_failed { f_site = site; f_attempts = attempts; f_wasted_seconds = wasted; f_error = error })
   in
   let rec attempt_loop attempt wasted =
@@ -168,8 +134,6 @@ let supervise (type a) t ~site ?(transient = fun _ -> false) ?meter
     let cost = ref 0.0 in
     let stall s =
       if s < 0.0 then invalid_arg "Supervisor: negative stall";
-      Mutex.protect t.lock (fun () ->
-          t.stall_seconds <- t.stall_seconds +. s);
       cost := !cost +. s;
       match t.policy.stage_deadline_seconds with
       | Some d when !cost > d -> raise Stage_timeout
@@ -181,7 +145,6 @@ let supervise (type a) t ~site ?(transient = fun _ -> false) ?meter
         fail attempt (wasted +. attempt_cost) error
       end
       else begin
-        Mutex.protect t.lock (fun () -> t.retries <- t.retries + 1);
         let backoff = Retry.backoff_seconds ~key:site ~attempt in
         bill (attempt_cost +. backoff);
         attempt_loop (attempt + 1) (wasted +. attempt_cost +. backoff)
@@ -194,8 +157,6 @@ let supervise (type a) t ~site ?(transient = fun _ -> false) ?meter
         bill !cost;
         v
     | exception Stage_timeout -> (
-        Mutex.protect t.lock (fun () ->
-            t.deadline_kills <- t.deadline_kills + 1);
         (* Only the [stall] hook above raises [Stage_timeout], and only
            under a [Some] deadline — but a stage body may capture the
            hook of a deadline-bearing supervisor and leak the exception

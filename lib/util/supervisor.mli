@@ -20,8 +20,8 @@
       start ({!error.Run_deadline});
     - {b cooperative cancellation}: every attempt first checks the
       supervisor's {!token}; {!Pool.map_result} checks the same token
-      before starting each work item, so cancelling the token drains a
-      parallel fan-out at the next item boundary.
+      before starting each work item, so cancelling the token drains
+      the per-candidate fan-out at the next item boundary.
 
     All deadlines operate on {e simulated} seconds — the same clock as
     the CAD model and {!Retry} — so supervision decisions are
@@ -49,7 +49,6 @@ val cancel : ?reason:string -> token -> unit
 (** First cancellation wins; later reasons are ignored. *)
 
 val cancelled : token -> bool
-val cancel_reason : token -> string option
 
 val check : token -> unit
 (** @raise Cancelled when the token (or an ancestor) is cancelled. *)
@@ -92,21 +91,13 @@ type failure = {
 
 exception Stage_failed of failure
 
-(** {1 Stats and meters} *)
-
-type stats = {
-  sup_executions : int;  (** {!supervise} calls *)
-  sup_retries : int;  (** failed attempts that were retried *)
-  sup_stall_seconds : float;  (** simulated stalls observed (all sites) *)
-  sup_deadline_kills : int;  (** attempts killed by the stage deadline *)
-  sup_failures : int;  (** terminal {!Stage_failed}s raised *)
-}
+(** {1 Meters} *)
 
 type meter
-(** A per-work-item simulated-waste account.  Parallel fan-outs give
-    each item its own meter so waste can be billed later, sequentially
-    and in a deterministic order (the PR 2 pattern); meter-less sites
-    charge the shared run budget directly. *)
+(** A per-work-item simulated-waste account.  The per-candidate
+    fan-out gives each item its own meter so waste can be billed later,
+    in a deterministic order; meter-less sites charge the shared run
+    budget directly. *)
 
 val meter : unit -> meter
 val spent : meter -> float
@@ -121,11 +112,6 @@ val create : ?policy:policy -> ?token:token -> unit -> t
     @raise Invalid_argument on an invalid policy. *)
 
 val token_of : t -> token
-val cancel_run : ?reason:string -> t -> unit
-val run_remaining : t -> float option
-(** Remaining run budget; [None] = unbounded. *)
-
-val stats : t -> stats
 
 val supervise :
   t ->

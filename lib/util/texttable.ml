@@ -1,24 +1,14 @@
-type align = Left | Right | Center
-
 type row = Data of string list | Separator
 
 type t = {
   headers : string list;
   ncols : int;
-  mutable aligns : align list;
   mutable rows : row list; (* reversed *)
 }
 
-let default_aligns n = List.init n (fun i -> if i = 0 then Left else Right)
-
 let create ~headers =
   let n = List.length headers in
-  { headers; ncols = n; aligns = default_aligns n; rows = [] }
-
-let set_aligns t aligns =
-  if List.length aligns <> t.ncols then
-    invalid_arg "Texttable.set_aligns: column count mismatch";
-  t.aligns <- aligns
+  { headers; ncols = n; rows = [] }
 
 let add_row t cells =
   if List.length cells <> t.ncols then
@@ -29,16 +19,10 @@ let add_row t cells =
 
 let add_separator t = t.rows <- Separator :: t.rows
 
-let pad align width s =
-  let len = String.length s in
-  if len >= width then s
-  else
-    match align with
-    | Left -> s ^ String.make (width - len) ' '
-    | Right -> String.make (width - len) ' ' ^ s
-    | Center ->
-        let left = (width - len) / 2 in
-        String.make left ' ' ^ s ^ String.make (width - len - left) ' '
+(* The first column is left-aligned, every other one right-aligned. *)
+let pad i width s =
+  let fill = String.make (max 0 (width - String.length s)) ' ' in
+  if i = 0 then s ^ fill else fill ^ s
 
 let render t =
   let rows = List.rev t.rows in
@@ -63,7 +47,7 @@ let render t =
   let emit_cells cells =
     List.iteri
       (fun i c ->
-        Buffer.add_string buf (pad (List.nth t.aligns i) widths.(i) c);
+        Buffer.add_string buf (pad i widths.(i) c);
         if i < t.ncols - 1 then Buffer.add_string buf " | ")
       cells;
     Buffer.add_char buf '\n'

@@ -4,19 +4,13 @@
     I-IV; this module handles column sizing and alignment so every
     driver renders consistently. *)
 
-type align = Left | Right | Center
-
 type t
 (** A table under construction. *)
 
 val create : headers:string list -> t
 (** [create ~headers] starts a table whose column count is fixed by
-    [headers]. *)
-
-val set_aligns : t -> align list -> unit
-(** Overrides per-column alignment (default: first column [Left],
-    others [Right]).  @raise Invalid_argument on column-count
-    mismatch. *)
+    [headers].  The first column is left-aligned, the others
+    right-aligned. *)
 
 val add_row : t -> string list -> unit
 (** Appends a data row.  @raise Invalid_argument on column-count

@@ -35,10 +35,6 @@ let default =
     hot_factor = 0.985;
   }
 
-(** A model with no VM overhead at all — used to measure the "Native"
-    column of Table I. *)
-let native = { warmup_threshold = 0L; translation_cycles_per_instr = 0; hot_factor = 1.0 }
-
 (** One-time cost of translating the whole module at load (the VM's
     dynamic translation step in Figure 1).  Proportional to the static
     module size — the mechanism behind the paper's observation that the

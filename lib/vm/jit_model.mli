@@ -31,10 +31,6 @@ type t = {
     cycles per instruction, 0.985 hot factor. *)
 val default : t
 
-(** A model with no VM overhead at all — used to measure the "Native"
-    column of Table I. *)
-val native : t
-
 (** One-time cost of translating the whole module at load (the VM's
     dynamic translation step in Figure 1), proportional to the static
     module size. *)

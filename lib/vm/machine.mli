@@ -68,17 +68,6 @@ type ci_registry = (int, ci_impl) Hashtbl.t
 val empty_cis : unit -> ci_registry
 
 (* ------------------------------------------------------------------ *)
-(* Intrinsics                                                          *)
-(* ------------------------------------------------------------------ *)
-
-(** Evaluate intrinsic [name] (sqrt, sin, pow, abs, min, ...).
-    @raise Fault on an unknown name or wrong arity. *)
-val intrinsic : string -> Ir.Eval.value array -> Ir.Eval.value
-
-val find_intrinsic : string -> (Ir.Eval.value array -> Ir.Eval.value) option
-val is_intrinsic : string -> bool
-
-(* ------------------------------------------------------------------ *)
 (* Execution engines                                                   *)
 (* ------------------------------------------------------------------ *)
 

@@ -107,26 +107,6 @@ let store t addr v =
   check t addr;
   set_cell t addr v
 
-let load_int t addr =
-  check t addr;
-  if addr >= capacity t then 0L
-  else if Bytes.unsafe_get t.tags addr = tag_float then
-    raise (Ir.Eval.Type_error "expected an integer value")
-  else get64 t.ints (8 * addr)
-
-let load_float t addr =
-  check t addr;
-  if addr < capacity t && Bytes.unsafe_get t.tags addr = tag_float then
-    Array.unsafe_get t.floats addr
-  else raise (Ir.Eval.Type_error "expected a float value")
-
-let load_ptr t addr =
-  check t addr;
-  if addr >= capacity t then 0
-  else if Bytes.unsafe_get t.tags addr = tag_float then
-    raise (Ir.Eval.Type_error "expected an address")
-  else Int64.to_int (get64 t.ints (8 * addr))
-
 let store_int t addr x =
   check t addr;
   set_int t addr x
@@ -181,28 +161,3 @@ let global_base t name =
   match Hashtbl.find_opt t.globals name with
   | Some base -> base
   | None -> invalid_arg (Printf.sprintf "Memory.global_base: unknown global %s" name)
-
-(** Read [len] cells of a global as floats (for checksumming results in
-    tests and workload validation). *)
-let read_global_floats t name len =
-  let base = global_base t name in
-  Array.init len (fun i ->
-      match load t (base + i) with
-      | Ir.Eval.VFloat v -> v
-      | Ir.Eval.VInt v -> Int64.to_float v
-      | Ir.Eval.VPtr p -> float_of_int p)
-
-(** Read [len] cells of a global as ints. *)
-let read_global_ints t name len =
-  let base = global_base t name in
-  Array.init len (fun i ->
-      match load t (base + i) with
-      | Ir.Eval.VInt v -> v
-      | Ir.Eval.VFloat v -> Int64.of_float v
-      | Ir.Eval.VPtr p -> Int64.of_int p)
-
-(** Overwrite a global's cells with integer data (workload dataset
-    injection). *)
-let write_global_ints t name data =
-  let base = global_base t name in
-  Array.iteri (fun i v -> store_int t (base + i) v) data

@@ -21,7 +21,7 @@
     directly (a cross-module call on its hot path would box every int64
     and float it moves).
 
-    Cell layout, one cell per address [a < capacity t]:
+    Cell layout, one cell per address [a < Bytes.length tags]:
     - [tags.[a]] is the constructor tag: ['\000'] {!Jitise_ir.Eval.VInt},
       ['\001'] {!Jitise_ir.Eval.VFloat}, ['\002']
       {!Jitise_ir.Eval.VPtr};
@@ -49,9 +49,6 @@ exception Bad_address of int
     @param capacity initial backing, in cells (default 1024) *)
 val create : ?limit:int -> ?capacity:int -> unit -> t
 
-(** Cells currently backed; grows on demand up to [limit]. *)
-val capacity : t -> int
-
 (** {2 Boxed access}
 
     The Reference engine's view: one {!Jitise_ir.Eval.value} per cell. *)
@@ -65,17 +62,12 @@ val load : t -> int -> Jitise_ir.Eval.value
     @raise Out_of_memory if backing growth would exceed the limit. *)
 val store : t -> int -> Jitise_ir.Eval.value -> unit
 
-(** {2 Typed access}
+(** {2 Typed stores}
 
-    Each typed load equals the boxed {!load} followed by
-    {!Jitise_ir.Eval.as_int} / [as_float] / [as_ptr]: the same result,
-    the same exceptions in the same order ({!Bad_address} before any
-    [Type_error]), with no boxed value built.  Each typed store equals
-    {!store} of [VInt] / [VFloat] / [VPtr]. *)
+    Each equals {!store} of [VInt] / [VFloat] / [VPtr], with no boxed
+    value built.  The compiled engine inlines the typed loads over the
+    fields above. *)
 
-val load_int : t -> int -> int64
-val load_float : t -> int -> float
-val load_ptr : t -> int -> int
 val store_int : t -> int -> int64 -> unit
 val store_float : t -> int -> float -> unit
 val store_ptr : t -> int -> int -> unit
@@ -97,14 +89,3 @@ val load_globals : t -> Jitise_ir.Irmod.t -> unit
 (** Base address of a named global.
     @raise Invalid_argument for an unknown global. *)
 val global_base : t -> string -> int
-
-(** Read [len] cells of a global as floats (for checksumming results in
-    tests and workload validation). *)
-val read_global_floats : t -> string -> int -> float array
-
-(** Read [len] cells of a global as ints. *)
-val read_global_ints : t -> string -> int -> int64 array
-
-(** Overwrite a global's cells with integer data (workload dataset
-    injection). *)
-val write_global_ints : t -> string -> int64 array -> unit

@@ -17,12 +17,6 @@ type t = {
 
 let create () = { counts = Hashtbl.create 256; executed_instrs = 0L }
 
-let bump t ~func ~label ~instrs =
-  let key = (func, label) in
-  let prev = Option.value ~default:0L (Hashtbl.find_opt t.counts key) in
-  Hashtbl.replace t.counts key (Int64.add prev 1L);
-  t.executed_instrs <- Int64.add t.executed_instrs (Int64.of_int instrs)
-
 (** Add [count] executions of a block at once (bulk import from the
     VM's run-local counters). *)
 let record t ~func ~label ~count ~instrs =
@@ -35,22 +29,11 @@ let record t ~func ~label ~count ~instrs =
 let count t ~func ~label =
   Option.value ~default:0L (Hashtbl.find_opt t.counts (func, label))
 
-let iter f t = Hashtbl.iter (fun (fn, l) c -> f ~func:fn ~label:l ~count:c) t.counts
-
 (** All profiled (function, label, count) triples, sorted for
     determinism. *)
 let to_list t =
   Hashtbl.fold (fun (fn, l) c acc -> (fn, l, c) :: acc) t.counts []
   |> List.sort compare
-
-(** Merge [src] into [dst] (summing counts). *)
-let merge ~into:dst src =
-  Hashtbl.iter
-    (fun key c ->
-      let prev = Option.value ~default:0L (Hashtbl.find_opt dst.counts key) in
-      Hashtbl.replace dst.counts key (Int64.add prev c))
-    src.counts;
-  dst.executed_instrs <- Int64.add dst.executed_instrs src.executed_instrs
 
 (** Sliding-window phase profiles.
 

@@ -17,26 +17,17 @@ type t = {
 
 val create : unit -> t
 
-(** Add one execution of block [label] of [func], containing [instrs]
-    instructions. *)
-val bump : t -> func:string -> label:Ir.Instr.label -> instrs:int -> unit
-
-(** Add [count] executions of a block at once (bulk import from the
-    VM's run-local counters). *)
+(** Add [count] executions of block [label] of [func], containing
+    [instrs] instructions (bulk import from the VM's run-local
+    counters); counts of one block sum. *)
 val record :
   t -> func:string -> label:Ir.Instr.label -> count:int64 -> instrs:int -> unit
 
 val count : t -> func:string -> label:Ir.Instr.label -> int64
 
-val iter :
-  (func:string -> label:Ir.Instr.label -> count:int64 -> unit) -> t -> unit
-
 (** All profiled (function, label, count) triples, sorted for
     determinism. *)
 val to_list : t -> (string * Ir.Instr.label * int64) list
-
-(** Merge [src] into [dst] (summing counts). *)
-val merge : into:t -> t -> unit
 
 (** Total software cycles attributed to each block of [m] under this
     profile: [freq * block_cycles].  Returns a sorted association list

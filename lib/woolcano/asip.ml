@@ -10,11 +10,10 @@
     - The batch mode ({!load}) reconfigures instantaneously on a
       logical clock; it is what the offline sweep and
       [Jit_manager.timeline] use.
-    - The online mode ({!begin_load} / {!dispatch_ready} /
-      {!state_of}) models a slot state machine on the simulated
-      seconds axis the VM runs on: a slot whose reconfiguration is
-      still in flight ([Loading]) refuses CI dispatch until its
-      [ready_at] deadline has passed. *)
+    - The online mode ({!begin_load} / {!dispatch_ready}) models a
+      slot state machine on the simulated seconds axis the VM runs
+      on: a slot whose reconfiguration is still in flight refuses CI
+      dispatch until its [ready_at] deadline has passed. *)
 
 module Ise = Jitise_ise
 module Cad = Jitise_cad
@@ -40,12 +39,6 @@ type slot = {
       (** simulated second at which the occupant becomes dispatchable;
           [neg_infinity] for batch-mode loads *)
 }
-
-type ci_state =
-  | Absent  (** not resident in any slot *)
-  | Loading of float
-      (** resident but reconfiguring until the given second *)
-  | Loaded  (** resident and dispatchable *)
 
 type t = {
   arch : Arch.t;
@@ -225,26 +218,12 @@ let touch t signature =
   | None -> ()
   | Some idx -> t.slots.(idx).last_use <- tick t
 
-(** Slot state machine view of one signature at [now_seconds]. *)
-let state_of t ~now_seconds signature =
-  match find t signature with
-  | None -> Absent
-  | Some idx ->
-      let ready = t.slots.(idx).ready_at in
-      if ready <= now_seconds then Loaded else Loading ready
-
 (** [true] iff [signature] is resident AND its reconfiguration has
     completed — the fabric refuses CI dispatch mid-reconfiguration. *)
 let dispatch_ready t ~now_seconds signature =
   match find t signature with
   | None -> false
   | Some idx -> t.slots.(idx).ready_at <= now_seconds
-
-(** Signatures currently resident. *)
-let resident t =
-  Array.to_list t.slots
-  |> List.filter_map (fun s ->
-         Option.map (fun b -> b.Cad.Bitstream.signature) s.occupant)
 
 let occupancy t =
   Array.fold_left

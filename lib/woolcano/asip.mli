@@ -26,12 +26,6 @@ type slot = {
   mutable ready_at : float;
 }
 
-(** State-machine view of one custom instruction on the fabric. *)
-type ci_state =
-  | Absent
-  | Loading of float  (** reconfiguring until the given simulated second *)
-  | Loaded
-
 type t = {
   arch : Arch.t;
   policy : policy;
@@ -67,7 +61,6 @@ val begin_load : t -> now_seconds:float -> Cad.Bitstream.t -> int * bool * float
 val touch : t -> string -> unit
 (** Bump the LRU clock for a resident signature (a dispatch). *)
 
-val state_of : t -> now_seconds:float -> string -> ci_state
 val dispatch_ready : t -> now_seconds:float -> string -> bool
 
 val set_benefit : t -> string -> float -> unit
@@ -78,5 +71,4 @@ val peek_victim : t -> string option
     available.  Lets the controller apply hysteresis before committing
     to an eviction. *)
 
-val resident : t -> string list
 val occupancy : t -> int

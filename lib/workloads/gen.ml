@@ -256,16 +256,3 @@ let shifting_phase_family ~prefix ~phases ~width =
   done;
   Buffer.add_string buf "}\n";
   Buffer.contents buf
-
-(** Fixed-size initialization code for a float table: a table-setup
-    function whose loop bounds never depend on the input — classified
-    as {e constant} coverage when called once per run. *)
-let const_init_float ~name ~array ~size =
-  Printf.sprintf
-    "void %s() {\n\
-    \  int i;\n\
-    \  for (i = 0; i < %d; i = i + 1) {\n\
-    \    %s[i] = 0.001 * i - 0.5 + 1.0 / (i + 2);\n\
-    \  }\n\
-     }\n"
-    name size array

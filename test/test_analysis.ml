@@ -29,10 +29,11 @@ let coverage_src =
   \  return s;\n\
    }"
 
+let profiles m = List.map (fun n -> (run m n).Vm.Machine.profile) [ 100; 200 ]
+
 let classify () =
   let m = compile coverage_src in
-  let o1 = run m 100 and o2 = run m 200 in
-  (m, An.Coverage.classify m [ o1.Vm.Machine.profile; o2.Vm.Machine.profile ])
+  (m, An.Coverage.classify m (profiles m))
 
 let test_coverage_classes () =
   let m, cov = classify () in
@@ -77,28 +78,38 @@ let test_coverage_requires_two_profiles () =
        false
      with Invalid_argument _ -> true)
 
+(* Each block's class against its per-dataset counts, read from the
+   profiles the classification was built from. *)
 let test_coverage_live_blocks_vary () =
   let m, cov = classify () in
-  ignore m;
+  let ps = profiles m in
   List.iter
     (fun (b : An.Coverage.block_class) ->
+      let freqs =
+        List.map
+          (fun p ->
+            Vm.Profile.count p ~func:b.An.Coverage.func ~label:b.An.Coverage.label)
+          ps
+      in
+      let a = List.hd freqs and rest = List.tl freqs in
       match b.An.Coverage.classification with
-      | An.Coverage.Live -> (
-          match b.An.Coverage.frequencies with
-          | a :: rest ->
-              Alcotest.(check bool) "live varies" true
-                (List.exists (fun c -> c <> a) rest)
-          | [] -> ())
-      | An.Coverage.Constant -> (
-          match b.An.Coverage.frequencies with
-          | a :: rest ->
-              Alcotest.(check bool) "const stable nonzero" true
-                (a > 0L && List.for_all (fun c -> c = a) rest)
-          | [] -> ())
+      | An.Coverage.Live ->
+          Alcotest.(check bool) "live varies" true
+            (List.exists (fun c -> c <> a) rest)
+      | An.Coverage.Constant ->
+          Alcotest.(check bool) "const stable nonzero" true
+            (a > 0L && List.for_all (fun c -> c = a) rest)
       | An.Coverage.Dead ->
           Alcotest.(check bool) "dead never runs" true
-            (List.for_all (fun c -> c = 0L) b.An.Coverage.frequencies))
-    cov.An.Coverage.blocks
+            (List.for_all (fun c -> c = 0L) freqs))
+    cov.An.Coverage.blocks;
+  List.iter
+    (fun cls ->
+      Alcotest.(check bool) "every class present" true
+        (List.exists
+           (fun (b : An.Coverage.block_class) -> b.An.Coverage.classification = cls)
+           cov.An.Coverage.blocks))
+    An.Coverage.[ Live; Constant; Dead ]
 
 (* ------------------------------------------------------------------ *)
 (* Kernel                                                              *)
@@ -183,7 +194,7 @@ let test_breakeven_split_costs () =
   let o1 = run m 2000 and o2 = run m 4000 in
   let cov = An.Coverage.classify m [ o1.Vm.Machine.profile; o2.Vm.Machine.profile ] in
   let db = Jitise_pivpav.Database.create () in
-  let cands = Ise.Maxmiso.of_module m in
+  let cands = Fixtures.maxmisos m in
   let sel = Ise.Select.select db m o1.Vm.Machine.profile cands in
   let s = An.Breakeven.split_costs m o1.Vm.Machine.profile cov sel in
   Alcotest.(check bool) "live cycles dominate this program" true
@@ -380,17 +391,15 @@ let test_cache_grid () =
   let s =
     split ~live_cycles:1e8 ~const_cycles:1e6 ~live_saved:5e7 ~const_saved:0.0
   in
-  let grid = An.Cache_model.grid ~split:s costs in
-  Alcotest.(check int) "full grid" 40 (List.length grid);
-  (* corner cells: (0,0) worst, (0.9, 0.9) best *)
-  let be h c =
-    match
-      List.find_opt
-        (fun g -> g.An.Cache_model.hit_rate = h && g.An.Cache_model.cad_speedup = c)
-        grid
-    with
-    | Some { An.Cache_model.break_even = An.Breakeven.After t; _ } -> t
-    | _ -> Alcotest.fail "missing cell"
+  (* Table IV's corner cells, as Tables computes each cell: (0,0)
+     worst, (0.9, 0.9) best *)
+  let be hit_rate cad_speedup =
+    let overhead_seconds =
+      An.Cache_model.residual_overhead ~hit_rate ~cad_speedup costs
+    in
+    match An.Breakeven.of_split s ~overhead_seconds with
+    | An.Breakeven.After t -> t
+    | An.Breakeven.Never -> Alcotest.fail "cell never breaks even"
   in
   Alcotest.(check bool) "best corner beats worst" true (be 0.9 0.9 < be 0.0 0.0)
 

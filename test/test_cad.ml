@@ -33,10 +33,14 @@ let projects =
              let f = Option.get (Ir.Irmod.find_func m c.Ise.Candidate.func) in
              let dfg = Ir.Dfg.of_block f (Ir.Func.block f c.Ise.Candidate.block) in
              Some (Hw.Project.create db dfg c))
-           (Ise.Maxmiso.of_module m))
+           (Fixtures.maxmisos m))
        srcs)
 
-let implement ?tracer ?config p = Cad.Flow.implement ?tracer ?config db p
+(* The flow with the CAD plane off, which never fails. *)
+let implement ?tracer ?config p =
+  match Cad.Flow.implement_result ?tracer ?config db p with
+  | Ok run -> run
+  | Error f -> Alcotest.failf "faultless flow failed: %a" Cad.Flow.pp_failure f
 
 let test_flow_runs_all_stages () =
   let p = List.hd (Lazy.force projects) in
@@ -168,7 +172,10 @@ let test_flow_small_device () =
      map/PAR *)
   let p = List.hd (Lazy.force projects) in
   let full = implement p in
-  let small = implement ~config:Cad.Flow.small_device_config p in
+  (* a Virtex-4 FX60-sized target, ~60 % of the FX100's frames *)
+  let small =
+    implement ~config:{ Cad.Flow.default_config with device_scale = 0.6 } p
+  in
   Alcotest.(check bool) "constants shrink" true
     (Cad.Flow.constant_seconds small < 0.7 *. Cad.Flow.constant_seconds full);
   Alcotest.(check (float 1e-9)) "map unchanged"
@@ -339,33 +346,26 @@ let test_implement_result_failure () =
         (f.Cad.Flow.wasted_seconds > 0.0
         && f.Cad.Flow.wasted_seconds < clean.Cad.Flow.total_seconds)
 
-(* Regression: the never-failing [implement] used to hit [assert false]
-   if the flow ever returned [Error] with faults disabled.  The branch
-   now raises a named {!Cad.Flow.Internal_error}; feed the extractor a
-   synthetic failure and check the error names the stage. *)
+(* A faultless flow returns [Ok]; a failed one names its stage when
+   printed, as the online controller's fallback message does. *)
 let test_run_of_result_internal_error () =
   let p = List.hd (Lazy.force projects) in
   (match Cad.Flow.implement_result db p with
-  | Ok run ->
-      let again = Cad.Flow.run_of_result (Ok run) in
-      Alcotest.(check (float 1e-9)) "Ok passes through" run.Cad.Flow.total_seconds
-        again.Cad.Flow.total_seconds
+  | Ok _ -> ()
   | Error _ -> Alcotest.fail "faultless flow must not fail");
   let synthetic =
     match Cad.Flow.implement_result ~chaos:always_crash db p with
     | Error f -> f
     | Ok _ -> Alcotest.fail "crash_rate 1.0 must fail"
   in
-  match Cad.Flow.run_of_result (Error synthetic) with
-  | (_ : Cad.Flow.run) -> Alcotest.fail "expected Internal_error"
-  | exception Cad.Flow.Internal_error m ->
-      let contains hay needle =
-        let nh = String.length hay and nn = String.length needle in
-        let rec at i = i + nn <= nh && (String.sub hay i nn = needle || at (i + 1)) in
-        at 0
-      in
-      Alcotest.(check bool) "message names the stage" true
-        (contains m (Cad.Flow.stage_name synthetic.Cad.Flow.failed_stage))
+  let m = Format.asprintf "%a" Cad.Flow.pp_failure synthetic in
+  let contains hay needle =
+    let nh = String.length hay and nn = String.length needle in
+    let rec at i = i + nn <= nh && (String.sub hay i nn = needle || at (i + 1)) in
+    at 0
+  in
+  Alcotest.(check bool) "message names the stage" true
+    (contains m (Cad.Flow.stage_name synthetic.Cad.Flow.failed_stage))
 
 let test_relaxed_run_costs_more () =
   let p = List.hd (Lazy.force projects) in
@@ -391,12 +391,7 @@ let test_bitstream_integrity () =
   Alcotest.(check bool) "generated bitstreams are well-formed" true
     (Cad.Bitstream.well_formed b);
   Alcotest.(check bool) "corruption detected" false
-    (Cad.Bitstream.well_formed (Cad.Bitstream.corrupt b));
-  Alcotest.(check bool) "pp marks corruption" true
-    (let s =
-       Format.asprintf "%a" Cad.Bitstream.pp (Cad.Bitstream.corrupt b)
-     in
-     String.length s >= 9 && String.sub s (String.length s - 9) 9 = "[CORRUPT]")
+    (Cad.Bitstream.well_formed (Cad.Bitstream.corrupt b))
 
 (* ------------------------------------------------------------------ *)
 (* Bitstream store (Section VI-A), exercised through Asip_sp.finalize  *)

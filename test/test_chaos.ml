@@ -115,7 +115,7 @@ let test_chaos_off_is_golden () =
     (project plain = project supervised)
 
 let test_chaos_deterministic_across_jobs () =
-  let chaos = U.Chaos.storm ~seed:chaos_seed in
+  let chaos = Fixtures.storm ~seed:chaos_seed in
   let policy = deadline_policy in
   let serial = evaluate ~chaos ~policy "fft" in
   let parallel = evaluate ~jobs:4 ~chaos ~policy "fft" in
@@ -321,7 +321,7 @@ let check_invariants add_violation name outcome =
 (* One seed of the campaign: its contract violations and a one-line
    summary of what the faults did to the cold run. *)
 let campaign_seed seed =
-  let chaos = U.Chaos.with_cad_defaults (U.Chaos.storm ~seed) in
+  let chaos = U.Chaos.with_cad_defaults (Fixtures.storm ~seed) in
   let run ~jobs ~root name =
     match evaluate ~jobs ~chaos ~policy:deadline_policy ~root name with
     | r -> Ok r
@@ -361,7 +361,7 @@ let campaign_seed seed =
       if replay c <> replay (List.nth par j) then
         violate "%s: jobs:4 replay diverged from the serial run" name)
     campaign_apps;
-  let orphans = U.Store_disk.sweep_orphans ~root:root_a in
+  let orphans = List.length (Fixtures.store_tmp_files root_a) in
   if orphans <> 0 then
     violate "%d orphan temp files survived the store's own sweep" orphans;
   let sum f = List.fold_left (fun acc o -> acc + f o) 0 cold in

@@ -162,9 +162,9 @@ let test_asip_sp_cad_speedup_config () =
       ~total_cycles:out.Vm.Machine.native_cycles
   in
   let fast_spec =
-    Core.Spec.with_cad
-      { Jitise_cad.Flow.default_config with Jitise_cad.Flow.speedup_factor = 0.5 }
-      Core.Spec.default
+    { Core.Spec.default with
+      Core.Spec.cad =
+        { Jitise_cad.Flow.default_config with Jitise_cad.Flow.speedup_factor = 0.5 } }
   in
   let fast =
     Core.Asip_sp.run_spec ~spec:fast_spec db m out.Vm.Machine.profile
@@ -203,7 +203,6 @@ let test_experiment_structure () =
     (List.length r.Core.Experiment.workload.W.Workload.datasets)
     (List.length r.Core.Experiment.outcomes);
   Alcotest.(check bool) "is embedded" true (Core.Experiment.is_embedded r);
-  Alcotest.(check bool) "not scientific" false (Core.Experiment.is_scientific r);
   Alcotest.(check bool) "break-even computed" true
     (match r.Core.Experiment.break_even with
     | An.Breakeven.After t -> t > 0.0
@@ -401,7 +400,7 @@ let faulted_report ?(kernel = float_kernel) ?(rates = fun c -> c)
          |> U.Retry.with_specialization_deadline deadline)
   in
   let spec =
-    match select with None -> spec | Some s -> Core.Spec.with_select s spec
+    match select with None -> spec | Some s -> { spec with Core.Spec.select = s }
   in
   Core.Asip_sp.run_spec ~spec db m out.Vm.Machine.profile
     ~total_cycles:out.Vm.Machine.native_cycles

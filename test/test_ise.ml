@@ -70,7 +70,7 @@ let test_maxmiso_properties_workload () =
 
 let test_maxmiso_finds_float_chain () =
   let m = compile float_chain_src in
-  let cands = Ise.Maxmiso.of_module m in
+  let cands = Fixtures.maxmisos m in
   Alcotest.(check bool) "some candidates" true (cands <> []);
   let big = List.filter (fun c -> c.Ise.Candidate.size >= 4) cands in
   Alcotest.(check bool) "a multi-op float chain exists" true (big <> [])
@@ -86,14 +86,14 @@ let test_maxmiso_excludes_infeasible () =
               Alcotest.failf "infeasible op %s in candidate" op
           | _ -> ())
         c.Ise.Candidate.opcodes)
-    (Ise.Maxmiso.of_module m)
+    (Fixtures.maxmisos m)
 
 let test_maxmiso_min_size () =
   let m = compile float_chain_src in
   List.iter
     (fun (c : Ise.Candidate.t) ->
       Alcotest.(check bool) "respects min_size" true (c.Ise.Candidate.size >= 3))
-    (Ise.Maxmiso.of_module ~min_size:3 m)
+    (Fixtures.maxmisos ~min_size:3 m)
 
 (* ------------------------------------------------------------------ *)
 (* Candidate utilities                                                 *)
@@ -102,7 +102,7 @@ let test_maxmiso_min_size () =
 let test_candidate_signature_stability () =
   (* the same source compiled twice gives identical signatures *)
   let sigs src =
-    Ise.Maxmiso.of_module (compile src)
+    Fixtures.maxmisos (compile src)
     |> List.map (fun c -> c.Ise.Candidate.signature)
     |> List.sort compare
   in
@@ -113,7 +113,7 @@ let test_candidate_signature_distinguishes () =
   let src_a = "int main(int n) { return (n + 1) * 3 - (n >> 2); }" in
   let src_b = "int main(int n) { return (n - 1) * 3 + (n >> 2); }" in
   let sigs src =
-    Ise.Maxmiso.of_module (compile src)
+    Fixtures.maxmisos (compile src)
     |> List.map (fun c -> c.Ise.Candidate.signature)
   in
   Alcotest.(check bool) "different shapes, different signatures" true
@@ -126,7 +126,7 @@ let test_candidate_signature_shared_across_duplicates () =
     "double x[8]; double y[8]; int main(int n) { if (n > 0) { x[0] = x[1] * 2.5 + x[2] * 1.5; } else { y[0] = y[1] * 2.5 + y[2] * 1.5; } return 0; }"
   in
   let sigs =
-    Ise.Maxmiso.of_module (compile src)
+    Fixtures.maxmisos (compile src)
     |> List.map (fun c -> c.Ise.Candidate.signature)
   in
   match sigs with
@@ -251,7 +251,7 @@ let test_prune_none_keeps_everything () =
 let selection_of src n =
   let m = compile src in
   let out = Vm.Machine.run m ~entry:"main" ~args:[ Ir.Eval.VInt (Int64.of_int n) ] in
-  let cands = Ise.Maxmiso.of_module m in
+  let cands = Fixtures.maxmisos m in
   (m, out, Ise.Select.select db m out.Vm.Machine.profile cands)
 
 let test_select_ranks_by_savings () =
@@ -275,7 +275,7 @@ let test_select_ranks_by_savings () =
 let test_select_max_candidates () =
   let m = compile float_chain_src in
   let out = Vm.Machine.run m ~entry:"main" ~args:[ Ir.Eval.VInt 5000L ] in
-  let cands = Ise.Maxmiso.of_module m in
+  let cands = Fixtures.maxmisos m in
   let config =
     { Ise.Select.default_config with Ise.Select.max_candidates = Some 1 }
   in
@@ -285,7 +285,7 @@ let test_select_max_candidates () =
 let test_select_lut_budget () =
   let m = compile float_chain_src in
   let out = Vm.Machine.run m ~entry:"main" ~args:[ Ir.Eval.VInt 5000L ] in
-  let cands = Ise.Maxmiso.of_module m in
+  let cands = Fixtures.maxmisos m in
   let config = { Ise.Select.default_config with Ise.Select.lut_budget = Some 0 } in
   let sel = Ise.Select.select ~config db m out.Vm.Machine.profile cands in
   Alcotest.(check int) "zero budget selects nothing" 0 (List.length sel)
@@ -293,7 +293,7 @@ let test_select_lut_budget () =
 let test_select_input_limit () =
   let m = compile float_chain_src in
   let out = Vm.Machine.run m ~entry:"main" ~args:[ Ir.Eval.VInt 5000L ] in
-  let cands = Ise.Maxmiso.of_module m in
+  let cands = Fixtures.maxmisos m in
   let config = { Ise.Select.default_config with Ise.Select.max_inputs = 0 } in
   let sel = Ise.Select.select ~config db m out.Vm.Machine.profile cands in
   List.iter
@@ -316,9 +316,20 @@ let test_speedup_accounting () =
 
 let test_covered_instrs () =
   let _, _, sel = selection_of float_chain_src 5000 in
-  Alcotest.(check bool) "coverage counts instructions" true
-    (Ise.Select.covered_instrs sel
-    = List.fold_left (fun a s -> a + s.Ise.Select.candidate.Ise.Candidate.size) 0 sel)
+  (* The selection is a partition: the covered instructions, counted
+     by candidate size, are all distinct. *)
+  let covered =
+    List.concat_map
+      (fun s ->
+        let c = s.Ise.Select.candidate in
+        List.map
+          (fun n -> (c.Ise.Candidate.func, c.Ise.Candidate.block, n))
+          c.Ise.Candidate.nodes)
+      sel
+  in
+  Alcotest.(check int) "coverage counts instructions"
+    (List.fold_left (fun a s -> a + s.Ise.Select.candidate.Ise.Candidate.size) 0 sel)
+    (List.length (List.sort_uniq compare covered))
 
 (* ------------------------------------------------------------------ *)
 (* Split (input-constrained decomposition)                             *)
@@ -331,7 +342,7 @@ let wide_src =
 
 let wide_candidate () =
   let m = compile wide_src in
-  let cands = Ise.Maxmiso.of_module m in
+  let cands = Fixtures.maxmisos m in
   let big =
     List.fold_left
       (fun acc (c : Ise.Candidate.t) ->
@@ -390,7 +401,7 @@ let test_split_constrain_filters_fragments () =
 let test_select_split_wide () =
   let m = compile wide_src in
   let out = Vm.Machine.run m ~entry:"main" ~args:[ Ir.Eval.VInt 1L ] in
-  let cands = Ise.Maxmiso.of_module m in
+  let cands = Fixtures.maxmisos m in
   let strict = { Ise.Select.default_config with Ise.Select.max_inputs = 4 } in
   let splitting = { strict with Ise.Select.split_wide = true } in
   let sel_strict = Ise.Select.select ~config:strict db m out.Vm.Machine.profile cands in

@@ -132,12 +132,11 @@ let test_golden_serial () =
   List.iter
     (fun r ->
       List.iter
-        (fun (s : Core.Pipeline.summary) ->
+        (fun (stage, computed) ->
           Alcotest.(check int)
-            ((project r).p_app ^ ": warm " ^ s.Core.Pipeline.sum_stage
-           ^ " computes nothing")
-            0 s.Core.Pipeline.sum_computed)
-        (Core.Pipeline.summarize (records r)))
+            ((project r).p_app ^ ": warm " ^ stage ^ " computes nothing")
+            0 computed)
+        (Fixtures.computed_by_stage (records r)))
     again
 
 let test_golden_jobs4 () =
@@ -202,10 +201,9 @@ let total_computed rs =
   List.fold_left
     (fun acc r ->
       List.fold_left
-        (fun acc (s : Core.Pipeline.summary) ->
-          acc + s.Core.Pipeline.sum_computed)
+        (fun acc (_, computed) -> acc + computed)
         acc
-        (Core.Pipeline.summarize (records r)))
+        (Fixtures.computed_by_stage (records r)))
     0 rs
 
 let test_golden_disk_serial () =
@@ -312,14 +310,14 @@ let test_disk_corruption_degrades_to_recompute () =
               Alcotest.(check int)
                 (Printf.sprintf "%s recomputes damaged %s" app stage)
                 1
-                (Core.Pipeline.computed_of (records r) stage))
+                (Fixtures.computed_of (records r) stage))
             [ "compile"; "coverage" ];
           List.iter
             (fun stage ->
               Alcotest.(check int)
                 (Printf.sprintf "%s still hits intact %s" app stage)
                 0
-                (Core.Pipeline.computed_of (records r) stage))
+                (Fixtures.computed_of (records r) stage))
             [ "profile"; "kernel"; "prune"; "maxmiso"; "select" ])
         warm;
       (* The recomputed artifacts do not replace the damaged files (first
@@ -358,7 +356,7 @@ let test_selection_sweep_zero_recompute () =
     List.map
       (fun sel ->
         let spec =
-          Core.Spec.default |> Core.Spec.with_select sel
+          { Core.Spec.default with Core.Spec.select = sel }
           |> Core.Spec.with_stage_cache store
         in
         eval_apps ~spec db)
@@ -372,7 +370,7 @@ let test_selection_sweep_zero_recompute () =
           Alcotest.(check int)
             ((project r).p_app ^ " point 1 computes " ^ stage)
             1
-            (Core.Pipeline.computed_of (records r) stage))
+            (Fixtures.computed_of (records r) stage))
         upstream)
     (List.hd runs);
   (* ...and every later point re-executes ZERO upstream stages. *)
@@ -388,17 +386,17 @@ let test_selection_sweep_zero_recompute () =
                 (Printf.sprintf "%s point %d recomputes no %s" app (i + 2)
                    stage)
                 0
-                (Core.Pipeline.computed_of recs stage);
+                (Fixtures.computed_of recs stage);
               Alcotest.(check int)
                 (Printf.sprintf "%s point %d hits %s" app (i + 2) stage)
                 1
-                (Core.Pipeline.hits_of recs stage))
+                (Fixtures.hits_of recs stage))
             upstream;
           (* The changed knob is downstream: selection DOES recompute. *)
           Alcotest.(check int)
             (Printf.sprintf "%s point %d recomputes select" app (i + 2))
             1
-            (Core.Pipeline.computed_of recs "select"))
+            (Fixtures.computed_of recs "select"))
         point)
     (List.tl runs);
   (* The store agrees: one computation per app for each upstream stage
@@ -445,14 +443,13 @@ let test_stage_records_cover_the_chain () =
     List.length r.Core.Experiment.report.Core.Asip_sp.selection
   in
   Alcotest.(check int) "one vhdl execution per selected candidate" ncand
-    (Core.Pipeline.computed_of (records r) "vhdl");
+    (Fixtures.computed_of (records r) "vhdl");
   Alcotest.(check int) "no hits without a store" 0
     (List.length (records r)
     - List.fold_left
-        (fun acc (s : Core.Pipeline.summary) ->
-          acc + s.Core.Pipeline.sum_computed)
+        (fun acc (_, computed) -> acc + computed)
         0
-        (Core.Pipeline.summarize (records r)));
+        (Fixtures.computed_by_stage (records r)));
   (* The timeline surfaces the per-stage search events. *)
   let t = Core.Jit_manager.timeline r.Core.Experiment.report in
   let contains hay needle =
@@ -491,7 +488,7 @@ let test_deadline_change_zero_recompute () =
       Alcotest.(check int)
         ((project r).p_app ^ " recomputes no implement stage")
         0
-        (Core.Pipeline.computed_of (records r) "implement"))
+        (Fixtures.computed_of (records r) "implement"))
     warm
 
 (* Only the CAD plane enters the [implement] digest: a warm run whose
@@ -524,7 +521,7 @@ let test_non_cad_chaos_zero_recompute () =
       Alcotest.(check int)
         ((project r).p_app ^ " recomputes no implement stage")
         0
-        (Core.Pipeline.computed_of (records r) "implement"))
+        (Fixtures.computed_of (records r) "implement"))
     (eval_apps ~spec:(spec stalled) db)
 
 (* ... and changing one CAD rate does invalidate the chains. *)
@@ -537,7 +534,7 @@ let test_cad_rate_change_recomputes () =
     |> Core.Spec.with_chaos chaos
   in
   let implements rs =
-    List.map (fun r -> Core.Pipeline.computed_of (records r) "implement") rs
+    List.map (fun r -> Fixtures.computed_of (records r) "implement") rs
   in
   let cold = implements (eval_apps ~spec:(spec cad_faults) db) in
   Alcotest.(check bool) "the cold run implements candidates" true
@@ -557,7 +554,7 @@ let test_digest_module_survives_the_store () =
   List.iter
     (fun w ->
       let m = (W.Workload.compile w).Jitise_frontend.Compiler.modul in
-      let m' = U.Binio.decode codec (U.Binio.encode codec m) in
+      let m' = Option.get (U.Binio.decode_opt codec (U.Binio.encode codec m)) in
       Alcotest.(check string)
         (w.W.Workload.name ^ " digest survives a round trip")
         (U.Digest.to_hex (Core.Pipeline.digest_module m))
@@ -578,9 +575,8 @@ let test_digest_module_sees_one_constant () =
     m
   in
   Alcotest.(check bool) "one constant apart, different digests" false
-    (U.Digest.equal
-       (Core.Pipeline.digest_module (returning 1L))
-       (Core.Pipeline.digest_module (returning 2L)))
+    (Core.Pipeline.digest_module (returning 1L)
+    = Core.Pipeline.digest_module (returning 2L))
 
 let () =
   Alcotest.run "pipeline-engine"

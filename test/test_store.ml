@@ -22,7 +22,31 @@ module Hw = Jitise_hwgen
 module Cad = Jitise_cad
 module Core = Jitise_core
 module U = Jitise_util
-module B = U.Binio
+module An = Jitise_analysis
+
+(* [Binio] plus what only these tests use: the production codecs read
+   bools and options with the primitive readers, and decode through
+   [decode_opt]. *)
+module B = struct
+  include U.Binio
+
+  let bool = codec w_bool r_bool
+  let option c = codec (w_option c.enc) (r_option c.dec)
+
+  let triple a b c =
+    map
+      ~enc:(fun (x, y, z) -> (x, (y, z)))
+      ~dec:(fun (x, (y, z)) -> (x, y, z))
+      (pair a (pair b c))
+
+  (* [decode_opt] without the [option]: its [Corrupt] messages reach
+     the tests. *)
+  let decode c s =
+    let r = reader s in
+    let v = c.dec r in
+    if remaining r <> 0 then corrupt "trailing bytes: %d left" (remaining r);
+    v
+end
 
 (* ------------------------------------------------------------------ *)
 (* Helpers                                                             *)
@@ -156,6 +180,12 @@ let test_corrupt_inputs () =
       B.decode B.string (B.encode B.int 1000));
   raises_corrupt "unterminated varint" (fun () ->
       B.decode B.int "\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff");
+  (* A tenth byte above 1 sets bits past 63: it used to decode as 0
+     through [int] and to wrap through [vint64]. *)
+  raises_corrupt "overflowing varint" (fun () ->
+      B.decode B.int "\x80\x80\x80\x80\x80\x80\x80\x80\x80\x02");
+  raises_corrupt "overflowing vint64" (fun () ->
+      B.decode vint64 "\xff\xff\xff\xff\xff\xff\xff\xff\xff\x03");
   Alcotest.(check (option int)) "decode_opt maps Corrupt to None" None
     (B.decode_opt B.int "\xff");
   Alcotest.(check (option int)) "decode_opt passes valid input" (Some 42)
@@ -189,7 +219,7 @@ let flow_run =
      let f = Option.get (Ir.Irmod.find_func m c.Ise.Candidate.func) in
      let dfg = Ir.Dfg.of_block f (Ir.Func.block f c.Ise.Candidate.block) in
      let p = Hw.Project.create db dfg c in
-     (p, Cad.Flow.implement db p))
+     (p, Result.get_ok (Cad.Flow.implement_result db p)))
 
 let test_codec_compiler_result () =
   let r = Lazy.force compiled in
@@ -352,6 +382,38 @@ let test_codec_outcomes_golden () =
         (Option.is_none o'.Vm.Machine.memory))
     v
     (B.decode Core.Codecs.profile_outcomes bytes)
+
+(* Golden bytes for the coverage stage's artifact (store format 5: no
+   per-dataset frequencies), pinned like the outcomes above: a
+   hand-made classification with all three classes, a block of an
+   unnamed function and an empty (zero-instruction) block. *)
+let golden_coverage () =
+  let block func label classification instrs =
+    { An.Coverage.func; label; classification; instrs }
+  in
+  {
+    An.Coverage.blocks =
+      [
+        block "main" 0 An.Coverage.Constant 4;
+        block "main" 3 An.Coverage.Live 12;
+        block "never" 0 An.Coverage.Dead 2;
+        block "" 7 An.Coverage.Dead 0;
+      ];
+    live_instrs = 12;
+    dead_instrs = 2;
+    const_instrs = 4;
+    total_instrs = 18;
+  }
+
+let test_codec_coverage_golden () =
+  let v = golden_coverage () in
+  let bytes = B.encode Core.Codecs.coverage v in
+  Alcotest.(check string) "coverage bytes"
+    ("04046d61696e000108046d61696e060218056e65766572000004000e000018"
+   ^ "040824")
+    (hex bytes);
+  Alcotest.(check bool) "decodes to the value" true
+    (B.decode Core.Codecs.coverage bytes = v)
 
 (* Golden bytes for one [implement] artifact, pinned like the
    outcomes above: a hand-built chain whose first attempt misses timing closure
@@ -645,6 +707,9 @@ let test_codec_irmod_mutations () =
 let test_codec_outcomes_mutations () =
   check_mutations Core.Codecs.profile_outcomes (golden_outcomes ())
 
+let test_codec_coverage_mutations () =
+  check_mutations Core.Codecs.coverage (golden_coverage ())
+
 let test_codec_implement_mutations () =
   check_mutations Core.Asip_sp.implement_codec (golden_chain ())
 
@@ -654,63 +719,77 @@ let test_codec_implement_mutations () =
 
 let digest_hex s = U.Digest.to_hex (U.Digest.of_string s)
 
+(* A disk store's reads and writes, each through a freshly opened
+   backend, as a new process would make them. *)
+let disk_get ~root ~stage ~digest =
+  (U.Store_disk.backend ~root ()).backend_get ~stage ~digest
+
+let disk_put ?chaos ~root ~stage ~digest ~builder ~payload () =
+  (U.Store_disk.backend ?chaos ~root ()).backend_put ~stage ~digest ~builder
+    ~payload
+
+(* The layout: [<root>/<stage>/<digest-hex>]. *)
+let entry_path ~root ~stage ~digest =
+  Filename.concat (Filename.concat root stage) digest
+
 let test_disk_put_get () =
   with_root (fun root ->
       let digest = digest_hex "a" in
       Alcotest.(check (option (pair string string)))
         "absent entry" None
-        (U.Store_disk.get ~root ~stage:"compile" ~digest);
-      U.Store_disk.put ~root ~stage:"compile" ~digest ~builder:"sor"
+        (disk_get ~root ~stage:"compile" ~digest);
+      disk_put ~root ~stage:"compile" ~digest ~builder:"sor"
         ~payload:"PAYLOAD\x00\xff bytes" ();
       Alcotest.(check (option (pair string string)))
         "round trip"
         (Some ("sor", "PAYLOAD\x00\xff bytes"))
-        (U.Store_disk.get ~root ~stage:"compile" ~digest))
+        (disk_get ~root ~stage:"compile" ~digest))
 
 let test_disk_first_put_wins () =
   with_root (fun root ->
       let digest = digest_hex "b" in
-      U.Store_disk.put ~root ~stage:"s" ~digest ~builder:"first" ~payload:"one" ();
-      U.Store_disk.put ~root ~stage:"s" ~digest ~builder:"second"
+      disk_put ~root ~stage:"s" ~digest ~builder:"first" ~payload:"one" ();
+      disk_put ~root ~stage:"s" ~digest ~builder:"second"
         ~payload:"two" ();
       Alcotest.(check (option (pair string string)))
         "first write wins"
         (Some ("first", "one"))
-        (U.Store_disk.get ~root ~stage:"s" ~digest))
+        (disk_get ~root ~stage:"s" ~digest))
 
-(* A store written by an older build: the v3 entry (the format before
-   outcomes dropped their memory image) reads as a miss, and the
-   recompute's [put] replaces it instead of being blocked by it. *)
+(* A store written by an older build: the v4 entry (the format before
+   coverage entries dropped their per-dataset frequencies) reads as a
+   miss, and the recompute's [put] replaces it instead of being blocked
+   by it. *)
 let test_disk_old_version_is_replaced () =
   with_root (fun root ->
       let digest = digest_hex "old" in
-      let path = U.Store_disk.entry_path ~root ~stage:"s" ~digest in
+      let path = entry_path ~root ~stage:"s" ~digest in
       Unix.mkdir (Filename.dirname path) 0o755;
       let b = Buffer.create 64 in
       Buffer.add_string b "JTSE";
-      B.w_byte b 3;
+      B.w_byte b 4;
       B.w_string b "app";
       B.w_string b (digest_hex "old payload");
       B.w_string b "old payload";
       Out_channel.with_open_bin path (fun oc ->
           Out_channel.output_string oc (Buffer.contents b));
       Alcotest.(check (option (pair string string)))
-        "a v3 entry reads as a miss" None
-        (U.Store_disk.get ~root ~stage:"s" ~digest);
-      U.Store_disk.put ~root ~stage:"s" ~digest ~builder:"app"
+        "a v4 entry reads as a miss" None
+        (disk_get ~root ~stage:"s" ~digest);
+      disk_put ~root ~stage:"s" ~digest ~builder:"app"
         ~payload:"new payload" ();
       Alcotest.(check (option (pair string string)))
         "the recompute replaces it"
         (Some ("app", "new payload"))
-        (U.Store_disk.get ~root ~stage:"s" ~digest))
+        (disk_get ~root ~stage:"s" ~digest))
 
 let test_disk_defects_read_as_misses () =
   with_root (fun root ->
       let stage = "s" in
       let write_entry name payload =
         let digest = digest_hex name in
-        U.Store_disk.put ~root ~stage ~digest ~builder:"app" ~payload ();
-        (digest, U.Store_disk.entry_path ~root ~stage ~digest)
+        disk_put ~root ~stage ~digest ~builder:"app" ~payload ();
+        (digest, entry_path ~root ~stage ~digest)
       in
       let mutate path f =
         let s = In_channel.with_open_bin path In_channel.input_all in
@@ -722,7 +801,7 @@ let test_disk_defects_read_as_misses () =
       let check_miss what digest =
         Alcotest.(check (option (pair string string)))
           (what ^ " reads as a miss") None
-          (U.Store_disk.get ~root ~stage ~digest)
+          (disk_get ~root ~stage ~digest)
       in
       (* Truncation: a crash mid-write would leave a short file only if
          rename were not atomic; readers must still survive one. *)
@@ -759,12 +838,12 @@ let test_disk_defects_read_as_misses () =
       Alcotest.(check (option (pair string string)))
         "intact entry unaffected"
         (Some ("app", "good"))
-        (U.Store_disk.get ~root ~stage ~digest:d))
+        (disk_get ~root ~stage ~digest:d))
 
 let test_disk_orphan_sweep () =
   with_root (fun root ->
       let digest = digest_hex "kept" in
-      U.Store_disk.put ~root ~stage:"s" ~digest ~builder:"app" ~payload:"v" ();
+      disk_put ~root ~stage:"s" ~digest ~builder:"app" ~payload:"v" ();
       let dir = Filename.concat root "s" in
       let orphan name = Out_channel.with_open_bin
           (Filename.concat dir name)
@@ -785,8 +864,8 @@ let test_disk_orphan_sweep () =
         "the committed entry survives the sweep"
         (Some ("app", "v"))
         (b.U.Artifact.backend_get ~stage:"s" ~digest);
-      Alcotest.(check int) "nothing left for a second sweep" 0
-        (U.Store_disk.sweep_orphans ~root))
+      Alcotest.(check (list string)) "nothing left for a second sweep" []
+        (Fixtures.store_tmp_files root))
 
 let test_disk_concurrent_first_put_wins () =
   with_root (fun root ->
@@ -795,19 +874,19 @@ let test_disk_concurrent_first_put_wins () =
          payloads, many rounds: exactly one valid envelope must land and
          no temp residue may survive. *)
       let barrier = Atomic.make 0 in
+      let store = U.Store_disk.backend ~root () in
       let writer payload () =
         Atomic.incr barrier;
         while Atomic.get barrier < 2 do Domain.cpu_relax () done;
         for _ = 1 to 50 do
-          U.Store_disk.put ~root ~stage:"s" ~digest ~builder:payload
-            ~payload ()
+          store.backend_put ~stage:"s" ~digest ~builder:payload ~payload
         done
       in
       let a = Domain.spawn (writer "one") in
       let b = Domain.spawn (writer "two") in
       Domain.join a;
       Domain.join b;
-      (match U.Store_disk.get ~root ~stage:"s" ~digest with
+      (match disk_get ~root ~stage:"s" ~digest with
       | Some (b, p) ->
           Alcotest.(check bool) "a complete write won" true
             ((b, p) = ("one", "one") || (b, p) = ("two", "two"))
@@ -824,20 +903,20 @@ let test_disk_torn_write_reads_as_miss () =
       let always_torn =
         { U.Chaos.none with U.Chaos.seed = 1; store_torn_rate = 1.0 }
       in
-      U.Store_disk.put ~chaos:always_torn ~root ~stage:"s" ~digest
+      disk_put ~chaos:always_torn ~root ~stage:"s" ~digest
         ~builder:"app" ~payload:"value" ();
       Alcotest.(check bool) "the torn entry exists on disk" true
-        (Sys.file_exists (U.Store_disk.entry_path ~root ~stage:"s" ~digest));
+        (Sys.file_exists (entry_path ~root ~stage:"s" ~digest));
       Alcotest.(check (option (pair string string)))
         "a torn envelope reads as a miss" None
-        (U.Store_disk.get ~root ~stage:"s" ~digest);
+        (disk_get ~root ~stage:"s" ~digest);
       (* First-put-wins means the torn entry occupies the slot: the
          site stays a permanent miss and the pipeline recomputes. *)
-      U.Store_disk.put ~root ~stage:"s" ~digest ~builder:"app"
+      disk_put ~root ~stage:"s" ~digest ~builder:"app"
         ~payload:"value" ();
       Alcotest.(check (option (pair string string)))
         "the tear is permanent under first-put-wins" None
-        (U.Store_disk.get ~root ~stage:"s" ~digest))
+        (disk_get ~root ~stage:"s" ~digest))
 
 (* ------------------------------------------------------------------ *)
 (* Artifact front-end over the disk backend                            *)
@@ -875,8 +954,6 @@ let test_artifact_warm_restart () =
 let test_artifact_codecless_key_stays_local () =
   with_root (fun root ->
       let key = U.Artifact.key "ephemeral-stage" in
-      Alcotest.(check bool) "no codec, not persistent" false
-        (U.Artifact.key_persistent key);
       let digest = U.Digest.of_string "input" in
       let store = U.Artifact.create ~backend:(U.Store_disk.backend ~root ()) () in
       U.Artifact.put store key ~app:"a" ~digest 42;
@@ -892,7 +969,7 @@ let test_artifact_undecodable_payload_is_a_miss () =
       let digest = U.Digest.of_string "input" in
       (* A valid envelope whose payload the codec rejects: must degrade
          to a miss at the front-end, not raise. *)
-      U.Store_disk.put ~root ~stage:"typed-stage"
+      disk_put ~root ~stage:"typed-stage"
         ~digest:(U.Digest.to_hex digest) ~builder:"a" ~payload:"not binio" ();
       let store = U.Artifact.create ~backend:(U.Store_disk.backend ~root ()) () in
       Alcotest.(check bool) "undecodable payload misses" true
@@ -940,6 +1017,8 @@ let () =
             test_codec_implement_golden;
           Alcotest.test_case "irmod golden bytes" `Quick
             test_codec_irmod_golden;
+          Alcotest.test_case "coverage golden bytes" `Quick
+            test_codec_coverage_golden;
           Alcotest.test_case "irmod bad tags" `Quick test_codec_irmod_bad_tags;
           Alcotest.test_case "irmod truncations and byte flips" `Quick
             test_codec_irmod_mutations;
@@ -947,6 +1026,8 @@ let () =
             test_codec_outcomes_mutations;
           Alcotest.test_case "implement truncations and byte flips" `Quick
             test_codec_implement_mutations;
+          Alcotest.test_case "coverage truncations and byte flips" `Quick
+            test_codec_coverage_mutations;
         ] );
       ( "disk",
         [

@@ -7,6 +7,13 @@ module Core = Jitise_core
 
 let compile src = (F.Compiler.compile_string ~name:"t" src).F.Compiler.modul
 
+(* A JIT model with no VM overhead at all. *)
+let native_jit =
+  { Vm.Jit_model.warmup_threshold = 0L; translation_cycles_per_instr = 0; hot_factor = 1.0 }
+
+(* A phi at the builder's insertion point. *)
+let phi b ty incoming = Ir.Builder.add b ty (Ir.Instr.Phi incoming)
+
 let run ?fuel ?jit ?cis ?(n = 0) m =
   Vm.Machine.run ?fuel ?jit ?cis m ~entry:"main"
     ~args:[ Ir.Eval.VInt (Int64.of_int n) ]
@@ -67,15 +74,16 @@ let test_memory_globals () =
     { Ir.Irmod.gname = "zeros"; gty = Ir.Ty.F32; gsize = 2; ginit = Ir.Irmod.Zero };
   let m = Vm.Memory.create () in
   Vm.Memory.load_globals m modul;
-  Alcotest.(check (array int64)) "ints" [| 1L; 2L; 3L |]
-    (Vm.Memory.read_global_ints m "ints" 3);
-  Alcotest.(check (array (float 1e-9))) "floats" [| 1.5; -2.5 |]
-    (Vm.Memory.read_global_floats m "floats" 2);
-  Alcotest.(check (array (float 1e-9))) "zeros" [| 0.0; 0.0 |]
-    (Vm.Memory.read_global_floats m "zeros" 2);
-  Vm.Memory.write_global_ints m "ints" [| 9L; 8L; 7L |];
-  Alcotest.(check (array int64)) "overwritten" [| 9L; 8L; 7L |]
-    (Vm.Memory.read_global_ints m "ints" 3);
+  let read name len =
+    let base = Vm.Memory.global_base m name in
+    List.init len (fun i -> Vm.Memory.load m (base + i))
+  in
+  Alcotest.(check (list int64)) "ints" [ 1L; 2L; 3L ]
+    (List.map Ir.Eval.as_int (read "ints" 3));
+  Alcotest.(check (list (float 1e-9))) "floats" [ 1.5; -2.5 ]
+    (List.map Ir.Eval.as_float (read "floats" 2));
+  Alcotest.(check (list (float 1e-9))) "zeros" [ 0.0; 0.0 ]
+    (List.map Ir.Eval.as_float (read "zeros" 2));
   Alcotest.(check bool) "unknown global" true
     (try
        ignore (Vm.Memory.global_base m "nope");
@@ -136,67 +144,35 @@ let test_memory_typed_tags () =
   Vm.Memory.store_ptr m base 9;
   Alcotest.(check string) "retagged" "VPtr 9"
     (cell_repr (Vm.Memory.load m base));
-  Alcotest.(check int64) "pointer read as int" 9L (Vm.Memory.load_int m base);
+  let load_as as_ = as_ (Vm.Memory.load m base) in
+  Alcotest.(check int64) "pointer read as int" 9L (load_as Ir.Eval.as_int);
   Vm.Memory.store_int m base (-1L);
-  Alcotest.(check int) "int read as pointer" (-1) (Vm.Memory.load_ptr m base);
+  Alcotest.(check int) "int read as pointer" (-1) (load_as Ir.Eval.as_ptr);
   Vm.Memory.store_float m base nan_payload;
   Alcotest.(check int64) "NaN payload bits"
     (Int64.bits_of_float nan_payload)
-    (Int64.bits_of_float (Vm.Memory.load_float m base));
+    (Int64.bits_of_float (load_as Ir.Eval.as_float));
   Vm.Memory.store_float m base (-0.0);
   Alcotest.(check int64) "negative zero bits"
     (Int64.bits_of_float (-0.0))
-    (Int64.bits_of_float (Vm.Memory.load_float m base))
+    (Int64.bits_of_float (load_as Ir.Eval.as_float))
 
-(* Typed load [k] against the boxed path [as_k (load m a)], as a
-   printable result: the value, or the exception the path raised. *)
-let typed_vs_boxed m a =
-  let catch f =
-    try f () with
-    | Ir.Eval.Type_error msg -> "Type_error " ^ msg
-    | Vm.Memory.Bad_address x -> Printf.sprintf "Bad_address %d" x
-  in
-  [
-    ( "int",
-      catch (fun () -> Int64.to_string (Vm.Memory.load_int m a)),
-      catch (fun () -> Int64.to_string (Ir.Eval.as_int (Vm.Memory.load m a)))
-    );
-    ( "float",
-      catch (fun () ->
-          Int64.to_string (Int64.bits_of_float (Vm.Memory.load_float m a))),
-      catch (fun () ->
-          Int64.to_string
-            (Int64.bits_of_float (Ir.Eval.as_float (Vm.Memory.load m a)))) );
-    ( "ptr",
-      catch (fun () -> string_of_int (Vm.Memory.load_ptr m a)),
-      catch (fun () -> string_of_int (Ir.Eval.as_ptr (Vm.Memory.load m a))) );
-  ]
-
-let check_typed_vs_boxed what m a =
-  List.iter
-    (fun (k, typed, boxed) ->
-      Alcotest.(check string) (Printf.sprintf "%s: load_%s" what k) boxed typed)
-    (typed_vs_boxed m a)
-
+(* A typed store read back at another class: the boxed path's
+   [Type_error] texts, which the compiled engine's inlined typed loads
+   repeat word for word (the differential suites compare them). *)
 let test_memory_typed_mismatch () =
   let m = Vm.Memory.create () in
-  let base = Vm.Memory.alloc m (List.length sample_values) in
-  List.iteri (fun i v -> Vm.Memory.store m (base + i) v) sample_values;
-  List.iteri
-    (fun i v -> check_typed_vs_boxed (cell_repr v) m (base + i))
-    sample_values;
-  (* the mismatch texts themselves, pinned *)
+  let base = Vm.Memory.alloc m 1 in
+  let mismatch what as_ expected =
+    Alcotest.(check bool) what true
+      (try ignore (as_ (Vm.Memory.load m base)); false
+       with Ir.Eval.Type_error msg -> msg = expected)
+  in
   Vm.Memory.store_float m base 1.0;
-  Alcotest.(check bool) "float cell as int" true
-    (try ignore (Vm.Memory.load_int m base); false
-     with Ir.Eval.Type_error "expected an integer value" -> true);
-  Alcotest.(check bool) "float cell as address" true
-    (try ignore (Vm.Memory.load_ptr m base); false
-     with Ir.Eval.Type_error "expected an address" -> true);
+  mismatch "float cell as int" Ir.Eval.as_int "expected an integer value";
+  mismatch "float cell as address" Ir.Eval.as_ptr "expected an address";
   Vm.Memory.store_ptr m base 4;
-  Alcotest.(check bool) "pointer cell as float" true
-    (try ignore (Vm.Memory.load_float m base); false
-     with Ir.Eval.Type_error "expected a float value" -> true)
+  mismatch "pointer cell as float" Ir.Eval.as_float "expected a float value"
 
 let test_memory_typed_bad_address_first () =
   let m = Vm.Memory.create () in
@@ -205,18 +181,15 @@ let test_memory_typed_bad_address_first () =
   Vm.Memory.store_float m base 1.0;
   Vm.Memory.store_int m (base + 1) 1L;
   Vm.Memory.release m mark;
-  (* released cells keep their stale tags (a float, an int): every
-     typed load must still report the address, never the type *)
+  (* released cells keep their stale tags (a float, an int): a load
+     must still report the address, never the type *)
   List.iter
     (fun a ->
-      check_typed_vs_boxed (Printf.sprintf "address %d" a) m a;
-      List.iter
-        (fun (k, typed, _) ->
-          Alcotest.(check string)
-            (Printf.sprintf "load_%s %d" k a)
-            (Printf.sprintf "Bad_address %d" a)
-            typed)
-        (typed_vs_boxed m a))
+      Alcotest.(check bool)
+        (Printf.sprintf "load %d" a)
+        true
+        (try ignore (Vm.Memory.load m a); false
+         with Vm.Memory.Bad_address x -> x = a))
     [ 0; -3; base; base + 1; 1_000_000 ];
   List.iter
     (fun (what, store) ->
@@ -234,9 +207,9 @@ let test_memory_typed_growth () =
   Vm.Memory.store_int m base (-7L);
   Vm.Memory.store_float m (base + 1) nan_payload;
   Vm.Memory.store_ptr m (base + 2) base;
-  let cap = Vm.Memory.capacity m in
+  let cap = Bytes.length m.Vm.Memory.tags in
   let far = Vm.Memory.alloc m 5000 in
-  Alcotest.(check bool) "backing grew" true (Vm.Memory.capacity m > cap);
+  Alcotest.(check bool) "backing grew" true (Bytes.length m.Vm.Memory.tags > cap);
   Vm.Memory.store_float m (far + 4999) 3.5;
   Alcotest.(check (list string)) "earlier cells survive growth"
     [ "VInt -7"; cell_repr (Ir.Eval.VFloat nan_payload);
@@ -245,7 +218,7 @@ let test_memory_typed_growth () =
   Alcotest.(check string) "fresh cells read as int zero" "VInt 0"
     (cell_repr (Vm.Memory.load m far));
   Alcotest.(check (float 0.0)) "far cell" 3.5
-    (Vm.Memory.load_float m (far + 4999))
+    (Ir.Eval.as_float (Vm.Memory.load m (far + 4999)))
 
 (* ------------------------------------------------------------------ *)
 (* Profile                                                             *)
@@ -253,20 +226,21 @@ let test_memory_typed_growth () =
 
 let test_profile_counts () =
   let p = Vm.Profile.create () in
-  Vm.Profile.bump p ~func:"f" ~label:0 ~instrs:3;
-  Vm.Profile.bump p ~func:"f" ~label:0 ~instrs:3;
+  Vm.Profile.record p ~func:"f" ~label:0 ~count:1L ~instrs:3;
+  Vm.Profile.record p ~func:"f" ~label:0 ~count:1L ~instrs:3;
   Vm.Profile.record p ~func:"f" ~label:1 ~count:5L ~instrs:2;
   Alcotest.(check int64) "bumped twice" 2L (Vm.Profile.count p ~func:"f" ~label:0);
   Alcotest.(check int64) "recorded" 5L (Vm.Profile.count p ~func:"f" ~label:1);
   Alcotest.(check int64) "missing is zero" 0L (Vm.Profile.count p ~func:"g" ~label:0);
   Alcotest.(check int64) "instr total" 16L p.Vm.Profile.executed_instrs
 
+(* Two imports of one block (two runs' counters) sum. *)
 let test_profile_merge () =
-  let a = Vm.Profile.create () and b = Vm.Profile.create () in
+  let a = Vm.Profile.create () in
   Vm.Profile.record a ~func:"f" ~label:0 ~count:2L ~instrs:1;
-  Vm.Profile.record b ~func:"f" ~label:0 ~count:3L ~instrs:1;
-  Vm.Profile.merge ~into:a b;
-  Alcotest.(check int64) "merged" 5L (Vm.Profile.count a ~func:"f" ~label:0)
+  Vm.Profile.record a ~func:"f" ~label:0 ~count:3L ~instrs:2;
+  Alcotest.(check int64) "merged" 5L (Vm.Profile.count a ~func:"f" ~label:0);
+  Alcotest.(check int64) "instrs" 8L a.Vm.Profile.executed_instrs
 
 let test_profile_block_costs_ordering () =
   let m =
@@ -486,7 +460,7 @@ let test_machine_clocks () =
   Alcotest.(check bool) "native positive" true (out.Vm.Machine.native_cycles > 0.0);
   Alcotest.(check bool) "vm >= 0" true (out.Vm.Machine.vm_cycles > 0.0);
   (* native-model run reports identical clocks *)
-  let native = run ~n:5000 ~jit:Vm.Jit_model.native m in
+  let native = run ~n:5000 ~jit:native_jit m in
   Alcotest.(check (float 1e-6)) "native model has no overhead"
     native.Vm.Machine.native_cycles native.Vm.Machine.vm_cycles
 
@@ -580,7 +554,7 @@ let test_machine_ci_call () =
 
 let test_jit_model_translation () =
   Alcotest.(check (float 1e-9)) "native model translates for free" 0.0
-    (Vm.Jit_model.module_translation_cycles Vm.Jit_model.native
+    (Vm.Jit_model.module_translation_cycles native_jit
        ~module_instrs:1000);
   Alcotest.(check bool) "default model charges translation" true
     (Vm.Jit_model.module_translation_cycles Vm.Jit_model.default
@@ -1187,10 +1161,13 @@ let ci_cases =
         let t15 = B.binop b Ir.Instr.Xor i32 (r t11) (r t12) in
         B.binop b Ir.Instr.Add i32 (r t15) (r t14));
     ci_case ~splices:true "select" [ i1; i32; i32; f64; f64 ] (fun b ->
-        let s1 = B.select b i32 (r 0) (r 1) (r 2) in
-        let s2 = B.select b f64 (r 0) (r 3) (B.cf64 (-2.5)) in
+        let select ty c x y = B.add b ty (Ir.Instr.Select (c, x, y)) in
+        let s1 = select i32 (r 0) (r 1) (r 2) in
+        let s2 = select f64 (r 0) (r 3) (B.cf64 (-2.5)) in
         let s3 = B.cast b Ir.Instr.Fptosi i32 (r s2) in
-        let s4 = B.select b i32 (B.cbool true) (r s3) (B.ci32 9) in
+        let s4 =
+          select i32 (Ir.Instr.Const (Ir.Instr.Cint (1L, i1))) (r s3) (B.ci32 9)
+        in
         B.binop b Ir.Instr.Add i32 (r s1) (r s4));
     ci_case ~splices:true "constant operands" [ i32; i32; f64 ]
       ~args:[ Of i32; K (B.ci32 (-5)); K (B.cf64 2.5) ]
@@ -1381,7 +1358,7 @@ let phi_cycle_module () =
   (* Phis first with no incoming edges; they are wired below, once the
      back-edge registers exist. *)
   Ir.Builder.position_at b header;
-  let phi ty = Ir.Builder.phi b ty [] in
+  let phi ty = Ir.Builder.add b ty (Ir.Instr.Phi []) in
   let pa = phi Ir.Ty.I64 and pb = phi Ir.Ty.I64 and pc = phi Ir.Ty.I64 in
   let px = phi Ir.Ty.F64 and py = phi Ir.Ty.F64 in
   let pp = phi Ir.Ty.Ptr and pi = phi Ir.Ty.I64 in
@@ -2649,14 +2626,10 @@ let test_golden_engine_digests () =
   List.iter
     (fun r ->
       let records = r.Core.Experiment.report.Core.Asip_sp.stage_records in
-      List.iter
-        (fun (s : Core.Pipeline.summary) ->
-          if s.Core.Pipeline.sum_stage = "profile" then
-            Alcotest.(check int)
-              ((project r).p_app
-             ^ ": profile served from the other engine's store")
-              0 s.Core.Pipeline.sum_computed)
-        (Core.Pipeline.summarize records))
+      Alcotest.(check int)
+        ((project r).p_app ^ ": profile served from the other engine's store")
+        0
+        (Fixtures.computed_of records "profile"))
     again
 
 let () =
