@@ -218,24 +218,19 @@ let vm_report ?(workloads = W.Registry.names) path =
    report adaptive vs oracle-offline vs no-specialization cycle totals
    (reconfiguration stalls included) plus the fabric and CAD counters,
    as machine-readable JSON for CI.  Two contracts are asserted rather
-   than just reported: the loop replays byte-identically under jobs:4
-   (it is a sequential simulated-time computation; jobs only
-   parallelizes the staged preparation), and the adaptive controller
-   beats static whole-run specialization on at least one workload —
-   the reason the online refactor exists. *)
+   than just reported: the three lanes of a report agree on the program
+   result, and the adaptive controller beats static whole-run
+   specialization on at least one workload — the reason the online
+   loop exists. *)
 let online_report_json path =
   let module JM = Core.Jit_manager in
   let apps = W.Registry.phased_names in
   prerr_endline
     "[bench] online: adaptive vs oracle vs nospec over phased workloads...";
-  let spec_for jobs =
-    (* No pruning for the online loop: the controller decides what is
-       worth implementing from live evidence, so every phase kernel
-       must reach the candidate stage. *)
-    Core.Spec.default
-    |> Core.Spec.with_prune Ise.Prune.none
-    |> Core.Spec.with_jobs jobs
-  in
+  (* No pruning for the online loop: the controller decides what is
+     worth implementing from live evidence, so every phase kernel must
+     reach the candidate stage. *)
+  let spec = Core.Spec.with_prune Ise.Prune.none Core.Spec.default in
   let same_ret (a : JM.online_run) (b : JM.online_run) =
     match (a.JM.run_ret, b.JM.run_ret) with
     | None, None -> true
@@ -246,15 +241,7 @@ let online_report_json path =
     List.map
       (fun name ->
         let w = find_workload name in
-        let o = JM.online ~spec:(spec_for 1) db w in
-        let o4 = JM.online ~spec:(spec_for 4) db w in
-        let proj r = Format.asprintf "%a" JM.pp_online r in
-        if proj o <> proj o4 then begin
-          Printf.eprintf
-            "bench: online: %s: jobs:4 replay diverged from the serial run\n"
-            name;
-          exit 1
-        end;
+        let o = JM.online ~spec db w in
         if
           not
             (same_ret o.JM.o_adaptive o.JM.o_oracle

@@ -39,7 +39,7 @@ type fault_options = {
   run_deadline : float option;  (** simulated supervision budget per run *)
 }
 
-let mk_spec ~trace ~jobs ~shared_cache ~stage_cache ~store_dir ~vm_engine
+let mk_spec ~trace ~shared_cache ~stage_cache ~store_dir ~vm_engine
     ~fault_options:fo =
   (* Fail before the sweep, not after: a full run takes minutes and an
      unwritable trace path would otherwise only surface at the end. *)
@@ -65,7 +65,7 @@ let mk_spec ~trace ~jobs ~shared_cache ~stage_cache ~store_dir ~vm_engine
   (* Chaos before the store: {!Core.Spec.with_store_dir} wires the
      store fault planes from the spec's chaos config. *)
   let spec =
-    Core.Spec.default |> Core.Spec.with_jobs jobs
+    Core.Spec.default
     |> Core.Spec.with_vm_engine vm_engine
     |> Core.Spec.with_supervisor supervisor
     |> Core.Spec.with_chaos chaos
@@ -168,7 +168,7 @@ let run_specialize name trace shared_cache stage_cache stage_stats store_dir
   let w = load_workload name in
   let db = Lazy.force db in
   let spec =
-    mk_spec ~trace ~jobs:1 ~shared_cache
+    mk_spec ~trace ~shared_cache
       ~stage_cache:(stage_cache || stage_stats)
       ~store_dir ~vm_engine ~fault_options
   in
@@ -194,20 +194,12 @@ let run_specialize name trace shared_cache stage_cache stage_stats store_dir
         | Some kind ->
             Printf.sprintf " (%s cache hit)" (U.Artifact.hit_name kind)
         | None -> "")
-        (if not fault_options.faults then ""
+        (if (not fault_options.faults) || c.Core.Asip_sp.failed_attempts = 0
+         then ""
          else
-           let retry =
-             if c.Core.Asip_sp.failed_attempts = 0 then ""
-             else
-               Printf.sprintf ", %d attempt(s), %d failed (%s wasted)"
-                 c.Core.Asip_sp.attempts c.Core.Asip_sp.failed_attempts
-                 (U.Duration.to_min_sec c.Core.Asip_sp.wasted_seconds)
-           in
-           match c.Core.Asip_sp.outcome with
-           | Core.Asip_sp.Promoted { from; _ } ->
-               Printf.sprintf "%s [promoted; %s failed]" retry
-                 from.Ise.Select.candidate.Ise.Candidate.signature
-           | Core.Asip_sp.Implemented -> retry))
+           Printf.sprintf ", %d attempt(s), %d failed (%s wasted)"
+             c.Core.Asip_sp.attempts c.Core.Asip_sp.failed_attempts
+             (U.Duration.to_min_sec c.Core.Asip_sp.wasted_seconds)))
     rep.Core.Asip_sp.candidates;
   (* [--deadline] alone can drop slots too. *)
   if
@@ -224,11 +216,9 @@ let run_specialize name trace shared_cache stage_cache stage_stats store_dir
           (U.Duration.to_min_sec d.Core.Asip_sp.drop_wasted_seconds))
       rep.Core.Asip_sp.dropped;
     Printf.printf
-      "faults: %d CAD attempt(s), %d failed, %s wasted; %d promoted, %d \
-       dropped%s\n"
+      "faults: %d CAD attempt(s), %d failed, %s wasted; %d dropped%s\n"
       rep.Core.Asip_sp.total_attempts rep.Core.Asip_sp.failed_attempts
       (U.Duration.to_min_sec rep.Core.Asip_sp.wasted_seconds)
-      rep.Core.Asip_sp.degraded
       (List.length rep.Core.Asip_sp.dropped)
       ((if rep.Core.Asip_sp.stage_failures > 0 then
           Printf.sprintf "; %d stage-failed" rep.Core.Asip_sp.stage_failures
@@ -251,7 +241,7 @@ let run_timeline name jobs fault_options =
   let w = load_workload name in
   let db = Lazy.force db in
   let spec =
-    mk_spec ~trace:None ~jobs:1 ~shared_cache:false ~stage_cache:false
+    mk_spec ~trace:None ~shared_cache:false ~stage_cache:false
       ~store_dir:None ~vm_engine:Vm.Machine.default_engine ~fault_options
   in
   let _, report = Core.Experiment.specialize ~spec db w in
@@ -654,12 +644,12 @@ let sweep_cmd name doc render =
         (fun trace jobs shared_cache stage_cache stage_stats store_dir
              vm_engine fault_options ->
           let spec =
-            mk_spec ~trace ~jobs ~shared_cache
+            mk_spec ~trace ~shared_cache
               ~stage_cache:(stage_cache || stage_stats)
               ~store_dir ~vm_engine ~fault_options
           in
           let results =
-            Core.Experiment.sweep ~verbose:true ~spec (Lazy.force db)
+            Core.Experiment.sweep ~verbose:true ~jobs ~spec (Lazy.force db)
           in
           render ~faults:fault_options.faults results;
           finish_spec ~stage_stats spec trace

@@ -98,11 +98,6 @@ type failure = {
   failed_attempt : int;  (** 1-based attempt number of this failure *)
 }
 
-let pp_failure ppf f =
-  Format.fprintf ppf "%s at %s (attempt %d, %.0f s wasted)"
-    (Faults.kind_name f.fault) (stage_name f.failed_stage) f.failed_attempt
-    f.wasted_seconds
-
 exception Syntax_error of string list
 
 (* Deterministic per-candidate jitter source. *)

@@ -69,8 +69,6 @@ type failure = {
   failed_attempt : int;  (** 1-based attempt number of this failure *)
 }
 
-val pp_failure : Format.formatter -> failure -> unit
-
 exception Syntax_error of string list
 
 (** A flow invariant was broken — e.g. a faultless run reported a

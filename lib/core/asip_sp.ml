@@ -44,16 +44,16 @@
     candidate's CAD chain is governed by [spec.retry] — transient
     failures are retried after an exponential backoff, a timing-closure
     failure switches the retry to a relaxed resynthesis, and a chain
-    that exhausts its attempts degrades gracefully: the next-best
-    profitable candidate from the ranking is promoted in its place, and
-    if no alternate can be implemented the instruction simply stays in
-    software.  A whole-specialization
-    deadline ([spec.retry], consulted whatever planes are on) bounds the
-    total simulated time; candidates past it are dropped (cache hits
-    are still taken — they are free).  All of this is deterministic in
-    the chaos seed, and fault chains are computed
-    in the parallel phase from per-candidate seeds, so the recovery
-    behaviour is identical however many domains run the sweep.
+    that exhausts its attempts degrades gracefully: the instruction
+    stays in software (the selection already holds every profitable
+    candidate, so there is no alternate to build in its place).  A
+    whole-specialization deadline ([spec.retry], consulted whatever
+    planes are on) bounds the total simulated time; candidates past it
+    are dropped (cache hits are still taken — they are free).  All of
+    this is deterministic in the chaos seed, and fault chains are
+    computed in the parallel phase from per-candidate seeds, so the
+    recovery behaviour is identical however many domains run the
+    sweep.
 
     {!run_spec} composes the two for the single-application case. *)
 
@@ -73,27 +73,17 @@ type drop_reason =
           CAD attempt was even started *)
   | Stage_failure
       (** the supervision layer gave up on one of the candidate's
-          pipeline stages (chaos crashes exhausted the retry budget, a
-          stall overran the stage deadline, or the run was cancelled) —
-          the candidate was poisoned before any CAD chain existed *)
+          pipeline stages (chaos crashes exhausted the retry budget, or
+          a stall overran the stage deadline) — the candidate was
+          poisoned before any CAD chain existed *)
 
 let drop_reason_name = function
   | Retries_exhausted -> "retries exhausted"
   | Specialization_deadline -> "specialization deadline"
   | Stage_failure -> "stage failure"
 
-(** How a slot in the selection came to be implemented. *)
-type outcome =
-  | Implemented  (** the originally selected candidate was built *)
-  | Promoted of {
-      from : Ise.Select.scored;  (** the candidate that failed *)
-      from_failure : Cad.Flow.failure;  (** its final failure *)
-    }
-      (** the originally selected candidate failed permanently and this
-          next-ranked alternate was built in its place *)
-
 type candidate_result = {
-  scored : Ise.Select.scored;  (** the candidate actually implemented *)
+  scored : Ise.Select.scored;
   vhdl_lines : int;
   c2v_seconds : float;
   run : Cad.Flow.run;
@@ -105,14 +95,12 @@ type candidate_result = {
           full CAD bill is paid *)
   total_seconds : float;  (** c2v + all CAD stages; 0 on a cache hit *)
   attempts : int;
-      (** CAD attempts run to land this slot — successful and failed,
-          including a failed primary's when the slot was promoted; 0 on
-          a cache hit *)
+      (** CAD attempts run to land this slot, successful and failed; 0
+          on a cache hit *)
   failed_attempts : int;  (** failures among [attempts] *)
   wasted_seconds : float;
       (** simulated seconds burnt on failed attempts and backoffs on
           the road to this result (0 when the first attempt succeeded) *)
-  outcome : outcome;
 }
 
 (** A selected candidate that could not be implemented at all: the
@@ -141,8 +129,7 @@ type report = {
   all_candidates : int;  (** identified before profitability filtering *)
   (* Hardware generation *)
   candidates : candidate_result list;
-      (** implemented slots, in selection order (a promoted slot sits
-          at its failed primary's position) *)
+      (** implemented slots, in selection order *)
   dropped : dropped list;  (** abandoned slots, in selection order *)
   const_seconds : float;   (** sum of constant-time stages (incl. C2V) *)
   map_seconds : float;
@@ -153,7 +140,6 @@ type report = {
   sum_seconds : float;     (** total ASIP-SP overhead, including waste *)
   total_attempts : int;    (** CAD attempts run (successes + failures) *)
   failed_attempts : int;
-  degraded : int;          (** slots implemented via promotion *)
   stage_failures : int;
       (** slots dropped by the supervision layer ({!Stage_failure}) *)
   deadline_exceeded : bool;
@@ -198,12 +184,9 @@ let identify (m : Ir.Irmod.t) blocks =
 
 (* Identification + estimation + selection over a list of blocks. *)
 let search_blocks (db : Pp.Database.t) (m : Ir.Irmod.t)
-    (profile : Vm.Profile.t) ~select_config blocks =
+    (profile : Vm.Profile.t) blocks =
   let candidates = identify m blocks in
-  let selection =
-    Ise.Select.select ~config:select_config db m profile candidates
-  in
-  (candidates, selection)
+  (candidates, Ise.Select.select db m profile candidates)
 
 (** One CAD attempt of a candidate's retry chain. *)
 type attempt_info = {
@@ -380,9 +363,6 @@ type staged = {
   stg_asip_ratio : Ise.Speedup.t;
   stg_asip_ratio_max : Ise.Speedup.t;
   stg_candidates : slot list;  (** in selection order *)
-  stg_alternates : slot list;
-      (** promotion pool: profitable candidates the selection caps left
-          out, best first; empty when fault injection is off *)
   stg_records : Pipeline.record list;
       (** stage-execution records accumulated so far (including any
           upstream stages run under the same {!Pipeline.ctx}) *)
@@ -391,10 +371,10 @@ type staged = {
 (* ------------------------------------------------------------------ *)
 (* Stage definitions.  Each stage's digest hashes exactly the canonical
    inputs its output depends on: the IR module, the profile counts, and
-   the relevant Spec knobs (pruning filter, selection constraints, CAD
-   model, fault and retry configuration — seeds included).  The module
-   and profile digests are computed lazily once per staging so that the
-   default store-less configuration pays nothing for them. *)
+   the relevant Spec knobs (pruning filter, CAD model, fault and retry
+   configuration — seeds included).  The module and profile digests are
+   computed lazily once per staging so that the default store-less
+   configuration pays nothing for them. *)
 
 (** The per-application search environment threaded through the search
     stages. *)
@@ -430,8 +410,7 @@ let add_candidate c (cd : Ise.Candidate.t) =
 
 (* Phase 1a: reference search without pruning (for the efficiency
    metric and the ASIP-ratio upper bound of Table I).  Depends on the
-   module and profile only — the selection config is the fixed
-   default. *)
+   module and profile only. *)
 let reference_stage : (env, Ise.Select.scored list) Pipeline.stage =
   Pipeline.stage ~cat:"search" "search-reference"
     ~digest:(fun _spec env -> U.Digest.finish (base_digest env))
@@ -443,9 +422,7 @@ let reference_stage : (env, Ise.Select.scored list) Pipeline.stage =
             List.init (Ir.Func.num_blocks f) (fun l -> (f.Ir.Func.name, l)))
           env.env_m.Ir.Irmod.funcs
       in
-      snd
-        (search_blocks env.env_db env.env_m env.env_profile
-           ~select_config:Ise.Select.default_config all_blocks))
+      snd (search_blocks env.env_db env.env_m env.env_profile all_blocks))
 
 (* Phase 1b, step 1: the [@{p}pS{k}L] pruning filter. *)
 let prune_stage : (env, Ise.Prune.selection) Pipeline.stage =
@@ -476,58 +453,16 @@ let maxmiso_stage :
     (fun _ctx (env, pruning) -> identify env.env_m pruning.Ise.Prune.blocks)
 
 (* Phase 1b, step 3: PivPav estimation + profitability selection. *)
-let select_digest spec (env, candidates) =
-  let c = base_digest env in
-  Pipeline.add_select c spec.Spec.select;
-  U.Digest.add_list c (add_candidate c) candidates;
-  U.Digest.finish c
-
 let select_stage :
     (env * Ise.Candidate.t list, Ise.Select.scored list) Pipeline.stage =
-  Pipeline.stage ~cat:"search" "select" ~digest:select_digest
-    ~codec:Codecs.scored_list
-    (fun ctx (env, candidates) ->
-      Ise.Select.select ~config:ctx.Pipeline.spec.Spec.select env.env_db
-        env.env_m env.env_profile candidates)
-
-(* Promotion pool (only needed when failures can demand it): rank the
-   same candidate set without the selection caps and keep whatever the
-   caps excluded, best first. *)
-let alternates_stage :
-    ( env * Ise.Candidate.t list * Ise.Select.scored list,
-      Ise.Select.scored list )
-    Pipeline.stage =
-  Pipeline.stage ~cat:"search" "alternates"
-    ~digest:(fun spec (env, candidates, _selection) ->
+  Pipeline.stage ~cat:"search" "select"
+    ~digest:(fun _spec (env, candidates) ->
       let c = base_digest env in
-      Pipeline.add_select c spec.Spec.select;
       U.Digest.add_list c (add_candidate c) candidates;
-      U.Digest.add_bool c (U.Chaos.cad_on spec.Spec.chaos);
       U.Digest.finish c)
     ~codec:Codecs.scored_list
-    (fun ctx (env, candidates, selection) ->
-      let spec = ctx.Pipeline.spec in
-      if not (U.Chaos.cad_on spec.Spec.chaos) then []
-      else
-        let unconstrained =
-          {
-            spec.Spec.select with
-            Ise.Select.max_candidates = None;
-            lut_budget = None;
-          }
-        in
-        let full =
-          Ise.Select.select ~config:unconstrained env.env_db env.env_m
-            env.env_profile candidates
-        in
-        let key (s : Ise.Select.scored) =
-          let c = s.Ise.Select.candidate in
-          ( c.Ise.Candidate.func,
-            c.Ise.Candidate.block,
-            c.Ise.Candidate.signature )
-        in
-        let chosen = List.map key selection in
-        List.filter (fun s -> not (List.mem (key s) chosen)) full)
+    (fun _ctx (env, candidates) ->
+      Ise.Select.select env.env_db env.env_m env.env_profile candidates)
 
 (* Phase 2: data-path VHDL + netlist + CAD project.  Depends on the IR
    structure and the candidate identity, not on the profile — a
@@ -611,79 +546,55 @@ let stage_in (ctx : Pipeline.ctx) (db : Pp.Database.t) (m : Ir.Irmod.t)
   let asip_ratio_max =
     Ise.Speedup.of_selection ~total_cycles selection_nopruning
   in
-  let alternates =
-    Pipeline.exec ctx alternates_stage (env, candidates, selection)
-  in
-  (* Phases 2 and 3 for every selected candidate (and staged alternate),
-     serially: [Experiment.sweep] already spreads the applications over
-     [spec.jobs] domains, and this per-candidate work (VHDL plus the
-     simulated CAD chain) is too small to pay for domains of its own.
-     The flow simulation and its fault chain are deterministically
-     seeded by the candidate signature, and the chaos pool plane rolls
-     per candidate site, so outcomes do not depend on [spec.jobs].
-     [Pool.map_result] isolates failures per slot: a candidate whose
-     stages the supervisor gave up on (or whose pool-plane roll the
-     chaos model poisoned) degrades that one slot to [Slot_failed] —
-     everyone else's completed work is kept.  Each item gets its own
-     waste meter so the simulated cost of surviving (or not) chaos is
-     billed in slot order.  Real bugs — exceptions that are neither
-     chaos injections, supervision verdicts nor cancellations —
-     re-raise. *)
-  let inputs =
-    List.map
-      (fun s -> (s, U.Supervisor.meter ()))
-      (selection @ alternates)
-  in
+  (* Phases 2 and 3 for every selected candidate, serially:
+     [Experiment.sweep] already spreads the applications over domains,
+     and this per-candidate work (VHDL plus the simulated CAD chain) is
+     too small to pay for domains of its own.  The flow simulation and
+     its fault chain are deterministically seeded by the candidate
+     signature, and the chaos pool plane rolls per candidate site, so
+     outcomes do not depend on the sweep's domain count.  Failures are
+     isolated per slot: a candidate whose stages the supervisor gave up
+     on (or whose pool-plane roll the chaos model poisoned) degrades
+     that one slot to [Slot_failed] — everyone else's completed work is
+     kept.  Each slot gets its own waste meter so the simulated cost of
+     surviving (or not) chaos is billed in slot order.  Real bugs —
+     exceptions that are neither chaos injections nor supervision
+     verdicts — propagate. *)
   let chaos = spec.Spec.chaos in
-  let implemented =
-    U.Pool.map_result
-      ~token:(U.Supervisor.token_of ctx.Pipeline.sup)
-      (fun ((s : Ise.Select.scored), meter) ->
-        let detail = s.Ise.Select.candidate.Ise.Candidate.signature in
-        if U.Chaos.pool_crash chaos ~site:(ctx.Pipeline.app ^ "/" ^ detail)
-        then U.Chaos.inject "pool" detail;
-        let project = Pipeline.exec ctx ~detail ~meter vhdl_stage (env, s) in
-        let c2v, chain =
-          Pipeline.exec ctx ~detail ~meter chain_stage (env, s, project)
-        in
+  let stage_slot (s : Ise.Select.scored) =
+    let meter = U.Supervisor.meter () in
+    let detail = s.Ise.Select.candidate.Ise.Candidate.signature in
+    let failed ~attempts error =
+      Slot_failed
+        {
+          sf_scored = s;
+          sf_error = error;
+          sf_attempts = attempts;
+          sf_wasted_seconds = U.Supervisor.spent meter;
+        }
+    in
+    try
+      if U.Chaos.pool_crash chaos ~site:(ctx.Pipeline.app ^ "/" ^ detail)
+      then U.Chaos.inject "pool" detail;
+      let project = Pipeline.exec ctx ~detail ~meter vhdl_stage (env, s) in
+      let c2v, chain =
+        Pipeline.exec ctx ~detail ~meter chain_stage (env, s, project)
+      in
+      Slot_ok
         {
           sc_scored = s;
           sc_project = project;
           sc_c2v = c2v;
           sc_chain = chain;
           sc_sup_wasted = U.Supervisor.spent meter;
-        })
-      inputs
+        }
+    with
+    | U.Supervisor.Stage_failed f ->
+        failed ~attempts:f.U.Supervisor.f_attempts
+          (U.Supervisor.error_name f.U.Supervisor.f_error)
+    | U.Chaos.Injected what -> failed ~attempts:1 ("worker crash: " ^ what)
   in
-  let slots =
-    List.map2
-      (fun ((s : Ise.Select.scored), meter) result ->
-        match result with
-        | Ok sc -> Slot_ok sc
-        | Error (exn, bt) ->
-            let failed ~attempts error =
-              Slot_failed
-                {
-                  sf_scored = s;
-                  sf_error = error;
-                  sf_attempts = attempts;
-                  sf_wasted_seconds = U.Supervisor.spent meter;
-                }
-            in
-            (match exn with
-            | U.Supervisor.Stage_failed f ->
-                failed ~attempts:f.U.Supervisor.f_attempts
-                  (U.Supervisor.error_name f.U.Supervisor.f_error)
-            | U.Chaos.Injected what ->
-                failed ~attempts:1 ("worker crash: " ^ what)
-            | U.Supervisor.Cancelled reason ->
-                failed ~attempts:0 ("cancelled: " ^ reason)
-            | _ -> Printexc.raise_with_backtrace exn bt))
-      inputs implemented
-  in
-  let n = List.length selection in
-  let stg_candidates = List.filteri (fun i _ -> i < n) slots in
-  let stg_alternates = List.filteri (fun i _ -> i >= n) slots in
+  let stg_candidates = List.map stage_slot selection in
   {
     stg_search_wall = search_wall;
     stg_nopruning_wall = nopruning_wall;
@@ -694,7 +605,6 @@ let stage_in (ctx : Pipeline.ctx) (db : Pp.Database.t) (m : Ir.Irmod.t)
     stg_asip_ratio = asip_ratio;
     stg_asip_ratio_max = asip_ratio_max;
     stg_candidates;
-    stg_alternates;
     stg_records = Pipeline.records ctx;
   }
 
@@ -703,16 +613,6 @@ let stage_in (ctx : Pipeline.ctx) (db : Pp.Database.t) (m : Ir.Irmod.t)
 let stage ?(spec = Spec.default) ?(app = "") (db : Pp.Database.t)
     (m : Ir.Irmod.t) (profile : Vm.Profile.t) ~total_cycles : staged =
   stage_in (Pipeline.context ~spec ~app ()) db m profile ~total_cycles
-
-(* What finalization decides about one slot of the selection. *)
-type resolution =
-  | R_built of candidate_result
-  | R_no_budget
-  | R_failed of Cad.Flow.failure * drop_reason * int * float
-      (* final failure, reason, attempts run, wasted (incl. C2V) *)
-  | R_stage_failed of slot_failure
-      (* the supervision layer poisoned the slot before any CAD chain
-         existed; its simulated waste has been spent on the budget *)
 
 (* The bitstream store's one key (Section VI-A): a built data path's
    bitstream under the digest of its structural signature.  No codec,
@@ -730,8 +630,8 @@ let bitstream_key : Cad.Bitstream.t U.Artifact.key =
     bitstream with {!U.Artifact.put} only after its chain {e
     succeeded}, so a failed run is never served to another
     application.  This is also where recovery policy is applied: the
-    whole-specialization deadline is spent in selection order and
-    failed candidates consume promotion alternates. *)
+    whole-specialization deadline is spent in selection order, and a
+    slot that cannot be built becomes a {!dropped} one. *)
 let finalize ?(spec = Spec.default) ~app (st : staged) : report =
   let store =
     match spec.Spec.cache with Some s -> s | None -> U.Artifact.create ()
@@ -743,177 +643,95 @@ let finalize ?(spec = Spec.default) ~app (st : staged) : report =
      fallback), cache hit (free, always allowed; survived chaos stalls
      still billed), successful chain (billed against the budget,
      recorded in the cache), or permanent CAD failure (waste billed,
-     nothing recorded). *)
-  let resolve (slot : slot) : resolution =
-    match slot with
-    | Slot_failed sf ->
-        if U.Retry.exhausted budget then R_no_budget
-        else begin
-          U.Retry.spend budget sf.sf_wasted_seconds;
-          R_stage_failed sf
-        end
-    | Slot_ok sc -> (
-    let s = sc.sc_scored in
-    let digest =
-      U.Digest.of_string s.Ise.Select.candidate.Ise.Candidate.signature
-    in
-    let mk_hit hit run =
-      (* The bitstream is free, but the chaos stalls survived while
-         staging this candidate's stages were still simulated time:
-         bill them (a hit is always taken, even past the deadline). *)
-      U.Retry.spend budget sc.sc_sup_wasted;
-      R_built
+     nothing recorded, software fallback).  A slot reached after the
+     budget ran out is dropped unbilled, unless it is a cache hit. *)
+  let resolve idx (slot : slot) : (candidate_result, dropped) Either.t =
+    let drop drop_scored drop_reason ?failure ~attempts wasted =
+      Either.Right
         {
-          scored = s;
-          vhdl_lines = sc.sc_project.Hw.Project.vhdl.Hw.Vhdl.lines;
-          c2v_seconds = 0.0;
-          run;
-          cache_hit = Some hit;
-          total_seconds = 0.0;
-          attempts = 0;
-          failed_attempts = 0;
-          wasted_seconds = sc.sc_sup_wasted;
-          outcome = Implemented;
+          drop_scored;
+          drop_reason;
+          drop_failure = failure;
+          drop_attempts = attempts;
+          drop_wasted_seconds = wasted;
+          drop_at_index = idx;
         }
     in
-    match sc.sc_chain.ch_result with
-    | Ok run -> (
-        match U.Artifact.find store bitstream_key ~app ~digest with
-        | Some (_, hit) -> mk_hit hit run
-        | None ->
-            if U.Retry.exhausted budget then R_no_budget
+    match slot with
+    | Slot_failed sf ->
+        if U.Retry.exhausted budget then
+          drop sf.sf_scored Specialization_deadline ~attempts:0 0.0
+        else begin
+          U.Retry.spend budget sf.sf_wasted_seconds;
+          drop sf.sf_scored Stage_failure ~attempts:sf.sf_attempts
+            sf.sf_wasted_seconds
+        end
+    | Slot_ok sc -> (
+        let s = sc.sc_scored in
+        let digest =
+          U.Digest.of_string s.Ise.Select.candidate.Ise.Candidate.signature
+        in
+        let built run ~hit ~c2v ~total ~attempts ~failed ~wasted =
+          Either.Left
+            {
+              scored = s;
+              vhdl_lines = sc.sc_project.Hw.Project.vhdl.Hw.Vhdl.lines;
+              c2v_seconds = c2v;
+              run;
+              cache_hit = hit;
+              total_seconds = total;
+              attempts;
+              failed_attempts = failed;
+              wasted_seconds = wasted;
+            }
+        in
+        match sc.sc_chain.ch_result with
+        | Ok run -> (
+            match U.Artifact.find store bitstream_key ~app ~digest with
+            | Some (_, hit) ->
+                (* The bitstream is free, but the chaos stalls survived
+                   while staging this candidate's stages were still
+                   simulated time: bill them (a hit is always taken,
+                   even past the deadline). *)
+                U.Retry.spend budget sc.sc_sup_wasted;
+                built run ~hit:(Some hit) ~c2v:0.0 ~total:0.0 ~attempts:0
+                  ~failed:0 ~wasted:sc.sc_sup_wasted
+            | None ->
+                if U.Retry.exhausted budget then
+                  drop s Specialization_deadline ~attempts:0 0.0
+                else begin
+                  let wasted =
+                    chain_wasted_seconds sc.sc_chain +. sc.sc_sup_wasted
+                  in
+                  let total = sc.sc_c2v +. run.Cad.Flow.total_seconds in
+                  U.Retry.spend budget (total +. wasted);
+                  U.Artifact.put store bitstream_key ~app ~digest
+                    run.Cad.Flow.bitstream;
+                  built run ~hit:None ~c2v:sc.sc_c2v ~total
+                    ~attempts:(List.length sc.sc_chain.ch_attempts)
+                    ~failed:(chain_failed_attempts sc.sc_chain)
+                    ~wasted
+                end)
+        | Error (f, reason) ->
+            (* No cache probe: fault rolls are seeded by the signature
+               alone, so a permanently failing signature fails
+               identically in every application of the sweep and can
+               never have been recorded — the probe would be a
+               guaranteed miss. *)
+            if U.Retry.exhausted budget then
+              drop s Specialization_deadline ~attempts:0 0.0
             else begin
               let wasted =
-                chain_wasted_seconds sc.sc_chain +. sc.sc_sup_wasted
+                sc.sc_c2v +. chain_wasted_seconds sc.sc_chain
+                +. sc.sc_sup_wasted
               in
-              let total = sc.sc_c2v +. run.Cad.Flow.total_seconds in
-              U.Retry.spend budget (total +. wasted);
-              U.Artifact.put store bitstream_key ~app ~digest
-                run.Cad.Flow.bitstream;
-              R_built
-                {
-                  scored = s;
-                  vhdl_lines = sc.sc_project.Hw.Project.vhdl.Hw.Vhdl.lines;
-                  c2v_seconds = sc.sc_c2v;
-                  run;
-                  cache_hit = None;
-                  total_seconds = total;
-                  attempts = List.length sc.sc_chain.ch_attempts;
-                  failed_attempts = chain_failed_attempts sc.sc_chain;
-                  wasted_seconds = wasted;
-                  outcome = Implemented;
-                }
+              U.Retry.spend budget wasted;
+              drop s reason ~failure:f
+                ~attempts:(List.length sc.sc_chain.ch_attempts)
+                wasted
             end)
-    | Error (f, reason) ->
-        (* No cache probe: fault rolls are seeded by the signature
-           alone, so a permanently failing signature fails identically
-           in every application of the sweep and can never have been
-           recorded — the probe would be a guaranteed miss. *)
-        if U.Retry.exhausted budget then R_no_budget
-        else begin
-          let wasted =
-            sc.sc_c2v +. chain_wasted_seconds sc.sc_chain +. sc.sc_sup_wasted
-          in
-          U.Retry.spend budget wasted;
-          R_failed
-            (f, reason, List.length sc.sc_chain.ch_attempts, wasted)
-        end)
   in
-  (* Walk the selection in order, promoting alternates on permanent
-     failure.  Each alternate is consumed at most once. *)
-  let alternates = ref st.stg_alternates in
-  let take_alternate () =
-    match !alternates with
-    | [] -> None
-    | a :: rest ->
-        alternates := rest;
-        Some a
-  in
-  let scored_of = function
-    | Slot_ok sc -> sc.sc_scored
-    | Slot_failed sf -> sf.sf_scored
-  in
-  let results =
-    List.mapi
-      (fun idx (slot : slot) ->
-        match resolve slot with
-        | R_built c -> Either.Left c
-        | R_no_budget ->
-            Either.Right
-              {
-                drop_scored = scored_of slot;
-                drop_reason = Specialization_deadline;
-                drop_failure = None;
-                drop_attempts = 0;
-                drop_wasted_seconds = 0.0;
-                drop_at_index = idx;
-              }
-        | R_stage_failed sf ->
-            (* Last rung of the ladder for a supervision-poisoned slot:
-               the instruction stays in software, explicitly flagged and
-               waste-billed.  No promotion — there is no CAD failure to
-               promote from, the candidate never reached the flow. *)
-            Either.Right
-              {
-                drop_scored = sf.sf_scored;
-                drop_reason = Stage_failure;
-                drop_failure = None;
-                drop_attempts = sf.sf_attempts;
-                drop_wasted_seconds = sf.sf_wasted_seconds;
-                drop_at_index = idx;
-              }
-        | R_failed (f, reason, n_att, wasted_p) ->
-            (* Degradation ladder, last rung: promote the next-ranked
-               profitable candidate; failing that, stay in software. *)
-            let from_scored = scored_of slot in
-            let rec promote extra_att extra_failed extra_wasted =
-              match take_alternate () with
-              | None ->
-                  Either.Right
-                    {
-                      drop_scored = from_scored;
-                      drop_reason = reason;
-                      drop_failure = Some f;
-                      drop_attempts = n_att + extra_att;
-                      drop_wasted_seconds = wasted_p +. extra_wasted;
-                      drop_at_index = idx;
-                    }
-              | Some alt -> (
-                  match resolve alt with
-                  | R_built c ->
-                      Either.Left
-                        {
-                          c with
-                          attempts = c.attempts + n_att + extra_att;
-                          failed_attempts =
-                            c.failed_attempts + n_att + extra_failed;
-                          wasted_seconds =
-                            c.wasted_seconds +. wasted_p +. extra_wasted;
-                          outcome = Promoted { from = from_scored; from_failure = f };
-                        }
-                  | R_no_budget ->
-                      Either.Right
-                        {
-                          drop_scored = from_scored;
-                          drop_reason = reason;
-                          drop_failure = Some f;
-                          drop_attempts = n_att + extra_att;
-                          drop_wasted_seconds = wasted_p +. extra_wasted;
-                          drop_at_index = idx;
-                        }
-                  | R_failed (_, _, a_att, a_wasted) ->
-                      promote (extra_att + a_att) (extra_failed + a_att)
-                        (extra_wasted +. a_wasted)
-                  | R_stage_failed sf ->
-                      (* A poisoned alternate is skipped — its waste and
-                         attempts still count toward this slot's bill. *)
-                      promote (extra_att + sf.sf_attempts)
-                        (extra_failed + sf.sf_attempts)
-                        (extra_wasted +. sf.sf_wasted_seconds))
-            in
-            promote 0 0 0.0)
-      st.stg_candidates
-  in
+  let results = List.mapi resolve st.stg_candidates in
   let candidates =
     List.filter_map
       (function Either.Left c -> Some c | Either.Right _ -> None)
@@ -954,12 +772,6 @@ let finalize ?(spec = Spec.default) ~app (st : staged) : report =
       0 candidates
     + List.fold_left (fun acc d -> acc + d.drop_attempts) 0 dropped
   in
-  let degraded =
-    List.length
-      (List.filter
-         (fun c -> match c.outcome with Promoted _ -> true | _ -> false)
-         candidates)
-  in
   let stage_failures =
     List.length (List.filter (fun d -> d.drop_reason = Stage_failure) dropped)
   in
@@ -997,7 +809,6 @@ let finalize ?(spec = Spec.default) ~app (st : staged) : report =
     sum_seconds = const_seconds +. map_seconds +. par_seconds +. wasted_seconds;
     total_attempts;
     failed_attempts;
-    degraded;
     stage_failures;
     deadline_exceeded;
     asip_ratio;

@@ -438,7 +438,7 @@ let kernel : An.Kernel.t B.codec =
       })
 
 (* ------------------------------------------------------------------ *)
-(* ISE search: prune, maxmiso, select/alternates stages.              *)
+(* ISE search: prune, maxmiso and select stages.                      *)
 (* ------------------------------------------------------------------ *)
 
 let prune_selection : Ise.Prune.selection B.codec =

@@ -223,16 +223,17 @@ let specialize ?(spec = Spec.default) (db : Pp.Database.t) (w : W.Workload.t)
   in
   (compiled, Asip_sp.finalize ~spec ~app staged)
 
-(** Run every registered workload — the sweep engine.  [spec.jobs]
-    domains prepare the applications concurrently; finalization runs
-    sequentially in registry order, so the results (including the
-    local/shared cache-hit attribution against [spec.cache]) are
-    identical whatever the parallelism.  [verbose] logs progress to
-    stderr (a full sweep interprets ~10^8 simulated instructions). *)
-let sweep ?(verbose = false) ?(spec = Spec.default) (db : Pp.Database.t) :
-    app_result list =
+(** Run every registered workload — the sweep engine.  [jobs] domains
+    (default 1, serial) prepare the applications concurrently;
+    finalization runs sequentially in registry order, so the results
+    (including the local/shared cache-hit attribution against
+    [spec.cache]) are identical whatever the parallelism.  [verbose]
+    logs progress to stderr (a full sweep interprets ~10^8 simulated
+    instructions). *)
+let sweep ?(verbose = false) ?(jobs = 1) ?(spec = Spec.default)
+    (db : Pp.Database.t) : app_result list =
   let prepared =
-    U.Pool.map ~jobs:spec.Spec.jobs
+    U.Pool.map ~jobs
       (fun w ->
         if verbose then
           Printf.eprintf "[experiment] %s...\n%!" w.W.Workload.name;

@@ -138,22 +138,13 @@ let timeline ?(arch = Wool.Arch.default) ?(jobs = 1)
             | None ->
                 let lane = earliest_lane () in
                 let t0 = lanes.(lane) in
-                (match c.Asip_sp.outcome with
-                | Asip_sp.Promoted { from; from_failure } ->
-                    emit
-                      (t0 +. c.Asip_sp.wasted_seconds)
-                      "%s: permanent CAD failure (%s); promoting %s"
-                      (sig_of from)
-                      (Format.asprintf "%a" Cad.Flow.pp_failure from_failure)
-                      (sig_of c.Asip_sp.scored)
-                | Asip_sp.Implemented ->
-                    if c.Asip_sp.failed_attempts > 0 then
-                      emit
-                        (t0 +. c.Asip_sp.wasted_seconds)
-                        "%s: recovered after %d failed attempt(s) (%.0f s \
-                         wasted incl. backoff)"
-                        (sig_of c.Asip_sp.scored) c.Asip_sp.failed_attempts
-                        c.Asip_sp.wasted_seconds);
+                if c.Asip_sp.failed_attempts > 0 then
+                  emit
+                    (t0 +. c.Asip_sp.wasted_seconds)
+                    "%s: recovered after %d failed attempt(s) (%.0f s wasted \
+                     incl. backoff)"
+                    (sig_of c.Asip_sp.scored) c.Asip_sp.failed_attempts
+                    c.Asip_sp.wasted_seconds;
                 let t1 =
                   t0 +. c.Asip_sp.wasted_seconds +. c.Asip_sp.total_seconds
                 in
@@ -225,7 +216,6 @@ let pp_timeline ppf t =
 module F = Jitise_frontend
 module W = Jitise_workloads
 module An = Jitise_analysis
-module U = Jitise_util
 
 (** The event-driven controller proper.  Where {!timeline} replays a
     precomputed plan against a whole-run profile, {!online} closes the
@@ -235,11 +225,12 @@ module U = Jitise_util
     custom instruction only once the ski-rental rule
     ({!An.Breakeven.worthwhile}) says the savings it has already
     foregone cover the predicted overhead, cancels in-flight CAD on
-    phase exit (PR 6's supervision tokens), loads finished bitstreams
-    into the modeled partial-reconfiguration fabric ({!Wool.Asip}) —
-    charging the reconfiguration stall on the same clock the VM runs
-    on — and hot-swaps the CI binding between software and hardware
-    cost through the VM's swap cells.
+    phase exit (the launch is forgotten, so its completion never
+    arrives), loads finished bitstreams into the modeled
+    partial-reconfiguration fabric ({!Wool.Asip}) — charging the
+    reconfiguration stall on the same clock the VM runs on — and
+    hot-swaps the CI binding between software and hardware cost
+    through the VM's swap cells.
 
     Three baselines of the same adapted module differ only in
     controller policy, so their outcomes (return value, control flow)
@@ -275,8 +266,8 @@ type ci_entry = {
       (** offline saved-cycles rank, summed over the group (oracle) *)
   oc_bits : Cad.Bitstream.t;
   mutable oc_built : bool;  (** a bitstream exists (CAD completed) *)
-  mutable oc_inflight : (float * U.Supervisor.token) option;
-      (** CAD launched: completion time and its cancellation token *)
+  mutable oc_inflight : float option;
+      (** CAD launched: its completion time *)
   mutable oc_bound : bool;  (** currently dispatching at hardware cost *)
   mutable oc_foregone : float;
       (** seconds of savings foregone by staying in software during the
@@ -530,8 +521,7 @@ let sync_bindings ~(emit : float -> string -> unit) (ln : lane)
     caches and fault model exactly as the batch path does), adapts the
     binary once, then runs nospec / oracle / adaptive as three lanes of
     one monitored run on the last dataset.  The loop itself is a
-    sequential simulated-time computation, so its result is independent
-    of [spec.jobs] — asserted by the bench. *)
+    sequential simulated-time computation on the calling domain. *)
 let online ?(spec = Spec.default) (db : Pp.Database.t) (w : W.Workload.t) :
     online_report =
   let cfg = spec.Spec.online in
@@ -600,7 +590,6 @@ let online ?(spec = Spec.default) (db : Pp.Database.t) (w : W.Workload.t) :
   in
 
   (* ---- adaptive: the closed loop ---- *)
-  let run_token = U.Supervisor.token () in
   let hot_threshold = max 1 (cfg.Spec.window / hot_fraction) in
   let adaptive_step ln ctl win ~now =
     let asip = ln.ln_asip and entries = ln.ln_entries in
@@ -644,8 +633,7 @@ let online ?(spec = Spec.default) (db : Pp.Database.t) (w : W.Workload.t) :
                    e.oc_sig cold_exit);
               match e.oc_inflight with
               | None -> ()
-              | Some (_, tok) ->
-                  U.Supervisor.cancel ~reason:"phase exit" tok;
+              | Some _ ->
                   e.oc_inflight <- None;
                   incr cancelled;
                   emit now
@@ -658,8 +646,7 @@ let online ?(spec = Spec.default) (db : Pp.Database.t) (w : W.Workload.t) :
     List.iter
       (fun e ->
         match e.oc_inflight with
-        | Some (done_at, tok)
-          when (not (U.Supervisor.cancelled tok)) && now >= done_at ->
+        | Some done_at when now >= done_at ->
             e.oc_inflight <- None;
             e.oc_built <- true;
             incr completed;
@@ -712,8 +699,7 @@ let online ?(spec = Spec.default) (db : Pp.Database.t) (w : W.Workload.t) :
                   An.Breakeven.worthwhile ~overhead_seconds:overhead
                     ~foregone_seconds:e.oc_foregone
                 then begin
-                  let tok = U.Supervisor.token ~parent:run_token () in
-                  e.oc_inflight <- Some (now +. e.oc_cad_seconds, tok);
+                  e.oc_inflight <- Some (now +. e.oc_cad_seconds);
                   incr launched;
                   emit now
                     (Printf.sprintf "%s: CAD launched, %.4fs predicted"

@@ -99,8 +99,7 @@ type online_report = {
     cost and stalls, so they share the block trace and the return
     value, and each lane's cycle totals are those a separate run of
     that baseline would read: directly comparable.  The loop is a
-    sequential simulated-time computation: the result is independent
-    of [spec.jobs].
+    sequential simulated-time computation on the calling domain.
     @raise Invalid_argument ["Jit_manager.online: workload has no
     datasets"] before any stage runs when the dataset list is empty. *)
 val online : ?spec:Spec.t -> Pp.Database.t -> W.Workload.t -> online_report

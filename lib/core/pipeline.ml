@@ -18,9 +18,9 @@
     The digest function hashes exactly the inputs the stage's output
     depends on — the IR module, profile counts, the relevant [Spec] knobs,
     fault/retry configuration and seeds — so a sweep point re-runs only
-    the stages whose inputs actually changed: varying only the
-    selection config across twenty sweep points reuses the
-    compile/profile/prune/MAXMISO artifacts outright, with the same
+    the stages whose inputs actually changed: varying only the pruning
+    filter across sweep points reuses the compile/profile/coverage/
+    kernel/reference-search artifacts outright, with the same
     Local/Shared hit attribution as the bitstream store.
 
     With [spec.stage_cache = None] (the default) the engine degrades to
@@ -70,22 +70,21 @@ type ctx = {
   records : record list ref;
   lock : Mutex.t;
   sup : U.Supervisor.t;
-      (** the run's supervisor: policy from [spec.supervisor], one
-          cancellation token and one run budget per context *)
+      (** the run's supervisor: policy from [spec.supervisor] and one
+          run budget per context *)
 }
 
-let context ?(spec = Spec.default) ?(app = "") ?token () =
+let context ?(spec = Spec.default) ?(app = "") () =
   {
     spec;
     app;
     records = ref [];
     lock = Mutex.create ();
-    sup = U.Supervisor.create ~policy:spec.Spec.supervisor ?token ();
+    sup = U.Supervisor.create ~policy:spec.Spec.supervisor ();
   }
 
-(** Records in execution order.  Sequential stages appear in program
-    order; per-candidate stages under [jobs > 1] appear in completion
-    order (consumers must not rely on their relative order). *)
+(** Records in execution order: every stage of one context runs on
+    the calling domain, so this is program order. *)
 let records ctx = List.rev !(ctx.records)
 
 type ('i, 'o) stage = {
@@ -208,12 +207,6 @@ let digest_profile (p : Vm.Profile.t) =
 let add_prune c (p : Ise.Prune.t) =
   D.add_float c p.Ise.Prune.coverage_percent;
   D.add_int c p.Ise.Prune.top_blocks
-
-let add_select c (s : Ise.Select.config) =
-  D.add_int c s.Ise.Select.max_inputs;
-  D.add_bool c s.Ise.Select.split_wide;
-  D.add_option c (D.add_int c) s.Ise.Select.max_candidates;
-  D.add_option c (D.add_int c) s.Ise.Select.lut_budget
 
 let add_cad c (cfg : Cad.Flow.config) =
   D.add_float c cfg.Cad.Flow.speedup_factor;

@@ -52,18 +52,16 @@ type ctx = {
   records : record list ref;
   lock : Mutex.t;
   sup : U.Supervisor.t;
-      (** the run's supervisor: policy from [spec.supervisor], one
-          cancellation token and one run budget per context *)
+      (** the run's supervisor: policy from [spec.supervisor] and one
+          run budget per context *)
 }
 
-val context : ?spec:Spec.t -> ?app:string -> ?token:U.Supervisor.token -> unit -> ctx
-(** A fresh per-run context.  [token] (default: a fresh one) lets a
-    caller cancel the run cooperatively from outside. *)
+val context : ?spec:Spec.t -> ?app:string -> unit -> ctx
+(** A fresh per-run context. *)
 
 val records : ctx -> record list
-(** Records in execution order.  Sequential stages appear in program
-    order; per-candidate stages under [jobs > 1] appear in completion
-    order (consumers must not rely on their relative order). *)
+(** Records in execution order: every stage of one context runs on
+    the calling domain, so this is program order. *)
 
 type ('i, 'o) stage
 
@@ -116,5 +114,4 @@ val digest_profile : Vm.Profile.t -> U.Digest.t
     dynamic instruction count. *)
 
 val add_prune : U.Digest.ctx -> Ise.Prune.t -> unit
-val add_select : U.Digest.ctx -> Ise.Select.config -> unit
 val add_cad : U.Digest.ctx -> Cad.Flow.config -> unit

@@ -1,21 +1,20 @@
 (** Unified pipeline configuration.
 
-    One value configures the whole sweep engine: the pruning filter,
-    candidate-selection constraints and CAD model (previously threaded
-    as scattered [?prune ?select_config ?cad_config] optional
-    arguments), plus the engine knobs the parallel redesign added — the
-    domain count, the shared bitstream cache, and the span tracer.
+    One value configures the whole sweep engine: the pruning filter
+    and CAD model, plus the engine knobs — the shared bitstream cache,
+    the span tracer, the stage cache and the fault, retry and
+    supervision policies.  Selection has no knobs, and the domain count
+    is an argument of {!Experiment.sweep}.
 
     Build a spec from {!default} with the [with_*] setters:
 
     {[
       let spec =
         Spec.default
-        |> Spec.with_jobs 4
         |> Spec.with_cache (Jitise_util.Artifact.create ())
         |> Spec.with_tracer (Jitise_util.Trace.create ())
       in
-      Experiment.sweep ~spec db
+      Experiment.sweep ~jobs:4 ~spec db
     ]} *)
 
 module Ise = Jitise_ise
@@ -52,12 +51,7 @@ let default_online =
 
 type t = {
   prune : Ise.Prune.t;  (** block filter, default the paper's [@50pS3L] *)
-  select : Ise.Select.config;  (** candidate-selection constraints *)
   cad : Cad.Flow.config;  (** CAD flow model (speedup, EAPR, device) *)
-  jobs : int;
-      (** domains used by {!Experiment.sweep} (across workloads) and
-          {!Asip_sp.stage} (across selected candidates); 1 = serial.
-          Reports are identical whatever the value. *)
   cache : U.Artifact.t option;
       (** shared bitstream store, keyed by structural signature;
           [None] (the default) reuses data paths within one
@@ -72,8 +66,8 @@ type t = {
       (** content-addressed artifact store for whole-stage memoization
           ([None], the default, recomputes every stage).  [Some store]
           lets a sweep point reuse any stage artifact whose input
-          digest is unchanged — e.g. a sweep varying only [select]
-          re-executes zero compile/profile/prune/MAXMISO stages.
+          digest is unchanged — e.g. a sweep varying only [prune]
+          re-executes zero compile/profile/coverage/kernel stages.
           Orthogonal to [cache], which shares {e bitstreams} across
           applications at a finer grain. *)
   retry : U.Retry.policy;
@@ -111,9 +105,7 @@ type t = {
 let default =
   {
     prune = Ise.Prune.at_50p_s3l;
-    select = Ise.Select.default_config;
     cad = Cad.Flow.default_config;
-    jobs = 1;
     cache = None;
     tracer = None;
     stage_cache = None;
@@ -142,11 +134,6 @@ let validate_online (o : online) =
          o.latency_scale)
 
 let with_prune prune t = { t with prune }
-
-let with_jobs jobs t =
-  if jobs < 1 then
-    invalid_arg (Printf.sprintf "Spec.with_jobs: jobs must be >= 1 (got %d)" jobs)
-  else { t with jobs }
 
 let with_cache cache t = { t with cache = Some cache }
 let with_tracer tracer t = { t with tracer = Some tracer }

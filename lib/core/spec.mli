@@ -1,21 +1,21 @@
 (** Unified pipeline configuration.
 
-    One value configures the whole sweep engine: the pruning filter,
-    candidate-selection constraints and CAD model, plus the engine
-    knobs — domain count, shared bitstream cache, span tracer, stage
-    cache (and its backend), and the fault, retry and supervision
-    policies.
+    One value configures the whole sweep engine: the pruning filter
+    and CAD model, plus the engine knobs — shared bitstream cache, span
+    tracer, stage cache (and its backend), and the fault, retry and
+    supervision policies.  Candidate selection has no knobs: every
+    profitable candidate is implemented, as in the paper.  The domain
+    count is an argument of {!Experiment.sweep}, its only reader.
 
     Build a spec from {!default} with the [with_*] setters:
 
     {[
       let spec =
         Spec.default
-        |> Spec.with_jobs 4
         |> Spec.with_cache (Jitise_util.Artifact.create ())
         |> Spec.with_store_dir "/var/cache/jitise"
       in
-      Experiment.sweep ~spec db
+      Experiment.sweep ~jobs:4 ~spec db
     ]} *)
 
 module Ise = Jitise_ise
@@ -42,12 +42,7 @@ val default_online : online
 
 type t = {
   prune : Ise.Prune.t;  (** block filter, default the paper's [@50pS3L] *)
-  select : Ise.Select.config;  (** candidate-selection constraints *)
   cad : Cad.Flow.config;  (** CAD flow model (speedup, EAPR, device) *)
-  jobs : int;
-      (** domains used by {!Experiment.sweep} (across workloads) and
-          {!Asip_sp.stage} (across selected candidates); 1 = serial.
-          Reports are identical whatever the value. *)
   cache : U.Artifact.t option;
       (** shared bitstream store, keyed by structural signature;
           [None] (the default) reuses data paths within one
@@ -62,8 +57,8 @@ type t = {
       (** content-addressed artifact store for whole-stage memoization
           ([None], the default, recomputes every stage).  [Some store]
           lets a sweep point reuse any stage artifact whose input
-          digest is unchanged — e.g. a sweep varying only [select]
-          re-executes zero compile/profile/prune/MAXMISO stages.
+          digest is unchanged — e.g. a sweep varying only [prune]
+          re-executes zero compile/profile/coverage/kernel stages.
           Orthogonal to [cache], which shares {e bitstreams} across
           applications at a finer grain. *)
   retry : U.Retry.policy;
@@ -101,9 +96,6 @@ type t = {
 val default : t
 
 val with_prune : Ise.Prune.t -> t -> t
-
-val with_jobs : int -> t -> t
-(** @raise Invalid_argument when [jobs < 1]. *)
 
 val with_cache : U.Artifact.t -> t -> t
 val with_tracer : U.Trace.t -> t -> t

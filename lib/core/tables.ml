@@ -162,7 +162,7 @@ type table2_row = {
   candidates : int;
   attempts : int;       (** CAD attempts run (successes + failures) *)
   failures : int;       (** failed CAD attempts *)
-  degradations : int;   (** slots promoted or abandoned *)
+  degradations : int;   (** slots abandoned (left in software) *)
   asip_ratio : float;  (** after pruning + selection *)
   const_seconds : float;
   map_seconds : float;
@@ -183,7 +183,7 @@ let table2_row (r : Experiment.app_result) : table2_row =
     candidates = List.length rep.Asip_sp.selection;
     attempts = rep.Asip_sp.total_attempts;
     failures = rep.Asip_sp.failed_attempts;
-    degradations = rep.Asip_sp.degraded + List.length rep.Asip_sp.dropped;
+    degradations = List.length rep.Asip_sp.dropped;
     asip_ratio = rep.Asip_sp.asip_ratio.Ise.Speedup.ratio;
     const_seconds = rep.Asip_sp.const_seconds;
     map_seconds = rep.Asip_sp.map_seconds;

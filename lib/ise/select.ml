@@ -18,22 +18,10 @@ type scored = {
   saved_cycles : float;   (** frequency x (sw - hw) *)
 }
 
-type config = {
-  max_inputs : int;
-      (** register inputs a CI can take.  Woolcano moves operands over
-          the APU two words per cycle, so the effective limit is high
-          (16); port-constrained targets should lower it, ideally
-          together with [split_wide] *)
-  split_wide : bool;
-      (** decompose over-wide candidates with {!Split.constrain}
-          instead of dropping them (off by default: Woolcano encodes
-          wide candidates directly) *)
-  max_candidates : int option;  (** optional cap, best first *)
-  lut_budget : int option;      (** optional total area budget *)
-}
-
-let default_config =
-  { max_inputs = 16; split_wide = false; max_candidates = None; lut_budget = None }
+(** Register inputs a CI can take.  Woolcano moves operands over the
+    APU two words per cycle, so the limit is high; MAXMISO still finds
+    wider candidates, and those stay in software. *)
+let max_inputs = 16
 
 (** DFG of a candidate's home block (the candidate stores node indices
     into exactly this graph). *)
@@ -45,18 +33,14 @@ let dfg_of (m : Ir.Irmod.t) (c : Candidate.t) =
            c.Candidate.func c.Candidate.signature)
   | Some f -> Ir.Dfg.of_block f (Ir.Func.block f c.Candidate.block)
 
-(** Score and filter candidates. *)
-let select ?(config = default_config) (db : Pp.Database.t) (m : Ir.Irmod.t)
-    (profile : Vm.Profile.t) (candidates : Candidate.t list) : scored list =
-  let candidates =
-    if config.split_wide then
-      Split.constrain (dfg_of m) ~max_inputs:config.max_inputs candidates
-    else candidates
-  in
+(** Score and filter candidates: every profitable candidate is kept,
+    best first. *)
+let select (db : Pp.Database.t) (m : Ir.Irmod.t) (profile : Vm.Profile.t)
+    (candidates : Candidate.t list) : scored list =
   let scored =
     List.filter_map
       (fun c ->
-        if c.Candidate.num_inputs > config.max_inputs then None
+        if c.Candidate.num_inputs > max_inputs then None
         else
           let dfg = dfg_of m c in
           match Pp.Estimator.estimate db dfg c.Candidate.nodes with
@@ -86,30 +70,4 @@ let select ?(config = default_config) (db : Pp.Database.t) (m : Ir.Irmod.t)
                   })
       candidates
   in
-  let ranked =
-    List.sort (fun a b -> compare b.saved_cycles a.saved_cycles) scored
-  in
-  let capped =
-    match config.max_candidates with
-    | None -> ranked
-    | Some n ->
-        let rec firstn n = function
-          | [] -> []
-          | _ when n = 0 -> []
-          | x :: r -> x :: firstn (n - 1) r
-        in
-        firstn n ranked
-  in
-  match config.lut_budget with
-  | None -> capped
-  | Some budget ->
-      let used = ref 0 in
-      List.filter
-        (fun s ->
-          let luts = s.estimate.Pp.Estimator.luts in
-          if !used + luts <= budget then begin
-            used := !used + luts;
-            true
-          end
-          else false)
-        capped
+  List.sort (fun a b -> compare b.saved_cycles a.saved_cycles) scored

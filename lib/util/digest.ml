@@ -65,12 +65,6 @@ let add_bool c b =
   tag c 'B';
   feed_byte c (if b then 1 else 0)
 
-let add_option c f = function
-  | None -> tag c 'n'
-  | Some x ->
-      tag c 's';
-      f x
-
 let add_list c f xs =
   tag c 'L';
   feed_int64 c (Int64.of_int (List.length xs));

@@ -32,10 +32,6 @@ val add_float : ctx -> float -> unit
 
 val add_bool : ctx -> bool -> unit
 
-val add_option : ctx -> ('a -> unit) -> 'a option -> unit
-(** [add_option ctx f o] tags the constructor, then applies [f] to the
-    payload of [Some].  [f] is expected to feed the same [ctx]. *)
-
 val add_list : ctx -> ('a -> unit) -> 'a list -> unit
 (** Length-prefixed, so [["ab"]] and [["a"; "b"]] digest differently. *)
 

@@ -3,8 +3,8 @@
     The sweep engine is embarrassingly parallel: each workload is
     evaluated independently, so a work queue over [Domain.spawn] is all
     that is needed — no external dependency, no futures.  There is one
-    level of parallelism: [map] over the applications.  The candidates
-    inside one specialization go through the serial {!map_result}.
+    level of parallelism: [map] over the applications of a sweep; the
+    candidates inside one specialization run serially.
 
     Guarantees:
     - {b order preservation}: [map ~jobs f xs] returns results in the
@@ -68,27 +68,3 @@ let map ?(jobs = 1) (f : 'a -> 'b) (xs : 'a list) : 'b list =
                    failwith (Printf.sprintf "Pool.map: slot %d not filled" i))
              results)
   end
-
-(** [map_result ?token f xs] is [List.map f xs] with per-item
-    isolation: a raising application poisons {e its own slot} only, as
-    [Error (exn, backtrace)] — every other element's completed work is
-    kept.  It runs serially on the calling domain: its one caller, the
-    per-candidate fan-out of [Asip_sp.stage_in], already runs inside
-    [map]'s per-application workers, and its work is too small to pay
-    for domains of its own.
-
-    [token] makes the fan-out cooperatively cancellable: the token is
-    checked before starting each item, and once cancelled the remaining
-    items resolve to [Error (Supervisor.Cancelled _, _)] (cancellation
-    is a drain, not a kill). *)
-let map_result ?token (f : 'a -> 'b) (xs : 'a list) :
-    ('b, exn * Printexc.raw_backtrace) result list =
-  List.map
-    (fun x ->
-      match
-        (match token with Some t -> Supervisor.check t | None -> ());
-        f x
-      with
-      | r -> Ok r
-      | exception exn -> Error (exn, Printexc.get_raw_backtrace ()))
-    xs

@@ -1,28 +1,6 @@
 (** Supervised stage execution — see the interface for the model. *)
 
 (* ------------------------------------------------------------------ *)
-(* Cooperative cancellation tokens                                     *)
-
-type token = { cell : string option Atomic.t; parent : token option }
-
-exception Cancelled of string
-
-let token ?parent () = { cell = Atomic.make None; parent }
-
-let cancel ?(reason = "cancelled") t =
-  ignore (Atomic.compare_and_set t.cell None (Some reason))
-
-let rec cancel_reason t =
-  match Atomic.get t.cell with
-  | Some _ as r -> r
-  | None -> ( match t.parent with None -> None | Some p -> cancel_reason p)
-
-let cancelled t = cancel_reason t <> None
-
-let check t =
-  match cancel_reason t with Some r -> raise (Cancelled r) | None -> ()
-
-(* ------------------------------------------------------------------ *)
 (* Policy                                                              *)
 
 type policy = {
@@ -58,13 +36,11 @@ let validate_policy p =
 type error =
   | Stage_deadline of float
   | Run_deadline
-  | Cancel of string
   | Crash of string
 
 let error_name = function
   | Stage_deadline d -> Printf.sprintf "stage deadline (%gs)" d
   | Run_deadline -> "run deadline"
-  | Cancel reason -> "cancelled: " ^ reason
   | Crash what -> "crash: " ^ what
 
 type failure = {
@@ -87,22 +63,11 @@ let spent m = m.m_spent
 (* ------------------------------------------------------------------ *)
 (* The supervisor proper                                               *)
 
-type t = {
-  policy : policy;
-  tok : token;
-  run_budget : Retry.budget;
-}
+type t = { policy : policy; run_budget : Retry.budget }
 
-let create ?(policy = default_policy) ?token:tok () =
+let create ?(policy = default_policy) () =
   validate_policy policy;
-  let tok = match tok with Some t -> t | None -> token () in
-  {
-    policy;
-    tok;
-    run_budget = Retry.budget policy.run_deadline_seconds;
-  }
-
-let token_of t = t.tok
+  { policy; run_budget = Retry.budget policy.run_deadline_seconds }
 
 (* Internal: the stall hook overran the per-stage deadline. *)
 exception Stage_timeout
@@ -122,9 +87,6 @@ let supervise (type a) t ~site ?(transient = fun _ -> false) ?meter
     raise (Stage_failed { f_site = site; f_attempts = attempts; f_wasted_seconds = wasted; f_error = error })
   in
   let rec attempt_loop attempt wasted =
-    (match cancel_reason t.tok with
-    | Some reason -> fail (attempt - 1) wasted (Cancel reason)
-    | None -> ());
     if meter = None && Retry.exhausted t.run_budget then
       fail (attempt - 1) wasted Run_deadline;
     (* One attempt.  [stall] is the simulated-latency hook: chaos (or

@@ -1,5 +1,5 @@
-(** Supervised stage execution: deadlines, cancellation and bounded
-    retry for the staged pipeline.
+(** Supervised stage execution: deadlines and bounded retry for the
+    staged pipeline.
 
     PR 2 made the {e CAD flow} recover from injected failures; this
     module is the same idea one level up, for {e any} pipeline-stage
@@ -17,11 +17,7 @@
     - {b whole-run deadline}: sequential (meter-less) sites charge
       their simulated waste — stalls and backoffs — against a shared
       run budget; once it exhausts, further sequential stages refuse to
-      start ({!error.Run_deadline});
-    - {b cooperative cancellation}: every attempt first checks the
-      supervisor's {!token}; {!Pool.map_result} checks the same token
-      before starting each work item, so cancelling the token drains
-      the per-candidate fan-out at the next item boundary.
+      start ({!error.Run_deadline}).
 
     All deadlines operate on {e simulated} seconds — the same clock as
     the CAD model and {!Retry} — so supervision decisions are
@@ -30,28 +26,9 @@
     timeout).
 
     A terminal failure raises {!Stage_failed} carrying the site, the
-    attempts run and the simulated waste: per-candidate callers catch
-    it (via {!Pool.map_result}) and degrade that one candidate —
-    software fallback, waste billed like PR 2 — instead of aborting
-    the sweep. *)
-
-(** {1 Cancellation tokens} *)
-
-type token
-(** A cooperative cancellation flag, shareable across domains.
-    Tokens form a tree: a child created with [~parent] observes the
-    parent's cancellation too. *)
-
-exception Cancelled of string
-
-val token : ?parent:token -> unit -> token
-val cancel : ?reason:string -> token -> unit
-(** First cancellation wins; later reasons are ignored. *)
-
-val cancelled : token -> bool
-
-val check : token -> unit
-(** @raise Cancelled when the token (or an ancestor) is cancelled. *)
+    attempts run and the simulated waste: the per-candidate fan-out
+    catches it and degrades that one candidate — software fallback,
+    waste billed like a CAD failure — instead of aborting the sweep. *)
 
 (** {1 Policy} *)
 
@@ -76,7 +53,6 @@ val validate_policy : policy -> unit
 type error =
   | Stage_deadline of float  (** an attempt overran the stall budget *)
   | Run_deadline  (** the run budget was exhausted before starting *)
-  | Cancel of string  (** the token was cancelled *)
   | Crash of string  (** transient crashes exhausted [max_attempts] *)
 
 val error_name : error -> string
@@ -106,12 +82,9 @@ val spent : meter -> float
 
 type t
 
-val create : ?policy:policy -> ?token:token -> unit -> t
-(** A fresh supervisor (one per pipeline context / run).  [token]
-    defaults to a fresh one.
+val create : ?policy:policy -> unit -> t
+(** A fresh supervisor (one per pipeline context / run).
     @raise Invalid_argument on an invalid policy. *)
-
-val token_of : t -> token
 
 val supervise :
   t ->

@@ -40,7 +40,9 @@ let projects =
 let implement ?tracer ?config p =
   match Cad.Flow.implement_result ?tracer ?config db p with
   | Ok run -> run
-  | Error f -> Alcotest.failf "faultless flow failed: %a" Cad.Flow.pp_failure f
+  | Error f ->
+      Alcotest.failf "faultless flow failed at %s"
+        (Cad.Flow.stage_name f.Cad.Flow.failed_stage)
 
 let test_flow_runs_all_stages () =
   let p = List.hd (Lazy.force projects) in
@@ -346,27 +348,6 @@ let test_implement_result_failure () =
         (f.Cad.Flow.wasted_seconds > 0.0
         && f.Cad.Flow.wasted_seconds < clean.Cad.Flow.total_seconds)
 
-(* A faultless flow returns [Ok]; a failed one names its stage when
-   printed, as the online controller's fallback message does. *)
-let test_run_of_result_internal_error () =
-  let p = List.hd (Lazy.force projects) in
-  (match Cad.Flow.implement_result db p with
-  | Ok _ -> ()
-  | Error _ -> Alcotest.fail "faultless flow must not fail");
-  let synthetic =
-    match Cad.Flow.implement_result ~chaos:always_crash db p with
-    | Error f -> f
-    | Ok _ -> Alcotest.fail "crash_rate 1.0 must fail"
-  in
-  let m = Format.asprintf "%a" Cad.Flow.pp_failure synthetic in
-  let contains hay needle =
-    let nh = String.length hay and nn = String.length needle in
-    let rec at i = i + nn <= nh && (String.sub hay i nn = needle || at (i + 1)) in
-    at 0
-  in
-  Alcotest.(check bool) "message names the stage" true
-    (contains m (Cad.Flow.stage_name synthetic.Cad.Flow.failed_stage))
-
 let test_relaxed_run_costs_more () =
   let p = List.hd (Lazy.force projects) in
   let plain = implement p in
@@ -527,7 +508,7 @@ let test_cache_not_poisoned_by_failure () =
                 | Error _ -> Some (signature_of sc.Core.Asip_sp.sc_scored)
                 | Ok _ -> None)
             | Core.Asip_sp.Slot_failed _ -> None)
-          (st.Core.Asip_sp.stg_candidates @ st.Core.Asip_sp.stg_alternates))
+          st.Core.Asip_sp.stg_candidates)
       staged
   in
   Alcotest.(check bool) "the sweep has failed chains" true (failed <> []);
@@ -582,8 +563,6 @@ let () =
             test_faults_relaxed_skips_timing;
           Alcotest.test_case "validation before syntax check" `Quick
             test_validation_before_syntax_check;
-          Alcotest.test_case "internal error names stage" `Quick
-            test_run_of_result_internal_error;
           Alcotest.test_case "implement_result failure" `Quick
             test_implement_result_failure;
           Alcotest.test_case "relaxed run costs more" `Quick

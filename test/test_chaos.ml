@@ -5,9 +5,8 @@
 
    - chaos off reproduces the chaos-free pipeline byte for byte (the
      supervisor with the default policy is a pass-through);
-   - a chaotic run is deterministic: serial and jobs:4 evaluations of
-     the same seed produce identical reports, and a warm replay over
-     the same (possibly torn) store root changes nothing;
+   - a chaotic run is deterministic: a warm replay over the same
+     (possibly torn) store root changes nothing;
    - degradation is per-candidate: a poisoned fan-out slot drops that
      one candidate to software, flagged [Stage_failure] and
      waste-billed, while the sweep completes;
@@ -38,9 +37,6 @@ let project (r : Core.Experiment.app_result) =
     List.map
       (fun (c : Core.Asip_sp.candidate_result) ->
         ( signature c.Core.Asip_sp.scored,
-          (match c.Core.Asip_sp.outcome with
-          | Core.Asip_sp.Implemented -> None
-          | Core.Asip_sp.Promoted { from; _ } -> Some (signature from)),
           c.Core.Asip_sp.total_seconds,
           c.Core.Asip_sp.attempts,
           c.Core.Asip_sp.failed_attempts,
@@ -59,7 +55,6 @@ let project (r : Core.Experiment.app_result) =
       rep.Core.Asip_sp.total_attempts,
       rep.Core.Asip_sp.failed_attempts,
       rep.Core.Asip_sp.stage_failures,
-      rep.Core.Asip_sp.degraded,
       rep.Core.Asip_sp.deadline_exceeded ),
     ( rep.Core.Asip_sp.asip_ratio.Ise.Speedup.ratio,
       rep.Core.Asip_sp.asip_ratio_max.Ise.Speedup.ratio ) )
@@ -79,10 +74,10 @@ let tmp_root what =
     (Filename.get_temp_dir_name ())
     (Printf.sprintf "jitise-chaos-%s-%d" what (Unix.getpid ()))
 
-let evaluate ?(jobs = 1) ?(chaos = U.Chaos.none)
-    ?(policy = U.Supervisor.default_policy) ?root name =
+let evaluate ?(chaos = U.Chaos.none) ?(policy = U.Supervisor.default_policy)
+    ?root name =
   let spec =
-    Core.Spec.default |> Core.Spec.with_jobs jobs
+    Core.Spec.default
     |> Core.Spec.with_supervisor policy
     |> Core.Spec.with_chaos chaos
   in
@@ -114,21 +109,13 @@ let test_chaos_off_is_golden () =
   Alcotest.(check bool) "chaos-off run is byte-identical" true
     (project plain = project supervised)
 
-let test_chaos_deterministic_across_jobs () =
-  let chaos = Fixtures.storm ~seed:chaos_seed in
-  let policy = deadline_policy in
-  let serial = evaluate ~chaos ~policy "fft" in
-  let parallel = evaluate ~jobs:4 ~chaos ~policy "fft" in
-  Alcotest.(check bool) "serial and jobs:4 agree" true
-    (project serial = project parallel)
-
 let test_pool_crash_degrades_per_candidate () =
   (* Every fan-out worker crashes: each selected candidate degrades to
      software — flagged and billed — and the sweep still completes. *)
   let chaos =
     { U.Chaos.none with U.Chaos.seed = 1; pool_crash_rate = 1.0 }
   in
-  let r = evaluate ~jobs:4 ~chaos "sor" in
+  let r = evaluate ~chaos "sor" in
   let rep = r.Core.Experiment.report in
   let n_sel = List.length rep.Core.Asip_sp.selection in
   Alcotest.(check bool) "candidates were selected" true (n_sel > 0);
@@ -266,9 +253,8 @@ let test_store_chaos_after_store_raises () =
    seed must keep the supervision contract: every run completes, no
    corrupt artifact is accepted, every degradation is flagged and
    waste-billed, no temp file outlives the store's own sweep, and the
-   seed replays byte-identically — cold vs warm against the same
-   (possibly torn) store root, and serial vs [jobs:4] against a fresh
-   one.  Small-to-medium workloads keep the campaign tractable; together
+   seed replays byte-identically, cold vs warm against the same
+   (possibly torn) store root.  Small-to-medium workloads keep the campaign tractable; together
    they exercise every pipeline stage and both fan-out shapes (few and
    many selected candidates). *)
 let campaign_apps =
@@ -322,22 +308,19 @@ let check_invariants add_violation name outcome =
    summary of what the faults did to the cold run. *)
 let campaign_seed seed =
   let chaos = U.Chaos.with_cad_defaults (Fixtures.storm ~seed) in
-  let run ~jobs ~root name =
-    match evaluate ~jobs ~chaos ~policy:deadline_policy ~root name with
+  let run ~root name =
+    match evaluate ~chaos ~policy:deadline_policy ~root name with
     | r -> Ok r
     | exception U.Supervisor.Stage_failed f -> Error f
   in
-  let root_a = tmp_root (Printf.sprintf "a-%d" seed)
-  and root_b = tmp_root (Printf.sprintf "b-%d" seed) in
-  let cleanup () = rm_rf root_a; rm_rf root_b in
+  let root = tmp_root (Printf.sprintf "campaign-%d" seed) in
+  let cleanup () = rm_rf root in
   cleanup ();
   Fun.protect ~finally:cleanup @@ fun () ->
-  let cold = List.map (run ~jobs:1 ~root:root_a) campaign_apps in
+  let cold = List.map (run ~root) campaign_apps in
   (* Warm replay over the same (possibly torn) store: corrupt entries
      must degrade to recomputation, never change the outcome. *)
-  let warm = List.map (run ~jobs:1 ~root:root_a) campaign_apps in
-  (* Parallel replay against a fresh root: scheduling independence. *)
-  let par = List.map (run ~jobs:4 ~root:root_b) campaign_apps in
+  let warm = List.map (run ~root) campaign_apps in
   let violations = ref [] in
   let add_violation msg =
     violations := Printf.sprintf "seed %d: %s" seed msg :: !violations
@@ -357,11 +340,9 @@ let campaign_seed seed =
       let c = List.nth cold j in
       check_invariants add_violation name c;
       if replay c <> replay (List.nth warm j) then
-        violate "%s: warm replay diverged from the cold run" name;
-      if replay c <> replay (List.nth par j) then
-        violate "%s: jobs:4 replay diverged from the serial run" name)
+        violate "%s: warm replay diverged from the cold run" name)
     campaign_apps;
-  let orphans = List.length (Fixtures.store_tmp_files root_a) in
+  let orphans = List.length (Fixtures.store_tmp_files root) in
   if orphans <> 0 then
     violate "%d orphan temp files survived the store's own sweep" orphans;
   let sum f = List.fold_left (fun acc o -> acc + f o) 0 cold in
@@ -376,12 +357,11 @@ let campaign_seed seed =
   in
   ( List.rev !violations,
     Printf.sprintf
-      "seed %d: run_failures %d stage_failures %d promoted %d dropped %d \
+      "seed %d: run_failures %d stage_failures %d dropped %d \
        failed_attempts %d wasted_seconds %.3f"
       seed
       (sum (function Error _ -> 1 | Ok _ -> 0))
       (report (fun rep -> rep.Core.Asip_sp.stage_failures))
-      (report (fun rep -> rep.Core.Asip_sp.degraded))
       (report (fun rep -> List.length rep.Core.Asip_sp.dropped))
       (report (fun rep -> rep.Core.Asip_sp.failed_attempts))
       wasted )
@@ -395,11 +375,11 @@ let test_chaos_campaign () =
   if chaos_seed = 4207 then
     Alcotest.(check (list string)) "per-seed fault outcomes"
       [
-        "seed 4207: run_failures 0 stage_failures 0 promoted 0 dropped 1 \
+        "seed 4207: run_failures 0 stage_failures 0 dropped 1 \
          failed_attempts 7 wasted_seconds 5406.467";
-        "seed 4208: run_failures 0 stage_failures 0 promoted 0 dropped 0 \
+        "seed 4208: run_failures 0 stage_failures 0 dropped 0 \
          failed_attempts 8 wasted_seconds 3999.668";
-        "seed 4209: run_failures 0 stage_failures 0 promoted 0 dropped 0 \
+        "seed 4209: run_failures 0 stage_failures 0 dropped 0 \
          failed_attempts 5 wasted_seconds 3499.171";
       ]
       (List.map snd results)
@@ -411,8 +391,6 @@ let () =
         [
           Alcotest.test_case "chaos off is golden" `Quick
             test_chaos_off_is_golden;
-          Alcotest.test_case "deterministic across jobs" `Quick
-            test_chaos_deterministic_across_jobs;
           Alcotest.test_case "pool crash degrades per candidate" `Quick
             test_pool_crash_degrades_per_candidate;
           Alcotest.test_case "stage crash fails the run" `Quick

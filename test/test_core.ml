@@ -329,24 +329,19 @@ let test_diagrams () =
 
 let test_spec_builders () =
   let spec =
-    Core.Spec.default |> Core.Spec.with_jobs 4
+    Core.Spec.default
     |> Core.Spec.with_cache (Jitise_util.Artifact.create ())
     |> Core.Spec.with_stage_cache (Jitise_util.Artifact.create ())
     |> Core.Spec.with_tracer (Jitise_util.Trace.create ())
   in
-  Alcotest.(check int) "jobs set" 4 spec.Core.Spec.jobs;
   Alcotest.(check bool) "cache set" true (spec.Core.Spec.cache <> None);
   Alcotest.(check bool) "stage cache set" true
     (spec.Core.Spec.stage_cache <> None);
   Alcotest.(check bool) "stage cache off by default" true
     (Core.Spec.default.Core.Spec.stage_cache = None);
   Alcotest.(check bool) "tracer set" true (spec.Core.Spec.tracer <> None);
-  Alcotest.(check int) "default is serial" 1 Core.Spec.default.Core.Spec.jobs;
   Alcotest.(check bool) "default has no cache" true
-    (Core.Spec.default.Core.Spec.cache = None);
-  Alcotest.check_raises "jobs must be positive"
-    (Invalid_argument "Spec.with_jobs: jobs must be >= 1 (got 0)") (fun () ->
-      ignore (Core.Spec.with_jobs 0 Core.Spec.default))
+    (Core.Spec.default.Core.Spec.cache = None)
 
 (* ------------------------------------------------------------------ *)
 (* Fault injection and recovery                                        *)
@@ -361,8 +356,8 @@ let float_kernel = lazy (
   (m, out))
 
 (* Two structurally different hot loops: the selection contains two
-   distinct data-path signatures, so a permanent CAD failure on one has
-   a next-ranked alternate to promote. *)
+   distinct data-path signatures, so a specialization deadline can fall
+   between their builds. *)
 let two_kernel_src =
   "double a[64]; double b[64]; double out[64]; double out2[64];\n\
    int main(int n) {\n\
@@ -388,7 +383,7 @@ let two_kernel = lazy (
   (m, out))
 
 let faulted_report ?(kernel = float_kernel) ?(rates = fun c -> c)
-    ?(retries = 3) ?deadline ?select ~seed () =
+    ?(retries = 3) ?deadline ~seed () =
   let m, out = Lazy.force kernel in
   let spec =
     Core.Spec.default
@@ -398,9 +393,6 @@ let faulted_report ?(kernel = float_kernel) ?(rates = fun c -> c)
          (U.Retry.default
          |> U.Retry.with_max_attempts retries
          |> U.Retry.with_specialization_deadline deadline)
-  in
-  let spec =
-    match select with None -> spec | Some s -> { spec with Core.Spec.select = s }
   in
   Core.Asip_sp.run_spec ~spec db m out.Vm.Machine.profile
     ~total_cycles:out.Vm.Machine.native_cycles
@@ -422,9 +414,7 @@ let test_faults_retry_then_success () =
     scan_seeds ~what:"a retry-then-success" (fun seed ->
         let r = faulted_report ~seed () in
         if
-          r.Core.Asip_sp.failed_attempts > 0
-          && r.Core.Asip_sp.dropped = []
-          && r.Core.Asip_sp.degraded = 0
+          r.Core.Asip_sp.failed_attempts > 0 && r.Core.Asip_sp.dropped = []
         then Some r
         else None)
   in
@@ -437,8 +427,6 @@ let test_faults_retry_then_success () =
   Alcotest.(check bool) "a candidate recovered" true (recovered <> []);
   List.iter
     (fun (c : Core.Asip_sp.candidate_result) ->
-      Alcotest.(check bool) "still implemented, not promoted" true
-        (c.Core.Asip_sp.outcome = Core.Asip_sp.Implemented);
       Alcotest.(check bool) "retries counted" true
         (c.Core.Asip_sp.attempts = c.Core.Asip_sp.failed_attempts + 1);
       Alcotest.(check bool) "failed attempts cost simulated time" true
@@ -469,41 +457,9 @@ let test_faults_off_report_is_clean () =
   in
   Alcotest.(check int) "no failures" 0 r.Core.Asip_sp.failed_attempts;
   Alcotest.(check (float 0.0)) "no waste" 0.0 r.Core.Asip_sp.wasted_seconds;
-  Alcotest.(check int) "nothing degraded" 0 r.Core.Asip_sp.degraded;
   Alcotest.(check bool) "nothing dropped" true (r.Core.Asip_sp.dropped = []);
   Alcotest.(check bool) "no deadline pressure" false
     r.Core.Asip_sp.deadline_exceeded
-
-let cap1 =
-  { Ise.Select.default_config with Ise.Select.max_candidates = Some 1 }
-
-let harsh c = { c with U.Chaos.cad_crash_rate = 0.5 }
-
-let test_faults_promotion () =
-  let r =
-    scan_seeds ~what:"a promotion" (fun seed ->
-        let r =
-          faulted_report ~kernel:two_kernel ~rates:harsh ~retries:1
-            ~select:cap1 ~seed ()
-        in
-        if r.Core.Asip_sp.degraded >= 1 then Some r else None)
-  in
-  Alcotest.(check int) "exactly the capped slot degraded" 1
-    r.Core.Asip_sp.degraded;
-  Alcotest.(check bool) "nothing dropped" true (r.Core.Asip_sp.dropped = []);
-  match r.Core.Asip_sp.candidates with
-  | [ c ] -> (
-      match c.Core.Asip_sp.outcome with
-      | Core.Asip_sp.Promoted { from; from_failure } ->
-          Alcotest.(check bool) "promoted a different data path" true
-            (signature_of c.Core.Asip_sp.scored <> signature_of from);
-          Alcotest.(check bool) "failure evidence kept" true
-            (from_failure.Cad.Flow.wasted_seconds > 0.0);
-          Alcotest.(check bool) "all prior attempts accounted" true
-            (c.Core.Asip_sp.attempts = c.Core.Asip_sp.failed_attempts + 1
-            && c.Core.Asip_sp.failed_attempts >= 1)
-      | Core.Asip_sp.Implemented -> Alcotest.fail "expected a promotion")
-  | cs -> Alcotest.fail (Printf.sprintf "expected 1 slot, got %d" (List.length cs))
 
 let test_faults_retries_exhausted_drops () =
   (* every stage crashes: no retry budget can save any slot *)
@@ -606,9 +562,7 @@ let test_timeline_faulted_events () =
     scan_seeds ~what:"a retry-then-success" (fun seed ->
         let r = faulted_report ~seed () in
         if
-          r.Core.Asip_sp.failed_attempts > 0
-          && r.Core.Asip_sp.dropped = []
-          && r.Core.Asip_sp.degraded = 0
+          r.Core.Asip_sp.failed_attempts > 0 && r.Core.Asip_sp.dropped = []
         then Some r
         else None)
   in
@@ -681,15 +635,6 @@ let test_online_adaptive_pays_off () =
   Alcotest.(check bool) "the controller actually adapted" true
     (r.JM.o_adaptive.JM.run_swaps > 0
     && r.JM.o_adaptive.JM.run_reconfigurations > 0)
-
-let test_online_replay_is_jobs_invariant () =
-  (* the controller runs on simulated time, so the domain count used for
-     the CAD evaluation must not leak into the replay *)
-  let w, serial = Lazy.force online_sweep in
-  let par = JM.online ~spec:(Core.Spec.with_jobs 4 online_spec) db w in
-  let render r = Format.asprintf "%a" JM.pp_online r in
-  Alcotest.(check string) "jobs:4 replays byte-identically" (render serial)
-    (render par)
 
 let test_online_engine_differential () =
   (* the monitored, hot-swapped loop is engine- and knob-invariant: the
@@ -867,7 +812,6 @@ let () =
           Alcotest.test_case "deterministic" `Quick test_faults_deterministic;
           Alcotest.test_case "faults off is clean" `Quick
             test_faults_off_report_is_clean;
-          Alcotest.test_case "promotion" `Quick test_faults_promotion;
           Alcotest.test_case "retries exhausted drops" `Quick
             test_faults_retries_exhausted_drops;
           Alcotest.test_case "specialization deadline" `Quick
@@ -897,8 +841,6 @@ let () =
             test_online_report_structure;
           Alcotest.test_case "adaptive pays off" `Slow
             test_online_adaptive_pays_off;
-          Alcotest.test_case "jobs-invariant replay" `Slow
-            test_online_replay_is_jobs_invariant;
           Alcotest.test_case "engine and knob differential" `Slow
             test_online_engine_differential;
           Alcotest.test_case "loop off leaves the sweep alone" `Quick

@@ -196,11 +196,8 @@ let project (r : Core.Experiment.app_result) : app_projection =
    application boundaries in the cache at least once. *)
 let test_parallel_sweep_deterministic () =
   let sweep jobs cache =
-    let spec =
-      Core.Spec.default |> Core.Spec.with_jobs jobs
-      |> Core.Spec.with_cache cache
-    in
-    Core.Experiment.sweep ~spec (Pp.Database.create ())
+    let spec = Core.Spec.with_cache cache Core.Spec.default in
+    Core.Experiment.sweep ~jobs ~spec (Pp.Database.create ())
   in
   let c_serial = Jitise_util.Artifact.create ()
   and c_parallel = Jitise_util.Artifact.create () in
@@ -249,14 +246,14 @@ let fault_seed =
 let test_faulted_parallel_sweep_deterministic () =
   let sweep jobs cache =
     let spec =
-      Core.Spec.default |> Core.Spec.with_jobs jobs
+      Core.Spec.default
       |> Core.Spec.with_cache cache
       |> Core.Spec.with_chaos
            Jitise_util.Chaos.(with_cad_defaults { none with seed = fault_seed })
       |> Core.Spec.with_retry
            (Jitise_util.Retry.with_max_attempts 3 Jitise_util.Retry.default)
     in
-    Core.Experiment.sweep ~spec (Pp.Database.create ())
+    Core.Experiment.sweep ~jobs ~spec (Pp.Database.create ())
   in
   let serial = sweep 1 (Jitise_util.Artifact.create ())
   and parallel = sweep 4 (Jitise_util.Artifact.create ()) in
@@ -264,7 +261,6 @@ let test_faulted_parallel_sweep_deterministic () =
     let rep = r.Core.Experiment.report in
     ( rep.Core.Asip_sp.total_attempts,
       rep.Core.Asip_sp.failed_attempts,
-      rep.Core.Asip_sp.degraded,
       List.length rep.Core.Asip_sp.dropped,
       rep.Core.Asip_sp.wasted_seconds )
   in

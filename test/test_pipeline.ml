@@ -4,11 +4,12 @@
    The acceptance bar of the refactor, verified here:
 
    - golden: with a stage cache, reports are identical (up to the
-     measured wall-clock fields) to the store-less engine — in serial,
-     jobs:4 and faults-on modes, on pinned seeds;
-   - incremental: a sweep that varies only the selection knobs
-     re-executes ZERO compile/profile/prune/MAXMISO stages — everything
-     upstream of the changed knob is served from the store;
+     measured wall-clock fields) to the store-less engine — fault-free
+     and faults-on, on pinned seeds;
+   - incremental: a sweep that varies only the pruning filter
+     re-executes ZERO compile/profile/coverage/kernel/reference-search
+     stages — everything upstream of the changed knob is served from
+     the store;
    - eviction-free determinism: re-evaluating against a warm store
      computes nothing and reproduces the same report. *)
 
@@ -54,7 +55,6 @@ type app_projection = {
   p_sum : float;
   p_attempts_total : int;
   p_failed : int;
-  p_degraded : int;
   p_ratio : float;
   p_ratio_max : float;
   p_break_even : An.Breakeven.result;
@@ -87,7 +87,6 @@ let project (r : Core.Experiment.app_result) : app_projection =
     p_sum = rep.Core.Asip_sp.sum_seconds;
     p_attempts_total = rep.Core.Asip_sp.total_attempts;
     p_failed = rep.Core.Asip_sp.failed_attempts;
-    p_degraded = rep.Core.Asip_sp.degraded;
     p_ratio = rep.Core.Asip_sp.asip_ratio.Ise.Speedup.ratio;
     p_ratio_max = rep.Core.Asip_sp.asip_ratio_max.Ise.Speedup.ratio;
     p_break_even = r.Core.Experiment.break_even;
@@ -115,7 +114,7 @@ let cad_faults =
   U.Chaos.with_cad_defaults { U.Chaos.none with U.Chaos.seed = fault_seed }
 
 (* ------------------------------------------------------------------ *)
-(* Golden: staged engine = store-less engine, three modes              *)
+(* Golden: staged engine = store-less engine, two modes                *)
 (* ------------------------------------------------------------------ *)
 
 let test_golden_serial () =
@@ -139,16 +138,6 @@ let test_golden_serial () =
         (Fixtures.computed_by_stage (records r)))
     again
 
-let test_golden_jobs4 () =
-  let db = Pp.Database.create () in
-  let plain = eval_apps ~spec:Core.Spec.default db in
-  let spec =
-    Core.Spec.default |> Core.Spec.with_jobs 4
-    |> Core.Spec.with_stage_cache (U.Artifact.create ())
-  in
-  let staged = eval_apps ~spec db in
-  check_identical "report identical with stage cache (jobs:4)" plain staged
-
 let test_golden_faults () =
   let faulted spec =
     spec
@@ -163,15 +152,7 @@ let test_golden_faults () =
       (Core.Spec.with_stage_cache (U.Artifact.create ()) Core.Spec.default)
   in
   let staged = eval_apps ~spec:serial_spec db in
-  check_identical "faulted report identical with stage cache" plain staged;
-  let parallel_spec =
-    faulted
-      (Core.Spec.default |> Core.Spec.with_jobs 4
-      |> Core.Spec.with_stage_cache (U.Artifact.create ()))
-  in
-  let parallel = eval_apps ~spec:parallel_spec db in
-  check_identical "faulted report identical with stage cache (jobs:4)" plain
-    parallel
+  check_identical "faulted report identical with stage cache" plain staged
 
 (* ------------------------------------------------------------------ *)
 (* Golden: the disk backend changes nothing but persistence            *)
@@ -220,20 +201,6 @@ let test_golden_disk_serial () =
       check_identical "report identical after warm restart" cold warm;
       Alcotest.(check int) "warm restart computes nothing" 0
         (total_computed warm))
-
-let test_golden_disk_jobs4 () =
-  with_root (fun root ->
-      let db = Pp.Database.create () in
-      let plain = eval_apps ~spec:Core.Spec.default db in
-      let spec dir =
-        Core.Spec.default |> Core.Spec.with_jobs 4
-        |> Core.Spec.with_store_dir dir
-      in
-      let cold = eval_apps ~spec:(spec root) db in
-      check_identical "report identical with disk store (jobs:4)" plain cold;
-      let warm = eval_apps ~spec:(spec root) db in
-      check_identical "report identical after warm restart (jobs:4)" plain
-        warm)
 
 let test_golden_disk_faults () =
   with_root (fun root ->
@@ -332,35 +299,31 @@ let test_disk_corruption_degrades_to_recompute () =
 (* Incremental recomputation                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* The headline acceptance criterion: across sweep points that vary
-   only the selection knobs, the stages upstream of selection are never
-   re-executed — every one is a stage-cache hit.  Serial on purpose:
-   hit/miss *counters* are scheduling-dependent under jobs > 1 (values
-   are not), so exact-count assertions need the deterministic
-   schedule. *)
-let test_selection_sweep_zero_recompute () =
+(* The headline acceptance criterion: across the points of the CLI's
+   pruning-filter sweep ([jitise ablation]), the stages upstream of
+   pruning are never re-executed — every one is a stage-cache hit,
+   while the pruning stage itself recomputes at every point.  Serial,
+   so the hit/miss counters are exact. *)
+let prune_variants =
+  List.map Ise.Prune.of_name [ "@25pS1L"; "@50pS3L"; "@75pS5L"; "@90pS8L" ]
+  @ [ Ise.Prune.none ]
+
+let test_prune_sweep_zero_recompute () =
   let db = Pp.Database.create () in
   let store = U.Artifact.create () in
-  let select_variants =
-    [
-      Ise.Select.default_config;
-      { Ise.Select.default_config with Ise.Select.max_candidates = Some 2 };
-      { Ise.Select.default_config with Ise.Select.max_candidates = Some 1 };
-    ]
-  in
   let upstream =
-    [ "compile"; "profile"; "coverage"; "kernel"; "search-reference";
-      "prune"; "maxmiso" ]
+    [ "compile"; "profile"; "coverage"; "kernel"; "search-reference" ]
   in
   let runs =
     List.map
-      (fun sel ->
+      (fun prune ->
         let spec =
-          { Core.Spec.default with Core.Spec.select = sel }
+          Core.Spec.default
+          |> Core.Spec.with_prune prune
           |> Core.Spec.with_stage_cache store
         in
         eval_apps ~spec db)
-      select_variants
+      prune_variants
   in
   (* Sweep point 1 computes everything... *)
   List.iter
@@ -392,11 +355,11 @@ let test_selection_sweep_zero_recompute () =
                 1
                 (Fixtures.hits_of recs stage))
             upstream;
-          (* The changed knob is downstream: selection DOES recompute. *)
+          (* The changed knob is pruning itself: it DOES recompute. *)
           Alcotest.(check int)
-            (Printf.sprintf "%s point %d recomputes select" app (i + 2))
+            (Printf.sprintf "%s point %d recomputes prune" app (i + 2))
             1
-            (Fixtures.computed_of recs "select"))
+            (Fixtures.computed_of recs "prune"))
         point)
     (List.tl runs);
   (* The store agrees: one computation per app for each upstream stage
@@ -413,11 +376,9 @@ let test_selection_sweep_zero_recompute () =
         (by stage).U.Artifact.computed;
       Alcotest.(check int)
         (stage ^ " hit on every later point")
-        (List.length apps * (List.length select_variants - 1))
+        (List.length apps * (List.length prune_variants - 1))
         (by stage).U.Artifact.local_hits)
-    upstream;
-  Alcotest.(check bool) "the sweep saved stage executions" true
-    (stats.U.Artifact.total_local_hits > 0)
+    upstream
 
 (* ------------------------------------------------------------------ *)
 (* Stage records as a consumable surface                               *)
@@ -436,7 +397,7 @@ let test_stage_records_cover_the_chain () =
     (fun s ->
       Alcotest.(check bool) ("records include " ^ s) true (List.mem s stages))
     [ "compile"; "profile"; "coverage"; "kernel"; "search-reference";
-      "prune"; "maxmiso"; "select"; "alternates"; "vhdl"; "implement" ];
+      "prune"; "maxmiso"; "select"; "vhdl"; "implement" ];
   (* Without a store everything is computed, and the implemented
      candidates each ran vhdl + implement. *)
   let ncand =
@@ -584,15 +545,12 @@ let () =
       ( "golden",
         [
           Alcotest.test_case "serial" `Slow test_golden_serial;
-          Alcotest.test_case "jobs:4" `Slow test_golden_jobs4;
           Alcotest.test_case "faults on" `Slow test_golden_faults;
         ] );
       ( "disk backend",
         [
           Alcotest.test_case "serial + warm restart" `Slow
             test_golden_disk_serial;
-          Alcotest.test_case "jobs:4 + warm restart" `Slow
-            test_golden_disk_jobs4;
           Alcotest.test_case "faults + warm restart" `Slow
             test_golden_disk_faults;
           Alcotest.test_case "corruption degrades to recompute" `Slow
@@ -602,8 +560,8 @@ let () =
         ] );
       ( "incremental",
         [
-          Alcotest.test_case "selection sweep recomputes nothing upstream"
-            `Slow test_selection_sweep_zero_recompute;
+          Alcotest.test_case "prune sweep recomputes nothing upstream"
+            `Slow test_prune_sweep_zero_recompute;
           Alcotest.test_case "deadline change recomputes no implement stage"
             `Slow test_deadline_change_zero_recompute;
           Alcotest.test_case "non-CAD chaos recomputes no implement stage"

@@ -423,26 +423,25 @@ let test_digest_pinned () =
   Alcotest.(check string) "NaN payload" "1567d72c2d81666e"
     (hex (fun c ->
          U.Digest.add_float c (Int64.float_of_bits 0x7ff8_0000_0000_0abcL)));
-  Alcotest.(check string) "every adder" "7628f4138912826c"
+  Alcotest.(check string) "every adder" "8b1f0e1dfdfe12ab"
     (hex (fun c ->
          U.Digest.add_int64 c Int64.min_int;
          U.Digest.add_int c (-1);
          U.Digest.add_bool c false;
-         U.Digest.add_option c
-           (U.Digest.add_list c (U.Digest.add_option c (U.Digest.add_string c)))
-           (Some [ Some ""; None; Some "ab" ]);
+         U.Digest.add_list c
+           (U.Digest.add_list c (U.Digest.add_string c))
+           [ [ "" ]; []; [ "ab" ] ];
          U.Digest.add_digest c (U.Digest.of_string "jitise")))
 
 (* The adders against a byte-at-a-time FNV-1a/64 model of the tagged,
-   length-prefixed encoding.  Values are a small tree, so options and
-   lists nest; floats include NaNs with payloads and signed zeros. *)
+   length-prefixed encoding.  Values are a small tree, so lists nest;
+   floats include NaNs with payloads and signed zeros. *)
 type dval =
   | D_string of string
   | D_int of int
   | D_int64 of int64
   | D_float of float
   | D_bool of bool
-  | D_option of dval option
   | D_list of dval list
   | D_digest of string  (** [add_digest (of_string s)] *)
 
@@ -452,8 +451,6 @@ let rec dval_to_string = function
   | D_int64 i -> Printf.sprintf "I%Ld" i
   | D_float f -> Printf.sprintf "F%Lx" (Int64.bits_of_float f)
   | D_bool b -> Printf.sprintf "B%b" b
-  | D_option None -> "None"
-  | D_option (Some v) -> "Some(" ^ dval_to_string v ^ ")"
   | D_list l -> "[" ^ String.concat "; " (List.map dval_to_string l) ^ "]"
   | D_digest s -> Printf.sprintf "D%S" s
 
@@ -487,7 +484,6 @@ let gen_dval =
              map (fun f -> D_float f) flt;
              map (fun b -> D_bool b) bool;
              map (fun s -> D_digest s) str;
-             return (D_option None);
            ]
          in
          if n = 0 then oneof leaf
@@ -495,7 +491,6 @@ let gen_dval =
            oneof
              (leaf
              @ [
-                 map (fun v -> D_option (Some v)) (self (n - 1));
                  map (fun l -> D_list l) (list_size (0 -- 4) (self (n - 1)));
                ]))
 
@@ -526,10 +521,6 @@ let model_hex (vs : dval list) =
     | D_bool b ->
         byte 'B';
         byte (if b then '\001' else '\000')
-    | D_option None -> byte 'n'
-    | D_option (Some v) ->
-        byte 's';
-        encode buf v
     | D_list l ->
         byte 'L';
         i64 (Int64.of_int (List.length l));
@@ -552,7 +543,6 @@ let digest_hex (vs : dval list) =
     | D_int64 i -> U.Digest.add_int64 c i
     | D_float f -> U.Digest.add_float c f
     | D_bool b -> U.Digest.add_bool c b
-    | D_option o -> U.Digest.add_option c add o
     | D_list l -> U.Digest.add_list c add l
     | D_digest s -> U.Digest.add_digest c (U.Digest.of_string s)
   in
@@ -586,8 +576,6 @@ let test_digest_stable_across_runs () =
     U.Digest.add_int64 c 123456789012345L;
     U.Digest.add_float c 3.25;
     U.Digest.add_bool c true;
-    U.Digest.add_option c (U.Digest.add_int c) (Some 9);
-    U.Digest.add_option c (U.Digest.add_int c) None;
     U.Digest.add_list c (U.Digest.add_string c) [ "a"; "bc" ];
     U.Digest.finish c
   in
@@ -615,9 +603,6 @@ let test_digest_distinguishes () =
   ne "list structure"
     (d (fun c -> U.Digest.add_list c (U.Digest.add_string c) [ "ab" ]))
     (d (fun c -> U.Digest.add_list c (U.Digest.add_string c) [ "a"; "b" ]));
-  ne "None vs Some"
-    (d (fun c -> U.Digest.add_option c (U.Digest.add_int c) None))
-    (d (fun c -> U.Digest.add_option c (U.Digest.add_int c) (Some 0)));
   ne "float sign of zero"
     (d (fun c -> U.Digest.add_float c 0.0))
     (d (fun c -> U.Digest.add_float c (-0.0)));
@@ -856,30 +841,6 @@ let test_sup_meter_spares_run_budget () =
   Alcotest.(check int) "run budget untouched" 1
     (U.Supervisor.supervise sup ~site:"b" (fun ~attempt ~stall:_ -> attempt))
 
-let test_sup_cancellation () =
-  let sup = U.Supervisor.create () in
-  U.Supervisor.cancel ~reason:"shutdown" (U.Supervisor.token_of sup);
-  match U.Supervisor.supervise sup ~site:"s" (fun ~attempt:_ ~stall:_ -> ()) with
-  | () -> Alcotest.fail "expected Cancel"
-  | exception U.Supervisor.Stage_failed f -> (
-      match f.U.Supervisor.f_error with
-      | U.Supervisor.Cancel "shutdown" -> ()
-      | e -> Alcotest.failf "expected Cancel, got %s" (U.Supervisor.error_name e))
-
-let test_sup_token_tree () =
-  let parent = U.Supervisor.token () in
-  let child = U.Supervisor.token ~parent () in
-  Alcotest.(check bool) "fresh child not cancelled" false
-    (U.Supervisor.cancelled child);
-  U.Supervisor.cancel ~reason:"first" parent;
-  U.Supervisor.cancel ~reason:"second" parent;
-  Alcotest.(check bool) "child observes parent" true
-    (U.Supervisor.cancelled child);
-  Alcotest.(check string) "first cancellation wins" "first"
-    (match U.Supervisor.check child with
-    | () -> "not cancelled"
-    | exception U.Supervisor.Cancelled r -> r)
-
 let test_sup_backoff_deterministic () =
   let waste () =
     let sup = U.Supervisor.create () in
@@ -1024,45 +985,6 @@ let test_chaos_validate () =
   | () -> Alcotest.fail "expected Invalid_argument"
   | exception Invalid_argument _ -> ()
 
-(* ------------------------------------------------------------------ *)
-(* Pool.map_result                                                     *)
-(* ------------------------------------------------------------------ *)
-
-let test_pool_map_result_ok () =
-  let xs = List.init 20 Fun.id in
-  let rs = U.Pool.map_result (fun x -> x * x) xs in
-  Alcotest.(check (list int)) "order preserved" (List.map (fun x -> x * x) xs)
-    (List.map (function Ok v -> v | Error _ -> -1) rs)
-
-let test_pool_map_result_isolates_failures () =
-  let xs = List.init 10 Fun.id in
-  let rs =
-    U.Pool.map_result (fun x -> if x mod 3 = 0 then raise Boom else x) xs
-  in
-  List.iteri
-    (fun i r ->
-      match r with
-      | Ok v -> Alcotest.(check int) "survivor keeps its value" i v
-      | Error (Boom, _) ->
-          Alcotest.(check bool) "only multiples of 3 fail" true (i mod 3 = 0)
-      | Error (e, _) -> Alcotest.failf "unexpected %s" (Printexc.to_string e))
-    rs
-
-let test_pool_map_result_cancelled () =
-  let tok = U.Supervisor.token () in
-  U.Supervisor.cancel ~reason:"stop" tok;
-  let rs = U.Pool.map_result ~token:tok (fun x -> x) [ 1; 2; 3 ] in
-  Alcotest.(check int) "no item ran" 3
-    (List.length
-       (List.filter
-          (function Error (U.Supervisor.Cancelled "stop", _) -> true | _ -> false)
-          rs))
-
-let test_pool_map_result_inline () =
-  let rs = U.Pool.map_result (fun x -> x + 1) [ 1; 2 ] in
-  Alcotest.(check (list int)) "inline path" [ 2; 3 ]
-    (List.map (function Ok v -> v | Error _ -> -1) rs)
-
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -1114,13 +1036,6 @@ let () =
             test_pool_exception_propagation;
           Alcotest.test_case "iter visits all" `Quick
             test_pool_all_elements_visited;
-          Alcotest.test_case "map_result ok" `Quick test_pool_map_result_ok;
-          Alcotest.test_case "map_result isolation" `Quick
-            test_pool_map_result_isolates_failures;
-          Alcotest.test_case "map_result cancelled" `Quick
-            test_pool_map_result_cancelled;
-          Alcotest.test_case "map_result inline" `Quick
-            test_pool_map_result_inline;
         ] );
       ( "retry",
         [
@@ -1144,8 +1059,6 @@ let () =
           Alcotest.test_case "run deadline" `Quick test_sup_run_deadline;
           Alcotest.test_case "meter spares run budget" `Quick
             test_sup_meter_spares_run_budget;
-          Alcotest.test_case "cancellation" `Quick test_sup_cancellation;
-          Alcotest.test_case "token tree" `Quick test_sup_token_tree;
           Alcotest.test_case "deterministic backoff" `Quick
             test_sup_backoff_deterministic;
           Alcotest.test_case "policy validation" `Quick test_sup_validate;

@@ -2513,7 +2513,6 @@ type app_projection = {
   p_sum : float;
   p_attempts_total : int;
   p_failed : int;
-  p_degraded : int;
   p_ratio : float;
   p_ratio_max : float;
   p_break_even : An.Breakeven.result;
@@ -2543,7 +2542,6 @@ let project (r : Core.Experiment.app_result) : app_projection =
     p_sum = rep.Core.Asip_sp.sum_seconds;
     p_attempts_total = rep.Core.Asip_sp.total_attempts;
     p_failed = rep.Core.Asip_sp.failed_attempts;
-    p_degraded = rep.Core.Asip_sp.degraded;
     p_ratio = rep.Core.Asip_sp.asip_ratio.Ise.Speedup.ratio;
     p_ratio_max = rep.Core.Asip_sp.asip_ratio_max.Ise.Speedup.ratio;
     p_break_even = r.Core.Experiment.break_even;
@@ -2581,14 +2579,6 @@ let test_golden_engine_serial () =
     eval_apps ~spec:(with_engine Vm.Machine.Reference Core.Spec.default) db
   in
   check_reports_identical "report engine-invariant (serial)" threaded
-    reference
-
-let test_golden_engine_jobs4 () =
-  let db = Pp.Database.create () in
-  let spec = Core.Spec.with_jobs 4 Core.Spec.default in
-  let threaded = eval_apps ~spec:(with_engine Vm.Machine.Threaded spec) db in
-  let reference = eval_apps ~spec:(with_engine Vm.Machine.Reference spec) db in
-  check_reports_identical "report engine-invariant (jobs:4)" threaded
     reference
 
 let test_golden_engine_faults () =
@@ -2746,7 +2736,6 @@ let () =
       ( "engine golden",
         [
           Alcotest.test_case "serial" `Slow test_golden_engine_serial;
-          Alcotest.test_case "jobs:4" `Slow test_golden_engine_jobs4;
           Alcotest.test_case "faults on" `Slow test_golden_engine_faults;
           Alcotest.test_case "digest invariance" `Slow
             test_golden_engine_digests;
