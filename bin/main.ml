@@ -208,12 +208,19 @@ let run_specialize name trace shared_cache stage_cache stage_stats store_dir
   then begin
     List.iter
       (fun (d : Core.Asip_sp.dropped) ->
-        Printf.printf "  %s  abandoned: %s, %d failed attempt(s), %s wasted\n"
+        Printf.printf "  %s  abandoned: %s, %d failed attempt(s), %s wasted%s\n"
           d.Core.Asip_sp.drop_scored.Ise.Select.candidate
             .Ise.Candidate.signature
           (Core.Asip_sp.drop_reason_name d.Core.Asip_sp.drop_reason)
           d.Core.Asip_sp.drop_attempts
-          (U.Duration.to_min_sec d.Core.Asip_sp.drop_wasted_seconds))
+          (U.Duration.to_min_sec d.Core.Asip_sp.drop_wasted_seconds)
+          (match d.Core.Asip_sp.drop_cause with
+          | None -> ""
+          | Some (Core.Asip_sp.Cad_failure f) ->
+              Printf.sprintf " (%s at %s)"
+                (Cad.Faults.kind_name f.Cad.Flow.fault)
+                (Cad.Flow.stage_name f.Cad.Flow.failed_stage)
+          | Some (Core.Asip_sp.Supervision_error e) -> " (" ^ e ^ ")"))
       rep.Core.Asip_sp.dropped;
     Printf.printf
       "faults: %d CAD attempt(s), %d failed, %s wasted; %d dropped%s\n"

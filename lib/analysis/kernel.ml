@@ -11,12 +11,9 @@ module Ir = Jitise_ir
 module Vm = Jitise_vm
 
 type t = {
-  threshold_percent : float;
-  blocks : (string * Ir.Instr.label) list;  (** kernel blocks, hottest first *)
-  kernel_instrs : int;       (** static instructions in the kernel *)
-  total_instrs : int;        (** static instructions in the program *)
-  size_percent : float;      (** kernel_instrs / total_instrs *)
-  time_percent : float;      (** share of execution time actually covered *)
+  size_percent : float;
+      (** static instructions of the kernel blocks / of the program *)
+  time_percent : float;  (** share of execution time actually covered *)
 }
 
 let block_instrs (m : Ir.Irmod.t) (fname, label) =
@@ -46,10 +43,6 @@ let compute ?(threshold_percent = 90.0) (m : Ir.Irmod.t)
   in
   let total_instrs = Ir.Irmod.num_instrs m in
   {
-    threshold_percent;
-    blocks;
-    kernel_instrs;
-    total_instrs;
     size_percent =
       (if total_instrs = 0 then 0.0
        else 100.0 *. float_of_int kernel_instrs /. float_of_int total_instrs);

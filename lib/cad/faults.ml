@@ -30,6 +30,12 @@ type kind =
   | Bitgen_corruption
       (** bitgen emits a configuration image that fails its CRC check *)
 
+let kind_name = function
+  | Tool_crash -> "tool crash"
+  | Congestion -> "congestion"
+  | Timing_failure -> "timing closure"
+  | Bitgen_corruption -> "bitstream corruption"
+
 (** Roll the CAD plane of [c] for one stage of one attempt.
 
     @param signature the data path's structural signature (the cache key)

@@ -75,17 +75,11 @@ let validate_config config =
 type stage_report = { stage : stage; seconds : float }
 
 type run = {
-  project : Hw.Project.t;
   stages : stage_report list;
   total_seconds : float;
       (** what the flow {e would} cost; on a cache hit the caller
           decides whether the cost is actually paid *)
   bitstream : Bitstream.t;
-  syntax_problems : string list;  (** non-empty = flow aborted *)
-  relaxed : bool;
-      (** the run was resynthesized with relaxed timing constraints
-          (the recovery move after a {!Faults.Timing_failure}); costs
-          ~15 % extra map/PAR time *)
 }
 
 (** One failed CAD attempt: the stage that failed, why, and the
@@ -95,7 +89,6 @@ type failure = {
   failed_stage : stage;
   fault : Faults.kind;
   wasted_seconds : float;
-  failed_attempt : int;  (** 1-based attempt number of this failure *)
 }
 
 exception Syntax_error of string list
@@ -276,7 +269,6 @@ let implement_result ?tracer ?(config = default_config)
                     failed_stage = s.stage;
                     fault = kind;
                     wasted_seconds = elapsed;
-                    failed_attempt = attempt;
                   }
             | None -> scan elapsed rest)
       in
@@ -303,20 +295,11 @@ let implement_result ?tracer ?(config = default_config)
       let frames = 4 + (luts / 128) in
       let bitstream =
         Bitstream.make ~signature:p.Hw.Project.name
-          ~size_bytes:
-            (frames * p.Hw.Project.device.Hw.Project.reconfig_frame_bytes)
+          ~size_bytes:(frames * Hw.Project.reconfig_frame_bytes)
           ~frames ~luts ~generation_seconds:total_seconds
       in
       emit_spans tracer p stages ~failed:None;
-      Ok
-        {
-          project = p;
-          stages;
-          total_seconds;
-          bitstream;
-          syntax_problems = [];
-          relaxed;
-        }
+      Ok { stages; total_seconds; bitstream }
 
 (** Seconds spent in a given stage of a run. *)
 let stage_seconds run stage =

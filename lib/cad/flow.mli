@@ -46,17 +46,11 @@ val default_config : config
 type stage_report = { stage : stage; seconds : float }
 
 type run = {
-  project : Hw.Project.t;
   stages : stage_report list;
   total_seconds : float;
       (** what the flow {e would} cost; on a cache hit the caller
           decides whether the cost is actually paid *)
   bitstream : Bitstream.t;
-  syntax_problems : string list;  (** non-empty = flow aborted *)
-  relaxed : bool;
-      (** the run was resynthesized with relaxed timing constraints
-          (the recovery move after a {!Faults.Timing_failure}); costs
-          ~15 % extra map/PAR time *)
 }
 
 (** One failed CAD attempt: the stage that failed, why, and the
@@ -66,7 +60,6 @@ type failure = {
   failed_stage : stage;
   fault : Faults.kind;
   wasted_seconds : float;
-  failed_attempt : int;  (** 1-based attempt number of this failure *)
 }
 
 exception Syntax_error of string list

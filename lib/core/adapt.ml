@@ -120,7 +120,6 @@ let eval_body (b : Vm.Machine.ci_body) (args : Ir.Eval.value array) :
 type t = {
   modul : Ir.Irmod.t;              (** the adapted binary *)
   registry : Vm.Machine.ci_registry;  (** CI semantics + latencies *)
-  replaced_instrs : int;           (** instructions moved to hardware *)
 }
 
 (** Rewrite [m] to invoke the selected candidates as custom
@@ -128,7 +127,6 @@ type t = {
 let apply (m : Ir.Irmod.t) (selection : Ise.Select.scored list) : t =
   let adapted = copy_module m in
   let registry = Vm.Machine.empty_cis () in
-  let replaced = ref 0 in
   List.iteri
     (fun ci_id (s : Ise.Select.scored) ->
       let c = s.Ise.Select.candidate in
@@ -161,8 +159,7 @@ let apply (m : Ir.Irmod.t) (selection : Ise.Select.scored list) : t =
       let new_instrs =
         List.filter_map
           (fun (i : Ir.Instr.t) ->
-            if i.Ir.Instr.id = body.Vm.Machine.cb_root then begin
-              incr replaced;
+            if i.Ir.Instr.id = body.Vm.Machine.cb_root then
               Some
                 {
                   i with
@@ -174,11 +171,7 @@ let apply (m : Ir.Irmod.t) (selection : Ise.Select.scored list) : t =
                              (fun (r, _) -> Ir.Instr.Reg r)
                              body.Vm.Machine.cb_inputs) );
                 }
-            end
-            else if is_node i then begin
-              incr replaced;
-              None
-            end
+            else if is_node i then None
             else Some i)
           block.Ir.Block.instrs
       in
@@ -190,4 +183,4 @@ let apply (m : Ir.Irmod.t) (selection : Ise.Select.scored list) : t =
           ci_body = Some body;
         })
     selection;
-  { modul = adapted; registry; replaced_instrs = !replaced }
+  { modul = adapted; registry }

@@ -84,7 +84,6 @@ let drop_reason_name = function
 
 type candidate_result = {
   scored : Ise.Select.scored;
-  vhdl_lines : int;
   c2v_seconds : float;
   run : Cad.Flow.run;
   cache_hit : U.Artifact.hit option;
@@ -103,14 +102,20 @@ type candidate_result = {
           the road to this result (0 when the first attempt succeeded) *)
 }
 
+(** What ended an abandoned slot. *)
+type drop_cause =
+  | Cad_failure of Cad.Flow.failure  (** the chain's final CAD failure *)
+  | Supervision_error of string
+      (** the printable supervision or chaos error that poisoned the
+          slot's stages *)
+
 (** A selected candidate that could not be implemented at all: the
     instruction stays in software. *)
 type dropped = {
   drop_scored : Ise.Select.scored;
   drop_reason : drop_reason;
-  drop_failure : Cad.Flow.failure option;
-      (** the final failure observed, [None] when dropped before any
-          attempt ran *)
+  drop_cause : drop_cause option;
+      (** [None] when dropped before any attempt ran *)
   drop_attempts : int;  (** attempts run at this slot (all failed) *)
   drop_wasted_seconds : float;
   drop_at_index : int;  (** position in the original selection order *)
@@ -119,8 +124,6 @@ type dropped = {
 type report = {
   (* Candidate search *)
   search_wall_seconds : float;      (** measured, the "real" column *)
-  search_wall_seconds_nopruning : float;
-  pruning : Ise.Prune.selection;
   pruning_efficiency : float;       (** paper's "pruner effic" column *)
   searched_blocks : int;            (** blk column of Table II *)
   searched_instrs : int;            (** ins column of Table II *)
@@ -190,8 +193,6 @@ let search_blocks (db : Pp.Database.t) (m : Ir.Irmod.t)
 
 (** One CAD attempt of a candidate's retry chain. *)
 type attempt_info = {
-  att_number : int;  (** 1-based *)
-  att_relaxed : bool;  (** resynthesized with relaxed constraints *)
   att_failure : Cad.Flow.failure option;  (** [None] = succeeded *)
   att_backoff_seconds : float;
       (** simulated cool-down after this (failed) attempt *)
@@ -234,16 +235,12 @@ let drop_reason_codec : drop_reason B.codec =
 let attempt_info_codec : attempt_info B.codec =
   B.codec
     (fun b a ->
-      B.w_int b a.att_number;
-      B.w_bool b a.att_relaxed;
       B.w_option Codecs.flow_failure.B.enc b a.att_failure;
       B.w_float b a.att_backoff_seconds)
     (fun r ->
-      let att_number = B.r_int r in
-      let att_relaxed = B.r_bool r in
       let att_failure = B.r_option Codecs.flow_failure.B.dec r in
       let att_backoff_seconds = B.r_float r in
-      { att_number; att_relaxed; att_failure; att_backoff_seconds })
+      { att_failure; att_backoff_seconds })
 
 let chain_codec : chain B.codec =
   B.codec
@@ -285,15 +282,7 @@ let build_chain ?tracer ~config ~chaos ~max_attempts db
         project
     with
     | Ok run ->
-        let rev =
-          {
-            att_number = attempt;
-            att_relaxed = relaxed;
-            att_failure = None;
-            att_backoff_seconds = 0.0;
-          }
-          :: rev
-        in
+        let rev = { att_failure = None; att_backoff_seconds = 0.0 } :: rev in
         { ch_attempts = List.rev rev; ch_result = Ok run }
     | Error f ->
         let last = attempt >= max_attempts in
@@ -301,13 +290,7 @@ let build_chain ?tracer ~config ~chaos ~max_attempts db
           if last then 0.0 else U.Retry.backoff_seconds ~key ~attempt
         in
         let rev =
-          {
-            att_number = attempt;
-            att_relaxed = relaxed;
-            att_failure = Some f;
-            att_backoff_seconds = backoff;
-          }
-          :: rev
+          { att_failure = Some f; att_backoff_seconds = backoff } :: rev
         in
         if last then
           {
@@ -321,11 +304,10 @@ let build_chain ?tracer ~config ~chaos ~max_attempts db
   in
   go 1 false []
 
-(** One candidate staged for finalization: the CAD project, the
-    (speedup-scaled) C2V seconds and the precomputed retry chain. *)
+(** One candidate staged for finalization: the (speedup-scaled) C2V
+    seconds and the precomputed retry chain. *)
 type staged_candidate = {
   sc_scored : Ise.Select.scored;
-  sc_project : Hw.Project.t;
   sc_c2v : float;
   sc_chain : chain;
   sc_sup_wasted : float;
@@ -583,7 +565,6 @@ let stage_in (ctx : Pipeline.ctx) (db : Pp.Database.t) (m : Ir.Irmod.t)
       Slot_ok
         {
           sc_scored = s;
-          sc_project = project;
           sc_c2v = c2v;
           sc_chain = chain;
           sc_sup_wasted = U.Supervisor.spent meter;
@@ -646,12 +627,12 @@ let finalize ?(spec = Spec.default) ~app (st : staged) : report =
      nothing recorded, software fallback).  A slot reached after the
      budget ran out is dropped unbilled, unless it is a cache hit. *)
   let resolve idx (slot : slot) : (candidate_result, dropped) Either.t =
-    let drop drop_scored drop_reason ?failure ~attempts wasted =
+    let drop drop_scored drop_reason ?cause ~attempts wasted =
       Either.Right
         {
           drop_scored;
           drop_reason;
-          drop_failure = failure;
+          drop_cause = cause;
           drop_attempts = attempts;
           drop_wasted_seconds = wasted;
           drop_at_index = idx;
@@ -663,7 +644,8 @@ let finalize ?(spec = Spec.default) ~app (st : staged) : report =
           drop sf.sf_scored Specialization_deadline ~attempts:0 0.0
         else begin
           U.Retry.spend budget sf.sf_wasted_seconds;
-          drop sf.sf_scored Stage_failure ~attempts:sf.sf_attempts
+          drop sf.sf_scored Stage_failure
+            ~cause:(Supervision_error sf.sf_error) ~attempts:sf.sf_attempts
             sf.sf_wasted_seconds
         end
     | Slot_ok sc -> (
@@ -675,7 +657,6 @@ let finalize ?(spec = Spec.default) ~app (st : staged) : report =
           Either.Left
             {
               scored = s;
-              vhdl_lines = sc.sc_project.Hw.Project.vhdl.Hw.Vhdl.lines;
               c2v_seconds = c2v;
               run;
               cache_hit = hit;
@@ -726,7 +707,7 @@ let finalize ?(spec = Spec.default) ~app (st : staged) : report =
                 +. sc.sc_sup_wasted
               in
               U.Retry.spend budget wasted;
-              drop s reason ~failure:f
+              drop s reason ~cause:(Cad_failure f)
                 ~attempts:(List.length sc.sc_chain.ch_attempts)
                 wasted
             end)
@@ -793,8 +774,6 @@ let finalize ?(spec = Spec.default) ~app (st : staged) : report =
   in
   {
     search_wall_seconds = st.stg_search_wall;
-    search_wall_seconds_nopruning = st.stg_nopruning_wall;
-    pruning = st.stg_pruning;
     pruning_efficiency;
     searched_blocks = List.length st.stg_pruning.Ise.Prune.blocks;
     searched_instrs = st.stg_pruning.Ise.Prune.selected_instrs;

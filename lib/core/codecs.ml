@@ -256,31 +256,6 @@ let irmod : Ir.Irmod.t B.codec =
 (* Frontend: compile stage.                                           *)
 (* ------------------------------------------------------------------ *)
 
-let opt_report : F.Opt.report B.codec =
-  B.codec
-    (fun b (r : F.Opt.report) ->
-      B.w_int b r.promoted_allocas;
-      B.w_int b r.folded;
-      B.w_int b r.cse_eliminated;
-      B.w_int b r.dce_removed;
-      B.w_int b r.unreachable_removed;
-      B.w_int b r.blocks_merged)
-    (fun r ->
-      let promoted_allocas = B.r_int r in
-      let folded = B.r_int r in
-      let cse_eliminated = B.r_int r in
-      let dce_removed = B.r_int r in
-      let unreachable_removed = B.r_int r in
-      let blocks_merged = B.r_int r in
-      {
-        F.Opt.promoted_allocas;
-        folded;
-        cse_eliminated;
-        dce_removed;
-        unreachable_removed;
-        blocks_merged;
-      })
-
 let compiler_stats : F.Compiler.stats B.codec =
   B.codec
     (fun b (s : F.Compiler.stats) ->
@@ -288,16 +263,14 @@ let compiler_stats : F.Compiler.stats B.codec =
       B.w_int b s.loc;
       B.w_float b s.compile_seconds;
       B.w_int b s.blocks;
-      B.w_int b s.instrs;
-      opt_report.B.enc b s.opt_report)
+      B.w_int b s.instrs)
     (fun r ->
       let files = B.r_int r in
       let loc = B.r_int r in
       let compile_seconds = B.r_float r in
       let blocks = B.r_int r in
       let instrs = B.r_int r in
-      let opt_report = opt_report.B.dec r in
-      { F.Compiler.files; loc; compile_seconds; blocks; instrs; opt_report })
+      { F.Compiler.files; loc; compile_seconds; blocks; instrs })
 
 let compiler_result : F.Compiler.result B.codec =
   B.map
@@ -410,48 +383,28 @@ let coverage : An.Coverage.t B.codec =
       let total_instrs = B.r_int r in
       { An.Coverage.blocks; live_instrs; dead_instrs; const_instrs; total_instrs })
 
-let block_id : (string * Ir.Instr.label) B.codec = B.pair B.string B.int
-
 let kernel : An.Kernel.t B.codec =
-  B.codec
-    (fun b (k : An.Kernel.t) ->
-      B.w_float b k.threshold_percent;
-      B.w_list block_id.B.enc b k.blocks;
-      B.w_int b k.kernel_instrs;
-      B.w_int b k.total_instrs;
-      B.w_float b k.size_percent;
-      B.w_float b k.time_percent)
-    (fun r ->
-      let threshold_percent = B.r_float r in
-      let blocks = B.r_list block_id.B.dec r in
-      let kernel_instrs = B.r_int r in
-      let total_instrs = B.r_int r in
-      let size_percent = B.r_float r in
-      let time_percent = B.r_float r in
-      {
-        An.Kernel.threshold_percent;
-        blocks;
-        kernel_instrs;
-        total_instrs;
-        size_percent;
-        time_percent;
-      })
+  B.map
+    ~enc:(fun (k : An.Kernel.t) -> (k.size_percent, k.time_percent))
+    ~dec:(fun (size_percent, time_percent) ->
+      { An.Kernel.size_percent; time_percent })
+    (B.pair B.float B.float)
 
 (* ------------------------------------------------------------------ *)
 (* ISE search: prune, maxmiso and select stages.                      *)
 (* ------------------------------------------------------------------ *)
 
+let block_id : (string * Ir.Instr.label) B.codec = B.pair B.string B.int
+
 let prune_selection : Ise.Prune.selection B.codec =
   B.codec
     (fun b (s : Ise.Prune.selection) ->
       B.w_list block_id.B.enc b s.blocks;
-      B.w_int b s.total_blocks;
       B.w_int b s.selected_instrs)
     (fun r ->
       let blocks = B.r_list block_id.B.dec r in
-      let total_blocks = B.r_int r in
       let selected_instrs = B.r_int r in
-      { Ise.Prune.blocks; total_blocks; selected_instrs })
+      { Ise.Prune.blocks; selected_instrs })
 
 let candidate : Ise.Candidate.t B.codec =
   B.codec
@@ -490,46 +443,27 @@ let estimate : Pp.Estimator.estimate B.codec =
   B.codec
     (fun b (e : Pp.Estimator.estimate) ->
       B.w_int b e.sw_cycles;
-      B.w_float b e.hw_latency_ns;
       B.w_int b e.hw_cycles;
-      B.w_int b e.num_inputs;
       B.w_int b e.luts;
-      B.w_int b e.flip_flops;
-      B.w_int b e.dsp48;
       B.w_float b e.speedup)
     (fun r ->
       let sw_cycles = B.r_int r in
-      let hw_latency_ns = B.r_float r in
       let hw_cycles = B.r_int r in
-      let num_inputs = B.r_int r in
       let luts = B.r_int r in
-      let flip_flops = B.r_int r in
-      let dsp48 = B.r_int r in
       let speedup = B.r_float r in
-      {
-        Pp.Estimator.sw_cycles;
-        hw_latency_ns;
-        hw_cycles;
-        num_inputs;
-        luts;
-        flip_flops;
-        dsp48;
-        speedup;
-      })
+      { Pp.Estimator.sw_cycles; hw_cycles; luts; speedup })
 
 let scored : Ise.Select.scored B.codec =
   B.codec
     (fun b (s : Ise.Select.scored) ->
       candidate.B.enc b s.candidate;
       estimate.B.enc b s.estimate;
-      B.w_int64 b s.frequency;
       B.w_float b s.saved_cycles)
     (fun r ->
       let candidate = candidate.B.dec r in
       let estimate = estimate.B.dec r in
-      let frequency = B.r_int64 r in
       let saved_cycles = B.r_float r in
-      { Ise.Select.candidate; estimate; frequency; saved_cycles })
+      { Ise.Select.candidate; estimate; saved_cycles })
 
 let scored_list : Ise.Select.scored list B.codec = B.list scored
 
@@ -549,43 +483,22 @@ let vhdl : Hw.Vhdl.t B.codec =
       B.w_string b v.entity_name;
       B.w_string b v.source;
       B.w_list component.B.enc b v.components;
-      B.w_int b v.num_ports;
       B.w_int b v.lines)
     (fun r ->
       let entity_name = B.r_string r in
       let source = B.r_string r in
       let components = B.r_list component.B.dec r in
-      let num_ports = B.r_int r in
       let lines = B.r_int r in
-      { Hw.Vhdl.entity_name; source; components; num_ports; lines })
-
-let device : Hw.Project.device B.codec =
-  B.codec
-    (fun b (d : Hw.Project.device) ->
-      B.w_string b d.part;
-      B.w_int b d.luts_available;
-      B.w_int b d.dsp_available;
-      B.w_int b d.reconfig_frame_bytes)
-    (fun r ->
-      let part = B.r_string r in
-      let luts_available = B.r_int r in
-      let dsp_available = B.r_int r in
-      let reconfig_frame_bytes = B.r_int r in
-      { Hw.Project.part; luts_available; dsp_available; reconfig_frame_bytes })
+      { Hw.Vhdl.entity_name; source; components; lines })
 
 let project : Hw.Project.t B.codec =
   B.codec
     (fun b (p : Hw.Project.t) ->
       B.w_string b p.name;
-      candidate.B.enc b p.candidate;
       vhdl.B.enc b p.vhdl;
-      B.w_list (fun b (k, v) -> B.w_string b k; B.w_string b v) b p.netlists;
-      device.B.enc b p.device;
-      B.w_int b p.netlist_cache_hits;
-      B.w_int b p.netlist_cache_misses)
+      B.w_list (fun b (k, v) -> B.w_string b k; B.w_string b v) b p.netlists)
     (fun r ->
       let name = B.r_string r in
-      let candidate = candidate.B.dec r in
       let vhdl = vhdl.B.dec r in
       let netlists =
         B.r_list
@@ -595,18 +508,7 @@ let project : Hw.Project.t B.codec =
             (k, v))
           r
       in
-      let device = device.B.dec r in
-      let netlist_cache_hits = B.r_int r in
-      let netlist_cache_misses = B.r_int r in
-      {
-        Hw.Project.name;
-        candidate;
-        vhdl;
-        netlists;
-        device;
-        netlist_cache_hits;
-        netlist_cache_misses;
-      })
+      { Hw.Project.name; vhdl; netlists })
 
 (* ------------------------------------------------------------------ *)
 (* CAD flow: pieces of the implement stage's chain artifact (the      *)
@@ -660,36 +562,21 @@ let flow_failure : Cad.Flow.failure B.codec =
     (fun b (f : Cad.Flow.failure) ->
       flow_stage.B.enc b f.failed_stage;
       fault_kind.B.enc b f.fault;
-      B.w_float b f.wasted_seconds;
-      B.w_int b f.failed_attempt)
+      B.w_float b f.wasted_seconds)
     (fun r ->
       let failed_stage = flow_stage.B.dec r in
       let fault = fault_kind.B.dec r in
       let wasted_seconds = B.r_float r in
-      let failed_attempt = B.r_int r in
-      { Cad.Flow.failed_stage; fault; wasted_seconds; failed_attempt })
+      { Cad.Flow.failed_stage; fault; wasted_seconds })
 
 let flow_run : Cad.Flow.run B.codec =
   B.codec
     (fun b (run : Cad.Flow.run) ->
-      project.B.enc b run.project;
       B.w_list stage_report.B.enc b run.stages;
       B.w_float b run.total_seconds;
-      bitstream.B.enc b run.bitstream;
-      B.w_list B.w_string b run.syntax_problems;
-      B.w_bool b run.relaxed)
+      bitstream.B.enc b run.bitstream)
     (fun r ->
-      let project = project.B.dec r in
       let stages = B.r_list stage_report.B.dec r in
       let total_seconds = B.r_float r in
       let bitstream = bitstream.B.dec r in
-      let syntax_problems = B.r_list B.r_string r in
-      let relaxed = B.r_bool r in
-      {
-        Cad.Flow.project;
-        stages;
-        total_seconds;
-        bitstream;
-        syntax_problems;
-        relaxed;
-      })
+      { Cad.Flow.stages; total_seconds; bitstream })

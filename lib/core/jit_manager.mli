@@ -35,10 +35,6 @@ type timeline = {
   specialization_seconds : float;  (** full ASIP-SP duration *)
   reconfiguration_seconds : float;
   speedup : float;  (** application ratio after adaptation *)
-  overtake_seconds : float option;
-      (** when the JIT system has processed as much input as a
-          plain-CPU system started at the same time; [None] if the
-          speedup is ~1 and it never catches up *)
 }
 
 (** Simulate the concurrent-specialization timeline for a profiled

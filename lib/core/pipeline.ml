@@ -55,7 +55,6 @@ let outcome_name = function
 (** One stage execution, as consumed by [Jit_manager.timeline]. *)
 type record = {
   rec_stage : string;
-  rec_app : string;
   rec_wall_seconds : float;  (** measured; ~0 on a hit *)
   rec_outcome : outcome;
 }
@@ -145,7 +144,6 @@ let exec ?detail ?meter ctx (s : ('i, 'o) stage) (input : 'i) : 'o =
         let r =
           {
             rec_stage = s.stage_name;
-            rec_app = ctx.app;
             rec_wall_seconds = Unix.gettimeofday () -. t0;
             rec_outcome;
           }

@@ -37,7 +37,6 @@ val outcome_name : outcome -> string
 (** One stage execution, as consumed by [Jit_manager.timeline]. *)
 type record = {
   rec_stage : string;
-  rec_app : string;
   rec_wall_seconds : float;  (** measured; ~0 on a hit *)
   rec_outcome : outcome;
 }

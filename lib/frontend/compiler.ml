@@ -14,7 +14,6 @@ type stats = {
   compile_seconds : float;  (** wall-clock time of the full pipeline *)
   blocks : int;         (** basic blocks in the optimized module *)
   instrs : int;         (** IR instructions in the optimized module *)
-  opt_report : Opt.report;
 }
 
 type result = { modul : Ir.Irmod.t; stats : stats }
@@ -63,22 +62,12 @@ let compile ?(optimize = true) ?(unroll_factor = Unroll.default_factor)
     with Lower.Error { line; message } ->
       fail "line %d: lowering error: %s" line message
   in
-  let opt_report =
-    if optimize then Opt.optimize_module modul
-    else begin
-      (* mem2reg is part of -O0 too: the VM interprets SSA form. *)
-      List.iter (fun f -> ignore (Opt.remove_unreachable f)) modul.Ir.Irmod.funcs;
-      let promoted = Mem2reg.run_module modul in
-      {
-        Opt.promoted_allocas = promoted;
-        folded = 0;
-        cse_eliminated = 0;
-        dce_removed = 0;
-        unreachable_removed = 0;
-        blocks_merged = 0;
-      }
-    end
-  in
+  if optimize then Opt.optimize_module modul
+  else begin
+    (* mem2reg is part of -O0 too: the VM interprets SSA form. *)
+    List.iter (fun f -> ignore (Opt.remove_unreachable f)) modul.Ir.Irmod.funcs;
+    Mem2reg.run_module modul
+  end;
   (match Ir.Verifier.check_module modul with
   | [] -> ()
   | errors ->
@@ -94,7 +83,6 @@ let compile ?(optimize = true) ?(unroll_factor = Unroll.default_factor)
         compile_seconds;
         blocks = Ir.Irmod.num_blocks modul;
         instrs = Ir.Irmod.num_instrs modul;
-        opt_report;
       };
   }
 

@@ -11,21 +11,18 @@
 
 module Ir = Jitise_ir
 
-type alloca_info = {
-  areg : Ir.Instr.reg;  (** register holding the alloca address *)
-  aty : Ir.Ty.t;        (** element type *)
-}
-
 (* An alloca is promotable when it is a single cell and its address is
    only ever used directly as the address of loads and stores (never
-   stored itself, passed to a call, offset by gep, ...). *)
+   stored itself, passed to a call, offset by gep, ...).  Maps the
+   register holding each promotable alloca's address to its element
+   type. *)
 let promotable_allocas (f : Ir.Func.t) =
   let candidates = Hashtbl.create 16 in
   Ir.Func.iter_instrs
     (fun _ (i : Ir.Instr.t) ->
       match i.Ir.Instr.kind with
       | Ir.Instr.Alloca (ty, 1) ->
-          Hashtbl.replace candidates i.Ir.Instr.id { areg = i.Ir.Instr.id; aty = ty }
+          Hashtbl.replace candidates i.Ir.Instr.id ty
       | _ -> ())
     f;
   let disqualify r = Hashtbl.remove candidates r in
@@ -52,12 +49,10 @@ let zero_const (ty : Ir.Ty.t) =
   if Ir.Ty.is_float ty then Ir.Instr.Const (Ir.Instr.Cfloat (0.0, ty))
   else Ir.Instr.Const (Ir.Instr.Cint (0L, ty))
 
-(** Run mem2reg on [f] in place.  Returns the number of promoted
-    allocas. *)
+(** Run mem2reg on [f] in place. *)
 let run (f : Ir.Func.t) =
   let allocas = promotable_allocas f in
-  if Hashtbl.length allocas = 0 then 0
-  else begin
+  if Hashtbl.length allocas > 0 then begin
     let cfg = Ir.Cfg.of_func f in
     let dom = Ir.Dom.compute cfg in
     let frontier = Ir.Dom.frontiers dom cfg in
@@ -83,7 +78,7 @@ let run (f : Ir.Func.t) =
        phi_for.(block) : (alloca reg -> phi instr) *)
     let phi_for = Array.init nblocks (fun _ -> Hashtbl.create 4) in
     Hashtbl.iter
-      (fun areg info ->
+      (fun areg aty ->
         let placed = Array.make nblocks false in
         let work = Queue.create () in
         List.iter
@@ -99,7 +94,7 @@ let run (f : Ir.Func.t) =
                 let phi =
                   {
                     Ir.Instr.id = phi_reg;
-                    ty = info.aty;
+                    ty = aty;
                     kind = Ir.Instr.Phi [];
                   }
                 in
@@ -133,7 +128,7 @@ let run (f : Ir.Func.t) =
     let module Rmap = Map.Make (Int) in
     let initial =
       Hashtbl.fold
-        (fun areg info acc -> Rmap.add areg (zero_const info.aty) acc)
+        (fun areg aty acc -> Rmap.add areg (zero_const aty) acc)
         allocas Rmap.empty
     in
     let rec walk label reaching =
@@ -228,11 +223,8 @@ let run (f : Ir.Func.t) =
           | Ir.Instr.Cond_br (c, x, y) -> Ir.Instr.Cond_br (resolve c, x, y)
           | Ir.Instr.Switch (s, d, cases) ->
               Ir.Instr.Switch (resolve s, d, cases)))
-      f;
-    Hashtbl.length allocas
+      f
   end
 
-(** Promote every function of a module; returns total promoted
-    allocas. *)
-let run_module (m : Ir.Irmod.t) =
-  List.fold_left (fun acc f -> acc + run f) 0 m.Ir.Irmod.funcs
+(** Promote every function of a module. *)
+let run_module (m : Ir.Irmod.t) = List.iter run m.Ir.Irmod.funcs

@@ -657,23 +657,12 @@ let dead_code_elim (f : Ir.Func.t) =
 (* Pipeline                                                            *)
 (* ------------------------------------------------------------------ *)
 
-type report = {
-  promoted_allocas : int;
-  folded : int;
-  cse_eliminated : int;
-  dce_removed : int;
-  unreachable_removed : int;
-  blocks_merged : int;
-}
-
-(** Run the full -O3-style pipeline on a module, in place. *)
-let optimize_module (m : Ir.Irmod.t) : report =
-  let unreachable = ref 0 in
-  List.iter
-    (fun f -> unreachable := !unreachable + remove_unreachable f)
-    m.Ir.Irmod.funcs;
-  let promoted = Mem2reg.run_module m in
-  let folded = ref 0 and cse = ref 0 and dce = ref 0 and merges = ref 0 in
+(** Run the full -O3-style pipeline on a module, in place: each
+    function repeats the passes until none changes anything (at most 8
+    rounds). *)
+let optimize_module (m : Ir.Irmod.t) =
+  List.iter (fun f -> ignore (remove_unreachable f)) m.Ir.Irmod.funcs;
+  Mem2reg.run_module m;
   List.iter
     (fun f ->
       let rounds = ref 0 in
@@ -687,19 +676,6 @@ let optimize_module (m : Ir.Irmod.t) : report =
         let c3 = local_cse f in
         let c7 = load_forwarding f in
         let c4 = dead_code_elim f in
-        folded := !folded + c1 + c6;
-        unreachable := !unreachable + c2;
-        merges := !merges + c5;
-        cse := !cse + c3 + c7;
-        dce := !dce + c4;
         progress := c1 + c2 + c3 + c4 + c5 + c6 + c7 > 0
       done)
-    m.Ir.Irmod.funcs;
-  {
-    promoted_allocas = promoted;
-    folded = !folded;
-    cse_eliminated = !cse;
-    dce_removed = !dce;
-    unreachable_removed = !unreachable;
-    blocks_merged = !merges;
-  }
+    m.Ir.Irmod.funcs

@@ -4,45 +4,26 @@
     A project bundles everything Xilinx ISE would need for one custom
     instruction: the generated VHDL, the component netlists pulled from
     the PivPav database (the netlist cache that spares re-synthesis of
-    the cores), and the target-device parameters. *)
+    the cores). *)
 
 module Ise = Jitise_ise
 module Pp = Jitise_pivpav
 
-type device = {
-  part : string;        (** e.g. ["xc4vfx100-10ff1517"] *)
-  luts_available : int;
-  dsp_available : int;
-  reconfig_frame_bytes : int;
-      (** partial-reconfiguration granularity; fixes bitstream size *)
-}
-
-(** The paper's target: the large Virtex-4 FX100 of the Woolcano
-    platform. *)
-let virtex4_fx100 =
-  {
-    part = "xc4vfx100-10ff1517";
-    luts_available = 84_352;
-    dsp_available = 160;
-    reconfig_frame_bytes = 164 * 4;
-  }
+(** Partial-reconfiguration frame of the paper's target, the Virtex-4
+    FX100 of the Woolcano platform; fixes bitstream size. *)
+let reconfig_frame_bytes = 164 * 4
 
 type t = {
   name : string;                     (** candidate signature *)
-  candidate : Ise.Candidate.t;
   vhdl : Vhdl.t;
   netlists : (string * string) list;  (** component name -> netlist blob *)
-  device : device;
-  netlist_cache_hits : int;
-  netlist_cache_misses : int;
 }
 
 (** Build the CAD project for [candidate], fetching every instantiated
     component's netlist through the database cache. *)
-let create ?(device = virtex4_fx100) (db : Pp.Database.t)
-    (dfg : Jitise_ir.Dfg.t) (candidate : Ise.Candidate.t) : t =
+let create (db : Pp.Database.t) (dfg : Jitise_ir.Dfg.t)
+    (candidate : Ise.Candidate.t) : t =
   let vhdl = Vhdl.generate dfg candidate in
-  let before = Pp.Database.stats db in
   let netlists =
     List.filter_map
       (fun comp ->
@@ -51,18 +32,7 @@ let create ?(device = virtex4_fx100) (db : Pp.Database.t)
           (Pp.Database.fetch_netlist db comp))
       (List.sort_uniq Pp.Component.compare vhdl.Vhdl.components)
   in
-  let after = Pp.Database.stats db in
-  {
-    name = candidate.Ise.Candidate.signature;
-    candidate;
-    vhdl;
-    netlists;
-    device;
-    netlist_cache_hits =
-      after.Pp.Database.netlist_hits - before.Pp.Database.netlist_hits;
-    netlist_cache_misses =
-      after.Pp.Database.netlist_misses - before.Pp.Database.netlist_misses;
-  }
+  { name = candidate.Ise.Candidate.signature; vhdl; netlists }
 
 (** Aggregate area of the candidate's data path, from the database. *)
 let area (db : Pp.Database.t) (t : t) =

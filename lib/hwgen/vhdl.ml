@@ -14,7 +14,6 @@ type t = {
   entity_name : string;
   source : string;            (** full VHDL text *)
   components : Pp.Component.t list;  (** instantiated library cores *)
-  num_ports : int;
   lines : int;
 }
 
@@ -126,7 +125,6 @@ let generate (dfg : Ir.Dfg.t) (candidate : Ise.Candidate.t) : t =
     entity_name;
     source;
     components = List.rev !components;
-    num_ports = List.length inputs + 1;
     lines =
       String.fold_left (fun acc c -> if c = '\n' then acc + 1 else acc) 0 source;
   }

@@ -9,8 +9,6 @@ type t = {
   idom : int array;
       (** immediate dominator per block; [idom.(entry) = entry];
           [-1] for unreachable blocks *)
-  rpo_index : int array;  (** position of each block in reverse postorder *)
-  order : Instr.label list;  (** reverse postorder of reachable blocks *)
 }
 
 let compute (cfg : Cfg.t) =
@@ -52,7 +50,7 @@ let compute (cfg : Cfg.t) =
         end)
       order
   done;
-  { idom; rpo_index; order }
+  { idom }
 
 (** Dominance frontier of every block (Cytron et al. via the CHK
     formulation): [frontier.(b)] lists the blocks where [b]'s dominance

@@ -49,7 +49,6 @@ let of_name s =
 
 type selection = {
   blocks : (string * Ir.Instr.label) list;  (** surviving blocks *)
-  total_blocks : int;     (** profiled blocks before pruning *)
   selected_instrs : int;  (** static instructions passed to the ISE step *)
 }
 
@@ -89,7 +88,6 @@ let apply t (m : Ir.Irmod.t) (profile : Vm.Profile.t) : selection =
   let blocks = firstn t.top_blocks largest in
   {
     blocks;
-    total_blocks = List.length costs;
     selected_instrs =
       List.fold_left (fun acc key -> acc + block_size m key) 0 blocks;
   }

@@ -14,8 +14,8 @@ module Pp = Jitise_pivpav
 type scored = {
   candidate : Candidate.t;
   estimate : Pp.Estimator.estimate;
-  frequency : int64;      (** profiled executions of the home block *)
-  saved_cycles : float;   (** frequency x (sw - hw) *)
+  saved_cycles : float;
+      (** profiled executions of the home block x (sw - hw) *)
 }
 
 (** Register inputs a CI can take.  Woolcano moves operands over the
@@ -64,7 +64,6 @@ let select (db : Pp.Database.t) (m : Ir.Irmod.t) (profile : Vm.Profile.t)
                   {
                     candidate = c;
                     estimate = est;
-                    frequency;
                     saved_cycles =
                       Int64.to_float frequency *. float_of_int per_exec;
                   })

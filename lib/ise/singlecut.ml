@@ -12,7 +12,10 @@
 module Ir = Jitise_ir
 
 type config = {
-  max_inputs : int;   (** register-file read ports, 4 on Woolcano *)
+  max_inputs : int;
+      (** register inputs per cut; 4 by default, the port-limited core
+          the exact baseline is usually run against (Woolcano's APU
+          takes up to {!Select.max_inputs}) *)
   max_nodes : int;    (** give up on blocks larger than this *)
   step_budget : int;  (** hard cap on explored subsets *)
 }

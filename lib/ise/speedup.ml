@@ -7,9 +7,10 @@
     frequency-weighted cycle deltas. *)
 
 type t = {
-  total_cycles : float;   (** native software cycles of the whole run *)
-  saved_cycles : float;   (** cycles removed by the custom instructions *)
-  ratio : float;          (** total / (total - saved) *)
+  ratio : float;
+      (** total / (total - saved): native software cycles of the whole
+          run over those left once the custom instructions remove
+          theirs *)
 }
 
 (** Speedup of a run of [total_cycles] when the given selected
@@ -21,7 +22,7 @@ let of_selection ~total_cycles (selection : Select.scored list) : t =
   (* Savings can never exceed the cycles actually spent. *)
   let saved = Float.min saved (0.999 *. total_cycles) in
   {
-    total_cycles;
-    saved_cycles = saved;
-    ratio = (if total_cycles <= 0.0 then 1.0 else total_cycles /. (total_cycles -. saved));
+    ratio =
+      (if total_cycles <= 0.0 then 1.0
+       else total_cycles /. (total_cycles -. saved));
   }

@@ -6,15 +6,11 @@
     Numbers are calibrated to a Xilinx Virtex-4 (-10 speed grade)
     fabric: LUT logic ~0.9 ns per level plus routing, carry chains
     ~50 ps/bit, DSP48 multipliers, multi-cycle dividers, and
-    software-profile-matched floating-point cores.
-
-    The database also counts netlist-cache hits and misses, which the
-    Netlist Generation phase of the tool flow reports. *)
+    software-profile-matched floating-point cores. *)
 
 module Ir = Jitise_ir
 
 type entry = {
-  component : Component.t;
   metrics : Metrics.t;
   netlist : string Lazy.t;  (** EDIF-like blob, generated on first use *)
 }
@@ -24,11 +20,8 @@ type t = {
       (** fully populated by [create]; read-only afterwards, so lookups
           are safe from any domain *)
   lock : Mutex.t;
-      (** guards the counters and the lazy netlist forcing — one
-          database instance is shared by every domain of a parallel
-          sweep *)
-  mutable netlist_hits : int;
-  mutable netlist_misses : int;
+      (** guards the lazy netlist forcing — one database instance is
+          shared by every domain of a parallel sweep *)
 }
 
 (* ------------------------------------------------------------------ *)
@@ -78,53 +71,8 @@ let area (c : Component.t) =
   | "fpext" | "fptrunc" -> (90, 60, 0)
   | _ -> (2 * w, w, 0)
 
-(* Extra synthesis-report counters: deterministic pseudo-measurements
-   seeded by the component name, padding the per-entry metric count
-   beyond the 90 PivPav advertises. *)
-let extra_metrics (c : Component.t) (luts, ffs, dsp) =
-  let prng =
-    Jitise_util.Prng.create
-      ~seed:(Jitise_util.Prng.hash_string (Component.name c))
-  in
-  let base =
-    [
-      ("nets", float_of_int ((3 * luts) + ffs + 17));
-      ("io_buffers", float_of_int (2 * c.Component.width));
-      ("max_fanout", float_of_int (4 + Jitise_util.Prng.int prng 28));
-      ("carry_chains", float_of_int (if luts > 0 then c.Component.width / 4 else 0));
-      ("dsp48_cascades", float_of_int (max 0 (dsp - 1)));
-      ("route_thrus", float_of_int (Jitise_util.Prng.int prng 12));
-      ("bonded_iobs", float_of_int (2 * c.Component.width));
-      ("gclk", 1.0);
-    ]
-  in
-  (* Per-corner timing figures: min/typ/max of setup, hold and
-     clock-to-out at 4 temperatures x 3 voltages — 108 figures, which
-     keeps each entry above the "more than 90 different metrics" PivPav
-     advertises. *)
-  let corners = ref [] in
-  List.iter
-    (fun corner ->
-      List.iter
-        (fun volt ->
-          List.iter
-            (fun fig ->
-              List.iter
-                (fun bound ->
-                  let key =
-                    Printf.sprintf "%s_%s_%s_%s_ns" fig bound corner volt
-                  in
-                  let jitter = Jitise_util.Prng.float prng 0.35 in
-                  corners := (key, latency_ns c *. (0.85 +. jitter)) :: !corners)
-                [ "min"; "typ"; "max" ])
-            [ "setup"; "hold"; "clk2out" ])
-        [ "0v95"; "1v00"; "1v05" ])
-    [ "m40c"; "25c"; "85c"; "125c" ];
-  base @ List.rev !corners
-
 let metrics_of (c : Component.t) : Metrics.t =
   let luts, ffs, dsp = area c in
-  let lat = latency_ns c in
   let num_inputs =
     match c.Component.opcode with
     | "select" -> 3
@@ -134,17 +82,10 @@ let metrics_of (c : Component.t) : Metrics.t =
     | _ -> 2
   in
   {
-    Metrics.latency_ns = lat;
-    fmax_mhz = min 450.0 (1000.0 /. (lat /. 3.0 +. 0.6));
-    pipeline_depth = max 1 (int_of_float (ceil (lat /. 3.3)));
+    Metrics.latency_ns = latency_ns c;
     luts;
     flip_flops = ffs;
-    slices = (luts + ffs + 3) / 4;
     dsp48 = dsp;
-    bram = 0;
-    static_power_mw = 0.4 +. (0.002 *. float_of_int (luts + ffs));
-    dynamic_power_mw_per_mhz = 0.01 +. (0.0004 *. float_of_int luts);
-    input_width_bits = c.Component.width * num_inputs;
     output_width_bits =
       (if
          String.length c.Component.opcode >= 5
@@ -153,7 +94,6 @@ let metrics_of (c : Component.t) : Metrics.t =
        then 1
        else c.Component.width);
     num_inputs;
-    extra = extra_metrics c (luts, ffs, dsp);
   }
 
 let netlist_of (c : Component.t) (m : Metrics.t) =
@@ -196,19 +136,12 @@ let float_opcodes =
 (** Build the full circuit library: integer operators at widths
     8/16/32/64 and floating operators at 32/64. *)
 let create () =
-  let t =
-    {
-      entries = Hashtbl.create 256;
-      lock = Mutex.create ();
-      netlist_hits = 0;
-      netlist_misses = 0;
-    }
-  in
+  let t = { entries = Hashtbl.create 256; lock = Mutex.create () } in
   let add opcode width =
     let c = { Component.opcode; width } in
     let m = metrics_of c in
     Hashtbl.replace t.entries c
-      { component = c; metrics = m; netlist = lazy (netlist_of c m) }
+      { metrics = m; netlist = lazy (netlist_of c m) }
   in
   List.iter (fun op -> List.iter (add op) [ 8; 16; 32; 64 ]) int_opcodes;
   List.iter (fun op -> List.iter (add op) [ 32; 64 ]) float_opcodes;
@@ -237,26 +170,12 @@ let metrics_for_instr t (i : Ir.Instr.t) =
   | None -> None
   | Some c -> Option.map (fun e -> e.metrics) (lookup t c)
 
-(** Fetch a component netlist through the cache, recording hit/miss
-    statistics (a miss forces the lazy generation; every further fetch
-    is a hit). *)
+(** Fetch a component netlist through the cache (a miss forces the
+    lazy generation; every further fetch is a hit). *)
 let fetch_netlist t (c : Component.t) =
   match lookup t c with
   | None -> None
   | Some e ->
       (* Forcing a lazy concurrently from two domains raises
          [Lazy.Undefined]; serialize the miss path. *)
-      Some
-        (Mutex.protect t.lock (fun () ->
-             if Lazy.is_val e.netlist then t.netlist_hits <- t.netlist_hits + 1
-             else t.netlist_misses <- t.netlist_misses + 1;
-             Lazy.force e.netlist))
-
-type stats = { netlist_hits : int; netlist_misses : int }
-
-let stats (t : t) =
-  Mutex.protect t.lock (fun () ->
-      {
-        netlist_hits = t.netlist_hits;
-        netlist_misses = t.netlist_misses;
-      })
+      Some (Mutex.protect t.lock (fun () -> Lazy.force e.netlist))

@@ -25,13 +25,9 @@ let transfer_cycles ~num_inputs = (max 0 (num_inputs - 2) + 1) / 2
 
 type estimate = {
   sw_cycles : int;        (** software execution cost per invocation *)
-  hw_latency_ns : float;  (** data-path critical path *)
   hw_cycles : int;        (** hardware cost per invocation, incl. issue
                               and operand transfer *)
-  num_inputs : int;       (** distinct register inputs *)
-  luts : int;
-  flip_flops : int;
-  dsp48 : int;
+  luts : int;             (** data-path area *)
   speedup : float;        (** sw_cycles / hw_cycles *)
 }
 
@@ -59,7 +55,7 @@ let estimate (db : Database.t) (dfg : Ir.Dfg.t) (nodes : int list) :
       nodes;
     let num_inputs = Hashtbl.length inputs in
     let sw = ref 0 in
-    let luts = ref 0 and ffs = ref 0 and dsp = ref 0 in
+    let luts = ref 0 in
     (* ASAP arrival times over the sub-DFG, in instruction order (which
        is topological). *)
     let arrival : (int, float) Hashtbl.t = Hashtbl.create 16 in
@@ -75,8 +71,6 @@ let estimate (db : Database.t) (dfg : Ir.Dfg.t) (nodes : int list) :
           | None -> raise Infeasible
         in
         luts := !luts + m.Metrics.luts;
-        ffs := !ffs + m.Metrics.flip_flops;
-        dsp := !dsp + m.Metrics.dsp48;
         let input_arrival =
           List.fold_left
             (fun acc p ->
@@ -97,12 +91,8 @@ let estimate (db : Database.t) (dfg : Ir.Dfg.t) (nodes : int list) :
     Some
       {
         sw_cycles = !sw;
-        hw_latency_ns = !critical;
         hw_cycles;
-        num_inputs;
         luts = !luts;
-        flip_flops = !ffs;
-        dsp48 = !dsp;
         speedup = float_of_int !sw /. float_of_int hw_cycles;
       }
   with Infeasible -> None

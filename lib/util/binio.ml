@@ -106,14 +106,6 @@ let r_vint64 r = unzigzag (r_varint64 r)
 let w_float b f = w_int64 b (Int64.bits_of_float f)
 let r_float r = Int64.float_of_bits (r_int64 r)
 
-let w_bool b v = w_byte b (if v then 1 else 0)
-
-let r_bool r =
-  match r_byte r with
-  | 0 -> false
-  | 1 -> true
-  | n -> corrupt "bad bool tag %d" n
-
 let w_len b n =
   if n < 0 then invalid_arg "Binio.w_len: negative length";
   w_varint64 b (Int64.of_int n)

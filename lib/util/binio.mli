@@ -11,7 +11,7 @@
     - ints: zigzag + LEB128 varint (small magnitudes are one byte)
     - int64: fixed 8-byte little-endian, or a zigzag varint ([vint64])
     - float: IEEE-754 bits as a fixed 8-byte little-endian int64
-    - bool/option tags: one byte (0/1), other values are corrupt
+    - option tags: one byte (0/1), other values are corrupt
     - string: varint length + raw bytes
     - list: varint count + elements *)
 
@@ -44,8 +44,6 @@ val r_vint64 : reader -> int64
 
 val w_float : Buffer.t -> float -> unit
 val r_float : reader -> float
-val w_bool : Buffer.t -> bool -> unit
-val r_bool : reader -> bool
 
 (** Non-negative length prefix.  [r_len] rejects lengths larger than
     the remaining input, bounding allocations for hostile inputs. *)

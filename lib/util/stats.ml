@@ -44,31 +44,6 @@ let percentile p xs =
       let rank = int_of_float (ceil (p /. 100.0 *. float_of_int n)) in
       a.(max 0 (min (n - 1) (rank - 1)))
 
-let minimum = function
-  | [] -> invalid_arg "Stats.minimum: empty list"
-  | x :: xs -> List.fold_left min x xs
+type summary = { mean : float; stdev : float }
 
-let maximum = function
-  | [] -> invalid_arg "Stats.maximum: empty list"
-  | x :: xs -> List.fold_left max x xs
-
-type summary = {
-  n : int;
-  mean : float;
-  stdev : float;
-  min : float;
-  max : float;
-  median : float;
-}
-
-let summarize = function
-  | [] -> { n = 0; mean = 0.0; stdev = 0.0; min = 0.0; max = 0.0; median = 0.0 }
-  | xs ->
-      {
-        n = List.length xs;
-        mean = mean xs;
-        stdev = stdev xs;
-        min = minimum xs;
-        max = maximum xs;
-        median = median xs;
-      }
+let summarize xs = { mean = mean xs; stdev = stdev xs }

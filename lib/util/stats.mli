@@ -19,17 +19,9 @@ val percentile : float -> float list -> float
 val sum : float list -> float
 (** Total of the list; 0 for the empty list. *)
 
-type summary = {
-  n : int;
-  mean : float;
-  stdev : float;
-  min : float;
-  max : float;
-  median : float;
-}
+type summary = { mean : float; stdev : float }
 (** One-shot description of a sample: [stdev] is the sample standard
     deviation (n-1 denominator), 0 for fewer than two samples. *)
 
 val summarize : float list -> summary
-(** Computes all [summary] fields in one pass over a non-empty list;
-    zeros with [n = 0] for the empty list. *)
+(** Both [summary] fields; zeros for the empty list. *)

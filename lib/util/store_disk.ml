@@ -25,7 +25,7 @@
     [put] replaces, so an upgraded store warms again after one run. *)
 
 let magic = "JTSE"
-let version = 5
+let version = 6
 
 (* Unique tmp-file suffixes within one process; the pid namespaces
    concurrent processes sharing a store root. *)

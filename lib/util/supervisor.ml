@@ -52,6 +52,16 @@ type failure = {
 
 exception Stage_failed of failure
 
+let () =
+  Printexc.register_printer (function
+    | Stage_failed f ->
+        Some
+          (Printf.sprintf
+             "Supervisor.Stage_failed: %s gave up after %d attempt(s): %s \
+              (%.1f s wasted)"
+             f.f_site f.f_attempts (error_name f.f_error) f.f_wasted_seconds)
+    | _ -> None)
+
 (* ------------------------------------------------------------------ *)
 (* Per-item meters                                                     *)
 

@@ -66,6 +66,7 @@ type failure = {
 }
 
 exception Stage_failed of failure
+(** Printed (by [Printexc]) with its site, attempts, error and waste. *)
 
 (** {1 Meters} *)
 

@@ -5,12 +5,12 @@
     implemented in the FPGA fabric and connected through the Auxiliary
     Processor Unit (APU).  Slots are runtime-replaceable via partial
     reconfiguration over the ICAP port.  This module captures the
-    architectural constants the simulation depends on. *)
+    architectural constants the simulation depends on.  The core clock
+    is {!Jitise_ir.Cost.clock_hz}, and a UDI's register operands are
+    capped by {!Jitise_ise.Select.max_inputs}. *)
 
 type t = {
-  core_clock_hz : float;        (** PowerPC 405 clock *)
   udi_slots : int;              (** concurrently loadable instructions *)
-  max_ci_inputs : int;          (** register operands per UDI (via multi-word APU transfer) *)
   slot_lut_capacity : int;      (** area ceiling of one slot *)
   icap_bytes_per_second : float; (** partial-reconfiguration bandwidth *)
   reconfig_setup_seconds : float; (** driver + ICAP setup per load *)
@@ -20,9 +20,7 @@ type t = {
     core, APU-attached UDIs. *)
 let default =
   {
-    core_clock_hz = Jitise_ir.Cost.clock_hz;
     udi_slots = 8;
-    max_ci_inputs = 16;
     slot_lut_capacity = 8_192;
     icap_bytes_per_second = 66.0e6;  (* ICAP at 66 MHz, 8-bit on V4 *)
     reconfig_setup_seconds = 0.002;

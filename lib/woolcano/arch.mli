@@ -3,13 +3,12 @@
     Architectural constants of the platform the paper evaluates: a
     Xilinx Virtex-4 FX with the PowerPC 405 hard core, user-defined
     instruction (UDI) slots in the fabric attached through the APU, and
-    partial reconfiguration over the ICAP port. *)
+    partial reconfiguration over the ICAP port.  The core clock is
+    {!Jitise_ir.Cost.clock_hz}, and a UDI's register operands are
+    capped by {!Jitise_ise.Select.max_inputs}. *)
 
 type t = {
-  core_clock_hz : float;  (** PowerPC 405 clock *)
   udi_slots : int;  (** concurrently loadable instructions *)
-  max_ci_inputs : int;
-      (** register operands per UDI (via multi-word APU transfer) *)
   slot_lut_capacity : int;  (** area ceiling of one slot *)
   icap_bytes_per_second : float;  (** partial-reconfiguration bandwidth *)
   reconfig_setup_seconds : float;  (** driver + ICAP setup per load *)

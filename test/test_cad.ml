@@ -165,7 +165,7 @@ let test_bitstream_properties () =
       Alcotest.(check bool) "has frames" true (b.Cad.Bitstream.frames > 0);
       Alcotest.(check int) "size = frames x frame bytes"
         (b.Cad.Bitstream.frames
-        * p.Hw.Project.device.Hw.Project.reconfig_frame_bytes)
+        * Hw.Project.reconfig_frame_bytes)
         b.Cad.Bitstream.size_bytes)
     (Lazy.force projects)
 
@@ -342,7 +342,6 @@ let test_implement_result_failure () =
         (f.Cad.Flow.failed_stage = Cad.Flow.Check_syntax);
       Alcotest.(check bool) "tool crash" true
         (f.Cad.Flow.fault = Cad.Faults.Tool_crash);
-      Alcotest.(check int) "attempt recorded" 1 f.Cad.Flow.failed_attempt;
       let clean = implement p in
       Alcotest.(check bool) "waste is positive and partial" true
         (f.Cad.Flow.wasted_seconds > 0.0
@@ -363,8 +362,7 @@ let test_relaxed_run_costs_more () =
         (s relaxed Cad.Flow.Place_and_route);
       Alcotest.(check (float 1e-9)) "constants unchanged"
         (Cad.Flow.constant_seconds plain)
-        (Cad.Flow.constant_seconds relaxed);
-      Alcotest.(check bool) "flagged as relaxed" true relaxed.Cad.Flow.relaxed
+        (Cad.Flow.constant_seconds relaxed)
 
 let test_bitstream_integrity () =
   let p = List.hd (Lazy.force projects) in

@@ -129,8 +129,10 @@ let test_pool_crash_degrades_per_candidate () =
     (fun (d : Core.Asip_sp.dropped) ->
       Alcotest.(check bool) "flagged" true
         (d.Core.Asip_sp.drop_reason = Core.Asip_sp.Stage_failure);
-      Alcotest.(check (option Alcotest.reject)) "no CAD failure attached" None
-        d.Core.Asip_sp.drop_failure)
+      Alcotest.(check bool) "no CAD failure attached" true
+        (match d.Core.Asip_sp.drop_cause with
+        | Some (Core.Asip_sp.Supervision_error _) -> true
+        | _ -> false))
     rep.Core.Asip_sp.dropped;
   (* Nothing reached hardware, so nothing is sped up and the overhead
      is never recovered. *)
@@ -279,8 +281,6 @@ let check_invariants add_violation name outcome =
             violate "%s: accepted candidate %s has a corrupt bitstream" name
               c.Core.Asip_sp.scored.Ise.Select.candidate.Ise.Candidate
                 .signature;
-          if run.Cad.Flow.syntax_problems <> [] then
-            violate "%s: accepted candidate carries syntax problems" name;
           if c.Core.Asip_sp.wasted_seconds < 0.0 then
             violate "%s: negative waste on a candidate" name)
         rep.Core.Asip_sp.candidates;
@@ -290,8 +290,12 @@ let check_invariants add_violation name outcome =
             violate "%s: negative waste on a drop" name;
           if
             d.Core.Asip_sp.drop_reason = Core.Asip_sp.Stage_failure
-            && d.Core.Asip_sp.drop_failure <> None
-          then violate "%s: stage-failure drop carries a CAD failure" name)
+            &&
+            match d.Core.Asip_sp.drop_cause with
+            | Some (Core.Asip_sp.Supervision_error _) -> false
+            | _ -> true
+          then
+            violate "%s: stage-failure drop carries no supervision error" name)
         rep.Core.Asip_sp.dropped;
       let flagged =
         List.length

@@ -58,8 +58,14 @@ let test_adapt_preserves_results () =
   Alcotest.(check bool) "selection non-empty" true
     (report.Core.Asip_sp.selection <> []);
   Alcotest.(check bool) "same checksum" true (out.Vm.Machine.ret = out2.Vm.Machine.ret);
-  Alcotest.(check bool) "instructions replaced" true
-    (adapted.Core.Adapt.replaced_instrs > 0)
+  let ci_calls = ref 0 in
+  List.iter
+    (Ir.Func.iter_instrs (fun _ (i : Ir.Instr.t) ->
+         match i.Ir.Instr.kind with
+         | Ir.Instr.Ci_call _ -> incr ci_calls
+         | _ -> ()))
+    adapted.Core.Adapt.modul.Ir.Irmod.funcs;
+  Alcotest.(check bool) "instructions replaced" true (!ci_calls > 0)
 
 let test_adapt_measured_speedup_matches_estimate () =
   let m, out, report = specialize float_kernel_src 200 in
@@ -261,6 +267,16 @@ let test_table4_monotone () =
   Alcotest.(check bool) "cache shortens break-even" true
     (be 0.9 0.0 < be 0.0 0.0 +. 1e-9)
 
+(* When the timeline's JIT system overtakes the plain CPU, read off
+   the event that announces it. *)
+let overtake (t : Core.Jit_manager.timeline) =
+  List.find_map
+    (fun (e : Core.Jit_manager.event) ->
+      if e.Core.Jit_manager.what = "JIT system overtakes the plain-CPU system"
+      then Some e.Core.Jit_manager.at_seconds
+      else None)
+    t.Core.Jit_manager.events
+
 let test_jit_manager_timeline () =
   let _, _, report = specialize float_kernel_src 200 in
   let t = Core.Jit_manager.timeline report in
@@ -281,7 +297,7 @@ let test_jit_manager_timeline () =
   Alcotest.(check bool) "reconfiguration in milliseconds" true
     (t.Core.Jit_manager.reconfiguration_seconds > 0.0
     && t.Core.Jit_manager.reconfiguration_seconds < 1.0);
-  (match t.Core.Jit_manager.overtake_seconds with
+  (match overtake t with
   | Some ot ->
       Alcotest.(check bool) "overtake after readiness" true
         (ot
@@ -297,7 +313,7 @@ let test_jit_manager_overtake_math () =
      spec + s (T* - T) = T* *)
   let _, _, report = specialize float_kernel_src 200 in
   let t = Core.Jit_manager.timeline report in
-  match t.Core.Jit_manager.overtake_seconds with
+  match overtake t with
   | Some t_star ->
       let t_ready =
         t.Core.Jit_manager.specialization_seconds
@@ -473,7 +489,9 @@ let test_faults_retries_exhausted_drops () =
       Alcotest.(check bool) "dropped for exhausted retries" true
         (d.Core.Asip_sp.drop_reason = Core.Asip_sp.Retries_exhausted);
       Alcotest.(check bool) "failure recorded" true
-        (d.Core.Asip_sp.drop_failure <> None);
+        (match d.Core.Asip_sp.drop_cause with
+        | Some (Core.Asip_sp.Cad_failure _) -> true
+        | _ -> false);
       Alcotest.(check bool) "waste recorded" true
         (d.Core.Asip_sp.drop_wasted_seconds > 0.0))
     r.Core.Asip_sp.dropped;
@@ -503,7 +521,7 @@ let test_faults_specialization_deadline () =
     (fun (d : Core.Asip_sp.dropped) ->
       Alcotest.(check bool) "dropped by the deadline, not by a fault" true
         (d.Core.Asip_sp.drop_reason = Core.Asip_sp.Specialization_deadline
-        && d.Core.Asip_sp.drop_failure = None))
+        && d.Core.Asip_sp.drop_cause = None))
     r.Core.Asip_sp.dropped;
   Alcotest.(check int) "slots partition the selection"
     (List.length r.Core.Asip_sp.selection)
@@ -738,10 +756,7 @@ let test_specialize_matches_evaluate () =
   (* the train-only entry decides exactly what the batch pipeline
      decides: same selection, slots and drops, bit-identical costs *)
   let bits x = Printf.sprintf "%h" x in
-  let speedup (s : Ise.Speedup.t) =
-    List.map bits
-      [ s.Ise.Speedup.total_cycles; s.Ise.Speedup.saved_cycles; s.Ise.Speedup.ratio ]
-  in
+  let speedup (s : Ise.Speedup.t) = bits s.Ise.Speedup.ratio in
   List.iter
     (fun (name, spec) ->
       let w = Option.get (W.Registry.find name) in
@@ -756,7 +771,7 @@ let test_specialize_matches_evaluate () =
       Alcotest.(check string) (name ^ ": sum_seconds")
         (bits full.Core.Asip_sp.sum_seconds)
         (bits train.Core.Asip_sp.sum_seconds);
-      Alcotest.(check (list string)) (name ^ ": asip_ratio")
+      Alcotest.(check string) (name ^ ": asip_ratio")
         (speedup full.Core.Asip_sp.asip_ratio)
         (speedup train.Core.Asip_sp.asip_ratio))
     [

@@ -43,21 +43,18 @@ let test_database_size () =
   Alcotest.(check bool) "full library" true
     (Hashtbl.length db.Pp.Database.entries > 100)
 
-let test_database_metric_count () =
-  (* The 14 named metric fields plus the extra ones, alike for every
-     core. *)
-  Hashtbl.iter
-    (fun _ (e : Pp.Database.entry) ->
-      Alcotest.(check bool) "more than 90 metrics per core" true
-        (14 + List.length e.metrics.Pp.Metrics.extra > 90))
-    db.Pp.Database.entries
-
 let test_database_lookup () =
   Alcotest.(check bool) "exact hit" true
     (Pp.Database.lookup db { Pp.Component.opcode = "add"; width = 32 } <> None);
   (* odd widths snap up *)
   (match Pp.Database.lookup db { Pp.Component.opcode = "add"; width = 20 } with
-  | Some e -> Alcotest.(check int) "snapped to 32" 32 e.Pp.Database.component.Pp.Component.width
+  | Some e ->
+      Alcotest.(check bool) "snapped to 32" true
+        (match
+           Pp.Database.lookup db { Pp.Component.opcode = "add"; width = 32 }
+         with
+        | Some e32 -> e == e32
+        | None -> false)
   | None -> Alcotest.fail "snap failed");
   Alcotest.(check bool) "unknown opcode" true
     (Pp.Database.lookup db { Pp.Component.opcode = "frobnicate"; width = 32 } = None)
@@ -92,12 +89,9 @@ let test_database_netlist_cache () =
   let first = Pp.Database.fetch_netlist db c in
   Alcotest.(check bool) "blob produced" true
     (match first with Some s -> String.length s > 50 | None -> false);
-  let stats1 = Pp.Database.stats db in
-  Alcotest.(check int) "first fetch misses" 1 stats1.Pp.Database.netlist_misses;
-  ignore (Pp.Database.fetch_netlist db c);
-  let stats2 = Pp.Database.stats db in
-  Alcotest.(check int) "second fetch hits" 1 stats2.Pp.Database.netlist_hits;
-  Alcotest.(check int) "no new miss" 1 stats2.Pp.Database.netlist_misses
+  let second = Pp.Database.fetch_netlist db c in
+  Alcotest.(check bool) "second fetch hits the cached blob" true
+    (match (first, second) with Some a, Some b -> a == b | _ -> false)
 
 let test_database_metrics_deterministic () =
   let a = Pp.Database.create () and b = Pp.Database.create () in
@@ -130,7 +124,8 @@ let test_estimator_float_chain_profitable () =
       Alcotest.(check bool) "sw > hw for float chains" true
         (e.Pp.Estimator.sw_cycles > e.Pp.Estimator.hw_cycles);
       Alcotest.(check bool) "speedup > 2" true (e.Pp.Estimator.speedup > 2.0);
-      Alcotest.(check bool) "positive latency" true (e.Pp.Estimator.hw_latency_ns > 0.0);
+      Alcotest.(check bool) "positive latency" true
+        (e.Pp.Estimator.hw_cycles > Pp.Estimator.ci_issue_overhead_cycles);
       Alcotest.(check bool) "area accounted" true (e.Pp.Estimator.luts > 0)
   | None -> Alcotest.fail "estimate failed"
 
@@ -178,8 +173,11 @@ let test_estimator_critical_path_vs_sum () =
             | None -> acc)
           0.0 nodes
       in
+      (* hw_cycles also pays the issue and transfer cycles, so this
+         bounds the critical path from above. *)
       Alcotest.(check bool) "parallelism exploited" true
-        (e.Pp.Estimator.hw_latency_ns < 0.75 *. sum_latency)
+        (float_of_int e.Pp.Estimator.hw_cycles *. Ir.Cost.cycle_time *. 1e9
+        < 0.75 *. sum_latency)
   | None -> Alcotest.fail "estimate failed"
 
 let () =
@@ -193,7 +191,6 @@ let () =
       ( "database",
         [
           Alcotest.test_case "size" `Quick test_database_size;
-          Alcotest.test_case "90+ metrics" `Quick test_database_metric_count;
           Alcotest.test_case "lookup" `Quick test_database_lookup;
           Alcotest.test_case "latency sanity" `Quick test_database_latency_sanity;
           Alcotest.test_case "area sanity" `Quick test_database_area_sanity;

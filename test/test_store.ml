@@ -24,13 +24,20 @@ module Core = Jitise_core
 module U = Jitise_util
 module An = Jitise_analysis
 
-(* [Binio] plus what only these tests use: the production codecs read
-   bools and options with the primitive readers, and decode through
+(* [Binio] plus what only these tests use: the production codecs store
+   no bool, read options with the primitive readers, and decode through
    [decode_opt]. *)
 module B = struct
   include U.Binio
 
-  let bool = codec w_bool r_bool
+  let bool =
+    codec
+      (fun b v -> w_byte b (if v then 1 else 0))
+      (fun r ->
+        match r_byte r with
+        | 0 -> false
+        | 1 -> true
+        | n -> corrupt "bad bool tag %d" n)
   let option c = codec (w_option c.enc) (r_option c.dec)
 
   let triple a b c =
@@ -417,38 +424,10 @@ let test_codec_coverage_golden () =
 
 (* Golden bytes for one [implement] artifact, pinned like the
    outcomes above: a hand-built chain whose first attempt misses timing closure
-   at PAR and whose relaxed second attempt succeeds. *)
+   at PAR and whose relaxed second attempt succeeds (store format 6: a
+   flow run carries no project, no syntax problems and no relaxed
+   flag, and neither an attempt nor a failure its attempt number). *)
 let golden_chain () =
-  let candidate =
-    {
-      Ise.Candidate.func = "f";
-      block = 2;
-      nodes = [ 0; 1 ];
-      root = 1;
-      size = 2;
-      num_inputs = 2;
-      opcodes = [ "mul"; "add" ];
-      signature = "ci_g";
-    }
-  in
-  let project =
-    {
-      Hw.Project.name = "ci_g";
-      candidate;
-      vhdl =
-        {
-          Hw.Vhdl.entity_name = "ci_g";
-          source = "-- ci_g";
-          components = [ { Pp.Component.opcode = "add"; width = 32 } ];
-          num_ports = 3;
-          lines = 1;
-        };
-      netlists = [ ("add_32", "n") ];
-      device = Hw.Project.virtex4_fx100;
-      netlist_cache_hits = 0;
-      netlist_cache_misses = 1;
-    }
-  in
   let stages =
     List.map
       (fun (stage, seconds) -> { Cad.Flow.stage; seconds })
@@ -463,19 +442,15 @@ let golden_chain () =
       Cad.Flow.failed_stage = Cad.Flow.Place_and_route;
       fault = Cad.Faults.Timing_failure;
       wasted_seconds = 129.25;
-      failed_attempt = 1;
     }
   in
   let run =
     {
-      Cad.Flow.project;
-      stages;
+      Cad.Flow.stages;
       total_seconds = 289.75;
       bitstream =
         Cad.Bitstream.make ~signature:"ci_g" ~size_bytes:3280 ~frames:5
           ~luts:120 ~generation_seconds:289.75;
-      syntax_problems = [];
-      relaxed = true;
     }
   in
   ( 3.25,
@@ -483,17 +458,10 @@ let golden_chain () =
       Core.Asip_sp.ch_attempts =
         [
           {
-            Core.Asip_sp.att_number = 1;
-            att_relaxed = false;
-            att_failure = Some failure;
+            Core.Asip_sp.att_failure = Some failure;
             att_backoff_seconds = 33.5;
           };
-          {
-            Core.Asip_sp.att_number = 2;
-            att_relaxed = true;
-            att_failure = None;
-            att_backoff_seconds = 0.0;
-          };
+          { Core.Asip_sp.att_failure = None; att_backoff_seconds = 0.0 };
         ];
       ch_result = Ok run;
     } )
@@ -501,13 +469,10 @@ let golden_chain () =
 let test_codec_implement_golden () =
   let v = golden_chain () in
   Alcotest.(check string) "implement bytes"
-    ("0000000000000a400202000104020000000000286040020000000000c0404004"
-   ^ "01000000000000000000000463695f6701660402000202040402036d756c0361"
-   ^ "64640463695f670463695f67072d2d2063695f67010361646440060201066164"
-   ^ "645f3332016e127863347666783130302d313066663135313780a60ac002a00a"
-   ^ "0002060000000000000011400100000000000025400200000000000022400300"
-   ^ "00000000004740040000000000405140050000000000e0624000000000001c72"
-   ^ "400463695f67a0330af00100000000001c72409a9ff9f5c6ae95ab580001")
+    ("0000000000000a400201040200000000002860400000000000c0404000000000"
+   ^ "0000000000000600000000000000114001000000000000254002000000000000"
+   ^ "2240030000000000004740040000000000405140050000000000e06240000000"
+   ^ "00001c72400463695f67a0330af00100000000001c72409a9ff9f5c6ae95ab58")
     (hex (B.encode Core.Asip_sp.implement_codec v));
   stable "implement" Core.Asip_sp.implement_codec v
 
@@ -756,10 +721,10 @@ let test_disk_first_put_wins () =
         (Some ("first", "one"))
         (disk_get ~root ~stage:"s" ~digest))
 
-(* A store written by an older build: the v4 entry (the format before
-   coverage entries dropped their per-dataset frequencies) reads as a
-   miss, and the recompute's [put] replaces it instead of being blocked
-   by it. *)
+(* A store written by an older build: the v5 entry (the format before
+   the write-only fields left the compile, kernel, search, project and
+   implement artifacts) reads as a miss, and the recompute's [put]
+   replaces it instead of being blocked by it. *)
 let test_disk_old_version_is_replaced () =
   with_root (fun root ->
       let digest = digest_hex "old" in
@@ -767,14 +732,14 @@ let test_disk_old_version_is_replaced () =
       Unix.mkdir (Filename.dirname path) 0o755;
       let b = Buffer.create 64 in
       Buffer.add_string b "JTSE";
-      B.w_byte b 4;
+      B.w_byte b 5;
       B.w_string b "app";
       B.w_string b (digest_hex "old payload");
       B.w_string b "old payload";
       Out_channel.with_open_bin path (fun oc ->
           Out_channel.output_string oc (Buffer.contents b));
       Alcotest.(check (option (pair string string)))
-        "a v4 entry reads as a miss" None
+        "a v5 entry reads as a miss" None
         (disk_get ~root ~stage:"s" ~digest);
       disk_put ~root ~stage:"s" ~digest ~builder:"app"
         ~payload:"new payload" ();

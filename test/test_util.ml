@@ -98,28 +98,26 @@ let test_stats_percentile () =
     (Invalid_argument "Stats.percentile: p out of range") (fun () ->
       ignore (U.Stats.percentile 101.0 xs))
 
-let test_stats_minmax_sum () =
-  let s = U.Stats.summarize [ 3.0; 1.0; 2.0 ] in
-  check_float "min" 1.0 s.min;
-  check_float "max" 3.0 s.max;
+let test_stats_sum () =
+  check_float "empty" 0.0 (U.Stats.sum []);
   check_float "sum" 6.0 (U.Stats.sum [ 3.0; 1.0; 2.0 ])
 
 let test_stats_summarize () =
   let s = U.Stats.summarize [ 1.0; 2.0; 3.0 ] in
-  Alcotest.(check int) "n" 3 s.U.Stats.n;
   check_float "mean" 2.0 s.U.Stats.mean;
-  check_float "min" 1.0 s.U.Stats.min;
-  check_float "max" 3.0 s.U.Stats.max;
+  check_floatish "stdev" 1.0 s.U.Stats.stdev;
   let empty = U.Stats.summarize [] in
-  Alcotest.(check int) "empty n" 0 empty.U.Stats.n
+  check_float "empty mean" 0.0 empty.U.Stats.mean;
+  check_float "empty stdev" 0.0 empty.U.Stats.stdev
 
 let prop_mean_bounded =
   QCheck.Test.make ~name:"mean within min/max" ~count:300
     QCheck.(list_of_size Gen.(int_range 1 50) (float_range (-1000.) 1000.))
     (fun xs ->
       let m = U.Stats.mean xs in
-      let s = U.Stats.summarize xs in
-      m >= s.min -. 1e-9 && m <= s.max +. 1e-9)
+      let lo = List.fold_left min infinity xs
+      and hi = List.fold_left max neg_infinity xs in
+      m >= lo -. 1e-9 && m <= hi +. 1e-9)
 
 (* ------------------------------------------------------------------ *)
 (* Duration                                                            *)
@@ -752,7 +750,14 @@ let test_sup_exhaustion () =
       | U.Supervisor.Crash _ -> ()
       | e -> Alcotest.failf "expected Crash, got %s" (U.Supervisor.error_name e));
       Alcotest.(check bool) "backoff waste accounted" true
-        (f.U.Supervisor.f_wasted_seconds > 0.0)
+        (f.U.Supervisor.f_wasted_seconds > 0.0);
+      Alcotest.(check string) "printed with site, attempts, error and waste"
+        (Printf.sprintf
+           "Supervisor.Stage_failed: s gave up after 3 attempt(s): %s (%.1f \
+            s wasted)"
+           (U.Supervisor.error_name f.U.Supervisor.f_error)
+           f.U.Supervisor.f_wasted_seconds)
+        (Printexc.to_string (U.Supervisor.Stage_failed f))
 
 let test_sup_nontransient_propagates () =
   let sup = U.Supervisor.create () in
@@ -1008,7 +1013,7 @@ let () =
           Alcotest.test_case "geomean" `Quick test_stats_geomean;
           Alcotest.test_case "median" `Quick test_stats_median;
           Alcotest.test_case "percentile" `Quick test_stats_percentile;
-          Alcotest.test_case "min/max/sum" `Quick test_stats_minmax_sum;
+          Alcotest.test_case "sum" `Quick test_stats_sum;
           Alcotest.test_case "summarize" `Quick test_stats_summarize;
         ]
         @ qsuite [ prop_mean_bounded ] );

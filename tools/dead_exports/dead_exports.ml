@@ -1,25 +1,43 @@
-(* Dead exports: every top-level value of a lib/ unit that no
-   production unit reads (DESIGN.md §16).
+(* Dead exports: every top-level value, record field and constructor of
+   a lib/ unit that no production unit uses (DESIGN.md §16).
 
-   Definitions are the [Sig_value] uids of a unit's .cmti, or of its
-   .cmt when the unit has no .mli.  Readers are the [Texp_ident] value
-   uids in the .cmt of every unit under lib/, bin/, examples/, bench/
-   and perfbench/.  A unit with an .mli numbers its interface uids
-   apart from its implementation's, so its own reads are no evidence
-   (a value it exports but reads only itself is a hit); a unit without
-   one reads its own definitions, and those reads count.  Tests are not
-   readers.  A hit is printed as [file:line: Module.value (tag)], the
-   tag [unread] when no unit reads it, tests included, and
-   [tests-only] otherwise.
+   Readers are the units under lib/, bin/, examples/, bench/ and
+   perfbench/, seen through their .cmt files.  A unit with an .mli
+   numbers its interface uids apart from its implementation's, from
+   the same base, so an interface uid counts only when another unit
+   uses it, and an implementation uid only inside its own unit.
+
+   Values.  Definitions are the [Sig_value] uids of a unit's .cmti, or
+   of its .cmt when the unit has no .mli; a read is a [Texp_ident].
+   So a value a unit exports but reads only itself is a hit (drop it
+   from the .mli); a unit without one reads its own definitions, and
+   those reads count.
+
+   Fields and constructors.  Definitions are the record fields
+   (inline-record fields included) and variant constructors of every
+   type a unit's .cmt declares, nested modules included.  A unit's
+   .ml and .mli uids of one label or constructor are grouped by its
+   name, so the unit's own uses count.  A field is read by a
+   [Texp_field] or by a [Tpat_record] that names it; a constructor is
+   used when a [Texp_construct] builds it.  Field reads inside
+   [Codecs] do not count: a field that only its encoder reads is
+   stored, decoded and never used.
+
+   Tests are not readers.  A hit is printed as
+   [file:line: Module.value (tag)], or [Module.type.field] and
+   [Module.type.Constructor], the tag [codec-only] when only [Codecs]
+   reads a field, [tests-only] when only tests use it, and [unread]
+   otherwise.
 
    Usage: dead_exports ALLOWLIST [BUILD_ROOT], BUILD_ROOT defaulting to
-   _build/default.  ALLOWLIST holds one [Module.value reason] a line;
-   blank lines and lines starting with '#' are skipped.  Exit 0 when
-   every hit is allowlisted and every entry is still a hit, 1
-   otherwise, 2 on a usage or input error. *)
+   _build/default.  ALLOWLIST holds one [Name reason] a line; blank
+   lines and lines starting with '#' are skipped.  Exit 0 when every
+   hit is allowlisted and every entry is still a hit, 1 otherwise, 2
+   on a usage or input error. *)
 
 let production_dirs = [ "lib"; "bin"; "examples"; "bench"; "perfbench" ]
 let test_dirs = [ "test" ]
+let codec_unit = "Codecs"
 
 let rec files_under dir =
   if not (Sys.file_exists dir) then []
@@ -43,13 +61,47 @@ let display_unit modname =
   in
   from (String.length modname - 1)
 
+type kind = Value | Field | Constructor
+
+(* Which units' uses of a uid count: its own unit's, the others', or
+   all. *)
+type scope = Inside | Outside | Anywhere
+
 type def = {
-  name : string;  (** [Module.value] *)
+  name : string;  (** [Module.value], [Module.type.field], ... *)
+  kind : kind;
   loc : Location.t;
-  uid : Shape.Uid.t;
+  uids : (Shape.Uid.t * scope) list;
   unit : string;  (** compilation unit name *)
-  has_mli : bool;
 }
+
+(* The fields and constructors a signature's types declare, nested
+   modules included, as [(kind, name, loc, uid)]. *)
+let rec type_items prefix (sg : Types.signature) =
+  let field owner (ld : Types.label_declaration) =
+    (Field, owner ^ "." ^ Ident.name ld.ld_id, ld.ld_loc, ld.ld_uid)
+  in
+  List.concat_map
+    (function
+      | Types.Sig_type (id, td, _, _) -> (
+          let ty = prefix ^ "." ^ Ident.name id in
+          match td.type_kind with
+          | Type_record (lds, _) -> List.map (field ty) lds
+          | Type_variant (cds, _) ->
+              List.concat_map
+                (fun (cd : Types.constructor_declaration) ->
+                  let c = ty ^ "." ^ Ident.name cd.cd_id in
+                  (Constructor, c, cd.cd_loc, cd.cd_uid)
+                  ::
+                  (match cd.cd_args with
+                  | Cstr_record lds -> List.map (field c) lds
+                  | Cstr_tuple _ -> []))
+                cds
+          | Type_abstract | Type_open -> [])
+      | Sig_module (id, _, { md_type = Mty_signature sg; _ }, _, _) ->
+          type_items (prefix ^ "." ^ Ident.name id) sg
+      | _ -> [])
+    sg
 
 let definitions root =
   List.concat_map
@@ -57,49 +109,87 @@ let definitions root =
       let cmt = Cmt_format.read_cmt cmt_file in
       let cmti_file = Filename.remove_extension cmt_file ^ ".cmti" in
       let has_mli = Sys.file_exists cmti_file in
-      let sg =
+      let impl, intf =
         match cmt.cmt_sourcefile with
         (* Dune's generated alias modules define nothing. *)
-        | Some src when Filename.check_suffix src ".ml-gen" -> []
-        | None -> []
-        | Some _ -> (
-            if has_mli then
-              match (Cmt_format.read_cmt cmti_file).cmt_annots with
-              | Interface s -> s.sig_type
-              | _ -> []
-            else
+        | Some src when Filename.check_suffix src ".ml-gen" -> ([], [])
+        | None -> ([], [])
+        | Some _ ->
+            let impl =
               match cmt.cmt_annots with
               | Implementation s -> s.str_type
-              | _ -> [])
+              | _ -> []
+            in
+            let intf =
+              if not has_mli then []
+              else
+                match (Cmt_format.read_cmt cmti_file).cmt_annots with
+                | Interface s -> s.sig_type
+                | _ -> []
+            in
+            (impl, intf)
       in
-      List.filter_map
-        (function
-          | Types.Sig_value (id, vd, _) ->
-              Some
-                {
-                  name = display_unit cmt.cmt_modname ^ "." ^ Ident.name id;
-                  loc = vd.val_loc;
-                  uid = vd.val_uid;
-                  unit = cmt.cmt_modname;
-                  has_mli;
-                }
-          | _ -> None)
-        sg)
+      let unit = cmt.cmt_modname in
+      let prefix = display_unit unit in
+      let values =
+        List.filter_map
+          (function
+            | Types.Sig_value (id, vd, _) ->
+                Some
+                  {
+                    name = prefix ^ "." ^ Ident.name id;
+                    kind = Value;
+                    loc = vd.val_loc;
+                    uids =
+                      [ (vd.val_uid, if has_mli then Outside else Anywhere) ];
+                    unit;
+                  }
+            | _ -> None)
+          (if has_mli then intf else impl)
+      in
+      let intf_items = type_items prefix intf in
+      let types =
+        List.map
+          (fun (kind, name, loc, uid) ->
+            let intf_uids =
+              List.filter_map
+                (fun (_, n, _, u) ->
+                  if n = name then Some (u, Outside) else None)
+                intf_items
+            in
+            let scope = if has_mli then Inside else Anywhere in
+            { name; kind; loc; uids = (uid, scope) :: intf_uids; unit })
+          (type_items prefix impl)
+      in
+      values @ types)
     (cmts_under root [ "lib" ])
 
-(* uid -> each unit under [dirs] that reads it, once per read. *)
-let readers root dirs =
+(* uid -> each unit under [dirs] that uses it, once per use: value
+   reads, field reads and constructor builds. *)
+let users root dirs =
   let tbl = Hashtbl.create 4096 in
   List.iter
     (fun cmt_file ->
       let cmt = Cmt_format.read_cmt cmt_file in
+      let use uid = Hashtbl.add tbl uid cmt.cmt_modname in
       let expr sub (e : Typedtree.expression) =
         (match e.exp_desc with
-        | Texp_ident (_, _, vd) -> Hashtbl.add tbl vd.val_uid cmt.cmt_modname
+        | Texp_ident (_, _, vd) -> use vd.val_uid
+        | Texp_field (_, _, ld) -> use ld.lbl_uid
+        | Texp_construct (_, cd, _) -> use cd.cstr_uid
         | _ -> ());
         Tast_iterator.default_iterator.expr sub e
       in
-      let it = { Tast_iterator.default_iterator with expr } in
+      let pat (type k) sub (p : k Typedtree.general_pattern) =
+        (match p.pat_desc with
+        | Tpat_record (fields, _) ->
+            List.iter (fun (_, (ld : Types.label_description), _) ->
+                use ld.lbl_uid)
+              fields
+        | _ -> ());
+        Tast_iterator.default_iterator.pat sub p
+      in
+      let it = { Tast_iterator.default_iterator with expr; pat } in
       match cmt.cmt_annots with
       | Implementation s -> it.structure it s
       | _ -> ())
@@ -134,15 +224,28 @@ let () =
     exit 2
   end;
   let allowed = read_allowlist allowlist in
-  let prod = readers root production_dirs and tests = readers root test_dirs in
-  let read d =
-    List.exists
-      (fun u -> u <> d.unit || not d.has_mli)
-      (Hashtbl.find_all prod d.uid)
+  let prod = users root production_dirs and tests = users root test_dirs in
+  let find tbl d =
+    List.concat_map
+      (fun (uid, scope) ->
+        List.filter
+          (fun u ->
+            match scope with
+            | Inside -> u = d.unit
+            | Outside -> u <> d.unit
+            | Anywhere -> true)
+          (Hashtbl.find_all tbl uid))
+      d.uids
+  in
+  let counts d u = d.kind <> Field || display_unit u <> codec_unit in
+  let tag d =
+    if find prod d <> [] then "codec-only"
+    else if find tests d <> [] then "tests-only"
+    else "unread"
   in
   let hits =
     definitions root
-    |> List.filter (fun d -> not (read d))
+    |> List.filter (fun d -> not (List.exists (counts d) (find prod d)))
     |> List.sort (fun a b -> compare a.name b.name)
   in
   let failed = ref false in
@@ -151,8 +254,7 @@ let () =
       let listed = List.mem d.name allowed in
       if not listed then failed := true;
       Printf.printf "%s:%d: %s (%s)%s\n" d.loc.loc_start.pos_fname
-        d.loc.loc_start.pos_lnum d.name
-        (if Hashtbl.mem tests d.uid then "tests-only" else "unread")
+        d.loc.loc_start.pos_lnum d.name (tag d)
         (if listed then " allowlisted" else ""))
     hits;
   List.iter
