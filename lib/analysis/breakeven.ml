@@ -81,17 +81,17 @@ type result =
     grouping. *)
 let epsilon = 1e-9
 
-(** [approx_le a b]: a <= b up to [eps], relative to the larger
+(** [approx_le a b]: a <= b up to [epsilon], relative to the larger
     magnitude (absolute near zero). *)
-let approx_le ?(eps = epsilon) a b =
-  a -. b <= eps *. Float.max 1.0 (Float.max (Float.abs a) (Float.abs b))
+let approx_le a b =
+  a -. b <= epsilon *. Float.max 1.0 (Float.max (Float.abs a) (Float.abs b))
 
-(** [approx_ge a b]: a >= b up to [eps]. *)
-let approx_ge ?eps a b = approx_le ?eps b a
+(** [approx_ge a b]: a >= b up to [epsilon]. *)
+let approx_ge a b = approx_le b a
 
 (** [definitely_pos a]: a > 0 beyond the tolerance — a value within
-    [eps] of zero does not count as positive savings. *)
-let definitely_pos ?(eps = epsilon) a = a > eps
+    [epsilon] of zero does not count as positive savings. *)
+let definitely_pos a = a > epsilon
 
 (** Incremental launch rule for the online controller (the classic
     ski-rental argument): commit to the specialization investment once
@@ -103,8 +103,8 @@ let worthwhile ~overhead_seconds ~foregone_seconds =
   && approx_ge foregone_seconds overhead_seconds
 
 (** Break-even time for a given overhead (seconds of ASIP-SP work). *)
-let of_split ?(cycle_time = Ir.Cost.cycle_time) (s : split)
-    ~overhead_seconds : result =
+let of_split (s : split) ~overhead_seconds : result =
+  let cycle_time = Ir.Cost.cycle_time in
   let overhead_cycles = overhead_seconds /. cycle_time in
   let total_cycles = s.live_cycles +. s.const_cycles in
   let total_saved = s.live_saved +. s.const_saved in

@@ -20,10 +20,11 @@ type candidate_cost = {
 
 (** Overhead that remains with a cache populated at [hit_rate] and a
     CAD flow accelerated by [cad_speedup], for one application's
-    candidate set.  Random cache population is averaged over [trials]
-    draws (deterministic in [seed]). *)
-let residual_overhead ?(trials = 32) ?(seed = 0x5EED) ~hit_rate ~cad_speedup
-    (costs : candidate_cost list) : float =
+    candidate set.  Random cache population is averaged over 32 draws
+    from a fixed seed. *)
+let residual_overhead ~hit_rate ~cad_speedup (costs : candidate_cost list) :
+    float =
+  let trials = 32 in
   if hit_rate < 0.0 || hit_rate > 1.0 then
     invalid_arg
       (Printf.sprintf
@@ -41,21 +42,18 @@ let residual_overhead ?(trials = 32) ?(seed = 0x5EED) ~hit_rate ~cad_speedup
     (* Deduplicate by signature first: identical data paths share one
        bitstream, so the duplicates are hits even with an empty cache. *)
     let seen = Hashtbl.create 16 in
-    let unique, duplicate_saved =
-      List.fold_left
-        (fun (uniq, saved) c ->
-          if Hashtbl.mem seen c.signature then (uniq, saved +. c.generation_seconds)
-          else begin
-            Hashtbl.replace seen c.signature ();
-            (c :: uniq, saved)
-          end)
-        ([], 0.0) costs
+    let unique =
+      List.filter
+        (fun c ->
+          let dup = Hashtbl.mem seen c.signature in
+          Hashtbl.replace seen c.signature ();
+          not dup)
+        costs
+      |> Array.of_list
     in
-    ignore duplicate_saved;
-    let unique = Array.of_list (List.rev unique) in
     let nu = Array.length unique in
     let hits = int_of_float (Float.round (hit_rate *. float_of_int nu)) in
-    let prng = Jitise_util.Prng.create ~seed in
+    let prng = Jitise_util.Prng.create ~seed:0x5EED in
     let total_trials = ref 0.0 in
     for _ = 1 to trials do
       let order = Array.init nu Fun.id in

@@ -1,11 +1,11 @@
 (** Kernel-size analysis (Section IV-C, last two columns of Table I).
 
     The kernel of an application is the smallest set of basic blocks
-    responsible for at least [threshold] (default 90 %) of execution
-    time.  Blocks are ranked by their profiled total cycle cost and
-    accumulated until the threshold is crossed; the kernel size is the
-    static instruction count of those blocks, also expressed as a
-    percentage of the whole program. *)
+    responsible for at least 90 % of execution time.  Blocks are
+    ranked by their profiled total cycle cost and accumulated until the
+    threshold is crossed; the kernel size is the static instruction
+    count of those blocks, also expressed as a percentage of the whole
+    program. *)
 
 module Ir = Jitise_ir
 module Vm = Jitise_vm
@@ -22,14 +22,13 @@ let block_instrs (m : Ir.Irmod.t) (fname, label) =
   | Some f -> Ir.Block.size (Ir.Func.block f label)
 
 (** Compute the kernel of a profiled module. *)
-let compute ?(threshold_percent = 90.0) (m : Ir.Irmod.t)
-    (profile : Vm.Profile.t) : t =
+let compute (m : Ir.Irmod.t) (profile : Vm.Profile.t) : t =
   let costs = Vm.Profile.block_costs profile m in
   let total_cycles =
     List.fold_left (fun acc (_, c) -> Int64.add acc c) 0L costs
   in
   let target =
-    Int64.of_float (threshold_percent /. 100.0 *. Int64.to_float total_cycles)
+    Int64.of_float (0.9 *. Int64.to_float total_cycles)
   in
   let rec take acc covered = function
     | [] -> (List.rev acc, covered)

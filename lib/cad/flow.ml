@@ -7,7 +7,10 @@
     Section V-C for map and place-and-route), deterministically seeded
     by the candidate's structural signature.  Everything downstream —
     overhead aggregation, break-even analysis, caching — consumes only
-    these durations, which is exactly what the paper measures.
+    these durations, which is exactly what the paper measures.  The
+    flow has no configuration; Table IV's faster-CAD mitigation scales
+    the per-candidate totals afterwards
+    ([Cache_model.residual_overhead ~cad_speedup]).
 
     Calibration targets (seconds):
     - Check Syntax 4.22 (sd 0.10), XST synthesis 10.60 (sd 0.23),
@@ -16,8 +19,9 @@
       PAR/Map between ~1.4 (small) and ~2.5 (large);
     - project creation (C2V) 3.22 (sd 0.10), dominated by the 2.5 s
       TCL project setup plus 0.2 s VHDL generation;
-    - a full (non-EAPR) bitgen takes only ~41 s — the 151 s figure is
-      an EAPR overhead the paper calls out explicitly.
+    - only the EAPR flow is modelled, since only it produces partial
+      bitstreams; its 151 s bitgen is an EAPR overhead the paper calls
+      out explicitly (a full, non-EAPR bitgen takes ~41 s).
 
     Failure model: commodity CAD tools fail routinely, so
     {!implement_result} can inject per-stage failures from the CAD
@@ -39,38 +43,6 @@ let stage_name = function
   | Map -> "map"
   | Place_and_route -> "par"
   | Bitgen -> "bitgen"
-
-type config = {
-  speedup_factor : float;
-      (** fraction of CAD time removed by a faster tool flow, 0.0-0.99
-          (Section VI-B); 0.30 models the paper's "30 % faster" column *)
-  eapr : bool;
-      (** early-access partial reconfiguration tools; [false] models the
-          regular flow whose bitgen is ~41 s but which cannot produce
-          partial bitstreams *)
-  device_scale : float;
-      (** relative capacity of the target device, 0 < scale <= 1.  The
-          paper observes that the constant stages "depend strongly on
-          the capacity of the FPGA device" and proposes switching from
-          the large FX100 to a smaller part (Section VI-B); the
-          constant stages (and the bitstream size) shrink roughly with
-          device capacity, while map/PAR depend on the design, not the
-          device. *)
-}
-
-let default_config = { speedup_factor = 0.0; eapr = true; device_scale = 1.0 }
-
-(** Section VI-B's "use a smaller FPGA device": a Virtex-4 FX60-sized
-    target with roughly 60 % of the FX100's frames. *)
-
-(** Reject an out-of-range configuration.  Run before any simulated
-    work (including the VHDL syntax check), so a bad config is reported
-    identically whether or not the project is well-formed. *)
-let validate_config config =
-  if config.speedup_factor < 0.0 || config.speedup_factor > 0.99 then
-    invalid_arg "Flow.implement: speedup_factor must be in [0, 0.99]";
-  if config.device_scale <= 0.0 || config.device_scale > 1.0 then
-    invalid_arg "Flow.implement: device_scale must be in (0, 1]"
 
 type stage_report = { stage : stage; seconds : float }
 
@@ -134,9 +106,7 @@ let par_seconds db p ~map_time =
   Float.min 728.0
     (gauss p Place_and_route ~mu:(map_time *. ratio) ~sigma:(0.05 *. map_time))
 
-let bitgen_seconds cfg p =
-  if cfg.eapr then gauss p Bitgen ~mu:151.0 ~sigma:2.43
-  else gauss p Bitgen ~mu:41.0 ~sigma:1.2
+let bitgen_seconds p = gauss p Bitgen ~mu:151.0 ~sigma:2.43
 
 (* Extra map/PAR cost of a relaxed (reduced-effort, relaxed-constraint)
    resynthesis: the tools close timing easily but place less tightly. *)
@@ -208,34 +178,28 @@ let emit_spans tracer (p : Hw.Project.t) stages ~failed =
     @raise Syntax_error when the generated VHDL fails the syntax
     check (indicates a data-path generator bug — tests assert this
     never fires on MAXMISO output). *)
-let implement_result ?tracer ?(config = default_config)
-    ?(chaos = Jitise_util.Chaos.none) ?(attempt = 1) ?(relaxed = false)
-    (db : Pp.Database.t) (p : Hw.Project.t) : (run, failure) result =
-  (* Validate the whole configuration up front — before the syntax
-     check and before any simulated work. *)
-  validate_config config;
+let implement_result ?tracer ?(chaos = Jitise_util.Chaos.none) ?(attempt = 1)
+    ?(relaxed = false) (db : Pp.Database.t) (p : Hw.Project.t) : (run, failure) result =
+  (* Validate the configuration up front — before the syntax check and
+     before any simulated work. *)
   Jitise_util.Chaos.validate chaos;
   if attempt < 1 then invalid_arg "Flow.implement: attempt must be >= 1";
   let syntax_problems = Hw.Vhdl.check_syntax p.Hw.Project.vhdl in
   if syntax_problems <> [] then raise (Syntax_error syntax_problems);
-  let scale = 1.0 -. config.speedup_factor in
-  (* Constant stages scale with device capacity; map/PAR do not. *)
-  let const_scale = scale *. config.device_scale in
   let syn = gauss p Check_syntax ~mu:4.22 ~sigma:0.10 in
   let xst = gauss p Synthesis ~mu:10.60 ~sigma:0.23 in
   let tra = gauss p Translate ~mu:8.99 ~sigma:1.22 in
   let map = map_seconds db p in
   let par = par_seconds db p ~map_time:map in
-  let bitgen = bitgen_seconds config p in
+  let bitgen = bitgen_seconds p in
   let stages =
     List.map
       (fun (stage, seconds) ->
         let s =
           match stage with
-          | Map | Place_and_route ->
-              seconds *. scale
-              *. (if relaxed then relaxed_map_par_penalty else 1.0)
-          | _ -> seconds *. const_scale
+          | (Map | Place_and_route) when relaxed ->
+              seconds *. relaxed_map_par_penalty
+          | _ -> seconds
         in
         { stage; seconds = s })
       [

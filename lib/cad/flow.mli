@@ -10,6 +10,10 @@
     caching — consumes only these durations, which is exactly what the
     paper measures.
 
+    The flow has no configuration: it is the paper's EAPR flow on the
+    FX100.  Table IV's faster-CAD mitigation scales the per-candidate
+    totals afterwards ([Cache_model.residual_overhead ~cad_speedup]).
+
     Failure model: commodity CAD tools fail routinely, so
     {!implement_result} can inject per-stage failures from the CAD
     plane of a {!Jitise_util.Chaos.config} (rolled by {!Faults.roll})
@@ -25,23 +29,6 @@ type stage = Check_syntax | Synthesis | Translate | Map | Place_and_route | Bitg
 val stage_name : stage -> string
 (** Three-letter tool name: ["syn"], ["xst"], ["tra"], ["map"],
     ["par"], ["bitgen"]. *)
-
-type config = {
-  speedup_factor : float;
-      (** fraction of CAD time removed by a faster tool flow, 0.0-0.99
-          (Section VI-B); 0.30 models the paper's "30 % faster" column *)
-  eapr : bool;
-      (** early-access partial reconfiguration tools; [false] models the
-          regular flow whose bitgen is ~41 s but which cannot produce
-          partial bitstreams *)
-  device_scale : float;
-      (** relative capacity of the target device, 0 < scale <= 1; the
-          constant stages (and the bitstream size) shrink roughly with
-          device capacity, while map/PAR depend on the design, not the
-          device (Section VI-B) *)
-}
-
-val default_config : config
 
 type stage_report = { stage : stage; seconds : float }
 
@@ -75,7 +62,6 @@ val c2v_seconds : Hw.Project.t -> float
 
 val implement_result :
   ?tracer:Jitise_util.Trace.t ->
-  ?config:config ->
   ?chaos:Jitise_util.Chaos.config ->
   ?attempt:int ->
   ?relaxed:bool ->

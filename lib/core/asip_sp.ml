@@ -271,15 +271,14 @@ let chain_codec : chain B.codec =
 let implement_codec : (float * chain) B.codec = B.pair B.float chain_codec
 
 (* Run a candidate's CAD chain under the retry policy.  Pure in
-   (project, config, chaos CAD plane, max_attempts): safe in the
-   parallel phase. *)
-let build_chain ?tracer ~config ~chaos ~max_attempts db
-    (project : Hw.Project.t) : chain =
+   (project, chaos CAD plane, max_attempts): safe in the parallel
+   phase. *)
+let build_chain ?tracer ~chaos ~max_attempts db (project : Hw.Project.t) :
+    chain =
   let key = project.Hw.Project.name in
   let rec go attempt relaxed rev =
     match
-      Cad.Flow.implement_result ?tracer ~config ~chaos ~attempt ~relaxed db
-        project
+      Cad.Flow.implement_result ?tracer ~chaos ~attempt ~relaxed db project
     with
     | Ok run ->
         let rev = { att_failure = None; att_backoff_seconds = 0.0 } :: rev in
@@ -353,9 +352,9 @@ type staged = {
 (* ------------------------------------------------------------------ *)
 (* Stage definitions.  Each stage's digest hashes exactly the canonical
    inputs its output depends on: the IR module, the profile counts, and
-   the relevant Spec knobs (pruning filter, CAD model, fault and retry
-   configuration — seeds included).  The module and profile digests are
-   computed lazily once per staging so that the default store-less
+   the relevant Spec knobs (pruning filter, fault and retry
+   configuration — seeds included).  The module and profile digests
+   are computed lazily once per staging so that the default store-less
    configuration pays nothing for them. *)
 
 (** The per-application search environment threaded through the search
@@ -463,14 +462,14 @@ let vhdl_stage : (env * Ise.Select.scored, Hw.Project.t) Pipeline.stage =
       let dfg = Ir.Dfg.of_block f (Ir.Func.block f cd.Ise.Candidate.block) in
       Hw.Project.create env.env_db dfg cd)
 
-(* Phase 3: the candidate's full CAD retry chain plus its (speedup-
-   scaled) C2V constant.  The chain is a pure function of the project,
-   the CAD model, the chaos CAD plane and the attempt limit (rolls are
-   keyed by seed + signature + stage + attempt), so the digest hashes
-   exactly those — the seed and the CAD rates only when the plane is
-   on, so a config that differs only in other planes reuses every
-   chain.  The specialization deadline is spent in {!finalize}, not
-   here, so changing it reuses every chain too. *)
+(* Phase 3: the candidate's full CAD retry chain plus its C2V
+   constant.  The chain is a pure function of the project, the chaos
+   CAD plane and the attempt limit (rolls are keyed by seed +
+   signature + stage + attempt), so the digest hashes exactly those —
+   the seed and the CAD rates only when the plane is on, so a config
+   that differs only in other planes reuses every chain.  The
+   specialization deadline is spent in {!finalize}, not here, so
+   changing it reuses every chain too. *)
 let chain_stage :
     (env * Ise.Select.scored * Hw.Project.t, float * chain) Pipeline.stage =
   Pipeline.stage ~cat:"cad" "implement"
@@ -478,7 +477,6 @@ let chain_stage :
       let c = U.Digest.create () in
       U.Digest.add_digest c (Lazy.force env.env_mdigest);
       add_candidate c s.Ise.Select.candidate;
-      Pipeline.add_cad c spec.Spec.cad;
       let ch = spec.Spec.chaos in
       let cad_on = U.Chaos.cad_on ch in
       U.Digest.add_bool c cad_on;
@@ -495,10 +493,8 @@ let chain_stage :
     (fun ctx (env, _s, project) ->
       let spec = ctx.Pipeline.spec in
       let c2v = Cad.Flow.c2v_seconds project in
-      let c2v = c2v *. (1.0 -. spec.Spec.cad.Cad.Flow.speedup_factor) in
       let chain =
-        build_chain ?tracer:spec.Spec.tracer ~config:spec.Spec.cad
-          ~chaos:spec.Spec.chaos
+        build_chain ?tracer:spec.Spec.tracer ~chaos:spec.Spec.chaos
           ~max_attempts:spec.Spec.retry.U.Retry.max_attempts env.env_db project
       in
       (c2v, chain))

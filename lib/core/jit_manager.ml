@@ -60,8 +60,7 @@ type timeline = {
     candidate search is not parallelized here, and the dispatch order
     is fixed, so the model is an upper bound on what a smarter
     scheduler could do with the same job count. *)
-let timeline ?(arch = Wool.Arch.default) ?(jobs = 1)
-    (report : Asip_sp.report) : timeline =
+let timeline ?(jobs = 1) (report : Asip_sp.report) : timeline =
   if jobs < 1 then
     invalid_arg
       (Printf.sprintf "Jit_manager.timeline: jobs must be >= 1 (got %d)" jobs);
@@ -154,7 +153,7 @@ let timeline ?(arch = Wool.Arch.default) ?(jobs = 1)
   done;
   let specialization_seconds = Array.fold_left Float.max 0.0 lanes in
   (* Reconfigure every bitstream into the UDI slots. *)
-  let asip = Wool.Asip.create ~arch () in
+  let asip = Wool.Asip.create () in
   List.iter
     (fun (c : Asip_sp.candidate_result) ->
       ignore (Wool.Asip.load asip c.Asip_sp.run.Cad.Flow.bitstream))
@@ -312,27 +311,6 @@ type online_report = {
 let hot_fraction = 16
 let cold_exit = 2
 let hysteresis = 1.25
-
-(* Reconstruct the implemented slots in selection order, interleaving
-   [dropped] positions — the same walk {!timeline} does.  Dropped slots
-   stay in software and never reach the fabric. *)
-let effective_slots (report : Asip_sp.report) : Asip_sp.candidate_result list =
-  let drops_at = Hashtbl.create 8 in
-  List.iter
-    (fun (d : Asip_sp.dropped) ->
-      Hashtbl.replace drops_at d.Asip_sp.drop_at_index d)
-    report.Asip_sp.dropped;
-  let remaining = ref report.Asip_sp.candidates in
-  let out = ref [] in
-  for idx = 0 to List.length report.Asip_sp.selection - 1 do
-    if not (Hashtbl.mem drops_at idx) then
-      match !remaining with
-      | [] -> ()
-      | c :: rest ->
-          remaining := rest;
-          out := c :: !out
-  done;
-  List.rev !out
 
 let entries_of_slots ~latency_scale (slots : Asip_sp.candidate_result list) :
     ci_entry list =
@@ -526,7 +504,7 @@ let online ?(spec = Spec.default) (db : Pp.Database.t) (w : W.Workload.t) :
     | [] -> invalid_arg "Jit_manager.online: workload has no datasets"
   in
   let compiled, report = Experiment.specialize ~spec db w in
-  let slots = effective_slots report in
+  let slots = report.Asip_sp.candidates in
   let adapt =
     Adapt.apply compiled.F.Compiler.modul
       (List.map (fun (c : Asip_sp.candidate_result) -> c.Asip_sp.scored) slots)
@@ -570,7 +548,7 @@ let online ?(spec = Spec.default) (db : Pp.Database.t) (w : W.Workload.t) :
         in
         if reconfigured then
           stall ln ctl
-            (Wool.Arch.reconfiguration_seconds asip.Wool.Asip.arch e.oc_bits
+            (Wool.Arch.reconfiguration_seconds Wool.Arch.default e.oc_bits
             /. Ir.Cost.cycle_time))
       oracle_top;
     (* The stalls advanced the clock past every deadline: bind now so
@@ -657,7 +635,7 @@ let online ?(spec = Spec.default) (db : Pp.Database.t) (w : W.Workload.t) :
         if e.oc_hot && not e.oc_bound then begin
           let benefit = Wool.Asip.benefit_of asip e.oc_sig in
           let reconfig_s =
-            Wool.Arch.reconfiguration_seconds asip.Wool.Asip.arch e.oc_bits
+            Wool.Arch.reconfiguration_seconds Wool.Arch.default e.oc_bits
           in
           if e.oc_built then begin
             if Wool.Asip.find asip e.oc_sig = None then begin

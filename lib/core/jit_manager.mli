@@ -43,7 +43,7 @@ type timeline = {
     instances on the host (default 1); [specialization_seconds] is the
     makespan of the greedy earliest-lane schedule.
     @raise Invalid_argument when [jobs < 1]. *)
-val timeline : ?arch:Wool.Arch.t -> ?jobs:int -> Asip_sp.report -> timeline
+val timeline : ?jobs:int -> Asip_sp.report -> timeline
 
 val pp_timeline : Format.formatter -> timeline -> unit
 

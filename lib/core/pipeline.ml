@@ -33,7 +33,6 @@
 module Ir = Jitise_ir
 module Vm = Jitise_vm
 module Ise = Jitise_ise
-module Cad = Jitise_cad
 module U = Jitise_util
 
 (** How one stage execution was satisfied. *)
@@ -205,8 +204,3 @@ let digest_profile (p : Vm.Profile.t) =
 let add_prune c (p : Ise.Prune.t) =
   D.add_float c p.Ise.Prune.coverage_percent;
   D.add_int c p.Ise.Prune.top_blocks
-
-let add_cad c (cfg : Cad.Flow.config) =
-  D.add_float c cfg.Cad.Flow.speedup_factor;
-  D.add_bool c cfg.Cad.Flow.eapr;
-  D.add_float c cfg.Cad.Flow.device_scale

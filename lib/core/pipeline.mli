@@ -18,7 +18,6 @@
 module Ir = Jitise_ir
 module Vm = Jitise_vm
 module Ise = Jitise_ise
-module Cad = Jitise_cad
 module U = Jitise_util
 
 (** How one stage execution was satisfied. *)
@@ -113,4 +112,3 @@ val digest_profile : Vm.Profile.t -> U.Digest.t
     dynamic instruction count. *)
 
 val add_prune : U.Digest.ctx -> Ise.Prune.t -> unit
-val add_cad : U.Digest.ctx -> Cad.Flow.config -> unit

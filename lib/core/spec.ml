@@ -1,10 +1,10 @@
 (** Unified pipeline configuration.
 
     One value configures the whole sweep engine: the pruning filter
-    and CAD model, plus the engine knobs — the shared bitstream cache,
-    the span tracer, the stage cache and the fault, retry and
-    supervision policies.  Selection has no knobs, and the domain count
-    is an argument of {!Experiment.sweep}.
+    plus the engine knobs — the shared bitstream cache, the span
+    tracer, the stage cache and the fault, retry and supervision
+    policies.  Selection has no knobs, and the domain count is an
+    argument of {!Experiment.sweep}.
 
     Build a spec from {!default} with the [with_*] setters:
 
@@ -18,7 +18,6 @@
     ]} *)
 
 module Ise = Jitise_ise
-module Cad = Jitise_cad
 module U = Jitise_util
 module Vm = Jitise_vm
 module Wool = Jitise_woolcano
@@ -51,7 +50,6 @@ let default_online =
 
 type t = {
   prune : Ise.Prune.t;  (** block filter, default the paper's [@50pS3L] *)
-  cad : Cad.Flow.config;  (** CAD flow model (speedup, EAPR, device) *)
   cache : U.Artifact.t option;
       (** shared bitstream store, keyed by structural signature;
           [None] (the default) reuses data paths within one
@@ -105,7 +103,6 @@ type t = {
 let default =
   {
     prune = Ise.Prune.at_50p_s3l;
-    cad = Cad.Flow.default_config;
     cache = None;
     tracer = None;
     stage_cache = None;

@@ -1,11 +1,11 @@
 (** Unified pipeline configuration.
 
     One value configures the whole sweep engine: the pruning filter
-    and CAD model, plus the engine knobs — shared bitstream cache, span
-    tracer, stage cache (and its backend), and the fault, retry and
-    supervision policies.  Candidate selection has no knobs: every
-    profitable candidate is implemented, as in the paper.  The domain
-    count is an argument of {!Experiment.sweep}, its only reader.
+    plus the engine knobs — shared bitstream cache, span tracer, stage
+    cache (and its backend), and the fault, retry and supervision
+    policies.  Candidate selection has no knobs: every profitable
+    candidate is implemented, as in the paper.  The domain count is an
+    argument of {!Experiment.sweep}, its only reader.
 
     Build a spec from {!default} with the [with_*] setters:
 
@@ -19,7 +19,6 @@
     ]} *)
 
 module Ise = Jitise_ise
-module Cad = Jitise_cad
 module U = Jitise_util
 module Vm = Jitise_vm
 module Wool = Jitise_woolcano
@@ -42,7 +41,6 @@ val default_online : online
 
 type t = {
   prune : Ise.Prune.t;  (** block filter, default the paper's [@50pS3L] *)
-  cad : Cad.Flow.config;  (** CAD flow model (speedup, EAPR, device) *)
   cache : U.Artifact.t option;
       (** shared bitstream store, keyed by structural signature;
           [None] (the default) reuses data paths within one

@@ -87,5 +87,4 @@ let compile ?(optimize = true) ?(unroll_factor = Unroll.default_factor)
   }
 
 (** [compile_string ~name src] compiles a single in-memory source. *)
-let compile_string ?optimize ?unroll_factor ~name src =
-  compile ?optimize ?unroll_factor ~module_name:name [ (name ^ ".c", src) ]
+let compile_string ~name src = compile ~module_name:name [ (name ^ ".c", src) ]

@@ -69,11 +69,11 @@ let grow (dfg : Ir.Dfg.t) (assigned : bool array) root =
   done;
   Hashtbl.fold (fun n () acc -> n :: acc) inset []
 
-(** The MAXMISO partition of one block's feasible nodes, as candidates.
-    [min_size] drops trivial single-instruction cones (default 2,
-    matching the paper's observation that one-op custom instructions
-    never amortize the CI interface overhead). *)
-let of_block ?(min_size = 2) (dfg : Ir.Dfg.t) ~func : Candidate.t list =
+(** The MAXMISO partition of one block's feasible nodes, as candidates,
+    without the trivial single-instruction cones (the paper observes
+    that one-op custom instructions never amortize the CI interface
+    overhead). *)
+let of_block (dfg : Ir.Dfg.t) ~func : Candidate.t list =
   let n = Ir.Dfg.node_count dfg in
   let assigned = Array.make n false in
   let cones = ref [] in
@@ -87,5 +87,5 @@ let of_block ?(min_size = 2) (dfg : Ir.Dfg.t) ~func : Candidate.t list =
       cones := grow dfg assigned i :: !cones
   done;
   List.rev !cones
-  |> List.filter (fun nodes -> List.length nodes >= min_size)
+  |> List.filter (fun nodes -> List.length nodes >= 2)
   |> List.map (fun nodes -> Candidate.make dfg ~func nodes)

@@ -13,9 +13,8 @@
     staged pipeline engine's [maxmiso] stage depends on; the cone-growth
     worklist and its escape roots are internal. *)
 
-val of_block :
-  ?min_size:int -> Jitise_ir.Dfg.t -> func:string -> Candidate.t list
-(** The MAXMISO partition of one block's feasible nodes, as candidates.
-    [min_size] drops trivial cones (default 2, matching the paper's
-    observation that one-op custom instructions never amortize the CI
-    interface overhead). *)
+val of_block : Jitise_ir.Dfg.t -> func:string -> Candidate.t list
+(** The MAXMISO partition of one block's feasible nodes, as candidates,
+    without the trivial one-instruction cones (the paper observes that
+    one-op custom instructions never amortize the CI interface
+    overhead). *)

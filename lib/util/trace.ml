@@ -34,8 +34,8 @@ let create () = { events = []; lock = Mutex.create () }
 let now = Unix.gettimeofday
 
 (** Record a fully specified event (synthetic timeline). *)
-let add (t : t) ?(cat = "pipeline") ?(args = []) ?tid ~name ~ts ~dur () =
-  let tid = match tid with Some i -> i | None -> (Domain.self () :> int) in
+let add (t : t) ?(cat = "pipeline") ?(args = []) ~name ~ts ~dur () =
+  let tid = (Domain.self () :> int) in
   let e = { name; cat; ts; dur; tid; args } in
   Mutex.protect t.lock (fun () -> t.events <- e :: t.events)
 
@@ -43,12 +43,12 @@ let add (t : t) ?(cat = "pipeline") ?(args = []) ?tid ~name ~ts ~dur () =
     when a tracer is present.  [None] makes the span free, so call
     sites can trace unconditionally.  The span is recorded even when
     [f] raises. *)
-let span (t : t option) ?cat ?args name (f : unit -> 'a) : 'a =
+let span (t : t option) ?cat name (f : unit -> 'a) : 'a =
   match t with
   | None -> f ()
   | Some t -> (
       let ts = now () in
-      let finish () = add t ?cat ?args ~name ~ts ~dur:(now () -. ts) () in
+      let finish () = add t ?cat ~name ~ts ~dur:(now () -. ts) () in
       match f () with
       | r ->
           finish ();

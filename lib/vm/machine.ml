@@ -3080,8 +3080,9 @@ let link_rfunc (fi : func_info) : unit =
 
 (** Run [entry] with scalar [args].
 
+    The VM cost model is {!Jit_model.default}.
+
     @param fuel maximum dynamic instructions (default 4e9)
-    @param jit VM cost model (default {!Jit_model.default})
     @param cis configured custom instructions (default none)
     @param engine execution engine (default {!Threaded}); outcomes are
       identical across engines
@@ -3094,10 +3095,10 @@ let link_rfunc (fi : func_info) : unit =
       per-dynamic-block callback.  Absent means the exact unmonitored
       code path — byte-identical clocks.
     @raise Fault on any runtime error. *)
-let run ?(fuel = 4_000_000_000L) ?(jit = Jit_model.default)
-    ?(cis = empty_cis ()) ?(engine = default_engine)
-    ?(tuning = default_tuning) ?(lanes = 1) ?monitor (m : Ir.Irmod.t) ~entry
-    ~(args : Ir.Eval.value list) : outcome =
+let run ?(fuel = 4_000_000_000L) ?(cis = empty_cis ())
+    ?(engine = default_engine) ?(tuning = default_tuning) ?(lanes = 1) ?monitor
+    (m : Ir.Irmod.t) ~entry ~(args : Ir.Eval.value list) : outcome =
+  let jit = Jit_model.default in
   let memory = Memory.create () in
   Memory.load_globals memory m;
   let funcs = Hashtbl.create 16 in

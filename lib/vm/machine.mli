@@ -208,9 +208,9 @@ type control = {
 type monitor = control array -> int -> unit
 
 (** Run [entry] with scalar [args].  The outcome's clocks are lane 0's.
+    The VM cost model is {!Jit_model.default}.
 
     @param fuel maximum dynamic instructions (default 4e9)
-    @param jit VM cost model (default {!Jit_model.default})
     @param cis configured custom instructions (default none)
     @param engine execution engine (default {!default_engine});
       outcomes are identical across engines
@@ -225,7 +225,6 @@ type monitor = control array -> int -> unit
       [lanes < 1], or if [lanes > 1] without a monitor. *)
 val run :
   ?fuel:int64 ->
-  ?jit:Jit_model.t ->
   ?cis:ci_registry ->
   ?engine:engine ->
   ?tuning:tuning ->

@@ -40,8 +40,8 @@ let default_limit = 1 lsl 24  (* 16 M cells *)
 let backing n =
   (Bytes.make n tag_int, Bytes.make (8 * n) '\000', Array.make n 0.0)
 
-let create ?(limit = default_limit) ?(capacity = 1024) () =
-  let tags, ints, floats = backing (max 1 capacity) in
+let create ?(limit = default_limit) () =
+  let tags, ints, floats = backing 1024 in
   { tags; ints; floats; stack_pointer = 1; globals = Hashtbl.create 16; limit }
 
 let capacity t = Bytes.length t.tags

@@ -45,9 +45,9 @@ exception Out_of_memory
 exception Bad_address of int
 
 (** Fresh memory with an empty global table and the stack at address 1.
-    @param limit growth cap in cells (default 16 M)
-    @param capacity initial backing, in cells (default 1024) *)
-val create : ?limit:int -> ?capacity:int -> unit -> t
+    The backing starts at 1024 cells and grows on demand.
+    @param limit growth cap in cells (default 16 M) *)
+val create : ?limit:int -> unit -> t
 
 (** {2 Boxed access}
 

@@ -41,7 +41,6 @@ type slot = {
 }
 
 type t = {
-  arch : Arch.t;
   policy : policy;
   slots : slot array;
   benefit : (string, float) Hashtbl.t;
@@ -53,11 +52,12 @@ type t = {
   mutable evictions : int;
 }
 
-let create ?(arch = Arch.default) ?slots ?(policy = Lru) () =
-  let n = match slots with Some n -> n | None -> arch.Arch.udi_slots in
+let create ?slots ?(policy = Lru) () =
+  let n =
+    match slots with Some n -> n | None -> Arch.default.Arch.udi_slots
+  in
   if n < 1 then invalid_arg "Asip.create: slot count must be >= 1";
   {
-    arch;
     policy;
     slots =
       Array.init n (fun _ ->
@@ -155,14 +155,14 @@ let peek_victim t =
       (fun b -> b.Cad.Bitstream.signature)
       t.slots.(victim_slot t).occupant
 
-let check_image t (bitstream : Cad.Bitstream.t) =
+let check_image (bitstream : Cad.Bitstream.t) =
   if not (Cad.Bitstream.well_formed bitstream) then
     raise (Corrupt_bitstream bitstream.Cad.Bitstream.signature);
-  if bitstream.Cad.Bitstream.luts > t.arch.Arch.slot_lut_capacity then
+  if bitstream.Cad.Bitstream.luts > Arch.default.Arch.slot_lut_capacity then
     invalid_arg
       (Printf.sprintf "Asip.load: %s (%d LUTs) exceeds slot capacity %d"
          bitstream.Cad.Bitstream.signature bitstream.Cad.Bitstream.luts
-         t.arch.Arch.slot_lut_capacity)
+         Arch.default.Arch.slot_lut_capacity)
 
 (* Shared reconfiguration path: claim a slot, bill the load, stamp the
    dispatchable deadline. *)
@@ -175,7 +175,7 @@ let reconfigure t (bitstream : Cad.Bitstream.t) ~ready_at =
   t.slots.(victim).ready_at <- ready_at;
   t.reconfigurations <- t.reconfigurations + 1;
   t.reconfig_seconds <-
-    t.reconfig_seconds +. Arch.reconfiguration_seconds t.arch bitstream;
+    t.reconfig_seconds +. Arch.reconfiguration_seconds Arch.default bitstream;
   victim
 
 (** Ensure [bitstream] is loaded; reconfigures (evicting per the
@@ -186,7 +186,7 @@ let reconfigure t (bitstream : Cad.Bitstream.t) ~ready_at =
     @raise Corrupt_bitstream when the image fails its checksum check
     @raise Invalid_argument when the image exceeds the slot capacity *)
 let load t (bitstream : Cad.Bitstream.t) =
-  check_image t bitstream;
+  check_image bitstream;
   match find t bitstream.Cad.Bitstream.signature with
   | Some idx ->
       t.slots.(idx).last_use <- tick t;
@@ -201,14 +201,14 @@ let load t (bitstream : Cad.Bitstream.t) =
     @raise Corrupt_bitstream when the image fails its checksum check
     @raise Invalid_argument when the image exceeds the slot capacity *)
 let begin_load t ~now_seconds (bitstream : Cad.Bitstream.t) =
-  check_image t bitstream;
+  check_image bitstream;
   match find t bitstream.Cad.Bitstream.signature with
   | Some idx ->
       t.slots.(idx).last_use <- tick t;
       (idx, false, t.slots.(idx).ready_at)
   | None ->
       let ready_at =
-        now_seconds +. Arch.reconfiguration_seconds t.arch bitstream
+        now_seconds +. Arch.reconfiguration_seconds Arch.default bitstream
       in
       (reconfigure t bitstream ~ready_at, true, ready_at)
 

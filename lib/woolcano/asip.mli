@@ -27,7 +27,6 @@ type slot = {
 }
 
 type t = {
-  arch : Arch.t;
   policy : policy;
   slots : slot array;
   benefit : (string, float) Hashtbl.t;
@@ -39,9 +38,9 @@ type t = {
 
 exception Corrupt_bitstream of string
 
-(** [create ?arch ?slots ?policy ()] — [slots] defaults to
-    [arch.udi_slots]; raises [Invalid_argument] when < 1. *)
-val create : ?arch:Arch.t -> ?slots:int -> ?policy:policy -> unit -> t
+(** [create ?slots ?policy ()] on {!Arch.default} — [slots] defaults
+    to its [udi_slots]; raises [Invalid_argument] when < 1. *)
+val create : ?slots:int -> ?policy:policy -> unit -> t
 
 val find : t -> string -> int option
 (** Slot index currently holding the signature, if resident. *)

@@ -39,17 +39,16 @@ let domain_to_string = function
   | Embedded -> "embedded"
 
 (** Compile a workload to bitcode with the -O3 pipeline. *)
-let compile ?optimize (w : t) : F.Compiler.result =
-  F.Compiler.compile ?optimize ~module_name:w.name w.sources
+let compile (w : t) : F.Compiler.result =
+  F.Compiler.compile ~module_name:w.name w.sources
 
 (** Run one dataset on the VM and return the outcome. *)
-let run ?fuel ?jit ?cis ?engine ?tuning (compiled : F.Compiler.result)
-    (d : dataset) =
-  Vm.Machine.run ?fuel ?jit ?cis ?engine ?tuning compiled.F.Compiler.modul
+let run ?engine ?tuning (compiled : F.Compiler.result) (d : dataset) =
+  Vm.Machine.run ?engine ?tuning compiled.F.Compiler.modul
     ~entry:"main"
     ~args:[ Ir.Eval.VInt (Int64.of_int d.n) ]
 
 (** Profiles for every dataset of a workload (used by the coverage
     classifier); returns [(dataset, outcome)] pairs. *)
-let run_all ?fuel ?jit ?engine ?tuning (compiled : F.Compiler.result) (w : t) =
-  List.map (fun d -> (d, run ?fuel ?jit ?engine ?tuning compiled d)) w.datasets
+let run_all (compiled : F.Compiler.result) (w : t) =
+  List.map (fun d -> (d, run compiled d)) w.datasets

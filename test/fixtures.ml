@@ -52,12 +52,12 @@ let store_tmp_files root =
 
 (* The MAXMISO candidates of every block of a module, in function and
    block order. *)
-let maxmisos ?min_size (m : Jitise_ir.Irmod.t) =
+let maxmisos (m : Jitise_ir.Irmod.t) =
   List.concat_map
     (fun (f : Jitise_ir.Func.t) ->
       Array.to_list f.blocks
       |> List.concat_map (fun b ->
-             Jitise_ise.Maxmiso.of_block ?min_size (Jitise_ir.Dfg.of_block f b)
+             Jitise_ise.Maxmiso.of_block (Jitise_ir.Dfg.of_block f b)
                ~func:f.name))
     m.Jitise_ir.Irmod.funcs
 

@@ -143,15 +143,6 @@ let test_kernel_computation () =
           /. float_of_int (Ir.Irmod.num_instrs m))
     < 1e-6)
 
-let test_kernel_threshold () =
-  let m = compile coverage_src in
-  let o = run m 10_000 in
-  let k50 = An.Kernel.compute ~threshold_percent:50.0 m o.Vm.Machine.profile in
-  let k95 = An.Kernel.compute ~threshold_percent:95.0 m o.Vm.Machine.profile in
-  Alcotest.(check bool) "higher threshold, bigger kernel" true
-    (k95.An.Kernel.size_percent >= k50.An.Kernel.size_percent
-    && k95.An.Kernel.time_percent >= k50.An.Kernel.time_percent)
-
 (* ------------------------------------------------------------------ *)
 (* Break-even                                                          *)
 (* ------------------------------------------------------------------ *)
@@ -428,7 +419,6 @@ let () =
       ( "kernel",
         [
           Alcotest.test_case "computation" `Quick test_kernel_computation;
-          Alcotest.test_case "threshold" `Quick test_kernel_threshold;
         ] );
       ( "breakeven",
         [

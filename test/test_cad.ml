@@ -37,8 +37,8 @@ let projects =
        srcs)
 
 (* The flow with the CAD plane off, which never fails. *)
-let implement ?tracer ?config p =
-  match Cad.Flow.implement_result ?tracer ?config db p with
+let implement ?tracer p =
+  match Cad.Flow.implement_result ?tracer db p with
   | Ok run -> run
   | Error f ->
       Alcotest.failf "faultless flow failed at %s"
@@ -106,28 +106,6 @@ let test_flow_deterministic () =
   Alcotest.(check (float 1e-9)) "same total" a.Cad.Flow.total_seconds
     b.Cad.Flow.total_seconds
 
-let test_flow_speedup_factor () =
-  let p = List.hd (Lazy.force projects) in
-  let full = implement p in
-  let fast =
-    implement ~config:{ Cad.Flow.default_config with Cad.Flow.speedup_factor = 0.3 } p
-  in
-  Alcotest.(check (float 1e-6)) "30 % faster flow"
-    (0.7 *. full.Cad.Flow.total_seconds)
-    fast.Cad.Flow.total_seconds
-
-let test_flow_eapr_vs_regular_bitgen () =
-  let p = List.hd (Lazy.force projects) in
-  let eapr = implement p in
-  let regular =
-    implement ~config:{ Cad.Flow.default_config with Cad.Flow.eapr = false } p
-  in
-  let b r = Cad.Flow.stage_seconds r Cad.Flow.Bitgen in
-  (* the paper: EAPR bitgen ~151 s vs ~41 s for the regular flow *)
-  Alcotest.(check bool) "EAPR bitgen is ~3.7x slower" true
-    (b eapr /. b regular > 3.0);
-  Alcotest.(check bool) "regular ~41 s" true (abs_float (b regular -. 41.0) < 5.0)
-
 let test_flow_constant_seconds () =
   let p = List.hd (Lazy.force projects) in
   let run = implement p in
@@ -168,29 +146,6 @@ let test_bitstream_properties () =
         * Hw.Project.reconfig_frame_bytes)
         b.Cad.Bitstream.size_bytes)
     (Lazy.force projects)
-
-let test_flow_small_device () =
-  (* Section VI-B: a smaller device shrinks the constant stages but not
-     map/PAR *)
-  let p = List.hd (Lazy.force projects) in
-  let full = implement p in
-  (* a Virtex-4 FX60-sized target, ~60 % of the FX100's frames *)
-  let small =
-    implement ~config:{ Cad.Flow.default_config with device_scale = 0.6 } p
-  in
-  Alcotest.(check bool) "constants shrink" true
-    (Cad.Flow.constant_seconds small < 0.7 *. Cad.Flow.constant_seconds full);
-  Alcotest.(check (float 1e-9)) "map unchanged"
-    (Cad.Flow.stage_seconds full Cad.Flow.Map)
-    (Cad.Flow.stage_seconds small Cad.Flow.Map);
-  Alcotest.(check bool) "bad scale rejected" true
-    (try
-       ignore
-         (implement
-            ~config:{ Cad.Flow.default_config with Cad.Flow.device_scale = 0.0 }
-            p);
-       false
-     with Invalid_argument _ -> true)
 
 let test_flow_syntax_error_raises () =
   let p = List.hd (Lazy.force projects) in
@@ -304,34 +259,27 @@ let test_faults_relaxed_skips_timing () =
     = None)
 
 let test_validation_before_syntax_check () =
-  (* Config validation must run before the VHDL syntax check, and both
-     speedup_factor and device_scale are validated. *)
+  (* Validation must run before the VHDL syntax check, for both the
+     chaos configuration and the attempt number. *)
   let p = List.hd (Lazy.force projects) in
   let broken =
     { p with Hw.Project.vhdl = { p.Hw.Project.vhdl with Hw.Vhdl.source = "x" } }
   in
-  let rejected config =
+  let rejected ?(chaos = U.Chaos.none) ?(attempt = 1) () =
     try
-      ignore (implement ~config broken);
+      ignore (Cad.Flow.implement_result ~chaos ~attempt db broken);
       `No_error
     with
     | Invalid_argument _ -> `Invalid_argument
     | Cad.Flow.Syntax_error _ -> `Syntax_error
   in
-  Alcotest.(check bool) "bad device_scale beats syntax error" true
-    (rejected { Cad.Flow.default_config with Cad.Flow.device_scale = 0.0 }
+  Alcotest.(check bool) "valid config reaches the syntax check" true
+    (rejected () = `Syntax_error);
+  Alcotest.(check bool) "bad CAD rate beats syntax error" true
+    (rejected ~chaos:{ U.Chaos.none with U.Chaos.cad_crash_rate = 1.5 } ()
     = `Invalid_argument);
-  Alcotest.(check bool) "bad speedup_factor beats syntax error" true
-    (rejected { Cad.Flow.default_config with Cad.Flow.speedup_factor = 1.0 }
-    = `Invalid_argument);
-  Alcotest.(check bool) "negative speedup_factor rejected" true
-    (rejected { Cad.Flow.default_config with Cad.Flow.speedup_factor = -0.1 }
-    = `Invalid_argument);
-  (* the documented top of the range is accepted *)
-  ignore
-    (implement
-       ~config:{ Cad.Flow.default_config with Cad.Flow.speedup_factor = 0.99 }
-       p)
+  Alcotest.(check bool) "attempt 0 beats syntax error" true
+    (rejected ~attempt:0 () = `Invalid_argument)
 
 let test_implement_result_failure () =
   let p = List.hd (Lazy.force projects) in
@@ -533,14 +481,11 @@ let () =
           Alcotest.test_case "size scaling" `Quick
             test_flow_bigger_candidates_take_longer;
           Alcotest.test_case "deterministic" `Quick test_flow_deterministic;
-          Alcotest.test_case "speedup factor" `Quick test_flow_speedup_factor;
-          Alcotest.test_case "eapr bitgen" `Quick test_flow_eapr_vs_regular_bitgen;
           Alcotest.test_case "constant seconds" `Quick test_flow_constant_seconds;
           Alcotest.test_case "bitgen dominates" `Quick
             test_flow_bitgen_dominates_constants;
           Alcotest.test_case "c2v" `Quick test_flow_c2v;
           Alcotest.test_case "bitstream" `Quick test_bitstream_properties;
-          Alcotest.test_case "small device" `Quick test_flow_small_device;
           Alcotest.test_case "syntax error" `Quick test_flow_syntax_error_raises;
         ] );
       ( "cache",

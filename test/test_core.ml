@@ -160,26 +160,6 @@ let test_asip_sp_no_pruning () =
     (full.Core.Asip_sp.asip_ratio.Ise.Speedup.ratio
     >= pruned.Core.Asip_sp.asip_ratio.Ise.Speedup.ratio -. 1e-9)
 
-let test_asip_sp_cad_speedup_config () =
-  let m = compile float_kernel_src in
-  let out = run m 200 in
-  let slow =
-    Core.Asip_sp.run_spec db m out.Vm.Machine.profile
-      ~total_cycles:out.Vm.Machine.native_cycles
-  in
-  let fast_spec =
-    { Core.Spec.default with
-      Core.Spec.cad =
-        { Jitise_cad.Flow.default_config with Jitise_cad.Flow.speedup_factor = 0.5 } }
-  in
-  let fast =
-    Core.Asip_sp.run_spec ~spec:fast_spec db m out.Vm.Machine.profile
-      ~total_cycles:out.Vm.Machine.native_cycles
-  in
-  Alcotest.(check bool) "half the CAD time" true
-    (abs_float ((fast.Core.Asip_sp.sum_seconds /. slow.Core.Asip_sp.sum_seconds) -. 0.5)
-    < 0.02)
-
 let test_candidate_costs_export () =
   let _, _, r = specialize float_kernel_src 200 in
   let costs = Core.Asip_sp.candidate_costs r in
@@ -816,7 +796,6 @@ let () =
           Alcotest.test_case "run cache dedup" `Quick
             test_asip_sp_cache_dedups_unrolled_copies;
           Alcotest.test_case "no pruning" `Quick test_asip_sp_no_pruning;
-          Alcotest.test_case "cad speedup" `Quick test_asip_sp_cad_speedup_config;
           Alcotest.test_case "candidate costs" `Quick test_candidate_costs_export;
           Alcotest.test_case "spec builders" `Quick test_spec_builders;
         ] );

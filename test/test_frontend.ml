@@ -252,8 +252,10 @@ let test_unroll_grows_blocks () =
   let src =
     "int a[256]; int main(int n) { int i; for (i = 0; i < 256; i = i + 1) { a[i] = i * 3 + 1; } return a[200]; }"
   in
-  let r1 = F.Compiler.compile_string ~unroll_factor:1 ~name:"t" src in
-  let r4 = F.Compiler.compile_string ~unroll_factor:4 ~name:"t" src in
+  let compile unroll_factor =
+    F.Compiler.compile ~unroll_factor ~module_name:"t" [ ("t.c", src) ]
+  in
+  let r1 = compile 1 and r4 = compile 4 in
   Alcotest.(check bool) "unrolled has more instrs" true
     (r4.F.Compiler.stats.F.Compiler.instrs
     > r1.F.Compiler.stats.F.Compiler.instrs)

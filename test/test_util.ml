@@ -279,13 +279,14 @@ let test_trace_span_records_on_raise () =
 
 let test_trace_synthetic_events_sorted () =
   let t = U.Trace.create () in
-  U.Trace.add t ~tid:9 ~name:"late" ~ts:2.0 ~dur:0.5 ();
-  U.Trace.add t ~tid:9 ~name:"early" ~ts:1.0 ~dur:0.25 ();
+  U.Trace.add t ~name:"late" ~ts:2.0 ~dur:0.5 ();
+  U.Trace.add t ~name:"early" ~ts:1.0 ~dur:0.25 ();
   match U.Trace.events t with
   | [ a; b ] ->
       Alcotest.(check string) "oldest first" "early" a.U.Trace.name;
       Alcotest.(check string) "then the later one" "late" b.U.Trace.name;
-      Alcotest.(check int) "explicit tid kept" 9 a.U.Trace.tid
+      Alcotest.(check int) "tid is the recording domain"
+        (Domain.self () :> int) a.U.Trace.tid
   | es -> Alcotest.failf "expected 2 events, got %d" (List.length es)
 
 let contains ~needle hay =
@@ -295,7 +296,7 @@ let contains ~needle hay =
 
 let test_trace_json_export () =
   let t = U.Trace.create () in
-  U.Trace.add t ~cat:"cad-sim" ~args:[ ("app", "sor") ] ~tid:1 ~name:"cad:\"map\""
+  U.Trace.add t ~cat:"cad-sim" ~args:[ ("app", "sor") ] ~name:"cad:\"map\""
     ~ts:1.0 ~dur:2.0 ();
   let json = U.Trace.to_json t in
   List.iter

@@ -14,8 +14,8 @@ let native_jit =
 (* A phi at the builder's insertion point. *)
 let phi b ty incoming = Ir.Builder.add b ty (Ir.Instr.Phi incoming)
 
-let run ?fuel ?jit ?cis ?(n = 0) m =
-  Vm.Machine.run ?fuel ?jit ?cis m ~entry:"main"
+let run ?fuel ?cis ?(n = 0) m =
+  Vm.Machine.run ?fuel ?cis m ~entry:"main"
     ~args:[ Ir.Eval.VInt (Int64.of_int n) ]
 
 let ret_int out =
@@ -202,7 +202,7 @@ let test_memory_typed_bad_address_first () =
     ]
 
 let test_memory_typed_growth () =
-  let m = Vm.Memory.create ~capacity:4 () in
+  let m = Vm.Memory.create () in
   let base = Vm.Memory.alloc m 3 in
   Vm.Memory.store_int m base (-7L);
   Vm.Memory.store_float m (base + 1) nan_payload;
@@ -458,11 +458,7 @@ let test_machine_clocks () =
   in
   let out = run ~n:5000 m in
   Alcotest.(check bool) "native positive" true (out.Vm.Machine.native_cycles > 0.0);
-  Alcotest.(check bool) "vm >= 0" true (out.Vm.Machine.vm_cycles > 0.0);
-  (* native-model run reports identical clocks *)
-  let native = run ~n:5000 ~jit:native_jit m in
-  Alcotest.(check (float 1e-6)) "native model has no overhead"
-    native.Vm.Machine.native_cycles native.Vm.Machine.vm_cycles
+  Alcotest.(check bool) "vm >= 0" true (out.Vm.Machine.vm_cycles > 0.0)
 
 let test_machine_hot_loop_amortizes () =
   let src =
@@ -1585,6 +1581,12 @@ let test_fusion_stats () =
     "reset clears" []
     (Vm.Machine.fusion_stats ())
 
+(* Every dataset of [w], in order, under one engine and tuning. *)
+let run_datasets ~engine ?tuning compiled (w : W.Workload.t) =
+  List.map
+    (fun d -> (d, W.Workload.run ~engine ?tuning compiled d))
+    w.W.Workload.datasets
+
 (* Full differential over real workloads from the registry, every
    dataset each, under each of [tunings]. *)
 let diff_registry tunings =
@@ -1593,7 +1595,7 @@ let diff_registry tunings =
       let w = Option.get (W.Registry.find name) in
       let compiled = W.Workload.compile w in
       let reference =
-        W.Workload.run_all ~engine:Vm.Machine.Reference compiled w
+        run_datasets ~engine:Vm.Machine.Reference compiled w
       in
       List.iter
         (fun tuning ->
@@ -1604,8 +1606,7 @@ let diff_registry tunings =
                    (tuning_tag tuning))
                 r t)
             reference
-            (W.Workload.run_all ~engine:Vm.Machine.Threaded ~tuning compiled
-               w))
+            (run_datasets ~engine:Vm.Machine.Threaded ~tuning compiled w))
         tunings)
     [ "fft"; "sor"; "whetstone"; "adpcm" ]
 
@@ -2263,11 +2264,9 @@ let minor_words_per_instr name tuning =
   let w = Option.get (W.Registry.find name) in
   let compiled = W.Workload.compile w in
   (* Warm-up run: module-level lazies and shared caches settle. *)
-  ignore (W.Workload.run_all ~engine:Vm.Machine.Threaded ~tuning compiled w);
+  ignore (run_datasets ~engine:Vm.Machine.Threaded ~tuning compiled w);
   let before = Gc.minor_words () in
-  let outs =
-    W.Workload.run_all ~engine:Vm.Machine.Threaded ~tuning compiled w
-  in
+  let outs = run_datasets ~engine:Vm.Machine.Threaded ~tuning compiled w in
   let after = Gc.minor_words () in
   let instrs =
     List.fold_left

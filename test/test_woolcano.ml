@@ -35,8 +35,7 @@ let test_asip_rejects_corrupt_bitstream () =
   Alcotest.(check int) "no reconfiguration" 0 asip.W.Asip.reconfigurations
 
 let test_asip_lru_eviction () =
-  let arch = { W.Arch.default with W.Arch.udi_slots = 2 } in
-  let asip = W.Asip.create ~arch () in
+  let asip = W.Asip.create ~slots:2 () in
   ignore (W.Asip.load asip (bitstream "a"));
   ignore (W.Asip.load asip (bitstream "b"));
   (* touch a so that b is the LRU victim *)

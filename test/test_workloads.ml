@@ -136,7 +136,10 @@ let test_unoptimized_equivalence () =
     (fun name ->
       let w = Option.get (W.Registry.find name) in
       let o3 = List.assq w (Lazy.force compiled) in
-      let o0 = W.Workload.compile ~optimize:false w in
+      let o0 =
+        F.Compiler.compile ~optimize:false ~module_name:w.W.Workload.name
+          w.W.Workload.sources
+      in
       let a = small_run w o3 and b = small_run w o0 in
       Alcotest.(check bool) (name ^ ": -O0 = -O3") true
         (a.Vm.Machine.ret = b.Vm.Machine.ret))

@@ -1,5 +1,6 @@
-(* Dead exports: every top-level value, record field and constructor of
-   a lib/ unit that no production unit uses (DESIGN.md §16).
+(* Dead exports: every top-level value, record field, constructor and
+   optional parameter of a lib/ unit that no production unit uses
+   (DESIGN.md §16).
 
    Readers are the units under lib/, bin/, examples/, bench/ and
    perfbench/, seen through their .cmt files.  A unit with an .mli
@@ -20,13 +21,22 @@
    name, so the unit's own uses count.  A field is read by a
    [Texp_field] or by a [Tpat_record] that names it; a constructor is
    used when a [Texp_construct] builds it.  Field reads inside
-   [Codecs] do not count: a field that only its encoder reads is
-   stored, decoded and never used.
+   [Codecs], or inside a binding of type [_ Binio.codec] anywhere, do
+   not count: a field that only its encoder reads is stored, decoded
+   and never used.
+
+   Optional parameters.  Each [?label] of a value's type is defined
+   with the value's uids, as [Module.value?label].  It is used by a
+   [Texp_apply] headed by the value that passes it ([~l:v], [?l:v] or
+   a forwarded [?l]), not by the [None] the typer fills in for an
+   omitted one (a construct at a ghost location); a reference to the
+   value other than as an application's head passes every label.
 
    Tests are not readers.  A hit is printed as
    [file:line: Module.value (tag)], or [Module.type.field] and
-   [Module.type.Constructor], the tag [codec-only] when only [Codecs]
-   reads a field, [tests-only] when only tests use it, and [unread]
+   [Module.type.Constructor] and [Module.value?label], the tag
+   [codec-only] when only codecs read a field, [tests-only] when only
+   tests use it, and [unread] ([unpassed] for a parameter)
    otherwise.
 
    Usage: dead_exports ALLOWLIST [BUILD_ROOT], BUILD_ROOT defaulting to
@@ -61,14 +71,15 @@ let display_unit modname =
   in
   from (String.length modname - 1)
 
-type kind = Value | Field | Constructor
+type kind = Value | Field | Constructor | Param of string
 
 (* Which units' uses of a uid count: its own unit's, the others', or
    all. *)
 type scope = Inside | Outside | Anywhere
 
 type def = {
-  name : string;  (** [Module.value], [Module.type.field], ... *)
+  name : string;
+      (** [Module.value], [Module.value?label], [Module.type.field], ... *)
   kind : kind;
   loc : Location.t;
   uids : (Shape.Uid.t * scope) list;
@@ -103,6 +114,13 @@ let rec type_items prefix (sg : Types.signature) =
       | _ -> [])
     sg
 
+(* The optional parameters of a value's type, in order. *)
+let rec optional_labels ty =
+  match Types.get_desc ty with
+  | Tarrow (Optional l, _, ret, _) -> l :: optional_labels ret
+  | Tarrow (_, _, ret, _) -> optional_labels ret
+  | _ -> []
+
 let definitions root =
   List.concat_map
     (fun cmt_file ->
@@ -132,19 +150,21 @@ let definitions root =
       let unit = cmt.cmt_modname in
       let prefix = display_unit unit in
       let values =
-        List.filter_map
+        List.concat_map
           (function
             | Types.Sig_value (id, vd, _) ->
-                Some
-                  {
-                    name = prefix ^ "." ^ Ident.name id;
-                    kind = Value;
-                    loc = vd.val_loc;
-                    uids =
-                      [ (vd.val_uid, if has_mli then Outside else Anywhere) ];
-                    unit;
-                  }
-            | _ -> None)
+                let name = prefix ^ "." ^ Ident.name id in
+                let uids =
+                  [ (vd.val_uid, if has_mli then Outside else Anywhere) ]
+                in
+                let def kind name =
+                  { name; kind; loc = vd.val_loc; uids; unit }
+                in
+                def Value name
+                :: List.map
+                     (fun l -> def (Param l) (name ^ "?" ^ l))
+                     (optional_labels vd.val_type)
+            | _ -> [])
           (if has_mli then intf else impl)
       in
       let intf_items = type_items prefix intf in
@@ -164,21 +184,60 @@ let definitions root =
       values @ types)
     (cmts_under root [ "lib" ])
 
-(* uid -> each unit under [dirs] that uses it, once per use: value
-   reads, field reads and constructor builds. *)
+(* Whether [ty] is a [_ Binio.codec] ([B.codec] through an alias; no
+   other lib/ type is named [codec]). *)
+let is_codec ty =
+  match Types.get_desc ty with
+  | Tconstr (p, _, _) -> Path.last p = "codec"
+  | _ -> false
+
+(* A None that the typer built for an optional argument a total
+   application leaves out. *)
+let is_eliminated (e : Typedtree.expression) =
+  match e.exp_desc with
+  | Texp_construct (_, { cstr_name = "None"; _ }, []) -> e.exp_loc.loc_ghost
+  | _ -> false
+
+(* One use of a uid: the unit, whether it sits inside a codec value or
+   in [Codecs], and for a value the optional labels it passes ([None]
+   when the value is referenced other than as an application's head,
+   which passes every one). *)
+type use = { user : string; in_codec : bool; passed : string list option }
+
+(* uid -> each use of it under [dirs]: value reads (applications
+   included), field reads and constructor builds. *)
 let users root dirs =
   let tbl = Hashtbl.create 4096 in
   List.iter
     (fun cmt_file ->
       let cmt = Cmt_format.read_cmt cmt_file in
-      let use uid = Hashtbl.add tbl uid cmt.cmt_modname in
+      let user = cmt.cmt_modname in
+      let in_codec = ref (display_unit user = codec_unit) in
+      let use ?passed uid =
+        Hashtbl.add tbl uid { user; in_codec = !in_codec; passed }
+      in
       let expr sub (e : Typedtree.expression) =
-        (match e.exp_desc with
-        | Texp_ident (_, _, vd) -> use vd.val_uid
-        | Texp_field (_, _, ld) -> use ld.lbl_uid
-        | Texp_construct (_, cd, _) -> use cd.cstr_uid
-        | _ -> ());
-        Tast_iterator.default_iterator.expr sub e
+        match e.exp_desc with
+        | Texp_apply ({ exp_desc = Texp_ident (_, _, vd); _ }, args) ->
+            let passed =
+              List.filter_map
+                (function
+                  | Asttypes.Optional l, Some a when not (is_eliminated a) ->
+                      Some l
+                  | _ -> None)
+                args
+            in
+            use ~passed vd.val_uid;
+            List.iter
+              (fun (_, a) -> Option.iter (sub.Tast_iterator.expr sub) a)
+              args
+        | _ ->
+            (match e.exp_desc with
+            | Texp_ident (_, _, vd) -> use vd.val_uid
+            | Texp_field (_, _, ld) -> use ld.lbl_uid
+            | Texp_construct (_, cd, _) -> use cd.cstr_uid
+            | _ -> ());
+            Tast_iterator.default_iterator.expr sub e
       in
       let pat (type k) sub (p : k Typedtree.general_pattern) =
         (match p.pat_desc with
@@ -189,7 +248,15 @@ let users root dirs =
         | _ -> ());
         Tast_iterator.default_iterator.pat sub p
       in
-      let it = { Tast_iterator.default_iterator with expr; pat } in
+      let value_binding sub (vb : Typedtree.value_binding) =
+        let outer = !in_codec in
+        if is_codec vb.vb_pat.pat_type then in_codec := true;
+        Tast_iterator.default_iterator.value_binding sub vb;
+        in_codec := outer
+      in
+      let it =
+        { Tast_iterator.default_iterator with expr; pat; value_binding }
+      in
       match cmt.cmt_annots with
       | Implementation s -> it.structure it s
       | _ -> ())
@@ -230,18 +297,22 @@ let () =
       (fun (uid, scope) ->
         List.filter
           (fun u ->
-            match scope with
-            | Inside -> u = d.unit
-            | Outside -> u <> d.unit
+            (match scope with
+            | Inside -> u.user = d.unit
+            | Outside -> u.user <> d.unit
             | Anywhere -> true)
+            &&
+            match (d.kind, u.passed) with
+            | Param l, Some passed -> List.mem l passed
+            | _ -> true)
           (Hashtbl.find_all tbl uid))
       d.uids
   in
-  let counts d u = d.kind <> Field || display_unit u <> codec_unit in
+  let counts d u = d.kind <> Field || not u.in_codec in
   let tag d =
     if find prod d <> [] then "codec-only"
     else if find tests d <> [] then "tests-only"
-    else "unread"
+    else match d.kind with Param _ -> "unpassed" | _ -> "unread"
   in
   let hits =
     definitions root
