@@ -548,8 +548,7 @@ let online ?(spec = Spec.default) (db : Pp.Database.t) (w : W.Workload.t) :
         in
         if reconfigured then
           stall ln ctl
-            (Wool.Arch.reconfiguration_seconds Wool.Arch.default e.oc_bits
-            /. Ir.Cost.cycle_time))
+            (Wool.Arch.reconfiguration_seconds e.oc_bits /. Ir.Cost.cycle_time))
       oracle_top;
     (* The stalls advanced the clock past every deadline: bind now so
        the oracle pays hardware cost from the very first dispatch. *)
@@ -634,9 +633,7 @@ let online ?(spec = Spec.default) (db : Pp.Database.t) (w : W.Workload.t) :
       (fun e ->
         if e.oc_hot && not e.oc_bound then begin
           let benefit = Wool.Asip.benefit_of asip e.oc_sig in
-          let reconfig_s =
-            Wool.Arch.reconfiguration_seconds Wool.Arch.default e.oc_bits
-          in
+          let reconfig_s = Wool.Arch.reconfiguration_seconds e.oc_bits in
           if e.oc_built then begin
             if Wool.Asip.find asip e.oc_sig = None then begin
               let evict_ok =

@@ -41,8 +41,8 @@ let default =
     VM overhead is ~14 % on the large scientific codes but ~1 % on the
     small embedded kernels: big programs pay for translating a lot of
     code their hot loops never amortize. *)
-let module_translation_cycles t ~module_instrs =
-  float_of_int (t.translation_cycles_per_instr * module_instrs)
+let module_translation_cycles ~module_instrs =
+  float_of_int (default.translation_cycles_per_instr * module_instrs)
 
 (** Cycles charged for one execution of a block, given how many times it
     has executed before ([prior]), its instruction count and its native
@@ -51,8 +51,9 @@ let module_translation_cycles t ~module_instrs =
     thanks to profile-guided optimization (which is how the VM
     occasionally beats native execution, as the paper saw for 179.art
     and 473.astar). *)
-let block_execution_cycles t ~prior ~ninstrs ~native_cycles =
-  if prior >= t.warmup_threshold then t.hot_factor *. float_of_int native_cycles
+let block_execution_cycles ~prior ~ninstrs ~native_cycles =
+  if prior >= default.warmup_threshold then
+    default.hot_factor *. float_of_int native_cycles
   else
     float_of_int
       (native_cycles + Jitise_ir.Cost.block_dispatch_cycles ~ninstrs)

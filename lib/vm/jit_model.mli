@@ -32,15 +32,15 @@ type t = {
 val default : t
 
 (** One-time cost of translating the whole module at load (the VM's
-    dynamic translation step in Figure 1), proportional to the static
-    module size. *)
-val module_translation_cycles : t -> module_instrs:int -> float
+    dynamic translation step in Figure 1) under {!default},
+    proportional to the static module size. *)
+val module_translation_cycles : module_instrs:int -> float
 
 (** Cycles charged for one execution of a block, given how many times
     it has executed before ([prior]), its instruction count and its
-    native cycle cost.  Blocks below the warm-up threshold run
+    native cycle cost, under {!default}.  Blocks below the warm-up threshold run
     interpreted, paying {!Jitise_ir.Cost.block_dispatch_cycles}
     (exactly once per block execution, however the host engine batches
     the work); beyond it they run compiled at [hot_factor]. *)
 val block_execution_cycles :
-  t -> prior:int64 -> ninstrs:int -> native_cycles:int -> float
+  prior:int64 -> ninstrs:int -> native_cycles:int -> float

@@ -358,11 +358,13 @@ and rtblock = {
   r_label : int;
   r_ops : (frame -> unit) array;
   r_phi_rows : (frame -> unit) array;
-      (* the whole phi prologue, pre-compiled per predecessor label:
-         [r_phi_rows.(pred)] stages every phi's incoming value into
-         per-class scratch and then commits — [||] when the block has
-         no phis.  Staging buffers are safe to reuse because the phi
-         prologue cannot re-enter this function. *)
+      (* the whole phi prologue, pre-compiled per predecessor label —
+         [||] when the block has no phis.  [r_phi_rows.(pred)] writes
+         each destination directly when no incoming value names a
+         sibling phi's destination (move arrays for the int and float
+         lanes), and otherwise stages every value into per-class
+         scratch and then commits.  Scratch is safe to reuse because
+         the phi prologue cannot re-enter this function. *)
   r_term : rterm;
   mutable r_link : rlinkterm;
       (* the linked form of [r_term]: successor labels resolved to the
@@ -406,7 +408,6 @@ and rlinkterm =
 and state = {
   funcs : (string, func_info) Hashtbl.t;
   memory : Memory.t;
-  jit : Jit_model.t;
   cis : ci_registry;
   swap : (int, float array) Hashtbl.t option;
       (* online hot-swap: per-CI cycle-charge cells, one charge per
@@ -427,7 +428,7 @@ and state = {
       (* remaining dynamic instructions, negative = out; an immediate
          int ({!int_of_int64_clamped}), so the per-block decrement
          never allocates *)
-  warmup : int;  (* the clamped [jit.warmup_threshold] *)
+  warmup : int;  (* the clamped [Jit_model.default.warmup_threshold] *)
   (* The typed return cell: a compiled [Ret] writes the returned
      operand's payload into the lane of its class and sets [ret_c];
      the caller copies it straight into its destination lane. *)
@@ -647,7 +648,7 @@ let rec exec_func (st : state) (fi : func_info) (args : Ir.Eval.value array) :
     bi.exec_count <- prior + 1;
     let native = float_of_int bi.static_cycles
     and vm =
-      Jit_model.block_execution_cycles st.jit ~prior:(Int64.of_int prior)
+      Jit_model.block_execution_cycles ~prior:(Int64.of_int prior)
         ~ninstrs:bi.ninstrs ~native_cycles:bi.static_cycles
     in
     st.clocks.(0) <- st.clocks.(0) +. native;
@@ -784,8 +785,8 @@ module E = Ir.Eval
    what the function it mirrors computes. *)
 
 (* Unboxed 8-byte access to a [Bytes.t] at a byte offset, no bounds
-   check: the int lane of a {!frame}, phi staging scratch, and the
-   int payloads of {!Memory.t} cells. *)
+   check: the int lane of a {!frame}, the phi prologue's int constants
+   and staging scratch, and the int payloads of {!Memory.t} cells. *)
 external bget64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
 external bset64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
@@ -2080,8 +2081,9 @@ let rec go (st : state) (fi : func_info) (fr : frame) (tb : rtblock)
           (Array.unsafe_get clocks ((2 * l) + 1) +. vm)
       done;
       mon (fi.bid_base + curl));
-  (* Phi prologue: the whole stage-then-commit pass was compiled per
-     predecessor label. *)
+  (* Phi prologue: one closure per predecessor label, compiled as
+     direct writes, or as a stage-then-commit pass when an incoming
+     value names a sibling phi's destination. *)
   let rows = tb.r_phi_rows in
   if Array.length rows > 0 then begin
     if prevl >= 0 && prevl < Array.length rows then
@@ -2902,27 +2904,70 @@ let compile_rblock (st : state) (fi : func_info) (classes : rclass array)
       Array.concat
         (List.init (body_end - nphi) (fun j -> compile_site (nphi + j)))
   in
-  (* Phi prologue, compiled per predecessor label.  Staging goes into
-     per-class scratch (parallel-assignment semantics); a single phi
-     commits directly.  Scratch reuse is safe because the prologue
-     cannot re-enter this function. *)
+  (* Phi prologue, compiled per predecessor label.  A row is direct
+     when every phi has an entry for the predecessor, the destinations
+     are distinct in-range registers and no entry reads a sibling
+     phi's destination: no read of the row then sees a write of it, so
+     writing each destination as it is read is the parallel
+     assignment.  A direct row walks its same-class int and float
+     register moves and its int constants as move arrays, then runs
+     the other entries' closures in row order (only those can fault,
+     so the first fault is the one staging would raise).  A single
+     phi, or a row whose first phi has no entry, is one closure that
+     writes directly or faults.  Any other row (a sibling read, or a
+     later phi with no entry) stages every value into per-class
+     scratch and then commits.  The scratch exists only when such a
+     row does; reusing it is safe because the prologue cannot re-enter
+     this function. *)
   let r_phi_rows =
     if nphi = 0 then [||]
     else begin
       let npred = Array.length bi.phi_incoming.(0) in
-      let si = Bytes.make (8 * nphi) '\000' in
-      let sf = Array.make nphi 0.0 in
-      let sp = Array.make nphi 0 in
-      let sv = Array.make nphi (Ir.Eval.VInt 0L) in
+      let dests = bi.phi_dests in
       let lane k =
-        let dk = bi.phi_dests.(k) in
+        let dk = dests.(k) in
         if ok dk then classes.(dk) else C_boxed
       in
+      (* is register [r] the destination of a phi other than [k]? *)
+      let sibling k r =
+        let rec go j = j < nphi && ((j <> k && dests.(j) = r) || go (j + 1)) in
+        go 0
+      in
+      let dests_ok =
+        let rec go k =
+          k >= nphi
+          || (ok dests.(k) && (not (sibling k dests.(k))) && go (k + 1))
+        in
+        go 0
+      in
+      let has_entry p = Option.is_some bi.phi_incoming.(0).(p) in
+      let direct p =
+        dests_ok
+        &&
+        let rec go k =
+          k >= nphi
+          ||
+          match bi.phi_incoming.(k).(p) with
+          | None -> false
+          | Some (Ir.Instr.Reg r) -> (not (sibling k r)) && go (k + 1)
+          | Some (Ir.Instr.Const _) -> go (k + 1)
+        in
+        go 0
+      in
+      let staged p = nphi > 1 && has_entry p && not (direct p) in
+      let ns =
+        let rec any p = p < npred && (staged p || any (p + 1)) in
+        if any 0 then nphi else 0
+      in
+      let si = Bytes.make (8 * ns) '\000' in
+      let sf = Array.make ns 0.0 in
+      let sp = Array.make ns 0 in
+      let sv = Array.make ns (Ir.Eval.VInt 0L) in
       (* stage phi [k]'s incoming value from predecessor [p] into its
          lane's scratch; [direct] writes the destination register
-         instead (single-phi case, no staging needed) *)
+         instead *)
       let stage ~direct p k : frame -> unit =
-        let dk = bi.phi_dests.(k) in
+        let dk = dests.(k) in
         match bi.phi_incoming.(k).(p) with
         | None ->
             fun _ ->
@@ -2975,8 +3020,8 @@ let compile_rblock (st : state) (fi : func_info) (classes : rclass array)
                 else fun fr -> Array.unsafe_set sv k (g fr))
       in
       let commits =
-        Array.init nphi (fun k ->
-            let dk = bi.phi_dests.(k) in
+        Array.init ns (fun k ->
+            let dk = dests.(k) in
             match lane k with
             | C_int ->
                 let sdk = slots.(dk) in
@@ -2991,8 +3036,63 @@ let compile_rblock (st : state) (fi : func_info) (classes : rclass array)
                 let sdk = if ok dk then slots.(dk) else dk in
                 fun fr -> fr.fr_v.(sdk) <- Array.unsafe_get sv k)
       in
+      (* A direct row.  [imv] and [fmv] hold (destination, source) slot
+         pairs of the int and float lanes, [ikd] the destinations of the
+         int constants whose values [ikv] holds, 8 bytes each; [rest]
+         writes every other entry. *)
+      let direct_row p : frame -> unit =
+        let imv = ref [] and ik = ref [] and fmv = ref [] and rest = ref [] in
+        for k = nphi - 1 downto 0 do
+          let sdk = slots.(dests.(k)) in
+          let s =
+            match bi.phi_incoming.(k).(p) with
+            | Some op -> decode_operand op
+            | None -> assert false
+          in
+          let other () = rest := stage ~direct:true p k :: !rest in
+          match lane k with
+          | C_int -> (
+              match rarg_i classes slots s with
+              | RiS a -> imv := sdk :: a :: !imv
+              | RiK kv -> ik := (sdk, kv) :: !ik
+              | RiG _ -> other ())
+          | C_float -> (
+              match rarg_f classes slots s with
+              | RfS a -> fmv := sdk :: a :: !fmv
+              | RfK _ | RfG _ -> other ())
+          | C_ptr | C_boxed -> other ()
+        done;
+        let imv = Array.of_list !imv and fmv = Array.of_list !fmv in
+        let ikd = Array.of_list (List.map fst !ik) in
+        let ikv = Bytes.create (8 * Array.length ikd) in
+        List.iteri (fun j (_, kv) -> bset64 ikv (8 * j) kv) !ik;
+        let rest = Array.of_list !rest in
+        let nim = Array.length imv / 2
+        and nik = Array.length ikd
+        and nfm = Array.length fmv / 2
+        and nrest = Array.length rest in
+        fun fr ->
+          let fi = fr.fr_i and ff = fr.fr_f in
+          for j = 0 to nim - 1 do
+            bset64 fi
+              (Array.unsafe_get imv (2 * j))
+              (bget64 fi (Array.unsafe_get imv ((2 * j) + 1)))
+          done;
+          for j = 0 to nik - 1 do
+            bset64 fi (Array.unsafe_get ikd j) (bget64 ikv (8 * j))
+          done;
+          for j = 0 to nfm - 1 do
+            Array.unsafe_set ff
+              (Array.unsafe_get fmv (2 * j))
+              (Array.unsafe_get ff (Array.unsafe_get fmv ((2 * j) + 1)))
+          done;
+          for j = 0 to nrest - 1 do
+            (Array.unsafe_get rest j) fr
+          done
+      in
       Array.init npred (fun p ->
-          if nphi = 1 then stage ~direct:true p 0
+          if nphi = 1 || not (has_entry p) then stage ~direct:true p 0
+          else if direct p then direct_row p
           else
             let stages = Array.init nphi (fun k -> stage ~direct:false p k) in
             fun fr ->
@@ -3033,7 +3133,8 @@ let compile_rblock (st : state) (fi : func_info) (classes : rclass array)
     r_link = RL_none;
     r_fuel = bi.ninstrs + 1;
     r_native = float_of_int bi.static_cycles;
-    r_hot = st.jit.Jit_model.hot_factor *. float_of_int bi.static_cycles;
+    r_hot =
+      Jit_model.default.Jit_model.hot_factor *. float_of_int bi.static_cycles;
     r_cold =
       float_of_int
         (bi.static_cycles + Ir.Cost.block_dispatch_cycles ~ninstrs:bi.ninstrs);
@@ -3098,7 +3199,6 @@ let link_rfunc (fi : func_info) : unit =
 let run ?(fuel = 4_000_000_000L) ?(cis = empty_cis ())
     ?(engine = default_engine) ?(tuning = default_tuning) ?(lanes = 1) ?monitor
     (m : Ir.Irmod.t) ~entry ~(args : Ir.Eval.value list) : outcome =
-  let jit = Jit_model.default in
   let memory = Memory.create () in
   Memory.load_globals memory m;
   let funcs = Hashtbl.create 16 in
@@ -3125,7 +3225,6 @@ let run ?(fuel = 4_000_000_000L) ?(cis = empty_cis ())
     {
       funcs;
       memory;
-      jit;
       cis;
       swap;
       tuning;
@@ -3133,7 +3232,8 @@ let run ?(fuel = 4_000_000_000L) ?(cis = empty_cis ())
       lanes;
       clocks = Array.make (2 * lanes) 0.0;
       fuel = int_of_int64_clamped fuel;
-      warmup = int_of_int64_clamped jit.Jit_model.warmup_threshold;
+      warmup =
+        int_of_int64_clamped Jit_model.default.Jit_model.warmup_threshold;
       ret_i = Bytes.make 8 '\000';
       ret_f = [| 0.0 |];
       ret_p = 0;
@@ -3175,7 +3275,7 @@ let run ?(fuel = 4_000_000_000L) ?(cis = empty_cis ())
       st.mon <- Some (mk (Array.init lanes control)));
   (* Whole-module dynamic translation at load time. *)
   let translation =
-    Jit_model.module_translation_cycles jit
+    Jit_model.module_translation_cycles
       ~module_instrs:(Ir.Irmod.num_instrs m)
   in
   for l = 0 to lanes - 1 do

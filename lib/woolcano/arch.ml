@@ -26,7 +26,8 @@ let default =
     reconfig_setup_seconds = 0.002;
   }
 
-(** Seconds to load one partial bitstream into a slot. *)
-let reconfiguration_seconds t (b : Jitise_cad.Bitstream.t) =
-  t.reconfig_setup_seconds
-  +. (float_of_int b.Jitise_cad.Bitstream.size_bytes /. t.icap_bytes_per_second)
+(** Seconds to load one partial bitstream into a slot of {!default}. *)
+let reconfiguration_seconds (b : Jitise_cad.Bitstream.t) =
+  default.reconfig_setup_seconds
+  +. float_of_int b.Jitise_cad.Bitstream.size_bytes
+     /. default.icap_bytes_per_second

@@ -17,6 +17,6 @@ type t = {
 val default : t
 (** Virtex-4 FX100, 300 MHz 405 core, APU-attached UDIs. *)
 
-val reconfiguration_seconds : t -> Jitise_cad.Bitstream.t -> float
-(** Seconds to load one partial bitstream into a slot: setup plus
-    size over ICAP bandwidth. *)
+val reconfiguration_seconds : Jitise_cad.Bitstream.t -> float
+(** Seconds to load one partial bitstream into a slot of {!default}:
+    setup plus size over ICAP bandwidth. *)

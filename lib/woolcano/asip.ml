@@ -175,7 +175,7 @@ let reconfigure t (bitstream : Cad.Bitstream.t) ~ready_at =
   t.slots.(victim).ready_at <- ready_at;
   t.reconfigurations <- t.reconfigurations + 1;
   t.reconfig_seconds <-
-    t.reconfig_seconds +. Arch.reconfiguration_seconds Arch.default bitstream;
+    t.reconfig_seconds +. Arch.reconfiguration_seconds bitstream;
   victim
 
 (** Ensure [bitstream] is loaded; reconfigures (evicting per the
@@ -208,7 +208,7 @@ let begin_load t ~now_seconds (bitstream : Cad.Bitstream.t) =
       (idx, false, t.slots.(idx).ready_at)
   | None ->
       let ready_at =
-        now_seconds +. Arch.reconfiguration_seconds Arch.default bitstream
+        now_seconds +. Arch.reconfiguration_seconds bitstream
       in
       (reconfigure t bitstream ~ready_at, true, ready_at)
 

@@ -7,10 +7,6 @@ module Core = Jitise_core
 
 let compile src = (F.Compiler.compile_string ~name:"t" src).F.Compiler.modul
 
-(* A JIT model with no VM overhead at all. *)
-let native_jit =
-  { Vm.Jit_model.warmup_threshold = 0L; translation_cycles_per_instr = 0; hot_factor = 1.0 }
-
 (* A phi at the builder's insertion point. *)
 let phi b ty incoming = Ir.Builder.add b ty (Ir.Instr.Phi incoming)
 
@@ -549,26 +545,21 @@ let test_machine_ci_call () =
      with Vm.Machine.Fault _ -> true)
 
 let test_jit_model_translation () =
-  Alcotest.(check (float 1e-9)) "native model translates for free" 0.0
-    (Vm.Jit_model.module_translation_cycles native_jit
-       ~module_instrs:1000);
-  Alcotest.(check bool) "default model charges translation" true
-    (Vm.Jit_model.module_translation_cycles Vm.Jit_model.default
-       ~module_instrs:1000
-    > 0.0)
+  Alcotest.(check (float 0.0)) "empty module translates for free" 0.0
+    (Vm.Jit_model.module_translation_cycles ~module_instrs:0);
+  Alcotest.(check (float 0.0)) "6 500 cycles per instruction" 6.5e6
+    (Vm.Jit_model.module_translation_cycles ~module_instrs:1000)
 
 let test_jit_model_block_cycles () =
-  let jit = Vm.Jit_model.default in
-  let cold =
-    Vm.Jit_model.block_execution_cycles jit ~prior:0L ~ninstrs:10
-      ~native_cycles:20
+  let cycles prior =
+    Vm.Jit_model.block_execution_cycles ~prior ~ninstrs:10 ~native_cycles:20
   in
-  let hot =
-    Vm.Jit_model.block_execution_cycles jit ~prior:1_000L ~ninstrs:10
-      ~native_cycles:20
-  in
-  Alcotest.(check bool) "cold interp is slower" true (cold > 20.0);
-  Alcotest.(check bool) "hot is native-or-better" true (hot <= 20.0)
+  Alcotest.(check bool) "cold interp is slower" true (cycles 0L > 20.0);
+  Alcotest.(check bool) "hot is native-or-better" true (cycles 1_000L <= 20.0);
+  (* the default model: a 16-execution warm-up, then 0.985 of native *)
+  Alcotest.(check bool) "15th execution interpreted" true (cycles 15L > 20.0);
+  Alcotest.(check (float 0.0)) "16th execution compiled" (0.985 *. 20.0)
+    (cycles 16L)
 
 let test_dispatch_accounting () =
   (* The dispatch charge is per executed IR instruction, independent of
@@ -582,8 +573,8 @@ let test_dispatch_accounting () =
     "empty block charges nothing" 0
     (Ir.Cost.block_dispatch_cycles ~ninstrs:0);
   let cold =
-    Vm.Jit_model.block_execution_cycles Vm.Jit_model.default ~prior:0L
-      ~ninstrs:10 ~native_cycles:25
+    Vm.Jit_model.block_execution_cycles ~prior:0L ~ninstrs:10
+      ~native_cycles:25
   in
   Alcotest.(check (float 0.0))
     "cold = native + dispatch"
@@ -1333,6 +1324,17 @@ let test_tuning_load_sink_faults () =
        "int a[4]; int b[4];\n\
         int main(int n) { int x = a[n]; b[0] = 7; return x + 1; }\n")
 
+(* Give the phis of [block], built with no incoming edges, their
+   [(phi, incoming)] edges once the back-edge registers exist. *)
+let wire_phis block incoming =
+  Ir.Block.set_instrs block
+    (List.map
+       (fun (i : Ir.Instr.t) ->
+         match List.assoc_opt i.Ir.Instr.id incoming with
+         | Some inc -> { i with Ir.Instr.kind = Ir.Instr.Phi inc }
+         | None -> i)
+       block.Ir.Block.instrs)
+
 (* A loop header the MiniC frontend never emits: a 3-cycle of i64 phis
    (a <- b, b <- c, c <- a), a swapped pair of f64 phis and a ptr phi
    walking a global, all fed from the back edge.  Parallel assignment
@@ -1377,13 +1379,7 @@ let phi_cycle_module () =
       (pi, [ (e, Ir.Builder.ci64 0L); (l, r i1) ]);
     ]
   in
-  Ir.Block.set_instrs header
-    (List.map
-       (fun (i : Ir.Instr.t) ->
-         match List.assoc_opt i.Ir.Instr.id incoming with
-         | Some inc -> { i with Ir.Instr.kind = Ir.Instr.Phi inc }
-         | None -> i)
-       header.Ir.Block.instrs);
+  wire_phis header incoming;
   (* exit: a*100 + b*10 + c + 1000*fptosi(8x) + 100000*fptosi(8y)
      + 10^7 * cells[trips] (the cell past the last store) *)
   Ir.Builder.position_at b exit;
@@ -1425,6 +1421,168 @@ let test_tuning_phi_cycle () =
         ((10_000_000 * (n + 1)) + (100000 * fy) + (1000 * fx) + abc)
         (ret_int out))
     [ 0; 1; 2; 3; 4; 5; 6; 13 ]
+
+(* A loop header whose phi row is [m] phis of one register lane (the
+   loop counts in the "ctr" global, so no counter phi joins the row).
+   From the entry phi [k] takes a start value; from the body it takes
+   its own value stepped by [k + 1], except that [conflict = (reader,
+   sibling)] makes phi [reader] take phi [sibling]'s destination
+   instead ([reader = sibling] is a self-read, which needs no
+   staging).  [missing] drops phi [missing]'s entry for the body.  The
+   exit returns a hash of every phi's value.  Blocks: entry bb0,
+   header bb1, body bb2, exit bb3. *)
+type lane = Int_lane | Float_lane | Ptr_lane | Boxed_lane
+
+let lane_name = function
+  | Int_lane -> "int"
+  | Float_lane -> "float"
+  | Ptr_lane -> "ptr"
+  | Boxed_lane -> "boxed"
+
+let phi_row_module ?conflict ?missing ~lane m =
+  let open Ir.Builder in
+  let f =
+    Ir.Func.create ~name:"main" ~params:[ (0, Ir.Ty.I64) ] ~ret_ty:Ir.Ty.I64
+  in
+  let b = create f in
+  let entry = new_block b ~name:"entry" in
+  let header = new_block b ~name:"header" in
+  let body = new_block b ~name:"body" in
+  let exit = new_block b ~name:"exit" in
+  position_at b entry;
+  let ctr = add b Ir.Ty.Ptr (Ir.Instr.Gaddr "ctr") in
+  let base = add b Ir.Ty.Ptr (Ir.Instr.Gaddr "cells") in
+  let start k =
+    match lane with
+    | Int_lane | Boxed_lane -> ci64 (Int64.of_int (10 * (k + 1)))
+    | Float_lane -> cf64 (0.5 *. float_of_int (k + 1))
+    | Ptr_lane -> reg (gep b (reg base) (ci64 (Int64.of_int k)))
+  in
+  let starts = List.init m start in
+  br b header.Ir.Block.label;
+  position_at b header;
+  let ty =
+    match lane with
+    | Int_lane -> Ir.Ty.I64
+    | Float_lane -> Ir.Ty.F64
+    | Ptr_lane -> Ir.Ty.Ptr
+    | Boxed_lane -> Ir.Ty.Void
+  in
+  let phis = Array.init m (fun _ -> add b ty (Ir.Instr.Phi [])) in
+  let c = load b Ir.Ty.I64 (reg ctr) in
+  let cond = icmp b Ir.Instr.Islt (reg c) (reg 0) in
+  cond_br b (reg cond) body.Ir.Block.label exit.Ir.Block.label;
+  position_at b body;
+  let c1 = binop b Ir.Instr.Add Ir.Ty.I64 (reg c) (ci64 1L) in
+  store b (reg c1) (reg ctr);
+  let step k =
+    let p = reg phis.(k) and d = k + 1 in
+    match lane with
+    | Int_lane | Boxed_lane ->
+        binop b Ir.Instr.Add Ir.Ty.I64 p (ci64 (Int64.of_int d))
+    | Float_lane -> binop b Ir.Instr.Fadd Ir.Ty.F64 p (cf64 (float_of_int d))
+    | Ptr_lane -> gep b p (ci64 1L)
+  in
+  let steps = Array.init m step in
+  br b header.Ir.Block.label;
+  let back k =
+    match conflict with
+    | Some (reader, sibling) when k = reader -> reg phis.(sibling)
+    | _ -> reg steps.(k)
+  in
+  let incoming =
+    List.mapi
+      (fun k s ->
+        let e = (entry.Ir.Block.label, s) in
+        ( phis.(k),
+          if missing = Some k then [ e ]
+          else [ e; (body.Ir.Block.label, back k) ] ))
+      starts
+  in
+  wire_phis header incoming;
+  position_at b exit;
+  let value k =
+    let p = reg phis.(k) in
+    match lane with
+    | Int_lane | Boxed_lane -> p
+    | Float_lane ->
+        reg
+          (cast b Ir.Instr.Fptosi Ir.Ty.I64
+             (reg (binop b Ir.Instr.Fmul Ir.Ty.F64 p (cf64 4.0))))
+    | Ptr_lane -> reg (load b Ir.Ty.I64 p)
+  in
+  let acc =
+    List.fold_left
+      (fun acc k ->
+        let a = binop b Ir.Instr.Mul Ir.Ty.I64 acc (ci64 31L) in
+        reg (binop b Ir.Instr.Add Ir.Ty.I64 (reg a) (value k)))
+      (ci64 0L) (List.init m Fun.id)
+  in
+  ret b (Some acc);
+  let md = Ir.Irmod.create ~name:"phirow" in
+  Ir.Irmod.add_global md
+    {
+      Ir.Irmod.gname = "ctr";
+      gty = Ir.Ty.I64;
+      gsize = 1;
+      ginit = Ir.Irmod.Ints [| 0L |];
+    };
+  Ir.Irmod.add_global md
+    {
+      Ir.Irmod.gname = "cells";
+      gty = Ir.Ty.I64;
+      gsize = 32;
+      ginit =
+        Ir.Irmod.Ints (Array.init 32 (fun i -> Int64.of_int ((7 * i) + 1)));
+    };
+  Ir.Irmod.add_func md (finish b);
+  md
+
+let phi_lanes = [ Int_lane; Float_lane; Ptr_lane; Boxed_lane ]
+
+(* Rows with exactly one entry that reads a sibling's destination, the
+   sibling before or after the reader; such a row must stage.  The
+   self-read rows take the direct path. *)
+let test_tuning_phi_row_conflicts () =
+  List.iter
+    (fun lane ->
+      List.iter
+        (fun (m, reader, sibling) ->
+          let md = phi_row_module ~conflict:(reader, sibling) ~lane m in
+          List.iter
+            (fun n ->
+              ignore
+                (diff_all_n ~n
+                   (Printf.sprintf "%s row of %d, phi %d reads phi %d, n=%d"
+                      (lane_name lane) m reader sibling n)
+                   md))
+            [ 0; 1; 2; 5 ])
+        [
+          (2, 1, 0); (2, 0, 1); (3, 2, 0); (3, 0, 2); (3, 1, 1);
+          (4, 3, 1); (4, 1, 3); (5, 4, 2); (5, 2, 4);
+        ])
+    phi_lanes
+
+(* A taken predecessor without an entry for some phi of a multi-phi
+   row faults with the Reference engine's message, whichever phi lacks
+   it. *)
+let test_tuning_phi_row_missing_entry () =
+  List.iter
+    (fun lane ->
+      List.iter
+        (fun (m, missing) ->
+          let md = phi_row_module ~missing ~lane m in
+          let what =
+            Printf.sprintf "%s row of %d, phi %d has no body entry"
+              (lane_name lane) m missing
+          in
+          check_fault_parity_tunings what ~n:1 md;
+          Alcotest.(check (option string))
+            (what ^ ": message")
+            (Some "@main/bb1: phi has no entry for predecessor bb2")
+            (fault_msg ~engine:Vm.Machine.Reference ~n:1 md))
+        [ (2, 0); (2, 1); (3, 1); (3, 2) ])
+    phi_lanes
 
 (* Typed memory cells through the compiled engine's own (inlined)
    typed loads and stores, against the Reference engine's boxed ones.
@@ -2697,6 +2855,10 @@ let () =
             test_tuning_load_sink_faults;
           Alcotest.test_case "mixed-class phi cycle" `Quick
             test_tuning_phi_cycle;
+          Alcotest.test_case "conflicting phi rows" `Quick
+            test_tuning_phi_row_conflicts;
+          Alcotest.test_case "phi row missing entry" `Quick
+            test_tuning_phi_row_missing_entry;
           Alcotest.test_case "typed memory cells" `Quick
             test_tuning_typed_memory;
           Alcotest.test_case "call seam: arity mismatch" `Quick

@@ -10,9 +10,12 @@ let bitstream ?(luts = 500) signature =
 
 let test_arch_reconfiguration_time () =
   let b = bitstream "x" in
-  let t = W.Arch.reconfiguration_seconds W.Arch.default b in
+  let t = W.Arch.reconfiguration_seconds b in
   (* 40 kB over a 66 MB/s ICAP plus 2 ms setup: ~2.6 ms *)
-  Alcotest.(check bool) "milliseconds scale" true (t > 0.002 && t < 0.01)
+  Alcotest.(check bool) "milliseconds scale" true (t > 0.002 && t < 0.01);
+  Alcotest.(check (float 1e-15)) "setup + size / ICAP bandwidth"
+    (0.002 +. (40_000.0 /. 66.0e6))
+    t
 
 let test_asip_load_and_hit () =
   let asip = W.Asip.create () in
@@ -59,12 +62,12 @@ let test_asip_capacity_guard () =
 
 let test_asip_slot_count () =
   let asip = W.Asip.create () in
-  for i = 1 to W.Arch.default.W.Arch.udi_slots do
+  (* the default platform has eight UDI slots *)
+  Alcotest.(check int) "eight slots" 8 W.Arch.default.W.Arch.udi_slots;
+  for i = 1 to 8 do
     ignore (W.Asip.load asip (bitstream (string_of_int i)))
   done;
-  Alcotest.(check int) "all slots used"
-    W.Arch.default.W.Arch.udi_slots
-    (W.Asip.occupancy asip);
+  Alcotest.(check int) "all slots used" 8 (W.Asip.occupancy asip);
   Alcotest.(check int) "no eviction yet" 0 asip.W.Asip.evictions;
   ignore (W.Asip.load asip (bitstream "overflow"));
   Alcotest.(check int) "eviction on overflow" 1 asip.W.Asip.evictions

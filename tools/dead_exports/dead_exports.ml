@@ -23,7 +23,9 @@
    used when a [Texp_construct] builds it.  Field reads inside
    [Codecs], or inside a binding of type [_ Binio.codec] anywhere, do
    not count: a field that only its encoder reads is stored, decoded
-   and never used.
+   and never used.  A codec binding is recognised by its type's name
+   alone, so a lib/ type other than [Binio.codec] named [codec] is an
+   input error.
 
    Optional parameters.  Each [?label] of a value's type is defined
    with the value's uids, as [Module.value?label].  It is used by a
@@ -114,6 +116,18 @@ let rec type_items prefix (sg : Types.signature) =
       | _ -> [])
     sg
 
+(* The types named [codec] a signature declares, nested modules
+   included, as [(name, loc)]. *)
+let rec codec_types prefix (sg : Types.signature) =
+  List.concat_map
+    (function
+      | Types.Sig_type (id, td, _, _) when Ident.name id = "codec" ->
+          [ (prefix ^ ".codec", td.type_loc) ]
+      | Types.Sig_module (id, _, { md_type = Mty_signature sg; _ }, _, _) ->
+          codec_types (prefix ^ "." ^ Ident.name id) sg
+      | _ -> [])
+    sg
+
 (* The optional parameters of a value's type, in order. *)
 let rec optional_labels ty =
   match Types.get_desc ty with
@@ -149,6 +163,17 @@ let definitions root =
       in
       let unit = cmt.cmt_modname in
       let prefix = display_unit unit in
+      List.iter
+        (fun (name, (loc : Location.t)) ->
+          if name <> "Binio.codec" then begin
+            Printf.eprintf
+              "%s:%d: type %s: only Binio.codec may be named codec (a \
+               binding of this type would count as a codec, and the field \
+               reads inside it would not count)\n"
+              loc.loc_start.pos_fname loc.loc_start.pos_lnum name;
+            exit 2
+          end)
+        (codec_types prefix impl);
       let values =
         List.concat_map
           (function
@@ -184,8 +209,8 @@ let definitions root =
       values @ types)
     (cmts_under root [ "lib" ])
 
-(* Whether [ty] is a [_ Binio.codec] ([B.codec] through an alias; no
-   other lib/ type is named [codec]). *)
+(* Whether [ty] is a [_ Binio.codec] ([B.codec] through an alias;
+   [definitions] rejects any other lib/ type named [codec]). *)
 let is_codec ty =
   match Types.get_desc ty with
   | Tconstr (p, _, _) -> Path.last p = "codec"
