@@ -794,9 +794,10 @@ let finalize ?(spec = Spec.default) ~app (st : staged) : report =
 (** Run the complete specialization process on a profiled module.
 
     @param spec the unified pipeline configuration ({!Spec.default}
-    reproduces the paper's setup: [@50pS3L] pruning, default selection
-    constraints, EAPR CAD flow, serial, run-local cache, no fault
-    injection)
+    reproduces the paper's setup: [@50pS3L] pruning, EAPR CAD flow,
+    serial, run-local cache, no fault injection; selection has no
+    settings and keeps every profitable candidate of up to
+    {!Ise.Select.max_inputs} inputs)
     @param app application name for cache attribution and trace labels
     (defaults to the module name)
     @param total_cycles native cycles of the profiling run, for the

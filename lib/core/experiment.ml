@@ -160,8 +160,8 @@ let finish ~(spec : Spec.t) (p : prepared) : app_result =
     Asip_sp.finalize ~spec ~app:w.W.Workload.name p.pre_staged
   in
   (* Savings come from what reached hardware: a dropped slot saves
-     nothing, a promoted alternate saves its own cycles.  When nothing is
-     dropped this is the selection, in selection order. *)
+     nothing.  When nothing is dropped this is the selection, in
+     selection order. *)
   let split =
     An.Breakeven.split_costs modul train.Vm.Machine.profile p.pre_coverage
       (List.map

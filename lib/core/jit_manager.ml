@@ -24,9 +24,9 @@
     v}
 
     When the report carries failures (fault injection was on), the
-    timeline also shows the recovery machinery at work: retry storms,
-    candidates promoted after a permanent failure, and candidates
-    abandoned to software. *)
+    timeline also shows the recovery machinery at work: candidates
+    recovered after failed attempts, and candidates abandoned to
+    software. *)
 
 module Ir = Jitise_ir
 module Vm = Jitise_vm

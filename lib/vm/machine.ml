@@ -363,7 +363,8 @@ and rtblock = {
          each destination directly when no incoming value names a
          sibling phi's destination (move arrays for the int and float
          lanes), and otherwise stages every value into per-class
-         scratch and then commits.  Scratch is safe to reuse because
+         scratch and then commits.  A label whose first phi has no
+         entry holds {!no_row}.  Scratch is safe to reuse because
          the phi prologue cannot re-enter this function. *)
   r_term : rterm;
   mutable r_link : rlinkterm;
@@ -903,11 +904,13 @@ let int_of_int64_clamped v =
    code), intrinsics other than the typed one-argument float ones,
    [C_boxed] registers (including loads into and stores from them),
    call arguments and returns whose classes differ between caller and
-   callee, and the run's entry and exit.  Everything else — int/float
-   binops and divisions, compares, casts, geps, typed loads and
-   stores, phi staging, branch tests, same-class call arguments and
-   returns — moves machine scalars between unboxed lanes and typed
-   memory cells and allocates nothing.  With
+   callee, the run's entry and exit, and the operations the MiniC
+   frontend never emits ([select], [lshr], [udiv], [urem]).
+   Everything else — int/float binops and signed divisions, compares,
+   casts, geps, typed loads and stores, phi staging, branch tests,
+   same-class call arguments and returns — moves machine scalars
+   between unboxed lanes and typed memory cells and allocates nothing.
+   With
    [tuning.regalloc] off every register is classified [C_boxed], so the
    same compiler runs entirely on boxed values.
 
@@ -1103,12 +1106,8 @@ let rargs_fn (classes : rclass array) (slots : int array) (srcs : src array) :
       let gs = Array.map g srcs in
       fun fr -> Array.map (fun gk -> gk fr) gs
 
-(* Integer division, the [Ir.Eval.binop_fn] arms over unboxed
-   operands: the zero test, [umask] and renormalization are the same.
-   For widths below 64 bits both masked operands are non-negative, so
-   signed division computes the unsigned quotient exactly and the
-   out-of-line (boxing) [Int64.unsigned_div]/[unsigned_rem] is only
-   called at 64 bits ([um = -1L]). *)
+(* Signed integer division, the [Ir.Eval.binop_fn] arms over unboxed
+   operands: the zero test and renormalization are the same. *)
 let[@inline] sdiv sh x y =
   if Int64.equal y 0L then raise E.Division_by_zero
   else renorm sh (Int64.div x y)
@@ -1116,22 +1115,6 @@ let[@inline] sdiv sh x y =
 let[@inline] srem sh x y =
   if Int64.equal y 0L then raise E.Division_by_zero
   else renorm sh (Int64.rem x y)
-
-let[@inline] udiv sh um x y =
-  let y = Int64.logand y um in
-  if Int64.equal y 0L then raise E.Division_by_zero
-  else
-    let x = Int64.logand x um in
-    renorm sh
-      (if Int64.equal um (-1L) then Int64.unsigned_div x y else Int64.div x y)
-
-let[@inline] urem sh um x y =
-  let y = Int64.logand y um in
-  if Int64.equal y 0L then raise E.Division_by_zero
-  else
-    let x = Int64.logand x um in
-    renorm sh
-      (if Int64.equal um (-1L) then Int64.unsigned_rem x y else Int64.rem x y)
 
 (* Typed binop compiler.  The scalar expressions are the
    [Ir.Eval.binop_fn] arm bodies over unboxed operands (same
@@ -1141,7 +1124,8 @@ let[@inline] urem sh um x y =
    Shapes with a residual operand keep the closure form, except
    divisions, which like non-scalar destinations fall back to the
    boxed closure: it keeps [Division_by_zero] and the operand-conversion
-   order exactly. *)
+   order exactly.  The operators the MiniC frontend never emits
+   ([Lshr], [Udiv], [Urem]) take the boxed closure on every shape. *)
 let compile_rbinop (classes : rclass array) (slots : int array)
     (ty : Ir.Ty.t) (op : Ir.Instr.binop) (d : int) (sa : src) (sb : src) :
     frame -> unit =
@@ -1156,12 +1140,10 @@ let compile_rbinop (classes : rclass array) (slots : int array)
   else
     match (op, classes.(d)) with
     | ( ( Ir.Instr.Add | Ir.Instr.Sub | Ir.Instr.Mul | Ir.Instr.And
-        | Ir.Instr.Or | Ir.Instr.Xor | Ir.Instr.Shl | Ir.Instr.Lshr
-        | Ir.Instr.Ashr ),
+        | Ir.Instr.Or | Ir.Instr.Xor | Ir.Instr.Shl | Ir.Instr.Ashr ),
         C_int ) -> (
         let sh = E.norm_shift ty in
         let sm = E.shift_amount ty (-1L) in
-        let um = E.umask ty (-1L) in
         let sd = slots.(d) in
         let aa = rarg_i classes slots sa and bb = rarg_i classes slots sb in
         match (op, aa, bb) with
@@ -1267,21 +1249,6 @@ let compile_rbinop (classes : rclass array) (slots : int array)
             fun fr ->
               bset64 fr.fr_i sd
                 (renorm sh (Int64.shift_left (bget64 fr.fr_i a) n))
-        | Ir.Instr.Lshr, RiS a, RiS b ->
-            fun fr ->
-              bset64 fr.fr_i sd
-                (renorm sh
-                   (Int64.shift_right_logical
-                      (Int64.logand (bget64 fr.fr_i a) um)
-                      (Int64.to_int (bget64 fr.fr_i b) land sm)))
-        | Ir.Instr.Lshr, RiS a, RiK kb ->
-            let n = E.shift_amount ty kb in
-            fun fr ->
-              bset64 fr.fr_i sd
-                (renorm sh
-                   (Int64.shift_right_logical
-                      (Int64.logand (bget64 fr.fr_i a) um)
-                      n))
         | Ir.Instr.Ashr, RiS a, RiS b ->
             fun fr ->
               bset64 fr.fr_i sd
@@ -1328,13 +1295,6 @@ let compile_rbinop (classes : rclass array) (slots : int array)
                     (renorm sh
                        (Int64.shift_left (ga fr)
                           (Int64.to_int (gb fr) land sm)))
-            | Ir.Instr.Lshr ->
-                fun fr ->
-                  bset64 fr.fr_i sd
-                    (renorm sh
-                       (Int64.shift_right_logical
-                          (Int64.logand (ga fr) um)
-                          (Int64.to_int (gb fr) land sm)))
             | Ir.Instr.Ashr ->
                 fun fr ->
                   bset64 fr.fr_i sd
@@ -1342,10 +1302,8 @@ let compile_rbinop (classes : rclass array) (slots : int array)
                        (Int64.shift_right (ga fr)
                           (Int64.to_int (gb fr) land sm)))
             | _ -> generic ()))
-    | ( (Ir.Instr.Sdiv | Ir.Instr.Srem | Ir.Instr.Udiv | Ir.Instr.Urem),
-        C_int ) -> (
+    | (Ir.Instr.Sdiv | Ir.Instr.Srem), C_int -> (
         let sh = E.norm_shift ty in
-        let um = E.umask ty (-1L) in
         let sd = slots.(d) in
         match (op, rarg_i classes slots sa, rarg_i classes slots sb) with
         | Ir.Instr.Sdiv, RiS a, RiS b ->
@@ -1362,22 +1320,6 @@ let compile_rbinop (classes : rclass array) (slots : int array)
             fun fr -> bset64 fr.fr_i sd (srem sh (bget64 fr.fr_i a) kb)
         | Ir.Instr.Srem, RiK ka, RiS b ->
             fun fr -> bset64 fr.fr_i sd (srem sh ka (bget64 fr.fr_i b))
-        | Ir.Instr.Udiv, RiS a, RiS b ->
-            fun fr ->
-              bset64 fr.fr_i sd
-                (udiv sh um (bget64 fr.fr_i a) (bget64 fr.fr_i b))
-        | Ir.Instr.Udiv, RiS a, RiK kb ->
-            fun fr -> bset64 fr.fr_i sd (udiv sh um (bget64 fr.fr_i a) kb)
-        | Ir.Instr.Udiv, RiK ka, RiS b ->
-            fun fr -> bset64 fr.fr_i sd (udiv sh um ka (bget64 fr.fr_i b))
-        | Ir.Instr.Urem, RiS a, RiS b ->
-            fun fr ->
-              bset64 fr.fr_i sd
-                (urem sh um (bget64 fr.fr_i a) (bget64 fr.fr_i b))
-        | Ir.Instr.Urem, RiS a, RiK kb ->
-            fun fr -> bset64 fr.fr_i sd (urem sh um (bget64 fr.fr_i a) kb)
-        | Ir.Instr.Urem, RiK ka, RiS b ->
-            fun fr -> bset64 fr.fr_i sd (urem sh um ka (bget64 fr.fr_i b))
         | _ -> generic ())
     | ( (Ir.Instr.Fadd | Ir.Instr.Fsub | Ir.Instr.Fmul | Ir.Instr.Fdiv),
         C_float ) -> (
@@ -1477,255 +1419,12 @@ let compile_rbinop (classes : rclass array) (slots : int array)
               | _ -> generic ()))
     | _ -> generic ()
 
-(* Typed compare compilers.  The boolean is materialized as 1L/0L in
-   the destination's int slot; an odd destination class falls back to
-   the boxed closure.  The direct arms inline both slot reads — the
+(* Boolean compile of a compare: the one table of compare shapes.
+   The typed compare-and-branch terminator fusion uses it as is, with
+   no flag materialized at all on the direct shapes; {!compile_rcmp}
+   writes its result.  The direct arms inline both slot reads — the
    shared [icmp_bool]/[fcmp_bool] predicates stay the residual path
    (an indirect predicate call would box both scalars). *)
-let compile_ricmp (classes : rclass array) (slots : int array)
-    (p : Ir.Instr.icmp_pred) (d : int) (sa : src) (sb : src) : frame -> unit =
-  let ok r = r >= 0 && r < Array.length classes in
-  if ok d && classes.(d) = C_int then (
-    let sd = slots.(d) in
-    let aa = rarg_i classes slots sa and bb = rarg_i classes slots sb in
-    match (p, aa, bb) with
-    | Ir.Instr.Ieq, RiS a, RiS b ->
-        fun fr ->
-          bset64 fr.fr_i sd
-            (if
-               Int64.equal
-                 (bget64 fr.fr_i a)
-                 (bget64 fr.fr_i b)
-             then 1L
-             else 0L)
-    | Ir.Instr.Ieq, RiS a, RiK kb ->
-        fun fr ->
-          bset64 fr.fr_i sd
-            (if Int64.equal (bget64 fr.fr_i a) kb then 1L else 0L)
-    | Ir.Instr.Ine, RiS a, RiS b ->
-        fun fr ->
-          bset64 fr.fr_i sd
-            (if
-               Int64.equal
-                 (bget64 fr.fr_i a)
-                 (bget64 fr.fr_i b)
-             then 0L
-             else 1L)
-    | Ir.Instr.Ine, RiS a, RiK kb ->
-        fun fr ->
-          bset64 fr.fr_i sd
-            (if Int64.equal (bget64 fr.fr_i a) kb then 0L else 1L)
-    | Ir.Instr.Islt, RiS a, RiS b ->
-        fun fr ->
-          bset64 fr.fr_i sd
-            (if
-               Int64.compare
-                 (bget64 fr.fr_i a)
-                 (bget64 fr.fr_i b)
-               < 0
-             then 1L
-             else 0L)
-    | Ir.Instr.Islt, RiS a, RiK kb ->
-        fun fr ->
-          bset64 fr.fr_i sd
-            (if Int64.compare (bget64 fr.fr_i a) kb < 0 then 1L
-             else 0L)
-    | Ir.Instr.Isle, RiS a, RiS b ->
-        fun fr ->
-          bset64 fr.fr_i sd
-            (if
-               Int64.compare
-                 (bget64 fr.fr_i a)
-                 (bget64 fr.fr_i b)
-               <= 0
-             then 1L
-             else 0L)
-    | Ir.Instr.Isle, RiS a, RiK kb ->
-        fun fr ->
-          bset64 fr.fr_i sd
-            (if Int64.compare (bget64 fr.fr_i a) kb <= 0 then 1L
-             else 0L)
-    | Ir.Instr.Isgt, RiS a, RiS b ->
-        fun fr ->
-          bset64 fr.fr_i sd
-            (if
-               Int64.compare
-                 (bget64 fr.fr_i a)
-                 (bget64 fr.fr_i b)
-               > 0
-             then 1L
-             else 0L)
-    | Ir.Instr.Isgt, RiS a, RiK kb ->
-        fun fr ->
-          bset64 fr.fr_i sd
-            (if Int64.compare (bget64 fr.fr_i a) kb > 0 then 1L
-             else 0L)
-    | Ir.Instr.Isge, RiS a, RiS b ->
-        fun fr ->
-          bset64 fr.fr_i sd
-            (if
-               Int64.compare
-                 (bget64 fr.fr_i a)
-                 (bget64 fr.fr_i b)
-               >= 0
-             then 1L
-             else 0L)
-    | Ir.Instr.Isge, RiS a, RiK kb ->
-        fun fr ->
-          bset64 fr.fr_i sd
-            (if Int64.compare (bget64 fr.fr_i a) kb >= 0 then 1L
-             else 0L)
-    | Ir.Instr.Iult, RiS a, RiS b ->
-        fun fr ->
-          bset64 fr.fr_i sd
-            (if
-               Int64.unsigned_compare
-                 (bget64 fr.fr_i a)
-                 (bget64 fr.fr_i b)
-               < 0
-             then 1L
-             else 0L)
-    | Ir.Instr.Iult, RiS a, RiK kb ->
-        fun fr ->
-          bset64 fr.fr_i sd
-            (if Int64.unsigned_compare (bget64 fr.fr_i a) kb < 0
-             then 1L
-             else 0L)
-    | Ir.Instr.Iule, RiS a, RiS b ->
-        fun fr ->
-          bset64 fr.fr_i sd
-            (if
-               Int64.unsigned_compare
-                 (bget64 fr.fr_i a)
-                 (bget64 fr.fr_i b)
-               <= 0
-             then 1L
-             else 0L)
-    | Ir.Instr.Iule, RiS a, RiK kb ->
-        fun fr ->
-          bset64 fr.fr_i sd
-            (if Int64.unsigned_compare (bget64 fr.fr_i a) kb <= 0
-             then 1L
-             else 0L)
-    | Ir.Instr.Iugt, RiS a, RiS b ->
-        fun fr ->
-          bset64 fr.fr_i sd
-            (if
-               Int64.unsigned_compare
-                 (bget64 fr.fr_i a)
-                 (bget64 fr.fr_i b)
-               > 0
-             then 1L
-             else 0L)
-    | Ir.Instr.Iugt, RiS a, RiK kb ->
-        fun fr ->
-          bset64 fr.fr_i sd
-            (if Int64.unsigned_compare (bget64 fr.fr_i a) kb > 0
-             then 1L
-             else 0L)
-    | Ir.Instr.Iuge, RiS a, RiS b ->
-        fun fr ->
-          bset64 fr.fr_i sd
-            (if
-               Int64.unsigned_compare
-                 (bget64 fr.fr_i a)
-                 (bget64 fr.fr_i b)
-               >= 0
-             then 1L
-             else 0L)
-    | Ir.Instr.Iuge, RiS a, RiK kb ->
-        fun fr ->
-          bset64 fr.fr_i sd
-            (if Int64.unsigned_compare (bget64 fr.fr_i a) kb >= 0
-             then 1L
-             else 0L)
-    | _ ->
-        let t = icmp_bool p in
-        let ga = ri_fn aa and gb = ri_fn bb in
-        fun fr ->
-          bset64 fr.fr_i sd (if t (ga fr) (gb fr) then 1L else 0L))
-  else
-    let f = E.icmp_fn p in
-    let ga = rget_box classes slots sa and gb = rget_box classes slots sb in
-    let w = rwr_box classes slots d in
-    fun fr -> w fr (f (ga fr) (gb fr))
-
-let compile_rfcmp (classes : rclass array) (slots : int array)
-    (p : Ir.Instr.fcmp_pred) (d : int) (sa : src) (sb : src) : frame -> unit =
-  let ok r = r >= 0 && r < Array.length classes in
-  let[@inline] ord x y = not (Float.is_nan x || Float.is_nan y) in
-  if ok d && classes.(d) = C_int then (
-    let sd = slots.(d) in
-    let aa = rarg_f classes slots sa and bb = rarg_f classes slots sb in
-    match (p, aa, bb) with
-    | Ir.Instr.Foeq, RfS a, RfS b ->
-        fun fr ->
-          let x = Array.unsafe_get fr.fr_f a
-          and y = Array.unsafe_get fr.fr_f b in
-          bset64 fr.fr_i sd (if ord x y && x = y then 1L else 0L)
-    | Ir.Instr.Foeq, RfS a, RfK kb ->
-        fun fr ->
-          let x = Array.unsafe_get fr.fr_f a in
-          bset64 fr.fr_i sd (if ord x kb && x = kb then 1L else 0L)
-    | Ir.Instr.Fone, RfS a, RfS b ->
-        fun fr ->
-          let x = Array.unsafe_get fr.fr_f a
-          and y = Array.unsafe_get fr.fr_f b in
-          bset64 fr.fr_i sd (if ord x y && x <> y then 1L else 0L)
-    | Ir.Instr.Fone, RfS a, RfK kb ->
-        fun fr ->
-          let x = Array.unsafe_get fr.fr_f a in
-          bset64 fr.fr_i sd (if ord x kb && x <> kb then 1L else 0L)
-    | Ir.Instr.Folt, RfS a, RfS b ->
-        fun fr ->
-          let x = Array.unsafe_get fr.fr_f a
-          and y = Array.unsafe_get fr.fr_f b in
-          bset64 fr.fr_i sd (if ord x y && x < y then 1L else 0L)
-    | Ir.Instr.Folt, RfS a, RfK kb ->
-        fun fr ->
-          let x = Array.unsafe_get fr.fr_f a in
-          bset64 fr.fr_i sd (if ord x kb && x < kb then 1L else 0L)
-    | Ir.Instr.Fole, RfS a, RfS b ->
-        fun fr ->
-          let x = Array.unsafe_get fr.fr_f a
-          and y = Array.unsafe_get fr.fr_f b in
-          bset64 fr.fr_i sd (if ord x y && x <= y then 1L else 0L)
-    | Ir.Instr.Fole, RfS a, RfK kb ->
-        fun fr ->
-          let x = Array.unsafe_get fr.fr_f a in
-          bset64 fr.fr_i sd (if ord x kb && x <= kb then 1L else 0L)
-    | Ir.Instr.Fogt, RfS a, RfS b ->
-        fun fr ->
-          let x = Array.unsafe_get fr.fr_f a
-          and y = Array.unsafe_get fr.fr_f b in
-          bset64 fr.fr_i sd (if ord x y && x > y then 1L else 0L)
-    | Ir.Instr.Fogt, RfS a, RfK kb ->
-        fun fr ->
-          let x = Array.unsafe_get fr.fr_f a in
-          bset64 fr.fr_i sd (if ord x kb && x > kb then 1L else 0L)
-    | Ir.Instr.Foge, RfS a, RfS b ->
-        fun fr ->
-          let x = Array.unsafe_get fr.fr_f a
-          and y = Array.unsafe_get fr.fr_f b in
-          bset64 fr.fr_i sd (if ord x y && x >= y then 1L else 0L)
-    | Ir.Instr.Foge, RfS a, RfK kb ->
-        fun fr ->
-          let x = Array.unsafe_get fr.fr_f a in
-          bset64 fr.fr_i sd (if ord x kb && x >= kb then 1L else 0L)
-    | _ ->
-        let t = fcmp_bool p in
-        let ga = rf_fn aa and gb = rf_fn bb in
-        fun fr ->
-          bset64 fr.fr_i sd (if t (ga fr) (gb fr) then 1L else 0L))
-  else
-    let f = E.fcmp_fn p in
-    let ga = rget_box classes slots sa and gb = rget_box classes slots sb in
-    let w = rwr_box classes slots d in
-    fun fr -> w fr (f (ga fr) (gb fr))
-
-(* Boolean compile of a trailing single-use compare, for the typed
-   compare-and-branch terminator fusion — no flag is materialized at
-   all on the direct shapes. *)
 let rbool_icmp (classes : rclass array) (slots : int array)
     (p : Ir.Instr.icmp_pred) (sa : src) (sb : src) : frame -> bool =
   let aa = rarg_i classes slots sa and bb = rarg_i classes slots sb in
@@ -1868,6 +1567,21 @@ let rbool_fcmp (classes : rclass array) (slots : int array)
       let ga = rf_fn aa and gb = rf_fn bb in
       fun fr -> t (ga fr) (gb fr)
 
+(* A compare that writes its result.  An int destination runs the
+   boolean compile [test ()] and writes 1L/0L (the test returns an
+   immediate bool, so nothing boxes); any other destination class
+   falls back to the boxed closure [f]. *)
+let compile_rcmp (classes : rclass array) (slots : int array) (d : int)
+    (sa : src) (sb : src) (f : E.value -> E.value -> E.value)
+    (test : unit -> frame -> bool) : frame -> unit =
+  if d >= 0 && d < Array.length classes && classes.(d) = C_int then
+    let sd = slots.(d) and t = test () in
+    fun fr -> bset64 fr.fr_i sd (if t fr then 1L else 0L)
+  else
+    let ga = rget_box classes slots sa and gb = rget_box classes slots sb in
+    let w = rwr_box classes slots d in
+    fun fr -> w fr (f (ga fr) (gb fr))
+
 let compile_rcast (classes : rclass array) (slots : int array)
     (c : Ir.Instr.cast) ~from_ ~to_ (d : int) (sa : src) : frame -> unit =
   let generic () =
@@ -1969,6 +1683,11 @@ let compile_rcast (classes : rclass array) (slots : int array)
 (* ------------------------------------------------------------------ *)
 
 let zero_value = E.VInt 0L
+
+(* The phi row of every predecessor label whose first phi has no
+   entry: never called.  [go] tests a row against it with [==] and
+   faults instead, so such labels share this one value. *)
+let no_row : frame -> unit = fun _ -> ()
 
 let fresh_frame (counts : int array) : frame =
   {
@@ -2083,14 +1802,19 @@ let rec go (st : state) (fi : func_info) (fr : frame) (tb : rtblock)
       mon (fi.bid_base + curl));
   (* Phi prologue: one closure per predecessor label, compiled as
      direct writes, or as a stage-then-commit pass when an incoming
-     value names a sibling phi's destination. *)
+     value names a sibling phi's destination.  A label whose first phi
+     has no entry, or one out of range, faults. *)
   let rows = tb.r_phi_rows in
   if Array.length rows > 0 then begin
-    if prevl >= 0 && prevl < Array.length rows then
-      (Array.unsafe_get rows prevl) fr
-    else
+    let row =
+      if prevl >= 0 && prevl < Array.length rows then
+        Array.unsafe_get rows prevl
+      else no_row
+    in
+    if row == no_row then
       fault "@%s/bb%d: phi has no entry for predecessor bb%d"
         fi.func.Ir.Func.name curl prevl
+    else row fr
   end;
   (* Body: an array walk of pre-decoded closures.  The runtime faults
      an instruction can raise get the block context the Reference
@@ -2561,9 +2285,13 @@ let compile_rblock (st : state) (fi : func_info) (classes : rclass array)
     | Ir.Instr.Binop (op, a, b) ->
         compile_rbinop classes slots ty op d (dec a) (dec b)
     | Ir.Instr.Icmp (p, a, b) ->
-        compile_ricmp classes slots p d (dec a) (dec b)
+        let sa = dec a and sb = dec b in
+        compile_rcmp classes slots d sa sb (E.icmp_fn p) (fun () ->
+            rbool_icmp classes slots p sa sb)
     | Ir.Instr.Fcmp (p, a, b) ->
-        compile_rfcmp classes slots p d (dec a) (dec b)
+        let sa = dec a and sb = dec b in
+        compile_rcmp classes slots d sa sb (E.fcmp_fn p) (fun () ->
+            rbool_fcmp classes slots p sa sb)
     | Ir.Instr.Cast (c, a) ->
         let from_ =
           match (from_ty, a) with
@@ -2576,58 +2304,23 @@ let compile_rblock (st : state) (fi : func_info) (classes : rclass array)
         let sc = dec c and sa = dec a and sb = dec b in
         let tc = rtest classes slots sc in
         (* Both branch values are read strictly, like the reference
-           engine's [eval_select] call; on direct (pure-read) shapes the
-           strictness is unobservable, so only the taken side is read.
-           A boxed destination falls back to moving boxed values. *)
+           engine's [eval_select] call.  One arm per lane: the MiniC
+           frontend never emits [Select], so no shape is expanded.  A
+           boxed destination falls back to moving boxed values. *)
         match (if ok d then classes.(d) else C_boxed) with
-        | C_int when ok d -> (
+        | C_int when ok d ->
             let sd = slots.(d) in
-            match (rarg_i classes slots sa, rarg_i classes slots sb) with
-            | RiS a, RiS b ->
-                fun fr ->
-                  bset64 fr.fr_i sd
-                    (if tc fr then bget64 fr.fr_i a
-                     else bget64 fr.fr_i b)
-            | RiS a, RiK kb ->
-                fun fr ->
-                  bset64 fr.fr_i sd
-                    (if tc fr then bget64 fr.fr_i a else kb)
-            | RiK ka, RiS b ->
-                fun fr ->
-                  bset64 fr.fr_i sd
-                    (if tc fr then ka else bget64 fr.fr_i b)
-            | RiK ka, RiK kb ->
-                fun fr ->
-                  bset64 fr.fr_i sd (if tc fr then ka else kb)
-            | aa, bb ->
-                let ga = ri_fn aa and gb = ri_fn bb in
-                fun fr ->
-                  let vc = tc fr and va = ga fr and vb = gb fr in
-                  bset64 fr.fr_i sd (if vc then va else vb))
-        | C_float when ok d -> (
+            let ga = rget_i classes slots sa and gb = rget_i classes slots sb in
+            fun fr ->
+              let vc = tc fr and va = ga fr and vb = gb fr in
+              bset64 fr.fr_i sd (if vc then va else vb)
+        | C_float when ok d ->
             let sd = slots.(d) in
-            match (rarg_f classes slots sa, rarg_f classes slots sb) with
-            | RfS a, RfS b ->
-                fun fr ->
-                  Array.unsafe_set fr.fr_f sd
-                    (if tc fr then Array.unsafe_get fr.fr_f a
-                     else Array.unsafe_get fr.fr_f b)
-            | RfS a, RfK kb ->
-                fun fr ->
-                  Array.unsafe_set fr.fr_f sd
-                    (if tc fr then Array.unsafe_get fr.fr_f a else kb)
-            | RfK ka, RfS b ->
-                fun fr ->
-                  Array.unsafe_set fr.fr_f sd
-                    (if tc fr then ka else Array.unsafe_get fr.fr_f b)
-            | RfK ka, RfK kb ->
-                fun fr ->
-                  Array.unsafe_set fr.fr_f sd (if tc fr then ka else kb)
-            | aa, bb ->
-                let ga = rf_fn aa and gb = rf_fn bb in
-                fun fr ->
-                  let vc = tc fr and va = ga fr and vb = gb fr in
-                  Array.unsafe_set fr.fr_f sd (if vc then va else vb))
+            let ga = rf_fn (rarg_f classes slots sa)
+            and gb = rf_fn (rarg_f classes slots sb) in
+            fun fr ->
+              let vc = tc fr and va = ga fr and vb = gb fr in
+              Array.unsafe_set fr.fr_f sd (if vc then va else vb)
         | C_ptr when ok d ->
             let sd = slots.(d) in
             let ga = rget_p classes slots sa and gb = rget_p classes slots sb in
@@ -2913,8 +2606,9 @@ let compile_rblock (st : state) (fi : func_info) (classes : rclass array)
      register moves and its int constants as move arrays, then runs
      the other entries' closures in row order (only those can fault,
      so the first fault is the one staging would raise).  A single
-     phi, or a row whose first phi has no entry, is one closure that
-     writes directly or faults.  Any other row (a sibling read, or a
+     phi is one closure that writes directly.  A label whose first phi
+     has no entry gets no row of its own: it shares {!no_row}, and
+     [go] faults.  Any other row (a sibling read, or a
      later phi with no entry) stages every value into per-class
      scratch and then commits.  The scratch exists only when such a
      row does; reusing it is safe because the prologue cannot re-enter
@@ -3091,7 +2785,8 @@ let compile_rblock (st : state) (fi : func_info) (classes : rclass array)
           done
       in
       Array.init npred (fun p ->
-          if nphi = 1 || not (has_entry p) then stage ~direct:true p 0
+          if not (has_entry p) then no_row
+          else if nphi = 1 then stage ~direct:true p 0
           else if direct p then direct_row p
           else
             let stages = Array.init nphi (fun k -> stage ~direct:false p k) in

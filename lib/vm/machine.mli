@@ -110,13 +110,15 @@ type tuning = {
           declared type into unboxed lanes (int64 slots in a
           [Bytes.t], a flat [float array], an [int array] of
           addresses) and move loads and stores through {!Memory}'s
-          typed cells.  Arithmetic, divisions, compares, casts,
-          addressing, loads, stores, spliced CI bodies and calls
-          between typed frames (arguments lane to lane, results
-          through a typed return cell, frames from a per-function
-          stack) allocate nothing; boxing is left to CIs interpreted
-          through [ci_eval], the untyped-intrinsic seam, class
-          mismatches across a call, and the run's entry and exit.
+          typed cells.  Of the operations the MiniC frontend emits,
+          arithmetic, divisions, compares, casts, addressing, loads,
+          stores, spliced CI bodies and calls between typed frames
+          (arguments lane to lane, results through a typed return
+          cell, frames from a per-function stack) allocate nothing;
+          boxing is left to CIs interpreted through [ci_eval], the
+          untyped-intrinsic seam, class mismatches across a call, the
+          run's entry and exit, and the IR only hand-built modules
+          carry ([select], [lshr], [udiv], [urem]).
           Off = the same compiler with every register classified
           boxed (DESIGN.md §14). *)
   max_linked_blocks : int;

@@ -5,11 +5,12 @@
     eviction policy, and accumulates the reconfiguration time — part of
     the adaptation cost in the end-to-end overhead accounting.
 
-    Two usage modes share the same slot store:
+    Two usage modes share the same slot store and the one
+    reconfiguration path ({!begin_load}):
 
-    - The batch mode ({!load}) reconfigures instantaneously on a
-      logical clock; it is what the offline sweep and
-      [Jit_manager.timeline] use.
+    - The batch mode ({!load}) is a load started at [neg_infinity],
+      so it completes instantaneously; it is what the offline sweep
+      and [Jit_manager.timeline] use.
     - The online mode ({!begin_load} / {!dispatch_ready}) models a
       slot state machine on the simulated seconds axis the VM runs
       on: a slot whose reconfiguration is still in flight refuses CI
@@ -164,35 +165,6 @@ let check_image (bitstream : Cad.Bitstream.t) =
          bitstream.Cad.Bitstream.signature bitstream.Cad.Bitstream.luts
          Arch.default.Arch.slot_lut_capacity)
 
-(* Shared reconfiguration path: claim a slot, bill the load, stamp the
-   dispatchable deadline. *)
-let reconfigure t (bitstream : Cad.Bitstream.t) ~ready_at =
-  let now = tick t in
-  let victim = victim_slot t in
-  if t.slots.(victim).occupant <> None then t.evictions <- t.evictions + 1;
-  t.slots.(victim).occupant <- Some bitstream;
-  t.slots.(victim).last_use <- now;
-  t.slots.(victim).ready_at <- ready_at;
-  t.reconfigurations <- t.reconfigurations + 1;
-  t.reconfig_seconds <-
-    t.reconfig_seconds +. Arch.reconfiguration_seconds bitstream;
-  victim
-
-(** Ensure [bitstream] is loaded; reconfigures (evicting per the
-    eviction policy if full) unless it is already resident.  Returns the
-    slot index and whether a reconfiguration happened.  Batch mode: the
-    load completes instantaneously, so the slot is immediately
-    dispatchable.
-    @raise Corrupt_bitstream when the image fails its checksum check
-    @raise Invalid_argument when the image exceeds the slot capacity *)
-let load t (bitstream : Cad.Bitstream.t) =
-  check_image bitstream;
-  match find t bitstream.Cad.Bitstream.signature with
-  | Some idx ->
-      t.slots.(idx).last_use <- tick t;
-      (idx, false)
-  | None -> (reconfigure t bitstream ~ready_at:neg_infinity, true)
-
 (** Start loading [bitstream] at simulated second [now_seconds].  The
     claimed slot refuses dispatch until [now_seconds + load latency]
     (per [Arch.reconfiguration_seconds]).  Returns
@@ -207,10 +179,30 @@ let begin_load t ~now_seconds (bitstream : Cad.Bitstream.t) =
       t.slots.(idx).last_use <- tick t;
       (idx, false, t.slots.(idx).ready_at)
   | None ->
-      let ready_at =
-        now_seconds +. Arch.reconfiguration_seconds bitstream
-      in
-      (reconfigure t bitstream ~ready_at, true, ready_at)
+      let now = tick t in
+      let victim = victim_slot t in
+      let seconds = Arch.reconfiguration_seconds bitstream in
+      let ready_at = now_seconds +. seconds in
+      if t.slots.(victim).occupant <> None then t.evictions <- t.evictions + 1;
+      t.slots.(victim).occupant <- Some bitstream;
+      t.slots.(victim).last_use <- now;
+      t.slots.(victim).ready_at <- ready_at;
+      t.reconfigurations <- t.reconfigurations + 1;
+      t.reconfig_seconds <- t.reconfig_seconds +. seconds;
+      (victim, true, ready_at)
+
+(** Ensure [bitstream] is loaded; reconfigures (evicting per the
+    eviction policy if full) unless it is already resident.  Returns the
+    slot index and whether a reconfiguration happened.  Batch mode: a
+    {!begin_load} started at [neg_infinity], so the slot is immediately
+    dispatchable.
+    @raise Corrupt_bitstream when the image fails its checksum check
+    @raise Invalid_argument when the image exceeds the slot capacity *)
+let load t (bitstream : Cad.Bitstream.t) =
+  let slot, reconfigured, _ =
+    begin_load t ~now_seconds:neg_infinity bitstream
+  in
+  (slot, reconfigured)
 
 (** Bump the LRU clock for a resident signature (a dispatch). *)
 let touch t signature =

@@ -1,10 +1,12 @@
 (** Runtime state of the reconfigurable ASIP fabric.
 
     N partial-reconfiguration slots holding CAD bitstreams, with a
-    pluggable eviction policy and two loading modes: the instantaneous
-    batch mode used by the offline sweep ({!load}) and the latency-aware
-    online mode ({!begin_load}) in which a slot refuses CI dispatch
-    until its reconfiguration deadline has passed. *)
+    pluggable eviction policy and one reconfiguration path with two
+    entry points: the latency-aware online mode ({!begin_load}), in
+    which a slot refuses CI dispatch until its reconfiguration deadline
+    has passed, and the batch mode used by the offline sweep
+    ({!load}), which is that load started at [neg_infinity] and so
+    completes instantaneously. *)
 
 module Cad = Jitise_cad
 

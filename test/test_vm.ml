@@ -1428,7 +1428,7 @@ let test_tuning_phi_cycle () =
    its own value stepped by [k + 1], except that [conflict = (reader,
    sibling)] makes phi [reader] take phi [sibling]'s destination
    instead ([reader = sibling] is a self-read, which needs no
-   staging).  [missing] drops phi [missing]'s entry for the body.  The
+   staging).  [missing] drops the body entries of the phis it lists.  The
    exit returns a hash of every phi's value.  Blocks: entry bb0,
    header bb1, body bb2, exit bb3. *)
 type lane = Int_lane | Float_lane | Ptr_lane | Boxed_lane
@@ -1439,7 +1439,7 @@ let lane_name = function
   | Ptr_lane -> "ptr"
   | Boxed_lane -> "boxed"
 
-let phi_row_module ?conflict ?missing ~lane m =
+let phi_row_module ?conflict ?(missing = []) ~lane m =
   let open Ir.Builder in
   let f =
     Ir.Func.create ~name:"main" ~params:[ (0, Ir.Ty.I64) ] ~ret_ty:Ir.Ty.I64
@@ -1495,7 +1495,7 @@ let phi_row_module ?conflict ?missing ~lane m =
       (fun k s ->
         let e = (entry.Ir.Block.label, s) in
         ( phis.(k),
-          if missing = Some k then [ e ]
+          if List.mem k missing then [ e ]
           else [ e; (body.Ir.Block.label, back k) ] ))
       starts
   in
@@ -1565,7 +1565,7 @@ let test_tuning_phi_row_conflicts () =
 
 (* A taken predecessor without an entry for some phi of a multi-phi
    row faults with the Reference engine's message, whichever phi lacks
-   it. *)
+   it, and also when no phi of the row has one. *)
 let test_tuning_phi_row_missing_entry () =
   List.iter
     (fun lane ->
@@ -1573,15 +1573,19 @@ let test_tuning_phi_row_missing_entry () =
         (fun (m, missing) ->
           let md = phi_row_module ~missing ~lane m in
           let what =
-            Printf.sprintf "%s row of %d, phi %d has no body entry"
-              (lane_name lane) m missing
+            Printf.sprintf "%s row of %d, phis [%s] have no body entry"
+              (lane_name lane) m
+              (String.concat ";" (List.map string_of_int missing))
           in
           check_fault_parity_tunings what ~n:1 md;
           Alcotest.(check (option string))
             (what ^ ": message")
             (Some "@main/bb1: phi has no entry for predecessor bb2")
             (fault_msg ~engine:Vm.Machine.Reference ~n:1 md))
-        [ (2, 0); (2, 1); (3, 1); (3, 2) ])
+        [
+          (2, [ 0 ]); (2, [ 1 ]); (3, [ 1 ]); (3, [ 2 ]); (2, [ 0; 1 ]);
+          (3, [ 0; 1; 2 ]);
+        ])
     phi_lanes
 
 (* Typed memory cells through the compiled engine's own (inlined)
@@ -1909,6 +1913,69 @@ let adversarial_int_src =
 let adversarial_fcmp_mod = lazy (compile adversarial_fcmp_src)
 let adversarial_int_mod = lazy (compile adversarial_int_src)
 
+(* Every compare predicate, including the unsigned ones the frontend
+   never emits, on every operand shape: two registers, a register and
+   a constant, a constant and a register.  Each compare runs twice:
+   once as a value (a bit of [acc]) and once as the condition of a
+   branch that compare-and-branch fusion folds (a bit of a memory
+   cell).  [compare_grid_fn ~name ty preds consts cmp] is the function
+   [name](x, y : ty) returning [acc * 1000003 + cell]. *)
+let compare_grid_fn ~name ty preds consts cmp =
+  let open Ir.Builder in
+  let i64 = Ir.Ty.I64 in
+  let b =
+    create (Ir.Func.create ~name ~params:[ (0, ty); (1, ty) ] ~ret_ty:i64)
+  in
+  position_at b (new_block b ~name:"entry");
+  let cell = alloca b i64 1 in
+  store b (ci64 0L) (reg cell);
+  let shapes =
+    (reg 0, reg 1)
+    :: List.concat_map (fun k -> [ (reg 0, k); (k, reg 1) ]) consts
+  in
+  let acc = ref (ci64 0L) and bit = ref 0 in
+  List.iter
+    (fun p ->
+      List.iter
+        (fun (x, y) ->
+          let z = cast b Ir.Instr.Zext i64 (reg (cmp b p x y)) in
+          let s = binop b Ir.Instr.Shl i64 !acc (ci64 1L) in
+          acc := reg (binop b Ir.Instr.Or i64 (reg s) (reg z));
+          let taken = new_block b ~name:"taken"
+          and next = new_block b ~name:"next" in
+          cond_br b
+            (reg (cmp b p x y))
+            taken.Ir.Block.label next.Ir.Block.label;
+          position_at b taken;
+          let v = load b i64 (reg cell) in
+          let mask = ci64 (Int64.shift_left 1L !bit) in
+          let v = binop b Ir.Instr.Or i64 (reg v) mask in
+          store b (reg v) (reg cell);
+          br b next.Ir.Block.label;
+          position_at b next;
+          incr bit)
+        shapes)
+    preds;
+  let m = binop b Ir.Instr.Mul i64 !acc (ci64 1000003L) in
+  let v = load b i64 (reg cell) in
+  ret b (Some (reg (binop b Ir.Instr.Add i64 (reg m) (reg v))));
+  finish b
+
+let compare_grid_mod =
+  lazy
+    (let m = Ir.Irmod.create ~name:"cmpgrid" in
+     Ir.Irmod.add_func m
+       (compare_grid_fn ~name:"icmps" Ir.Ty.I64
+          Ir.Instr.[ Ieq; Ine; Islt; Isle; Isgt; Isge; Iult; Iule; Iugt; Iuge ]
+          Ir.Builder.[ ci64 0x8000_0000L; ci64 (-1L) ]
+          Ir.Builder.icmp);
+     Ir.Irmod.add_func m
+       (compare_grid_fn ~name:"fcmps" Ir.Ty.F64
+          Ir.Instr.[ Foeq; Fone; Folt; Fole; Fogt; Foge ]
+          Ir.Builder.[ cf64 0.5; cf64 Float.nan ]
+          Ir.Builder.fcmp);
+     m)
+
 let test_adversarial_scalars () =
   let fm = Lazy.force adversarial_fcmp_mod in
   List.iter
@@ -1929,7 +1996,24 @@ let test_adversarial_scalars () =
         (diff_all_tunings ~args:[ Ir.Eval.VInt n ]
            (Printf.sprintf "intedge n=%Ld" n)
            im))
-    adversarial_ints
+    adversarial_ints;
+  let gm = Lazy.force compare_grid_mod in
+  let grid entry value show xs =
+    List.iter
+      (fun x ->
+        List.iter
+          (fun y ->
+            ignore
+              (diff_all_tunings ~entry ~args:[ value x; value y ]
+                 (Printf.sprintf "%s x=%s y=%s" entry (show x) (show y))
+                 gm))
+          xs)
+      xs
+  in
+  grid "icmps" (fun n -> Ir.Eval.VInt n) Int64.to_string adversarial_ints;
+  grid "fcmps"
+    (fun f -> Ir.Eval.VFloat f)
+    (Printf.sprintf "%h") adversarial_floats
 
 (* [check_fault_parity_tunings] over arbitrary entry args, so the
    faulting input can be an adversarial float. *)
