@@ -274,17 +274,17 @@ type block_info = {
 }
 
 (* Register class, from the declared register type.  Every register of
-   a function lives in exactly one slot array of its {!frame};
-   [C_boxed] covers registers with no declared type ([Void]), which
-   keep the boxed representation — and every register when
-   [tuning.regalloc] is off. *)
+   a function lives in one slot array of its {!frame} (the unread ones
+   of a class in its sink slot); [C_boxed] covers registers with no
+   declared type ([Void]), which keep the boxed representation — and
+   every register when [tuning.regalloc] is off. *)
 type rclass = C_int | C_float | C_ptr | C_boxed
 
 (* A typed register file: one invocation's registers, partitioned by
    {!rclass} into parallel unboxed lanes.  Registers are renumbered per
    class at compile time ({!func_info.rslots}), so a frame allocates one
-   word per register — the same footprint as the boxed file — and
-   int/float traffic reads and writes machine scalars with no
+   word per read register plus at most one sink per lane, and int/float
+   traffic reads and writes machine scalars with no
    constructor matching and no allocation.  The int lane is a [Bytes.t]
    holding 8 bytes per register, read and written through
    {!bget64}/{!bset64}: an [int64 array] would hold a pointer to a
@@ -316,7 +316,8 @@ type func_info = {
          (operands and terminators, phis included).  Compare-and-branch
          fusion may skip writing the compare's register only when its
          count is exactly 1: the register file is not part of the
-         outcome, and nothing else reads the slot. *)
+         outcome, and nothing else reads the slot.  A count of 0 sends
+         the register to its lane's sink slot ({!classify_rfunc}). *)
   mutable rclasses : rclass array;
       (* per-register class, [||] until {!classify_rfunc} runs *)
   mutable rslots : int array;
@@ -804,8 +805,8 @@ let[@inline] round_f32 v = Int32.float_of_bits (Int32.bits_of_float v)
    each is the boxed [Memory.load]/[Memory.store] fused with
    [Eval.as_int]/[as_float]/[as_ptr] or the matching constructor —
    the same results and the same exceptions in the same order, the
-   live-range [Bad_address] before any [Type_error].  Only the
-   never-taken growth path of a store leaves the module. *)
+   live-range [Bad_address] before any [Type_error].  A live cell is
+   inside the backing (memory.mli), so nothing else is checked. *)
 let tag_int = '\000'
 let tag_float = '\001'
 let tag_ptr = '\002'
@@ -815,49 +816,36 @@ let[@inline] mcheck (m : Memory.t) a =
 
 let[@inline] mload_i (m : Memory.t) a =
   mcheck m a;
-  if a >= Bytes.length m.Memory.tags then 0L
-  else if Bytes.unsafe_get m.Memory.tags a = tag_float then
+  if Bytes.unsafe_get m.Memory.tags a = tag_float then
     raise (E.Type_error "expected an integer value")
   else bget64 m.Memory.ints (8 * a)
 
 let[@inline] mload_f (m : Memory.t) a =
   mcheck m a;
-  if
-    a < Bytes.length m.Memory.tags
-    && Bytes.unsafe_get m.Memory.tags a = tag_float
-  then Array.unsafe_get m.Memory.floats a
+  if Bytes.unsafe_get m.Memory.tags a = tag_float then
+    Array.unsafe_get m.Memory.floats a
   else raise (E.Type_error "expected a float value")
 
 let[@inline] mload_p (m : Memory.t) a =
   mcheck m a;
-  if a >= Bytes.length m.Memory.tags then 0
-  else if Bytes.unsafe_get m.Memory.tags a = tag_float then
+  if Bytes.unsafe_get m.Memory.tags a = tag_float then
     raise (E.Type_error "expected an address")
   else Int64.to_int (bget64 m.Memory.ints (8 * a))
 
 let[@inline] mstore_i (m : Memory.t) a x =
   mcheck m a;
-  if a < Bytes.length m.Memory.tags then begin
-    Bytes.unsafe_set m.Memory.tags a tag_int;
-    bset64 m.Memory.ints (8 * a) x
-  end
-  else Memory.store_int m a x
+  Bytes.unsafe_set m.Memory.tags a tag_int;
+  bset64 m.Memory.ints (8 * a) x
 
 let[@inline] mstore_f (m : Memory.t) a x =
   mcheck m a;
-  if a < Bytes.length m.Memory.tags then begin
-    Bytes.unsafe_set m.Memory.tags a tag_float;
-    Array.unsafe_set m.Memory.floats a x
-  end
-  else Memory.store_float m a x
+  Bytes.unsafe_set m.Memory.tags a tag_float;
+  Array.unsafe_set m.Memory.floats a x
 
 let[@inline] mstore_p (m : Memory.t) a p =
   mcheck m a;
-  if a < Bytes.length m.Memory.tags then begin
-    Bytes.unsafe_set m.Memory.tags a tag_ptr;
-    bset64 m.Memory.ints (8 * a) (Int64.of_int p)
-  end
-  else Memory.store_ptr m a p
+  Bytes.unsafe_set m.Memory.tags a tag_ptr;
+  bset64 m.Memory.ints (8 * a) (Int64.of_int p)
 
 (* Unboxed comparison predicates — one arm per predicate like
    {!Ir.Eval.icmp_fn}/{!Ir.Eval.fcmp_fn}, over already converted
@@ -1702,9 +1690,11 @@ let fresh_frame (counts : int array) : frame =
    live invocation owns a distinct frame — a callee at depth 2 never
    shares depth 1's — and a call allocates no frame once its depth has
    been reached before.  A reused frame is re-zeroed, so it reads
-   exactly like a fresh one.  {!enter} gives the frame back.  A fault
-   skips that, which is harmless: it ends the run, and the next run
-   prepares fresh [func_info]s. *)
+   exactly like a fresh one (an unwritten register reads as [VInt 0L]);
+   only read registers and the sinks ({!classify_rfunc}) are cleared.
+   {!enter} gives the frame back.  A fault skips that, which is
+   harmless: it ends the run, and the next run prepares fresh
+   [func_info]s. *)
 let push_frame (fi : func_info) : frame =
   let d = fi.depth in
   if d >= Array.length fi.frames then begin
@@ -2211,8 +2201,10 @@ let plan_splices (st : state) (fi : func_info) : Ir.Ty.t list =
 
 (** Record one function's register classes and the per-class slot
     renumbering.  A register's slot is its position within its class's
-    frame lane (a byte offset in the int lane), so a frame allocates one
-    word per register total instead of one per register per class.
+    frame lane (a byte offset in the int lane).  A read register
+    ([use_counts > 0], or a splice temp past [use_counts]) gets its own
+    slot; the unread ones of a class (store ids, unused results and
+    parameters) share one sink slot, which nothing reads.
     With [tuning.regalloc] off every register is [C_boxed].  With
     [tuning.ci_native] on, the CI call sites of a function that names
     only its own registers get their splice plans first
@@ -2237,12 +2229,17 @@ let classify_rfunc (st : state) (fi : func_info) : unit =
   in
   let n = Array.length classes in
   let slots = Array.make n 0 in
-  let counts = Array.make 4 0 in
+  let counts = Array.make 4 0 and sinks = Array.make 4 (-1) in
   let idx = function C_int -> 0 | C_float -> 1 | C_ptr -> 2 | C_boxed -> 3 in
   for r = 0 to n - 1 do
     let k = idx classes.(r) in
-    slots.(r) <- (if k = 0 then 8 * counts.(k) else counts.(k));
-    counts.(k) <- counts.(k) + 1
+    let unread = r < Array.length fi.use_counts && fi.use_counts.(r) = 0 in
+    if not (unread && sinks.(k) >= 0) then begin
+      if unread then sinks.(k) <- counts.(k);
+      counts.(k) <- counts.(k) + 1
+    end;
+    let s = if unread then sinks.(k) else counts.(k) - 1 in
+    slots.(r) <- (if k = 0 then 8 * s else s)
   done;
   fi.rclasses <- classes;
   fi.rslots <- slots;

@@ -44,11 +44,9 @@ let create ?(limit = default_limit) () =
   let tags, ints, floats = backing 1024 in
   { tags; ints; floats; stack_pointer = 1; globals = Hashtbl.create 16; limit }
 
-let capacity t = Bytes.length t.tags
-
+(* Grow the backing to hold cell [addr]; only {!alloc} grows. *)
 let ensure t addr =
-  if addr < 0 then raise (Bad_address addr);
-  let len = capacity t in
+  let len = Bytes.length t.tags in
   if addr >= len then begin
     if addr >= t.limit then raise Out_of_memory;
     let tags, ints, floats = backing (min t.limit (max (addr + 1) (2 * len))) in
@@ -60,7 +58,7 @@ let ensure t addr =
     t.floats <- floats
   end
 
-(* Raw cell access, no live-range check ([0 <= addr < capacity t]). *)
+(* Raw cell access, no live-range check ([0 <= addr < Bytes.length t.tags]). *)
 
 let cell t addr =
   let tag = Bytes.get t.tags addr in
@@ -70,17 +68,14 @@ let cell t addr =
     if tag = tag_ptr then Ir.Eval.VPtr (Int64.to_int v) else Ir.Eval.VInt v
 
 let set_int t addr x =
-  ensure t addr;
   Bytes.unsafe_set t.tags addr tag_int;
   set64 t.ints (8 * addr) x
 
 let set_float t addr x =
-  ensure t addr;
   Bytes.unsafe_set t.tags addr tag_float;
   Array.unsafe_set t.floats addr x
 
 let set_ptr t addr p =
-  ensure t addr;
   Bytes.unsafe_set t.tags addr tag_ptr;
   set64 t.ints (8 * addr) (Int64.of_int p)
 
@@ -91,17 +86,15 @@ let set_cell t addr (v : Ir.Eval.value) =
   | Ir.Eval.VPtr p -> set_ptr t addr p
 
 (* Every access checks the live range [(0, stack_pointer)] first, so a
-   bad address is reported before any type mismatch.  [alloc] always
-   [ensure]s up to the stack pointer, so a live address past the
-   backing (a never-written cell, read as [VInt 0L]) and the growing
-   store only exist for robustness against future layout changes. *)
+   bad address is reported before any type mismatch; a live cell is
+   inside the backing (memory.mli). *)
 
 let[@inline] check t addr =
   if addr <= 0 || addr >= t.stack_pointer then raise (Bad_address addr)
 
 let load t addr =
   check t addr;
-  if addr < capacity t then cell t addr else Ir.Eval.VInt 0L
+  cell t addr
 
 let store t addr v =
   check t addr;
@@ -119,12 +112,13 @@ let store_ptr t addr p =
   check t addr;
   set_ptr t addr p
 
-(** Reserve [n] cells and return their base address. *)
+(** Reserve [n] cells and return their base address.  Grow first, so a
+    failed [alloc] leaves the live range as it was. *)
 let alloc t n =
   if n <= 0 then invalid_arg "Memory.alloc: non-positive size";
   let base = t.stack_pointer in
+  ensure t (base + n - 1);
   t.stack_pointer <- base + n;
-  ensure t (t.stack_pointer - 1);
   base
 
 (** Current stack mark, for frame save/restore. *)

@@ -31,7 +31,9 @@
       survive).
 
     The payload lane a tag does not name is stale and never read.  A
-    fresh cell is [VInt 0L]. *)
+    fresh cell is [VInt 0L].  Invariant: [stack_pointer <= Bytes.length
+    tags] ({!alloc} alone grows the backing, before it moves the stack
+    pointer), so a live cell needs no length test. *)
 type t = {
   mutable tags : Bytes.t;
   mutable ints : Bytes.t;
@@ -58,8 +60,7 @@ val create : ?limit:int -> unit -> t
 val load : t -> int -> Jitise_ir.Eval.value
 
 (** Write one cell.
-    @raise Bad_address outside [(0, stack_pointer)].
-    @raise Out_of_memory if backing growth would exceed the limit. *)
+    @raise Bad_address outside [(0, stack_pointer)]. *)
 val store : t -> int -> Jitise_ir.Eval.value -> unit
 
 (** {2 Typed stores}
@@ -74,7 +75,7 @@ val store_ptr : t -> int -> int -> unit
 
 (** Reserve [n] cells and return their base address.
     @raise Invalid_argument if [n <= 0].
-    @raise Out_of_memory past the growth cap. *)
+    @raise Out_of_memory past the growth cap (the stack stays put). *)
 val alloc : t -> int -> int
 
 (** Current stack mark, for frame save/restore. *)

@@ -94,6 +94,19 @@ let test_memory_limit () =
        false
      with Vm.Memory.Out_of_memory -> true)
 
+(* A failed [alloc] grows nothing and moves nothing: the cell at the
+   old stack pointer is still outside the live range. *)
+let test_memory_failed_alloc () =
+  let m = Vm.Memory.create ~limit:128 () in
+  let sp = Vm.Memory.mark m in
+  Alcotest.check_raises "out of memory" Vm.Memory.Out_of_memory (fun () ->
+      ignore (Vm.Memory.alloc m 1024));
+  Alcotest.(check int) "stack pointer unchanged" sp (Vm.Memory.mark m);
+  Alcotest.check_raises "load" (Vm.Memory.Bad_address sp) (fun () ->
+      ignore (Vm.Memory.load m sp));
+  Alcotest.check_raises "typed store" (Vm.Memory.Bad_address sp) (fun () ->
+      Vm.Memory.store_float m sp 1.0)
+
 (* Typed cells.  Every cell keeps its constructor as a tag byte and its
    payload unboxed; the typed accessors must be observationally the
    boxed [load]/[store] composed with [as_int]/[as_float]/[as_ptr]. *)
@@ -1588,6 +1601,178 @@ let test_tuning_phi_row_missing_entry () =
         ])
     phi_lanes
 
+(* Unread registers share one sink slot per lane.  [rec(n, dead, x, p)]
+   recurses to depth [n] (so frames are reused, and re-zeroed, at every
+   depth), and main calls it three times.  Its body writes every kind
+   of unread register between the definitions and the uses of read
+   ones of the same lane: the store ids ([Void]), the parameter
+   [dead], unread int/float/ptr call results, an unread load, a
+   spliced CI call whose result nothing reads, and the unread phis
+   [da]/[df]/[dp] of a loop header whose row from the body is direct
+   and whose row from the latch is staged.  A classifier that sent a
+   read register to its lane's sink would see it overwritten.  Blocks
+   of rec: entry bb0, base bb1, body bb2, loop bb3, latch bb4, out
+   bb5. *)
+let sink_slots_module () =
+  let r = Ir.Builder.reg and i64 = Ir.Builder.ci64 in
+  let leaf name ty body =
+    let f = Ir.Func.create ~name ~params:[ (0, ty) ] ~ret_ty:ty in
+    let b = Ir.Builder.create f in
+    Ir.Builder.position_at b (Ir.Builder.new_block b ~name:"entry");
+    Ir.Builder.ret b (Some (r (body b (r 0))));
+    Ir.Builder.finish b
+  in
+  let leaf_i =
+    leaf "leaf_i" Ir.Ty.I64 (fun b x ->
+        Ir.Builder.binop b Ir.Instr.Mul Ir.Ty.I64 x (i64 3L))
+  and leaf_f =
+    leaf "leaf_f" Ir.Ty.F64 (fun b x ->
+        Ir.Builder.binop b Ir.Instr.Fmul Ir.Ty.F64 x (Ir.Builder.cf64 0.5))
+  and leaf_p =
+    leaf "leaf_p" Ir.Ty.Ptr (fun b p -> Ir.Builder.gep b p (i64 1L))
+  in
+  let f =
+    Ir.Func.create ~name:"rec"
+      ~params:[ (0, Ir.Ty.I64); (1, Ir.Ty.I64); (2, Ir.Ty.F64); (3, Ir.Ty.Ptr) ]
+      ~ret_ty:Ir.Ty.I64
+  in
+  let b = Ir.Builder.create f in
+  let entry = Ir.Builder.new_block b ~name:"entry" in
+  let base = Ir.Builder.new_block b ~name:"base" in
+  let body = Ir.Builder.new_block b ~name:"body" in
+  let loop = Ir.Builder.new_block b ~name:"loop" in
+  let latch = Ir.Builder.new_block b ~name:"latch" in
+  let out = Ir.Builder.new_block b ~name:"out" in
+  let n = r 0 and x = r 2 and p = r 3 in
+  Ir.Builder.position_at b entry;
+  let c = Ir.Builder.icmp b Ir.Instr.Isle n (i64 0L) in
+  Ir.Builder.cond_br b (r c) base.Ir.Block.label body.Ir.Block.label;
+  Ir.Builder.position_at b base;
+  Ir.Builder.ret b
+    (Some (r (Ir.Builder.binop b Ir.Instr.Add Ir.Ty.I64 n (i64 100L))));
+  Ir.Builder.position_at b body;
+  ignore (Ir.Builder.call b Ir.Ty.I64 "leaf_i" [ n ]);
+  ignore (Ir.Builder.call b Ir.Ty.F64 "leaf_f" [ x ]);
+  ignore (Ir.Builder.call b Ir.Ty.Ptr "leaf_p" [ p ]);
+  ignore (Ir.Builder.load b Ir.Ty.I64 p);
+  Ir.Builder.store b n p;
+  ignore (Ir.Builder.add b Ir.Ty.I64 (Ir.Instr.Ci_call (0, [ n; n ])));
+  let n1 = Ir.Builder.binop b Ir.Instr.Sub Ir.Ty.I64 n (i64 1L) in
+  let x1 =
+    Ir.Builder.binop b Ir.Instr.Fadd Ir.Ty.F64 x (Ir.Builder.cf64 0.25)
+  in
+  let p1 = Ir.Builder.gep b p (i64 1L) in
+  let rr = Ir.Builder.call b Ir.Ty.I64 "rec" [ r n1; n; r x1; r p1 ] in
+  Ir.Builder.br b loop.Ir.Block.label;
+  Ir.Builder.position_at b loop;
+  let phi ty = Ir.Builder.add b ty (Ir.Instr.Phi []) in
+  let pa = phi Ir.Ty.I64 and pb = phi Ir.Ty.I64 and da = phi Ir.Ty.I64 in
+  let fx = phi Ir.Ty.F64 and fy = phi Ir.Ty.F64 and df = phi Ir.Ty.F64 in
+  let pp = phi Ir.Ty.Ptr and dp = phi Ir.Ty.Ptr and k = phi Ir.Ty.I64 in
+  let c2 = Ir.Builder.icmp b Ir.Instr.Islt (r k) (i64 3L) in
+  Ir.Builder.cond_br b (r c2) latch.Ir.Block.label out.Ir.Block.label;
+  Ir.Builder.position_at b latch;
+  ignore (Ir.Builder.call b Ir.Ty.I64 "leaf_i" [ r pa ]);
+  ignore (Ir.Builder.call b Ir.Ty.F64 "leaf_f" [ r fx ]);
+  ignore (Ir.Builder.call b Ir.Ty.Ptr "leaf_p" [ r pp ]);
+  let k1 = Ir.Builder.binop b Ir.Instr.Add Ir.Ty.I64 (r k) (i64 1L) in
+  let pp2 = Ir.Builder.gep b (r pp) (i64 1L) in
+  Ir.Builder.br b loop.Ir.Block.label;
+  let bl = body.Ir.Block.label and ll = latch.Ir.Block.label in
+  wire_phis loop
+    [
+      (pa, [ (bl, r rr); (ll, r pb) ]);
+      (pb, [ (bl, n); (ll, r pa) ]);
+      (da, [ (bl, r n1); (ll, r pa) ]);
+      (fx, [ (bl, r x1); (ll, r fy) ]);
+      (fy, [ (bl, x); (ll, r fx) ]);
+      (df, [ (bl, x); (ll, r fx) ]);
+      (pp, [ (bl, r p1); (ll, r pp2) ]);
+      (dp, [ (bl, p); (ll, r pp) ]);
+      (k, [ (bl, i64 0L); (ll, r k1) ]);
+    ];
+  (* out: 7a + 3b + fptosi(8 fx) + fptosi(16 fy) + 5 * cells[pp] *)
+  Ir.Builder.position_at b out;
+  let mul v kk = Ir.Builder.binop b Ir.Instr.Mul Ir.Ty.I64 v (i64 kk) in
+  let add x y = Ir.Builder.binop b Ir.Instr.Add Ir.Ty.I64 (r x) (r y) in
+  let scaled v kk =
+    let f = Ir.Builder.binop b Ir.Instr.Fmul Ir.Ty.F64 v (Ir.Builder.cf64 kk) in
+    Ir.Builder.cast b Ir.Instr.Fptosi Ir.Ty.I64 (r f)
+  in
+  let cell = mul (r (Ir.Builder.load b Ir.Ty.I64 (r pp))) 5L in
+  let ints = add (mul (r pa) 7L) (mul (r pb) 3L) in
+  let floats = add (scaled (r fx) 8.0) (scaled (r fy) 16.0) in
+  Ir.Builder.ret b (Some (r (add (add ints floats) cell)));
+  let f = Ir.Builder.finish b in
+  (* main(n) = rec(3, 0, 0.5, cells) * 31 + rec(4, 1, 1.5, cells) * 7
+     + rec(n, 2, -0.75, cells) *)
+  let mf =
+    Ir.Func.create ~name:"main" ~params:[ (0, Ir.Ty.I64) ] ~ret_ty:Ir.Ty.I64
+  in
+  let mb = Ir.Builder.create mf in
+  Ir.Builder.position_at mb (Ir.Builder.new_block mb ~name:"entry");
+  let cells = Ir.Builder.add mb Ir.Ty.Ptr (Ir.Instr.Gaddr "cells") in
+  let call d dead x =
+    Ir.Builder.call mb Ir.Ty.I64 "rec"
+      [ d; i64 dead; Ir.Builder.cf64 x; r cells ]
+  in
+  let c1 = call (i64 3L) 0L 0.5 in
+  let c2 = call (i64 4L) 1L 1.5 in
+  let c3 = call (r 0) 2L (-0.75) in
+  let scale v kk = Ir.Builder.binop mb Ir.Instr.Mul Ir.Ty.I64 (r v) (i64 kk) in
+  let add x y = Ir.Builder.binop mb Ir.Instr.Add Ir.Ty.I64 (r x) (r y) in
+  Ir.Builder.ret mb (Some (r (add (add (scale c1 31L) (scale c2 7L)) c3)));
+  let m = Ir.Irmod.create ~name:"sinks" in
+  Ir.Irmod.add_global m
+    {
+      Ir.Irmod.gname = "cells";
+      gty = Ir.Ty.I64;
+      gsize = 16;
+      ginit = Ir.Irmod.Ints (Array.init 16 (fun k -> Int64.of_int (10 * k)));
+    };
+  List.iter (Ir.Irmod.add_func m)
+    [ leaf_i; leaf_f; leaf_p; f; Ir.Builder.finish mb ];
+  m
+
+(* ci0(a, b) = a * b + a: a two-node body, so a spliced site also has
+   a temp. *)
+let mul_add_ci_registry () =
+  body_registry
+    [
+      build_ci_body [ Ir.Ty.I64; Ir.Ty.I64 ] (fun b ->
+          let t =
+            Ir.Builder.binop b Ir.Instr.Mul Ir.Ty.I64 (Ir.Builder.reg 0)
+              (Ir.Builder.reg 1)
+          in
+          Ir.Builder.binop b Ir.Instr.Add Ir.Ty.I64 (Ir.Builder.reg t)
+            (Ir.Builder.reg 0));
+    ]
+
+let test_tuning_sink_slots () =
+  let m = sink_slots_module () in
+  let cis = mul_add_ci_registry () in
+  Alcotest.(check int) "verifier-valid" 0
+    (List.length (Ir.Verifier.check_module m));
+  List.iter
+    (fun n ->
+      let args = [ Ir.Eval.VInt (Int64.of_int n) ] in
+      let ref_out =
+        Vm.Machine.run ~cis ~engine:Vm.Machine.Reference m ~entry:"main" ~args
+      in
+      List.iter
+        (fun tuning ->
+          let what =
+            Printf.sprintf "sink slots n=%d [%s]" n (tuning_tag tuning)
+          in
+          let t =
+            Vm.Machine.run ~cis ~engine:Vm.Machine.Threaded ~tuning m
+              ~entry:"main" ~args
+          in
+          check_outcomes_equal what ref_out t;
+          check_global_equal what "cells" 16 ref_out t)
+        all_tunings)
+    [ 0; 1; 2; 5 ]
+
 (* Typed memory cells through the compiled engine's own (inlined)
    typed loads and stores, against the Reference engine's boxed ones.
    [typed_mem_module body] is main(n : i64) over a zeroed f64 global
@@ -2880,6 +3065,7 @@ let () =
             test_memory_typed_bad_address_first;
           Alcotest.test_case "typed cells: growth" `Quick
             test_memory_typed_growth;
+          Alcotest.test_case "failed alloc" `Quick test_memory_failed_alloc;
         ] );
       ( "profile",
         [
@@ -2943,6 +3129,7 @@ let () =
             test_tuning_phi_row_conflicts;
           Alcotest.test_case "phi row missing entry" `Quick
             test_tuning_phi_row_missing_entry;
+          Alcotest.test_case "sink slots" `Quick test_tuning_sink_slots;
           Alcotest.test_case "typed memory cells" `Quick
             test_tuning_typed_memory;
           Alcotest.test_case "call seam: arity mismatch" `Quick
