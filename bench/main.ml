@@ -4,7 +4,9 @@
      bench/main.exe online [--json FILE]                 -> BENCH_online.json
 
    Each mode cross-checks the runs it times and exits 1 on a broken
-   contract; any other argument is a usage error (exit 2).  The paper's
+   contract; any other argument is a usage error (exit 2).  Host speed
+   is recorded, never gated: BENCH_vm.json keeps the geomeans of the
+   recording it replaces as its baseline.  The paper's
    tables and figures come from `jitise table1..4|figure1|figure2|all`,
    and the end-to-end benchmark with bounds lives in perfbench/. *)
 
@@ -51,8 +53,11 @@ let find_workload name = Option.get (W.Registry.find name)
    benchmark rather than producing a meaningless speedup number.
 
    [workloads] restricts the sweep (the CI smoke step runs four pinned
-   workloads).  A tuned/threaded geomean below 1.0 exits 1 once the
-   JSON is written: tuned must never be slower than plain threaded. *)
+   workloads).  The [geomean] block of the file at [path], when there
+   is one, becomes the new file's [baseline]; speed is recorded, not
+   gated.  Host-time columns of two recordings compare only loosely
+   (they are taken at different times on whatever host ran them); the
+   in-run ratios compare better. *)
 let vm_report ?(workloads = W.Registry.names) path =
   let reps = 5 in
   prerr_endline
@@ -140,6 +145,27 @@ let vm_report ?(workloads = W.Registry.names) path =
   let g_tuned_thr = geomean (fun b -> b.(1) /. b.(3)) in
   let g_tuned_ref = geomean (fun b -> b.(0) /. b.(3)) in
   let g_tuned_boxed = geomean (fun b -> b.(2) /. b.(3)) in
+  (* the replaced recording's geomean object, as written below: one
+     line, no nested braces *)
+  let baseline =
+    let prefix = "  \"geomean\": {" in
+    let prev =
+      if Sys.file_exists path then
+        In_channel.with_open_text path In_channel.input_all
+      else ""
+    in
+    match
+      List.find_opt (String.starts_with ~prefix)
+        (String.split_on_char '\n' prev)
+    with
+    | Some line -> (
+        let start = String.length prefix - 1 in
+        match String.index_from_opt line start '}' with
+        | Some stop -> String.sub line start (stop - start + 1)
+        | None -> "null")
+    | None -> "null"
+  in
+  let t = Vm.Machine.default_tuning in
   let buf = Buffer.create 4096 in
   Buffer.add_string buf "{\n";
   Buffer.add_string buf
@@ -149,8 +175,11 @@ let vm_report ?(workloads = W.Registry.names) path =
           (List.map (fun (l, _, _) -> Printf.sprintf "%S" l) configs))
        reps);
   Buffer.add_string buf
-    "  \"tuning\": {\"link\": true, \"fuse\": true, \"ci_native\": true, \
-     \"regalloc\": true, \"max_linked_blocks\": 64},\n";
+    (Printf.sprintf
+       "  \"tuning\": {\"link\": %b, \"fuse\": %b, \"ci_native\": %b, \
+        \"regalloc\": %b, \"max_linked_blocks\": %d},\n"
+       t.Vm.Machine.link t.Vm.Machine.fuse t.Vm.Machine.ci_native
+       t.Vm.Machine.regalloc t.Vm.Machine.max_linked_blocks);
   Buffer.add_string buf "  \"workloads\": [\n";
   let n = List.length rows in
   List.iteri
@@ -179,21 +208,7 @@ let vm_report ?(workloads = W.Registry.names) path =
         \"tuned_boxed_over_threaded\": %.4f, \"tuned_over_threaded\": %.4f, \
         \"tuned_over_reference\": %.4f, \"tuned_over_tuned_boxed\": %.4f},\n"
        g_thr_ref g_boxed_thr g_tuned_thr g_tuned_ref g_tuned_boxed);
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"baseline\": {\"label\": \"boxed call seam: a boxed argument \
-        array and return per user call, a fresh frame per call, fuel \
-        and clocks flushed around every block that calls\", \
-        \"threaded_over_reference_geomean\": 1.8272, \
-        \"tuned_boxed_over_threaded_geomean\": 1.0342, \
-        \"tuned_over_threaded_geomean\": 2.8872, \
-        \"tuned_over_reference_geomean\": 5.2756, \
-        \"tuned_over_tuned_boxed_geomean\": 2.7917, \
-        \"note\": \"the calling convention is shared by every compiled \
-        configuration (threaded and tuned-boxed pass boxed registers \
-        lane to lane); the reference engine keeps its boxed calls but \
-        now also updates fuel and clocks in place without boxing, so \
-        ratios over the reference column mix both effects\"}\n");
+  Buffer.add_string buf (Printf.sprintf "  \"baseline\": %s\n" baseline);
   Buffer.add_string buf "}\n";
   Out_channel.with_open_text path (fun oc ->
       Out_channel.output_string oc (Buffer.contents buf));
@@ -201,13 +216,7 @@ let vm_report ?(workloads = W.Registry.names) path =
     "[bench] vm: wrote %s (geomean: thr/ref %.2fx, tuned/thr %.2fx, \
      tuned/ref %.2fx, tuned/boxed %.2fx)\n\
      %!"
-    path g_thr_ref g_tuned_thr g_tuned_ref g_tuned_boxed;
-  if g_tuned_thr < 1.0 then begin
-    Printf.eprintf
-      "bench: vm: tuned/threaded geomean %.4f is below the gate 1.0000\n"
-      g_tuned_thr;
-    exit 1
-  end
+    path g_thr_ref g_tuned_thr g_tuned_ref g_tuned_boxed
 
 
 (* ------------------------------------------------------------------ *)

@@ -6,23 +6,37 @@ type t = {
 }
 
 (** Build successor and predecessor adjacency from block terminators.
-    Duplicate edges (e.g. both switch cases to one target) are kept
-    single; out-of-range targets are ignored (the verifier reports them
-    separately). *)
+    Successor lists are ascending and duplicate edges (e.g. both switch
+    cases to one target) are kept single; predecessor lists are
+    ascending too.  Out-of-range targets are ignored (the verifier
+    reports them separately).  Only the lists themselves are allocated:
+    the VM's verifier builds a CFG for every function of every module
+    it runs. *)
 let of_func (f : Func.t) =
   let n = Func.num_blocks f in
   let succs = Array.make n [] in
   let preds = Array.make n [] in
-  Func.iter_blocks
-    (fun b ->
-      let ss =
-        List.sort_uniq compare (Instr.successors b.Block.term)
-        |> List.filter (fun l -> l >= 0 && l < n)
-      in
-      succs.(b.Block.label) <- ss;
-      List.iter (fun s -> preds.(s) <- b.Block.label :: preds.(s)) ss)
-    f;
-  Array.iteri (fun i ps -> preds.(i) <- List.rev ps) preds;
+  let ok l = l >= 0 && l < n in
+  for b = n - 1 downto 0 do
+    let ss =
+      match f.Func.blocks.(b).Block.term with
+      | Instr.Ret _ -> []
+      | Instr.Br l -> if ok l then [ l ] else []
+      | Instr.Cond_br (_, x, y) -> (
+          match (ok x, ok y) with
+          | true, true ->
+              if x = y then [ x ] else if x < y then [ x; y ] else [ y; x ]
+          | true, false -> [ x ]
+          | false, true -> [ y ]
+          | false, false -> [])
+      | Instr.Switch _ as t ->
+          List.sort_uniq compare (Instr.successors t) |> List.filter ok
+    in
+    succs.(b) <- ss;
+    (* blocks are visited in descending order, so consing keeps every
+       predecessor list ascending *)
+    List.iter (fun s -> preds.(s) <- b :: preds.(s)) ss
+  done;
   { succs; preds }
 
 let succs t l = t.succs.(l)

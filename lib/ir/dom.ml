@@ -31,22 +31,21 @@ let compute (cfg : Cfg.t) =
     !f1
   in
   let changed = ref true in
+  (* the intersection of the processed predecessors' dominators, [-1]
+     while none is processed *)
+  let meet acc p =
+    if idom.(p) = -1 then acc else if acc = -1 then p else intersect acc p
+  in
   while !changed do
     changed := false;
     List.iter
       (fun b ->
         if b <> Func.entry_label then begin
-          let processed_preds =
-            List.filter (fun p -> idom.(p) <> -1) (Cfg.preds cfg b)
-          in
-          match processed_preds with
-          | [] -> ()
-          | first :: rest ->
-              let new_idom = List.fold_left intersect first rest in
-              if idom.(b) <> new_idom then begin
-                idom.(b) <- new_idom;
-                changed := true
-              end
+          let new_idom = List.fold_left meet (-1) (Cfg.preds cfg b) in
+          if new_idom <> -1 && idom.(b) <> new_idom then begin
+            idom.(b) <- new_idom;
+            changed := true
+          end
         end)
       order
   done;

@@ -33,11 +33,20 @@
       calls with no AST dispatch.
 
     Cycle accounting, fuel, profiles and fault messages are identical
-    across engines (pinned by the differential suite in test_vm). *)
+    across engines (pinned by the differential suite in test_vm).
+
+    Both engines run only modules that {!Ir.Verifier} accepts: [run]
+    checks the module once, before either engine starts, and rejects a
+    failing one with {!Invalid_module}.  The engines rely on what that
+    buys — registers in range, each read dominated by its write, phis a
+    prefix of their block with an entry for every predecessor, branch
+    targets in range, user calls matching their callee's signature — and
+    have no fault path for IR that breaks it. *)
 
 module Ir = Jitise_ir
 
 exception Fault of string
+exception Invalid_module of string
 
 let fault fmt = Printf.ksprintf (fun m -> raise (Fault m)) fmt
 
@@ -180,8 +189,7 @@ type tuning = {
           scalars instead of boxed {!Jitise_ir.Eval.value}s.  Boxing
           happens only at the seams: custom instructions interpreted
           through [ci_eval], intrinsics other than the typed
-          one-argument float ones, class mismatches across a call, and
-          the run's entry and exit.
+          one-argument float ones, and the run's entry and exit.
           Off = the same compiler with every register classified
           [C_boxed] (DESIGN.md §14). *)
   max_linked_blocks : int;
@@ -249,9 +257,9 @@ type src = Imm of Ir.Eval.value | Slot of int
 (* Per-block static data, computed once per run.  [exec_count] is the
    run-local profile counter (folded into a Profile at the end — much
    cheaper than a hashtable update per block execution).  The phi
-   prologue is pre-resolved: [phi_incoming.(k).(pred)] is the operand
-   phi [k] takes when entered from block [pred], so the hot loop does
-   two array reads per phi instead of scanning an association list on
+   prologue is pre-resolved: [phi_rows.(pred).(k)] is the operand phi
+   [k] takes when entered from block [pred], so the hot loop does two
+   array reads per phi instead of scanning an association list on
    every block execution.  [switch_cases] pre-resolves a [Switch]
    terminator's case list into a hashtable (first entry wins for
    duplicate case values, like [List.assoc_opt] did), shared by both
@@ -261,10 +269,12 @@ type block_info = {
   term : Ir.Instr.terminator;
   ninstrs : int;
   static_cycles : int;  (* excludes user-call callees and CI latencies *)
-  phi_count : int;  (* leading phis; a phi past them still faults *)
-  phi_dests : int array;  (* destination register of each leading phi *)
-  phi_incoming : Ir.Instr.operand option array array;
-      (* per leading phi, indexed by predecessor block label *)
+  phi_count : int;  (* the block's phis, which lead it *)
+  phi_dests : int array;  (* destination register of each phi *)
+  phi_rows : Ir.Instr.operand array array;
+      (* indexed by block label: every phi's operand for that
+         predecessor, [||] for a block that is not one; [||] as a whole
+         when the block has no phis *)
   switch_cases : (int64, Ir.Instr.label) Hashtbl.t option;
       (* case value -> target, when [term] is a [Switch] *)
   mutable exec_count : int;
@@ -364,16 +374,15 @@ and rtblock = {
          each destination directly when no incoming value names a
          sibling phi's destination (move arrays for the int and float
          lanes), and otherwise stages every value into per-class
-         scratch and then commits.  A label whose first phi has no
-         entry holds {!no_row}.  Scratch is safe to reuse because
-         the phi prologue cannot re-enter this function. *)
+         scratch and then commits.  A label that is not a predecessor
+         holds [ignore].  Scratch is safe to reuse because the phi
+         prologue cannot re-enter this function. *)
   r_term : rterm;
   mutable r_link : rlinkterm;
       (* the linked form of [r_term]: successor labels resolved to the
          successor [rtblock]s themselves.  [RL_none] until
          {!link_rfunc} patches the function (never, with [tuning.link]
-         off), and permanently for terminators whose labels fall
-         outside the function. *)
+         off). *)
   r_fuel : int;  (* ninstrs + 1 *)
   r_native : float;  (* float_of_int static_cycles *)
   r_hot : float;  (* post-warm-up VM charge per execution *)
@@ -443,12 +452,10 @@ and state = {
 
 let prepare_func (m : Ir.Irmod.t) (f : Ir.Func.t) ~(base : int) : func_info =
   let is_user_func name = Ir.Irmod.find_func m name <> None in
-  let reg_tys = Array.make (max 1 f.Ir.Func.next_reg) Ir.Ty.Void in
+  let reg_tys = Array.make f.Ir.Func.next_reg Ir.Ty.Void in
   List.iter (fun (r, ty) -> reg_tys.(r) <- ty) f.Ir.Func.params;
   Ir.Func.iter_instrs
-    (fun _ (i : Ir.Instr.t) ->
-      if i.Ir.Instr.id < Array.length reg_tys then
-        reg_tys.(i.Ir.Instr.id) <- i.Ir.Instr.ty)
+    (fun _ (i : Ir.Instr.t) -> reg_tys.(i.Ir.Instr.id) <- i.Ir.Instr.ty)
     f;
   let nblocks = Array.length f.Ir.Func.blocks in
   let blocks =
@@ -484,23 +491,24 @@ let prepare_func (m : Ir.Irmod.t) (f : Ir.Func.t) ~(base : int) : func_info =
         let phi_dests =
           Array.init phi_count (fun k -> instrs.(k).Ir.Instr.id)
         in
-        let phi_incoming =
-          Array.init phi_count (fun k ->
-              match instrs.(k).Ir.Instr.kind with
-              | Ir.Instr.Phi incoming ->
-                  let row = Array.make nblocks None in
-                  (* first match wins, like List.assoc_opt did; labels
-                     outside the function are unreachable dead entries *)
-                  List.iter
-                    (fun (pred, op) ->
-                      if pred >= 0 && pred < nblocks then
-                        match row.(pred) with
-                        | None -> row.(pred) <- Some op
-                        | Some _ -> ())
-                    incoming;
-                  row
-              | _ -> assert false)
+        let incoming k =
+          match instrs.(k).Ir.Instr.kind with
+          | Ir.Instr.Phi incoming -> incoming
+          | _ -> assert false
         in
+        (* The verifier gives every phi one entry per predecessor and
+           none for another label; first match wins, like
+           List.assoc did. *)
+        let phi_rows =
+          if phi_count = 0 then [||] else Array.make nblocks [||]
+        in
+        if phi_count > 0 then
+          List.iter
+            (fun (pred, _) ->
+              if Array.length phi_rows.(pred) = 0 then
+                phi_rows.(pred) <-
+                  Array.init phi_count (fun k -> List.assoc pred (incoming k)))
+            (incoming 0);
         let switch_cases =
           match b.Ir.Block.term with
           | Ir.Instr.Switch (_, _, cases) ->
@@ -519,17 +527,16 @@ let prepare_func (m : Ir.Irmod.t) (f : Ir.Func.t) ~(base : int) : func_info =
           static_cycles;
           phi_count;
           phi_dests;
-          phi_incoming;
+          phi_rows;
           switch_cases;
           exec_count = 0;
         })
       f.Ir.Func.blocks
   in
-  let use_counts = Array.make (max 1 f.Ir.Func.next_reg) 0 in
+  let use_counts = Array.make f.Ir.Func.next_reg 0 in
   let count_op = function
-    | Ir.Instr.Reg r when r >= 0 && r < Array.length use_counts ->
-        use_counts.(r) <- use_counts.(r) + 1
-    | _ -> ()
+    | Ir.Instr.Reg r -> use_counts.(r) <- use_counts.(r) + 1
+    | Ir.Instr.Const _ -> ()
   in
   Ir.Func.iter_instrs
     (fun _ (i : Ir.Instr.t) ->
@@ -623,11 +630,9 @@ let value_of_operand regs = function
 let rec exec_func (st : state) (fi : func_info) (args : Ir.Eval.value array) :
     Ir.Eval.value option =
   let f = fi.func in
-  if Array.length args <> List.length f.Ir.Func.params then
-    fault "@%s: expected %d arguments, got %d" f.Ir.Func.name
-      (List.length f.Ir.Func.params)
-      (Array.length args);
-  let regs = Array.make (max 1 f.Ir.Func.next_reg) (Ir.Eval.VInt 0L) in
+  (* Every read follows a write of its register (the verifier's
+     dominance rule), so the initial value is never read. *)
+  let regs = Array.make f.Ir.Func.next_reg (Ir.Eval.VInt 0L) in
   Array.iteri (fun i v -> regs.(i) <- v) args;
   let frame_mark = Memory.mark st.memory in
   let finish v =
@@ -663,22 +668,12 @@ let rec exec_func (st : state) (fi : func_info) (args : Ir.Eval.value array) :
           st.clocks.((2 * l) + 1) <- st.clocks.((2 * l) + 1) +. vm
         done;
         mon (fi.bid_base + !cur));
-    (* Phis first, read atomically: the incoming operand per
-       predecessor was pre-resolved into an array in [prepare_func]. *)
+    (* Phis first, read atomically: the incoming operands per
+       predecessor were pre-resolved into a row in [prepare_func]. *)
     let n = bi.ninstrs in
     let nphi = bi.phi_count in
     if nphi > 0 then begin
-      let staged = Array.make nphi (Ir.Eval.VInt 0L) in
-      for k = 0 to nphi - 1 do
-        let row = bi.phi_incoming.(k) in
-        match
-          if !prev >= 0 && !prev < Array.length row then row.(!prev) else None
-        with
-        | Some op -> staged.(k) <- value_of_operand regs op
-        | None ->
-            fault "@%s/bb%d: phi has no entry for predecessor bb%d"
-              f.Ir.Func.name !cur !prev
-      done;
+      let staged = Array.map (value_of_operand regs) bi.phi_rows.(!prev) in
       for k = 0 to nphi - 1 do
         regs.(bi.phi_dests.(k)) <- staged.(k)
       done
@@ -690,8 +685,7 @@ let rec exec_func (st : state) (fi : func_info) (args : Ir.Eval.value array) :
       let set x = regs.(i.Ir.Instr.id) <- x in
       try
         match i.Ir.Instr.kind with
-        | Ir.Instr.Phi _ ->
-            fault "@%s/bb%d: phi after non-phi" f.Ir.Func.name !cur
+        | Ir.Instr.Phi _ -> assert false (* phis lead their block *)
         | Ir.Instr.Binop (op, a, b) ->
             set (Ir.Eval.eval_binop i.Ir.Instr.ty op (v a) (v b))
         | Ir.Instr.Icmp (p, a, b) -> set (Ir.Eval.eval_icmp p (v a) (v b))
@@ -891,12 +885,11 @@ let int_of_int64_clamped v =
    dispatch through [ci_eval] (a spliced CI body is ordinary typed
    code), intrinsics other than the typed one-argument float ones,
    [C_boxed] registers (including loads into and stores from them),
-   call arguments and returns whose classes differ between caller and
-   callee, the run's entry and exit, and the operations the MiniC
-   frontend never emits ([select], [lshr], [udiv], [urem]).
+   the run's entry and exit, and the operations the MiniC frontend
+   never emits ([select], [lshr], [udiv], [urem]).
    Everything else — int/float binops and signed divisions, compares,
    casts, geps, typed loads and stores, phi staging, branch tests,
-   same-class call arguments and returns — moves machine scalars
+   call arguments and returns — moves machine scalars
    between unboxed lanes and typed memory cells and allocates nothing.
    With
    [tuning.regalloc] off every register is classified [C_boxed], so the
@@ -909,13 +902,13 @@ let int_of_int64_clamped v =
    raise the same constant-message [Type_error]s), so type-sound
    executions are byte-identical to the Reference engine.  The one
    documented divergence (DESIGN.md §14): a type-{e confused} execution
-   — a declared register type contradicting the runtime value, only
-   reachable through memory cells (whose tag is dynamic) or call seams
-   — may observe a
-   conversion fault at the defining seam instead of at a later use, and
-   pointer/integer values are canonicalized by the destination's class.
-   The differential and tuning suites only assert type-sound
-   programs. *)
+   — a declared register type contradicting the runtime value, which a
+   verified module reaches only through a value whose class the
+   verifier cannot see (a memory cell's dynamic tag, an intrinsic's or
+   a CI's result) — may observe a conversion fault at the defining
+   seam instead of at a later use, and pointer/integer values are
+   canonicalized by the destination's class.  The differential and
+   tuning suites only assert type-sound programs. *)
 
 let rclass_of_ty : Ir.Ty.t -> rclass = function
   | Ir.Ty.I1 | Ir.Ty.I8 | Ir.Ty.I16 | Ir.Ty.I32 | Ir.Ty.I64 -> C_int
@@ -925,52 +918,42 @@ let rclass_of_ty : Ir.Ty.t -> rclass = function
 
 (* Slot readers, one per consuming class.  [slots.(r)] is register
    [r]'s index inside its class's frame array (the per-class
-   renumbering).  An out-of-range register falls back to a checked
-   read of the boxed lane, so malformed IR raises the same
-   [Invalid_argument] the Reference engine's [regs.(r)] would. *)
+   renumbering); every register a verified module names has one. *)
 
 let rrd_box (classes : rclass array) (slots : int array) (r : int) :
     frame -> E.value =
-  if r >= 0 && r < Array.length classes then
-    let s = slots.(r) in
-    match classes.(r) with
-    | C_int -> fun fr -> E.VInt (bget64 fr.fr_i s)
-    | C_float -> fun fr -> E.VFloat (Array.unsafe_get fr.fr_f s)
-    | C_ptr -> fun fr -> E.VPtr (Array.unsafe_get fr.fr_p s)
-    | C_boxed -> fun fr -> Array.unsafe_get fr.fr_v s
-  else fun fr -> fr.fr_v.(r)
+  let s = slots.(r) in
+  match classes.(r) with
+  | C_int -> fun fr -> E.VInt (bget64 fr.fr_i s)
+  | C_float -> fun fr -> E.VFloat (Array.unsafe_get fr.fr_f s)
+  | C_ptr -> fun fr -> E.VPtr (Array.unsafe_get fr.fr_p s)
+  | C_boxed -> fun fr -> Array.unsafe_get fr.fr_v s
 
 let rrd_i (classes : rclass array) (slots : int array) (r : int) :
     frame -> int64 =
-  if r >= 0 && r < Array.length classes then
-    let s = slots.(r) in
-    match classes.(r) with
-    | C_int -> fun fr -> bget64 fr.fr_i s
-    | C_ptr -> fun fr -> Int64.of_int (Array.unsafe_get fr.fr_p s)
-    | C_float -> fun _ -> raise (E.Type_error "expected an integer value")
-    | C_boxed -> fun fr -> E.as_int (Array.unsafe_get fr.fr_v s)
-  else fun fr -> E.as_int fr.fr_v.(r)
+  let s = slots.(r) in
+  match classes.(r) with
+  | C_int -> fun fr -> bget64 fr.fr_i s
+  | C_ptr -> fun fr -> Int64.of_int (Array.unsafe_get fr.fr_p s)
+  | C_float -> fun _ -> raise (E.Type_error "expected an integer value")
+  | C_boxed -> fun fr -> E.as_int (Array.unsafe_get fr.fr_v s)
 
 let rrd_f (classes : rclass array) (slots : int array) (r : int) :
     frame -> float =
-  if r >= 0 && r < Array.length classes then
-    let s = slots.(r) in
-    match classes.(r) with
-    | C_float -> fun fr -> Array.unsafe_get fr.fr_f s
-    | C_int | C_ptr -> fun _ -> raise (E.Type_error "expected a float value")
-    | C_boxed -> fun fr -> E.as_float (Array.unsafe_get fr.fr_v s)
-  else fun fr -> E.as_float fr.fr_v.(r)
+  let s = slots.(r) in
+  match classes.(r) with
+  | C_float -> fun fr -> Array.unsafe_get fr.fr_f s
+  | C_int | C_ptr -> fun _ -> raise (E.Type_error "expected a float value")
+  | C_boxed -> fun fr -> E.as_float (Array.unsafe_get fr.fr_v s)
 
 let rrd_p (classes : rclass array) (slots : int array) (r : int) :
     frame -> int =
-  if r >= 0 && r < Array.length classes then
-    let s = slots.(r) in
-    match classes.(r) with
-    | C_ptr -> fun fr -> Array.unsafe_get fr.fr_p s
-    | C_int -> fun fr -> Int64.to_int (bget64 fr.fr_i s)
-    | C_float -> fun _ -> raise (E.Type_error "expected an address")
-    | C_boxed -> fun fr -> E.as_ptr (Array.unsafe_get fr.fr_v s)
-  else fun fr -> E.as_ptr fr.fr_v.(r)
+  let s = slots.(r) in
+  match classes.(r) with
+  | C_ptr -> fun fr -> Array.unsafe_get fr.fr_p s
+  | C_int -> fun fr -> Int64.to_int (bget64 fr.fr_i s)
+  | C_float -> fun _ -> raise (E.Type_error "expected an address")
+  | C_boxed -> fun fr -> E.as_ptr (Array.unsafe_get fr.fr_v s)
 
 (* Compile-time operand shapes.  A same-class register collapses to
    its frame-slot index ([RiS] & co.) so the consuming closure's body
@@ -987,23 +970,20 @@ type rf = RfS of int | RfK of float | RfG of (frame -> float)
 type rp = RpS of int | RpK of int | RpG of (frame -> int)
 
 let rarg_i (classes : rclass array) (slots : int array) : src -> ri = function
-  | Slot r when r >= 0 && r < Array.length classes && classes.(r) = C_int ->
-      RiS slots.(r)
+  | Slot r when classes.(r) = C_int -> RiS slots.(r)
   | Slot r -> RiG (rrd_i classes slots r)
   | Imm (E.VInt k) -> RiK k
   | Imm (E.VPtr p) -> RiK (Int64.of_int p)
   | Imm (E.VFloat _ as v) -> RiG (fun _ -> E.as_int v)
 
 let rarg_f (classes : rclass array) (slots : int array) : src -> rf = function
-  | Slot r when r >= 0 && r < Array.length classes && classes.(r) = C_float ->
-      RfS slots.(r)
+  | Slot r when classes.(r) = C_float -> RfS slots.(r)
   | Slot r -> RfG (rrd_f classes slots r)
   | Imm (E.VFloat k) -> RfK k
   | Imm ((E.VInt _ | E.VPtr _) as v) -> RfG (fun _ -> E.as_float v)
 
 let rarg_p (classes : rclass array) (slots : int array) : src -> rp = function
-  | Slot r when r >= 0 && r < Array.length classes && classes.(r) = C_ptr ->
-      RpS slots.(r)
+  | Slot r when classes.(r) = C_ptr -> RpS slots.(r)
   | Slot r -> RpG (rrd_p classes slots r)
   | Imm (E.VPtr p) -> RpK p
   | Imm (E.VInt k) -> RpK (Int64.to_int k)
@@ -1043,29 +1023,25 @@ let rget_box (classes : rclass array) (slots : int array) :
    typed register file. *)
 let rwr_box (classes : rclass array) (slots : int array) (d : int) :
     frame -> E.value -> unit =
-  if d >= 0 && d < Array.length classes then
-    let s = slots.(d) in
-    match classes.(d) with
-    | C_int -> fun fr v -> bset64 fr.fr_i s (E.as_int v)
-    | C_float -> fun fr v -> Array.unsafe_set fr.fr_f s (E.as_float v)
-    | C_ptr -> fun fr v -> Array.unsafe_set fr.fr_p s (E.as_ptr v)
-    | C_boxed -> fun fr v -> Array.unsafe_set fr.fr_v s v
-  else fun fr v -> fr.fr_v.(d) <- v
+  let s = slots.(d) in
+  match classes.(d) with
+  | C_int -> fun fr v -> bset64 fr.fr_i s (E.as_int v)
+  | C_float -> fun fr v -> Array.unsafe_set fr.fr_f s (E.as_float v)
+  | C_ptr -> fun fr v -> Array.unsafe_set fr.fr_p s (E.as_ptr v)
+  | C_boxed -> fun fr v -> Array.unsafe_set fr.fr_v s v
 
 (* Truth test of an operand, per class — the same zero tests
    {!Ir.Eval.is_true} performs on the boxed representation ([is_true]
    never faults, so immediates are pre-evaluated). *)
 let rtest (classes : rclass array) (slots : int array) :
     src -> frame -> bool = function
-  | Slot r ->
-      if r >= 0 && r < Array.length classes then (
-        let s = slots.(r) in
-        match classes.(r) with
-        | C_int -> fun fr -> bget64 fr.fr_i s <> 0L
-        | C_float -> fun fr -> Array.unsafe_get fr.fr_f s <> 0.0
-        | C_ptr -> fun fr -> Array.unsafe_get fr.fr_p s <> 0
-        | C_boxed -> fun fr -> E.is_true (Array.unsafe_get fr.fr_v s))
-      else fun fr -> E.is_true fr.fr_v.(r)
+  | Slot r -> (
+      let s = slots.(r) in
+      match classes.(r) with
+      | C_int -> fun fr -> bget64 fr.fr_i s <> 0L
+      | C_float -> fun fr -> Array.unsafe_get fr.fr_f s <> 0.0
+      | C_ptr -> fun fr -> Array.unsafe_get fr.fr_p s <> 0
+      | C_boxed -> fun fr -> E.is_true (Array.unsafe_get fr.fr_v s))
   | Imm v ->
       let b = E.is_true v in
       fun _ -> b
@@ -1123,289 +1099,286 @@ let compile_rbinop (classes : rclass array) (slots : int array)
     let w = rwr_box classes slots d in
     fun fr -> w fr (f (ga fr) (gb fr))
   in
-  let ok r = r >= 0 && r < Array.length classes in
-  if not (ok d) then generic ()
-  else
-    match (op, classes.(d)) with
-    | ( ( Ir.Instr.Add | Ir.Instr.Sub | Ir.Instr.Mul | Ir.Instr.And
-        | Ir.Instr.Or | Ir.Instr.Xor | Ir.Instr.Shl | Ir.Instr.Ashr ),
-        C_int ) -> (
-        let sh = E.norm_shift ty in
-        let sm = E.shift_amount ty (-1L) in
-        let sd = slots.(d) in
-        let aa = rarg_i classes slots sa and bb = rarg_i classes slots sb in
+  match (op, classes.(d)) with
+  | ( ( Ir.Instr.Add | Ir.Instr.Sub | Ir.Instr.Mul | Ir.Instr.And
+      | Ir.Instr.Or | Ir.Instr.Xor | Ir.Instr.Shl | Ir.Instr.Ashr ),
+      C_int ) -> (
+      let sh = E.norm_shift ty in
+      let sm = E.shift_amount ty (-1L) in
+      let sd = slots.(d) in
+      let aa = rarg_i classes slots sa and bb = rarg_i classes slots sb in
+      match (op, aa, bb) with
+      | Ir.Instr.Add, RiS a, RiS b ->
+          fun fr ->
+            bset64 fr.fr_i sd
+              (renorm sh
+                 (Int64.add
+                    (bget64 fr.fr_i a)
+                    (bget64 fr.fr_i b)))
+      | Ir.Instr.Add, RiS a, RiK kb ->
+          fun fr ->
+            bset64 fr.fr_i sd
+              (renorm sh (Int64.add (bget64 fr.fr_i a) kb))
+      | Ir.Instr.Add, RiK ka, RiS b ->
+          fun fr ->
+            bset64 fr.fr_i sd
+              (renorm sh (Int64.add ka (bget64 fr.fr_i b)))
+      | Ir.Instr.Sub, RiS a, RiS b ->
+          fun fr ->
+            bset64 fr.fr_i sd
+              (renorm sh
+                 (Int64.sub
+                    (bget64 fr.fr_i a)
+                    (bget64 fr.fr_i b)))
+      | Ir.Instr.Sub, RiS a, RiK kb ->
+          fun fr ->
+            bset64 fr.fr_i sd
+              (renorm sh (Int64.sub (bget64 fr.fr_i a) kb))
+      | Ir.Instr.Sub, RiK ka, RiS b ->
+          fun fr ->
+            bset64 fr.fr_i sd
+              (renorm sh (Int64.sub ka (bget64 fr.fr_i b)))
+      | Ir.Instr.Mul, RiS a, RiS b ->
+          fun fr ->
+            bset64 fr.fr_i sd
+              (renorm sh
+                 (Int64.mul
+                    (bget64 fr.fr_i a)
+                    (bget64 fr.fr_i b)))
+      | Ir.Instr.Mul, RiS a, RiK kb ->
+          fun fr ->
+            bset64 fr.fr_i sd
+              (renorm sh (Int64.mul (bget64 fr.fr_i a) kb))
+      | Ir.Instr.Mul, RiK ka, RiS b ->
+          fun fr ->
+            bset64 fr.fr_i sd
+              (renorm sh (Int64.mul ka (bget64 fr.fr_i b)))
+      | Ir.Instr.And, RiS a, RiS b ->
+          fun fr ->
+            bset64 fr.fr_i sd
+              (renorm sh
+                 (Int64.logand
+                    (bget64 fr.fr_i a)
+                    (bget64 fr.fr_i b)))
+      | Ir.Instr.And, RiS a, RiK kb ->
+          fun fr ->
+            bset64 fr.fr_i sd
+              (renorm sh (Int64.logand (bget64 fr.fr_i a) kb))
+      | Ir.Instr.And, RiK ka, RiS b ->
+          fun fr ->
+            bset64 fr.fr_i sd
+              (renorm sh (Int64.logand ka (bget64 fr.fr_i b)))
+      | Ir.Instr.Or, RiS a, RiS b ->
+          fun fr ->
+            bset64 fr.fr_i sd
+              (renorm sh
+                 (Int64.logor
+                    (bget64 fr.fr_i a)
+                    (bget64 fr.fr_i b)))
+      | Ir.Instr.Or, RiS a, RiK kb ->
+          fun fr ->
+            bset64 fr.fr_i sd
+              (renorm sh (Int64.logor (bget64 fr.fr_i a) kb))
+      | Ir.Instr.Or, RiK ka, RiS b ->
+          fun fr ->
+            bset64 fr.fr_i sd
+              (renorm sh (Int64.logor ka (bget64 fr.fr_i b)))
+      | Ir.Instr.Xor, RiS a, RiS b ->
+          fun fr ->
+            bset64 fr.fr_i sd
+              (renorm sh
+                 (Int64.logxor
+                    (bget64 fr.fr_i a)
+                    (bget64 fr.fr_i b)))
+      | Ir.Instr.Xor, RiS a, RiK kb ->
+          fun fr ->
+            bset64 fr.fr_i sd
+              (renorm sh (Int64.logxor (bget64 fr.fr_i a) kb))
+      | Ir.Instr.Xor, RiK ka, RiS b ->
+          fun fr ->
+            bset64 fr.fr_i sd
+              (renorm sh (Int64.logxor ka (bget64 fr.fr_i b)))
+      | Ir.Instr.Shl, RiS a, RiS b ->
+          fun fr ->
+            bset64 fr.fr_i sd
+              (renorm sh
+                 (Int64.shift_left
+                    (bget64 fr.fr_i a)
+                    (Int64.to_int (bget64 fr.fr_i b) land sm)))
+      | Ir.Instr.Shl, RiS a, RiK kb ->
+          let n = E.shift_amount ty kb in
+          fun fr ->
+            bset64 fr.fr_i sd
+              (renorm sh (Int64.shift_left (bget64 fr.fr_i a) n))
+      | Ir.Instr.Ashr, RiS a, RiS b ->
+          fun fr ->
+            bset64 fr.fr_i sd
+              (renorm sh
+                 (Int64.shift_right
+                    (bget64 fr.fr_i a)
+                    (Int64.to_int (bget64 fr.fr_i b) land sm)))
+      | Ir.Instr.Ashr, RiS a, RiK kb ->
+          let n = E.shift_amount ty kb in
+          fun fr ->
+            bset64 fr.fr_i sd
+              (renorm sh
+                 (Int64.shift_right (bget64 fr.fr_i a) n))
+      | _ -> (
+          let ga = ri_fn aa and gb = ri_fn bb in
+          match op with
+          | Ir.Instr.Add ->
+              fun fr ->
+                bset64 fr.fr_i sd
+                  (renorm sh (Int64.add (ga fr) (gb fr)))
+          | Ir.Instr.Sub ->
+              fun fr ->
+                bset64 fr.fr_i sd
+                  (renorm sh (Int64.sub (ga fr) (gb fr)))
+          | Ir.Instr.Mul ->
+              fun fr ->
+                bset64 fr.fr_i sd
+                  (renorm sh (Int64.mul (ga fr) (gb fr)))
+          | Ir.Instr.And ->
+              fun fr ->
+                bset64 fr.fr_i sd
+                  (renorm sh (Int64.logand (ga fr) (gb fr)))
+          | Ir.Instr.Or ->
+              fun fr ->
+                bset64 fr.fr_i sd
+                  (renorm sh (Int64.logor (ga fr) (gb fr)))
+          | Ir.Instr.Xor ->
+              fun fr ->
+                bset64 fr.fr_i sd
+                  (renorm sh (Int64.logxor (ga fr) (gb fr)))
+          | Ir.Instr.Shl ->
+              fun fr ->
+                bset64 fr.fr_i sd
+                  (renorm sh
+                     (Int64.shift_left (ga fr)
+                        (Int64.to_int (gb fr) land sm)))
+          | Ir.Instr.Ashr ->
+              fun fr ->
+                bset64 fr.fr_i sd
+                  (renorm sh
+                     (Int64.shift_right (ga fr)
+                        (Int64.to_int (gb fr) land sm)))
+          | _ -> generic ()))
+  | (Ir.Instr.Sdiv | Ir.Instr.Srem), C_int -> (
+      let sh = E.norm_shift ty in
+      let sd = slots.(d) in
+      match (op, rarg_i classes slots sa, rarg_i classes slots sb) with
+      | Ir.Instr.Sdiv, RiS a, RiS b ->
+          fun fr ->
+            bset64 fr.fr_i sd (sdiv sh (bget64 fr.fr_i a) (bget64 fr.fr_i b))
+      | Ir.Instr.Sdiv, RiS a, RiK kb ->
+          fun fr -> bset64 fr.fr_i sd (sdiv sh (bget64 fr.fr_i a) kb)
+      | Ir.Instr.Sdiv, RiK ka, RiS b ->
+          fun fr -> bset64 fr.fr_i sd (sdiv sh ka (bget64 fr.fr_i b))
+      | Ir.Instr.Srem, RiS a, RiS b ->
+          fun fr ->
+            bset64 fr.fr_i sd (srem sh (bget64 fr.fr_i a) (bget64 fr.fr_i b))
+      | Ir.Instr.Srem, RiS a, RiK kb ->
+          fun fr -> bset64 fr.fr_i sd (srem sh (bget64 fr.fr_i a) kb)
+      | Ir.Instr.Srem, RiK ka, RiS b ->
+          fun fr -> bset64 fr.fr_i sd (srem sh ka (bget64 fr.fr_i b))
+      | _ -> generic ())
+  | ( (Ir.Instr.Fadd | Ir.Instr.Fsub | Ir.Instr.Fmul | Ir.Instr.Fdiv),
+      C_float ) -> (
+      let sd = slots.(d) in
+      let aa = rarg_f classes slots sa and bb = rarg_f classes slots sb in
+      if ty = Ir.Ty.F32 then
         match (op, aa, bb) with
-        | Ir.Instr.Add, RiS a, RiS b ->
+        | Ir.Instr.Fadd, RfS a, RfS b ->
             fun fr ->
-              bset64 fr.fr_i sd
-                (renorm sh
-                   (Int64.add
-                      (bget64 fr.fr_i a)
-                      (bget64 fr.fr_i b)))
-        | Ir.Instr.Add, RiS a, RiK kb ->
+              Array.unsafe_set fr.fr_f sd
+                (round_f32
+                   (Array.unsafe_get fr.fr_f a +. Array.unsafe_get fr.fr_f b))
+        | Ir.Instr.Fsub, RfS a, RfS b ->
             fun fr ->
-              bset64 fr.fr_i sd
-                (renorm sh (Int64.add (bget64 fr.fr_i a) kb))
-        | Ir.Instr.Add, RiK ka, RiS b ->
+              Array.unsafe_set fr.fr_f sd
+                (round_f32
+                   (Array.unsafe_get fr.fr_f a -. Array.unsafe_get fr.fr_f b))
+        | Ir.Instr.Fmul, RfS a, RfS b ->
             fun fr ->
-              bset64 fr.fr_i sd
-                (renorm sh (Int64.add ka (bget64 fr.fr_i b)))
-        | Ir.Instr.Sub, RiS a, RiS b ->
+              Array.unsafe_set fr.fr_f sd
+                (round_f32
+                   (Array.unsafe_get fr.fr_f a *. Array.unsafe_get fr.fr_f b))
+        | Ir.Instr.Fdiv, RfS a, RfS b ->
             fun fr ->
-              bset64 fr.fr_i sd
-                (renorm sh
-                   (Int64.sub
-                      (bget64 fr.fr_i a)
-                      (bget64 fr.fr_i b)))
-        | Ir.Instr.Sub, RiS a, RiK kb ->
-            fun fr ->
-              bset64 fr.fr_i sd
-                (renorm sh (Int64.sub (bget64 fr.fr_i a) kb))
-        | Ir.Instr.Sub, RiK ka, RiS b ->
-            fun fr ->
-              bset64 fr.fr_i sd
-                (renorm sh (Int64.sub ka (bget64 fr.fr_i b)))
-        | Ir.Instr.Mul, RiS a, RiS b ->
-            fun fr ->
-              bset64 fr.fr_i sd
-                (renorm sh
-                   (Int64.mul
-                      (bget64 fr.fr_i a)
-                      (bget64 fr.fr_i b)))
-        | Ir.Instr.Mul, RiS a, RiK kb ->
-            fun fr ->
-              bset64 fr.fr_i sd
-                (renorm sh (Int64.mul (bget64 fr.fr_i a) kb))
-        | Ir.Instr.Mul, RiK ka, RiS b ->
-            fun fr ->
-              bset64 fr.fr_i sd
-                (renorm sh (Int64.mul ka (bget64 fr.fr_i b)))
-        | Ir.Instr.And, RiS a, RiS b ->
-            fun fr ->
-              bset64 fr.fr_i sd
-                (renorm sh
-                   (Int64.logand
-                      (bget64 fr.fr_i a)
-                      (bget64 fr.fr_i b)))
-        | Ir.Instr.And, RiS a, RiK kb ->
-            fun fr ->
-              bset64 fr.fr_i sd
-                (renorm sh (Int64.logand (bget64 fr.fr_i a) kb))
-        | Ir.Instr.And, RiK ka, RiS b ->
-            fun fr ->
-              bset64 fr.fr_i sd
-                (renorm sh (Int64.logand ka (bget64 fr.fr_i b)))
-        | Ir.Instr.Or, RiS a, RiS b ->
-            fun fr ->
-              bset64 fr.fr_i sd
-                (renorm sh
-                   (Int64.logor
-                      (bget64 fr.fr_i a)
-                      (bget64 fr.fr_i b)))
-        | Ir.Instr.Or, RiS a, RiK kb ->
-            fun fr ->
-              bset64 fr.fr_i sd
-                (renorm sh (Int64.logor (bget64 fr.fr_i a) kb))
-        | Ir.Instr.Or, RiK ka, RiS b ->
-            fun fr ->
-              bset64 fr.fr_i sd
-                (renorm sh (Int64.logor ka (bget64 fr.fr_i b)))
-        | Ir.Instr.Xor, RiS a, RiS b ->
-            fun fr ->
-              bset64 fr.fr_i sd
-                (renorm sh
-                   (Int64.logxor
-                      (bget64 fr.fr_i a)
-                      (bget64 fr.fr_i b)))
-        | Ir.Instr.Xor, RiS a, RiK kb ->
-            fun fr ->
-              bset64 fr.fr_i sd
-                (renorm sh (Int64.logxor (bget64 fr.fr_i a) kb))
-        | Ir.Instr.Xor, RiK ka, RiS b ->
-            fun fr ->
-              bset64 fr.fr_i sd
-                (renorm sh (Int64.logxor ka (bget64 fr.fr_i b)))
-        | Ir.Instr.Shl, RiS a, RiS b ->
-            fun fr ->
-              bset64 fr.fr_i sd
-                (renorm sh
-                   (Int64.shift_left
-                      (bget64 fr.fr_i a)
-                      (Int64.to_int (bget64 fr.fr_i b) land sm)))
-        | Ir.Instr.Shl, RiS a, RiK kb ->
-            let n = E.shift_amount ty kb in
-            fun fr ->
-              bset64 fr.fr_i sd
-                (renorm sh (Int64.shift_left (bget64 fr.fr_i a) n))
-        | Ir.Instr.Ashr, RiS a, RiS b ->
-            fun fr ->
-              bset64 fr.fr_i sd
-                (renorm sh
-                   (Int64.shift_right
-                      (bget64 fr.fr_i a)
-                      (Int64.to_int (bget64 fr.fr_i b) land sm)))
-        | Ir.Instr.Ashr, RiS a, RiK kb ->
-            let n = E.shift_amount ty kb in
-            fun fr ->
-              bset64 fr.fr_i sd
-                (renorm sh
-                   (Int64.shift_right (bget64 fr.fr_i a) n))
+              Array.unsafe_set fr.fr_f sd
+                (round_f32
+                   (Array.unsafe_get fr.fr_f a /. Array.unsafe_get fr.fr_f b))
         | _ -> (
-            let ga = ri_fn aa and gb = ri_fn bb in
+            let ga = rf_fn aa and gb = rf_fn bb in
             match op with
-            | Ir.Instr.Add ->
+            | Ir.Instr.Fadd ->
                 fun fr ->
-                  bset64 fr.fr_i sd
-                    (renorm sh (Int64.add (ga fr) (gb fr)))
-            | Ir.Instr.Sub ->
+                  Array.unsafe_set fr.fr_f sd (round_f32 (ga fr +. gb fr))
+            | Ir.Instr.Fsub ->
                 fun fr ->
-                  bset64 fr.fr_i sd
-                    (renorm sh (Int64.sub (ga fr) (gb fr)))
-            | Ir.Instr.Mul ->
+                  Array.unsafe_set fr.fr_f sd (round_f32 (ga fr -. gb fr))
+            | Ir.Instr.Fmul ->
                 fun fr ->
-                  bset64 fr.fr_i sd
-                    (renorm sh (Int64.mul (ga fr) (gb fr)))
-            | Ir.Instr.And ->
+                  Array.unsafe_set fr.fr_f sd (round_f32 (ga fr *. gb fr))
+            | Ir.Instr.Fdiv ->
                 fun fr ->
-                  bset64 fr.fr_i sd
-                    (renorm sh (Int64.logand (ga fr) (gb fr)))
-            | Ir.Instr.Or ->
-                fun fr ->
-                  bset64 fr.fr_i sd
-                    (renorm sh (Int64.logor (ga fr) (gb fr)))
-            | Ir.Instr.Xor ->
-                fun fr ->
-                  bset64 fr.fr_i sd
-                    (renorm sh (Int64.logxor (ga fr) (gb fr)))
-            | Ir.Instr.Shl ->
-                fun fr ->
-                  bset64 fr.fr_i sd
-                    (renorm sh
-                       (Int64.shift_left (ga fr)
-                          (Int64.to_int (gb fr) land sm)))
-            | Ir.Instr.Ashr ->
-                fun fr ->
-                  bset64 fr.fr_i sd
-                    (renorm sh
-                       (Int64.shift_right (ga fr)
-                          (Int64.to_int (gb fr) land sm)))
+                  Array.unsafe_set fr.fr_f sd (round_f32 (ga fr /. gb fr))
+            | _ -> generic ())
+      else
+        match (op, aa, bb) with
+        | Ir.Instr.Fadd, RfS a, RfS b ->
+            fun fr ->
+              Array.unsafe_set fr.fr_f sd
+                (Array.unsafe_get fr.fr_f a +. Array.unsafe_get fr.fr_f b)
+        | Ir.Instr.Fadd, RfS a, RfK kb ->
+            fun fr ->
+              Array.unsafe_set fr.fr_f sd (Array.unsafe_get fr.fr_f a +. kb)
+        | Ir.Instr.Fadd, RfK ka, RfS b ->
+            fun fr ->
+              Array.unsafe_set fr.fr_f sd (ka +. Array.unsafe_get fr.fr_f b)
+        | Ir.Instr.Fsub, RfS a, RfS b ->
+            fun fr ->
+              Array.unsafe_set fr.fr_f sd
+                (Array.unsafe_get fr.fr_f a -. Array.unsafe_get fr.fr_f b)
+        | Ir.Instr.Fsub, RfS a, RfK kb ->
+            fun fr ->
+              Array.unsafe_set fr.fr_f sd (Array.unsafe_get fr.fr_f a -. kb)
+        | Ir.Instr.Fsub, RfK ka, RfS b ->
+            fun fr ->
+              Array.unsafe_set fr.fr_f sd (ka -. Array.unsafe_get fr.fr_f b)
+        | Ir.Instr.Fmul, RfS a, RfS b ->
+            fun fr ->
+              Array.unsafe_set fr.fr_f sd
+                (Array.unsafe_get fr.fr_f a *. Array.unsafe_get fr.fr_f b)
+        | Ir.Instr.Fmul, RfS a, RfK kb ->
+            fun fr ->
+              Array.unsafe_set fr.fr_f sd (Array.unsafe_get fr.fr_f a *. kb)
+        | Ir.Instr.Fmul, RfK ka, RfS b ->
+            fun fr ->
+              Array.unsafe_set fr.fr_f sd (ka *. Array.unsafe_get fr.fr_f b)
+        | Ir.Instr.Fdiv, RfS a, RfS b ->
+            fun fr ->
+              Array.unsafe_set fr.fr_f sd
+                (Array.unsafe_get fr.fr_f a /. Array.unsafe_get fr.fr_f b)
+        | Ir.Instr.Fdiv, RfS a, RfK kb ->
+            fun fr ->
+              Array.unsafe_set fr.fr_f sd (Array.unsafe_get fr.fr_f a /. kb)
+        | Ir.Instr.Fdiv, RfK ka, RfS b ->
+            fun fr ->
+              Array.unsafe_set fr.fr_f sd (ka /. Array.unsafe_get fr.fr_f b)
+        | _ -> (
+            let ga = rf_fn aa and gb = rf_fn bb in
+            match op with
+            | Ir.Instr.Fadd ->
+                fun fr -> Array.unsafe_set fr.fr_f sd (ga fr +. gb fr)
+            | Ir.Instr.Fsub ->
+                fun fr -> Array.unsafe_set fr.fr_f sd (ga fr -. gb fr)
+            | Ir.Instr.Fmul ->
+                fun fr -> Array.unsafe_set fr.fr_f sd (ga fr *. gb fr)
+            | Ir.Instr.Fdiv ->
+                fun fr -> Array.unsafe_set fr.fr_f sd (ga fr /. gb fr)
             | _ -> generic ()))
-    | (Ir.Instr.Sdiv | Ir.Instr.Srem), C_int -> (
-        let sh = E.norm_shift ty in
-        let sd = slots.(d) in
-        match (op, rarg_i classes slots sa, rarg_i classes slots sb) with
-        | Ir.Instr.Sdiv, RiS a, RiS b ->
-            fun fr ->
-              bset64 fr.fr_i sd (sdiv sh (bget64 fr.fr_i a) (bget64 fr.fr_i b))
-        | Ir.Instr.Sdiv, RiS a, RiK kb ->
-            fun fr -> bset64 fr.fr_i sd (sdiv sh (bget64 fr.fr_i a) kb)
-        | Ir.Instr.Sdiv, RiK ka, RiS b ->
-            fun fr -> bset64 fr.fr_i sd (sdiv sh ka (bget64 fr.fr_i b))
-        | Ir.Instr.Srem, RiS a, RiS b ->
-            fun fr ->
-              bset64 fr.fr_i sd (srem sh (bget64 fr.fr_i a) (bget64 fr.fr_i b))
-        | Ir.Instr.Srem, RiS a, RiK kb ->
-            fun fr -> bset64 fr.fr_i sd (srem sh (bget64 fr.fr_i a) kb)
-        | Ir.Instr.Srem, RiK ka, RiS b ->
-            fun fr -> bset64 fr.fr_i sd (srem sh ka (bget64 fr.fr_i b))
-        | _ -> generic ())
-    | ( (Ir.Instr.Fadd | Ir.Instr.Fsub | Ir.Instr.Fmul | Ir.Instr.Fdiv),
-        C_float ) -> (
-        let sd = slots.(d) in
-        let aa = rarg_f classes slots sa and bb = rarg_f classes slots sb in
-        if ty = Ir.Ty.F32 then
-          match (op, aa, bb) with
-          | Ir.Instr.Fadd, RfS a, RfS b ->
-              fun fr ->
-                Array.unsafe_set fr.fr_f sd
-                  (round_f32
-                     (Array.unsafe_get fr.fr_f a +. Array.unsafe_get fr.fr_f b))
-          | Ir.Instr.Fsub, RfS a, RfS b ->
-              fun fr ->
-                Array.unsafe_set fr.fr_f sd
-                  (round_f32
-                     (Array.unsafe_get fr.fr_f a -. Array.unsafe_get fr.fr_f b))
-          | Ir.Instr.Fmul, RfS a, RfS b ->
-              fun fr ->
-                Array.unsafe_set fr.fr_f sd
-                  (round_f32
-                     (Array.unsafe_get fr.fr_f a *. Array.unsafe_get fr.fr_f b))
-          | Ir.Instr.Fdiv, RfS a, RfS b ->
-              fun fr ->
-                Array.unsafe_set fr.fr_f sd
-                  (round_f32
-                     (Array.unsafe_get fr.fr_f a /. Array.unsafe_get fr.fr_f b))
-          | _ -> (
-              let ga = rf_fn aa and gb = rf_fn bb in
-              match op with
-              | Ir.Instr.Fadd ->
-                  fun fr ->
-                    Array.unsafe_set fr.fr_f sd (round_f32 (ga fr +. gb fr))
-              | Ir.Instr.Fsub ->
-                  fun fr ->
-                    Array.unsafe_set fr.fr_f sd (round_f32 (ga fr -. gb fr))
-              | Ir.Instr.Fmul ->
-                  fun fr ->
-                    Array.unsafe_set fr.fr_f sd (round_f32 (ga fr *. gb fr))
-              | Ir.Instr.Fdiv ->
-                  fun fr ->
-                    Array.unsafe_set fr.fr_f sd (round_f32 (ga fr /. gb fr))
-              | _ -> generic ())
-        else
-          match (op, aa, bb) with
-          | Ir.Instr.Fadd, RfS a, RfS b ->
-              fun fr ->
-                Array.unsafe_set fr.fr_f sd
-                  (Array.unsafe_get fr.fr_f a +. Array.unsafe_get fr.fr_f b)
-          | Ir.Instr.Fadd, RfS a, RfK kb ->
-              fun fr ->
-                Array.unsafe_set fr.fr_f sd (Array.unsafe_get fr.fr_f a +. kb)
-          | Ir.Instr.Fadd, RfK ka, RfS b ->
-              fun fr ->
-                Array.unsafe_set fr.fr_f sd (ka +. Array.unsafe_get fr.fr_f b)
-          | Ir.Instr.Fsub, RfS a, RfS b ->
-              fun fr ->
-                Array.unsafe_set fr.fr_f sd
-                  (Array.unsafe_get fr.fr_f a -. Array.unsafe_get fr.fr_f b)
-          | Ir.Instr.Fsub, RfS a, RfK kb ->
-              fun fr ->
-                Array.unsafe_set fr.fr_f sd (Array.unsafe_get fr.fr_f a -. kb)
-          | Ir.Instr.Fsub, RfK ka, RfS b ->
-              fun fr ->
-                Array.unsafe_set fr.fr_f sd (ka -. Array.unsafe_get fr.fr_f b)
-          | Ir.Instr.Fmul, RfS a, RfS b ->
-              fun fr ->
-                Array.unsafe_set fr.fr_f sd
-                  (Array.unsafe_get fr.fr_f a *. Array.unsafe_get fr.fr_f b)
-          | Ir.Instr.Fmul, RfS a, RfK kb ->
-              fun fr ->
-                Array.unsafe_set fr.fr_f sd (Array.unsafe_get fr.fr_f a *. kb)
-          | Ir.Instr.Fmul, RfK ka, RfS b ->
-              fun fr ->
-                Array.unsafe_set fr.fr_f sd (ka *. Array.unsafe_get fr.fr_f b)
-          | Ir.Instr.Fdiv, RfS a, RfS b ->
-              fun fr ->
-                Array.unsafe_set fr.fr_f sd
-                  (Array.unsafe_get fr.fr_f a /. Array.unsafe_get fr.fr_f b)
-          | Ir.Instr.Fdiv, RfS a, RfK kb ->
-              fun fr ->
-                Array.unsafe_set fr.fr_f sd (Array.unsafe_get fr.fr_f a /. kb)
-          | Ir.Instr.Fdiv, RfK ka, RfS b ->
-              fun fr ->
-                Array.unsafe_set fr.fr_f sd (ka /. Array.unsafe_get fr.fr_f b)
-          | _ -> (
-              let ga = rf_fn aa and gb = rf_fn bb in
-              match op with
-              | Ir.Instr.Fadd ->
-                  fun fr -> Array.unsafe_set fr.fr_f sd (ga fr +. gb fr)
-              | Ir.Instr.Fsub ->
-                  fun fr -> Array.unsafe_set fr.fr_f sd (ga fr -. gb fr)
-              | Ir.Instr.Fmul ->
-                  fun fr -> Array.unsafe_set fr.fr_f sd (ga fr *. gb fr)
-              | Ir.Instr.Fdiv ->
-                  fun fr -> Array.unsafe_set fr.fr_f sd (ga fr /. gb fr)
-              | _ -> generic ()))
-    | _ -> generic ()
+  | _ -> generic ()
 
 (* Boolean compile of a compare: the one table of compare shapes.
    The typed compare-and-branch terminator fusion uses it as is, with
@@ -1562,7 +1535,7 @@ let rbool_fcmp (classes : rclass array) (slots : int array)
 let compile_rcmp (classes : rclass array) (slots : int array) (d : int)
     (sa : src) (sb : src) (f : E.value -> E.value -> E.value)
     (test : unit -> frame -> bool) : frame -> unit =
-  if d >= 0 && d < Array.length classes && classes.(d) = C_int then
+  if classes.(d) = C_int then
     let sd = slots.(d) and t = test () in
     fun fr -> bset64 fr.fr_i sd (if t fr then 1L else 0L)
   else
@@ -1578,93 +1551,90 @@ let compile_rcast (classes : rclass array) (slots : int array)
     let w = rwr_box classes slots d in
     fun fr -> w fr (f (ga fr))
   in
-  let ok r = r >= 0 && r < Array.length classes in
-  if not (ok d) then generic ()
-  else
-    match (c, classes.(d)) with
-    | (Ir.Instr.Trunc | Ir.Instr.Sext), C_int -> (
-        let sh = E.norm_shift to_ in
-        match rarg_i classes slots sa with
-        | RiS a ->
-            fun fr ->
-              bset64 fr.fr_i slots.(d)
-                (renorm sh (bget64 fr.fr_i a))
-        | aa ->
-            let ga = ri_fn aa in
-            let sd = slots.(d) in
-            fun fr -> bset64 fr.fr_i sd (renorm sh (ga fr)))
-    | Ir.Instr.Zext, C_int -> (
-        let sh = E.norm_shift to_ in
-        let um = E.umask from_ (-1L) in
-        match rarg_i classes slots sa with
-        | RiS a ->
-            let sd = slots.(d) in
-            fun fr ->
-              bset64 fr.fr_i sd
-                (renorm sh (Int64.logand (bget64 fr.fr_i a) um))
-        | aa ->
-            let ga = ri_fn aa in
-            let sd = slots.(d) in
-            fun fr ->
-              bset64 fr.fr_i sd
-                (renorm sh (Int64.logand (ga fr) um)))
-    | Ir.Instr.Fptosi, C_int -> (
-        let sh = E.norm_shift to_ in
-        match rarg_f classes slots sa with
-        | RfS a ->
-            let sd = slots.(d) in
-            fun fr ->
-              let f = Array.unsafe_get fr.fr_f a in
-              bset64 fr.fr_i sd
-                (if Float.is_nan f then 0L else renorm sh (Int64.of_float f))
-        | aa ->
-            let ga = rf_fn aa in
-            let sd = slots.(d) in
-            fun fr ->
-              let f = ga fr in
-              bset64 fr.fr_i sd
-                (if Float.is_nan f then 0L else renorm sh (Int64.of_float f))
-        )
-    | Ir.Instr.Sitofp, C_float -> (
-        let sd = slots.(d) in
-        match rarg_i classes slots sa with
-        | RiS a ->
-            if to_ = Ir.Ty.F32 then fun fr ->
-              Array.unsafe_set fr.fr_f sd
-                (round_f32 (Int64.to_float (bget64 fr.fr_i a)))
-            else fun fr ->
-              Array.unsafe_set fr.fr_f sd
-                (Int64.to_float (bget64 fr.fr_i a))
-        | aa ->
-            let ga = ri_fn aa in
-            if to_ = Ir.Ty.F32 then fun fr ->
-              Array.unsafe_set fr.fr_f sd
-                (round_f32 (Int64.to_float (ga fr)))
-            else fun fr ->
-              Array.unsafe_set fr.fr_f sd (Int64.to_float (ga fr)))
-    | Ir.Instr.Fpext, C_float -> (
-        let sd = slots.(d) in
-        match rarg_f classes slots sa with
-        | RfS a ->
-            fun fr -> Array.unsafe_set fr.fr_f sd (Array.unsafe_get fr.fr_f a)
-        | aa ->
-            let ga = rf_fn aa in
-            fun fr -> Array.unsafe_set fr.fr_f sd (ga fr))
-    | Ir.Instr.Fptrunc, C_float -> (
-        let sd = slots.(d) in
-        match rarg_f classes slots sa with
-        | RfS a ->
-            if to_ = Ir.Ty.F32 then fun fr ->
-              Array.unsafe_set fr.fr_f sd
-                (round_f32 (Array.unsafe_get fr.fr_f a))
-            else fun fr ->
-              Array.unsafe_set fr.fr_f sd (Array.unsafe_get fr.fr_f a)
-        | aa ->
-            let ga = rf_fn aa in
-            if to_ = Ir.Ty.F32 then fun fr ->
-              Array.unsafe_set fr.fr_f sd (round_f32 (ga fr))
-            else fun fr -> Array.unsafe_set fr.fr_f sd (ga fr))
-    | _ -> generic ()
+  match (c, classes.(d)) with
+  | (Ir.Instr.Trunc | Ir.Instr.Sext), C_int -> (
+      let sh = E.norm_shift to_ in
+      match rarg_i classes slots sa with
+      | RiS a ->
+          fun fr ->
+            bset64 fr.fr_i slots.(d)
+              (renorm sh (bget64 fr.fr_i a))
+      | aa ->
+          let ga = ri_fn aa in
+          let sd = slots.(d) in
+          fun fr -> bset64 fr.fr_i sd (renorm sh (ga fr)))
+  | Ir.Instr.Zext, C_int -> (
+      let sh = E.norm_shift to_ in
+      let um = E.umask from_ (-1L) in
+      match rarg_i classes slots sa with
+      | RiS a ->
+          let sd = slots.(d) in
+          fun fr ->
+            bset64 fr.fr_i sd
+              (renorm sh (Int64.logand (bget64 fr.fr_i a) um))
+      | aa ->
+          let ga = ri_fn aa in
+          let sd = slots.(d) in
+          fun fr ->
+            bset64 fr.fr_i sd
+              (renorm sh (Int64.logand (ga fr) um)))
+  | Ir.Instr.Fptosi, C_int -> (
+      let sh = E.norm_shift to_ in
+      match rarg_f classes slots sa with
+      | RfS a ->
+          let sd = slots.(d) in
+          fun fr ->
+            let f = Array.unsafe_get fr.fr_f a in
+            bset64 fr.fr_i sd
+              (if Float.is_nan f then 0L else renorm sh (Int64.of_float f))
+      | aa ->
+          let ga = rf_fn aa in
+          let sd = slots.(d) in
+          fun fr ->
+            let f = ga fr in
+            bset64 fr.fr_i sd
+              (if Float.is_nan f then 0L else renorm sh (Int64.of_float f))
+      )
+  | Ir.Instr.Sitofp, C_float -> (
+      let sd = slots.(d) in
+      match rarg_i classes slots sa with
+      | RiS a ->
+          if to_ = Ir.Ty.F32 then fun fr ->
+            Array.unsafe_set fr.fr_f sd
+              (round_f32 (Int64.to_float (bget64 fr.fr_i a)))
+          else fun fr ->
+            Array.unsafe_set fr.fr_f sd
+              (Int64.to_float (bget64 fr.fr_i a))
+      | aa ->
+          let ga = ri_fn aa in
+          if to_ = Ir.Ty.F32 then fun fr ->
+            Array.unsafe_set fr.fr_f sd
+              (round_f32 (Int64.to_float (ga fr)))
+          else fun fr ->
+            Array.unsafe_set fr.fr_f sd (Int64.to_float (ga fr)))
+  | Ir.Instr.Fpext, C_float -> (
+      let sd = slots.(d) in
+      match rarg_f classes slots sa with
+      | RfS a ->
+          fun fr -> Array.unsafe_set fr.fr_f sd (Array.unsafe_get fr.fr_f a)
+      | aa ->
+          let ga = rf_fn aa in
+          fun fr -> Array.unsafe_set fr.fr_f sd (ga fr))
+  | Ir.Instr.Fptrunc, C_float -> (
+      let sd = slots.(d) in
+      match rarg_f classes slots sa with
+      | RfS a ->
+          if to_ = Ir.Ty.F32 then fun fr ->
+            Array.unsafe_set fr.fr_f sd
+              (round_f32 (Array.unsafe_get fr.fr_f a))
+          else fun fr ->
+            Array.unsafe_set fr.fr_f sd (Array.unsafe_get fr.fr_f a)
+      | aa ->
+          let ga = rf_fn aa in
+          if to_ = Ir.Ty.F32 then fun fr ->
+            Array.unsafe_set fr.fr_f sd (round_f32 (ga fr))
+          else fun fr -> Array.unsafe_set fr.fr_f sd (ga fr))
+  | _ -> generic ()
 
 (* ------------------------------------------------------------------ *)
 (* The compiled driver and the typed calling convention                *)
@@ -1672,27 +1642,22 @@ let compile_rcast (classes : rclass array) (slots : int array)
 
 let zero_value = E.VInt 0L
 
-(* The phi row of every predecessor label whose first phi has no
-   entry: never called.  [go] tests a row against it with [==] and
-   faults instead, so such labels share this one value. *)
-let no_row : frame -> unit = fun _ -> ()
-
 let fresh_frame (counts : int array) : frame =
   {
     fr_i = Bytes.make (8 * counts.(0)) '\000';
     fr_f = Array.make counts.(1) 0.0;
     fr_p = Array.make counts.(2) 0;
-    fr_v = Array.make (max 1 counts.(3)) zero_value;
+    fr_v = Array.make counts.(3) zero_value;
   }
 
 (* Claim the frame of [fi]'s next invocation.  [fi.frames.(d)] belongs
    to the invocation at recursion depth [d] of this function, so every
    live invocation owns a distinct frame — a callee at depth 2 never
    shares depth 1's — and a call allocates no frame once its depth has
-   been reached before.  A reused frame is re-zeroed, so it reads
-   exactly like a fresh one (an unwritten register reads as [VInt 0L]);
-   only read registers and the sinks ({!classify_rfunc}) are cleared.
-   {!enter} gives the frame back.  A fault skips that, which is
+   been reached before.  A reused frame keeps the previous
+   invocation's values: the verifier's dominance rule puts a write of
+   every register before each of its reads, so no stale value is
+   read.  {!enter} gives the frame back.  A fault skips that, which is
    harmless: it ends the run, and the next run prepares fresh
    [func_info]s. *)
 let push_frame (fi : func_info) : frame =
@@ -1704,21 +1669,8 @@ let push_frame (fi : func_info) : frame =
         (max 4 (2 * d))
         (fun k -> if k < d then old.(k) else fresh_frame fi.rcounts)
   end;
-  let fr = Array.unsafe_get fi.frames d in
   fi.depth <- d + 1;
-  for k = 0 to (Bytes.length fr.fr_i / 8) - 1 do
-    bset64 fr.fr_i (8 * k) 0L
-  done;
-  for k = 0 to Array.length fr.fr_f - 1 do
-    Array.unsafe_set fr.fr_f k 0.0
-  done;
-  for k = 0 to Array.length fr.fr_p - 1 do
-    Array.unsafe_set fr.fr_p k 0
-  done;
-  for k = 0 to Array.length fr.fr_v - 1 do
-    Array.unsafe_set fr.fr_v k zero_value
-  done;
-  fr
+  Array.unsafe_get fi.frames d
 
 (* The return cell as a boxed value: the run's exit seam, and a
    caller whose destination class differs from the returned one. *)
@@ -1755,11 +1707,9 @@ let cmp_test (fi : func_info) curl (test : frame -> bool) fr =
     tail-recursive calls.  Every [max_linked_blocks] consecutive direct
     transfers the driver takes one trip through the indexed path
     ([rtblocks.(label)]), the escape hatch, and resets the budget.  An
-    unlinked terminator ([RL_none]: [tuning.link] off, or a label
-    outside the function) always takes the indexed path, so it faults
-    exactly where an out-of-range label must.  Both paths land on the
-    same [rtblock] and run the same per-block protocol, so linking
-    changes host speed only.
+    unlinked terminator ([RL_none]: [tuning.link] off) always takes the
+    indexed path.  Both paths land on the same [rtblock] and run the
+    same per-block protocol, so linking changes host speed only.
 
     The result is [true] when the function returned a value, which is
     then in the state's return cell. *)
@@ -1792,20 +1742,10 @@ let rec go (st : state) (fi : func_info) (fr : frame) (tb : rtblock)
       mon (fi.bid_base + curl));
   (* Phi prologue: one closure per predecessor label, compiled as
      direct writes, or as a stage-then-commit pass when an incoming
-     value names a sibling phi's destination.  A label whose first phi
-     has no entry, or one out of range, faults. *)
+     value names a sibling phi's destination.  A block with phis is
+     never the entry block, so [prevl] is one of its predecessors. *)
   let rows = tb.r_phi_rows in
-  if Array.length rows > 0 then begin
-    let row =
-      if prevl >= 0 && prevl < Array.length rows then
-        Array.unsafe_get rows prevl
-      else no_row
-    in
-    if row == no_row then
-      fault "@%s/bb%d: phi has no entry for predecessor bb%d"
-        fi.func.Ir.Func.name curl prevl
-    else row fr
-  end;
+  if Array.length rows > 0 then (Array.unsafe_get rows prevl) fr;
   (* Body: an array walk of pre-decoded closures.  The runtime faults
      an instruction can raise get the block context the Reference
      engine attaches per instruction. *)
@@ -1836,7 +1776,7 @@ let rec go (st : state) (fi : func_info) (fr : frame) (tb : rtblock)
         (match Hashtbl.find_opt tbl sv with Some t -> t | None -> dflt)
         curl budget
   | RL_none -> (
-      (* unlinked terminator: transfer through the indexed path *)
+      (* [tuning.link] off: transfer through the indexed path *)
       let budget0 = st.tuning.max_linked_blocks in
       let rtblocks = fi.rtblocks in
       match tb.r_term with
@@ -1880,50 +1820,44 @@ let enter (st : state) (fi : func_info) (fr : frame) : bool =
 (* The typed calling convention, compiled per call site.  Argument [i]
    moves straight from the caller's lane slot into the callee's
    parameter slot (parameter registers are 0..n-1) — a "mover", bound
-   at compile time from both functions' classifications.  Same-class
-   moves are one unboxed copy; a class mismatch reads through the
-   standard conversions ([rarg_*], i.e. [as_int] & co. on the boxed
-   value), so the same [Type_error] rises in the caller's block
-   context.  The result comes back through the state's typed return
-   cell and is copied into the destination lane; only a class mismatch
-   boxes it. *)
-let rmove (classes : rclass array) (slots : int array) (callee : func_info)
-    (i : int) (s : src) : frame -> frame -> unit =
-  let cc = callee.rclasses in
-  if i < Array.length cc then
-    let t = callee.rslots.(i) in
-    match cc.(i) with
-    | C_int -> (
-        match rarg_i classes slots s with
-        | RiS a -> fun fr cfr -> bset64 cfr.fr_i t (bget64 fr.fr_i a)
-        | RiK k -> fun _ cfr -> bset64 cfr.fr_i t k
-        | RiG g -> fun fr cfr -> bset64 cfr.fr_i t (g fr))
-    | C_float -> (
-        match rarg_f classes slots s with
-        | RfS a ->
-            fun fr cfr ->
-              Array.unsafe_set cfr.fr_f t (Array.unsafe_get fr.fr_f a)
-        | RfK k -> fun _ cfr -> Array.unsafe_set cfr.fr_f t k
-        | RfG g -> fun fr cfr -> Array.unsafe_set cfr.fr_f t (g fr))
-    | C_ptr -> (
-        match rarg_p classes slots s with
-        | RpS a ->
-            fun fr cfr ->
-              Array.unsafe_set cfr.fr_p t (Array.unsafe_get fr.fr_p a)
-        | RpK k -> fun _ cfr -> Array.unsafe_set cfr.fr_p t k
-        | RpG g -> fun fr cfr -> Array.unsafe_set cfr.fr_p t (g fr))
-    | C_boxed ->
-        let g = rget_box classes slots s in
-        fun fr cfr -> Array.unsafe_set cfr.fr_v t (g fr)
-  else
-    let g = rget_box classes slots s in
-    fun fr cfr -> cfr.fr_v.(i) <- g fr
+   at compile time from both functions' classifications.  The verifier
+   gives a call its callee's arity, parameter types and return type, and
+   every constant a value of its type's class, so an argument is a slot
+   of the parameter's own class or an immediate that converts to it:
+   each move is one unboxed copy.  The result comes back through the
+   state's typed return cell and is copied into the destination lane. *)
+let rmove (slots : int array) (callee : func_info) (i : int) (s : src) :
+    frame -> frame -> unit =
+  let t = callee.rslots.(i) in
+  match (callee.rclasses.(i), s) with
+  | C_int, Slot r ->
+      let a = slots.(r) in
+      fun fr cfr -> bset64 cfr.fr_i t (bget64 fr.fr_i a)
+  | C_float, Slot r ->
+      let a = slots.(r) in
+      fun fr cfr -> Array.unsafe_set cfr.fr_f t (Array.unsafe_get fr.fr_f a)
+  | C_ptr, Slot r ->
+      let a = slots.(r) in
+      fun fr cfr -> Array.unsafe_set cfr.fr_p t (Array.unsafe_get fr.fr_p a)
+  | C_boxed, Slot r ->
+      let a = slots.(r) in
+      fun fr cfr -> Array.unsafe_set cfr.fr_v t (Array.unsafe_get fr.fr_v a)
+  | C_int, Imm v ->
+      let k = E.as_int v in
+      fun _ cfr -> bset64 cfr.fr_i t k
+  | C_float, Imm v ->
+      let k = E.as_float v in
+      fun _ cfr -> Array.unsafe_set cfr.fr_f t k
+  | C_ptr, Imm v ->
+      let p = E.as_ptr v in
+      fun _ cfr -> Array.unsafe_set cfr.fr_p t p
+  | C_boxed, Imm v -> fun _ cfr -> Array.unsafe_set cfr.fr_v t v
 
 (* [R_ret] of one operand: write its payload into the return cell lane
    of its own class. *)
 let rret (st : state) (classes : rclass array) (slots : int array) :
     src -> frame -> unit = function
-  | Slot r when r >= 0 && r < Array.length classes -> (
+  | Slot r -> (
       let s = slots.(r) in
       match classes.(r) with
       | C_int ->
@@ -1942,10 +1876,6 @@ let rret (st : state) (classes : rclass array) (slots : int array) :
           fun fr ->
             st.ret_v <- Array.unsafe_get fr.fr_v s;
             st.ret_c <- C_boxed)
-  | Slot r ->
-      fun fr ->
-        st.ret_v <- fr.fr_v.(r);
-        st.ret_c <- C_boxed
   | Imm (E.VInt k) ->
       fun _ ->
         bset64 st.ret_i 0 k;
@@ -1960,53 +1890,37 @@ let rret (st : state) (classes : rclass array) (slots : int array) :
         st.ret_c <- C_ptr
 
 (* The caller's half of a return: copy the return cell into
-   destination [d]'s lane. *)
+   destination [d]'s lane.  The callee returned a value of [d]'s type,
+   so the cell holds [d]'s class, except that a ptr function may
+   return an integer constant (its cell then holds [C_int]), and the
+   all-boxed compile returns immediates in their own class. *)
 let rrecv (st : state) (classes : rclass array) (slots : int array) (d : int)
     : frame -> unit =
-  let w = rwr_box classes slots d in
-  if d >= 0 && d < Array.length classes then
-    let sd = slots.(d) in
-    match classes.(d) with
-    | C_int ->
-        fun fr ->
+  let sd = slots.(d) in
+  match classes.(d) with
+  | C_int -> fun fr -> bset64 fr.fr_i sd (bget64 st.ret_i 0)
+  | C_float ->
+      fun fr -> Array.unsafe_set fr.fr_f sd (Array.unsafe_get st.ret_f 0)
+  | C_ptr ->
+      fun fr ->
+        Array.unsafe_set fr.fr_p sd
           (match st.ret_c with
-          | C_int -> bset64 fr.fr_i sd (bget64 st.ret_i 0)
-          | _ -> w fr (ret_box st))
-    | C_float ->
-        fun fr ->
-          (match st.ret_c with
-          | C_float -> Array.unsafe_set fr.fr_f sd (Array.unsafe_get st.ret_f 0)
-          | _ -> w fr (ret_box st))
-    | C_ptr ->
-        fun fr ->
-          (match st.ret_c with
-          | C_ptr -> Array.unsafe_set fr.fr_p sd st.ret_p
-          | _ -> w fr (ret_box st))
-    | C_boxed -> fun fr -> Array.unsafe_set fr.fr_v sd (ret_box st)
-  else fun fr -> w fr (ret_box st)
+          | C_ptr -> st.ret_p
+          | _ -> Int64.to_int (bget64 st.ret_i 0))
+  | C_boxed -> fun fr -> Array.unsafe_set fr.fr_v sd (ret_box st)
 
-(* A resolved user call.  An arity mismatch is known at compile time
-   but faults at run time, after reading the arguments, with the
-   Reference engine's text. *)
+(* A resolved user call. *)
 let compile_rcall (st : state) (classes : rclass array) (slots : int array)
     (d : int) (srcs : src array) (callee : func_info) : frame -> unit =
-  let cname = callee.func.Ir.Func.name in
-  let nparams = List.length callee.func.Ir.Func.params in
   let nargs = Array.length srcs in
-  if nargs <> nparams then
-    let gs = Array.map (rget_box classes slots) srcs in
-    fun fr ->
-      Array.iter (fun g -> ignore (g fr)) gs;
-      fault "@%s: expected %d arguments, got %d" cname nparams nargs
-  else
-    let movers = Array.mapi (rmove classes slots callee) srcs in
-    let recv = rrecv st classes slots d in
-    fun fr ->
-      let cfr = push_frame callee in
-      for k = 0 to nargs - 1 do
-        (Array.unsafe_get movers k) fr cfr
-      done;
-      if enter st callee cfr then recv fr
+  let movers = Array.mapi (rmove slots callee) srcs in
+  let recv = rrecv st classes slots d in
+  fun fr ->
+    let cfr = push_frame callee in
+    for k = 0 to nargs - 1 do
+      (Array.unsafe_get movers k) fr cfr
+    done;
+    if enter st callee cfr then recv fr
 
 (* One-argument float intrinsics with a [C_float] source slot and
    destination, bound as direct [float -> float] primitives: the
@@ -2016,10 +1930,8 @@ let compile_rcall (st : state) (classes : rclass array) (slots : int array)
    primitive gets its argument unboxed. *)
 let typed_intrinsic (classes : rclass array) (slots : int array) (d : int)
     (name : string) (srcs : src array) : (frame -> unit) option =
-  let ok r = r >= 0 && r < Array.length classes in
   match srcs with
-  | [| Slot r |] when ok d && classes.(d) = C_float && ok r
-                      && classes.(r) = C_float -> (
+  | [| Slot r |] when classes.(d) = C_float && classes.(r) = C_float -> (
       let sd = slots.(d) and a = slots.(r) in
       let[@inline] set fr x = Array.unsafe_set fr.fr_f sd x in
       match name with
@@ -2139,33 +2051,13 @@ let splice_ok (reg_tys : Ir.Ty.t array) (b : ci_body)
     match op with
     | Ir.Instr.Const c ->
         Ir.Instr.const_ty c = ty && vclass op = Some (rclass_of_ty ty)
-    | Ir.Instr.Reg r -> r >= 0 && r < Array.length reg_tys && reg_tys.(r) = ty
+    | Ir.Instr.Reg r -> reg_tys.(r) = ty
   in
   nn > 0
   && b.cb_nodes.(nn - 1).Ir.Instr.id = b.cb_root
   && List.length argops = Array.length b.cb_inputs
   && List.for_all2 arg_ok argops (Array.to_list b.cb_inputs)
   && Array.for_all node_ok b.cb_nodes
-
-(* Whether every register [fi] names is one of its own.  Fresh
-   registers are numbered past the function's own, so in a function
-   naming a register out of that range (malformed IR, which must fault
-   on that slot as the Reference engine does) they would alias it. *)
-let own_regs_only (fi : func_info) : bool =
-  let n = Array.length fi.reg_tys in
-  let own = function
-    | Ir.Instr.Reg r -> r >= 0 && r < n
-    | Ir.Instr.Const _ -> true
-  in
-  Array.for_all
-    (fun bi ->
-      Array.for_all
-        (fun (i : Ir.Instr.t) ->
-          own (Ir.Instr.Reg i.Ir.Instr.id)
-          && List.for_all own (Ir.Instr.operands i.Ir.Instr.kind))
-        bi.instrs
-      && List.for_all own (Ir.Instr.terminator_operands bi.term))
-    fi.blocks
 
 (* Give every CI call site of [fi] that passes {!splice_ok} a splice
    plan ([fi.rsplices]), numbering its body's non-root nodes as fresh
@@ -2206,9 +2098,8 @@ let plan_splices (st : state) (fi : func_info) : Ir.Ty.t list =
     slot; the unread ones of a class (store ids, unused results and
     parameters) share one sink slot, which nothing reads.
     With [tuning.regalloc] off every register is [C_boxed].  With
-    [tuning.ci_native] on, the CI call sites of a function that names
-    only its own registers get their splice plans first
-    ({!plan_splices}), and the fresh registers of
+    [tuning.ci_native] on, the CI call sites get their splice plans
+    first ({!plan_splices}), and the fresh registers of
     the spliced bodies are classified by the node types like any
     other.  Every function of the module is classified before any
     block compiles, so a [Call] site binds its argument movers against
@@ -2216,8 +2107,8 @@ let plan_splices (st : state) (fi : func_info) : Ir.Ty.t list =
 let classify_rfunc (st : state) (fi : func_info) : unit =
   let tys =
     match
-      if st.tuning.ci_native && Hashtbl.length st.cis > 0 && own_regs_only fi
-      then plan_splices st fi
+      if st.tuning.ci_native && Hashtbl.length st.cis > 0 then
+        plan_splices st fi
       else []
     with
     | [] -> fi.reg_tys
@@ -2261,11 +2152,8 @@ let ci_charge (st : state) ci impl : frame -> unit =
 
 let compile_rblock (st : state) (fi : func_info) (classes : rclass array)
     (slots : int array) (bnum : int) (bi : block_info) : rtblock =
-  let fname = fi.func.Ir.Func.name in
   let nphi = bi.phi_count in
   let mem = st.memory in
-  let nregs = Array.length classes in
-  let ok r = r >= 0 && r < nregs in
   (* Compile one instruction, decoding its operands with [dec] and
      writing register [d].  A caller instruction decodes its own
      operands and writes its own id; a spliced CI body node
@@ -2278,7 +2166,9 @@ let compile_rblock (st : state) (fi : func_info) (classes : rclass array)
   let compile_rinstr ~dec ~from_ty ~d (i : Ir.Instr.t) : frame -> unit =
     let ty = i.Ir.Instr.ty in
     match i.Ir.Instr.kind with
-    | Ir.Instr.Phi _ -> fun _ -> fault "@%s/bb%d: phi after non-phi" fname bnum
+    | Ir.Instr.Phi _ ->
+        (* phis lead their block, and {!splice_ok} admits none *)
+        assert false
     | Ir.Instr.Binop (op, a, b) ->
         compile_rbinop classes slots ty op d (dec a) (dec b)
     | Ir.Instr.Icmp (p, a, b) ->
@@ -2304,27 +2194,27 @@ let compile_rblock (st : state) (fi : func_info) (classes : rclass array)
            engine's [eval_select] call.  One arm per lane: the MiniC
            frontend never emits [Select], so no shape is expanded.  A
            boxed destination falls back to moving boxed values. *)
-        match (if ok d then classes.(d) else C_boxed) with
-        | C_int when ok d ->
+        match classes.(d) with
+        | C_int ->
             let sd = slots.(d) in
             let ga = rget_i classes slots sa and gb = rget_i classes slots sb in
             fun fr ->
               let vc = tc fr and va = ga fr and vb = gb fr in
               bset64 fr.fr_i sd (if vc then va else vb)
-        | C_float when ok d ->
+        | C_float ->
             let sd = slots.(d) in
             let ga = rf_fn (rarg_f classes slots sa)
             and gb = rf_fn (rarg_f classes slots sb) in
             fun fr ->
               let vc = tc fr and va = ga fr and vb = gb fr in
               Array.unsafe_set fr.fr_f sd (if vc then va else vb)
-        | C_ptr when ok d ->
+        | C_ptr ->
             let sd = slots.(d) in
             let ga = rget_p classes slots sa and gb = rget_p classes slots sb in
             fun fr ->
               let vc = tc fr and va = ga fr and vb = gb fr in
               Array.unsafe_set fr.fr_p sd (if vc then va else vb)
-        | _ ->
+        | C_boxed ->
             let ga = rget_box classes slots sa
             and gb = rget_box classes slots sb in
             let w = rwr_box classes slots d in
@@ -2332,7 +2222,7 @@ let compile_rblock (st : state) (fi : func_info) (classes : rclass array)
               let vc = tc fr and va = ga fr and vb = gb fr in
               w fr (if vc then va else vb))
     | Ir.Instr.Alloca (_, count) ->
-        if ok d && classes.(d) = C_ptr then (
+        if classes.(d) = C_ptr then (
           let sd = slots.(d) in
           fun fr -> Array.unsafe_set fr.fr_p sd (Memory.alloc mem count))
         else
@@ -2343,8 +2233,8 @@ let compile_rblock (st : state) (fi : func_info) (classes : rclass array)
         (* A typed destination takes the cell's unboxed payload
            directly ([mload_*]); only a boxed destination builds a
            value.  No allocation on any typed class. *)
-        match (if ok d then classes.(d) else C_boxed) with
-        | C_int when ok d -> (
+        match classes.(d) with
+        | C_int -> (
             let sd = slots.(d) in
             match aa with
             | RpS p ->
@@ -2353,7 +2243,7 @@ let compile_rblock (st : state) (fi : func_info) (classes : rclass array)
             | _ ->
                 let ga = rp_fn aa in
                 fun fr -> bset64 fr.fr_i sd (mload_i mem (ga fr)))
-        | C_float when ok d -> (
+        | C_float -> (
             let sd = slots.(d) in
             match aa with
             | RpS p ->
@@ -2363,7 +2253,7 @@ let compile_rblock (st : state) (fi : func_info) (classes : rclass array)
             | _ ->
                 let ga = rp_fn aa in
                 fun fr -> Array.unsafe_set fr.fr_f sd (mload_f mem (ga fr)))
-        | C_ptr when ok d -> (
+        | C_ptr -> (
             let sd = slots.(d) in
             match aa with
             | RpS p ->
@@ -2373,7 +2263,7 @@ let compile_rblock (st : state) (fi : func_info) (classes : rclass array)
             | _ ->
                 let ga = rp_fn aa in
                 fun fr -> Array.unsafe_set fr.fr_p sd (mload_p mem (ga fr)))
-        | _ ->
+        | C_boxed ->
             let ga = rp_fn aa in
             let w = rwr_box classes slots d in
             fun fr -> w fr (Memory.load mem (ga fr)))
@@ -2387,14 +2277,14 @@ let compile_rblock (st : state) (fi : func_info) (classes : rclass array)
         let aa = rarg_p classes slots (dec a) in
         let ga = rp_fn aa in
         match dec x with
-        | Slot r when ok r && classes.(r) = C_int -> (
+        | Slot r when classes.(r) = C_int -> (
             let sx = slots.(r) in
             match aa with
             | RpS p ->
                 fun fr ->
                   mstore_i mem (Array.unsafe_get fr.fr_p p) (bget64 fr.fr_i sx)
             | _ -> fun fr -> mstore_i mem (ga fr) (bget64 fr.fr_i sx))
-        | Slot r when ok r && classes.(r) = C_float -> (
+        | Slot r when classes.(r) = C_float -> (
             let sx = slots.(r) in
             match aa with
             | RpS p ->
@@ -2403,7 +2293,7 @@ let compile_rblock (st : state) (fi : func_info) (classes : rclass array)
                     (Array.unsafe_get fr.fr_p p)
                     (Array.unsafe_get fr.fr_f sx)
             | _ -> fun fr -> mstore_f mem (ga fr) (Array.unsafe_get fr.fr_f sx))
-        | Slot r when ok r && classes.(r) = C_ptr -> (
+        | Slot r when classes.(r) = C_ptr -> (
             let sx = slots.(r) in
             match aa with
             | RpS p ->
@@ -2423,7 +2313,7 @@ let compile_rblock (st : state) (fi : func_info) (classes : rclass array)
     | Ir.Instr.Gep (base, idx) ->
         let ab = rarg_p classes slots (dec base) in
         let ai = rarg_i classes slots (dec idx) in
-        if ok d && classes.(d) = C_ptr then (
+        if classes.(d) = C_ptr then (
           let sd = slots.(d) in
           match (ab, ai) with
           | RpS pb, RiS ri ->
@@ -2447,7 +2337,7 @@ let compile_rblock (st : state) (fi : func_info) (classes : rclass array)
         (* Lazily resolved on first execution and memoized: resolving
            at compile time would fault on blocks that never run. *)
         let cell = ref (-1) in
-        if ok d && classes.(d) = C_ptr then (
+        if classes.(d) = C_ptr then (
           let sd = slots.(d) in
           fun fr ->
             let b = !cell in
@@ -2520,8 +2410,6 @@ let compile_rblock (st : state) (fi : func_info) (classes : rclass array)
       match bi.term with
       | Ir.Instr.Cond_br (Ir.Instr.Reg r, a, b)
         when bi.instrs.(n - 1).Ir.Instr.id = r
-             && r >= 0
-             && r < Array.length fi.use_counts
              && fi.use_counts.(r) = 1
              && (match bi.instrs.(n - 1).Ir.Instr.kind with
                 | Ir.Instr.Icmp _ | Ir.Instr.Fcmp _ -> true
@@ -2594,154 +2482,117 @@ let compile_rblock (st : state) (fi : func_info) (classes : rclass array)
       Array.concat
         (List.init (body_end - nphi) (fun j -> compile_site (nphi + j)))
   in
-  (* Phi prologue, compiled per predecessor label.  A row is direct
-     when every phi has an entry for the predecessor, the destinations
-     are distinct in-range registers and no entry reads a sibling
+  (* Phi prologue, compiled per predecessor label.  The verifier gives
+     every phi an entry for each predecessor, and distinct
+     destinations.  A row is direct when no entry reads a sibling
      phi's destination: no read of the row then sees a write of it, so
      writing each destination as it is read is the parallel
      assignment.  A direct row walks its same-class int and float
      register moves and its int constants as move arrays, then runs
      the other entries' closures in row order (only those can fault,
      so the first fault is the one staging would raise).  A single
-     phi is one closure that writes directly.  A label whose first phi
-     has no entry gets no row of its own: it shares {!no_row}, and
-     [go] faults.  Any other row (a sibling read, or a
-     later phi with no entry) stages every value into per-class
-     scratch and then commits.  The scratch exists only when such a
-     row does; reusing it is safe because the prologue cannot re-enter
-     this function. *)
+     phi is one closure that writes directly.  A row with a sibling
+     read stages every value into per-class scratch and then commits.
+     The scratch exists only when such a row does; reusing it is safe
+     because the prologue cannot re-enter this function.  A label
+     that is not a predecessor never enters the block: its row is
+     [ignore]. *)
   let r_phi_rows =
     if nphi = 0 then [||]
     else begin
-      let npred = Array.length bi.phi_incoming.(0) in
       let dests = bi.phi_dests in
-      let lane k =
-        let dk = dests.(k) in
-        if ok dk then classes.(dk) else C_boxed
-      in
       (* is register [r] the destination of a phi other than [k]? *)
       let sibling k r =
         let rec go j = j < nphi && ((j <> k && dests.(j) = r) || go (j + 1)) in
         go 0
       in
-      let dests_ok =
-        let rec go k =
-          k >= nphi
-          || (ok dests.(k) && (not (sibling k dests.(k))) && go (k + 1))
-        in
-        go 0
-      in
-      let has_entry p = Option.is_some bi.phi_incoming.(0).(p) in
-      let direct p =
-        dests_ok
-        &&
+      let direct (row : Ir.Instr.operand array) =
         let rec go k =
           k >= nphi
           ||
-          match bi.phi_incoming.(k).(p) with
-          | None -> false
-          | Some (Ir.Instr.Reg r) -> (not (sibling k r)) && go (k + 1)
-          | Some (Ir.Instr.Const _) -> go (k + 1)
+          match row.(k) with
+          | Ir.Instr.Reg r -> (not (sibling k r)) && go (k + 1)
+          | Ir.Instr.Const _ -> go (k + 1)
         in
         go 0
       in
-      let staged p = nphi > 1 && has_entry p && not (direct p) in
       let ns =
-        let rec any p = p < npred && (staged p || any (p + 1)) in
-        if any 0 then nphi else 0
+        if
+          nphi > 1
+          && Array.exists
+               (fun row -> Array.length row > 0 && not (direct row))
+               bi.phi_rows
+        then nphi
+        else 0
       in
       let si = Bytes.make (8 * ns) '\000' in
       let sf = Array.make ns 0.0 in
       let sp = Array.make ns 0 in
       let sv = Array.make ns (Ir.Eval.VInt 0L) in
-      (* stage phi [k]'s incoming value from predecessor [p] into its
-         lane's scratch; [direct] writes the destination register
-         instead *)
-      let stage ~direct p k : frame -> unit =
-        let dk = dests.(k) in
-        match bi.phi_incoming.(k).(p) with
-        | None ->
-            fun _ ->
-              fault "@%s/bb%d: phi has no entry for predecessor bb%d" fname
-                bnum p
-        | Some op -> (
-            let s = decode_operand op in
-            match lane k with
-            | C_int -> (
-                let sdk = slots.(dk) in
-                match rarg_i classes slots s with
-                | RiS a ->
-                    if direct then fun fr ->
-                      bset64 fr.fr_i sdk (bget64 fr.fr_i a)
-                    else fun fr ->
-                      bset64 si (8 * k) (bget64 fr.fr_i a)
-                | RiK kv ->
-                    if direct then fun fr -> bset64 fr.fr_i sdk kv
-                    else fun _ -> bset64 si (8 * k) kv
-                | aa ->
-                    let g = ri_fn aa in
-                    if direct then fun fr ->
-                      bset64 fr.fr_i sdk (g fr)
-                    else fun fr -> bset64 si (8 * k) (g fr))
-            | C_float -> (
-                let sdk = slots.(dk) in
-                match rarg_f classes slots s with
-                | RfS a ->
-                    if direct then fun fr ->
-                      Array.unsafe_set fr.fr_f sdk (Array.unsafe_get fr.fr_f a)
-                    else fun fr ->
-                      Array.unsafe_set sf k (Array.unsafe_get fr.fr_f a)
-                | RfK kv ->
-                    if direct then fun fr -> Array.unsafe_set fr.fr_f sdk kv
-                    else fun _ -> Array.unsafe_set sf k kv
-                | aa ->
-                    let g = rf_fn aa in
-                    if direct then fun fr ->
-                      Array.unsafe_set fr.fr_f sdk (g fr)
-                    else fun fr -> Array.unsafe_set sf k (g fr))
-            | C_ptr ->
-                let sdk = slots.(dk) in
-                let g = rget_p classes slots s in
-                if direct then fun fr -> Array.unsafe_set fr.fr_p sdk (g fr)
-                else fun fr -> Array.unsafe_set sp k (g fr)
-            | C_boxed ->
-                let sdk = if ok dk then slots.(dk) else dk in
-                let g = rget_box classes slots s in
-                if direct then fun fr -> fr.fr_v.(sdk) <- g fr
-                else fun fr -> Array.unsafe_set sv k (g fr))
+      (* stage phi [k]'s incoming value [op] into its lane's scratch;
+         [direct] writes the destination register instead *)
+      let stage ~direct k op : frame -> unit =
+        let s = decode_operand op in
+        let sdk = slots.(dests.(k)) in
+        match classes.(dests.(k)) with
+        | C_int -> (
+            match rarg_i classes slots s with
+            | RiS a ->
+                if direct then fun fr -> bset64 fr.fr_i sdk (bget64 fr.fr_i a)
+                else fun fr -> bset64 si (8 * k) (bget64 fr.fr_i a)
+            | RiK kv ->
+                if direct then fun fr -> bset64 fr.fr_i sdk kv
+                else fun _ -> bset64 si (8 * k) kv
+            | aa ->
+                let g = ri_fn aa in
+                if direct then fun fr -> bset64 fr.fr_i sdk (g fr)
+                else fun fr -> bset64 si (8 * k) (g fr))
+        | C_float -> (
+            match rarg_f classes slots s with
+            | RfS a ->
+                if direct then fun fr ->
+                  Array.unsafe_set fr.fr_f sdk (Array.unsafe_get fr.fr_f a)
+                else fun fr ->
+                  Array.unsafe_set sf k (Array.unsafe_get fr.fr_f a)
+            | RfK kv ->
+                if direct then fun fr -> Array.unsafe_set fr.fr_f sdk kv
+                else fun _ -> Array.unsafe_set sf k kv
+            | aa ->
+                let g = rf_fn aa in
+                if direct then fun fr -> Array.unsafe_set fr.fr_f sdk (g fr)
+                else fun fr -> Array.unsafe_set sf k (g fr))
+        | C_ptr ->
+            let g = rget_p classes slots s in
+            if direct then fun fr -> Array.unsafe_set fr.fr_p sdk (g fr)
+            else fun fr -> Array.unsafe_set sp k (g fr)
+        | C_boxed ->
+            let g = rget_box classes slots s in
+            if direct then fun fr -> Array.unsafe_set fr.fr_v sdk (g fr)
+            else fun fr -> Array.unsafe_set sv k (g fr)
       in
       let commits =
         Array.init ns (fun k ->
-            let dk = dests.(k) in
-            match lane k with
-            | C_int ->
-                let sdk = slots.(dk) in
-                fun fr -> bset64 fr.fr_i sdk (bget64 si (8 * k))
+            let sdk = slots.(dests.(k)) in
+            match classes.(dests.(k)) with
+            | C_int -> fun fr -> bset64 fr.fr_i sdk (bget64 si (8 * k))
             | C_float ->
-                let sdk = slots.(dk) in
                 fun fr -> Array.unsafe_set fr.fr_f sdk (Array.unsafe_get sf k)
             | C_ptr ->
-                let sdk = slots.(dk) in
                 fun fr -> Array.unsafe_set fr.fr_p sdk (Array.unsafe_get sp k)
             | C_boxed ->
-                let sdk = if ok dk then slots.(dk) else dk in
-                fun fr -> fr.fr_v.(sdk) <- Array.unsafe_get sv k)
+                fun fr -> Array.unsafe_set fr.fr_v sdk (Array.unsafe_get sv k))
       in
       (* A direct row.  [imv] and [fmv] hold (destination, source) slot
          pairs of the int and float lanes, [ikd] the destinations of the
          int constants whose values [ikv] holds, 8 bytes each; [rest]
          writes every other entry. *)
-      let direct_row p : frame -> unit =
+      let direct_row (row : Ir.Instr.operand array) : frame -> unit =
         let imv = ref [] and ik = ref [] and fmv = ref [] and rest = ref [] in
         for k = nphi - 1 downto 0 do
           let sdk = slots.(dests.(k)) in
-          let s =
-            match bi.phi_incoming.(k).(p) with
-            | Some op -> decode_operand op
-            | None -> assert false
-          in
-          let other () = rest := stage ~direct:true p k :: !rest in
-          match lane k with
+          let s = decode_operand row.(k) in
+          let other () = rest := stage ~direct:true k row.(k) :: !rest in
+          match classes.(dests.(k)) with
           | C_int -> (
               match rarg_i classes slots s with
               | RiS a -> imv := sdk :: a :: !imv
@@ -2781,12 +2632,15 @@ let compile_rblock (st : state) (fi : func_info) (classes : rclass array)
             (Array.unsafe_get rest j) fr
           done
       in
-      Array.init npred (fun p ->
-          if not (has_entry p) then no_row
-          else if nphi = 1 then stage ~direct:true p 0
-          else if direct p then direct_row p
+      Array.map
+        (fun row ->
+          if Array.length row = 0 then ignore
+          else if nphi = 1 then stage ~direct:true 0 row.(0)
+          else if direct row then direct_row row
           else
-            let stages = Array.init nphi (fun k -> stage ~direct:false p k) in
+            let stages =
+              Array.mapi (fun k op -> stage ~direct:false k op) row
+            in
             fun fr ->
               for k = 0 to nphi - 1 do
                 (Array.unsafe_get stages k) fr
@@ -2794,6 +2648,7 @@ let compile_rblock (st : state) (fi : func_info) (classes : rclass array)
               for k = 0 to nphi - 1 do
                 (Array.unsafe_get commits k) fr
               done)
+        bi.phi_rows
     end
   in
   let r_term =
@@ -2842,29 +2697,22 @@ let compile_rfunc (st : state) (fi : func_info) : unit =
       fi.blocks
 
 (* Patch every compiled terminator with direct references to the
-   successor [rtblock]s.  A terminator naming a label outside the
-   function keeps [RL_none]: {!enter} then transfers through the
-   indexed path and faults exactly as an unlinked run does. *)
+   successor [rtblock]s (the verifier keeps every label in range). *)
 let link_rfunc (fi : func_info) : unit =
   let tbs = fi.rtblocks in
-  let nb = Array.length tbs in
-  let okl l = l >= 0 && l < nb in
   Array.iter
     (fun tb ->
       tb.r_link <-
         (match tb.r_term with
         | R_halt -> RL_halt
         | R_ret w -> RL_ret w
-        | R_br l when okl l -> RL_br tbs.(l)
-        | R_cond (t, a, b) when okl a && okl b -> RL_cond (t, tbs.(a), tbs.(b))
-        | R_cmp_br (t, a, b) when okl a && okl b ->
-            RL_cmp_br (t, tbs.(a), tbs.(b))
-        | R_switch (g, d, tbl)
-          when okl d && Hashtbl.fold (fun _ l acc -> acc && okl l) tbl true ->
+        | R_br l -> RL_br tbs.(l)
+        | R_cond (t, a, b) -> RL_cond (t, tbs.(a), tbs.(b))
+        | R_cmp_br (t, a, b) -> RL_cmp_br (t, tbs.(a), tbs.(b))
+        | R_switch (g, d, tbl) ->
             let ltbl = Hashtbl.create (max 4 (Hashtbl.length tbl)) in
             Hashtbl.iter (fun v l -> Hashtbl.replace ltbl v tbs.(l)) tbl;
-            RL_switch (g, tbs.(d), ltbl)
-        | _ -> RL_none))
+            RL_switch (g, tbs.(d), ltbl)))
     tbs
 
 (* ------------------------------------------------------------------ *)
@@ -2873,7 +2721,9 @@ let link_rfunc (fi : func_info) : unit =
 
 (** Run [entry] with scalar [args].
 
-    The VM cost model is {!Jit_model.default}.
+    The VM cost model is {!Jit_model.default}.  The module must pass
+    {!Ir.Verifier}; it is checked once, here, before either engine
+    starts.
 
     @param fuel maximum dynamic instructions (default 4e9)
     @param cis configured custom instructions (default none)
@@ -2887,10 +2737,14 @@ let link_rfunc (fi : func_info) : unit =
       handle per lane before any block executes, returns a
       per-dynamic-block callback.  Absent means the exact unmonitored
       code path — byte-identical clocks.
+    @raise Invalid_module if the verifier rejects [m].
     @raise Fault on any runtime error. *)
 let run ?(fuel = 4_000_000_000L) ?(cis = empty_cis ())
     ?(engine = default_engine) ?(tuning = default_tuning) ?(lanes = 1) ?monitor
     (m : Ir.Irmod.t) ~entry ~(args : Ir.Eval.value list) : outcome =
+  (match Ir.Verifier.check_module m with
+  | [] -> ()
+  | errors -> raise (Invalid_module (Ir.Verifier.errors_to_string errors)));
   let memory = Memory.create () in
   Memory.load_globals memory m;
   let funcs = Hashtbl.create 16 in
@@ -2978,20 +2832,20 @@ let run ?(fuel = 4_000_000_000L) ?(cis = empty_cis ())
     | Some fi -> fi
     | None -> fault "entry function @%s not found" entry
   in
+  (* The caller's arguments are the one input the verifier cannot see. *)
+  let args = Array.of_list args in
+  let nparams = List.length fi.func.Ir.Func.params in
+  if Array.length args <> nparams then
+    fault "@%s: expected %d arguments, got %d" entry nparams
+      (Array.length args);
   let ret =
     match engine with
-    | Reference -> exec_func st fi (Array.of_list args)
+    | Reference -> exec_func st fi args
     | Threaded ->
         Hashtbl.iter (fun _ fi -> classify_rfunc st fi) funcs;
         Hashtbl.iter (fun _ fi -> compile_rfunc st fi) funcs;
         if tuning.link then Hashtbl.iter (fun _ fi -> link_rfunc fi) funcs;
         (* The entry and exit seam: box-free calls start here. *)
-        let args = Array.of_list args in
-        let f = fi.func in
-        if Array.length args <> List.length f.Ir.Func.params then
-          fault "@%s: expected %d arguments, got %d" f.Ir.Func.name
-            (List.length f.Ir.Func.params)
-            (Array.length args);
         let fr = push_frame fi in
         Array.iteri (fun i v -> rwr_box fi.rclasses fi.rslots i fr v) args;
         if enter st fi fr then Some (ret_box st) else None

@@ -12,15 +12,22 @@
     Two execution engines produce byte-identical outcomes: {!Reference}
     walks the instruction AST (the semantics baseline), {!Threaded}
     (the default) compiles each basic block once into an array of
-    pre-decoded operation closures over a typed register file.  See
-    DESIGN.md §9. *)
+    pre-decoded operation closures over a typed register file.  Both
+    run only modules that {!Jitise_ir.Verifier} accepts ({!run} checks
+    first).  See DESIGN.md §9. *)
 
 module Ir = Jitise_ir
 
-(** Raised on any runtime error: type errors, division by zero, bad
-    addresses, fuel exhaustion, calls to unknown functions or
-    unconfigured custom instructions. *)
+(** Raised on any runtime error of a verified module: type errors,
+    division by zero, bad addresses, running out of memory or fuel,
+    calls to unknown functions or unconfigured custom instructions, and
+    an entry called with the wrong number of arguments. *)
 exception Fault of string
+
+(** Raised by {!run}, before anything executes, on a module that
+    {!Jitise_ir.Verifier} rejects; carries the verifier's errors, one
+    per line ({!Jitise_ir.Verifier.errors_to_string}). *)
+exception Invalid_module of string
 
 (* ------------------------------------------------------------------ *)
 (* Custom instruction registry                                         *)
@@ -116,9 +123,9 @@ type tuning = {
           (arguments lane to lane, results through a typed return
           cell, frames from a per-function stack) allocate nothing;
           boxing is left to CIs interpreted through [ci_eval], the
-          untyped-intrinsic seam, class mismatches across a call, the
-          run's entry and exit, and the IR only hand-built modules
-          carry ([select], [lshr], [udiv], [urem]).
+          untyped-intrinsic seam, the run's entry and exit, and the IR
+          only hand-built modules carry ([select], [lshr], [udiv],
+          [urem]).
           Off = the same compiler with every register classified
           boxed (DESIGN.md §14). *)
   max_linked_blocks : int;
@@ -222,6 +229,9 @@ type monitor = control array -> int -> unit
       extra lanes cost a few float additions per block and per CI
       dispatch, not another execution
     @param monitor online controller hook (see {!monitor})
+    @raise Invalid_module if {!Jitise_ir.Verifier} rejects the module;
+      checked once, before either engine starts, so both engines reject
+      it with the same message and nothing runs.
     @raise Fault on any runtime error.
     @raise Invalid_argument if [tuning.max_linked_blocks < 1], if
       [lanes < 1], or if [lanes > 1] without a monitor. *)

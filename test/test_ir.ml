@@ -209,12 +209,18 @@ let prop_normalize_idempotent =
 (* Builder + Verifier                                                  *)
 (* ------------------------------------------------------------------ *)
 
+(* The verifier's errors for [f] alone, as a one-function module. *)
+let check_func f =
+  let m = Irmod.create ~name:f.Func.name in
+  Irmod.add_func m f;
+  Verifier.check_module m
+
 let test_builder_diamond_valid () =
   let f = diamond_func () in
   Alcotest.(check (list string)) "verifies" []
     (List.map
        (Format.asprintf "%a" Verifier.pp_error)
-       (Verifier.check_func f));
+       (check_func f));
   Alcotest.(check int) "blocks" 4 (Func.num_blocks f);
   Alcotest.(check int) "instrs" 5 (Func.num_instrs f)
 
@@ -226,7 +232,7 @@ let test_verifier_catches_undefined_reg () =
   let r = Builder.binop b Instr.Add Ty.I32 (Builder.reg 99) (Builder.ci32 1) in
   Builder.ret b (Some (Builder.reg r));
   let f = Builder.finish b in
-  Alcotest.(check bool) "error reported" true (Verifier.check_func f <> [])
+  Alcotest.(check bool) "error reported" true (check_func f <> [])
 
 let test_verifier_catches_bad_branch () =
   let f = Func.create ~name:"bad" ~params:[] ~ret_ty:Ty.Void in
@@ -235,7 +241,7 @@ let test_verifier_catches_bad_branch () =
   Builder.position_at b bb;
   Builder.br b 5;
   let f = Builder.finish b in
-  Alcotest.(check bool) "bad target" true (Verifier.check_func f <> [])
+  Alcotest.(check bool) "bad target" true (check_func f <> [])
 
 let test_verifier_catches_type_mismatch () =
   let f = Func.create ~name:"bad" ~params:[ (0, Ty.F64) ] ~ret_ty:Ty.I32 in
@@ -246,7 +252,7 @@ let test_verifier_catches_type_mismatch () =
   let r = Builder.binop b Instr.Add Ty.I32 (Builder.reg 0) (Builder.ci32 1) in
   Builder.ret b (Some (Builder.reg r));
   let f = Builder.finish b in
-  Alcotest.(check bool) "type error found" true (Verifier.check_func f <> [])
+  Alcotest.(check bool) "type error found" true (check_func f <> [])
 
 let test_verifier_catches_ret_mismatch () =
   let f = Func.create ~name:"bad" ~params:[] ~ret_ty:Ty.Void in
@@ -255,12 +261,179 @@ let test_verifier_catches_ret_mismatch () =
   Builder.position_at b bb;
   Builder.ret b (Some (Builder.ci32 1));
   let f = Builder.finish b in
-  Alcotest.(check bool) "ret in void" true (Verifier.check_func f <> [])
+  Alcotest.(check bool) "ret in void" true (check_func f <> [])
 
 let test_verifier_module () =
   let m = Irmod.create ~name:"m" in
   Irmod.add_func m (diamond_func ());
   Alcotest.(check bool) "module clean" true (Verifier.check_module m = [])
+
+(* One failing case per rule the VM's precondition adds: dominance,
+   register range, user-call signatures, constants, parameters and
+   entry-block phis.  Each pins the exact errors. *)
+
+let errors_of m =
+  List.map (Format.asprintf "%a" Verifier.pp_error) (Verifier.check_module m)
+
+let module_of funcs =
+  let m = Irmod.create ~name:"m" in
+  List.iter (Irmod.add_func m) funcs;
+  m
+
+(* A one-block function [f(i32) -> i32] whose body [body] fills. *)
+let block_func ?(name = "f") ?(params = [ (0, Ty.I32) ]) ?(ret_ty = Ty.I32)
+    body =
+  let b = Builder.create (Func.create ~name ~params ~ret_ty) in
+  Builder.position_at b (Builder.new_block b ~name:"entry");
+  body b;
+  Builder.finish b
+
+let check_rule what expected funcs =
+  Alcotest.(check (list string)) what expected (errors_of (module_of funcs))
+
+let test_verifier_dominance () =
+  let r = Builder.reg in
+  (* within one block: %1 reads %2, defined after it *)
+  check_rule "same block"
+    [ "f/bb0: add: the definition of %2 does not dominate this use" ]
+    [
+      block_func (fun b ->
+          let x = Builder.binop b Instr.Add Ty.I32 (r 2) (Builder.ci32 1) in
+          let y = Builder.binop b Instr.Mul Ty.I32 (r 0) (Builder.ci32 2) in
+          let z = Builder.binop b Instr.Add Ty.I32 (r x) (r y) in
+          Builder.ret b (Some (r z)));
+    ];
+  (* across blocks: the join reads the then-branch's value directly *)
+  let f = diamond_func () in
+  let join = f.Func.blocks.(3) in
+  join.Block.term <- Instr.Ret (Some (r 3));
+  check_rule "across blocks"
+    [
+      "diamond/bb3: terminator: the definition of %3 does not dominate this \
+       use";
+    ]
+    [ f ];
+  (* a phi's value must be available at the end of its predecessor: %3
+     is defined in bb1, not on the edge from bb2 *)
+  let f = diamond_func () in
+  let join = f.Func.blocks.(3) in
+  Block.set_instrs join
+    (List.map
+       (fun (i : Instr.t) ->
+         match i.Instr.kind with
+         | Instr.Phi _ ->
+             { i with Instr.kind = Instr.Phi [ (1, r 3); (2, r 3) ] }
+         | _ -> i)
+       join.Block.instrs);
+  check_rule "phi edge"
+    [ "diamond/bb3: phi: the definition of %3 does not dominate this use" ]
+    [ f ];
+  (* an incoming label outside the function is reported, not followed *)
+  let f = diamond_func () in
+  let join = f.Func.blocks.(3) in
+  Block.set_instrs join
+    (List.map
+       (fun (i : Instr.t) ->
+         match i.Instr.kind with
+         | Instr.Phi [ e1; (_, op) ] ->
+             { i with Instr.kind = Instr.Phi [ e1; (9, op) ] }
+         | _ -> i)
+       join.Block.instrs);
+  check_rule "phi label out of range"
+    [ "diamond/bb3: phi %5 incoming labels do not match predecessors" ]
+    [ f ];
+  (* a use in an unreachable block is exempt *)
+  let b = Builder.create (Func.create ~name:"f" ~params:[] ~ret_ty:Ty.I32) in
+  let entry = Builder.new_block b ~name:"entry" in
+  let dead = Builder.new_block b ~name:"dead" in
+  Builder.position_at b entry;
+  let x = Builder.binop b Instr.Add Ty.I32 (Builder.ci32 1) (Builder.ci32 2) in
+  Builder.ret b (Some (r x));
+  Builder.position_at b dead;
+  let y = Builder.binop b Instr.Add Ty.I32 (r (x + 2)) (Builder.ci32 1) in
+  ignore (Builder.binop b Instr.Add Ty.I32 (Builder.ci32 1) (Builder.ci32 1));
+  Builder.ret b (Some (r y));
+  check_rule "unreachable use" [] [ Builder.finish b ]
+
+let test_verifier_register_range () =
+  let r = Builder.reg in
+  let f = block_func (fun b -> Builder.ret b (Some (r 0))) in
+  Block.set_instrs f.Func.blocks.(0)
+    [ { Instr.id = 7; ty = Ty.I32; kind = Instr.Cast (Instr.Sext, r 0) } ];
+  check_rule "instruction id" [ "f/bb0: register %7 out of range" ] [ f ];
+  check_rule "parameter numbering"
+    [ "f: parameter 0 is register %1, not %0" ]
+    [
+      block_func ~params:[ (1, Ty.I32) ] (fun b ->
+          Builder.ret b (Some (Builder.ci32 0)));
+    ];
+  check_rule "void id defined twice" [ "f/bb0: register %1 defined twice" ]
+    [
+      (let f =
+         block_func (fun b ->
+             let p = Builder.add b Ty.Ptr (Instr.Alloca (Ty.I32, 1)) in
+             Builder.store b (r 0) (r p);
+             Builder.ret b (Some (r 0)))
+       in
+       Block.set_instrs f.Func.blocks.(0)
+         (List.map
+            (fun (i : Instr.t) ->
+              if i.Instr.ty = Ty.Void then { i with Instr.id = 1 } else i)
+            f.Func.blocks.(0).Block.instrs);
+       f);
+    ]
+
+let test_verifier_user_calls () =
+  let r = Builder.reg in
+  let g =
+    block_func ~name:"g" ~params:[ (0, Ty.I32); (1, Ty.F64) ] (fun b ->
+        Builder.ret b (Some (r 0)))
+  in
+  let caller body = block_func ~name:"main" body in
+  check_rule "arity"
+    [ "main/bb0: call to @g with 1 arguments, expected 2" ]
+    [
+      g;
+      caller (fun b ->
+          Builder.ret b (Some (r (Builder.call b Ty.I32 "g" [ r 0 ]))));
+    ];
+  check_rule "argument type"
+    [ "main/bb0: call.g: operand has type i32, expected f64" ]
+    [
+      g;
+      caller (fun b ->
+          Builder.ret b (Some (r (Builder.call b Ty.I32 "g" [ r 0; r 0 ]))));
+    ];
+  check_rule "result type"
+    [
+      "main/bb0: call to @g has type i64, the callee returns i32";
+      "main/bb0: terminator: operand has type i64, expected i32";
+    ]
+    [
+      g;
+      caller (fun b ->
+          Builder.ret b
+            (Some (r (Builder.call b Ty.I64 "g" [ r 0; Builder.cf64 1.0 ]))));
+    ]
+
+let test_verifier_values () =
+  check_rule "constant class"
+    [ "f/bb0: terminator: constant 0x1p+0:i32 does not fit its type" ]
+    [
+      block_func (fun b ->
+          Builder.ret b (Some (Instr.Const (Instr.Cfloat (1.0, Ty.I32)))));
+    ];
+  check_rule "void parameter" [ "f: parameter 0 has type void" ]
+    [
+      block_func ~params:[ (0, Ty.Void) ] (fun b ->
+          Builder.ret b (Some (Builder.ci32 0)));
+    ];
+  (* a phi in the entry block, which a loop branches back to *)
+  let f = block_func (fun b -> Builder.br b 0) in
+  Block.set_instrs f.Func.blocks.(0)
+    [ { Instr.id = 1; ty = Ty.I32; kind = Instr.Phi [ (0, Builder.reg 1) ] } ];
+  f.Func.next_reg <- 2;
+  check_rule "entry phi" [ "f/bb0: phi %1 in the entry block" ] [ f ]
 
 (* ------------------------------------------------------------------ *)
 (* Irmod                                                               *)
@@ -462,6 +635,12 @@ let () =
           Alcotest.test_case "ret mismatch" `Quick test_verifier_catches_ret_mismatch;
           Alcotest.test_case "module check" `Quick test_verifier_module;
           Alcotest.test_case "module duplicates" `Quick test_irmod_duplicates;
+          Alcotest.test_case "dominance" `Quick test_verifier_dominance;
+          Alcotest.test_case "register range" `Quick
+            test_verifier_register_range;
+          Alcotest.test_case "user calls" `Quick test_verifier_user_calls;
+          Alcotest.test_case "constants, parameters, entry phis" `Quick
+            test_verifier_values;
         ] );
       ( "cfg-dom",
         [

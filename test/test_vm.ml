@@ -797,6 +797,69 @@ let check_fault_parity ?fuel ?cis what ~n m =
   Alcotest.(check bool) (what ^ ": faulted") true (r <> None);
   Alcotest.(check (option string)) (what ^ ": same message") r t
 
+(* Rejection parity: [Machine.run] verifies the module before either
+   engine starts, so both raise the same [Invalid_module]; one run per
+   engine suffices, since no tuning is consulted before the check.
+   Returns the message, which must name [names]. *)
+let check_rejected ?cis ?(args = [ Ir.Eval.VInt 1L ]) what ~names m =
+  let reject engine =
+    match Vm.Machine.run ?cis ~engine m ~entry:"main" ~args with
+    | _ -> None
+    | exception Vm.Machine.Invalid_module msg -> Some msg
+  in
+  let r = reject Vm.Machine.Reference in
+  Alcotest.(check (option string))
+    (what ^ ": same rejection") r
+    (reject Vm.Machine.Threaded);
+  match r with
+  | None -> Alcotest.fail (what ^ ": not rejected")
+  | Some msg ->
+      let contains s sub =
+        let n = String.length sub in
+        let rec go i =
+          i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+        in
+        go 0
+      in
+      Alcotest.(check bool) (what ^ ": names " ^ names ^ " in: " ^ msg) true
+        (contains msg names);
+      msg
+
+(* main(n) reads register [%2] before the instruction that defines it:
+   [split] puts the read in the entry block and the definition in the
+   block the entry branches to; otherwise both sit in the entry block,
+   the read first. *)
+let read_before_write_module ~split =
+  let open Ir.Builder in
+  let f =
+    Ir.Func.create ~name:"main" ~params:[ (0, Ir.Ty.I64) ] ~ret_ty:Ir.Ty.I64
+  in
+  let b = create f in
+  let entry = new_block b ~name:"entry" in
+  position_at b entry;
+  let early = binop b Ir.Instr.Add Ir.Ty.I64 (reg 2) (ci64 1L) in
+  if split then begin
+    let next = new_block b ~name:"next" in
+    br b next.Ir.Block.label;
+    position_at b next
+  end;
+  let late = binop b Ir.Instr.Mul Ir.Ty.I64 (reg 0) (ci64 3L) in
+  assert (late = 2);
+  ret b (Some (reg (binop b Ir.Instr.Add Ir.Ty.I64 (reg early) (reg late))));
+  let m = Ir.Irmod.create ~name:"rbw" in
+  Ir.Irmod.add_func m (finish b);
+  m
+
+let test_reject_read_before_write () =
+  Alcotest.(check string) "within one block"
+    "main/bb0: add: the definition of %2 does not dominate this use"
+    (check_rejected "within one block" ~names:"%2"
+       (read_before_write_module ~split:false));
+  Alcotest.(check string) "across blocks"
+    "main/bb0: add: the definition of %2 does not dominate this use"
+    (check_rejected "across blocks" ~names:"%2"
+       (read_before_write_module ~split:true))
+
 let unknown_callee_module () =
   let f =
     Ir.Func.create ~name:"main" ~params:[ (0, Ir.Ty.I32) ] ~ret_ty:Ir.Ty.I32
@@ -1301,23 +1364,14 @@ let test_tuning_ci_bodies () =
   Alcotest.(check string) "float register to an int input"
     "fault: @main/bb0: expected an integer value"
     (fault_of "float register to an int input" 5L);
-  (* a caller reading a register past its own faults on it, as in the
-     Reference engine, even where a spliced body's fresh registers
-     would sit *)
+  (* a caller reading a register past its own, where a spliced body's
+     fresh registers would sit, is rejected before anything runs *)
   let c = List.find (fun c -> c.cc_name = "int chain i32") ci_cases in
   let m = ci_site_module ~stray:true ~ret:c.cc_ret c.cc_args in
-  let cis = body_registry [ c.cc_body ] in
-  let expect = ci_result ~cis ~engine:Vm.Machine.Reference m 5L in
-  Alcotest.(check bool) "stray register faults" true (Result.is_error expect);
-  List.iter
-    (fun tuning ->
-      match
-        (expect, ci_result ~cis ~engine:Vm.Machine.Threaded ~tuning m 5L)
-      with
-      | Error a, Error b ->
-          Alcotest.(check string) ("stray register " ^ tuning_tag tuning) a b
-      | _ -> Alcotest.fail ("stray register " ^ tuning_tag tuning))
-    all_tunings
+  ignore
+    (check_rejected ~cis:(body_registry [ c.cc_body ])
+       ~args:[ Ir.Eval.VInt 5L ] "stray register" ~names:"undefined register"
+       m)
 
 let test_tuning_load_sink_faults () =
   (* A fusable single-use load with a wild computed index: the sunk
@@ -1444,13 +1498,12 @@ let test_tuning_phi_cycle () =
    staging).  [missing] drops the body entries of the phis it lists.  The
    exit returns a hash of every phi's value.  Blocks: entry bb0,
    header bb1, body bb2, exit bb3. *)
-type lane = Int_lane | Float_lane | Ptr_lane | Boxed_lane
+type lane = Int_lane | Float_lane | Ptr_lane
 
 let lane_name = function
   | Int_lane -> "int"
   | Float_lane -> "float"
   | Ptr_lane -> "ptr"
-  | Boxed_lane -> "boxed"
 
 let phi_row_module ?conflict ?(missing = []) ~lane m =
   let open Ir.Builder in
@@ -1467,7 +1520,7 @@ let phi_row_module ?conflict ?(missing = []) ~lane m =
   let base = add b Ir.Ty.Ptr (Ir.Instr.Gaddr "cells") in
   let start k =
     match lane with
-    | Int_lane | Boxed_lane -> ci64 (Int64.of_int (10 * (k + 1)))
+    | Int_lane -> ci64 (Int64.of_int (10 * (k + 1)))
     | Float_lane -> cf64 (0.5 *. float_of_int (k + 1))
     | Ptr_lane -> reg (gep b (reg base) (ci64 (Int64.of_int k)))
   in
@@ -1479,7 +1532,6 @@ let phi_row_module ?conflict ?(missing = []) ~lane m =
     | Int_lane -> Ir.Ty.I64
     | Float_lane -> Ir.Ty.F64
     | Ptr_lane -> Ir.Ty.Ptr
-    | Boxed_lane -> Ir.Ty.Void
   in
   let phis = Array.init m (fun _ -> add b ty (Ir.Instr.Phi [])) in
   let c = load b Ir.Ty.I64 (reg ctr) in
@@ -1491,8 +1543,7 @@ let phi_row_module ?conflict ?(missing = []) ~lane m =
   let step k =
     let p = reg phis.(k) and d = k + 1 in
     match lane with
-    | Int_lane | Boxed_lane ->
-        binop b Ir.Instr.Add Ir.Ty.I64 p (ci64 (Int64.of_int d))
+    | Int_lane -> binop b Ir.Instr.Add Ir.Ty.I64 p (ci64 (Int64.of_int d))
     | Float_lane -> binop b Ir.Instr.Fadd Ir.Ty.F64 p (cf64 (float_of_int d))
     | Ptr_lane -> gep b p (ci64 1L)
   in
@@ -1517,7 +1568,7 @@ let phi_row_module ?conflict ?(missing = []) ~lane m =
   let value k =
     let p = reg phis.(k) in
     match lane with
-    | Int_lane | Boxed_lane -> p
+    | Int_lane -> p
     | Float_lane ->
         reg
           (cast b Ir.Instr.Fptosi Ir.Ty.I64
@@ -1551,7 +1602,9 @@ let phi_row_module ?conflict ?(missing = []) ~lane m =
   Ir.Irmod.add_func md (finish b);
   md
 
-let phi_lanes = [ Int_lane; Float_lane; Ptr_lane; Boxed_lane ]
+(* The boxed lane is every row under the all-boxed tunings: a typed
+   register is boxed only there, and a [Void] one is never read. *)
+let phi_lanes = [ Int_lane; Float_lane; Ptr_lane ]
 
 (* Rows with exactly one entry that reads a sibling's destination, the
    sibling before or after the reader; such a row must stage.  The
@@ -1576,9 +1629,9 @@ let test_tuning_phi_row_conflicts () =
         ])
     phi_lanes
 
-(* A taken predecessor without an entry for some phi of a multi-phi
-   row faults with the Reference engine's message, whichever phi lacks
-   it, and also when no phi of the row has one. *)
+(* A predecessor without an entry for some phi of a multi-phi row is
+   rejected before anything runs, whichever phi lacks it, and also when
+   no phi of the row has one. *)
 let test_tuning_phi_row_missing_entry () =
   List.iter
     (fun lane ->
@@ -1590,11 +1643,10 @@ let test_tuning_phi_row_missing_entry () =
               (lane_name lane) m
               (String.concat ";" (List.map string_of_int missing))
           in
-          check_fault_parity_tunings what ~n:1 md;
-          Alcotest.(check (option string))
-            (what ^ ": message")
-            (Some "@main/bb1: phi has no entry for predecessor bb2")
-            (fault_msg ~engine:Vm.Machine.Reference ~n:1 md))
+          ignore
+            (check_rejected what
+               ~names:"incoming labels do not match predecessors"
+               md))
         [
           (2, [ 0 ]); (2, [ 1 ]); (3, [ 1 ]); (3, [ 2 ]); (2, [ 0; 1 ]);
           (3, [ 0; 1; 2 ]);
@@ -1602,8 +1654,8 @@ let test_tuning_phi_row_missing_entry () =
     phi_lanes
 
 (* Unread registers share one sink slot per lane.  [rec(n, dead, x, p)]
-   recurses to depth [n] (so frames are reused, and re-zeroed, at every
-   depth), and main calls it three times.  Its body writes every kind
+   recurses to depth [n] (so frames are reused at every depth), and
+   main calls it three times.  Its body writes every kind
    of unread register between the definitions and the uses of read
    ones of the same lane: the store ids ([Void]), the parameter
    [dead], unread int/float/ptr call results, an unread load, a
@@ -2318,16 +2370,12 @@ let test_call_seam_arity () =
         ret b (Some (reg (call b Ir.Ty.I64 "two" [ reg 0 ]))))
   in
   let m = seam_module [ two; main ] in
-  check_fault_parity_tunings "arity mismatch" ~n:3 m;
-  Alcotest.(check (option string))
-    "arity fault text" (Some "@two: expected 2 arguments, got 1")
-    (fault_msg ~engine:Vm.Machine.Reference ~n:3 m)
+  Alcotest.(check string) "arity rejection text"
+    "main/bb0: call to @two with 1 arguments, expected 2"
+    (check_rejected "arity mismatch" ~names:"@two" m)
 
-(* An int register passed to a float parameter.  The Reference engine
-   (and the all-boxed compile) carries the VInt into the callee and
-   faults at its first float use; typed frames convert at the seam, so
-   the same Type_error rises in the caller's block (DESIGN.md §14,
-   determinism contract). *)
+(* An int register passed to a float parameter: rejected, so neither
+   engine carries an int into a float frame. *)
 let test_call_seam_int_to_float () =
   let open Ir.Builder in
   let half =
@@ -2342,24 +2390,12 @@ let test_call_seam_int_to_float () =
         ret b (Some (reg (cast b Ir.Instr.Fptosi Ir.Ty.I64 (reg h)))))
   in
   let m = seam_module [ half; main ] in
-  let args = [ Ir.Eval.VInt 4L ] in
-  let r = fault_msg_args ~engine:Vm.Machine.Reference ~args m in
-  Alcotest.(check (option string))
-    "reference faults in the callee"
-    (Some "@half/bb0: expected a float value") r;
-  List.iter
-    (fun (tuning : Vm.Machine.tuning) ->
-      Alcotest.(check (option string))
-        ("int to float param [" ^ tuning_tag tuning ^ "]")
-        (if tuning.Vm.Machine.regalloc then
-           Some "@main/bb0: expected a float value"
-         else r)
-        (fault_msg_args ~engine:Vm.Machine.Threaded ~tuning ~args m))
-    all_tunings
+  Alcotest.(check string) "int to float rejection text"
+    "main/bb0: call.half: operand has type i64, expected f64"
+    (check_rejected "int to float param" ~names:"call.half" m)
 
 (* A ptr register into an i64 parameter and an i64 holding an address
-   into a ptr parameter; the callee uses both the way their declared
-   types say, so every engine computes the same int. *)
+   into a ptr parameter: both arguments are rejected. *)
 let test_call_seam_ptr_int () =
   let open Ir.Builder in
   let pick =
@@ -2375,17 +2411,21 @@ let test_call_seam_ptr_int () =
         ret b (Some (reg (call b Ir.Ty.I64 "pick" [ reg base; reg k ]))))
   in
   let m = seam_module [ pick; main ] in
+  let msg = check_rejected "ptr<->int args" ~names:"call.pick" m in
   List.iter
-    (fun n ->
-      let out = diff_all_n ~n (Printf.sprintf "ptr<->int args n=%d" n) m in
-      (* "cells" is the only global: base address 1 *)
-      Alcotest.(check int) "value" (1 + (10 * (n + 1))) (ret_int out))
-    [ 0; 3; 7 ]
+    (fun line ->
+      Alcotest.(check bool) ("ptr<->int args rejects: " ^ line) true
+        (List.mem line (String.split_on_char '\n' msg)))
+    [
+      "main/bb0: call.pick: operand has type ptr, expected i64";
+      "main/bb0: call.pick: operand has type i64, expected ptr";
+    ]
 
-(* Float, ptr and boxed returns, an immediate return, and a void callee
-   whose (absent) result is ignored; the entries [main], [fmain] and
-   [pmain] also return an int, a float and a ptr through the run's
-   exit seam. *)
+(* Float and ptr returns, immediate returns, a result read after a
+   later call has overwritten the return cell, and a void callee whose
+   (absent) result is ignored; the entries [main], [fmain] and [pmain]
+   also return an int, a float and a ptr through the run's exit
+   seam. *)
 let test_call_seam_returns () =
   let open Ir.Builder in
   let fret =
@@ -2405,11 +2445,10 @@ let test_call_seam_returns () =
     fn ~name:"nine" ~params:[] ~ret_ty:Ir.Ty.I64 (fun b ->
         ret b (Some (ci64 9L)))
   and boxed =
-    (* the first call's destination has no declared type: a boxed
-       register, returned as such after the second call left 9 in the
-       return cell's int lane *)
+    (* the first call's result, returned after the second call left 9
+       in the return cell's int lane *)
     fn ~name:"boxed" ~params:[] ~ret_ty:Ir.Ty.I64 (fun b ->
-        let v = call b Ir.Ty.Void "seven" [] in
+        let v = call b Ir.Ty.I64 "seven" [] in
         ignore (call b Ir.Ty.I64 "nine" []);
         ret b (Some (reg v)))
   and vd =
@@ -2605,8 +2644,12 @@ let test_typed_division_intrinsics () =
     fn ~name:"main" ~params:[ (0, Ir.Ty.I64); (1, Ir.Ty.I64) ]
       ~ret_ty:Ir.Ty.I64 (fun b ->
         let acc = ref None in
-        let mix v =
-          let v = reg v in
+        (* an i32 result is sign-extended before it joins the i64 hash *)
+        let mix ?(ty = Ir.Ty.I64) v =
+          let v =
+            if ty = Ir.Ty.I64 then reg v
+            else reg (cast b Ir.Instr.Sext Ir.Ty.I64 (reg v))
+          in
           acc :=
             Some
               (match !acc with
@@ -2621,9 +2664,9 @@ let test_typed_division_intrinsics () =
           (fun op ->
             List.iter
               (fun (ty, x, y, k) ->
-                mix (binop b op ty x y);
-                mix (binop b op ty x k);
-                mix (binop b op ty k y))
+                mix ~ty (binop b op ty x y);
+                mix ~ty (binop b op ty x k);
+                mix ~ty (binop b op ty k y))
               [
                 (Ir.Ty.I64, reg 0, reg 1, ci64 (-7L));
                 (Ir.Ty.I32, reg x32, reg y32, ci32 (-7));
@@ -2923,6 +2966,68 @@ let test_regalloc_allocation_probe () =
     [ 1; 3 ]
 
 (* ------------------------------------------------------------------ *)
+(* The VM's precondition holds for every module production runs        *)
+(* ------------------------------------------------------------------ *)
+
+(* Only two producers build the modules production runs: the MiniC
+   frontend (every registry and phased workload) and [Adapt.apply]
+   (the adapted module timeline and the online controller run), whose
+   splicing must keep every use dominated by its definition.  Each
+   registry app is specialized as [timeline] and [online] do and its
+   whole selection applied. *)
+let test_production_modules_verify () =
+  let clean what m =
+    Alcotest.(check (list string)) (what ^ " verifies") []
+      (List.map
+         (Format.asprintf "%a" Ir.Verifier.pp_error)
+         (Ir.Verifier.check_module m))
+  in
+  List.iter
+    (fun (w : W.Workload.t) ->
+      clean w.W.Workload.name (W.Workload.compile w).F.Compiler.modul)
+    (W.Registry.all @ W.Registry.phased);
+  let db = Pp.Database.create () in
+  let spliced = ref 0 in
+  List.iter
+    (fun (w : W.Workload.t) ->
+      let compiled, report = Core.Experiment.specialize db w in
+      let adapt =
+        Core.Adapt.apply compiled.F.Compiler.modul
+          report.Core.Asip_sp.selection
+      in
+      spliced := !spliced + Hashtbl.length adapt.Core.Adapt.registry;
+      clean (w.W.Workload.name ^ " adapted") adapt.Core.Adapt.modul)
+    W.Registry.all;
+  Alcotest.(check bool)
+    (Printf.sprintf "the adapted modules call %d CIs" !spliced)
+    true (!spliced > 0)
+
+(* Every [Machine.run] verifies its module first, so the verifier's
+   allocation is paid once per run: it must stay a few words per
+   register and block.  Minor words per IR instruction of one
+   [check_module] call on each registry module, measured 5-25 (astar
+   the highest), are capped at 30; a verifier that builds a list per
+   instruction and a hashtable per function takes 32-81 on every one of
+   them. *)
+let test_verifier_allocation () =
+  List.iter
+    (fun (w : W.Workload.t) ->
+      let m = (W.Workload.compile w).F.Compiler.modul in
+      ignore (Ir.Verifier.check_module m);
+      let before = Gc.minor_words () in
+      ignore (Ir.Verifier.check_module m);
+      let per_instr =
+        (Gc.minor_words () -. before) /. float_of_int (Ir.Irmod.num_instrs m)
+      in
+      Printf.printf "verifier minor words/instr: %s %.1f\n" w.W.Workload.name
+        per_instr;
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %.1f verifier words/instr < 30"
+           w.W.Workload.name per_instr)
+        true (per_instr < 30.0))
+    W.Registry.all
+
+(* ------------------------------------------------------------------ *)
 (* Engine golden: full Experiment reports are engine-invariant         *)
 (* ------------------------------------------------------------------ *)
 
@@ -3106,6 +3211,8 @@ let () =
           Alcotest.test_case "switch first-match" `Quick test_diff_switch;
           Alcotest.test_case "ci call" `Quick test_diff_ci_call;
           Alcotest.test_case "fault parity" `Quick test_diff_fault_parity;
+          Alcotest.test_case "rejects read before write" `Quick
+            test_reject_read_before_write;
           Alcotest.test_case "registry workloads" `Slow
             test_diff_registry_workloads;
           Alcotest.test_case "registry workloads, knobs off" `Slow
@@ -3164,6 +3271,13 @@ let () =
             test_monitor_lanes_match_single_runs;
           Alcotest.test_case "lane count validation" `Quick
             test_monitor_lanes_validation;
+        ] );
+      ( "precondition",
+        [
+          Alcotest.test_case "production modules verify" `Slow
+            test_production_modules_verify;
+          Alcotest.test_case "verifier allocation" `Slow
+            test_verifier_allocation;
         ] );
       ( "engine golden",
         [
