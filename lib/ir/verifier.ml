@@ -7,10 +7,12 @@
     (uses in unreachable blocks are exempt from dominance only); phis
     leading their block, outside the entry block, naming exactly its
     predecessors; branch targets inside the function; constants of their
-    type's class; and calls to module functions that match the callee's
-    arity, parameter types and return type (intrinsic and CI operands are
-    checked when they run).  [Compiler.compile] checks every module it
-    produces and [Vm.Machine.run] every module it runs, so the check
+    type's class; every [Gaddr] naming a global of the module (so the VM
+    resolves global addresses when it compiles); and calls to module
+    functions that match the callee's arity, parameter types and return
+    type (intrinsic and CI operands are checked when they run).
+    [Compiler.compile] checks every module it produces and
+    [Vm.Machine.run] every module it runs, so the check
     allocates per register and block (arrays, the CFG and its dominator
     tree) and per phi or call, nothing for other instructions. *)
 
@@ -107,6 +109,11 @@ let result cx b k (i : Instr.t) want =
     err cx (Some b) "%s %%%d must produce %s" (ctx cx b k) i.Instr.id
       (Ty.to_string want)
 
+let rec has_global g = function
+  | [] -> false
+  | (gl : Irmod.global) :: rest ->
+      String.equal gl.Irmod.gname g || has_global g rest
+
 let check_instr cx b k (i : Instr.t) =
   let ty = i.Instr.ty and id = i.Instr.id in
   match i.Instr.kind with
@@ -153,7 +160,10 @@ let check_instr cx b k (i : Instr.t) =
   | Instr.Alloca (_, n) ->
       if n <= 0 then err cx (Some b) "alloca %%%d with non-positive size" id;
       result cx b k i Ty.Ptr
-  | Instr.Gaddr _ -> result cx b k i Ty.Ptr
+  | Instr.Gaddr g ->
+      result cx b k i Ty.Ptr;
+      if not (has_global g cx.m.Irmod.globals) then
+        err cx (Some b) "gaddr %%%d names unknown global @%s" id g
   | Instr.Cast (_, x) -> use cx b k x Ty.Void
   | Instr.Ci_call (_, args) -> List.iter (fun op -> use cx b k op Ty.Void) args
   | Instr.Call (name, args) -> (

@@ -284,8 +284,9 @@ type block_info = {
 }
 
 (* Register class, from the declared register type.  Every register of
-   a function lives in one slot array of its {!frame} (the unread ones
-   of a class in its sink slot); [C_boxed] covers registers with no
+   a function but a folded [Gaddr] result lives in one slot array of its
+   {!frame} (the unread ones of a class in its sink slot, a
+   phi-congruence class in one slot); [C_boxed] covers registers with no
    declared type ([Void]), which keep the boxed representation — and
    every register when [tuning.regalloc] is off. *)
 type rclass = C_int | C_float | C_ptr | C_boxed
@@ -293,7 +294,8 @@ type rclass = C_int | C_float | C_ptr | C_boxed
 (* A typed register file: one invocation's registers, partitioned by
    {!rclass} into parallel unboxed lanes.  Registers are renumbered per
    class at compile time ({!func_info.rslots}), so a frame allocates one
-   word per read register plus at most one sink per lane, and int/float
+   word per read register or phi-congruence class plus at most one sink
+   per lane, and int/float
    traffic reads and writes machine scalars with no
    constructor matching and no allocation.  The int lane is a [Bytes.t]
    holding 8 bytes per register, read and written through
@@ -333,7 +335,9 @@ type func_info = {
   mutable rslots : int array;
       (* per-register position inside its class's frame lane — the
          per-class renumbering, a byte offset for [C_int] and an index
-         otherwise; [||] until {!classify_rfunc} runs *)
+         otherwise; [-1 - base] for a register folded to the address
+         [base] of a global ({!decode}); [||] until {!classify_rfunc}
+         runs *)
   mutable rcounts : int array;
       (* frame-array lengths, indexed [C_int; C_float; C_ptr; C_boxed];
          [||] until {!classify_rfunc} runs *)
@@ -370,13 +374,15 @@ and rtblock = {
   r_ops : (frame -> unit) array;
   r_phi_rows : (frame -> unit) array;
       (* the whole phi prologue, pre-compiled per predecessor label —
-         [||] when the block has no phis.  [r_phi_rows.(pred)] writes
-         each destination directly when no incoming value names a
-         sibling phi's destination (move arrays for the int and float
-         lanes), and otherwise stages every value into per-class
-         scratch and then commits.  A label that is not a predecessor
-         holds [ignore].  Scratch is safe to reuse because the phi
-         prologue cannot re-enter this function. *)
+         [||] when the block has no phis.  [r_phi_rows.(pred)] skips
+         every entry whose source already has its destination's slot (a
+         coalesced phi), writes the other destinations directly when no
+         entry reads a slot another one writes (move arrays for the int
+         and float lanes), and otherwise stages those values into
+         per-class scratch and then commits.  A label that is not a
+         predecessor, or a row with nothing to move, holds [ignore].
+         Scratch is safe to reuse because the phi prologue cannot
+         re-enter this function. *)
   r_term : rterm;
   mutable r_link : rlinkterm;
       (* the linked form of [r_term]: successor labels resolved to the
@@ -764,9 +770,14 @@ let rec exec_func (st : state) (fi : func_info) (args : Ir.Eval.value array) :
 (* Threaded engine: the typed-register-file compiler                   *)
 (* ------------------------------------------------------------------ *)
 
-let decode_operand : Ir.Instr.operand -> src = function
+(* Decode an operand against a function's slots ({!classify_rfunc}): a
+   register folded to its global's address (slot [-1 - base]) is that
+   address as an immediate, in every operand position. *)
+let decode (slots : int array) : Ir.Instr.operand -> src = function
   | Ir.Instr.Const c -> Imm (Ir.Eval.of_const c)
-  | Ir.Instr.Reg r -> Slot r
+  | Ir.Instr.Reg r ->
+      let s = slots.(r) in
+      if s < 0 then Imm (Ir.Eval.VPtr (-1 - s)) else Slot r
 
 module E = Ir.Eval
 
@@ -1741,8 +1752,8 @@ let rec go (st : state) (fi : func_info) (fr : frame) (tb : rtblock)
       done;
       mon (fi.bid_base + curl));
   (* Phi prologue: one closure per predecessor label, compiled as
-     direct writes, or as a stage-then-commit pass when an incoming
-     value names a sibling phi's destination.  A block with phis is
+     direct writes, or as a stage-then-commit pass when an entry reads
+     a slot another entry of the row writes.  A block with phis is
      never the entry block, so [prevl] is one of its predecessors. *)
   let rows = tb.r_phi_rows in
   if Array.length rows > 0 then (Array.unsafe_get rows prevl) fr;
@@ -2093,10 +2104,16 @@ let plan_splices (st : state) (fi : func_info) : Ir.Ty.t list =
 
 (** Record one function's register classes and the per-class slot
     renumbering.  A register's slot is its position within its class's
-    frame lane (a byte offset in the int lane).  A read register
-    ([use_counts > 0], or a splice temp past [use_counts]) gets its own
-    slot; the unread ones of a class (store ids, unused results and
-    parameters) share one sink slot, which nothing reads.
+    frame lane (a byte offset in the int lane).  A register defined by
+    [Gaddr] gets no slot: the verifier makes it name a global, whose
+    base is fixed for the run, so its slot records [-1 - base] and
+    every read of it decodes as that address ({!decode}).  The members
+    of a phi-congruence class ({!Ir.Coalesce}) share the slot of its
+    least register, so a phi entry in the class is no move at all
+    ({!compile_rblock}).  Every other read register ([use_counts > 0],
+    or a splice temp past [use_counts]) gets its own slot; the unread
+    ones of a class (store ids, unused results and parameters) share
+    one sink slot, which nothing reads.
     With [tuning.regalloc] off every register is [C_boxed].  With
     [tuning.ci_native] on, the CI call sites get their splice plans
     first ({!plan_splices}), and the fresh registers of
@@ -2104,7 +2121,8 @@ let plan_splices (st : state) (fi : func_info) : Ir.Ty.t list =
     other.  Every function of the module is classified before any
     block compiles, so a [Call] site binds its argument movers against
     the callee's parameter slots ({!compile_rcall}). *)
-let classify_rfunc (st : state) (fi : func_info) : unit =
+let classify_rfunc (st : state) (sc : Ir.Coalesce.scratch) (fi : func_info) :
+    unit =
   let tys =
     match
       if st.tuning.ci_native && Hashtbl.length st.cis > 0 then
@@ -2120,17 +2138,38 @@ let classify_rfunc (st : state) (fi : func_info) : unit =
   in
   let n = Array.length classes in
   let slots = Array.make n 0 in
+  for b = 0 to Array.length fi.blocks - 1 do
+    let instrs = fi.blocks.(b).instrs in
+    for k = 0 to Array.length instrs - 1 do
+      match instrs.(k).Ir.Instr.kind with
+      | Ir.Instr.Gaddr g ->
+          slots.(instrs.(k).Ir.Instr.id) <-
+            -1 - Memory.global_base st.memory g
+      | _ -> ()
+    done
+  done;
+  let co = Ir.Coalesce.classes sc fi.func in
+  let next_member = ref 0 in
   let counts = Array.make 4 0 and sinks = Array.make 4 (-1) in
   let idx = function C_int -> 0 | C_float -> 1 | C_ptr -> 2 | C_boxed -> 3 in
   for r = 0 to n - 1 do
     let k = idx classes.(r) in
-    let unread = r < Array.length fi.use_counts && fi.use_counts.(r) = 0 in
-    if not (unread && sinks.(k) >= 0) then begin
-      if unread then sinks.(k) <- counts.(k);
-      counts.(k) <- counts.(k) + 1
-    end;
-    let s = if unread then sinks.(k) else counts.(k) - 1 in
-    slots.(r) <- (if k = 0 then 8 * s else s)
+    let m = !next_member in
+    let member = m < Array.length co.members && co.members.(m) = r in
+    if member then next_member := m + 1;
+    if slots.(r) < 0 then () (* folded *)
+    else if member && co.reps.(m) < r then slots.(r) <- slots.(co.reps.(m))
+    else begin
+      let unread =
+        (not member) && r < Array.length fi.use_counts && fi.use_counts.(r) = 0
+      in
+      if not (unread && sinks.(k) >= 0) then begin
+        if unread then sinks.(k) <- counts.(k);
+        counts.(k) <- counts.(k) + 1
+      end;
+      let s = if unread then sinks.(k) else counts.(k) - 1 in
+      slots.(r) <- (if k = 0 then 8 * s else s)
+    end
   done;
   fi.rclasses <- classes;
   fi.rslots <- slots;
@@ -2150,8 +2189,13 @@ let ci_charge (st : state) ci impl : frame -> unit =
       let cell = swap_cell st cells ci impl in
       fun _ -> charge_lanes st cell
 
+(* A [Gaddr] compiles to no op: its register is folded ({!decode}). *)
+let folded (i : Ir.Instr.t) =
+  match i.Ir.Instr.kind with Ir.Instr.Gaddr _ -> true | _ -> false
+
 let compile_rblock (st : state) (fi : func_info) (classes : rclass array)
-    (slots : int array) (bnum : int) (bi : block_info) : rtblock =
+    (slots : int array) (dec : Ir.Instr.operand -> src) (bnum : int)
+    (bi : block_info) : rtblock =
   let nphi = bi.phi_count in
   let mem = st.memory in
   (* Compile one instruction, decoding its operands with [dec] and
@@ -2166,8 +2210,9 @@ let compile_rblock (st : state) (fi : func_info) (classes : rclass array)
   let compile_rinstr ~dec ~from_ty ~d (i : Ir.Instr.t) : frame -> unit =
     let ty = i.Ir.Instr.ty in
     match i.Ir.Instr.kind with
-    | Ir.Instr.Phi _ ->
-        (* phis lead their block, and {!splice_ok} admits none *)
+    | Ir.Instr.Phi _ | Ir.Instr.Gaddr _ ->
+        (* phis lead their block, a [Gaddr] result is folded into its
+           uses ({!decode}), and {!splice_ok} admits neither *)
         assert false
     | Ir.Instr.Binop (op, a, b) ->
         compile_rbinop classes slots ty op d (dec a) (dec b)
@@ -2240,6 +2285,7 @@ let compile_rblock (st : state) (fi : func_info) (classes : rclass array)
             | RpS p ->
                 fun fr ->
                   bset64 fr.fr_i sd (mload_i mem (Array.unsafe_get fr.fr_p p))
+            | RpK p -> fun fr -> bset64 fr.fr_i sd (mload_i mem p)
             | _ ->
                 let ga = rp_fn aa in
                 fun fr -> bset64 fr.fr_i sd (mload_i mem (ga fr)))
@@ -2250,6 +2296,7 @@ let compile_rblock (st : state) (fi : func_info) (classes : rclass array)
                 fun fr ->
                   Array.unsafe_set fr.fr_f sd
                     (mload_f mem (Array.unsafe_get fr.fr_p p))
+            | RpK p -> fun fr -> Array.unsafe_set fr.fr_f sd (mload_f mem p)
             | _ ->
                 let ga = rp_fn aa in
                 fun fr -> Array.unsafe_set fr.fr_f sd (mload_f mem (ga fr)))
@@ -2260,6 +2307,7 @@ let compile_rblock (st : state) (fi : func_info) (classes : rclass array)
                 fun fr ->
                   Array.unsafe_set fr.fr_p sd
                     (mload_p mem (Array.unsafe_get fr.fr_p p))
+            | RpK p -> fun fr -> Array.unsafe_set fr.fr_p sd (mload_p mem p)
             | _ ->
                 let ga = rp_fn aa in
                 fun fr -> Array.unsafe_set fr.fr_p sd (mload_p mem (ga fr)))
@@ -2283,6 +2331,7 @@ let compile_rblock (st : state) (fi : func_info) (classes : rclass array)
             | RpS p ->
                 fun fr ->
                   mstore_i mem (Array.unsafe_get fr.fr_p p) (bget64 fr.fr_i sx)
+            | RpK p -> fun fr -> mstore_i mem p (bget64 fr.fr_i sx)
             | _ -> fun fr -> mstore_i mem (ga fr) (bget64 fr.fr_i sx))
         | Slot r when classes.(r) = C_float -> (
             let sx = slots.(r) in
@@ -2292,6 +2341,7 @@ let compile_rblock (st : state) (fi : func_info) (classes : rclass array)
                   mstore_f mem
                     (Array.unsafe_get fr.fr_p p)
                     (Array.unsafe_get fr.fr_f sx)
+            | RpK p -> fun fr -> mstore_f mem p (Array.unsafe_get fr.fr_f sx)
             | _ -> fun fr -> mstore_f mem (ga fr) (Array.unsafe_get fr.fr_f sx))
         | Slot r when classes.(r) = C_ptr -> (
             let sx = slots.(r) in
@@ -2301,10 +2351,20 @@ let compile_rblock (st : state) (fi : func_info) (classes : rclass array)
                   mstore_p mem
                     (Array.unsafe_get fr.fr_p p)
                     (Array.unsafe_get fr.fr_p sx)
+            | RpK p -> fun fr -> mstore_p mem p (Array.unsafe_get fr.fr_p sx)
             | _ -> fun fr -> mstore_p mem (ga fr) (Array.unsafe_get fr.fr_p sx))
-        | Imm (E.VInt k) -> fun fr -> mstore_i mem (ga fr) k
-        | Imm (E.VFloat k) -> fun fr -> mstore_f mem (ga fr) k
-        | Imm (E.VPtr k) -> fun fr -> mstore_p mem (ga fr) k
+        | Imm (E.VInt k) -> (
+            match aa with
+            | RpK p -> fun _ -> mstore_i mem p k
+            | _ -> fun fr -> mstore_i mem (ga fr) k)
+        | Imm (E.VFloat k) -> (
+            match aa with
+            | RpK p -> fun _ -> mstore_f mem p k
+            | _ -> fun fr -> mstore_f mem (ga fr) k)
+        | Imm (E.VPtr k) -> (
+            match aa with
+            | RpK p -> fun _ -> mstore_p mem p k
+            | _ -> fun fr -> mstore_p mem (ga fr) k)
         | sx ->
             let gx = rget_box classes slots sx in
             fun fr ->
@@ -2325,6 +2385,13 @@ let compile_rblock (st : state) (fi : func_info) (classes : rclass array)
               let n = Int64.to_int k in
               fun fr ->
                 Array.unsafe_set fr.fr_p sd (Array.unsafe_get fr.fr_p pb + n)
+          | RpK pb, RiS ri ->
+              fun fr ->
+                Array.unsafe_set fr.fr_p sd
+                  (pb + Int64.to_int (bget64 fr.fr_i ri))
+          | RpK pb, RiK k ->
+              let p = pb + Int64.to_int k in
+              fun fr -> Array.unsafe_set fr.fr_p sd p
           | _ ->
               let gb = rp_fn ab and gi = ri_fn ai in
               fun fr ->
@@ -2333,36 +2400,6 @@ let compile_rblock (st : state) (fi : func_info) (classes : rclass array)
           let gb = rp_fn ab and gi = ri_fn ai in
           let w = rwr_box classes slots d in
           fun fr -> w fr (Ir.Eval.VPtr (gb fr + Int64.to_int (gi fr)))
-    | Ir.Instr.Gaddr g ->
-        (* Lazily resolved on first execution and memoized: resolving
-           at compile time would fault on blocks that never run. *)
-        let cell = ref (-1) in
-        if classes.(d) = C_ptr then (
-          let sd = slots.(d) in
-          fun fr ->
-            let b = !cell in
-            let b =
-              if b >= 0 then b
-              else begin
-                let b = Memory.global_base mem g in
-                cell := b;
-                b
-              end
-            in
-            Array.unsafe_set fr.fr_p sd b)
-        else
-          let w = rwr_box classes slots d in
-          fun fr ->
-            let b = !cell in
-            let b =
-              if b >= 0 then b
-              else begin
-                let b = Memory.global_base mem g in
-                cell := b;
-                b
-              end
-            in
-            w fr (Ir.Eval.VPtr b)
     | Ir.Instr.Call (name, argops) -> (
         let srcs = Array.of_list (List.map dec argops) in
         match Hashtbl.find_opt st.funcs name with
@@ -2427,19 +2464,30 @@ let compile_rblock (st : state) (fi : func_info) (classes : rclass array)
           match ci.Ir.Instr.kind with
           | Ir.Instr.Icmp (p, x, y) ->
               bump_fusion "icmp+br";
-              rbool_icmp classes slots p (decode_operand x) (decode_operand y)
+              rbool_icmp classes slots p (dec x) (dec y)
           | Ir.Instr.Fcmp (p, x, y) ->
               bump_fusion "fcmp+br";
-              rbool_fcmp classes slots p (decode_operand x) (decode_operand y)
+              rbool_fcmp classes slots p (dec x) (dec y)
           | _ -> assert false
         in
         Some (R_cmp_br (test, a, b))
   in
   let r_ops =
-    if Array.length splices = 0 then
-      Array.init (body_end - nphi) (fun j ->
-          let i = bi.instrs.(nphi + j) in
-          compile_rinstr ~dec:decode_operand ~from_ty:None ~d:i.Ir.Instr.id i)
+    if Array.length splices = 0 then begin
+      let nops = ref 0 in
+      for k = nphi to body_end - 1 do
+        if not (folded bi.instrs.(k)) then incr nops
+      done;
+      let ops = Array.make !nops ignore and j = ref 0 in
+      for k = nphi to body_end - 1 do
+        if not (folded bi.instrs.(k)) then begin
+          let i = bi.instrs.(k) in
+          ops.(!j) <- compile_rinstr ~dec ~from_ty:None ~d:i.Ir.Instr.id i;
+          incr j
+        end
+      done;
+      ops
+    end
     else
       (* The ops of instruction [k] of this block.  A CI call with a splice
          plan ({!classify_rfunc}) becomes its body's nodes, compiled like
@@ -2457,10 +2505,10 @@ let compile_rblock (st : state) (fi : func_info) (classes : rclass array)
             let env = Hashtbl.create 8 in
             List.iteri
               (fun pos op ->
-                Hashtbl.replace env (fst b.cb_inputs.(pos)) (decode_operand op))
+                Hashtbl.replace env (fst b.cb_inputs.(pos)) (dec op))
               argops;
             let dec = function
-              | Ir.Instr.Const _ as op -> decode_operand op
+              | Ir.Instr.Const _ as op -> dec op
               | Ir.Instr.Reg r -> Hashtbl.find env r
             in
             let nodes =
@@ -2473,57 +2521,69 @@ let compile_rblock (st : state) (fi : func_info) (classes : rclass array)
                 b.cb_nodes
             in
             Array.append nodes [| ci_charge st ci (Hashtbl.find st.cis ci) |]
+        | Ir.Instr.Gaddr _, _ -> [||]
         | _ ->
             [|
-              compile_rinstr ~dec:decode_operand ~from_ty:None
-                ~d:i.Ir.Instr.id i;
+              compile_rinstr ~dec ~from_ty:None ~d:i.Ir.Instr.id i;
             |]
       in
       Array.concat
         (List.init (body_end - nphi) (fun j -> compile_site (nphi + j)))
   in
-  (* Phi prologue, compiled per predecessor label.  The verifier gives
-     every phi an entry for each predecessor, and distinct
-     destinations.  A row is direct when no entry reads a sibling
-     phi's destination: no read of the row then sees a write of it, so
-     writing each destination as it is read is the parallel
-     assignment.  A direct row walks its same-class int and float
-     register moves and its int constants as move arrays, then runs
-     the other entries' closures in row order (only those can fault,
-     so the first fault is the one staging would raise).  A single
-     phi is one closure that writes directly.  A row with a sibling
-     read stages every value into per-class scratch and then commits.
-     The scratch exists only when such a row does; reusing it is safe
-     because the prologue cannot re-enter this function.  A label
-     that is not a predecessor never enters the block: its row is
-     [ignore]. *)
+  (* Phi prologue, compiled per predecessor label, on slots.  The
+     verifier gives every phi an entry for each predecessor; the
+     destinations of one block's phis interfere, so they have distinct
+     slots (or the sink of their lane, which no entry reads).  An entry
+     whose source has its destination's slot — a coalesced phi
+     ({!classify_rfunc}) — is a self-move and compiles to nothing; a row
+     with nothing else is [ignore].  A row is direct when no remaining
+     entry reads the slot another one writes: no read of the row then
+     sees a write of it, so writing each destination as it is read is
+     the parallel assignment.  A direct row walks its int and float
+     slot moves and its int constants as move arrays, then runs the
+     other entries' closures in row order (only those can fault, so the
+     first fault is the one staging would raise).  A single move is one
+     closure that writes directly.  Any other row — an entry names a
+     sibling phi, or reads a sibling's slot through another register of
+     the sibling's class — stages its moving values into per-class
+     scratch and then commits them.  The scratch exists only when such
+     a row does; reusing it is safe because the prologue cannot
+     re-enter this function.  A label that is not a predecessor never
+     enters the block: its row is [ignore]. *)
   let r_phi_rows =
     if nphi = 0 then [||]
     else begin
       let dests = bi.phi_dests in
-      (* is register [r] the destination of a phi other than [k]? *)
-      let sibling k r =
-        let rec go j = j < nphi && ((j <> k && dests.(j) = r) || go (j + 1)) in
-        go 0
+      let same_slot r d = classes.(r) = classes.(d) && slots.(r) = slots.(d) in
+      (* the entries of [row] that move, in row order *)
+      let moves (row : Ir.Instr.operand array) =
+        if Array.length row = 0 then []
+        else
+          let rec go k acc =
+            if k < 0 then acc
+            else
+              match dec row.(k) with
+              | Slot r when same_slot r dests.(k) -> go (k - 1) acc
+              | _ -> go (k - 1) (k :: acc)
+          in
+          go (nphi - 1) []
       in
-      let direct (row : Ir.Instr.operand array) =
-        let rec go k =
-          k >= nphi
-          ||
-          match row.(k) with
-          | Ir.Instr.Reg r -> (not (sibling k r)) && go (k + 1)
-          | Ir.Instr.Const _ -> go (k + 1)
-        in
-        go 0
+      (* does a move of [ks] read the slot another one writes? *)
+      let conflict (row : Ir.Instr.operand array) ks =
+        List.exists
+          (fun k ->
+            match dec row.(k) with
+            | Slot r -> List.exists (fun j -> j <> k && same_slot r dests.(j)) ks
+            | Imm _ -> false)
+          ks
+      in
+      let plans = Array.map moves bi.phi_rows in
+      let staged l ks =
+        List.compare_length_with ks 1 > 0 && conflict bi.phi_rows.(l) ks
       in
       let ns =
-        if
-          nphi > 1
-          && Array.exists
-               (fun row -> Array.length row > 0 && not (direct row))
-               bi.phi_rows
-        then nphi
-        else 0
+        let rec any l = l >= 0 && (staged l plans.(l) || any (l - 1)) in
+        if any (Array.length plans - 1) then nphi else 0
       in
       let si = Bytes.make (8 * ns) '\000' in
       let sf = Array.make ns 0.0 in
@@ -2532,7 +2592,7 @@ let compile_rblock (st : state) (fi : func_info) (classes : rclass array)
       (* stage phi [k]'s incoming value [op] into its lane's scratch;
          [direct] writes the destination register instead *)
       let stage ~direct k op : frame -> unit =
-        let s = decode_operand op in
+        let s = dec op in
         let sdk = slots.(dests.(k)) in
         match classes.(dests.(k)) with
         | C_int -> (
@@ -2570,40 +2630,40 @@ let compile_rblock (st : state) (fi : func_info) (classes : rclass array)
             if direct then fun fr -> Array.unsafe_set fr.fr_v sdk (g fr)
             else fun fr -> Array.unsafe_set sv k (g fr)
       in
-      let commits =
-        Array.init ns (fun k ->
-            let sdk = slots.(dests.(k)) in
-            match classes.(dests.(k)) with
-            | C_int -> fun fr -> bset64 fr.fr_i sdk (bget64 si (8 * k))
-            | C_float ->
-                fun fr -> Array.unsafe_set fr.fr_f sdk (Array.unsafe_get sf k)
-            | C_ptr ->
-                fun fr -> Array.unsafe_set fr.fr_p sdk (Array.unsafe_get sp k)
-            | C_boxed ->
-                fun fr -> Array.unsafe_set fr.fr_v sdk (Array.unsafe_get sv k))
+      let commit k : frame -> unit =
+        let sdk = slots.(dests.(k)) in
+        match classes.(dests.(k)) with
+        | C_int -> fun fr -> bset64 fr.fr_i sdk (bget64 si (8 * k))
+        | C_float ->
+            fun fr -> Array.unsafe_set fr.fr_f sdk (Array.unsafe_get sf k)
+        | C_ptr ->
+            fun fr -> Array.unsafe_set fr.fr_p sdk (Array.unsafe_get sp k)
+        | C_boxed ->
+            fun fr -> Array.unsafe_set fr.fr_v sdk (Array.unsafe_get sv k)
       in
-      (* A direct row.  [imv] and [fmv] hold (destination, source) slot
-         pairs of the int and float lanes, [ikd] the destinations of the
-         int constants whose values [ikv] holds, 8 bytes each; [rest]
-         writes every other entry. *)
-      let direct_row (row : Ir.Instr.operand array) : frame -> unit =
+      (* A direct row of the moves [ks].  [imv] and [fmv] hold
+         (destination, source) slot pairs of the int and float lanes,
+         [ikd] the destinations of the int constants whose values [ikv]
+         holds, 8 bytes each; [rest] writes every other entry. *)
+      let direct_row (row : Ir.Instr.operand array) ks : frame -> unit =
         let imv = ref [] and ik = ref [] and fmv = ref [] and rest = ref [] in
-        for k = nphi - 1 downto 0 do
-          let sdk = slots.(dests.(k)) in
-          let s = decode_operand row.(k) in
-          let other () = rest := stage ~direct:true k row.(k) :: !rest in
-          match classes.(dests.(k)) with
-          | C_int -> (
-              match rarg_i classes slots s with
-              | RiS a -> imv := sdk :: a :: !imv
-              | RiK kv -> ik := (sdk, kv) :: !ik
-              | RiG _ -> other ())
-          | C_float -> (
-              match rarg_f classes slots s with
-              | RfS a -> fmv := sdk :: a :: !fmv
-              | RfK _ | RfG _ -> other ())
-          | C_ptr | C_boxed -> other ()
-        done;
+        List.iter
+          (fun k ->
+            let sdk = slots.(dests.(k)) in
+            let s = dec row.(k) in
+            let other () = rest := stage ~direct:true k row.(k) :: !rest in
+            match classes.(dests.(k)) with
+            | C_int -> (
+                match rarg_i classes slots s with
+                | RiS a -> imv := sdk :: a :: !imv
+                | RiK kv -> ik := (sdk, kv) :: !ik
+                | RiG _ -> other ())
+            | C_float -> (
+                match rarg_f classes slots s with
+                | RfS a -> fmv := sdk :: a :: !fmv
+                | RfK _ | RfG _ -> other ())
+            | C_ptr | C_boxed -> other ())
+          (List.rev ks);
         let imv = Array.of_list !imv and fmv = Array.of_list !fmv in
         let ikd = Array.of_list (List.map fst !ik) in
         let ikv = Bytes.create (8 * Array.length ikd) in
@@ -2632,23 +2692,27 @@ let compile_rblock (st : state) (fi : func_info) (classes : rclass array)
             (Array.unsafe_get rest j) fr
           done
       in
-      Array.map
-        (fun row ->
-          if Array.length row = 0 then ignore
-          else if nphi = 1 then stage ~direct:true 0 row.(0)
-          else if direct row then direct_row row
-          else
-            let stages =
-              Array.mapi (fun k op -> stage ~direct:false k op) row
-            in
-            fun fr ->
-              for k = 0 to nphi - 1 do
-                (Array.unsafe_get stages k) fr
-              done;
-              for k = 0 to nphi - 1 do
-                (Array.unsafe_get commits k) fr
-              done)
-        bi.phi_rows
+      Array.mapi
+        (fun l ks ->
+          let row = bi.phi_rows.(l) in
+          match ks with
+          | [] -> ignore
+          | [ k ] -> stage ~direct:true k row.(k)
+          | _ when not (staged l ks) -> direct_row row ks
+          | _ ->
+              let stages =
+                Array.of_list (List.map (fun k -> stage ~direct:false k row.(k)) ks)
+              in
+              let commits = Array.of_list (List.map commit ks) in
+              let nm = Array.length stages in
+              fun fr ->
+                for j = 0 to nm - 1 do
+                  (Array.unsafe_get stages j) fr
+                done;
+                for j = 0 to nm - 1 do
+                  (Array.unsafe_get commits j) fr
+                done)
+        plans
     end
   in
   let r_term =
@@ -2658,10 +2722,10 @@ let compile_rblock (st : state) (fi : func_info) (classes : rclass array)
         match bi.term with
         | Ir.Instr.Ret None -> R_halt
         | Ir.Instr.Ret (Some op) ->
-            R_ret (rret st classes slots (decode_operand op))
+            R_ret (rret st classes slots (dec op))
         | Ir.Instr.Br l -> R_br l
         | Ir.Instr.Cond_br (c, a, b) ->
-            R_cond (rtest classes slots (decode_operand c), a, b)
+            R_cond (rtest classes slots (dec c), a, b)
         | Ir.Instr.Switch (s, default, _) ->
             let tbl =
               match bi.switch_cases with Some tbl -> tbl | None -> assert false
@@ -2669,7 +2733,7 @@ let compile_rblock (st : state) (fi : func_info) (classes : rclass array)
             (* the driver evaluates the scrutinee outside the body
                handlers, so [rget_i]'s raw [Type_error] propagates
                uncaught exactly like the Reference engine's [as_int] *)
-            R_switch (rget_i classes slots (decode_operand s), default, tbl))
+            R_switch (rget_i classes slots (dec s), default, tbl))
   in
   {
     r_info = bi;
@@ -2691,9 +2755,10 @@ let compile_rblock (st : state) (fi : func_info) (classes : rclass array)
     [Call] closures capture callee [func_info]s and read their compiled
     blocks at call time, so functions compile in any order. *)
 let compile_rfunc (st : state) (fi : func_info) : unit =
+  let dec = decode fi.rslots in
   fi.rtblocks <-
     Array.mapi
-      (fun bnum bi -> compile_rblock st fi fi.rclasses fi.rslots bnum bi)
+      (fun bnum bi -> compile_rblock st fi fi.rclasses fi.rslots dec bnum bi)
       fi.blocks
 
 (* Patch every compiled terminator with direct references to the
@@ -2842,7 +2907,8 @@ let run ?(fuel = 4_000_000_000L) ?(cis = empty_cis ())
     match engine with
     | Reference -> exec_func st fi args
     | Threaded ->
-        Hashtbl.iter (fun _ fi -> classify_rfunc st fi) funcs;
+        let sc = Ir.Coalesce.scratch () in
+        Hashtbl.iter (fun _ fi -> classify_rfunc st sc fi) funcs;
         Hashtbl.iter (fun _ fi -> compile_rfunc st fi) funcs;
         if tuning.link then Hashtbl.iter (fun _ fi -> link_rfunc fi) funcs;
         (* The entry and exit seam: box-free calls start here. *)

@@ -591,6 +591,223 @@ let test_printer_output () =
   Alcotest.(check bool) "phi" true (contains "phi i32");
   Alcotest.(check bool) "condbr" true (contains "condbr")
 
+
+(* ------------------------------------------------------------------ *)
+(* Coalesce: phi-congruence classes                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* [loop_func build]: f(n : i64) -> i64 over blocks entry bb0, header
+   bb1, latch bb2 and exit bb3.  [build b at] fills them ([at k]
+   positions the builder at bb[k]) and returns the header's phis with
+   their entries; the phis are created with no entries, so the entries
+   may name registers defined after them. *)
+let loop_func build =
+  let f = Func.create ~name:"f" ~params:[ (0, Ty.I64) ] ~ret_ty:Ty.I64 in
+  let b = Builder.create f in
+  let blocks =
+    Array.map
+      (fun name -> Builder.new_block b ~name)
+      [| "entry"; "header"; "latch"; "exit" |]
+  in
+  let phis = build b (fun k -> Builder.position_at b blocks.(k)) in
+  Block.set_instrs blocks.(1)
+    (List.map
+       (fun (i : Instr.t) ->
+         match List.assoc_opt i.Instr.id phis with
+         | Some entries -> { i with Instr.kind = Instr.Phi entries }
+         | None -> i)
+       blocks.(1).Block.instrs);
+  Builder.finish b
+
+let empty_phi b ty = Builder.add b ty (Instr.Phi [])
+
+(* The classes of [f] as sorted register lists, after checking that [f]
+   (with a global "cells") verifies. *)
+let classes_of f =
+  let m = Irmod.create ~name:"m" in
+  Irmod.add_global m
+    { Irmod.gname = "cells"; gty = Ty.I64; gsize = 4; ginit = Irmod.Zero };
+  Irmod.add_func m f;
+  Alcotest.(check (list string)) "verifies" [] (errors_of m);
+  let c = Coalesce.classes (Coalesce.scratch ()) f in
+  List.sort_uniq compare (Array.to_list c.Coalesce.reps)
+  |> List.map (fun rep ->
+         List.filteri (fun k _ -> c.Coalesce.reps.(k) = rep)
+           (Array.to_list c.Coalesce.members))
+
+let check_classes what expected f =
+  Alcotest.(check (list (list int))) what expected (classes_of f)
+
+(* header: i = phi [0, i1]; latch: i1 = i + 1.  [after] reads i in the
+   latch after the increment. *)
+let counter_loop ?(after = false) () =
+  let r = Builder.reg and i64 = Builder.ci64 in
+  let ids = ref (0, 0) in
+  let f =
+    loop_func (fun b at ->
+        at 0;
+        Builder.br b 1;
+        at 1;
+        let i = empty_phi b Ty.I64 in
+        let c = Builder.icmp b Instr.Islt (r i) (r 0) in
+        Builder.cond_br b (r c) 2 3;
+        at 2;
+        let i1 = Builder.binop b Instr.Add Ty.I64 (r i) (i64 1L) in
+        if after then ignore (Builder.binop b Instr.Mul Ty.I64 (r i) (i64 3L));
+        Builder.br b 1;
+        at 3;
+        Builder.ret b (Some (r i));
+        ids := (i, i1);
+        [ (i, [ (0, i64 0L); (2, r i1) ]) ])
+  in
+  (f, !ids)
+
+let test_coalesce_counter () =
+  let f, (i, i1) = counter_loop () in
+  check_classes "a loop counter and its increment share" [ [ i; i1 ] ] f;
+  let f, _ = counter_loop ~after:true () in
+  check_classes "the latch reads the counter after the increment" [] f
+
+(* header: p = phi [n, d]; latch: d = p - 1 *)
+let test_coalesce_param () =
+  let r = Builder.reg and i64 = Builder.ci64 in
+  let ids = ref (0, 0) in
+  let f =
+    loop_func (fun b at ->
+        at 0;
+        Builder.br b 1;
+        at 1;
+        let p = empty_phi b Ty.I64 in
+        let c = Builder.icmp b Instr.Isgt (r p) (i64 0L) in
+        Builder.cond_br b (r c) 2 3;
+        at 2;
+        let d = Builder.binop b Instr.Sub Ty.I64 (r p) (i64 1L) in
+        Builder.br b 1;
+        at 3;
+        Builder.ret b (Some (r p));
+        ids := (p, d);
+        [ (p, [ (0, r 0); (2, r d) ]) ])
+  in
+  let p, d = !ids in
+  check_classes "a parameter entry joins the phi" [ [ 0; p; d ] ] f
+
+(* a, b = b, a + b *)
+let test_coalesce_rotation () =
+  let r = Builder.reg and i64 = Builder.ci64 in
+  let ids = ref [] in
+  let f =
+    loop_func (fun b at ->
+        at 0;
+        Builder.br b 1;
+        at 1;
+        let a = empty_phi b Ty.I64 and bb = empty_phi b Ty.I64 in
+        let i = empty_phi b Ty.I64 in
+        let c = Builder.icmp b Instr.Islt (r i) (r 0) in
+        Builder.cond_br b (r c) 2 3;
+        at 2;
+        let t = Builder.binop b Instr.Add Ty.I64 (r a) (r bb) in
+        let i1 = Builder.binop b Instr.Add Ty.I64 (r i) (i64 1L) in
+        Builder.br b 1;
+        at 3;
+        Builder.ret b (Some (r a));
+        ids := [ i; i1 ];
+        [
+          (a, [ (0, i64 0L); (2, r bb) ]);
+          (bb, [ (0, i64 1L); (2, r t) ]);
+          (i, [ (0, i64 0L); (2, r i1) ]);
+        ])
+  in
+  check_classes "no phi of the rotation shares" [ !ids ] f
+
+(* x is read in the header, so it is live where the phi is defined *)
+let test_coalesce_live_into_header () =
+  let r = Builder.reg and i64 = Builder.ci64 in
+  let ids = ref (0, 0) in
+  let f =
+    loop_func (fun b at ->
+        at 0;
+        let x = Builder.binop b Instr.Add Ty.I64 (r 0) (i64 1L) in
+        Builder.br b 1;
+        at 1;
+        let p = empty_phi b Ty.I64 in
+        let y = Builder.binop b Instr.Add Ty.I64 (r p) (r x) in
+        let c = Builder.icmp b Instr.Islt (r y) (i64 100L) in
+        Builder.cond_br b (r c) 2 3;
+        at 2;
+        let q = Builder.binop b Instr.Add Ty.I64 (r p) (i64 1L) in
+        Builder.br b 1;
+        at 3;
+        Builder.ret b (Some (r y));
+        ids := (p, q);
+        [ (p, [ (0, r x); (2, r q) ]) ])
+  in
+  let p, q = !ids in
+  check_classes "only the latch entry joins" [ [ p; q ] ] f
+
+(* b's latch entry is its sibling a, which is then live at the end of
+   the latch: a shares with neither b nor its increment a1 *)
+let test_coalesce_sibling_phis () =
+  let r = Builder.reg and i64 = Builder.ci64 in
+  let f =
+    loop_func (fun b at ->
+        at 0;
+        Builder.br b 1;
+        at 1;
+        let a = empty_phi b Ty.I64 and bb = empty_phi b Ty.I64 in
+        let c = Builder.icmp b Instr.Islt (r a) (r 0) in
+        Builder.cond_br b (r c) 2 3;
+        at 2;
+        let a1 = Builder.binop b Instr.Add Ty.I64 (r a) (i64 1L) in
+        Builder.br b 1;
+        at 3;
+        Builder.ret b (Some (r bb));
+        [ (a, [ (0, i64 0L); (2, r a1) ]); (bb, [ (0, i64 5L); (2, r a) ]) ])
+  in
+  check_classes "two phis of one block never share" [] f
+
+(* a [Gaddr] result is a constant of the run: never a candidate *)
+let test_coalesce_gaddr_entry () =
+  let r = Builder.reg and i64 = Builder.ci64 in
+  let ids = ref [] in
+  let f =
+    loop_func (fun b at ->
+        at 0;
+        let g = Builder.add b Ty.Ptr (Instr.Gaddr "cells") in
+        Builder.br b 1;
+        at 1;
+        let p = empty_phi b Ty.Ptr and i = empty_phi b Ty.I64 in
+        let c = Builder.icmp b Instr.Islt (r i) (i64 3L) in
+        Builder.cond_br b (r c) 2 3;
+        at 2;
+        let q = Builder.gep b (r p) (i64 1L) in
+        let i1 = Builder.binop b Instr.Add Ty.I64 (r i) (i64 1L) in
+        Builder.br b 1;
+        at 3;
+        Builder.ret b (Some (r (Builder.load b Ty.I64 (r p))));
+        ids := [ [ p; q ]; [ i; i1 ] ];
+        [ (p, [ (0, r g); (2, r q) ]); (i, [ (0, i64 0L); (2, r i1) ]) ])
+  in
+  check_classes "the gaddr entry stays out" !ids f
+
+(* One scratch serves functions of any size in turn, with the same
+   classes as a fresh one. *)
+let test_coalesce_scratch_reuse () =
+  let sc = Coalesce.scratch () in
+  let fs =
+    [
+      fst (counter_loop ()); diamond_func (); fst (counter_loop ~after:true ());
+    ]
+  in
+  List.iter
+    (fun f ->
+      let fresh = Coalesce.classes (Coalesce.scratch ()) f in
+      let reused = Coalesce.classes sc f in
+      Alcotest.(check (array int)) "members" fresh.Coalesce.members
+        reused.Coalesce.members;
+      Alcotest.(check (array int)) "reps" fresh.Coalesce.reps
+        reused.Coalesce.reps)
+    (fs @ fs)
+
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -660,4 +877,16 @@ let () =
           Alcotest.test_case "block" `Quick test_cost_block;
         ] );
       ("printer", [ Alcotest.test_case "output" `Quick test_printer_output ]);
+      ( "coalesce",
+        [
+          Alcotest.test_case "loop counter" `Quick test_coalesce_counter;
+          Alcotest.test_case "parameter entry" `Quick test_coalesce_param;
+          Alcotest.test_case "rotation" `Quick test_coalesce_rotation;
+          Alcotest.test_case "entry live into the header" `Quick
+            test_coalesce_live_into_header;
+          Alcotest.test_case "two phis of one block" `Quick
+            test_coalesce_sibling_phis;
+          Alcotest.test_case "gaddr entry" `Quick test_coalesce_gaddr_entry;
+          Alcotest.test_case "scratch reuse" `Quick test_coalesce_scratch_reuse;
+        ] );
     ]

@@ -1653,6 +1653,341 @@ let test_tuning_phi_row_missing_entry () =
         ])
     phi_lanes
 
+(* Coalescing makes a row read a sibling's slot without naming the
+   sibling.  main(n): entry bb0 defines [x] and branches on [n > 0] to
+   bb1 (defines [z]) or bb2 (defines [y]); the join bb3 has
+   [p1 = phi [bb1: x, bb2: y]] and [p2 = phi [bb1: z, bb2: x]].  [x]
+   joins [p1] and [z] joins [p2], so the row from bb1 moves nothing, and
+   the row from bb2 writes [p1]'s slot and reads [x]'s — the same slot:
+   it must stage, or [p2] reads [y]. *)
+let coalesced_conflict_module ~lane =
+  let open Ir.Builder in
+  let f =
+    Ir.Func.create ~name:"main" ~params:[ (0, Ir.Ty.I64) ] ~ret_ty:Ir.Ty.I64
+  in
+  let b = create f in
+  let blocks =
+    Array.map (fun name -> new_block b ~name) [| "entry"; "a"; "b"; "join" |]
+  in
+  let at k = position_at b blocks.(k) in
+  at 0;
+  let base = add b Ir.Ty.Ptr (Ir.Instr.Gaddr "cells") in
+  let value k =
+    match lane with
+    | Int_lane ->
+        binop b Ir.Instr.Mul Ir.Ty.I64 (reg 0) (ci64 (Int64.of_int (k + 2)))
+    | Float_lane ->
+        let x = cast b Ir.Instr.Sitofp Ir.Ty.F64 (reg 0) in
+        binop b Ir.Instr.Fadd Ir.Ty.F64 (reg x) (cf64 (0.25 *. float_of_int k))
+    | Ptr_lane -> gep b (reg base) (ci64 (Int64.of_int (3 * k)))
+  in
+  let x = value 1 in
+  let c = icmp b Ir.Instr.Isgt (reg 0) (ci64 0L) in
+  cond_br b (reg c) 1 2;
+  at 1;
+  let z = value 2 in
+  br b 3;
+  at 2;
+  let y = value 3 in
+  br b 3;
+  at 3;
+  let ty =
+    match lane with
+    | Int_lane -> Ir.Ty.I64
+    | Float_lane -> Ir.Ty.F64
+    | Ptr_lane -> Ir.Ty.Ptr
+  in
+  let p1 = add b ty (Ir.Instr.Phi [ (1, reg x); (2, reg y) ]) in
+  let p2 = add b ty (Ir.Instr.Phi [ (1, reg z); (2, reg x) ]) in
+  let int_of p =
+    match lane with
+    | Int_lane -> reg p
+    | Float_lane ->
+        reg
+          (cast b Ir.Instr.Fptosi Ir.Ty.I64
+             (reg (binop b Ir.Instr.Fmul Ir.Ty.F64 (reg p) (cf64 4.0))))
+    | Ptr_lane -> reg (load b Ir.Ty.I64 (reg p))
+  in
+  let hi = binop b Ir.Instr.Mul Ir.Ty.I64 (int_of p1) (ci64 1000L) in
+  ret b (Some (reg (binop b Ir.Instr.Add Ir.Ty.I64 (reg hi) (int_of p2))));
+  let m = Ir.Irmod.create ~name:"coalesced" in
+  Ir.Irmod.add_global m
+    {
+      Ir.Irmod.gname = "cells";
+      gty = Ir.Ty.I64;
+      gsize = 16;
+      ginit = Ir.Irmod.Ints (Array.init 16 (fun i -> Int64.of_int (i + 1)));
+    };
+  let f = finish b in
+  Ir.Irmod.add_func m f;
+  (m, f, (x, y, z, p1, p2))
+
+let test_tuning_coalesced_conflict () =
+  List.iter
+    (fun lane ->
+      let m, f, (x, y, z, p1, p2) = coalesced_conflict_module ~lane in
+      let c = Ir.Coalesce.classes (Ir.Coalesce.scratch ()) f in
+      Alcotest.(check (array int))
+        (lane_name lane ^ ": classes")
+        (Array.of_list (List.sort compare [ x; z; p1; p2 ]))
+        c.Ir.Coalesce.members;
+      let rep r =
+        let k = ref 0 in
+        while c.Ir.Coalesce.members.(!k) <> r do incr k done;
+        c.Ir.Coalesce.reps.(!k)
+      in
+      Alcotest.(check bool)
+        (lane_name lane ^ ": x joins p1, z joins p2, y none")
+        true
+        (rep x = rep p1 && rep z = rep p2 && rep x <> rep z
+        && not (Array.mem y c.Ir.Coalesce.members));
+      List.iter
+        (fun n ->
+          ignore
+            (diff_all_n ~n
+               (Printf.sprintf "%s coalesced conflict n=%d" (lane_name lane) n)
+               m))
+        [ -1; 0; 1; 5 ])
+    phi_lanes
+
+(* A [Gaddr] of a global the module does not declare is rejected
+   before anything runs, in both engines. *)
+let test_reject_unknown_global () =
+  let f =
+    Ir.Func.create ~name:"main" ~params:[ (0, Ir.Ty.I64) ] ~ret_ty:Ir.Ty.I64
+  in
+  let b = Ir.Builder.create f in
+  Ir.Builder.position_at b (Ir.Builder.new_block b ~name:"entry");
+  let g = Ir.Builder.add b Ir.Ty.Ptr (Ir.Instr.Gaddr "nowhere") in
+  Ir.Builder.ret b
+    (Some (Ir.Builder.reg (Ir.Builder.load b Ir.Ty.I64 (Ir.Builder.reg g))));
+  let m = Ir.Irmod.create ~name:"unknown_global" in
+  Ir.Irmod.add_func m (Ir.Builder.finish b);
+  Alcotest.(check string) "message"
+    "main/bb0: gaddr %1 names unknown global @nowhere"
+    (check_rejected "unknown global" ~names:"@nowhere" m)
+
+(* ------------------------------------------------------------------ *)
+(* Generated loop nests: phi rows against the Reference engine         *)
+(* ------------------------------------------------------------------ *)
+
+(* A loop nest of one to three levels.  Level [d] has a header (its
+   phis, then [i < trips]), a body (the next level's preheader, or the
+   innermost one), a latch (the updates, back to the header) and an
+   exit, which hashes the level's phis — into [out.(d)], or as main's
+   result for the outermost one — and goes to the enclosing latch.  Each
+   phi has a lane (int, float, ptr) and two entries, each a (kind,
+   argument) pair:
+
+   - from the preheader: a constant (ptr: an address of [cells]), an
+     enclosing level's phi of the lane, or [n] (int) / the [Gaddr] of
+     [cells] (ptr) / a constant (float);
+   - from the latch: its own update, a sibling of the lane (a swap or
+     rotation, or itself), a sibling's update, an inner level's phi of
+     the lane (read after that loop's exit), a constant, or [n] / the
+     [Gaddr] / a constant.
+
+   The latch updates the phis in order: an int or float phi adds a
+   constant or (for an odd argument) a sibling of its lane, which may
+   then be read after the sibling's own update; a pointer takes [gep 1].
+   Every level also has its counter, so each pointer moves at most one
+   cell per iteration and stays inside [cells]. *)
+type nest_phi = { lane : int; pre : int * int; back : int * int }
+type nest_level = { trips : int; phis : nest_phi list }
+
+let nest_gen : nest_level list QCheck.Gen.t =
+  QCheck.Gen.(
+    let entry k = pair (0 -- k) (0 -- 7) in
+    let phi =
+      map3
+        (fun lane pre back -> { lane; pre; back })
+        (0 -- 2) (entry 2) (entry 5)
+    in
+    list_size (1 -- 3)
+      (map2 (fun trips phis -> { trips; phis }) (0 -- 3) (list_size (1 -- 5) phi)))
+
+let nest_to_string levels =
+  String.concat " / "
+    (List.map
+       (fun l ->
+         Printf.sprintf "trips %d: %s" l.trips
+           (String.concat ", "
+              (List.map
+                 (fun p ->
+                   Printf.sprintf "%d(%d,%d|%d,%d)" p.lane (fst p.pre)
+                     (snd p.pre) (fst p.back) (snd p.back))
+                 l.phis)))
+       levels)
+
+let nest_module (levels : nest_level list) =
+  let open Ir.Builder in
+  let f =
+    Ir.Func.create ~name:"main" ~params:[ (0, Ir.Ty.I64) ] ~ret_ty:Ir.Ty.I64
+  in
+  let b = create f in
+  let levels = Array.of_list levels in
+  let depth = Array.length levels in
+  let entry = new_block b ~name:"entry" in
+  let blk =
+    Array.init depth (fun d ->
+        Array.map
+          (fun nm -> new_block b ~name:(Printf.sprintf "%s%d" nm d))
+          [| "header"; "body"; "latch"; "exit" |])
+  in
+  let label d k = blk.(d).(k).Ir.Block.label in
+  let lane_ty = function 0 -> Ir.Ty.I64 | 1 -> Ir.Ty.F64 | _ -> Ir.Ty.Ptr in
+  position_at b entry;
+  let cells = add b Ir.Ty.Ptr (Ir.Instr.Gaddr "cells") in
+  let out = add b Ir.Ty.Ptr (Ir.Instr.Gaddr "out") in
+  br b (label 0 0);
+  let const lane arg =
+    match lane with
+    | 0 -> ci64 (Int64.of_int ((7 * arg) - 3))
+    | 1 -> cf64 (0.75 *. float_of_int arg)
+    | _ -> Ir.Instr.Const (Ir.Instr.Cint (Int64.of_int (arg + 1), Ir.Ty.Ptr))
+  in
+  let other lane arg =
+    match lane with 0 -> reg 0 | 1 -> const 1 arg | _ -> reg cells
+  in
+  (* the phis of every level (counter first), created in the headers *)
+  let phis =
+    Array.mapi
+      (fun d l ->
+        position_at b blk.(d).(0);
+        let counter = add b Ir.Ty.I64 (Ir.Instr.Phi []) in
+        let ps =
+          List.map (fun p -> (p, add b (lane_ty p.lane) (Ir.Instr.Phi []))) l.phis
+        in
+        let c = icmp b Ir.Instr.Islt (reg counter) (ci64 (Int64.of_int l.trips)) in
+        cond_br b (reg c) (label d 1) (label d 3);
+        (counter, ps))
+      levels
+  in
+  let of_lane d lane =
+    if d < 0 || d >= depth then [||]
+    else
+      Array.of_list
+        (List.filter_map
+           (fun (p, r) -> if p.lane = lane then Some r else None)
+           (snd phis.(d)))
+  in
+  let pick d lane arg fallback =
+    let rs = of_lane d lane in
+    if Array.length rs = 0 then fallback else reg rs.(arg mod Array.length rs)
+  in
+  for d = 0 to depth - 1 do
+    let counter, ps = phis.(d) in
+    (* body: the next level's preheader, or straight to the latch *)
+    position_at b blk.(d).(1);
+    br b (if d + 1 < depth then label (d + 1) 0 else label d 2);
+    (* latch: the updates *)
+    position_at b blk.(d).(2);
+    let update (p, r) =
+      let arg = snd p.back in
+      let other c = if arg mod 2 = 0 then c else pick d p.lane arg c in
+      match p.lane with
+      | 0 ->
+          binop b Ir.Instr.Add Ir.Ty.I64 (reg r)
+            (other (ci64 (Int64.of_int (arg + 1))))
+      | 1 -> binop b Ir.Instr.Fadd Ir.Ty.F64 (reg r) (other (cf64 0.5))
+      | _ -> gep b (reg r) (ci64 1L)
+    in
+    let updates = List.map (fun pr -> (snd pr, update pr)) ps in
+    let counter1 = binop b Ir.Instr.Add Ir.Ty.I64 (reg counter) (ci64 1L) in
+    br b (label d 0);
+    let pre_label = if d = 0 then entry.Ir.Block.label else label (d - 1) 1 in
+    let latch_label = label d 2 in
+    let entries (p, r) =
+      let kind, arg = p.pre in
+      let pre =
+        match kind with
+        | 0 -> const p.lane arg
+        | 1 -> pick (d - 1) p.lane arg (const p.lane arg)
+        | _ -> other p.lane arg
+      in
+      let own = reg (List.assoc r updates) in
+      let kind, arg = p.back in
+      let back =
+        match kind with
+        | 0 -> own
+        | 1 -> pick d p.lane arg own
+        | 2 -> (
+            match pick d p.lane arg own with
+            | Ir.Instr.Reg s -> reg (List.assoc s updates)
+            | c -> c)
+        | 3 -> pick (d + 1) p.lane arg own
+        | 4 -> const p.lane arg
+        | _ -> other p.lane arg
+      in
+      (r, [ (pre_label, pre); (latch_label, back) ])
+    in
+    wire_phis blk.(d).(0)
+      ((counter, [ (pre_label, ci64 0L); (latch_label, reg counter1) ])
+      :: List.map entries ps);
+    (* exit: hash the level's phis *)
+    position_at b blk.(d).(3);
+    let value (p, r) =
+      match p.lane with
+      | 0 -> reg r
+      | 1 ->
+          reg
+            (cast b Ir.Instr.Fptosi Ir.Ty.I64
+               (reg (binop b Ir.Instr.Fmul Ir.Ty.F64 (reg r) (cf64 16.0))))
+      | _ -> reg (load b Ir.Ty.I64 (reg r))
+    in
+    let h =
+      List.fold_left
+        (fun acc pr ->
+          let a = binop b Ir.Instr.Mul Ir.Ty.I64 acc (ci64 31L) in
+          reg (binop b Ir.Instr.Add Ir.Ty.I64 (reg a) (value pr)))
+        (reg counter) ps
+    in
+    if d = 0 then ret b (Some h)
+    else begin
+      store b h (reg (gep b (reg out) (ci64 (Int64.of_int d))));
+      br b (label (d - 1) 2)
+    end
+  done;
+  let m = Ir.Irmod.create ~name:"nest" in
+  Ir.Irmod.add_global m
+    {
+      Ir.Irmod.gname = "cells";
+      gty = Ir.Ty.I64;
+      gsize = 128;
+      ginit = Ir.Irmod.Ints (Array.init 128 (fun i -> Int64.of_int ((5 * i) + 1)));
+    };
+  Ir.Irmod.add_global m
+    { Ir.Irmod.gname = "out"; gty = Ir.Ty.I64; gsize = 4; ginit = Ir.Irmod.Zero };
+  Ir.Irmod.add_func m (finish b);
+  m
+
+let qcheck_loop_nests =
+  QCheck.Test.make ~name:"generated loop nests: every tuning agrees"
+    ~count:60
+    (QCheck.make ~print:nest_to_string nest_gen)
+    (fun levels ->
+      let m = nest_module levels in
+      let what = nest_to_string levels in
+      Alcotest.(check (list string)) (what ^ ": verifies") []
+        (List.map
+           (Format.asprintf "%a" Ir.Verifier.pp_error)
+           (Ir.Verifier.check_module m));
+      let args = [ Ir.Eval.VInt 3L ] in
+      let ref_out =
+        Vm.Machine.run ~engine:Vm.Machine.Reference m ~entry:"main" ~args
+      in
+      List.iter
+        (fun tuning ->
+          let what = what ^ " [" ^ tuning_tag tuning ^ "]" in
+          let t =
+            Vm.Machine.run ~engine:Vm.Machine.Threaded ~tuning m ~entry:"main"
+              ~args
+          in
+          check_outcomes_equal what ref_out t;
+          check_global_equal what "out" 4 ref_out t)
+        all_tunings;
+      true)
+
 (* Unread registers share one sink slot per lane.  [rec(n, dead, x, p)]
    recurses to depth [n] (so frames are reused at every depth), and
    main calls it three times.  Its body writes every kind
@@ -3027,6 +3362,36 @@ let test_verifier_allocation () =
         true (per_instr < 30.0))
     W.Registry.all
 
+(* Every threaded [Machine.run] computes each function's phi-congruence
+   classes ({!Ir.Coalesce}) in one scratch per run.  Minor words per IR
+   instruction of that over each registry and phased module, scratch
+   included, measured 0.8-3.9 (fft the highest), are capped at 5; the
+   same analysis with fresh arrays, a CFG and [Array.sort] per function
+   took 2.7-16.2, above 5 on 13 of the 17 modules. *)
+let test_coalesce_allocation () =
+  List.iter
+    (fun (w : W.Workload.t) ->
+      let m = (W.Workload.compile w).F.Compiler.modul in
+      let classes () =
+        let sc = Ir.Coalesce.scratch () in
+        List.iter
+          (fun f -> ignore (Sys.opaque_identity (Ir.Coalesce.classes sc f)))
+          m.Ir.Irmod.funcs
+      in
+      classes ();
+      let before = Gc.minor_words () in
+      classes ();
+      let per_instr =
+        (Gc.minor_words () -. before) /. float_of_int (Ir.Irmod.num_instrs m)
+      in
+      Printf.printf "coalescing minor words/instr: %s %.2f\n" w.W.Workload.name
+        per_instr;
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %.2f coalescing words/instr < 5" w.W.Workload.name
+           per_instr)
+        true (per_instr < 5.0))
+    (W.Registry.all @ W.Registry.phased)
+
 (* ------------------------------------------------------------------ *)
 (* Engine golden: full Experiment reports are engine-invariant         *)
 (* ------------------------------------------------------------------ *)
@@ -3236,6 +3601,13 @@ let () =
             test_tuning_phi_row_conflicts;
           Alcotest.test_case "phi row missing entry" `Quick
             test_tuning_phi_row_missing_entry;
+          Alcotest.test_case "coalesced phi row conflict" `Quick
+            test_tuning_coalesced_conflict;
+          Alcotest.test_case "rejects unknown global" `Quick
+            test_reject_unknown_global;
+          QCheck_alcotest.to_alcotest
+            ~rand:(Random.State.make [| 20110516 |])
+            qcheck_loop_nests;
           Alcotest.test_case "sink slots" `Quick test_tuning_sink_slots;
           Alcotest.test_case "typed memory cells" `Quick
             test_tuning_typed_memory;
@@ -3278,6 +3650,10 @@ let () =
             test_production_modules_verify;
           Alcotest.test_case "verifier allocation" `Slow
             test_verifier_allocation;
+        ] );
+      ( "coalescing",
+        [
+          Alcotest.test_case "allocation" `Slow test_coalesce_allocation;
         ] );
       ( "engine golden",
         [
