@@ -35,8 +35,9 @@ let find_workload name = Option.get (W.Registry.find name)
      ({!Vm.Machine.untuned}): every register boxed, indexed dispatch,
      no fusion, interpreted CIs;
    - tuned-boxed — {!Vm.Machine.default_tuning} minus [regalloc]: block
-     linking, compare-and-branch fusion and CI-native dispatch, with
-     the same compiler classifying every register boxed;
+     linking, fusion (of a gep only with a constant index, since a
+     boxed index may fault) and CI-native dispatch, with the same
+     compiler classifying every register boxed;
    - tuned       — everything on, including the typed unboxed register
      files ({!Vm.Machine.default_tuning}).
 

@@ -172,9 +172,11 @@ type tuning = {
           compiled block directly instead of re-indexing the function's
           block array.  Off = no link pass; every transfer is indexed. *)
   fuse : bool;
-      (** compare-and-branch fusion: a block's trailing single-use
-          [icmp]/[fcmp] is folded into its conditional branch, skipping
-          the flag write and one dispatch *)
+      (** fusion: a block's trailing single-use [icmp]/[fcmp] is
+          folded into its conditional branch, skipping the flag write
+          and one dispatch, and a [gep] read only by loads and stores
+          of its block is folded into each of them (address fusion),
+          skipping its register write and its dispatch *)
   ci_native : bool;
       (** compile a loaded CI's body ({!ci_impl.ci_body}) into each
           call site's typed lanes instead of interpreting it through
@@ -221,7 +223,8 @@ let untuned =
   }
 
 (* Per-pattern fusion hit counters (compile-time events, one bump per
-   fused compare-and-branch per block compilation).  Guarded by a mutex:
+   fused compare-and-branch and per load or store with a folded [gep],
+   per block compilation).  Guarded by a mutex:
    parallel sweeps compile modules from several domains. *)
 let fusion_mu = Mutex.create ()
 let fusion_counters : (string, int) Hashtbl.t = Hashtbl.create 32
@@ -229,7 +232,7 @@ let fusion_counters : (string, int) Hashtbl.t = Hashtbl.create 32
 let bump_fusion name =
   Mutex.lock fusion_mu;
   Hashtbl.replace fusion_counters name
-    (1 + Option.value ~default:0 (Hashtbl.find_opt fusion_counters name));
+    (1 + try Hashtbl.find fusion_counters name with Not_found -> 0);
   Mutex.unlock fusion_mu
 
 (** Per-pattern fusion counts since start (or the last
@@ -284,7 +287,8 @@ type block_info = {
 }
 
 (* Register class, from the declared register type.  Every register of
-   a function but a folded [Gaddr] result lives in one slot array of its
+   a function but a folded [Gaddr] or [Gep] result lives in one slot
+   array of its
    {!frame} (the unread ones of a class in its sink slot, a
    phi-congruence class in one slot); [C_boxed] covers registers with no
    declared type ([Void]), which keep the boxed representation — and
@@ -336,8 +340,9 @@ type func_info = {
       (* per-register position inside its class's frame lane — the
          per-class renumbering, a byte offset for [C_int] and an index
          otherwise; [-1 - base] for a register folded to the address
-         [base] of a global ({!decode}); [||] until {!classify_rfunc}
-         runs *)
+         [base] of a global ({!decode}), {!gep_folded} for a [Gep]
+         folded into its loads and stores ({!fold_geps}); [||] until
+         {!classify_rfunc} runs *)
   mutable rcounts : int array;
       (* frame-array lengths, indexed [C_int; C_float; C_ptr; C_boxed];
          [||] until {!classify_rfunc} runs *)
@@ -770,14 +775,24 @@ let rec exec_func (st : state) (fi : func_info) (args : Ir.Eval.value array) :
 (* Threaded engine: the typed-register-file compiler                   *)
 (* ------------------------------------------------------------------ *)
 
+(* The slot of a [Gep] register folded into the loads and stores that
+   read it ({!fold_geps}): no slot at all. *)
+let gep_folded = min_int
+
 (* Decode an operand against a function's slots ({!classify_rfunc}): a
    register folded to its global's address (slot [-1 - base]) is that
-   address as an immediate, in every operand position. *)
+   address as an immediate, in every operand position.  A folded [Gep]
+   register is read only as the address of a load or store, which
+   resolves it itself ({!raddr}), never through here. *)
 let decode (slots : int array) : Ir.Instr.operand -> src = function
   | Ir.Instr.Const c -> Imm (Ir.Eval.of_const c)
   | Ir.Instr.Reg r ->
       let s = slots.(r) in
-      if s < 0 then Imm (Ir.Eval.VPtr (-1 - s)) else Slot r
+      if s >= 0 then Slot r
+      else begin
+        assert (s <> gep_folded);
+        Imm (Ir.Eval.VPtr (-1 - s))
+      end
 
 module E = Ir.Eval
 
@@ -975,10 +990,12 @@ let rrd_p (classes : rclass array) (slots : int array) (r : int) :
    fault are pre-resolved to scalar constants; everything else —
    cross-class and boxed registers, mismatched immediates — resolves
    to a residual closure with the standard conversions, faulting per
-   execution like the Reference engine. *)
+   execution like the Reference engine.  [RpX (base, s)] is the one
+   fused address shape ({!raddr}): the constant [base] plus the int
+   slot at byte offset [s], a folded [gep (gaddr A), i]. *)
 type ri = RiS of int | RiK of int64 | RiG of (frame -> int64)
 type rf = RfS of int | RfK of float | RfG of (frame -> float)
-type rp = RpS of int | RpK of int | RpG of (frame -> int)
+type rp = RpS of int | RpK of int | RpG of (frame -> int) | RpX of int * int
 
 let rarg_i (classes : rclass array) (slots : int array) : src -> ri = function
   | Slot r when classes.(r) = C_int -> RiS slots.(r)
@@ -1016,6 +1033,7 @@ let rp_fn : rp -> frame -> int = function
   | RpS s -> fun fr -> Array.unsafe_get fr.fr_p s
   | RpK p -> fun _ -> p
   | RpG g -> g
+  | RpX (pb, ri) -> fun fr -> pb + Int64.to_int (bget64 fr.fr_i ri)
 
 let rget_i classes slots (s : src) : frame -> int64 =
   ri_fn (rarg_i classes slots s)
@@ -2102,12 +2120,95 @@ let plan_splices (st : state) (fi : func_info) : Ir.Ty.t list =
     fi.rsplices <- rows;
   List.rev !temps
 
+(* The least register of [r]'s phi-congruence class in [co], or [r]. *)
+let coalesce_rep (co : Ir.Coalesce.t) r =
+  let members = co.Ir.Coalesce.members in
+  let lo = ref 0 and hi = ref (Array.length members) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if members.(mid) < r then lo := mid + 1 else hi := mid
+  done;
+  if !lo < Array.length members && members.(!lo) = r then
+    co.Ir.Coalesce.reps.(!lo)
+  else r
+
+(* Address fusion ([tuning.fuse]): give slot {!gep_folded} to every
+   [Gep g = gep base, idx] of [fi] that {!compile_rblock} computes at
+   its uses instead, inside each load or store that reads it
+   ({!raddr}).  A [Gep] folds when
+   - its address is a constant plus an int: [base] is an integer
+     constant or a folded [Gaddr] (the frontend's [gep (gaddr A), i]),
+     and [idx] an integer constant, a folded [Gaddr] or an int register.
+     Such a [Gep] cannot fault (a boxed or float index could fail to
+     convert), so the moved computation raises nothing where the [Gep]
+     stood;
+   - every use of [g] ([use_counts]) is the address of a load or store
+     of its own block (a store of [g] as a value is not);
+   - no instruction between the [Gep] and its last use writes the slot
+     of [idx], so each use reads the index the [Gep] read.  A register
+     that something reads shares its slot only with its phi-congruence
+     class ({!classify_rfunc}), so such a write is a definition in
+     [idx]'s class: after phi coalescing, the update of an index can
+     take the index's slot once the [Gep] was its last reader.  The
+     last use may write it, after reading the address.  A spliced CI
+     site writes the call's destination, which the check covers, and
+     its own temps, which have slots of their own.
+   Everything here is decided from the instructions, [use_counts] and
+   the classes, and nothing is allocated. *)
+let fold_geps (fi : func_info) (co : Ir.Coalesce.t) (classes : rclass array)
+    (slots : int array) : unit =
+  for b = 0 to Array.length fi.blocks - 1 do
+    let instrs = fi.blocks.(b).instrs in
+    let n = Array.length instrs in
+    for k = fi.blocks.(b).phi_count to n - 1 do
+      match instrs.(k).Ir.Instr.kind with
+      | Ir.Instr.Gep (base, idx) ->
+          let const_base =
+            match base with
+            | Ir.Instr.Const (Ir.Instr.Cint _) -> true
+            | Ir.Instr.Const (Ir.Instr.Cfloat _) -> false
+            | Ir.Instr.Reg r -> slots.(r) < 0
+          in
+          (* the representative of the index's class; -1 for a
+             constant, -2 for an index of another class *)
+          let ri =
+            match idx with
+            | Ir.Instr.Const (Ir.Instr.Cint _) -> -1
+            | Ir.Instr.Const (Ir.Instr.Cfloat _) -> -2
+            | Ir.Instr.Reg r when slots.(r) < 0 -> -1
+            | Ir.Instr.Reg r ->
+                if classes.(r) = C_int then coalesce_rep co r else -2
+          in
+          let g = instrs.(k).Ir.Instr.id in
+          let uses = fi.use_counts.(g) in
+          if const_base && ri >= -1 && uses > 0 then begin
+            let found = ref 0 and clean = ref true and j = ref (k + 1) in
+            while !clean && !found < uses && !j < n do
+              let i = instrs.(!j) in
+              (match i.Ir.Instr.kind with
+              | Ir.Instr.Load (Ir.Instr.Reg a)
+              | Ir.Instr.Store (_, Ir.Instr.Reg a)
+                when a = g ->
+                  incr found
+              | _ -> ());
+              if !found < uses && coalesce_rep co i.Ir.Instr.id = ri then
+                clean := false;
+              incr j
+            done;
+            if !clean && !found = uses then slots.(g) <- gep_folded
+          end
+      | _ -> ()
+    done
+  done
+
 (** Record one function's register classes and the per-class slot
     renumbering.  A register's slot is its position within its class's
     frame lane (a byte offset in the int lane).  A register defined by
     [Gaddr] gets no slot: the verifier makes it name a global, whose
     base is fixed for the run, so its slot records [-1 - base] and
-    every read of it decodes as that address ({!decode}).  The members
+    every read of it decodes as that address ({!decode}).  Nor does a
+    [Gep] that address fusion folds into the loads and stores reading
+    it ({!fold_geps}): it is never written.  The members
     of a phi-congruence class ({!Ir.Coalesce}) share the slot of its
     least register, so a phi entry in the class is no move at all
     ({!compile_rblock}).  Every other read register ([use_counts > 0],
@@ -2149,6 +2250,7 @@ let classify_rfunc (st : state) (sc : Ir.Coalesce.scratch) (fi : func_info) :
     done
   done;
   let co = Ir.Coalesce.classes sc fi.func in
+  if st.tuning.fuse then fold_geps fi co classes slots;
   let next_member = ref 0 in
   let counts = Array.make 4 0 and sinks = Array.make 4 (-1) in
   let idx = function C_int -> 0 | C_float -> 1 | C_ptr -> 2 | C_boxed -> 3 in
@@ -2189,26 +2291,62 @@ let ci_charge (st : state) ci impl : frame -> unit =
       let cell = swap_cell st cells ci impl in
       fun _ -> charge_lanes st cell
 
-(* A [Gaddr] compiles to no op: its register is folded ({!decode}). *)
-let folded (i : Ir.Instr.t) =
-  match i.Ir.Instr.kind with Ir.Instr.Gaddr _ -> true | _ -> false
+(* A [Gaddr] and a folded [Gep] compile to no op: their registers have
+   no slot ({!decode}, {!fold_geps}). *)
+let folded (slots : int array) (i : Ir.Instr.t) = slots.(i.Ir.Instr.id) < 0
 
+(* The address operand [a] of the load or store at position [at] of a
+   block ([instrs]).  A [Gep] folded into it ({!fold_geps}) is found by
+   walking back from [at] and computed here, at its use, from the
+   operands it reads: a constant base plus an int index slot is
+   {!RpX}, plus a constant index a constant address.  Each fused use
+   counts as one [pattern] window. *)
+let raddr (classes : rclass array) (slots : int array)
+    (dec : Ir.Instr.operand -> src) (instrs : Ir.Instr.t array) at pattern
+    (a : Ir.Instr.operand) : rp =
+  match a with
+  | Ir.Instr.Reg g when slots.(g) = gep_folded -> (
+      let j = ref (at - 1) in
+      while instrs.(!j).Ir.Instr.id <> g do
+        decr j
+      done;
+      match instrs.(!j).Ir.Instr.kind with
+      | Ir.Instr.Gep (base, idx) -> (
+          bump_fusion pattern;
+          match
+            (rarg_p classes slots (dec base), rarg_i classes slots (dec idx))
+          with
+          | RpK pb, RiS ri -> RpX (pb, ri)
+          | RpK pb, RiK k -> RpK (pb + Int64.to_int k)
+          | _ -> assert false)
+      | _ -> assert false)
+  | _ -> rarg_p classes slots (dec a)
+
+(** Compile block [bnum] of a classified function ({!classify_rfunc}):
+    its body ops, its phi prologue per predecessor label and its
+    terminator.  A [Gaddr] and a folded [Gep] compile to no op, a load
+    or store computes the address of a [Gep] folded into it
+    ({!raddr}), a CI site with a splice plan widens into its body's
+    nodes, and under [tuning.fuse] a trailing single-use compare folds
+    into the conditional branch.  Fuel, clocks and profiles come from
+    the block's instruction count, never from its ops. *)
 let compile_rblock (st : state) (fi : func_info) (classes : rclass array)
     (slots : int array) (dec : Ir.Instr.operand -> src) (bnum : int)
     (bi : block_info) : rtblock =
   let nphi = bi.phi_count in
-  let mem = st.memory in
   (* Compile one instruction, decoding its operands with [dec] and
      writing register [d].  A caller instruction decodes its own
      operands and writes its own id; a spliced CI body node
-     ([compile_site] below) reads its operands through the site's
+     ([r_ops] below) reads its operands through the site's
      substitution, takes a cast's source type from the body
      ([from_ty]), and writes a fresh register or the call's
-     destination.  (Plain arguments: compile-time closures and optional
-     arguments allocate per block or instruction compiled, and the VM
-     compiles every module it runs.) *)
-  let compile_rinstr ~dec ~from_ty ~d (i : Ir.Instr.t) : frame -> unit =
-    let ty = i.Ir.Instr.ty in
+     destination.  [at] is the instruction's position in the block, where
+     a load or store finds a [Gep] folded into it ({!raddr}).  (Plain
+     arguments: compile-time closures and optional arguments allocate
+     per block or instruction compiled, and the VM compiles every
+     module it runs.) *)
+  let compile_rinstr ~dec ~from_ty ~d ~at (i : Ir.Instr.t) : frame -> unit =
+    let ty = i.Ir.Instr.ty and mem = st.memory in
     match i.Ir.Instr.kind with
     | Ir.Instr.Phi _ | Ir.Instr.Gaddr _ ->
         (* phis lead their block, a [Gaddr] result is folded into its
@@ -2274,7 +2412,7 @@ let compile_rblock (st : state) (fi : func_info) (classes : rclass array)
           let w = rwr_box classes slots d in
           fun fr -> w fr (Ir.Eval.VPtr (Memory.alloc mem count))
     | Ir.Instr.Load a -> (
-        let aa = rarg_p classes slots (dec a) in
+        let aa = raddr classes slots dec bi.instrs at "gep+load" a in
         (* A typed destination takes the cell's unboxed payload
            directly ([mload_*]); only a boxed destination builds a
            value.  No allocation on any typed class. *)
@@ -2286,6 +2424,10 @@ let compile_rblock (st : state) (fi : func_info) (classes : rclass array)
                 fun fr ->
                   bset64 fr.fr_i sd (mload_i mem (Array.unsafe_get fr.fr_p p))
             | RpK p -> fun fr -> bset64 fr.fr_i sd (mload_i mem p)
+            | RpX (pb, ri) ->
+                fun fr ->
+                  bset64 fr.fr_i sd
+                    (mload_i mem (pb + Int64.to_int (bget64 fr.fr_i ri)))
             | _ ->
                 let ga = rp_fn aa in
                 fun fr -> bset64 fr.fr_i sd (mload_i mem (ga fr)))
@@ -2297,6 +2439,10 @@ let compile_rblock (st : state) (fi : func_info) (classes : rclass array)
                   Array.unsafe_set fr.fr_f sd
                     (mload_f mem (Array.unsafe_get fr.fr_p p))
             | RpK p -> fun fr -> Array.unsafe_set fr.fr_f sd (mload_f mem p)
+            | RpX (pb, ri) ->
+                fun fr ->
+                  Array.unsafe_set fr.fr_f sd
+                    (mload_f mem (pb + Int64.to_int (bget64 fr.fr_i ri)))
             | _ ->
                 let ga = rp_fn aa in
                 fun fr -> Array.unsafe_set fr.fr_f sd (mload_f mem (ga fr)))
@@ -2308,6 +2454,10 @@ let compile_rblock (st : state) (fi : func_info) (classes : rclass array)
                   Array.unsafe_set fr.fr_p sd
                     (mload_p mem (Array.unsafe_get fr.fr_p p))
             | RpK p -> fun fr -> Array.unsafe_set fr.fr_p sd (mload_p mem p)
+            | RpX (pb, ri) ->
+                fun fr ->
+                  Array.unsafe_set fr.fr_p sd
+                    (mload_p mem (pb + Int64.to_int (bget64 fr.fr_i ri)))
             | _ ->
                 let ga = rp_fn aa in
                 fun fr -> Array.unsafe_set fr.fr_p sd (mload_p mem (ga fr)))
@@ -2322,7 +2472,7 @@ let compile_rblock (st : state) (fi : func_info) (classes : rclass array)
            address.  A boxed value is read before the address, like the
            Reference engine (right-to-left application order made
            explicit). *)
-        let aa = rarg_p classes slots (dec a) in
+        let aa = raddr classes slots dec bi.instrs at "gep+store" a in
         let ga = rp_fn aa in
         match dec x with
         | Slot r when classes.(r) = C_int -> (
@@ -2332,6 +2482,11 @@ let compile_rblock (st : state) (fi : func_info) (classes : rclass array)
                 fun fr ->
                   mstore_i mem (Array.unsafe_get fr.fr_p p) (bget64 fr.fr_i sx)
             | RpK p -> fun fr -> mstore_i mem p (bget64 fr.fr_i sx)
+            | RpX (pb, ri) ->
+                fun fr ->
+                  mstore_i mem
+                    (pb + Int64.to_int (bget64 fr.fr_i ri))
+                    (bget64 fr.fr_i sx)
             | _ -> fun fr -> mstore_i mem (ga fr) (bget64 fr.fr_i sx))
         | Slot r when classes.(r) = C_float -> (
             let sx = slots.(r) in
@@ -2342,6 +2497,11 @@ let compile_rblock (st : state) (fi : func_info) (classes : rclass array)
                     (Array.unsafe_get fr.fr_p p)
                     (Array.unsafe_get fr.fr_f sx)
             | RpK p -> fun fr -> mstore_f mem p (Array.unsafe_get fr.fr_f sx)
+            | RpX (pb, ri) ->
+                fun fr ->
+                  mstore_f mem
+                    (pb + Int64.to_int (bget64 fr.fr_i ri))
+                    (Array.unsafe_get fr.fr_f sx)
             | _ -> fun fr -> mstore_f mem (ga fr) (Array.unsafe_get fr.fr_f sx))
         | Slot r when classes.(r) = C_ptr -> (
             let sx = slots.(r) in
@@ -2352,6 +2512,11 @@ let compile_rblock (st : state) (fi : func_info) (classes : rclass array)
                     (Array.unsafe_get fr.fr_p p)
                     (Array.unsafe_get fr.fr_p sx)
             | RpK p -> fun fr -> mstore_p mem p (Array.unsafe_get fr.fr_p sx)
+            | RpX (pb, ri) ->
+                fun fr ->
+                  mstore_p mem
+                    (pb + Int64.to_int (bget64 fr.fr_i ri))
+                    (Array.unsafe_get fr.fr_p sx)
             | _ -> fun fr -> mstore_p mem (ga fr) (Array.unsafe_get fr.fr_p sx))
         | Imm (E.VInt k) -> (
             match aa with
@@ -2472,63 +2637,60 @@ let compile_rblock (st : state) (fi : func_info) (classes : rclass array)
         in
         Some (R_cmp_br (test, a, b))
   in
+  (* The body's ops, counted first so that the array is allocated once.
+     An instruction compiles to one op, a [Gaddr] or a folded [Gep] to
+     none ({!folded}).  A CI call with a splice plan ({!classify_rfunc})
+     compiles to its body's nodes, like instructions of the caller —
+     inputs substituted by the call's operands (the last position of a
+     repeated register wins, as in [ci_eval]), non-root nodes into their
+     fresh registers, the root into the call's destination — followed
+     by the call's clock charge: no argument vector, no boxed value. *)
   let r_ops =
-    if Array.length splices = 0 then begin
-      let nops = ref 0 in
-      for k = nphi to body_end - 1 do
-        if not (folded bi.instrs.(k)) then incr nops
-      done;
-      let ops = Array.make !nops ignore and j = ref 0 in
-      for k = nphi to body_end - 1 do
-        if not (folded bi.instrs.(k)) then begin
-          let i = bi.instrs.(k) in
-          ops.(!j) <- compile_rinstr ~dec ~from_ty:None ~d:i.Ir.Instr.id i;
+    let nops = ref 0 in
+    for k = nphi to body_end - 1 do
+      if not (folded slots bi.instrs.(k)) then
+        nops :=
+          !nops
+          +
+          match if Array.length splices = 0 then None else splices.(k) with
+          | Some sp -> Array.length sp.sp_body.cb_nodes + 1
+          | None -> 1
+    done;
+    let ops = Array.make !nops ignore and j = ref 0 in
+    for k = nphi to body_end - 1 do
+      let i = bi.instrs.(k) in
+      match
+        ( i.Ir.Instr.kind,
+          if Array.length splices = 0 then None else splices.(k) )
+      with
+      | Ir.Instr.Ci_call (ci, argops), Some sp ->
+          let b = sp.sp_body in
+          let nn = Array.length b.cb_nodes in
+          let env = Hashtbl.create 8 in
+          List.iteri
+            (fun pos op -> Hashtbl.replace env (fst b.cb_inputs.(pos)) (dec op))
+            argops;
+          let sdec = function
+            | Ir.Instr.Const _ as op -> dec op
+            | Ir.Instr.Reg r -> Hashtbl.find env r
+          in
+          let from_ty = Some (body_ty b) in
+          for jn = 0 to nn - 1 do
+            let n = b.cb_nodes.(jn) in
+            let d = if jn = nn - 1 then i.Ir.Instr.id else sp.sp_temp + jn in
+            ops.(!j) <- compile_rinstr ~dec:sdec ~from_ty ~d ~at:k n;
+            Hashtbl.replace env n.Ir.Instr.id (Slot d);
+            incr j
+          done;
+          ops.(!j) <- ci_charge st ci (Hashtbl.find st.cis ci);
           incr j
-        end
-      done;
-      ops
-    end
-    else
-      (* The ops of instruction [k] of this block.  A CI call with a splice
-         plan ({!classify_rfunc}) becomes its body's nodes, compiled like
-         any instruction of the caller — inputs substituted by the call's
-         operands (the last position of a repeated register wins, as in
-         [ci_eval]), non-root nodes into their fresh registers, the root
-         into the call's destination — followed by the call's clock
-         charge.  No argument vector, no boxed value. *)
-      let compile_site k : (frame -> unit) array =
-        let i = bi.instrs.(k) in
-        match (i.Ir.Instr.kind, splices.(k)) with
-        | Ir.Instr.Ci_call (ci, argops), Some sp ->
-            let b = sp.sp_body in
-            let nn = Array.length b.cb_nodes in
-            let env = Hashtbl.create 8 in
-            List.iteri
-              (fun pos op ->
-                Hashtbl.replace env (fst b.cb_inputs.(pos)) (dec op))
-              argops;
-            let dec = function
-              | Ir.Instr.Const _ as op -> dec op
-              | Ir.Instr.Reg r -> Hashtbl.find env r
-            in
-            let nodes =
-              Array.mapi
-                (fun j (n : Ir.Instr.t) ->
-                  let d = if j = nn - 1 then i.Ir.Instr.id else sp.sp_temp + j in
-                  let op = compile_rinstr ~dec ~from_ty:(Some (body_ty b)) ~d n in
-                  Hashtbl.replace env n.Ir.Instr.id (Slot d);
-                  op)
-                b.cb_nodes
-            in
-            Array.append nodes [| ci_charge st ci (Hashtbl.find st.cis ci) |]
-        | Ir.Instr.Gaddr _, _ -> [||]
-        | _ ->
-            [|
-              compile_rinstr ~dec ~from_ty:None ~d:i.Ir.Instr.id i;
-            |]
-      in
-      Array.concat
-        (List.init (body_end - nphi) (fun j -> compile_site (nphi + j)))
+      | _ when folded slots i -> ()
+      | _ ->
+          ops.(!j) <-
+            compile_rinstr ~dec ~from_ty:None ~d:i.Ir.Instr.id ~at:k i;
+          incr j
+    done;
+    ops
   in
   (* Phi prologue, compiled per predecessor label, on slots.  The
      verifier gives every phi an entry for each predecessor; the

@@ -106,8 +106,10 @@ type tuning = {
           compiled block directly instead of re-indexing the function's
           block array.  Off = no link pass; every transfer is indexed. *)
   fuse : bool;
-      (** compare-and-branch fusion: a block's trailing single-use
-          [icmp]/[fcmp] is folded into its conditional branch *)
+      (** fusion: a block's trailing single-use [icmp]/[fcmp] is folded
+          into its conditional branch, and a [gep] with a constant base
+          that only loads and stores of its block read is folded into
+          each of them (address fusion) *)
   ci_native : bool;
       (** compile a loaded CI's body ({!ci_impl.ci_body}) into each
           call site's typed lanes instead of interpreting it through
@@ -143,9 +145,10 @@ val default_tuning : tuning
     linking, no fusion, CIs interpreted. *)
 val untuned : tuning
 
-(** Per-pattern fusion hit counts ([icmp+br], [fcmp+br]) since start
-    (or the last {!reset_fusion_stats}), sorted by pattern name.
-    Counted at block compile time, one bump per fused branch. *)
+(** Per-pattern fusion hit counts ([icmp+br], [fcmp+br], [gep+load],
+    [gep+store]) since start (or the last {!reset_fusion_stats}),
+    sorted by pattern name.  Counted at block compile time, one bump per
+    fused branch and per load or store with a folded [gep]. *)
 val fusion_stats : unit -> (string * int) list
 
 val reset_fusion_stats : unit -> unit

@@ -1768,6 +1768,395 @@ let test_reject_unknown_global () =
     (check_rejected "unknown global" ~names:"@nowhere" m)
 
 (* ------------------------------------------------------------------ *)
+(* Address fusion: a gep folded into the loads and stores it feeds     *)
+(* ------------------------------------------------------------------ *)
+
+(* The address-fusion windows ([gep+load], [gep+store]) that compiling
+   [m] under [default_tuning] counts, by one run of main(1) (which may
+   fault). *)
+let gep_windows ?cis m =
+  Vm.Machine.reset_fusion_stats ();
+  (try
+     ignore
+       (Vm.Machine.run ?cis ~engine:Vm.Machine.Threaded m ~entry:"main"
+          ~args:[ Ir.Eval.VInt 1L ])
+   with Vm.Machine.Fault _ -> ());
+  let w =
+    List.filter
+      (fun (p, _) -> p = "gep+load" || p = "gep+store")
+      (Vm.Machine.fusion_stats ())
+  in
+  Vm.Machine.reset_fusion_stats ();
+  w
+
+(* An i64 global "cells" of [size] cells holding [1, 4, 9, ...]. *)
+let add_square_cells m size =
+  Ir.Irmod.add_global m
+    {
+      Ir.Irmod.gname = "cells";
+      gty = Ir.Ty.I64;
+      gsize = size;
+      ginit =
+        Ir.Irmod.Ints
+          (Array.init size (fun i -> Int64.of_int ((i + 1) * (i + 1))));
+    }
+
+(* main(n) loops [i] over [0, n) (entry bb0, header bb1, body bb2,
+   exit bb3) and, in the body, takes [g = gep cells, i], then
+   [i1 = i + 1] — [update] builds it from [cells] and [i] — and then
+   reads or writes cell [g] ([write]: writes [acc + 1] there).  [i] and [i1] are
+   one phi-congruence class, so [i1] takes [i]'s slot once the gep has
+   read [i]: a fold that ignored the write would address cell [i + 1].
+   With [use_first] the memory op comes before the update and folds. *)
+let slot_hazard_module
+    ?(update =
+      fun b _ i ->
+        Ir.Builder.binop b Ir.Instr.Add Ir.Ty.I64 i (Ir.Builder.ci64 1L))
+    ~use_first ~write () =
+  let open Ir.Builder in
+  let f =
+    Ir.Func.create ~name:"main" ~params:[ (0, Ir.Ty.I64) ] ~ret_ty:Ir.Ty.I64
+  in
+  let b = create f in
+  let blocks =
+    Array.map (fun name -> new_block b ~name)
+      [| "entry"; "header"; "body"; "exit" |]
+  in
+  position_at b blocks.(0);
+  let cells = add b Ir.Ty.Ptr (Ir.Instr.Gaddr "cells") in
+  br b 1;
+  position_at b blocks.(1);
+  let i = add b Ir.Ty.I64 (Ir.Instr.Phi []) in
+  let acc = add b Ir.Ty.I64 (Ir.Instr.Phi []) in
+  let c = icmp b Ir.Instr.Islt (reg i) (reg 0) in
+  cond_br b (reg c) 2 3;
+  position_at b blocks.(2);
+  let g = gep b (reg cells) (reg i) in
+  let mem () =
+    if write then begin
+      let v = binop b Ir.Instr.Add Ir.Ty.I64 (reg acc) (ci64 1L) in
+      store b (reg v) (reg g);
+      v
+    end
+    else load b Ir.Ty.I64 (reg g)
+  in
+  let x, i1 =
+    if use_first then
+      let x = mem () in
+      (x, update b cells (reg i))
+    else
+      let i1 = update b cells (reg i) in
+      (mem (), i1)
+  in
+  let h = binop b Ir.Instr.Mul Ir.Ty.I64 (reg acc) (ci64 31L) in
+  let acc1 = binop b Ir.Instr.Add Ir.Ty.I64 (reg h) (reg x) in
+  br b 1;
+  wire_phis blocks.(1)
+    [
+      (i, [ (0, ci64 0L); (2, reg i1) ]); (acc, [ (0, ci64 0L); (2, reg acc1) ]);
+    ];
+  position_at b blocks.(3);
+  ret b (Some (reg acc));
+  let m = Ir.Irmod.create ~name:"hazard" in
+  add_square_cells m 16;
+  let f = finish b in
+  Ir.Irmod.add_func m f;
+  (m, f, (i, i1))
+
+(* [i] and [i1] share one phi-congruence class in [f]. *)
+let check_one_class what f i i1 =
+  let c = Ir.Coalesce.classes (Ir.Coalesce.scratch ()) f in
+  let rep r =
+    let k = ref 0 and members = c.Ir.Coalesce.members in
+    while !k < Array.length members && members.(!k) <> r do
+      incr k
+    done;
+    if !k < Array.length members then c.Ir.Coalesce.reps.(!k) else r
+  in
+  Alcotest.(check bool) (what ^ ": index and update share a class") true
+    (rep i = rep i1)
+
+(* [diff_all_n], comparing the [size] cells of "cells" as well. *)
+let diff_all_cells ?cis ~size ~n what m =
+  let args = [ Ir.Eval.VInt (Int64.of_int n) ] in
+  let r =
+    Vm.Machine.run ?cis ~engine:Vm.Machine.Reference m ~entry:"main" ~args
+  in
+  List.iter
+    (fun tuning ->
+      let what = what ^ " [" ^ tuning_tag tuning ^ "]" in
+      let t =
+        Vm.Machine.run ?cis ~engine:Vm.Machine.Threaded ~tuning m ~entry:"main"
+          ~args
+      in
+      check_outcomes_equal what r t;
+      check_global_equal what "cells" size r t)
+    all_tunings
+
+let test_fusion_slot_hazard () =
+  List.iter
+    (fun (use_first, write) ->
+      let m, f, (i, i1) = slot_hazard_module ~use_first ~write () in
+      let what =
+        Printf.sprintf "%s %s the update" (if write then "store" else "load")
+          (if use_first then "before" else "after")
+      in
+      check_one_class what f i i1;
+      Alcotest.(check (list (pair string int)))
+        (what ^ ": windows")
+        (if use_first then [ ((if write then "gep+store" else "gep+load"), 1) ]
+         else [])
+        (gep_windows m);
+      List.iter
+        (fun n ->
+          diff_all_cells ~size:16 ~n (Printf.sprintf "%s n=%d" what n) m)
+        [ 0; 1; 5; 15 ])
+    [ (false, false); (false, true); (true, false); (true, true) ]
+
+(* A faulting run's whole observable outcome: the fault message and the
+   clocks of lane 0 at every block a monitor sees, bit for bit. *)
+let fault_outcome ?fuel ~engine ?tuning m n =
+  let trace = ref [] in
+  let monitor (ctls : Vm.Machine.control array) bid =
+    trace :=
+      ( bid,
+        Int64.bits_of_float (ctls.(0).Vm.Machine.ctl_native ()),
+        Int64.bits_of_float (ctls.(0).Vm.Machine.ctl_vm ()) )
+      :: !trace
+  in
+  let msg =
+    match
+      Vm.Machine.run ?fuel ~engine ?tuning ~monitor m ~entry:"main"
+        ~args:[ Ir.Eval.VInt (Int64.of_int n) ]
+    with
+    | _ -> None
+    | exception Vm.Machine.Fault msg -> Some msg
+  in
+  (msg, List.rev !trace)
+
+type fused_op = Load_int | Load_float | Store_int
+
+(* main(n) runs [i] over [0, 4) (entry bb0, header bb1, body bb2, exit
+   bb3); the body addresses [g = gep cells, i * n] and [op] reads or
+   writes it, at once.  Cell 3 (cell 0 for a float load) holds a
+   float, the others ints; the loaded value is used in the body, where
+   the Reference engine's conversion faults, so a type-confused load
+   faults in the same block in both engines. *)
+let fused_fault_module op =
+  let open Ir.Builder in
+  let f =
+    Ir.Func.create ~name:"main" ~params:[ (0, Ir.Ty.I64) ] ~ret_ty:Ir.Ty.I64
+  in
+  let b = create f in
+  let blocks =
+    Array.map (fun name -> new_block b ~name)
+      [| "entry"; "header"; "body"; "exit" |]
+  in
+  position_at b blocks.(0);
+  let cells = add b Ir.Ty.Ptr (Ir.Instr.Gaddr "cells") in
+  let fcell = if op = Load_float then 0L else 3L in
+  store b (cf64 2.5) (reg (gep b (reg cells) (ci64 fcell)));
+  br b 1;
+  position_at b blocks.(1);
+  let i = add b Ir.Ty.I64 (Ir.Instr.Phi []) in
+  let acc = add b Ir.Ty.I64 (Ir.Instr.Phi []) in
+  let c = icmp b Ir.Instr.Islt (reg i) (ci64 4L) in
+  cond_br b (reg c) 2 3;
+  position_at b blocks.(2);
+  let j = binop b Ir.Instr.Mul Ir.Ty.I64 (reg i) (reg 0) in
+  let g = gep b (reg cells) (reg j) in
+  let x =
+    match op with
+    | Load_int -> load b Ir.Ty.I64 (reg g)
+    | Load_float ->
+        let x = load b Ir.Ty.F64 (reg g) in
+        let y = binop b Ir.Instr.Fadd Ir.Ty.F64 (reg x) (cf64 0.5) in
+        cast b Ir.Instr.Fptosi Ir.Ty.I64 (reg y)
+    | Store_int ->
+        store b (reg acc) (reg g);
+        j
+  in
+  let acc1 = binop b Ir.Instr.Add Ir.Ty.I64 (reg acc) (reg x) in
+  let i1 = binop b Ir.Instr.Add Ir.Ty.I64 (reg i) (ci64 1L) in
+  br b 1;
+  wire_phis blocks.(1)
+    [
+      (i, [ (0, ci64 0L); (2, reg i1) ]); (acc, [ (0, ci64 0L); (2, reg acc1) ]);
+    ];
+  position_at b blocks.(3);
+  ret b (Some (reg acc));
+  let m = Ir.Irmod.create ~name:"fused_fault" in
+  add_square_cells m 8;
+  Ir.Irmod.add_func m (finish b);
+  m
+
+let test_fusion_fault_parity () =
+  List.iter
+    (fun (op, name, window) ->
+      let m = fused_fault_module op in
+      Alcotest.(check bool) (name ^ ": folded") true
+        (List.mem_assoc window (gep_windows m));
+      let parity ?fuel what n =
+        let r = fault_outcome ?fuel ~engine:Vm.Machine.Reference m n in
+        List.iter
+          (fun tuning ->
+            let t =
+              fault_outcome ?fuel ~engine:Vm.Machine.Threaded ~tuning m n
+            in
+            Alcotest.(
+              check (pair (option string) (list (triple int int64 int64))))
+              (what ^ " [" ^ tuning_tag tuning ^ "]")
+              r t)
+          all_tunings;
+        fst r
+      in
+      let expect what n prefix =
+        match parity what n with
+        | Some msg
+          when String.length msg >= String.length prefix
+               && String.sub msg 0 (String.length prefix) = prefix ->
+            ()
+        | r ->
+            Alcotest.failf "%s: expected a fault starting %S, got %s" what
+              prefix
+              (Option.value ~default:"no fault" r)
+      in
+      let bad = "@main/bb2: bad address" in
+      expect (name ^ " past the end") 100_000 bad;
+      expect (name ^ " below zero") (-100_000) bad;
+      (match op with
+      | Load_int ->
+          expect (name ^ " of a float cell") 1
+            "@main/bb2: expected an integer value"
+      | Load_float ->
+          expect (name ^ " of an int cell") 1 "@main/bb2: expected a float value"
+      | Store_int -> ignore (parity (name ^ " in range") 1));
+      (* fuel runs out before, at or after the faulting block *)
+      for fuel = 1 to 24 do
+        ignore
+          (parity ~fuel:(Int64.of_int fuel)
+             (Printf.sprintf "%s past the end, fuel %d" name fuel)
+             100_000)
+      done)
+    [
+      (Load_int, "int load", "gep+load");
+      (Load_float, "float load", "gep+load");
+      (Store_int, "store", "gep+store");
+    ]
+
+(* main(n) loops [i] over [0, n) (entry bb0, header bb1, body bb2, tail
+   bb3, exit bb4).  The body reads and rewrites cell [i] through one
+   gep [g] (a load and a store: both fold), and loads cell [i + 8]
+   through [h], which the tail stores back to: a use in another block,
+   so [h] does not fold. *)
+let multi_use_module () =
+  let open Ir.Builder in
+  let f =
+    Ir.Func.create ~name:"main" ~params:[ (0, Ir.Ty.I64) ] ~ret_ty:Ir.Ty.I64
+  in
+  let b = create f in
+  let blocks =
+    Array.map (fun name -> new_block b ~name)
+      [| "entry"; "header"; "body"; "tail"; "exit" |]
+  in
+  position_at b blocks.(0);
+  let cells = add b Ir.Ty.Ptr (Ir.Instr.Gaddr "cells") in
+  br b 1;
+  position_at b blocks.(1);
+  let i = add b Ir.Ty.I64 (Ir.Instr.Phi []) in
+  let acc = add b Ir.Ty.I64 (Ir.Instr.Phi []) in
+  let c = icmp b Ir.Instr.Islt (reg i) (reg 0) in
+  cond_br b (reg c) 2 4;
+  position_at b blocks.(2);
+  let g = gep b (reg cells) (reg i) in
+  let x = load b Ir.Ty.I64 (reg g) in
+  let y = binop b Ir.Instr.Mul Ir.Ty.I64 (reg x) (ci64 3L) in
+  store b (reg y) (reg g);
+  let k = binop b Ir.Instr.Add Ir.Ty.I64 (reg i) (ci64 8L) in
+  let h = gep b (reg cells) (reg k) in
+  let z = load b Ir.Ty.I64 (reg h) in
+  br b 3;
+  position_at b blocks.(3);
+  let z1 = binop b Ir.Instr.Add Ir.Ty.I64 (reg z) (reg y) in
+  store b (reg z1) (reg h);
+  let acc1 = binop b Ir.Instr.Add Ir.Ty.I64 (reg acc) (reg z1) in
+  let i1 = binop b Ir.Instr.Add Ir.Ty.I64 (reg i) (ci64 1L) in
+  br b 1;
+  wire_phis blocks.(1)
+    [
+      (i, [ (0, ci64 0L); (3, reg i1) ]); (acc, [ (0, ci64 0L); (3, reg acc1) ]);
+    ];
+  position_at b blocks.(4);
+  ret b (Some (reg acc));
+  let m = Ir.Irmod.create ~name:"multi_use" in
+  add_square_cells m 16;
+  Ir.Irmod.add_func m (finish b);
+  m
+
+let test_fusion_multi_use () =
+  let m = multi_use_module () in
+  Alcotest.(check (list (pair string int)))
+    "g folds into its load and its store, h into nothing"
+    [ ("gep+load", 1); ("gep+store", 1) ]
+    (gep_windows m);
+  List.iter
+    (fun n -> diff_all_cells ~size:16 ~n (Printf.sprintf "multi-use n=%d" n) m)
+    [ 0; 1; 3; 8 ]
+
+(* ci0(a, b) = a * b + a, and ci1(a, b) = a + b, both over i64. *)
+let fusion_ci_registry () =
+  body_registry
+    [
+      build_ci_body [ Ir.Ty.I64; Ir.Ty.I64 ] (fun b ->
+          let t =
+            Ir.Builder.binop b Ir.Instr.Mul Ir.Ty.I64 (Ir.Builder.reg 0)
+              (Ir.Builder.reg 1)
+          in
+          Ir.Builder.binop b Ir.Instr.Add Ir.Ty.I64 (Ir.Builder.reg t)
+            (Ir.Builder.reg 0));
+      build_ci_body [ Ir.Ty.I64; Ir.Ty.I64 ] (fun b ->
+          Ir.Builder.binop b Ir.Instr.Add Ir.Ty.I64 (Ir.Builder.reg 0)
+            (Ir.Builder.reg 1));
+    ]
+
+(* A spliced CI site inside a fused window.  In the loop of
+   {!slot_hazard_module}, [t = ci0(i, n)] stands between a second gep
+   [g2 = gep cells, i] and its load (its temp and its destination have
+   slots of their own: [g2] folds), and the update is [i1 = ci1(i, 1)],
+   after [g]'s load ([use_first]: [g] folds) or before it (the spliced
+   root writes [i]'s slot: [g] does not fold). *)
+let test_fusion_ci_site () =
+  let cis = fusion_ci_registry () in
+  List.iter
+    (fun use_first ->
+      let update b cells i =
+        let open Ir.Builder in
+        let g2 = gep b (reg cells) i in
+        let t = add b Ir.Ty.I64 (Ir.Instr.Ci_call (0, [ i; reg 0 ])) in
+        let x2 = load b Ir.Ty.I64 (reg g2) in
+        let s = binop b Ir.Instr.Add Ir.Ty.I64 (reg t) (reg x2) in
+        store b (reg s) (reg (gep b (reg cells) (ci64 15L)));
+        add b Ir.Ty.I64 (Ir.Instr.Ci_call (1, [ i; ci64 1L ]))
+      in
+      let m, f, (i, i1) =
+        slot_hazard_module ~update ~use_first ~write:false ()
+      in
+      let what =
+        Printf.sprintf "ci update %s the load"
+          (if use_first then "after" else "before")
+      in
+      check_one_class what f i i1;
+      Alcotest.(check (list (pair string int)))
+        (what ^ ": windows")
+        [ ("gep+load", if use_first then 2 else 1); ("gep+store", 1) ]
+        (gep_windows ~cis m);
+      List.iter
+        (fun n ->
+          diff_all_cells ~cis ~size:16 ~n (Printf.sprintf "%s n=%d" what n) m)
+        [ 0; 1; 5; 14 ])
+    [ true; false ]
+
+(* ------------------------------------------------------------------ *)
 (* Generated loop nests: phi rows against the Reference engine         *)
 (* ------------------------------------------------------------------ *)
 
@@ -1791,9 +2180,26 @@ let test_reject_unknown_global () =
    constant or (for an odd argument) a sibling of its lane, which may
    then be read after the sibling's own update; a pointer takes [gep 1].
    Every level also has its counter, so each pointer moves at most one
-   cell per iteration and stays inside [cells]. *)
+   cell per iteration and stays inside [cells].
+
+   The body and the latch of every level also address a cell by the
+   counter ([nest_mem]): [gep cells, counter] (or the 8-cell f64 global
+   [fcells]) and a memory op of a lane value — an int load, add and
+   store back ([kind] 0), an int store (1) or a float load, add and
+   store back (2), of the level's [arg]-th phi of the lane or a
+   constant.  In the latch the gep either comes first and its uses
+   after all the updates ([early]: the counter's update takes the
+   counter's slot in between, once coalesced) or reads the update and
+   its uses follow at once. *)
 type nest_phi = { lane : int; pre : int * int; back : int * int }
-type nest_level = { trips : int; phis : nest_phi list }
+type nest_mem = { kind : int; arg : int; early : bool }
+
+type nest_level = {
+  trips : int;
+  phis : nest_phi list;
+  body_mem : nest_mem;
+  latch_mem : nest_mem;
+}
 
 let nest_gen : nest_level list QCheck.Gen.t =
   QCheck.Gen.(
@@ -1803,20 +2209,30 @@ let nest_gen : nest_level list QCheck.Gen.t =
         (fun lane pre back -> { lane; pre; back })
         (0 -- 2) (entry 2) (entry 5)
     in
+    let mem =
+      map3 (fun kind arg early -> { kind; arg; early }) (0 -- 2) (0 -- 7) bool
+    in
     list_size (1 -- 3)
-      (map2 (fun trips phis -> { trips; phis }) (0 -- 3) (list_size (1 -- 5) phi)))
+      (map4
+         (fun trips phis body_mem latch_mem ->
+           { trips; phis; body_mem; latch_mem })
+         (0 -- 3) (list_size (1 -- 5) phi) mem mem))
 
 let nest_to_string levels =
+  let mem m =
+    Printf.sprintf "%d:%d%s" m.kind m.arg (if m.early then "e" else "")
+  in
   String.concat " / "
     (List.map
        (fun l ->
-         Printf.sprintf "trips %d: %s" l.trips
+         Printf.sprintf "trips %d: %s; mem %s %s" l.trips
            (String.concat ", "
               (List.map
                  (fun p ->
                    Printf.sprintf "%d(%d,%d|%d,%d)" p.lane (fst p.pre)
                      (snd p.pre) (fst p.back) (snd p.back))
-                 l.phis)))
+                 l.phis))
+           (mem l.body_mem) (mem l.latch_mem))
        levels)
 
 let nest_module (levels : nest_level list) =
@@ -1839,6 +2255,7 @@ let nest_module (levels : nest_level list) =
   position_at b entry;
   let cells = add b Ir.Ty.Ptr (Ir.Instr.Gaddr "cells") in
   let out = add b Ir.Ty.Ptr (Ir.Instr.Gaddr "out") in
+  let fcells = add b Ir.Ty.Ptr (Ir.Instr.Gaddr "fcells") in
   br b (label 0 0);
   let const lane arg =
     match lane with
@@ -1875,13 +2292,36 @@ let nest_module (levels : nest_level list) =
     let rs = of_lane d lane in
     if Array.length rs = 0 then fallback else reg rs.(arg mod Array.length rs)
   in
+  (* [nest_mem]'s gep, and its memory op on the cell it addresses *)
+  let mem_gep m index =
+    gep b (reg (if m.kind = 2 then fcells else cells)) index
+  in
+  let mem_op d m g =
+    match m.kind with
+    | 0 ->
+        let x = load b Ir.Ty.I64 (reg g) in
+        let v = pick d 0 m.arg (ci64 (Int64.of_int (m.arg + 1))) in
+        store b (reg (binop b Ir.Instr.Add Ir.Ty.I64 (reg x) v)) (reg g)
+    | 1 -> store b (pick d 0 m.arg (ci64 (Int64.of_int (m.arg + 1)))) (reg g)
+    | _ ->
+        let x = load b Ir.Ty.F64 (reg g) in
+        let v = pick d 1 m.arg (cf64 0.25) in
+        store b (reg (binop b Ir.Instr.Fadd Ir.Ty.F64 (reg x) v)) (reg g)
+  in
   for d = 0 to depth - 1 do
     let counter, ps = phis.(d) in
-    (* body: the next level's preheader, or straight to the latch *)
+    let l = levels.(d) in
+    (* body: a memory op, then the next level's preheader, or straight
+       to the latch *)
     position_at b blk.(d).(1);
+    mem_op d l.body_mem (mem_gep l.body_mem (reg counter));
     br b (if d + 1 < depth then label (d + 1) 0 else label d 2);
-    (* latch: the updates *)
+    (* latch: the updates, and a memory op around them *)
     position_at b blk.(d).(2);
+    let early =
+      if l.latch_mem.early then Some (mem_gep l.latch_mem (reg counter))
+      else None
+    in
     let update (p, r) =
       let arg = snd p.back in
       let other c = if arg mod 2 = 0 then c else pick d p.lane arg c in
@@ -1894,6 +2334,10 @@ let nest_module (levels : nest_level list) =
     in
     let updates = List.map (fun pr -> (snd pr, update pr)) ps in
     let counter1 = binop b Ir.Instr.Add Ir.Ty.I64 (reg counter) (ci64 1L) in
+    mem_op d l.latch_mem
+      (match early with
+      | Some g -> g
+      | None -> mem_gep l.latch_mem (reg counter1));
     br b (label d 0);
     let pre_label = if d = 0 then entry.Ir.Block.label else label (d - 1) 1 in
     let latch_label = label d 2 in
@@ -1958,6 +2402,13 @@ let nest_module (levels : nest_level list) =
     };
   Ir.Irmod.add_global m
     { Ir.Irmod.gname = "out"; gty = Ir.Ty.I64; gsize = 4; ginit = Ir.Irmod.Zero };
+  Ir.Irmod.add_global m
+    {
+      Ir.Irmod.gname = "fcells";
+      gty = Ir.Ty.F64;
+      gsize = 8;
+      ginit = Ir.Irmod.Floats (Array.init 8 (fun i -> 0.5 *. float_of_int i));
+    };
   Ir.Irmod.add_func m (finish b);
   m
 
@@ -1984,7 +2435,9 @@ let qcheck_loop_nests =
               ~args
           in
           check_outcomes_equal what ref_out t;
-          check_global_equal what "out" 4 ref_out t)
+          check_global_equal what "out" 4 ref_out t;
+          check_global_equal what "cells" 128 ref_out t;
+          check_global_equal what "fcells" 8 ref_out t)
         all_tunings;
       true)
 
@@ -2306,6 +2759,9 @@ let test_fusion_stats () =
   Alcotest.(check bool)
     "fused patterns counted" true
     (stats <> [] && List.for_all (fun (_, c) -> c > 0) stats);
+  Alcotest.(check bool)
+    "a[...] = ... fuses its gep into the store" true
+    (List.mem_assoc "gep+store" stats);
   Alcotest.(check (list string))
     "sorted by pattern name"
     (List.sort compare (List.map fst stats))
@@ -3605,6 +4061,14 @@ let () =
             test_tuning_coalesced_conflict;
           Alcotest.test_case "rejects unknown global" `Quick
             test_reject_unknown_global;
+          Alcotest.test_case "address fusion: slot hazard" `Quick
+            test_fusion_slot_hazard;
+          Alcotest.test_case "address fusion: fault parity" `Quick
+            test_fusion_fault_parity;
+          Alcotest.test_case "address fusion: multi-use" `Quick
+            test_fusion_multi_use;
+          Alcotest.test_case "address fusion: ci site" `Quick
+            test_fusion_ci_site;
           QCheck_alcotest.to_alcotest
             ~rand:(Random.State.make [| 20110516 |])
             qcheck_loop_nests;
