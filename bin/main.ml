@@ -395,11 +395,16 @@ let positive_int =
 
 let jobs_arg =
   Arg.(
-    value & opt positive_int 1
+    value
+    & opt positive_int (Domain.recommended_domain_count ())
     & info [ "jobs"; "j" ] ~docv:"N"
+        ~absent:"the host's recommended domain count"
         ~doc:
-          "Evaluate workloads on $(docv) domains.  The reports are \
-           identical to a serial run.")
+          "Evaluate workloads on up to $(docv) domains; each \
+           application's dataset runs share the same process-wide \
+           budget of the host's recommended domain count.  The reports \
+           are identical to a serial run; only the wall-clock columns \
+           move.")
 
 let timeline_jobs_arg =
   Arg.(

@@ -14,7 +14,13 @@
     {!finish} replays the staged candidates against the bitstream cache
     and is executed sequentially {e in registry order}, which makes a
     parallel sweep report-identical to a serial one — including the
-    local/shared attribution of cache hits. *)
+    local/shared attribution of cache hits.
+
+    Parallelism has two levels, both on {!Jitise_util.Pool} and under
+    its one process-wide domain budget: {!sweep} maps over
+    applications, and the [profile] stage of {!prepare} maps over one
+    application's datasets (independent VM runs), so a single
+    {!evaluate} uses a second domain where the budget has one free. *)
 
 module Ir = Jitise_ir
 module F = Jitise_frontend
@@ -88,19 +94,15 @@ let profile_stage :
        test_vm), so artifacts stay valid across all of them. *)
     ~digest:(fun _spec (w, _compiled) -> workload_digest w)
     ~codec:Codecs.profile_outcomes
-    (* No stage reads the final memory image, and the codec does not
-       store it: dropping it right after each run frees the image and
-       makes a computed artifact equal to a decoded one. *)
+    (* The datasets run concurrently ({!W.Workload.run_all}); outcomes
+       and the raised fault are the serial loop's.  No stage reads the
+       final memory image, and the codec does not store it: dropping it
+       right after each run frees the image and makes a computed
+       artifact equal to a decoded one. *)
     (fun ctx (w, compiled) ->
       let spec = ctx.Pipeline.spec in
-      List.map
-        (fun d ->
-          let o =
-            W.Workload.run ~engine:spec.Spec.vm_engine
-              ~tuning:spec.Spec.vm_tuning compiled d
-          in
-          (d, { o with Vm.Machine.memory = None }))
-        w.W.Workload.datasets)
+      W.Workload.run_all ~engine:spec.Spec.vm_engine
+        ~tuning:spec.Spec.vm_tuning compiled w)
 
 let coverage_stage :
     ( W.Workload.t * Ir.Irmod.t * Vm.Profile.t list,
@@ -223,8 +225,10 @@ let specialize ?(spec = Spec.default) (db : Pp.Database.t) (w : W.Workload.t)
   in
   (compiled, Asip_sp.finalize ~spec ~app staged)
 
-(** Run every registered workload — the sweep engine.  [jobs] domains
-    (default 1, serial) prepare the applications concurrently;
+(** Run every registered workload — the sweep engine.  Up to [jobs]
+    domains (default 1, serial), as many as the {!Jitise_util.Pool}
+    budget grants, prepare the applications concurrently; the dataset
+    runs inside each application take whatever budget is left;
     finalization runs sequentially in registry order, so the results
     (including the local/shared cache-hit attribution against
     [spec.cache]) are identical whatever the parallelism.  [verbose]

@@ -42,8 +42,11 @@ type record = {
 
 (** Per-application execution context: the spec, the app label for
     trace spans and cache attribution, and the record log.  The log is
-    mutex-protected, so a context is safe to share between domains
-    (each application's stages run on one domain today). *)
+    mutex-protected, so a context is safe to share between domains.
+    Each application's stages run one after another on the domain that
+    calls {!exec}; a stage body may fan out on {!Jitise_util.Pool} (the
+    profile stage runs its datasets concurrently), but records are
+    written only by [exec], on that domain. *)
 type ctx = {
   spec : Spec.t;
   app : string;

@@ -48,7 +48,16 @@ let run ?engine ?tuning (compiled : F.Compiler.result) (d : dataset) =
     ~entry:"main"
     ~args:[ Ir.Eval.VInt (Int64.of_int d.n) ]
 
-(** Profiles for every dataset of a workload (used by the coverage
-    classifier); returns [(dataset, outcome)] pairs. *)
-let run_all (compiled : F.Compiler.result) (w : t) =
-  List.map (fun d -> (d, run compiled d)) w.datasets
+(** Run every dataset of a workload — the profile runs the coverage
+    classifier compares — and return [(dataset, outcome)] pairs in
+    dataset order.  The datasets run concurrently on
+    {!Jitise_util.Pool} (each its own {!Vm.Machine.run}, so no compiled
+    frame is shared), and each outcome drops its final memory image as
+    soon as its run ends.  On failure the lowest-indexed dataset's
+    exception is re-raised, the one a serial loop raises. *)
+let run_all ?engine ?tuning (compiled : F.Compiler.result) (w : t) =
+  Jitise_util.Pool.map ~jobs:(List.length w.datasets)
+    (fun d ->
+      let o = run ?engine ?tuning compiled d in
+      (d, { o with Vm.Machine.memory = None }))
+    w.datasets

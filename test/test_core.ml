@@ -762,6 +762,85 @@ let test_specialize_matches_evaluate () =
       ("fft", Core.Spec.default);
     ]
 
+(* ------------------------------------------------------------------ *)
+(* Profile stage: concurrent dataset runs                              *)
+(* ------------------------------------------------------------------ *)
+
+let test_profile_stage_matches_serial () =
+  (* the stage runs its datasets concurrently; its artifact bytes are
+     those of a serial loop over [Workload.run], under both engines *)
+  List.iter
+    (fun (name, engine) ->
+      let w = Option.get (W.Registry.find name) in
+      let spec = Core.Spec.default |> Core.Spec.with_vm_engine engine in
+      let p = Core.Experiment.prepare ~spec db w in
+      let compiled = W.Workload.compile w in
+      let serial =
+        List.map
+          (fun d -> (d, W.Workload.run ~engine compiled d))
+          w.W.Workload.datasets
+      in
+      let bytes = Jitise_util.Binio.encode Core.Codecs.profile_outcomes in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s (%s): profile_outcomes bytes" name
+           (Vm.Machine.engine_name engine))
+        true
+        (bytes p.Core.Experiment.pre_outcomes = bytes serial))
+    [
+      ("sor", Vm.Machine.Threaded);
+      ("fft", Vm.Machine.Threaded);
+      ("adpcm", Vm.Machine.Threaded);
+      ("sor", Vm.Machine.Reference);
+      ("fft", Vm.Machine.Reference);
+      ("adpcm", Vm.Machine.Reference);
+    ]
+
+(* The train dataset divides by zero after a long loop; the large one
+   reads far out of bounds almost at once, so in a concurrent run the
+   large fault is usually raised first. *)
+let two_faults_src =
+  "int zero; int cells[16];\n\
+   int main(int n) {\n\
+  \  int i; int acc = 0;\n\
+  \  for (i = 0; i < n; i = i + 1) { acc = acc + (i & 7); }\n\
+  \  if (n > 100) { return acc / zero; }\n\
+  \  return cells[n * 100000000];\n\
+   }"
+
+let test_profile_stage_raises_train_fault () =
+  let w =
+    {
+      W.Workload.name = "two-faults";
+      domain = W.Workload.Embedded;
+      sources = [ ("two_faults.c", two_faults_src) ];
+      datasets =
+        [ { W.Workload.label = "train"; n = 300_000 };
+          { W.Workload.label = "large"; n = 7 } ];
+      description = "train and large datasets fault differently";
+    }
+  in
+  let compiled = W.Workload.compile w in
+  let fault d =
+    match W.Workload.run compiled d with
+    | _ -> Alcotest.failf "dataset %s did not fault" d.W.Workload.label
+    | exception Vm.Machine.Fault m -> m
+  in
+  let train_fault, large_fault =
+    match List.map fault w.W.Workload.datasets with
+    | [ t; l ] -> (t, l)
+    | _ -> assert false
+  in
+  Alcotest.(check bool) "the two datasets fault differently" true
+    (train_fault <> large_fault);
+  List.iter
+    (fun engine ->
+      let spec = Core.Spec.default |> Core.Spec.with_vm_engine engine in
+      Alcotest.check_raises
+        (Vm.Machine.engine_name engine ^ ": the train dataset's fault")
+        (Vm.Machine.Fault train_fault)
+        (fun () -> ignore (Core.Experiment.prepare ~spec db w)))
+    [ Vm.Machine.Threaded; Vm.Machine.Reference ]
+
 let test_online_profiles_train_only () =
   (* the saving itself: one profile span (the train run), and none of
      the batch analyses online never reads *)
@@ -846,5 +925,12 @@ let () =
             test_specialize_matches_evaluate;
           Alcotest.test_case "profiles the train set only" `Slow
             test_online_profiles_train_only;
+        ] );
+      ( "profile-stage",
+        [
+          Alcotest.test_case "dataset runs equal a serial loop" `Slow
+            test_profile_stage_matches_serial;
+          Alcotest.test_case "raises the train dataset's fault" `Quick
+            test_profile_stage_raises_train_fault;
         ] );
     ]

@@ -251,6 +251,92 @@ let test_pool_all_elements_visited () =
   ignore (U.Pool.map ~jobs:4 (fun _ -> Atomic.incr counter) (List.init 50 (fun i -> i)));
   Alcotest.(check int) "every element visited once" 50 (Atomic.get counter)
 
+(* Spin until [count] reaches [target]; fail instead of hanging when
+   the map did not run that many items at once. *)
+let await_count count target =
+  let t0 = Sys.time () in
+  while Atomic.get count < target do
+    if Sys.time () -. t0 > 20.0 then
+      Alcotest.failf "only %d of %d items ran at once" (Atomic.get count)
+        target;
+    Domain.cpu_relax ()
+  done
+
+let test_pool_nested_budget () =
+  (* nested maps take helpers from one budget: order and the
+     lowest-indexed failure are kept, and never more than the host's
+     recommended domain count runs items at once *)
+  let running = Atomic.make 0 and high = Atomic.make 0 in
+  let rec raise_high v =
+    let h = Atomic.get high in
+    if v > h && not (Atomic.compare_and_set high h v) then raise_high v
+  in
+  let leaf i j =
+    raise_high (Atomic.fetch_and_add running 1 + 1);
+    (* sleeping yields the core, so surplus domains would show here *)
+    Unix.sleepf 0.002;
+    Atomic.decr running;
+    (10 * i) + j
+  in
+  let grid f = U.Pool.map ~jobs:4 f (List.init 6 Fun.id) in
+  let got = grid (fun i -> grid (fun j -> leaf i j)) in
+  Alcotest.(check (list (list int))) "input order"
+    (List.init 6 (fun i -> List.init 6 (fun j -> (10 * i) + j)))
+    got;
+  Alcotest.(check bool)
+    (Printf.sprintf "at most %d items at once (saw %d)"
+       (Domain.recommended_domain_count ()) (Atomic.get high))
+    true
+    (Atomic.get high <= Domain.recommended_domain_count ());
+  Alcotest.check_raises "lowest-indexed nested failure" (Failure "2.3")
+    (fun () ->
+      ignore
+        (grid (fun i ->
+             grid (fun j ->
+                 if i >= 2 && (j = 3 || j = 5) then
+                   failwith (Printf.sprintf "%d.%d" i j)
+                 else leaf i j))))
+
+let test_pool_caller_is_worker () =
+  (* the calling domain is worker 0: two items on [~jobs:2] run on the
+     caller and at most one spawned domain, even when both run at once *)
+  let caller = Domain.self () in
+  let started = Atomic.make 0 in
+  let ids =
+    U.Pool.map ~jobs:2
+      (fun _ ->
+        Atomic.incr started;
+        await_count started (min 2 (Domain.recommended_domain_count ()));
+        Domain.self ())
+      [ 0; 1 ]
+  in
+  let spawned = List.sort_uniq compare (List.filter (( <> ) caller) ids) in
+  Alcotest.(check bool) "at most one spawned domain" true
+    (List.length spawned <= 1)
+
+let test_pool_exhausted_budget_inline () =
+  (* hold every helper (all items of the outer map wait for each other),
+     then map inside each item: the nested maps find the budget empty and
+     run on their own domain.  With one recommended domain the outer map
+     itself runs inline, the serial case. *)
+  let r = Domain.recommended_domain_count () in
+  let started = Atomic.make 0 and nested = Atomic.make 0 in
+  let inline =
+    U.Pool.map ~jobs:r
+      (fun _ ->
+        Atomic.incr started;
+        await_count started r;
+        let me = Domain.self () in
+        let ids = U.Pool.map ~jobs:4 (fun _ -> Domain.self ()) [ 1; 2; 3; 4 ] in
+        Atomic.incr nested;
+        await_count nested r;
+        List.for_all (( = ) me) ids)
+      (List.init r Fun.id)
+  in
+  Alcotest.(check (list bool)) "every nested map ran inline"
+    (List.init r (fun _ -> true))
+    inline
+
 (* ------------------------------------------------------------------ *)
 (* Trace                                                               *)
 (* ------------------------------------------------------------------ *)
@@ -1042,6 +1128,12 @@ let () =
             test_pool_exception_propagation;
           Alcotest.test_case "iter visits all" `Quick
             test_pool_all_elements_visited;
+          Alcotest.test_case "nested maps share one budget" `Quick
+            test_pool_nested_budget;
+          Alcotest.test_case "caller is worker 0" `Quick
+            test_pool_caller_is_worker;
+          Alcotest.test_case "exhausted budget runs inline" `Quick
+            test_pool_exhausted_budget_inline;
         ] );
       ( "retry",
         [
