@@ -115,14 +115,6 @@ let run (f : Ir.Func.t) =
     let subst : (Ir.Instr.reg, Ir.Instr.operand) Hashtbl.t =
       Hashtbl.create 64
     in
-    let rec resolve op =
-      match op with
-      | Ir.Instr.Reg r -> (
-          match Hashtbl.find_opt subst r with
-          | Some op' -> resolve op'
-          | None -> op)
-      | _ -> op
-    in
     (* Incoming value per alloca, per renaming path: persistent map
        threaded through the DFS. *)
     let module Rmap = Map.Make (Int) in
@@ -190,40 +182,7 @@ let run (f : Ir.Func.t) =
         if phis <> [] then Ir.Block.set_instrs b (phis @ b.Ir.Block.instrs))
       f;
     (* Apply the load substitution everywhere. *)
-    let rewrite_kind kind =
-      let rw = resolve in
-      match kind with
-      | Ir.Instr.Binop (op, a, b) -> Ir.Instr.Binop (op, rw a, rw b)
-      | Ir.Instr.Icmp (p, a, b) -> Ir.Instr.Icmp (p, rw a, rw b)
-      | Ir.Instr.Fcmp (p, a, b) -> Ir.Instr.Fcmp (p, rw a, rw b)
-      | Ir.Instr.Cast (c, a) -> Ir.Instr.Cast (c, rw a)
-      | Ir.Instr.Select (c, a, b) -> Ir.Instr.Select (rw c, rw a, rw b)
-      | Ir.Instr.Alloca _ as k -> k
-      | Ir.Instr.Load a -> Ir.Instr.Load (rw a)
-      | Ir.Instr.Store (v, a) -> Ir.Instr.Store (rw v, rw a)
-      | Ir.Instr.Gep (b, i) -> Ir.Instr.Gep (rw b, rw i)
-      | Ir.Instr.Gaddr _ as k -> k
-      | Ir.Instr.Call (f, args) -> Ir.Instr.Call (f, List.map rw args)
-      | Ir.Instr.Phi incoming ->
-          Ir.Instr.Phi (List.map (fun (l, v) -> (l, rw v)) incoming)
-      | Ir.Instr.Ci_call (ci, args) -> Ir.Instr.Ci_call (ci, List.map rw args)
-    in
-    Ir.Func.iter_blocks
-      (fun b ->
-        Ir.Block.set_instrs b
-          (List.map
-             (fun (i : Ir.Instr.t) ->
-               { i with Ir.Instr.kind = rewrite_kind i.Ir.Instr.kind })
-             b.Ir.Block.instrs);
-        b.Ir.Block.term <-
-          (match b.Ir.Block.term with
-          | Ir.Instr.Ret (Some op) -> Ir.Instr.Ret (Some (resolve op))
-          | Ir.Instr.Ret None as t -> t
-          | Ir.Instr.Br _ as t -> t
-          | Ir.Instr.Cond_br (c, x, y) -> Ir.Instr.Cond_br (resolve c, x, y)
-          | Ir.Instr.Switch (s, d, cases) ->
-              Ir.Instr.Switch (resolve s, d, cases)))
-      f
+    Ir.Func.substitute f subst ~drop:false
   end
 
 (** Promote every function of a module. *)

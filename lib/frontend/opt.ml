@@ -1,16 +1,20 @@
 (** The -O3-style optimizer pipeline.
 
-    Passes: unreachable-block elimination (with label renumbering),
-    constant folding + branch simplification, jump threading through
-    empty forwarding blocks, local common-subexpression elimination, and
-    dead-code elimination.  [optimize_module] iterates them to a bounded
-    fixpoint, mirroring the role of llvm-gcc's [-O3] in the paper's
-    compilation-to-bitcode stage. *)
+    Passes, in [optimize_module]'s order: unreachable-block elimination
+    (with label renumbering) and {!Mem2reg} once, then rounds of
+    constant folding with branch simplification, unreachable-block
+    elimination, block merging, algebraic simplification, local
+    common-subexpression elimination, local load forwarding and
+    dead-code elimination, repeated to a bounded fixpoint.  This
+    mirrors the role of llvm-gcc's [-O3] in the paper's
+    compilation-to-bitcode stage.  Every operand rewrite goes through
+    {!Ir.Func.substitute}, and every phi-edge edit through
+    {!Ir.Block.map_phis}. *)
 
 module Ir = Jitise_ir
 
 (* ------------------------------------------------------------------ *)
-(* Label remapping                                                     *)
+(* Unreachable block elimination                                       *)
 (* ------------------------------------------------------------------ *)
 
 let remap_term map = function
@@ -19,24 +23,6 @@ let remap_term map = function
   | Ir.Instr.Cond_br (c, a, b) -> Ir.Instr.Cond_br (c, map a, map b)
   | Ir.Instr.Switch (s, d, cases) ->
       Ir.Instr.Switch (s, map d, List.map (fun (v, l) -> (v, map l)) cases)
-
-let remap_phis_in_block map (b : Ir.Block.t) =
-  Ir.Block.set_instrs b
-    (List.map
-       (fun (i : Ir.Instr.t) ->
-         match i.Ir.Instr.kind with
-         | Ir.Instr.Phi incoming ->
-             {
-               i with
-               Ir.Instr.kind =
-                 Ir.Instr.Phi (List.map (fun (l, v) -> (map l, v)) incoming);
-             }
-         | _ -> i)
-       b.Ir.Block.instrs)
-
-(* ------------------------------------------------------------------ *)
-(* Unreachable block elimination                                       *)
-(* ------------------------------------------------------------------ *)
 
 (** Drop blocks not reachable from the entry and renumber the remainder
     densely.  Phi entries referring to removed predecessors are pruned.
@@ -65,20 +51,10 @@ let remove_unreachable (f : Ir.Func.t) =
       List.map
         (fun (b : Ir.Block.t) ->
           (* prune phi entries from unreachable preds, then remap *)
-          Ir.Block.set_instrs b
-            (List.map
-               (fun (i : Ir.Instr.t) ->
-                 match i.Ir.Instr.kind with
-                 | Ir.Instr.Phi incoming ->
-                     {
-                       i with
-                       Ir.Instr.kind =
-                         Ir.Instr.Phi
-                           (List.filter (fun (l, _) -> reach.(l)) incoming);
-                     }
-                 | _ -> i)
-               b.Ir.Block.instrs);
-          remap_phis_in_block map b;
+          Ir.Block.map_phis
+            (List.filter_map (fun (l, v) ->
+                 if reach.(l) then Some (map l, v) else None))
+            b;
           b.Ir.Block.term <- remap_term map b.Ir.Block.term;
           { b with Ir.Block.label = map b.Ir.Block.label })
         keep
@@ -105,14 +81,7 @@ let const_of_value ty (v : Ir.Eval.value) =
 let fold_constants (f : Ir.Func.t) =
   let changed = ref 0 in
   let subst : (Ir.Instr.reg, Ir.Instr.operand) Hashtbl.t = Hashtbl.create 32 in
-  let rec resolve op =
-    match op with
-    | Ir.Instr.Reg r -> (
-        match Hashtbl.find_opt subst r with
-        | Some op' -> resolve op'
-        | None -> op)
-    | _ -> op
-  in
+  let resolve = Ir.Func.resolve subst in
   let const_operand op =
     match resolve op with Ir.Instr.Const c -> Some c | _ -> None
   in
@@ -194,43 +163,7 @@ let fold_constants (f : Ir.Func.t) =
       f
   done;
   (* Apply substitutions, drop folded instructions. *)
-  if Hashtbl.length subst > 0 then begin
-    let rw_kind kind =
-      let rw = resolve in
-      let open Ir.Instr in
-      match kind with
-      | Binop (op, a, b) -> Binop (op, rw a, rw b)
-      | Icmp (p, a, b) -> Icmp (p, rw a, rw b)
-      | Fcmp (p, a, b) -> Fcmp (p, rw a, rw b)
-      | Cast (c, a) -> Cast (c, rw a)
-      | Select (c, a, b) -> Select (rw c, rw a, rw b)
-      | Alloca _ as k -> k
-      | Load a -> Load (rw a)
-      | Store (v, a) -> Store (rw v, rw a)
-      | Gep (b, i) -> Gep (rw b, rw i)
-      | Gaddr _ as k -> k
-      | Call (f, args) -> Call (f, List.map rw args)
-      | Phi incoming -> Phi (List.map (fun (l, v) -> (l, rw v)) incoming)
-      | Ci_call (ci, args) -> Ci_call (ci, List.map rw args)
-    in
-    Ir.Func.iter_blocks
-      (fun b ->
-        Ir.Block.set_instrs b
-          (List.filter_map
-             (fun (i : Ir.Instr.t) ->
-               if Hashtbl.mem subst i.Ir.Instr.id then None
-               else Some { i with Ir.Instr.kind = rw_kind i.Ir.Instr.kind })
-             b.Ir.Block.instrs);
-        b.Ir.Block.term <-
-          (match b.Ir.Block.term with
-          | Ir.Instr.Ret (Some op) -> Ir.Instr.Ret (Some (resolve op))
-          | Ir.Instr.Ret None as t -> t
-          | Ir.Instr.Br _ as t -> t
-          | Ir.Instr.Cond_br (c, x, y) -> Ir.Instr.Cond_br (resolve c, x, y)
-          | Ir.Instr.Switch (s, d, cases) ->
-              Ir.Instr.Switch (resolve s, d, cases)))
-      f
-  end;
+  if Hashtbl.length subst > 0 then Ir.Func.substitute f subst ~drop:true;
   (* Branch simplification on constant conditions. *)
   Ir.Func.iter_blocks
     (fun b ->
@@ -242,26 +175,11 @@ let fold_constants (f : Ir.Func.t) =
           b.Ir.Block.term <- Ir.Instr.Br taken;
           incr changed;
           (* prune the dead phi edge in the dropped successor *)
-          if dropped <> taken then begin
-            let db = Ir.Func.block f dropped in
-            Ir.Block.set_instrs db
-              (List.map
-                 (fun (i : Ir.Instr.t) ->
-                   match i.Ir.Instr.kind with
-                   | Ir.Instr.Phi incoming ->
-                       {
-                         i with
-                         Ir.Instr.kind =
-                           Ir.Instr.Phi
-                             (List.filter
-                                (fun (l, _) -> l <> b.Ir.Block.label)
-                                incoming);
-                       }
-                   | _ -> i)
-                 db.Ir.Block.instrs)
-          end
-      | Ir.Instr.Cond_br (c, x, y) when x = y ->
-          ignore c;
+          if dropped <> taken then
+            Ir.Block.map_phis
+              (List.filter (fun (l, _) -> l <> b.Ir.Block.label))
+              (Ir.Func.block f dropped)
+      | Ir.Instr.Cond_br (_, x, y) when x = y ->
           b.Ir.Block.term <- Ir.Instr.Br x;
           incr changed
       | _ -> ())
@@ -271,53 +189,6 @@ let fold_constants (f : Ir.Func.t) =
 (* ------------------------------------------------------------------ *)
 (* Algebraic simplification                                            *)
 (* ------------------------------------------------------------------ *)
-
-(* Generic operand substitution over a function, shared by several
-   passes. *)
-let apply_subst (f : Ir.Func.t) (subst : (Ir.Instr.reg, Ir.Instr.operand) Hashtbl.t)
-    ~drop =
-  let rec resolve op =
-    match op with
-    | Ir.Instr.Reg r -> (
-        match Hashtbl.find_opt subst r with
-        | Some op' -> resolve op'
-        | None -> op)
-    | _ -> op
-  in
-  let rw_kind kind =
-    let rw = resolve in
-    let open Ir.Instr in
-    match kind with
-    | Binop (op, a, b) -> Binop (op, rw a, rw b)
-    | Icmp (p, a, b) -> Icmp (p, rw a, rw b)
-    | Fcmp (p, a, b) -> Fcmp (p, rw a, rw b)
-    | Cast (c, a) -> Cast (c, rw a)
-    | Select (c, a, b) -> Select (rw c, rw a, rw b)
-    | Alloca _ as k -> k
-    | Load a -> Load (rw a)
-    | Store (v, a) -> Store (rw v, rw a)
-    | Gep (b, i) -> Gep (rw b, rw i)
-    | Gaddr _ as k -> k
-    | Call (f, args) -> Call (f, List.map rw args)
-    | Phi incoming -> Phi (List.map (fun (l, v) -> (l, rw v)) incoming)
-    | Ci_call (ci, args) -> Ci_call (ci, List.map rw args)
-  in
-  Ir.Func.iter_blocks
-    (fun b ->
-      Ir.Block.set_instrs b
-        (List.filter_map
-           (fun (i : Ir.Instr.t) ->
-             if drop && Hashtbl.mem subst i.Ir.Instr.id then None
-             else Some { i with Ir.Instr.kind = rw_kind i.Ir.Instr.kind })
-           b.Ir.Block.instrs);
-      b.Ir.Block.term <-
-        (match b.Ir.Block.term with
-        | Ir.Instr.Ret (Some op) -> Ir.Instr.Ret (Some (resolve op))
-        | Ir.Instr.Ret None as t -> t
-        | Ir.Instr.Br _ as t -> t
-        | Ir.Instr.Cond_br (c, x, y) -> Ir.Instr.Cond_br (resolve c, x, y)
-        | Ir.Instr.Switch (s, d, cases) -> Ir.Instr.Switch (resolve s, d, cases)))
-    f
 
 let is_int_const v = function
   | Ir.Instr.Const (Ir.Instr.Cint (x, ty)) when Ir.Ty.is_int ty -> x = v
@@ -396,7 +267,7 @@ let algebraic_simplify (f : Ir.Func.t) =
              | _ -> i)
            b.Ir.Block.instrs))
     f;
-  if Hashtbl.length subst > 0 then apply_subst f subst ~drop:true;
+  if Hashtbl.length subst > 0 then Ir.Func.substitute f subst ~drop:true;
   !changed
 
 (* ------------------------------------------------------------------ *)
@@ -442,7 +313,7 @@ let load_forwarding (f : Ir.Func.t) =
       in
       Ir.Block.set_instrs b kept)
     f;
-  if Hashtbl.length subst > 0 then apply_subst f subst ~drop:false;
+  if Hashtbl.length subst > 0 then Ir.Func.substitute f subst ~drop:false;
   !removed
 
 (* ------------------------------------------------------------------ *)
@@ -454,60 +325,48 @@ let load_forwarding (f : Ir.Func.t) =
     predecessor is [B], and [T] starts with no phi, [T]'s body is
     appended to [B].  Combined with unrolling this is what produces the
     large straight-line blocks of an -O3 bitcode.  Returns the number
-    of merges. *)
+    of merges.
+
+    One CFG serves the whole call.  Blocks are visited in label order
+    and each absorbs its whole chain; a merge only moves the absorbed
+    block's terminator to the head, so no block's predecessor count and
+    no phi list changes.  [owner.(b)] names the block whose original
+    terminator [b] ends with, the predecessor the CFG lists for [b]'s
+    branch target.  The absorbed blocks become unreachable and one
+    {!remove_unreachable} at the end drops them. *)
 let merge_blocks (f : Ir.Func.t) =
+  let cfg = Ir.Cfg.of_func f in
+  let owner = Array.init (Ir.Func.num_blocks f) Fun.id in
   let merged = ref 0 in
-  let progress = ref true in
-  while !progress do
-    progress := false;
-    let cfg = Ir.Cfg.of_func f in
-    let n = Ir.Func.num_blocks f in
-    (try
-       for b = 0 to n - 1 do
-         let blk = Ir.Func.block f b in
-         match blk.Ir.Block.term with
-         | Ir.Instr.Br t
-           when t <> b
-                && t <> Ir.Func.entry_label
-                && Ir.Cfg.preds cfg t = [ b ]
-                && Ir.Block.phis (Ir.Func.block f t) = [] ->
-             let tb = Ir.Func.block f t in
-             Ir.Block.set_instrs blk
-               (blk.Ir.Block.instrs @ tb.Ir.Block.instrs);
-             blk.Ir.Block.term <- tb.Ir.Block.term;
-             (* successors of [t] now see [b] as their predecessor *)
-             List.iter
-               (fun s ->
-                 let sb = Ir.Func.block f s in
-                 Ir.Block.set_instrs sb
-                   (List.map
-                      (fun (i : Ir.Instr.t) ->
-                        match i.Ir.Instr.kind with
-                        | Ir.Instr.Phi incoming ->
-                            {
-                              i with
-                              Ir.Instr.kind =
-                                Ir.Instr.Phi
-                                  (List.map
-                                     (fun (l, v) ->
-                                       ((if l = t then b else l), v))
-                                     incoming);
-                            }
-                        | _ -> i)
-                      sb.Ir.Block.instrs))
-               (Ir.Cfg.succs cfg t);
-             (* [t] becomes unreachable; drop it and restart (labels
-                shift) *)
-             Ir.Block.set_instrs tb [];
-             tb.Ir.Block.term <- Ir.Instr.Ret None;
-             incr merged;
-             progress := true;
-             raise Exit
-         | _ -> ()
-       done
-     with Exit -> ());
-    if !progress then ignore (remove_unreachable f)
+  let rec absorb b =
+    let blk = Ir.Func.block f b in
+    match blk.Ir.Block.term with
+    | Ir.Instr.Br t
+      when t <> b
+           && t <> Ir.Func.entry_label
+           && Ir.Cfg.preds cfg t = [ owner.(b) ]
+           && Ir.Block.phis (Ir.Func.block f t) = [] ->
+        let tb = Ir.Func.block f t in
+        Ir.Block.set_instrs blk (blk.Ir.Block.instrs @ tb.Ir.Block.instrs);
+        blk.Ir.Block.term <- tb.Ir.Block.term;
+        owner.(b) <- owner.(t);
+        (* successors of [t] now see [b] as their predecessor *)
+        List.iter
+          (fun s ->
+            Ir.Block.map_phis
+              (List.map (fun (l, v) -> ((if l = t then b else l), v)))
+              (Ir.Func.block f s))
+          (Ir.Cfg.succs cfg owner.(t));
+        Ir.Block.set_instrs tb [];
+        tb.Ir.Block.term <- Ir.Instr.Ret None;
+        incr merged;
+        absorb b
+    | _ -> ()
+  in
+  for b = 0 to Ir.Func.num_blocks f - 1 do
+    absorb b
   done;
+  if !merged > 0 then ignore (remove_unreachable f);
   !merged
 
 (* ------------------------------------------------------------------ *)
@@ -516,93 +375,41 @@ let merge_blocks (f : Ir.Func.t) =
 
 (** Within each block, reuse the result of an earlier pure instruction
     with identical opcode and operands.  Loads are not CSE'd (stores may
-    intervene).  Returns the number of eliminated instructions. *)
+    intervene).  One substitution serves the whole function: each
+    block's operands go through it as the block is scanned, and it is
+    applied to the whole function once at the end, because a
+    loop-header phi reads its latch's registers from a block with a
+    higher label.  Returns the number of eliminated instructions. *)
 let local_cse (f : Ir.Func.t) =
   let changed = ref 0 in
+  let subst : (Ir.Instr.reg, Ir.Instr.operand) Hashtbl.t = Hashtbl.create 16 in
+  let resolve = Ir.Func.resolve subst in
+  let pure = function
+    | Ir.Instr.Binop _ | Ir.Instr.Icmp _ | Ir.Instr.Fcmp _ | Ir.Instr.Cast _
+    | Ir.Instr.Select _ | Ir.Instr.Gep _ | Ir.Instr.Gaddr _ ->
+        true
+    | _ -> false
+  in
   Ir.Func.iter_blocks
     (fun b ->
       let seen : (Ir.Instr.kind, Ir.Instr.reg) Hashtbl.t = Hashtbl.create 16 in
-      let subst : (Ir.Instr.reg, Ir.Instr.reg) Hashtbl.t = Hashtbl.create 16 in
-      let rec canon r =
-        match Hashtbl.find_opt subst r with Some r' -> canon r' | None -> r
-      in
-      let rw_op = function
-        | Ir.Instr.Reg r -> Ir.Instr.Reg (canon r)
-        | c -> c
-      in
-      let rw_kind kind =
-        let open Ir.Instr in
-        match kind with
-        | Binop (op, a, b) -> Binop (op, rw_op a, rw_op b)
-        | Icmp (p, a, b) -> Icmp (p, rw_op a, rw_op b)
-        | Fcmp (p, a, b) -> Fcmp (p, rw_op a, rw_op b)
-        | Cast (c, a) -> Cast (c, rw_op a)
-        | Select (c, a, b) -> Select (rw_op c, rw_op a, rw_op b)
-        | Alloca _ as k -> k
-        | Load a -> Load (rw_op a)
-        | Store (v, a) -> Store (rw_op v, rw_op a)
-        | Gep (base, i) -> Gep (rw_op base, rw_op i)
-        | Gaddr _ as k -> k
-        | Call (f, args) -> Call (f, List.map rw_op args)
-        | Phi incoming -> Phi (List.map (fun (l, v) -> (l, rw_op v)) incoming)
-        | Ci_call (ci, args) -> Ci_call (ci, List.map rw_op args)
-      in
-      let pure kind =
-        match kind with
-        | Ir.Instr.Binop _ | Ir.Instr.Icmp _ | Ir.Instr.Fcmp _
-        | Ir.Instr.Cast _ | Ir.Instr.Select _ | Ir.Instr.Gep _
-        | Ir.Instr.Gaddr _ ->
-            true
-        | _ -> false
-      in
-      let kept =
-        List.filter_map
-          (fun (i : Ir.Instr.t) ->
-            let kind = rw_kind i.Ir.Instr.kind in
-            if pure kind then
-              match Hashtbl.find_opt seen kind with
-              | Some earlier ->
-                  Hashtbl.replace subst i.Ir.Instr.id earlier;
-                  incr changed;
-                  None
-              | None ->
-                  Hashtbl.replace seen kind i.Ir.Instr.id;
-                  Some { i with Ir.Instr.kind = kind }
-            else Some { i with Ir.Instr.kind = kind })
-          b.Ir.Block.instrs
-      in
-      Ir.Block.set_instrs b kept;
-      b.Ir.Block.term <-
-        (match b.Ir.Block.term with
-        | Ir.Instr.Ret (Some op) -> Ir.Instr.Ret (Some (rw_op op))
-        | Ir.Instr.Ret None as t -> t
-        | Ir.Instr.Br _ as t -> t
-        | Ir.Instr.Cond_br (c, x, y) -> Ir.Instr.Cond_br (rw_op c, x, y)
-        | Ir.Instr.Switch (s, d, cases) -> Ir.Instr.Switch (rw_op s, d, cases));
-      (* CSE substitutions are block-local in creation but must be
-         applied to later blocks too (dominance holds trivially since
-         the definition precedes in the same block; uses in later blocks
-         refer to the eliminated register). *)
-      if Hashtbl.length subst > 0 then
-        Ir.Func.iter_blocks
-          (fun b' ->
-            if b'.Ir.Block.label <> b.Ir.Block.label then begin
-              Ir.Block.set_instrs b'
-                (List.map
-                   (fun (i : Ir.Instr.t) ->
-                     { i with Ir.Instr.kind = rw_kind i.Ir.Instr.kind })
-                   b'.Ir.Block.instrs);
-              b'.Ir.Block.term <-
-                (match b'.Ir.Block.term with
-                | Ir.Instr.Ret (Some op) -> Ir.Instr.Ret (Some (rw_op op))
-                | Ir.Instr.Ret None as t -> t
-                | Ir.Instr.Br _ as t -> t
-                | Ir.Instr.Cond_br (c, x, y) -> Ir.Instr.Cond_br (rw_op c, x, y)
-                | Ir.Instr.Switch (s, d, cases) ->
-                    Ir.Instr.Switch (rw_op s, d, cases))
-            end)
-          f)
+      Ir.Block.set_instrs b
+        (List.filter_map
+           (fun (i : Ir.Instr.t) ->
+             let kind = Ir.Instr.map_operands resolve i.Ir.Instr.kind in
+             if not (pure kind) then Some { i with Ir.Instr.kind = kind }
+             else
+               match Hashtbl.find_opt seen kind with
+               | Some earlier ->
+                   Hashtbl.replace subst i.Ir.Instr.id (Ir.Instr.Reg earlier);
+                   incr changed;
+                   None
+               | None ->
+                   Hashtbl.replace seen kind i.Ir.Instr.id;
+                   Some { i with Ir.Instr.kind = kind })
+           b.Ir.Block.instrs))
     f;
+  if !changed > 0 then Ir.Func.substitute f subst ~drop:false;
   !changed
 
 (* ------------------------------------------------------------------ *)

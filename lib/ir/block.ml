@@ -7,7 +7,9 @@
 type t = {
   label : Instr.label;
   name : string;
-  mutable instrs : Instr.t list;  (** in execution order *)
+  mutable instrs : Instr.t list;
+      (** in execution order; reversed while a {!Builder} fills the
+          block, until [Builder.finish] *)
   mutable term : Instr.terminator;
 }
 
@@ -16,13 +18,25 @@ let create ~label ~name ~term = { label; name; instrs = []; term }
 (** Number of non-terminator instructions. *)
 let size b = List.length b.instrs
 
-(** Phi instructions (always a prefix of a well-formed block). *)
+(** Phi instructions: the prefix of phis that leads a well-formed
+    block. *)
 let phis b =
-  List.filter
-    (fun (i : Instr.t) -> match i.kind with Instr.Phi _ -> true | _ -> false)
-    b.instrs
+  let rec go = function
+    | ({ Instr.kind = Instr.Phi _; _ } as i) :: rest -> i :: go rest
+    | _ -> []
+  in
+  go b.instrs
 
 (** Replace the instruction list (used by optimizer passes). *)
 let set_instrs b instrs = b.instrs <- instrs
 
-let append b instr = b.instrs <- b.instrs @ [ instr ]
+(** [map_phis f b] replaces the incoming list of each of [b]'s phis
+    with [f] of it.  Only the phi prefix is rebuilt; the rest of the
+    list is shared. *)
+let map_phis f b =
+  let rec go = function
+    | ({ Instr.kind = Instr.Phi incoming; _ } as i) :: rest ->
+        { i with Instr.kind = Instr.Phi (f incoming) } :: go rest
+    | rest -> rest
+  in
+  b.instrs <- go b.instrs

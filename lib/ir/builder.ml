@@ -30,17 +30,23 @@ let current t =
   | Some b -> b
   | None -> invalid_arg "Builder: no insertion block selected"
 
+(* Until [finish], a block's [instrs] hold its instructions in reverse,
+   so appending is a cons. *)
+let push t instr =
+  let b = current t in
+  b.Block.instrs <- instr :: b.Block.instrs
+
 (** Append a raw instruction with a fresh result register; returns the
     register. *)
 let add t ty kind =
   let id = Func.fresh_reg t.func in
-  Block.append (current t) { Instr.id; ty; kind };
+  push t { Instr.id; ty; kind };
   id
 
 (** Append a void instruction (store). *)
 let add_void t kind =
   let id = Func.fresh_reg t.func in
-  Block.append (current t) { Instr.id; ty = Ty.Void; kind }
+  push t { Instr.id; ty = Ty.Void; kind }
 
 let set_term t term = (current t).Block.term <- term
 
@@ -60,11 +66,13 @@ let ret t op = set_term t (Instr.Ret op)
 let br t l = set_term t (Instr.Br l)
 let cond_br t c l1 l2 = set_term t (Instr.Cond_br (c, l1, l2))
 
-(** Finalize: install the accumulated blocks into the function in
-    creation order and return it.  @raise Invalid_argument if no block
-    was created. *)
+(** Finalize: put each block's instructions in execution order and
+    install the blocks into the function in creation order; returns the
+    function.  Call it once, before reading any block's [instrs].
+    @raise Invalid_argument if no block was created. *)
 let finish t =
   if t.nlabels = 0 then invalid_arg "Builder.finish: function has no blocks";
+  List.iter (fun b -> b.Block.instrs <- List.rev b.Block.instrs) t.blocks;
   t.func.Func.blocks <- Array.of_list (List.rev t.blocks);
   t.func
 

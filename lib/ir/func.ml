@@ -39,6 +39,33 @@ let iter_blocks f t = Array.iter f t.blocks
 let iter_instrs f t =
   iter_blocks (fun b -> List.iter (fun i -> f b i) b.Block.instrs) t
 
+(** [resolve subst op] follows [subst] (register to the operand that
+    replaces it) from [op] until it reaches a constant or a register
+    with no entry. *)
+let rec resolve subst op =
+  match op with
+  | Instr.Reg r -> (
+      match Hashtbl.find_opt subst r with
+      | Some op' -> resolve subst op'
+      | None -> op)
+  | Instr.Const _ -> op
+
+(** [substitute t subst ~drop] rewrites every instruction and
+    terminator operand of [t] through {!resolve}.  With [~drop:true]
+    the instructions whose register [subst] replaces are removed. *)
+let substitute t subst ~drop =
+  let rw = resolve subst in
+  iter_blocks
+    (fun b ->
+      b.Block.instrs <-
+        List.filter_map
+          (fun (i : Instr.t) ->
+            if drop && Hashtbl.mem subst i.id then None
+            else Some { i with kind = Instr.map_operands rw i.kind })
+          b.Block.instrs;
+      b.Block.term <- Instr.map_terminator_operands rw b.Block.term)
+    t
+
 (** Allocate a fresh register id. *)
 let fresh_reg t =
   let r = t.next_reg in

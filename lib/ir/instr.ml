@@ -131,6 +131,34 @@ let terminator_used_regs t =
     (function Reg r -> Some r | Const _ -> None)
     (terminator_operands t)
 
+(* ------------------------------------------------------------------ *)
+(* Operand rewriting                                                   *)
+(* ------------------------------------------------------------------ *)
+
+(** [map_operands f k] is [k] with every operand it reads replaced by
+    [f] of it; opcodes, types and phi labels stay.  The one operand
+    rewrite of the IR: every optimizer substitution goes through it. *)
+let map_operands f = function
+  | Binop (op, a, b) -> Binop (op, f a, f b)
+  | Icmp (p, a, b) -> Icmp (p, f a, f b)
+  | Fcmp (p, a, b) -> Fcmp (p, f a, f b)
+  | Cast (c, a) -> Cast (c, f a)
+  | Select (c, a, b) -> Select (f c, f a, f b)
+  | (Alloca _ | Gaddr _) as k -> k
+  | Load a -> Load (f a)
+  | Store (v, a) -> Store (f v, f a)
+  | Gep (b, i) -> Gep (f b, f i)
+  | Call (name, args) -> Call (name, List.map f args)
+  | Phi incoming -> Phi (List.map (fun (l, v) -> (l, f v)) incoming)
+  | Ci_call (ci, args) -> Ci_call (ci, List.map f args)
+
+(** [map_operands] for a terminator: labels stay. *)
+let map_terminator_operands f = function
+  | (Ret None | Br _) as t -> t
+  | Ret (Some op) -> Ret (Some (f op))
+  | Cond_br (c, x, y) -> Cond_br (f c, x, y)
+  | Switch (s, d, cases) -> Switch (f s, d, cases)
+
 (** Successor labels of a terminator, in syntactic order, without
     duplicates removed. *)
 let successors = function

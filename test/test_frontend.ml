@@ -395,6 +395,227 @@ let test_block_merging () =
   let main = Option.get (Ir.Irmod.find_func r.F.Compiler.modul "main") in
   Alcotest.(check int) "single block" 1 (Ir.Func.num_blocks main)
 
+(* A hand-built function [f(i64) -> i64] whose [build] fills the blocks
+   named by [names] ([at k] positions the builder at bb[k]); returns the
+   finished function. *)
+let hand_func names build =
+  let f = Ir.Func.create ~name:"f" ~params:[ (0, Ir.Ty.I64) ] ~ret_ty:Ir.Ty.I64 in
+  let b = Ir.Builder.create f in
+  let blocks = Array.map (fun name -> Ir.Builder.new_block b ~name) names in
+  build b (fun k -> Ir.Builder.position_at b blocks.(k));
+  Ir.Builder.finish b
+
+let verifier_errors (f : Ir.Func.t) =
+  let m = Ir.Irmod.create ~name:"m" in
+  Ir.Irmod.add_func m f;
+  List.map (Format.asprintf "%a" Ir.Verifier.pp_error)
+    (Ir.Verifier.check_module m)
+
+(* Edges [merge_blocks] would still take: [b] branches to [t], the only
+   predecessor of [t] is [b], and [t] has no phi and is not the entry. *)
+let mergeable_edges (f : Ir.Func.t) =
+  let cfg = Ir.Cfg.of_func f in
+  List.filter_map
+    (fun (blk : Ir.Block.t) ->
+      let b = blk.Ir.Block.label in
+      match blk.Ir.Block.term with
+      | Ir.Instr.Br t
+        when t <> b && t <> Ir.Func.entry_label
+             && Ir.Cfg.preds cfg t = [ b ]
+             && Ir.Block.phis (Ir.Func.block f t) = [] ->
+          Some (b, t)
+      | _ -> None)
+    (Array.to_list f.Ir.Func.blocks)
+
+(* One [merge_blocks] call leaves no mergeable edge.  The chain
+   bb4 -> bb1 -> bb3 -> bb2 has a head with a higher label than the
+   blocks it absorbs, and bb1 must take bb3 and then bb2 on its own
+   turn (bb2 has a lower label than bb3).  bb2's successor, the join
+   bb6, has a phi whose bb2 entry must end up naming the head. *)
+let test_merge_blocks_one_call () =
+  let r = Ir.Builder.reg and c = Ir.Builder.ci64 in
+  let f =
+    hand_func [| "entry"; "one"; "two"; "three"; "head"; "other"; "join" |]
+      (fun b at ->
+        let add x y = Ir.Builder.binop b Ir.Instr.Add Ir.Ty.I64 x y in
+        at 0;
+        let cond = Ir.Builder.icmp b Ir.Instr.Islt (r 0) (c 10L) in
+        Ir.Builder.cond_br b (r cond) 4 5;
+        at 4;
+        let a4 = add (r 0) (c 4L) in
+        Ir.Builder.br b 1;
+        at 1;
+        let a1 = add (r a4) (c 1L) in
+        Ir.Builder.br b 3;
+        at 3;
+        let a3 = add (r a1) (c 3L) in
+        Ir.Builder.br b 2;
+        at 2;
+        let a2 = add (r a3) (c 2L) in
+        Ir.Builder.br b 6;
+        at 5;
+        Ir.Builder.br b 6;
+        at 6;
+        let p =
+          Ir.Builder.add b Ir.Ty.I64 (Ir.Instr.Phi [ (2, r a2); (5, r 0) ])
+        in
+        Ir.Builder.ret b (Some (r p)))
+  in
+  Alcotest.(check int) "merges" 3 (F.Opt.merge_blocks f);
+  Alcotest.(check (list (pair int int))) "no mergeable edge left" []
+    (mergeable_edges f);
+  Alcotest.(check (list string)) "verifies" [] (verifier_errors f);
+  Alcotest.(check (list string)) "blocks" [ "entry"; "head"; "other"; "join" ]
+    (Array.to_list (Array.map (fun b -> b.Ir.Block.name) f.Ir.Func.blocks));
+  Alcotest.(check int) "head holds the chain" 4
+    (Ir.Block.size f.Ir.Func.blocks.(1));
+  Alcotest.(check (list int)) "join phi names the head" [ 1; 2 ]
+    (List.concat_map
+       (fun (i : Ir.Instr.t) ->
+         match i.Ir.Instr.kind with
+         | Ir.Instr.Phi incoming -> List.map fst incoming
+         | _ -> [])
+       (Ir.Block.phis f.Ir.Func.blocks.(3)))
+
+(* [local_cse] removes a duplicate in the latch bb2 whose register the
+   loop-header phi of bb1, a lower label, reads over the back edge. *)
+let test_local_cse_back_edge () =
+  let r = Ir.Builder.reg and c = Ir.Builder.ci64 in
+  let dup = ref (-1) and kept = ref (-1) in
+  let f =
+    hand_func [| "entry"; "header"; "latch"; "exit" |] (fun b at ->
+        at 0;
+        Ir.Builder.br b 1;
+        at 1;
+        let i = Ir.Builder.add b Ir.Ty.I64 (Ir.Instr.Phi []) in
+        let cond = Ir.Builder.icmp b Ir.Instr.Islt (r i) (r 0) in
+        Ir.Builder.cond_br b (r cond) 2 3;
+        at 2;
+        kept := Ir.Builder.binop b Ir.Instr.Add Ir.Ty.I64 (r i) (c 1L);
+        dup := Ir.Builder.binop b Ir.Instr.Add Ir.Ty.I64 (r i) (c 1L);
+        ignore (Ir.Builder.binop b Ir.Instr.Mul Ir.Ty.I64 (r !kept) (c 3L));
+        Ir.Builder.br b 1;
+        at 3;
+        Ir.Builder.ret b (Some (r i)))
+  in
+  Ir.Block.map_phis
+    (fun _ -> [ (0, c 0L); (2, r !dup) ])
+    f.Ir.Func.blocks.(1);
+  Alcotest.(check (list string)) "input verifies" [] (verifier_errors f);
+  Alcotest.(check int) "one duplicate" 1 (F.Opt.local_cse f);
+  Alcotest.(check (list string)) "verifies" [] (verifier_errors f);
+  Alcotest.(check (list (pair int int))) "phi reads the kept add"
+    [ (0, -1); (2, !kept) ]
+    (List.concat_map
+       (fun (i : Ir.Instr.t) ->
+         match i.Ir.Instr.kind with
+         | Ir.Instr.Phi incoming ->
+             List.map
+               (fun (l, v) ->
+                 (l, match v with Ir.Instr.Reg x -> x | Ir.Instr.Const _ -> -1))
+               incoming
+         | _ -> [])
+       f.Ir.Func.blocks.(1).Ir.Block.instrs)
+
+(* MD5 of [Ir.Printer.module_to_string] for every registry and phased
+   module, at the default -O3, at [~optimize:false] and at
+   [~unroll_factor:1].  A change to the optimizer that is meant to keep
+   its output keeps these; one that is meant to change it re-pins them
+   and says why. *)
+let printed_ir_pins =
+  [
+    ( "164.gzip",
+      "3917f45bd0d3a5eccfe1e8660f73872c",
+      "298a19895011349ebcaefd46c36f7d08",
+      "c4b3b7602f33792cbdd7074e57e8dfc2" );
+    ( "179.art",
+      "3ba8a791fc1947583d816b202f718f0d",
+      "9400925cb75e620e419ffb7c544aa5c6",
+      "edff8521c992c456d4480f88c845b944" );
+    ( "183.equake",
+      "453d973d5fe54ba4cca261622ee81252",
+      "f00cce6c2b0fb1dd97f03316ef33c51b",
+      "7bdfd65bcc3927df54c288cb30cc44ba" );
+    ( "188.ammp",
+      "07f6eef17eeb84b991f7ca7cad827095",
+      "5aa328b48aeee9bfeb59d05f8410acff",
+      "edc45828eeaddc4bea07b75c35e2e7d5" );
+    ( "429.mcf",
+      "e017b0144530a55074df7a2ac39d2a9b",
+      "e7589cba0ad3ff55371b895c7f8503fe",
+      "4188a59ce2161172b5ac0ce6d24a0553" );
+    ( "433.milc",
+      "a8446fa65a5133b97e8a44eba0eafdbf",
+      "a99260f3517a30c7782fb287848f06c9",
+      "381ff91a861a735d305be89ff863e8a3" );
+    ( "444.namd",
+      "17f3d50500f89dc9d7ce7c0b35d2dc35",
+      "d88f8783226ae5bc5004e78cbce3e881",
+      "9b2f7015c51fa22981a8792942fc1ae9" );
+    ( "458.sjeng",
+      "c6a0db784926555bf20d242994942d37",
+      "89a1ee2a18d0708e50ad0cf2eb2bf220",
+      "c51e81ad12626b42e4963e1fd7b63dee" );
+    ( "470.lbm",
+      "fc299a276b1145ffd08de8e3cb41e3f9",
+      "c2af9a6addb1c32e60a10aa4f20f45ff",
+      "0742e27c8422cf0df54de404e95ad9d1" );
+    ( "473.astar",
+      "20d7911ac91dd6d372d416f73e89cb80",
+      "de0d5f4d12656a176be99e070bde3f72",
+      "045dd3d39873a0a142ee459d2d822a68" );
+    ( "adpcm",
+      "bc3179162e990af5881aab29d0255b75",
+      "4912f2b70cdc62e5addd160664ffe591",
+      "e5d261219c5228c5009b42d75119af85" );
+    ( "fft",
+      "e50432c3010f11fe33c353aabf7ee7f4",
+      "c79d176678143569d3588a80f5523f69",
+      "7567791233b067ccf1346c0f224ad83f" );
+    ( "sor",
+      "a78c14acd8c03d08c093cc4d2290aa60",
+      "21268e50a862c3db8490817f9f3dade4",
+      "d140042036ee68e91670721799b7e16c" );
+    ( "whetstone",
+      "7ce5a85b085ca5a92481edd119505a6e",
+      "6dc15ded4278c33eb85983379bff15f7",
+      "1fd3dc004518e3cc9cb7a6b4dd73e890" );
+    ( "phased.blend",
+      "a477406681ec8addffe6ca563c07d950",
+      "7e8242905f0dfc652c17104983726b7d",
+      "f523c01cb0756199d30662abff4476ec" );
+    ( "phased.sweep",
+      "0bfd9f3334f9133844886fba42203a31",
+      "ab2f81fb706d306ce9fd68f8a962b86f",
+      "6d30e76f3b44473831ed0386ab905e49" );
+    ( "phased.flash",
+      "eb5d1e8696f76bb1b7ec2eb234ed138a",
+      "eeb7b7a142bb9c1b5bc2712de70af5d8",
+      "1f6f06efab2d316b3ffd94c67f561169" );
+  ]
+
+let test_printed_ir_pin () =
+  let module W = Jitise_workloads in
+  let workloads = W.Registry.all @ W.Registry.phased in
+  Alcotest.(check (list string)) "pinned modules"
+    (List.map (fun (w : W.Workload.t) -> w.W.Workload.name) workloads)
+    (List.map (fun (name, _, _, _) -> name) printed_ir_pins);
+  List.iter2
+    (fun (w : W.Workload.t) (name, o3, o0, u1) ->
+      let digest what ?optimize ?unroll_factor expected =
+        let r =
+          F.Compiler.compile ?optimize ?unroll_factor ~module_name:name
+            w.W.Workload.sources
+        in
+        Alcotest.(check string) (name ^ " " ^ what) expected
+          (Digest.to_hex
+             (Digest.string (Ir.Printer.module_to_string r.F.Compiler.modul)))
+      in
+      digest "-O3" o3;
+      digest "-O0" ~optimize:false o0;
+      digest "unroll 1" ~unroll_factor:1 u1)
+    workloads printed_ir_pins
+
 let test_verifier_accepts_all_output () =
   List.iter
     (fun (name, src, _) ->
@@ -517,6 +738,11 @@ let () =
           Alcotest.test_case "load invalidation" `Quick
             test_load_forwarding_invalidation;
           Alcotest.test_case "block merging" `Quick test_block_merging;
+          Alcotest.test_case "block merging in one call" `Quick
+            test_merge_blocks_one_call;
+          Alcotest.test_case "cse across a back edge" `Quick
+            test_local_cse_back_edge;
+          Alcotest.test_case "printed IR pin" `Quick test_printed_ir_pin;
           Alcotest.test_case "verifier clean" `Quick
             test_verifier_accepts_all_output;
           Alcotest.test_case "stats" `Quick test_compiler_stats;

@@ -515,6 +515,7 @@ let build_ci_body (inputs : Ir.Ty.t list) build : Vm.Machine.ci_body =
   let bb = Ir.Builder.new_block b ~name:"body" in
   Ir.Builder.position_at b bb;
   let root = build b in
+  ignore (Ir.Builder.finish b);
   {
     Vm.Machine.cb_inputs = Array.of_list params;
     cb_nodes = Array.of_list bb.Ir.Block.instrs;
